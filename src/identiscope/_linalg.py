@@ -57,23 +57,26 @@ def rank_mod_p(rows, p: int) -> int:
     return r
 
 
-def deleted_column_ranks(rows, p: int) -> list[int]:
-    """rank of the matrix with column j removed, for every j.
+def independent_columns(rows, p: int) -> tuple[int, list[bool]]:
+    """Rank over F_p, and for each column whether it is independent of the others.
 
-    Works on a row basis of the input (row operations preserve column
-    dependencies), and skips non-pivot columns: in echelon form a non-pivot
-    column is a combination of pivot columns to its left, so deleting it
-    never changes the rank.
+    One forward elimination, then back-substitution over the r pivot rows,
+    gives the reduced row echelon form.  Column j is independent of the
+    others exactly when e_j lies in the row space, that is when j is a pivot
+    column whose pivot row is the unit vector e_j; equivalently, deleting
+    column j drops the rank by one.
     """
     a = _as_array(rows, p)
     n_cols = a.shape[1]
     if a.size == 0:
-        return [0] * n_cols
+        return 0, [False] * n_cols
     r, pivots = _eliminate(a, p)
     basis = a[:r]
-    out = [r] * n_cols
-    for j in pivots:
-        reduced = np.delete(basis, j, axis=1).copy()
-        rj, _ = _eliminate(reduced, p)
-        out[j] = rj
-    return out
+    for i in range(r - 1, 0, -1):
+        col = basis[:i, pivots[i]]
+        if col.any():
+            basis[:i] = (basis[:i] - col[:, None] * basis[i][None, :]) % p
+    independent = [False] * n_cols
+    for i, c in enumerate(pivots):
+        independent[c] = np.count_nonzero(basis[i]) == 1
+    return r, independent

@@ -27,10 +27,10 @@ from importlib import resources
 from pathlib import Path
 
 from . import symexpr as sx
-from .errors import EngineTimeout, IdentiscopeError
+from .errors import EngineTimeout, IdentiscopeError, NonRationalExpr
 from .ffprob import DEFAULT_PRIMES, FfprobOptions, analyze_ffprob
 from .lie_orc import SymbolicOptions, analyze_symbolic
-from .model import load_model
+from .model import ModelDef, load_model
 from .report import SCHEMA_VERSION, STATUS_ERROR, STATUS_NA, STATUS_OK, STATUS_TIMEOUT, AnalysisReport
 
 ENGINES = ("symbolic", "ffprob")
@@ -188,33 +188,52 @@ def load_corpus(directory=None) -> list[CorpusEntry]:
     return entries
 
 
+def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
+            trials: int | None = None, deadline: float | None = None,
+            max_level: int | None = None, order: int | None = None) -> AnalysisReport:
+    """Run one engine on a model; raises whatever the engine raises.  The
+    symbolic engine takes ``primes[0]`` and ``max_level``, ffprob ``order``;
+    ``trials=None`` keeps each engine's default."""
+    if engine == "symbolic":
+        opts = SymbolicOptions(seed=seed, prime=primes[0], max_level=max_level,
+                               deadline=deadline)
+        run = analyze_symbolic
+    elif engine == "ffprob":
+        opts = FfprobOptions(seed=seed, primes=tuple(primes), order=order,
+                             deadline=deadline)
+        run = analyze_ffprob
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    if trials is not None:
+        opts.trials = trials
+    return run(md, opts)
+
+
+def failure_record(md: ModelDef, engine: str, seed: int,
+                   exc: IdentiscopeError) -> AnalysisReport:
+    """The record of a run that raised: na for a non-rational model, timeout
+    for an exceeded budget, error for anything else."""
+    if isinstance(exc, NonRationalExpr):
+        status, error = STATUS_NA, "NonRationalExpr"
+    elif isinstance(exc, EngineTimeout):
+        status, error = STATUS_TIMEOUT, "EngineTimeout"
+    else:
+        status, error = STATUS_ERROR, f"{type(exc).__name__}: {exc}"
+    return AnalysisReport(model=md.name, engine=engine, status=status,
+                          seed=seed, error=error)
+
+
 def _run_one(path: str, engine: str, seed: int, timeout_s: float | None,
              trials: int | None, primes: tuple[int, ...]) -> AnalysisReport:
-    """Analyze one (model, engine) pair; never raises."""
+    """Analyze one (model, engine) pair; analysis failures become records."""
     sx.clear_caches()
     md = load_model(path)
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     try:
-        if engine == "symbolic":
-            opts = SymbolicOptions(seed=seed, prime=primes[0], deadline=deadline)
-            if trials is not None:
-                opts.trials = trials
-            return analyze_symbolic(md, opts)
-        if engine == "ffprob":
-            if not md.is_rational():
-                return AnalysisReport(model=md.name, engine=engine, status=STATUS_NA,
-                                      seed=seed, error="NonRationalExpr")
-            opts = FfprobOptions(seed=seed, primes=tuple(primes), deadline=deadline)
-            if trials is not None:
-                opts.trials = trials
-            return analyze_ffprob(md, opts)
-        raise ValueError(f"unknown engine {engine!r}")
-    except EngineTimeout:
-        return AnalysisReport(model=md.name, engine=engine, status=STATUS_TIMEOUT,
-                              seed=seed, error="EngineTimeout")
+        return analyze(md, engine, seed=seed, primes=primes, trials=trials,
+                       deadline=deadline)
     except IdentiscopeError as exc:
-        return AnalysisReport(model=md.name, engine=engine, status=STATUS_ERROR,
-                              seed=seed, error=f"{type(exc).__name__}: {exc}")
+        return failure_record(md, engine, seed, exc)
 
 
 def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[AnalysisReport]:
@@ -233,15 +252,11 @@ def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[Analysi
 
     if opts.parallelism > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=opts.parallelism) as pool:
-            reports = list(pool.map(_run_one_star, tasks))
+            reports = list(pool.map(_run_one, *zip(*tasks)))
     else:
         reports = [_run_one(*t) for t in tasks]
     reports.sort(key=lambda r: (r.model, r.engine))
     return reports
-
-
-def _run_one_star(args):
-    return _run_one(*args)
 
 
 def compare_engines(reports: list[AnalysisReport]) -> list[ConsensusResult]:

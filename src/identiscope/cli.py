@@ -17,17 +17,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from typing import NoReturn
 
 from . import bench as bench_mod
 from . import symexpr as sx
-from .errors import IdentiscopeError, ModelError
-from .ffprob import DEFAULT_PRIMES, FfprobOptions, analyze_ffprob
-from .lie_orc import SymbolicOptions, analyze_symbolic
+from ._linalg import MAX_PRIME
+from .errors import IdentiscopeError, ModelError, NonRationalExpr
+from .ffprob import DEFAULT_PRIMES, MIN_PRIME
 from .model import augment, load_model
-from .report import STATUS_NA, STATUS_OK, AnalysisReport
+from .report import STATUS_OK, AnalysisReport
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -35,14 +37,41 @@ EXIT_USAGE = 2
 EXIT_DISAGREE = 3
 
 
-def _default_seed() -> int:
-    env = os.environ.get("IDENTISCOPE_SEED")
-    if env is None:
-        return 0
+def _usage_error(message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _load(path: str):
+    """The parsed model; an unreadable file or a model error exits 2."""
     try:
-        return int(env)
+        return load_model(path)
+    except (ModelError, OSError) as exc:
+        _usage_error(str(exc))
+
+
+def _run_settings(args) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
+    """(seed, primes, engines) for analyze and bench, after checking
+    --prime, --trials, --timeout-s and IDENTISCOPE_SEED; a bad value exits 2."""
+    for p in args.prime or ():
+        if not (MIN_PRIME < p <= MAX_PRIME and _is_prime(p)):
+            _usage_error(f"--prime {p}: need a prime in (2^20, {MAX_PRIME}]")
+    if args.trials is not None and args.trials < 1:
+        _usage_error(f"--trials {args.trials}: need at least 1")
+    if args.timeout_s is not None and not args.timeout_s > 0:
+        _usage_error(f"--timeout-s {args.timeout_s}: need a positive number of seconds")
+    env = os.environ.get("IDENTISCOPE_SEED", "0")
+    try:
+        seed = args.seed if args.seed is not None else int(env)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        _usage_error(f"IDENTISCOPE_SEED={env!r}: need an integer")
+    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
+    engines = bench_mod.ENGINES if args.engine == "both" else (args.engine,)
+    return seed, primes, engines
 
 
 def _machine_error(exc: Exception):
@@ -65,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (default 0, or IDENTISCOPE_SEED)")
         p.add_argument("--prime", type=int, action="append", default=None,
-                       metavar="P", help=f"prime field modulus, repeatable "
-                       f"(default {list(DEFAULT_PRIMES)})")
+                       metavar="P", help=f"prime field modulus in (2^20, {MAX_PRIME}], "
+                       f"repeatable (default {list(DEFAULT_PRIMES)})")
         p.add_argument("--trials", type=int, default=None,
-                       help="random trials per prime (default: symbolic 3, ffprob 2)")
+                       help="random trials per prime, at least 1 "
+                            "(default: symbolic 3, ffprob 2)")
         p.add_argument("--max-level", type=int, default=None,
                        help="symbolic engine: max Lie-derivative level (default n_z-1)")
         p.add_argument("--series-order", type=int, default=None,
@@ -83,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("model", help="path to a .idm model file")
     common(pa)
     pa.add_argument("--timeout-s", type=float, default=None,
-                    help="wall-clock bound for the analysis (default: none)")
+                    help="wall-clock bound for the analysis in seconds, > 0 "
+                         "(default: none)")
 
     pb = sub.add_parser("bench", help="run the benchmark corpus",
                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -91,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="corpus directory (default: packaged corpus)")
     common(pb)
     pb.add_argument("--timeout-s", type=float, default=120.0,
-                    help="per-model wall-clock bound")
+                    help="per-model wall-clock bound in seconds, > 0")
     pb.add_argument("--format", choices=["json", "csv"], default=None,
                     help="emit the machine-readable document to stdout")
     pb.add_argument("--heavy", action="store_true",
@@ -104,35 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("model", help="path to a .idm model file")
 
     return ap
-
-
-def _analyze_engines(md, args) -> list[AnalysisReport]:
-    seed = args.seed if args.seed is not None else _default_seed()
-    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
-    deadline = None
-    if getattr(args, "timeout_s", None):
-        deadline = time.monotonic() + args.timeout_s
-    engines = ["symbolic", "ffprob"] if args.engine == "both" else [args.engine]
-    reports = []
-    for engine in engines:
-        if engine == "symbolic":
-            opts = SymbolicOptions(seed=seed, prime=primes[0],
-                                   max_level=args.max_level, deadline=deadline)
-            if args.trials is not None:
-                opts.trials = args.trials
-            reports.append(analyze_symbolic(md, opts))
-        else:
-            if args.engine == "both" and not md.is_rational():
-                reports.append(AnalysisReport(model=md.name, engine="ffprob",
-                                              status=STATUS_NA, seed=seed,
-                                              error="NonRationalExpr"))
-                continue
-            opts = FfprobOptions(seed=seed, primes=primes,
-                                 order=args.series_order, deadline=deadline)
-            if args.trials is not None:
-                opts.trials = args.trials
-            reports.append(analyze_ffprob(md, opts))
-    return reports
 
 
 def _print_report(r: AnalysisReport):
@@ -157,16 +159,21 @@ def _print_report(r: AnalysisReport):
 
 
 def cmd_analyze(args) -> int:
-    try:
-        md = load_model(args.model)
-    except (ModelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        reports = _analyze_engines(md, args)
-    except IdentiscopeError as exc:
-        _machine_error(exc)
-        return EXIT_ANALYSIS
+    seed, primes, engines = _run_settings(args)
+    md = _load(args.model)
+    deadline = None if args.timeout_s is None else time.monotonic() + args.timeout_s
+    reports = []
+    for engine in engines:
+        try:
+            reports.append(bench_mod.analyze(
+                md, engine, seed=seed, primes=primes, trials=args.trials,
+                deadline=deadline, max_level=args.max_level, order=args.series_order))
+        except IdentiscopeError as exc:
+            # Under "both" a non-rational model gives ffprob an na record.
+            if not (args.engine == "both" and isinstance(exc, NonRationalExpr)):
+                _machine_error(exc)
+                return EXIT_ANALYSIS
+            reports.append(bench_mod.failure_record(md, engine, seed, exc))
 
     print(f"model: {md.name}")
     for r in reports:
@@ -196,9 +203,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
-    engines = bench_mod.ENGINES if args.engine == "both" else (args.engine,)
+    seed, primes, engines = _run_settings(args)
     opts = bench_mod.BenchOptions(
         engines=engines,
         timeout_s=args.timeout_s,
@@ -236,11 +241,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        md = load_model(args.model)
-    except (ModelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    md = _load(args.model)
     kind = "rational" if md.is_rational() else "non-rational"
     print(f"OK {md.name}: states={md.n} params={md.p} known_inputs={md.q} "
           f"unknown_inputs={md.q_w} outputs={md.m} ({kind})")
@@ -248,11 +249,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    try:
-        md = load_model(args.model)
-    except (ModelError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    md = _load(args.model)
     A = augment(md)
     print(f"model: {md.name}")
     print(f"n_z = {A.n_z} (states {md.n} + params {md.p} + input chains "

@@ -166,11 +166,6 @@ class TruncSeries:
             out.append(a * pow(k + 1, -1, p) % p)
         return TruncSeries(out, p)
 
-    def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a series by truncation")
-        return TruncSeries(self.coeffs[:order + 1], self.p)
-
 
 def eval_expr_series(e: Expr, env: dict[Symbol, TruncSeries], order: int,
                      p: int, _memo=None) -> TruncSeries:
@@ -186,12 +181,7 @@ def eval_expr_series(e: Expr, env: dict[Symbol, TruncSeries], order: int,
         if got is not None:
             return got
         if isinstance(node, sx.Const):
-            v = node.value
-            den = v.denominator % p
-            if den == 0:
-                raise DivisionByZeroModP(f"constant {v} has denominator divisible by {p}")
-            r = v.numerator % p if v.denominator == 1 else v.numerator * pow(den, -1, p) % p
-            out = TruncSeries.constant(r, order, p)
+            out = TruncSeries.constant(sx.const_mod_p(node.value, p), order, p)
         elif isinstance(node, sx.Sym):
             out = env[node.symbol]
         elif isinstance(node, sx.Add):
@@ -345,12 +335,7 @@ def _compile(e: Expr, env: dict[Symbol, _LNode], p: int, memo: dict) -> _LNode:
     if got is not None:
         return got
     if isinstance(e, sx.Const):
-        v = e.value
-        den = v.denominator % p
-        if den == 0:
-            raise DivisionByZeroModP(f"constant {v} has denominator divisible by {p}")
-        r = v.numerator % p if v.denominator == 1 else v.numerator * pow(den, -1, p) % p
-        out = _LConst(r, p)
+        out = _LConst(sx.const_mod_p(e.value, p), p)
     elif isinstance(e, sx.Sym):
         out = env[e.symbol]
     elif isinstance(e, sx.Add):
@@ -554,10 +539,10 @@ def _solve_with_retries(A: AugmentedSystem, cfg: TrialConfig, trial: int,
 def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisReport:
     """Rank analysis from random finite-field series solutions.
 
-    The aggregated rank is the max over all (prime, trial) runs; per-column
-    verdicts use the column-deletion rule on the already-built Jacobians,
-    aggregated the same way.  Per-prime ranks are reported so that
-    prime-dependent rank drops are visible.
+    The aggregated rank is the max over all (prime, trial) runs; an entry is
+    identifiable when its column is independent of the others (deleting it
+    drops the rank by one) in every run that reaches that rank.  Per-prime
+    ranks are reported so that prime-dependent rank drops are visible.
     """
     opts = opts or FfprobOptions()
     t0 = time.perf_counter()
@@ -567,28 +552,22 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
     order = opts.order if opts.order is not None else max(n_z - 1, 1)
 
     per_prime: dict[str, list[int]] = {}
-    matrices: list[tuple[int, list[list[int]]]] = []
+    trial_results: list[tuple[int, list[bool]]] = []
     for p in opts.primes:
         cfg = TrialConfig(prime=p, seed=opts.seed, order=order, retries=opts.retries)
         ranks = []
         for trial in range(opts.trials):
             _check_deadline(opts.deadline)
             _, jac = _solve_with_retries(A, cfg, trial, opts.deadline)
-            ranks.append(_linalg.rank_mod_p(jac, p))
-            matrices.append((p, jac))
+            r, independent = _linalg.independent_columns(jac, p)
+            ranks.append(r)
+            trial_results.append((r, independent))
         per_prime[str(p)] = ranks
 
-    rank = max(r for ranks in per_prime.values() for r in ranks)
-    if rank == n_z:
-        verdict_map = {s: verdict_for(s.kind.value, True) for s in A.z}
-    else:
-        deleted = [0] * n_z
-        for p, jac in matrices:
-            _check_deadline(opts.deadline)
-            for j, rj in enumerate(_linalg.deleted_column_ranks(jac, p)):
-                deleted[j] = max(deleted[j], rj)
-        verdict_map = {s: verdict_for(s.kind.value, deleted[j] == rank - 1)
-                       for j, s in enumerate(A.z)}
+    rank = max(r for r, _ in trial_results)
+    identifiable = [all(independent[j] for r, independent in trial_results if r == rank)
+                    for j in range(n_z)]
+    verdict_map = {s: verdict_for(s.kind.value, identifiable[j]) for j, s in enumerate(A.z)}
 
     warnings = []
     if md.unknown_inputs:

@@ -198,23 +198,21 @@ def rank_by_random_eval(M: ObservabilityMatrix, trials: int, seed: int, p: int,
 def classify_columns(M: ObservabilityMatrix, r: int, trials: int, seed: int, p: int,
                      retries: int = DEFAULT_RETRIES,
                      deadline: float | None = None) -> dict[Symbol, str]:
-    """Column-deletion test for each z entry.
+    """Column-independence test for each z entry.
 
-    Deleting column i drops the rank to r-1 exactly when entry i is
-    observable/identifiable; an unchanged rank means the column is in the
-    span of the others (unobservable/unidentifiable).  With r == n_z all
-    entries are identifiable and no per-column tests are needed.
+    Entry j is observable/identifiable when its column is independent of the
+    others (deleting it drops the rank to r-1) in every trial that reaches
+    rank r; otherwise it lies in the span of the others
+    (unobservable/unidentifiable).
     """
-    n_z = len(M.symbols)
-    if r == n_z:
-        return {s: verdict_for(s.kind.value, True) for s in M.symbols}
-    deleted = [0] * n_z
+    identifiable = [True] * len(M.symbols)
     for trial in range(trials):
         _check_deadline(deadline)
         numeric, _ = _numeric_matrix(M, trial, seed, p, retries)
-        for j, rj in enumerate(_linalg.deleted_column_ranks(numeric, p)):
-            deleted[j] = max(deleted[j], rj)
-    return {s: verdict_for(s.kind.value, deleted[j] == r - 1)
+        rank, independent = _linalg.independent_columns(numeric, p)
+        if rank == r:
+            identifiable = [a and b for a, b in zip(identifiable, independent)]
+    return {s: verdict_for(s.kind.value, identifiable[j])
             for j, s in enumerate(M.symbols)}
 
 

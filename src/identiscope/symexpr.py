@@ -662,6 +662,15 @@ def substitute(e: Expr, bindings: dict[Symbol, Expr]) -> Expr:
 # Evaluation
 # --------------------------------------------------------------------------
 
+def const_mod_p(value: Fraction, p: int) -> int:
+    """Residue of a rational constant mod p; DivisionByZeroModP if p divides
+    its denominator."""
+    den = value.denominator % p
+    if den == 0:
+        raise DivisionByZeroModP(f"constant {value} has denominator divisible by {p}")
+    return value.numerator % p if value.denominator == 1 else value.numerator * pow(den, -1, p) % p
+
+
 def eval_mod_p(e: Expr, point: dict[Symbol, int], p: int, *, transcendental=None,
                _memo=None) -> int:
     """Exact value of ``e`` at ``point`` in the field of integers mod p.
@@ -679,11 +688,7 @@ def eval_mod_p(e: Expr, point: dict[Symbol, int], p: int, *, transcendental=None
         if got is not None:
             return got
         if isinstance(node, Const):
-            v = node.value
-            den = v.denominator % p
-            if den == 0:
-                raise DivisionByZeroModP(f"constant {v} has denominator divisible by {p}")
-            out = v.numerator % p if v.denominator == 1 else v.numerator * pow(den, -1, p) % p
+            out = const_mod_p(node.value, p)
         elif isinstance(node, Sym):
             try:
                 out = point[node.symbol] % p

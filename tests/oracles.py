@@ -8,6 +8,7 @@ under test, so a bug in those cannot hide itself.
 from fractions import Fraction
 
 from identiscope import symexpr as sx
+from identiscope._linalg import rank_mod_p
 
 
 def eval_dual_rational(e, point, wrt):
@@ -86,3 +87,14 @@ def eval_plain_mod_p(e, point, p):
     if isinstance(e, sx.Pow):
         return pow(eval_plain_mod_p(e.base, point, p), e.exponent, p)
     raise ValueError(f"non-rational node {e!r}")
+
+
+def deleted_column_ranks(rows, p):
+    """Rank over F_p of the matrix with column j removed, for every j.
+
+    Brute force: one elimination per column, independent of the single
+    reduced echelon form that the engines classify columns with.
+    """
+    n_cols = len(rows[0]) if len(rows) else 0
+    return [rank_mod_p([list(row[:j]) + list(row[j + 1:]) for row in rows], p)
+            for j in range(n_cols)]

@@ -17,8 +17,9 @@ from identiscope.ffprob import (
     series_solve,
 )
 from identiscope.lie_orc import LieCache, build_matrix, _numeric_matrix, analyze_symbolic
-from identiscope._linalg import deleted_column_ranks, rank_mod_p
+from identiscope._linalg import rank_mod_p
 from identiscope.model import augment, load_model, parse_model, print_model
+from oracles import deleted_column_ranks
 
 P = 2147483647
 

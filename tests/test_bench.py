@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -147,3 +148,17 @@ def test_rerun_byte_identical_modulo_timing(mini_corpus):
     a = run_corpus(mini_corpus, BenchOptions())
     b = run_corpus(mini_corpus, BenchOptions())
     assert emit_report(a, include_timing=False) == emit_report(b, include_timing=False)
+
+
+GOLDEN = Path(__file__).parent / "golden" / "bench_seed0.json"
+
+
+def test_report_bytes_match_golden(corpus_reports):
+    """The default bench report (non-heavy corpus, seed 0) keeps its bytes.
+
+    A change that alters them on purpose regenerates the file with
+    emit_report(corpus_reports, compare_engines(corpus_reports),
+    include_timing=False) and says why.
+    """
+    got = emit_report(corpus_reports, compare_engines(corpus_reports), include_timing=False)
+    assert got == GOLDEN.read_bytes()

@@ -160,3 +160,24 @@ def test_bench_json_document(tmp_path):
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert doc["consensus"][0]["agreement"] == "agree"
+
+
+@pytest.mark.parametrize("command,flags,env", [
+    pytest.param("analyze", ["--prime", "7"], None, id="analyze-prime-below-2^20"),
+    pytest.param("analyze", ["--prime", "100"], None, id="analyze-prime-not-prime"),
+    pytest.param("analyze", ["--prime", str(2**61 - 1)], None, id="analyze-prime-above-max"),
+    pytest.param("bench", ["--prime", "100"], None, id="bench-prime-not-prime"),
+    pytest.param("analyze", ["--trials", "0"], None, id="analyze-trials-0"),
+    pytest.param("bench", ["--trials", "0"], None, id="bench-trials-0"),
+    pytest.param("analyze", ["--timeout-s", "0"], None, id="analyze-timeout-0"),
+    pytest.param("bench", ["--timeout-s", "-1"], None, id="bench-timeout-negative"),
+    pytest.param("analyze", [], {"IDENTISCOPE_SEED": "abc"}, id="env-seed-not-int"),
+])
+def test_bad_run_settings_exit_2_with_message(command, flags, env, toy_path, tmp_path):
+    target = toy_path if command == "analyze" else str(tmp_path)  # bench: empty corpus
+    res = run_cli(command, target, *flags, env_extra=env)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert res.stdout == ""
