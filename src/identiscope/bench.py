@@ -21,14 +21,16 @@ import concurrent.futures
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from . import symexpr as sx
+from ._linalg import MAX_PRIME
 from .errors import EngineTimeout, IdentiscopeError, NonRationalExpr
-from .ffprob import DEFAULT_PRIMES, FfprobOptions, analyze_ffprob
+from .ffprob import DEFAULT_PRIMES, MIN_PRIME, FfprobOptions, analyze_ffprob
 from .lie_orc import SymbolicOptions, analyze_symbolic
 from .model import ModelDef, load_model
 from .report import SCHEMA_VERSION, STATUS_ERROR, STATUS_NA, STATUS_OK, STATUS_TIMEOUT, AnalysisReport
@@ -188,6 +190,17 @@ def load_corpus(directory=None) -> list[CorpusEntry]:
     return entries
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError naming p unless it is a prime in (2^20, MAX_PRIME],
+    the fields both engines accept."""
+    if not (MIN_PRIME < p <= MAX_PRIME and _is_prime(p)):
+        raise ValueError(f"{p} is not a prime in (2^20, {MAX_PRIME}]")
+
+
 def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
             trials: int | None = None, deadline: float | None = None,
             max_level: int | None = None, order: int | None = None) -> AnalysisReport:
@@ -240,9 +253,12 @@ def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[Analysi
     """Analyze every corpus model with every requested engine.
 
     Results are ordered by (model, engine) regardless of completion order;
-    failures become error/timeout/na records rather than exceptions.
+    failures become error/timeout/na records rather than exceptions.  A bad
+    prime in ``opts.primes`` raises ValueError before any pair runs.
     """
     opts = opts or BenchOptions()
+    for p in opts.primes:
+        check_prime(p)
     entries = [e for e in load_corpus(directory) if opts.include_heavy or not e.heavy]
     tasks = []
     for entry in entries:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -27,7 +26,7 @@ from . import bench as bench_mod
 from . import symexpr as sx
 from ._linalg import MAX_PRIME
 from .errors import IdentiscopeError, ModelError, NonRationalExpr
-from .ffprob import DEFAULT_PRIMES, MIN_PRIME
+from .ffprob import DEFAULT_PRIMES
 from .model import augment, load_model
 from .report import STATUS_OK, AnalysisReport
 
@@ -42,10 +41,6 @@ def _usage_error(message: str) -> NoReturn:
     raise SystemExit(EXIT_USAGE)
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
 def _load(path: str):
     """The parsed model; an unreadable file or a model error exits 2."""
     try:
@@ -56,12 +51,19 @@ def _load(path: str):
 
 def _run_settings(args) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
     """(seed, primes, engines) for analyze and bench, after checking
-    --prime, --trials, --timeout-s and IDENTISCOPE_SEED; a bad value exits 2."""
+    --prime, --trials, --max-level, --series-order, --timeout-s and
+    IDENTISCOPE_SEED; a bad value exits 2."""
     for p in args.prime or ():
-        if not (MIN_PRIME < p <= MAX_PRIME and _is_prime(p)):
-            _usage_error(f"--prime {p}: need a prime in (2^20, {MAX_PRIME}]")
+        try:
+            bench_mod.check_prime(p)
+        except ValueError as exc:
+            _usage_error(f"--prime {exc}")
     if args.trials is not None and args.trials < 1:
         _usage_error(f"--trials {args.trials}: need at least 1")
+    if args.max_level is not None and args.max_level < 0:
+        _usage_error(f"--max-level {args.max_level}: need at least 0")
+    if args.series_order is not None and args.series_order < 1:
+        _usage_error(f"--series-order {args.series_order}: need at least 1")
     if args.timeout_s is not None and not args.timeout_s > 0:
         _usage_error(f"--timeout-s {args.timeout_s}: need a positive number of seconds")
     env = os.environ.get("IDENTISCOPE_SEED", "0")
@@ -102,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-level", type=int, default=None,
                        help="symbolic engine: max Lie-derivative level (default n_z-1)")
         p.add_argument("--series-order", type=int, default=None,
-                       help="ffprob engine: series truncation order (default n_z-1)")
+                       help="ffprob engine: max series order (default n_z-1); "
+                            "stops earlier at full rank or saturation")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="also write the full JSON report to PATH")
         p.add_argument("--require-consensus", action="store_true",

@@ -4,17 +4,23 @@ For each (prime, trial) pair the augmented ODE is solved as a truncated
 power series at a random specialization of the initial augmented state and
 of the known-input series, together with the first-order sensitivities
 S(t) = dz(t)/dz0 (variational system, S(0) = I).  The observability matrix
-is then the Jacobian of the output-series coefficients with respect to z0,
-and its exact rank over F_p is aggregated by maximum across all trials and
-primes.  A random point or an unlucky prime can only underestimate the
-generic rank, so the max is sound; running several primes by default makes
-prime-sensitive rank drops visible in the per-prime record.
+is the Jacobian of the output-series coefficients with respect to z0; since
+k! * coeff_k(y) = L^k h, its block k is level k of the symbolic engine's
+matrix at that point.  The series order grows one block at a time, and a
+trial stops when the rank reaches n_z (full_rank), when a block k > 0 does
+not raise it (saturation), or at the order cap, n_z - 1 unless
+``FfprobOptions.order`` / ``--series-order`` sets a lower one
+(order_exhausted).  The exact rank over F_p is aggregated by maximum across
+all trials and primes.  A random point or an unlucky prime can only
+underestimate the generic rank, so the max is sound; running several primes
+by default makes prime-sensitive rank drops visible in the per-prime record.
 
 The normative solver semantics is coefficient-by-coefficient fixed-point
 integration (each sweep fixes one more order).  The implementation runs it
 in relaxed (lazy) form: every series node computes its next coefficient
 from already-fixed lower-order coefficients, which yields identical output
-with far less recomputation.
+with far less recomputation, and pulling block k of the output Jacobian
+computes only the orders it needs.
 """
 
 from __future__ import annotations
@@ -396,12 +402,33 @@ def _input_env(A: AugmentedSystem, u_series, p) -> dict[Symbol, _LNode]:
     return env
 
 
-def series_solve(A: AugmentedSystem, z0, u_series, order: int, p: int, *,
-                 deadline: float | None = None) -> SeriesSolution:
-    """Solve z' = F(z, u), z(0) = z0 and S' = (dF/dz) S, S(0) = I through
-    the given truncation order, exactly over F_p."""
+@dataclass
+class _Graph:
+    """Lazy series of one specialization: the trajectory z, the sensitivities
+    S = dz/dz0 and the output-Jacobian entries dy[i][j] = sum_l
+    (dh_i/dz_l)(z, u) * S_lj, whose coefficient k is row k*m + i of the
+    output Jacobian."""
+    z0: tuple[int, ...]
+    u_series: tuple[TruncSeries, ...]
+    z: list[_LInt]
+    S: list[list[_LInt]]
+    dy: list[list[_LNode]]
+
+    def block(self, k: int) -> list[list[int]]:
+        """Block k of the output Jacobian: coefficient k of dy, one row per output."""
+        return [[node.coeff(k) for node in row] for row in self.dy]
+
+
+def _wire(A: AugmentedSystem, z0, u_series, p: int) -> _Graph:
+    """Wire z' = F(z, u), z(0) = z0, the variational system S' = (dF/dz) S,
+    S(0) = I, and the output-Jacobian entries into one lazy graph over F_p.
+
+    Every compiled expression is evaluated at t = 0 before returning, so a
+    denominator that vanishes at this point raises DivisionByZeroModP here,
+    whichever orders are pulled later.
+    """
     n_z = A.n_z
-    z0 = [v % p for v in z0]
+    z0 = tuple(v % p for v in z0)
     if len(z0) != n_z:
         raise ValueError("initial point has wrong dimension")
 
@@ -413,38 +440,55 @@ def series_solve(A: AugmentedSystem, z0, u_series, order: int, p: int, *,
     for i, Fi in enumerate(A.F):
         znodes[i].rhs = None if Fi is sx.ZERO else _compile(Fi, env, p, memo)
 
+    def gradient(e: Expr) -> list[tuple[int, _LNode]]:
+        entries = []
+        for l, zl in enumerate(A.z):
+            d = sx.differentiate(e, zl)
+            if d is not sx.ZERO:
+                entries.append((l, _compile(d, env, p, memo)))
+        return entries
+
+    def dot(entries, j) -> _LNode:
+        parts = [_LMul(g, snodes[l][j], p) for l, g in entries]
+        return parts[0] if len(parts) == 1 else _LAdd(parts, p)
+
     # Variational system: only rows with a nonzero Jacobian row evolve.
-    jac: list[list[tuple[int, _LNode]]] = []
-    for i, Fi in enumerate(A.F):
-        row = []
-        if Fi is not sx.ZERO:
-            for l, zl in enumerate(A.z):
-                dFi = sx.differentiate(Fi, zl)
-                if dFi is not sx.ZERO:
-                    row.append((l, _compile(dFi, env, p, memo)))
-        jac.append(row)
-
     snodes = [[_LInt(1 if i == j else 0, p) for j in range(n_z)] for i in range(n_z)]
-    for i in range(n_z):
-        if jac[i]:
+    for i, Fi in enumerate(A.F):
+        row = [] if Fi is sx.ZERO else gradient(Fi)
+        if row:
             for j in range(n_z):
-                parts = [_LMul(jn, snodes[l][j], p) for (l, jn) in jac[i]]
-                snodes[i][j].rhs = parts[0] if len(parts) == 1 else _LAdd(parts, p)
+                snodes[i][j].rhs = dot(row, j)
 
-    for node in znodes:
+    dy = []
+    for h in A.outputs:
+        grad = gradient(h)
+        dy.append([dot(grad, j) if grad else _LConst(0, p) for j in range(n_z)])
+
+    for node in memo.values():
+        node.coeff(0)
+    return _Graph(z0=z0, u_series=tuple(u_series), z=znodes, S=snodes, dy=dy)
+
+
+def series_solve(A: AugmentedSystem, z0, u_series, order: int, p: int, *,
+                 deadline: float | None = None) -> SeriesSolution:
+    """Solve z' = F(z, u), z(0) = z0 and S' = (dF/dz) S, S(0) = I through
+    the given truncation order, exactly over F_p."""
+    g = _wire(A, z0, u_series, p)
+    for node in g.z:
         _check_deadline(deadline)
         node.coeff(order)
-    for row in snodes:
+    for row in g.S:
         _check_deadline(deadline)
         for node in row:
             node.coeff(order)
 
     pack = lambda nd: TruncSeries(nd.c[:order + 1], p)
     return SeriesSolution(
-        z_series=tuple(pack(nd) for nd in znodes),
-        S_series=tuple(tuple(pack(nd) for nd in row) for row in snodes),
-        u_series=tuple(u_series),
-        z0=tuple(z0),
+        z_series=tuple(pack(nd) for nd in g.z),
+        S_series=tuple(tuple(pack(nd) for nd in row) for row in g.S),
+        u_series=g.u_series,
+        z0=g.z0,
         p=p,
         order=order,
     )
@@ -453,7 +497,9 @@ def series_solve(A: AugmentedSystem, z0, u_series, order: int, p: int, *,
 def output_jacobian(sol: SeriesSolution, A: AugmentedSystem) -> list[list[int]]:
     """Rows d(coeff_j of y_i)/dz0 for j = 0..N (j outer, i inner).
 
-    Each row is coefficient j of (dh_i/dz)(z(t), u(t)) . S(t).
+    Each row is coefficient j of (dh_i/dz)(z(t), u(t)) . S(t).  Evaluated
+    eagerly over TruncSeries, apart from the lazy graph that analyze_ffprob
+    pulls these rows from block by block, so tests can compare the two.
     """
     p, N = sol.p, sol.order
     env = {s: sol.z_series[i] for i, s in enumerate(A.z)}
@@ -521,14 +567,14 @@ def _draw_trial(A: AugmentedSystem, cfg: TrialConfig, trial: int, attempt: int):
     return z0, u_series
 
 
-def _solve_with_retries(A: AugmentedSystem, cfg: TrialConfig, trial: int,
-                        deadline: float | None = None):
+def _wire_trial(A: AugmentedSystem, cfg: TrialConfig, trial: int) -> _Graph:
+    """The graph of one trial; a vanishing denominator restarts it with the
+    next attempt's random point."""
     last = None
     for attempt in range(cfg.retries):
         z0, u_series = _draw_trial(A, cfg, trial, attempt)
         try:
-            sol = series_solve(A, z0, u_series, cfg.order, cfg.prime, deadline=deadline)
-            return sol, output_jacobian(sol, A)
+            return _wire(A, z0, u_series, cfg.prime)
         except DivisionByZeroModP as exc:
             last = exc
     raise RetriesExhausted(
@@ -536,13 +582,36 @@ def _solve_with_retries(A: AugmentedSystem, cfg: TrialConfig, trial: int,
         f"mod {cfg.prime}: {last}")
 
 
+def _grow(g: _Graph, n_z: int, order: int, p: int,
+          deadline: float | None = None) -> tuple[list[list[int]], str]:
+    """Output-Jacobian rows, one block of series coefficients at a time, and
+    the rule that stopped the growth: the rank reached n_z (full_rank), a
+    block k > 0 left it unchanged (saturation), or block ``order`` was
+    reached (order_exhausted)."""
+    rows: list[list[int]] = []
+    last = -1
+    for k in range(order + 1):
+        _check_deadline(deadline)
+        rows += g.block(k)
+        r = _linalg.rank_mod_p(rows, p)
+        if r == n_z:
+            return rows, "full_rank"
+        if r == last:
+            return rows, "saturation"
+        last = r
+    return rows, "order_exhausted"
+
+
 def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisReport:
     """Rank analysis from random finite-field series solutions.
 
-    The aggregated rank is the max over all (prime, trial) runs; an entry is
-    identifiable when its column is independent of the others (deleting it
-    drops the rank by one) in every run that reaches that rank.  Per-prime
-    ranks are reported so that prime-dependent rank drops are visible.
+    Each trial grows the series order one block at a time and stops at full
+    rank, at the first block that does not raise the rank, or at the order
+    cap.  The aggregated rank is the max over all (prime, trial) runs; an
+    entry is identifiable when its column is independent of the others
+    (deleting it drops the rank by one) in every run that reaches that rank.
+    Per-prime ranks are reported so that prime-dependent rank drops are
+    visible.
     """
     opts = opts or FfprobOptions()
     t0 = time.perf_counter()
@@ -553,21 +622,28 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
 
     per_prime: dict[str, list[int]] = {}
     trial_results: list[tuple[int, list[bool]]] = []
+    stops: list[str] = []
     for p in opts.primes:
         cfg = TrialConfig(prime=p, seed=opts.seed, order=order, retries=opts.retries)
         ranks = []
         for trial in range(opts.trials):
-            _check_deadline(opts.deadline)
-            _, jac = _solve_with_retries(A, cfg, trial, opts.deadline)
-            r, independent = _linalg.independent_columns(jac, p)
+            rows, stop = _grow(_wire_trial(A, cfg, trial), n_z, order, p, opts.deadline)
+            r, independent = _linalg.independent_columns(rows, p)
             ranks.append(r)
             trial_results.append((r, independent))
+            stops.append(stop)
         per_prime[str(p)] = ranks
 
     rank = max(r for r, _ in trial_results)
     identifiable = [all(independent[j] for r, independent in trial_results if r == rank)
                     for j in range(n_z)]
     verdict_map = {s: verdict_for(s.kind.value, identifiable[j]) for j, s in enumerate(A.z)}
+    if rank == n_z:
+        stop_reason = "full_rank"
+    elif all(stop == "saturation" for stop in stops):
+        stop_reason = "saturation"
+    else:
+        stop_reason = "order_exhausted"
 
     warnings = []
     if md.unknown_inputs:
@@ -583,7 +659,7 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
         rank=rank,
         per_prime_ranks=per_prime,
         verdicts={s.name: verdict_map[s] for s in A.z},
-        stop_reason="order_exhausted",
+        stop_reason=stop_reason,
         seed=opts.seed,
         primes=list(opts.primes),
         trials=opts.trials,

@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from identiscope import bench
 from identiscope.bench import (
     BenchOptions,
     ConsensusResult,
@@ -62,6 +63,15 @@ def test_run_corpus_mixed_engines_has_na_record(mini_corpus):
     na = [r for r in reports if r.status == "na"]
     assert [(r.model, r.engine) for r in na] == [("competition", "ffprob")]
     assert na[0].verdicts is None and na[0].error == "NonRationalExpr"
+
+
+def test_run_corpus_rejects_bad_prime_before_any_pair(mini_corpus, monkeypatch):
+    def no_pair(*args):
+        raise AssertionError(f"pair {args[:2]} ran")
+
+    monkeypatch.setattr(bench, "_run_one", no_pair)
+    with pytest.raises(ValueError, match=r"\b100 is not a prime"):
+        run_corpus(mini_corpus, BenchOptions(primes=(100,)))
 
 
 def test_run_corpus_empty_dir(tmp_path):

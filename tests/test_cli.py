@@ -169,6 +169,8 @@ def test_bench_json_document(tmp_path):
     pytest.param("bench", ["--prime", "100"], None, id="bench-prime-not-prime"),
     pytest.param("analyze", ["--trials", "0"], None, id="analyze-trials-0"),
     pytest.param("bench", ["--trials", "0"], None, id="bench-trials-0"),
+    pytest.param("analyze", ["--series-order", "0"], None, id="analyze-series-order-0"),
+    pytest.param("analyze", ["--max-level", "-1"], None, id="analyze-max-level-negative"),
     pytest.param("analyze", ["--timeout-s", "0"], None, id="analyze-timeout-0"),
     pytest.param("bench", ["--timeout-s", "-1"], None, id="bench-timeout-negative"),
     pytest.param("analyze", [], {"IDENTISCOPE_SEED": "abc"}, id="env-seed-not-int"),

@@ -11,6 +11,8 @@ from identiscope.ffprob import (
     FfprobOptions,
     TrialConfig,
     TruncSeries,
+    _grow,
+    _wire_trial,
     analyze_ffprob,
     cross_check_lie,
     eval_expr_series,
@@ -241,6 +243,45 @@ def test_engine_rank_agreement(reports_by_key):
             continue
         sym = reports_by_key[(model, "symbolic")]
         assert sym.rank == rep.rank, model
+
+
+# --------------------------------------------------------------------------
+# incremental output Jacobian
+# --------------------------------------------------------------------------
+
+def test_incremental_blocks_match_eager_route(corpus_entries):
+    """The rows the engine collects through block k equal the eager
+    output_jacobian of a series solved to order k at the same point."""
+    for e in corpus_entries:
+        if e.heavy or not e.rational:
+            continue
+        A = augment(load_model(e.path))
+        m = len(A.outputs)
+        cfg = TrialConfig(prime=DEFAULT_PRIMES[0], seed=0, order=max(A.n_z - 1, 1))
+        g = _wire_trial(A, cfg, 0)
+        rows, _ = _grow(g, A.n_z, cfg.order, cfg.prime)
+        assert len(rows) % m == 0, e.name
+        for k in range(len(rows) // m):
+            u_k = [TruncSeries(u.coeffs[:k + 1], cfg.prime) for u in g.u_series]
+            eager = output_jacobian(series_solve(A, g.z0, u_k, k, cfg.prime), A)
+            assert rows[:(k + 1) * m] == eager, (e.name, k)
+
+
+def test_stop_reason_full_rank():
+    rep = analyze_ffprob(parse_model(DECAY))
+    assert (rep.rank, rep.stop_reason) == (2, "full_rank")
+
+
+def test_stop_reason_saturation():
+    rep = analyze_ffprob(load_model(corpus_dir() / "c2m_b.idm"))
+    assert (rep.rank, rep.n_z, rep.stop_reason) == (4, 6, "saturation")
+
+
+def test_stop_reason_order_exhausted():
+    md = load_model(corpus_dir() / "c2m_a.idm")
+    rep = analyze_ffprob(md, FfprobOptions(order=1))
+    assert rep.rank < rep.n_z
+    assert rep.stop_reason == "order_exhausted"
 
 
 # --------------------------------------------------------------------------
