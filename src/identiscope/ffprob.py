@@ -25,6 +25,7 @@ computes only the orders it needs.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -258,7 +259,7 @@ class _LAdd(_LNode):
 
     def _push(self):
         k = len(self.c)
-        self.c.append(sum(x.coeff(k) for x in self.xs) % self.p)
+        self.c.append(sum([x.coeff(k) for x in self.xs]) % self.p)
 
 
 class _LScale(_LNode):
@@ -287,7 +288,9 @@ class _LMul(_LNode):
     def _push(self):
         k = len(self.c)
         a, b = self.a, self.b
-        self.c.append(sum(a.coeff(i) * b.coeff(k - i) for i in range(k + 1)) % self.p)
+        a.coeff(k)
+        b.coeff(k)
+        self.c.append(sum(map(operator.mul, a.c[:k + 1], b.c[k::-1])) % self.p)
 
 
 class _LRecip(_LNode):
@@ -309,7 +312,8 @@ class _LRecip(_LNode):
             self.inv0 = pow(a0, -1, p)
             self.c.append(self.inv0)
             return
-        s = sum(self.a.coeff(i) * self.c[k - i] for i in range(1, k + 1))
+        self.a.coeff(k)
+        s = sum(map(operator.mul, self.a.c[1:k + 1], self.c[::-1]))
         self.c.append(-self.inv0 * s % p)
 
 

@@ -1,9 +1,14 @@
 """Symbolic observability/identifiability engine.
 
-Builds the observability-identifiability matrix incrementally from extended
-Lie derivatives of the outputs along the augmented vector field, estimates
-its generic rank by exact evaluation at random points over a prime field,
-and classifies each augmented-state entry with the column-deletion test.
+Builds the extended Lie derivatives of the outputs along the augmented
+vector field symbolically, level by level.  The rows of the
+observability-identifiability matrix are their gradients with respect to
+z, evaluated numerically: one reverse sweep mod p over the expression DAG
+of each Lie derivative gives its whole row at a random point, and each
+level evaluates only its new rows.  The engine estimates the matrix's
+generic rank from these evaluations over a prime field and classifies each
+augmented-state entry with the column-deletion test.  Symbolic gradient
+rows are built only on request (``ObservabilityMatrix.rows``).
 
 Unlike purely symbolic rank computation, the rank step specializes every
 symbol to an independent uniform residue in [1, p-1]; a random point can
@@ -51,13 +56,59 @@ class RankEstimate:
     mode: str = "mod-p"
 
 
-class LieCache:
-    """Per-analysis cache of Lie derivatives and their gradients.
+class _TrialPoint:
+    """One random point of a trial, drawn lazily.
 
-    Level k+1 of each output is always derived from the cached level k, and
-    gradient rows are shared between matrix construction and the next Lie
-    step.  The optional deadline is checked between per-output derivations
-    so oversized models hit their wall-clock bound promptly.
+    Holds the residue of each symbol, the transcendental table, one memo of
+    node values shared by every row, and the numeric rows evaluated at this
+    point so far with, per row, whether the table was in use after it.
+    """
+
+    def __init__(self, seed: int, trial: int, attempt: int, p: int):
+        self.seed, self.trial, self.attempt, self.p = seed, trial, attempt, p
+        self.point = _Point(("sym", seed, trial, attempt), p)
+        self.table: dict[bytes, int] = {}
+        self.memo: dict[Expr, int] = {}
+        self.rows: list[list[int]] = []
+        self.used: list[bool] = []
+
+    def transc(self, node: Expr) -> int:
+        key = node.shash
+        v = self.table.get(key)
+        if v is None:
+            v = _rng.residue(("transc", self.seed, self.trial, self.attempt, key.hex()), self.p)
+            self.table[key] = v
+        return v
+
+    def value(self, node: Expr) -> int:
+        v = self.memo.get(node)
+        if v is None:
+            v = sx.eval_mod_p(node, self.point, self.p, transcendental=self.transc,
+                              _memo=self.memo)
+        return v
+
+
+class _Point(dict):
+    """Symbol -> residue, each drawn on first lookup from the point's tag."""
+
+    def __init__(self, tag: tuple, p: int):
+        super().__init__()
+        self.tag, self.p = tag, p
+
+    def __missing__(self, s: Symbol) -> int:
+        v = self[s] = _rng.residue(self.tag + (s.name,), self.p)
+        return v
+
+
+class LieCache:
+    """Per-analysis cache of Lie derivatives and their numeric gradient rows.
+
+    Level k+1 of each output is always derived from the cached level k.
+    Numeric rows are kept per (trial, seed, prime), so each level evaluates
+    only its new rows; symbolic gradient rows are built only when
+    ``gradient_rows`` is called.  The optional deadline is checked between
+    per-output derivations and between rows so oversized models hit their
+    wall-clock bound promptly.
     """
 
     def __init__(self, A: AugmentedSystem, deadline: float | None = None):
@@ -65,6 +116,8 @@ class LieCache:
         self.deadline = deadline
         self.lies: list[list[Expr]] = [list(A.outputs)]
         self.grads: list[list[list[Expr]]] = []
+        self._tapes: dict[Expr, list] = {}
+        self._points: dict[tuple[int, int, int], _TrialPoint] = {}
 
     def ensure_level(self, k: int):
         while len(self.lies) <= k:
@@ -84,6 +137,176 @@ class LieCache:
                 rows.append([sx.differentiate(phi, zi) for zi in self.A.z])
             self.grads.append(rows)
         return self.grads[k]
+
+    def numeric_rows(self, n: int, trial: int, seed: int, p: int,
+                     retries: int) -> tuple[list[list[int]], bool]:
+        """The first n gradient rows at the trial's random point, and whether
+        the transcendental table was in use.
+
+        A vanishing denominator moves the trial to its next attempt, where
+        every row is evaluated again.  The smallest attempt whose point
+        evaluates rows 0..k can only grow with k, so this gives the rows of
+        the smallest attempt that evaluates all n rows.
+        """
+        key = (trial, seed, p)
+        pt = self._points.get(key)
+        if pt is None:
+            pt = self._points[key] = _TrialPoint(seed, trial, 0, p)
+        m = len(self.A.outputs)
+        while len(pt.rows) < n:
+            level, i = divmod(len(pt.rows), m)
+            self.ensure_level(level)
+            _check_deadline(self.deadline)
+            try:
+                row = _grad_row(self.lies[level][i], self.A.index, pt, self._tapes)
+            except DivisionByZeroModP as exc:
+                if pt.attempt + 1 >= retries:
+                    raise RetriesExhausted(
+                        f"all {retries} evaluation points hit a vanishing denominator "
+                        f"mod {p} (model degenerate at this prime, or prime too small): "
+                        f"{exc}") from exc
+                pt = self._points[key] = _TrialPoint(seed, trial, pt.attempt + 1, p)
+                continue
+            pt.rows.append(row)
+            pt.used.append(bool(pt.table))
+        return pt.rows[:n], n > 0 and pt.used[n - 1]
+
+
+# Steps of a reverse sweep; see _tape.
+_SYM, _ADD, _MUL1, _MULN, _POW, _LN, _FUNC = range(7)
+
+
+def _tape(phi: Expr, index: dict[Symbol, int]) -> list[tuple]:
+    """The z-dependent nodes of phi, parents before children, as sweep steps.
+
+    Step i stands for the i-th node; it names the node's z-dependent
+    children by their step numbers and carries the nodes whose values the
+    sweep multiplies the adjoint by.
+    """
+    zset = frozenset(index)
+
+    def dep(node):
+        return not sx.free_symbols(node).isdisjoint(zset)
+
+    if not dep(phi):
+        return []
+    post: list[Expr] = []
+    seen = {phi}
+    stack = [(phi, iter(_kids(phi)))]
+    while stack:
+        node, it = stack[-1]
+        for c in it:
+            if c not in seen and dep(c):
+                seen.add(c)
+                stack.append((c, iter(_kids(c))))
+                break
+        else:
+            stack.pop()
+            post.append(node)
+    post.reverse()
+    slot = {node: i for i, node in enumerate(post)}
+
+    steps = []
+    for node in post:
+        if isinstance(node, sx.Sym):
+            steps.append((_SYM, index[node.symbol]))
+        elif isinstance(node, sx.Add):
+            steps.append((_ADD, tuple(slot[t] for t in node.terms if t in slot)))
+        elif isinstance(node, sx.Mul):
+            fs = node.factors
+            deps = [k for k, f in enumerate(fs) if f in slot]
+            if len(deps) == 1:
+                k = deps[0]
+                steps.append((_MUL1, slot[fs[k]], fs[:k] + fs[k + 1:]))
+            else:
+                steps.append((_MULN, tuple(slot.get(f) for f in fs), fs))
+        elif isinstance(node, sx.Pow):
+            steps.append((_POW, slot[node.base], node.base, node.exponent))
+        elif node.fname == "ln":
+            steps.append((_LN, slot[node.arg], node.arg))
+        else:
+            # d exp(a) = exp(a) da, d sin(a) = cos(a) da, d cos(a) = -sin(a) da,
+            # with the same nodes the symbolic derivative builds.
+            if node.fname == "exp":
+                factor, sign = node, 1
+            elif node.fname == "sin":
+                factor, sign = sx.cos(node.arg), 1
+            else:
+                factor, sign = sx.sin(node.arg), -1
+            steps.append((_FUNC, slot[node.arg], factor, sign))
+    return steps
+
+
+def _kids(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, sx.Add):
+        return node.terms
+    if isinstance(node, sx.Mul):
+        return node.factors
+    if isinstance(node, sx.Pow):
+        return (node.base,)
+    if isinstance(node, sx.Func):
+        return (node.arg,)
+    return ()
+
+
+def _grad_row(phi: Expr, index: dict[Symbol, int], pt: _TrialPoint,
+              tapes: dict[Expr, list]) -> list[int]:
+    """dphi/dz at pt's point, by one reverse sweep mod p over phi's DAG.
+
+    Evaluates exactly the values the symbolic gradient contains: the
+    siblings of each z-dependent factor, the bases of powers, the arguments
+    of ln, and the table entries of exp(a), cos(a) and sin(a) for exp, sin
+    and cos nodes respectively.  So a vanishing denominator
+    raises DivisionByZeroModP, and the transcendental table fills, as
+    evaluating ``differentiate(phi, z_j)`` would.  Products use prefix and
+    suffix products, never an inverse, so a factor that is 0 mod p is fine.
+    """
+    tape = tapes.get(phi)
+    if tape is None:
+        tape = tapes[phi] = _tape(phi, index)
+    p, value = pt.p, pt.value
+    row = [0] * len(index)
+    adj = [0] * len(tape)
+    if tape:
+        adj[0] = 1
+    for i, step in enumerate(tape):
+        a = adj[i] % p
+        op = step[0]
+        if op == _SYM:
+            row[step[1]] = a
+        elif op == _ADD:
+            for c in step[1]:
+                adj[c] += a
+        elif op == _MUL1:
+            for f in step[2]:
+                a = a * value(f) % p
+            adj[step[1]] += a
+        elif op == _MULN:
+            slots, fs = step[1], step[2]
+            vals = [value(f) for f in fs]
+            suffix = [1] * (len(vals) + 1)
+            for k in range(len(vals) - 1, 0, -1):
+                suffix[k] = suffix[k + 1] * vals[k] % p
+            prefix = a
+            for k, c in enumerate(slots):
+                if c is not None:
+                    adj[c] += prefix * suffix[k + 1]
+                prefix = prefix * vals[k] % p
+        elif op == _POW:
+            _, c, base, e = step
+            b = value(base)
+            if b == 0 and e < 0:
+                raise DivisionByZeroModP(f"base of {sx.to_string(base)}^{e} is 0 mod {p}")
+            adj[c] += a * e * pow(b, e - 1, p)
+        elif op == _LN:
+            b = value(step[2])
+            if b == 0:
+                raise DivisionByZeroModP(f"argument of ln({sx.to_string(step[2])}) is 0 mod {p}")
+            adj[step[1]] += a * pow(b, -1, p)
+        else:
+            _, c, factor, sign = step
+            adj[c] += sign * a * value(factor)
+    return row
 
 
 def extended_lie_derivative(phi: Expr, A: AugmentedSystem) -> Expr:
@@ -111,16 +334,27 @@ def extended_lie_derivative(phi: Expr, A: AugmentedSystem) -> Expr:
 
 @dataclass
 class ObservabilityMatrix:
-    """Gradient rows of Lie derivative levels 0..k, columns ordered as z."""
+    """Gradient rows of Lie derivative levels 0..k, columns ordered as z.
+
+    The matrix is read numerically through its cache (``_numeric_matrix``);
+    the symbolic rows are built on the first read of ``rows``.
+    """
     level: int
-    rows: list[list[Expr]]
     symbols: tuple[Symbol, ...]
+    cache: LieCache = field(repr=False)
     rank_estimate: RankEstimate | None = None
-    _trial_cache: dict = field(default_factory=dict, repr=False)
+    _ranked: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def rows(self) -> list[list[Expr]]:
+        rows: list[list[Expr]] = []
+        for j in range(self.level + 1):
+            rows.extend(self.cache.gradient_rows(j))
+        return rows
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.symbols))
+        return (len(self.cache.A.outputs) * (self.level + 1), len(self.symbols))
 
 
 def build_matrix(A: AugmentedSystem, k: int, cache: LieCache | None = None) -> ObservabilityMatrix:
@@ -129,57 +363,27 @@ def build_matrix(A: AugmentedSystem, k: int, cache: LieCache | None = None) -> O
         raise ValueError("level must be nonnegative")
     if cache is None:
         cache = LieCache(A)
-    rows: list[list[Expr]] = []
-    for j in range(k + 1):
-        rows.extend(cache.gradient_rows(j))
-    return ObservabilityMatrix(level=k, rows=rows, symbols=A.z)
+    cache.ensure_level(k)
+    return ObservabilityMatrix(level=k, symbols=A.z, cache=cache)
 
 
 def _numeric_matrix(M: ObservabilityMatrix, trial: int, seed: int, p: int,
                     retries: int) -> tuple[list[list[int]], bool]:
     """Evaluate all entries at a random point; resample on vanishing
     denominators.  Returns (numeric rows, transcendental-table-used)."""
-    cached = M._trial_cache.get((trial, seed, p))
-    if cached is not None:
-        return cached
-    last = None
-    for attempt in range(retries):
-        point_cache: dict[Symbol, int] = {}
-        table: dict[bytes, int] = {}
+    return M.cache.numeric_rows(M.shape[0], trial, seed, p, retries)
 
-        def point_value(s: Symbol, _a=attempt):
-            v = point_cache.get(s)
-            if v is None:
-                v = _rng.residue(("sym", seed, trial, _a, s.name), p)
-                point_cache[s] = v
-            return v
 
-        class _Point(dict):
-            def __missing__(self, s):
-                return point_value(s)
-
-        def transc(node: Expr, _a=attempt):
-            key = node.shash
-            v = table.get(key)
-            if v is None:
-                v = _rng.residue(("transc", seed, trial, _a, key.hex()), p)
-                table[key] = v
-            return v
-
-        point = _Point()
-        memo: dict[Expr, int] = {}
-        try:
-            numeric = [[sx.eval_mod_p(e, point, p, transcendental=transc, _memo=memo)
-                        for e in row] for row in M.rows]
-        except DivisionByZeroModP as exc:
-            last = exc
-            continue
-        result = (numeric, bool(table))
-        M._trial_cache[(trial, seed, p)] = result
-        return result
-    raise RetriesExhausted(
-        f"all {retries} evaluation points hit a vanishing denominator mod {p} "
-        f"(model degenerate at this prime, or prime too small): {last}")
+def _ranked(M: ObservabilityMatrix, trial: int, seed: int, p: int,
+            retries: int) -> tuple[int, list[bool]]:
+    """(rank, independent columns) of one trial's numeric matrix; M keeps it,
+    so the rank and the column classification share one elimination."""
+    key = (trial, seed, p)
+    got = M._ranked.get(key)
+    if got is None:
+        numeric, _ = _numeric_matrix(M, trial, seed, p, retries)
+        got = M._ranked[key] = _linalg.independent_columns(numeric, p)
+    return got
 
 
 def rank_by_random_eval(M: ObservabilityMatrix, trials: int, seed: int, p: int,
@@ -187,10 +391,7 @@ def rank_by_random_eval(M: ObservabilityMatrix, trials: int, seed: int, p: int,
     """Max over trials of the exact F_p rank at random specializations."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    best = 0
-    for trial in range(trials):
-        numeric, _ = _numeric_matrix(M, trial, seed, p, retries)
-        best = max(best, _linalg.rank_mod_p(numeric, p))
+    best = max(_ranked(M, trial, seed, p, retries)[0] for trial in range(trials))
     M.rank_estimate = RankEstimate(rank=best, trials=trials, prime=p)
     return best
 
@@ -208,8 +409,7 @@ def classify_columns(M: ObservabilityMatrix, r: int, trials: int, seed: int, p: 
     identifiable = [True] * len(M.symbols)
     for trial in range(trials):
         _check_deadline(deadline)
-        numeric, _ = _numeric_matrix(M, trial, seed, p, retries)
-        rank, independent = _linalg.independent_columns(numeric, p)
+        rank, independent = _ranked(M, trial, seed, p, retries)
         if rank == r:
             identifiable = [a and b for a, b in zip(identifiable, independent)]
     return {s: verdict_for(s.kind.value, identifiable[j])
@@ -255,7 +455,8 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
                                    opts.retries, opts.deadline)
 
     warnings = []
-    if any(M._trial_cache[key][1] for key in M._trial_cache):
+    if any(_numeric_matrix(M, trial, opts.seed, opts.prime, opts.retries)[1]
+           for trial in range(opts.trials)):
         warnings.append(
             "transcendental subterms were replaced by independent symbols; "
             "rank may be overestimated if they are algebraically dependent")

@@ -128,10 +128,11 @@ class Expr:
     constructors intern nodes so equal subtrees are usually the same object.
     """
 
-    __slots__ = ("_shash", "_free", "_rat", "_skey", "_canonical")
+    __slots__ = ("_shash", "_hash", "_free", "_rat", "_skey", "_canonical")
 
     def _init_caches(self):
         self._shash = None
+        self._hash = None
         self._free = None
         self._rat = None
         self._skey = None
@@ -149,7 +150,11 @@ class Expr:
         return h
 
     def __hash__(self):
-        return int.from_bytes(self.shash[:8], "big", signed=True)
+        h = self._hash
+        if h is None:
+            h = int.from_bytes(self.shash[:8], "big", signed=True)
+            self._hash = h
+        return h
 
     def __eq__(self, other):
         if self is other:

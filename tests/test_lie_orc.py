@@ -2,10 +2,13 @@ import pytest
 
 from identiscope import symexpr as sx
 from identiscope.bench import corpus_dir
-from identiscope.errors import RetriesExhausted
+from identiscope.errors import DivisionByZeroModP, RetriesExhausted
 from identiscope.lie_orc import (
     LieCache,
     SymbolicOptions,
+    _grad_row,
+    _numeric_matrix,
+    _TrialPoint,
     analyze_symbolic,
     build_matrix,
     classify_columns,
@@ -251,3 +254,118 @@ def test_transcendental_warning_on_nonrational_model():
     rep = analyze_symbolic(md)
     assert any("transcendental" in w for w in rep.warnings)
     assert rep.status == "ok"
+
+
+# --------------------------------------------------------------------------
+# numeric rows: reverse sweep against the symbolic gradient
+# --------------------------------------------------------------------------
+
+X, Y, TH = sx.state("x"), sx.state("y"), sx.param("th")
+Z = (X, Y, TH)
+INDEX = {s: j for j, s in enumerate(Z)}
+x, y, th = (sx.sym(s) for s in Z)
+
+
+def _eval_row(row, ref: _TrialPoint):
+    return [sx.eval_mod_p(e, ref.point, ref.p, transcendental=ref.transc, _memo=ref.memo)
+            for e in row]
+
+
+def _symbolic_row(phi, ref: _TrialPoint):
+    return _eval_row([sx.differentiate(phi, s) for s in Z], ref)
+
+
+def _assert_sweep_matches(phi):
+    pt, ref = _TrialPoint(0, 0, 0, P), _TrialPoint(0, 0, 0, P)
+    assert _grad_row(phi, INDEX, pt, {}) == _symbolic_row(phi, ref)
+    assert pt.table.keys() == ref.table.keys()
+
+
+@pytest.mark.parametrize("phi", [
+    sx.ln(x * y + th),
+    sx.exp(x * th) * y,
+    sx.sin(x * y) + sx.cos(th * x),
+    sx.sin(x * th) * sx.cos(x * th) + sx.cos(x * th) ** 2,
+    sx.exp(sx.ln(x) * th) / (y + sx.exp(sx.ln(x) * th)),
+    x ** -2 * y + th / (x + y) + (x + th) ** -3,
+    x + sx.exp(sx.sym(sx.TIME)) + sx.sin(sx.sym(sx.known_input("u"))) * y,
+], ids=["ln", "exp", "sin-cos", "sin-cos-one-arg", "hill", "negative-powers",
+        "transcendental-off-z"])
+def test_grad_row_matches_symbolic_gradient(phi):
+    _assert_sweep_matches(phi)
+
+
+def test_grad_row_shared_subtree():
+    s = x * y + th
+    _assert_sweep_matches(s ** 2 + sx.ln(s) * x + sx.exp(s) / s)
+
+
+def test_grad_row_product_with_a_zero_factor():
+    vy = _TrialPoint(0, 0, 0, P).point[Y]
+    zero = y - vy  # 0 mod P at the point
+    phi = x * zero * th * (x + th) + zero * sx.sin(x * th)
+    _assert_sweep_matches(phi)
+    row = _grad_row(phi, INDEX, _TrialPoint(0, 0, 0, P), {})
+    assert row[0] == 0 and row[2] == 0 and row[1] != 0
+
+
+@pytest.mark.parametrize("vanishing", [
+    lambda zero: x / zero + th,
+    lambda zero: x * sx.ln(zero),
+], ids=["negative-power", "ln"])
+def test_grad_row_vanishing_denominator_raises(vanishing):
+    phi = vanishing(y - _TrialPoint(0, 0, 0, P).point[Y])
+    with pytest.raises(DivisionByZeroModP):
+        _grad_row(phi, INDEX, _TrialPoint(0, 0, 0, P), {})
+    with pytest.raises(DivisionByZeroModP):
+        _symbolic_row(phi, _TrialPoint(0, 0, 0, P))
+
+
+def test_sweep_rows_match_symbolic_rows_on_corpus(corpus_entries, reports_by_key):
+    # Every non-heavy model, every level the engine reaches, trial 0 at the
+    # default prime: the engine's rows equal the symbolic rows evaluated at
+    # the same point with the same transcendental table.
+    for entry in corpus_entries:
+        if entry.heavy:
+            continue
+        A = augment(load_model(entry.path))
+        cache = LieCache(A)
+        ref, expected = None, []
+        for k in range(len(reports_by_key[(entry.name, "symbolic")].ranks_by_level)):
+            M = build_matrix(A, k, cache)
+            got, used = _numeric_matrix(M, 0, 0, P, 25)
+            pt = cache._points[(0, 0, P)]
+            if ref is None or ref.attempt != pt.attempt:
+                ref, expected = _TrialPoint(0, 0, pt.attempt, P), []
+            expected += [_eval_row(row, ref) for row in M.rows[len(expected):]]
+            assert got == expected, (entry.name, k)
+            assert used == bool(ref.table), (entry.name, k)
+            assert pt.table.keys() == ref.table.keys(), (entry.name, k)
+
+
+def test_restart_takes_smallest_attempt_that_evaluates_all_rows():
+    # At p = 101 a trial of mapk (seed 1) hits a vanishing denominator and
+    # restarts; at each level the rows are the symbolic rows at the smallest
+    # attempt whose point evaluates rows 0..k.
+    p, seed, trials = 101, 1, 3
+    md = load_model(corpus_dir() / "mapk.idm")
+    A = augment(md)
+    levels = len(analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed)).ranks_by_level)
+    cache = LieCache(A)
+    restarted = False
+    for k in range(levels):
+        M = build_matrix(A, k, cache)
+        for trial in range(trials):
+            got, used = _numeric_matrix(M, trial, seed, p, 25)
+            for attempt in range(25):
+                ref = _TrialPoint(seed, trial, attempt, p)
+                try:
+                    want = [_eval_row(row, ref) for row in M.rows]
+                except DivisionByZeroModP:
+                    continue
+                break
+            assert got == want, (k, trial)
+            assert used == bool(ref.table), (k, trial)
+            assert cache._points[(trial, seed, p)].attempt == attempt
+            restarted = restarted or attempt > 0
+    assert restarted
