@@ -207,6 +207,8 @@ def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
     """Run one engine on a model; raises whatever the engine raises.  The
     symbolic engine takes ``primes[0]`` and ``max_level``, ffprob ``order``;
     ``trials=None`` keeps each engine's default."""
+    if not primes:
+        raise ValueError("at least one prime is required")
     if engine == "symbolic":
         opts = SymbolicOptions(seed=seed, prime=primes[0], max_level=max_level,
                                deadline=deadline)
@@ -254,11 +256,16 @@ def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[Analysi
 
     Results are ordered by (model, engine) regardless of completion order;
     failures become error/timeout/na records rather than exceptions.  A bad
-    prime in ``opts.primes`` raises ValueError before any pair runs.
+    prime in ``opts.primes``, an empty ``opts.primes`` or ``opts.trials`` < 1
+    raises ValueError before any pair runs.
     """
     opts = opts or BenchOptions()
+    if not opts.primes:
+        raise ValueError("at least one prime is required")
     for p in opts.primes:
         check_prime(p)
+    if opts.trials is not None and opts.trials < 1:
+        raise ValueError("trials must be >= 1")
     entries = [e for e in load_corpus(directory) if opts.include_heavy or not e.heavy]
     tasks = []
     for entry in entries:

@@ -15,28 +15,31 @@ all trials and primes.  A random point or an unlucky prime can only
 underestimate the generic rank, so the max is sound; running several primes
 by default makes prime-sensitive rank drops visible in the per-prime record.
 
-The normative solver semantics is coefficient-by-coefficient fixed-point
-integration (each sweep fixes one more order).  The implementation runs it
-in relaxed (lazy) form: every series node computes its next coefficient
-from already-fixed lower-order coefficients, which yields identical output
-with far less recomputation, and pulling block k of the output Jacobian
-computes only the orders it needs.
+The solver integrates coefficient by coefficient in forward mode.  F and h
+are compiled once per analysis into a flat tape; every node carries its
+value series and an n_z tangent vector d/dz0 per order, in int64 numpy.  The
+tangents of z are S, and block k of the output Jacobian is the order-k
+tangent of the h nodes.  One sweep per order advances every (prime, trial)
+run at once: runs are an array axis, each with its prime broadcast along it.
+Storage is order-major, so only the orders some run reaches take memory.
+Every product of two residues is reduced mod p before it is added to
+anything, which keeps int64 arithmetic exact for p <= MAX_PRIME.  A run
+whose point makes a denominator of F or h vanish at t = 0 restarts at its
+next random point (order 0 is redone; the other runs keep theirs).
 """
 
 from __future__ import annotations
 
-import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import groupby
+
+import numpy as np
 
 from . import _linalg, _rng
 from . import symexpr as sx
-from .errors import (
-    DivisionByZeroModP,
-    EngineTimeout,
-    NonRationalExpr,
-    RetriesExhausted,
-)
+from .errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted
 from .lie_orc import LieCache, DEFAULT_RETRIES, _check_deadline
 from .model import AugmentedSystem, ModelDef, augment, CONSTANT
 from .report import AnalysisReport, verdict_for
@@ -212,176 +215,211 @@ def eval_expr_series(e: Expr, env: dict[Symbol, TruncSeries], order: int,
 
 
 # --------------------------------------------------------------------------
-# Relaxed (lazy) series nodes
+# Forward-mode sweep over a flat tape of F and h
 # --------------------------------------------------------------------------
 
-class _LNode:
-    __slots__ = ("c", "p")
-
-    def coeff(self, k: int) -> int:
-        c = self.c
-        while len(c) <= k:
-            self._push()
-        return c[k]
+_CONST, _LEAF, _ADD, _SCALE, _MUL, _RECIP = range(6)
 
 
-class _LConst(_LNode):
-    def __init__(self, v, p):
-        self.c = [v % p]
-        self.p = p
-
-    def _push(self):
-        self.c.append(0)
-
-
-class _LGiven(_LNode):
-    """Series with externally fixed coefficients (random input jets)."""
-
-    __slots__ = ("given",)
-
-    def __init__(self, coeffs, p):
-        self.given = [v % p for v in coeffs]
-        self.c = []
-        self.p = p
-
-    def _push(self):
-        k = len(self.c)
-        self.c.append(self.given[k] if k < len(self.given) else 0)
-
-
-class _LAdd(_LNode):
-    __slots__ = ("xs",)
-
-    def __init__(self, xs, p):
-        self.xs = tuple(xs)
-        self.c = []
-        self.p = p
-
-    def _push(self):
-        k = len(self.c)
-        self.c.append(sum([x.coeff(k) for x in self.xs]) % self.p)
-
-
-class _LScale(_LNode):
-    __slots__ = ("x", "s")
-
-    def __init__(self, x, s, p):
-        self.x = x
-        self.s = s % p
-        self.c = []
-        self.p = p
-
-    def _push(self):
-        k = len(self.c)
-        self.c.append(self.x.coeff(k) * self.s % self.p)
-
-
-class _LMul(_LNode):
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b, p):
-        self.a = a
-        self.b = b
-        self.c = []
-        self.p = p
-
-    def _push(self):
-        k = len(self.c)
-        a, b = self.a, self.b
-        a.coeff(k)
-        b.coeff(k)
-        self.c.append(sum(map(operator.mul, a.c[:k + 1], b.c[k::-1])) % self.p)
-
-
-class _LRecip(_LNode):
-    __slots__ = ("a", "inv0")
-
-    def __init__(self, a, p):
-        self.a = a
-        self.c = []
-        self.p = p
-        self.inv0 = None
-
-    def _push(self):
-        k = len(self.c)
-        p = self.p
-        if k == 0:
-            a0 = self.a.coeff(0)
-            if a0 == 0:
-                raise DivisionByZeroModP("denominator series has zero constant term")
-            self.inv0 = pow(a0, -1, p)
-            self.c.append(self.inv0)
-            return
-        self.a.coeff(k)
-        s = sum(map(operator.mul, self.a.c[1:k + 1], self.c[::-1]))
-        self.c.append(-self.inv0 * s % p)
-
-
-class _LInt(_LNode):
-    """Integrator node: coefficient k+1 is coefficient k of rhs over k+1.
-
-    Used for both trajectory entries (rhs = compiled F_i) and sensitivity
-    entries (rhs = row of J*S); rhs is attached after construction because
-    the graph is cyclic.
-    """
-
-    __slots__ = ("rhs",)
-
-    def __init__(self, c0, p):
-        self.c = [c0 % p]
-        self.p = p
-        self.rhs = None
-
-    def _push(self):
-        k = len(self.c)
-        if self.rhs is None:
-            self.c.append(0)
-        else:
-            self.c.append(self.rhs.coeff(k - 1) * pow(k, -1, self.p) % self.p)
-
-
-def _compile(e: Expr, env: dict[Symbol, _LNode], p: int, memo: dict) -> _LNode:
+def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], memo: dict) -> int:
+    """Append the nodes of ``e`` to ``nodes`` as (kind, operand ids, constant)
+    and return the id of its root; operands always precede their users."""
     got = memo.get(e)
     if got is not None:
         return got
+
+    def node(kind, ops=(), const=None) -> int:
+        nodes.append((kind, ops, const))
+        return len(nodes) - 1
+
     if isinstance(e, sx.Const):
-        out = _LConst(sx.const_mod_p(e.value, p), p)
+        out = 0 if e.value == 0 else node(_CONST, const=e.value)
     elif isinstance(e, sx.Sym):
         out = env[e.symbol]
     elif isinstance(e, sx.Add):
-        out = _LAdd([_compile(t, env, p, memo) for t in e.terms], p)
+        out = node(_ADD, tuple(_compile(t, env, nodes, memo) for t in e.terms))
     elif isinstance(e, sx.Mul):
         factors = list(e.factors)
-        scale = 1
-        if isinstance(factors[0], sx.Const):
-            cnode = _compile(factors.pop(0), env, p, memo)
-            scale = cnode.c[0]
-        nodes = [_compile(f, env, p, memo) for f in factors]
-        if not nodes:
-            out = _LConst(scale, p)
+        scale = factors.pop(0).value if isinstance(factors[0], sx.Const) else None
+        operands = [_compile(f, env, nodes, memo) for f in factors]
+        if not operands:
+            out = node(_CONST, const=scale)
         else:
-            acc = nodes[0]
-            for nd in nodes[1:]:
-                acc = _LMul(acc, nd, p)
-            out = acc if scale == 1 else _LScale(acc, scale, p)
+            out = operands[0]
+            for x in operands[1:]:
+                out = node(_MUL, (out, x))
+            if scale is not None:
+                out = node(_SCALE, (out,), scale)
     elif isinstance(e, sx.Pow):
-        base = _compile(e.base, env, p, memo)
         k = abs(e.exponent)
-        acc = None
-        sq = base
+        out, sq = None, _compile(e.base, env, nodes, memo)
         while k:
             if k & 1:
-                acc = sq if acc is None else _LMul(acc, sq, p)
+                out = sq if out is None else node(_MUL, (out, sq))
             k >>= 1
             if k:
-                sq = _LMul(sq, sq, p)
+                sq = node(_MUL, (sq, sq))
         if e.exponent < 0:
-            acc = _LRecip(acc, p)
-        out = acc
+            out = node(_RECIP, (out,))
     else:
         raise NonRationalExpr(f"transcendental node {sx.to_string(e)}")
     memo[e] = out
     return out
+
+
+class _Tape:
+    """F and h compiled into a flat tape.  Node 0 is the constant 0, nodes
+    1..n_z the z leaves, the next q the input jets, then the other constants.
+    The other nodes (add, scale by a constant, binary mul, reciprocal) are
+    numbered by depth; one kind at one depth forms a wave, a contiguous range
+    whose operands all come earlier, evaluated by one numpy expression."""
+
+    def __init__(self, A: AugmentedSystem):
+        n_z, q = A.n_z, len(A.model.known_inputs)
+        self.n_z, self.q = n_z, q
+        nodes: list[tuple] = [(_CONST, (), Fraction(0))] + [(_LEAF, (), None)] * (n_z + q)
+        env = {s: 1 + l for l, s in enumerate(A.z)}
+        env.update({spec.symbol: 1 + n_z + i
+                    for i, spec in enumerate(A.model.known_inputs)})
+        memo: dict[Expr, int] = {}
+        F = [(1 + l, _compile(Fl, env, nodes, memo))
+             for l, Fl in enumerate(A.F) if Fl is not sx.ZERO]
+        h = [_compile(hi, env, nodes, memo) for hi in A.outputs]
+
+        depth = []
+        for _, ops, _ in nodes:
+            depth.append(1 + max(depth[o] for o in ops) if ops else 0)
+        lead = 1 + n_z + q
+
+        def wave_of(o):
+            return depth[o], nodes[o][0]
+
+        order = list(range(lead)) + sorted(range(lead, len(nodes)),
+                                           key=lambda o: (wave_of(o), o))
+        new = {old: i for i, old in enumerate(order)}
+        self.size = len(order)
+        self.consts: list[tuple[int, Fraction]] = []
+        self.waves: list[tuple] = []  # (kind, lo, hi, operand ids, constants)
+        lo = lead
+        for (_, kind), olds in groupby(order[lead:], key=wave_of):
+            group = [nodes[o] for o in olds]
+            hi = lo + len(group)
+            if kind == _CONST:
+                self.consts += [(lo + n, c) for n, (_, _, c) in enumerate(group)]
+            else:
+                ops = np.zeros((hi - lo, max(len(o) for _, o, _ in group)), dtype=np.intp)
+                for n, (_, o, _) in enumerate(group):
+                    ops[n, :len(o)] = [new[x] for x in o]  # adds padded with node 0
+                if kind != _ADD:
+                    ops = ops.T if kind == _MUL else ops[:, 0]
+                self.waves.append((kind, lo, hi, ops, [c for _, _, c in group]))
+            lo = hi
+        self.z_leaves = np.array([l for l, _ in F], dtype=np.intp)
+        self.z_rhs = np.array([new[f] for _, f in F], dtype=np.intp)
+        self.h = np.array([new[x] for x in h], dtype=np.intp)
+
+
+class _Sweep:
+    """Value and tangent series of every tape node over a batch of runs.
+
+    V[k, node, run] is coefficient k of the node's series and
+    T[k, node, run, l] its derivative with respect to z0_l; T[0] of z leaf l
+    is e_l, so the tangents of z are S.  The arrays hold only the orders
+    reached so far, doubling up to the cap.
+    """
+
+    def __init__(self, tape: _Tape, primes, order: int):
+        self.tape = tape
+        self.order = order
+        B, n_z = len(primes), tape.n_z
+        self.P = np.array(primes, dtype=np.int64)
+        held = min(order + 1, 4)
+        self.V = np.zeros((held, tape.size, B), dtype=np.int64)
+        self.T = np.zeros((held, tape.size, B, n_z), dtype=np.int64)
+        leaves = np.arange(n_z)
+        self.T[0, 1 + leaves, :, leaves] = 1
+        self.jets = np.zeros((order + 1, tape.q, B), dtype=np.int64)
+        # inv[j - 1, run] = 1/j, the integration factor of order j.
+        self.inv = np.array([[pow(j, -1, p) for p in primes] for j in range(1, order + 1)],
+                            dtype=np.int64).reshape(order, B)
+        self.scales = {w: np.zeros((hi - lo, B), dtype=np.int64)
+                       for w, (kind, lo, hi, _, _) in enumerate(tape.waves) if kind == _SCALE}
+        # Constants mod each prime; a prime that divides a denominator fails
+        # every run on it, at every attempt.
+        self.bad: dict[int, str] = {}
+        for b, p in enumerate(primes):
+            try:
+                for i, c in tape.consts:
+                    self.V[0, i, b] = sx.const_mod_p(c, p)
+                for w, s in self.scales.items():
+                    s[:, b] = [sx.const_mod_p(c, p) for c in tape.waves[w][4]]
+            except DivisionByZeroModP as exc:
+                self.bad[b] = str(exc)
+
+    def set_point(self, run: int, z0, u_series) -> None:
+        """Initial state and input jets of one run (jets are zero past their order)."""
+        n_z, p = self.tape.n_z, int(self.P[run])
+        self.V[0, 1:1 + n_z, run] = [v % p for v in z0]
+        self.jets[:, :, run] = 0
+        for i, series in enumerate(u_series):
+            coeffs = series.coeffs[:self.order + 1]
+            self.jets[:len(coeffs), i, run] = [v % p for v in coeffs]
+
+    def _hold(self, k: int) -> None:
+        """Make room for order k."""
+        held = len(self.V)
+        if k < held:
+            return
+        n = min(self.order + 1, 2 * held)
+        for name in ("V", "T"):
+            old = getattr(self, name)
+            grown = np.zeros((n,) + old.shape[1:], dtype=np.int64)
+            grown[:held] = old
+            setattr(self, name, grown)
+
+    def advance(self, k: int) -> dict[int, str]:
+        """Coefficient k of the z leaves (z' = F, from order k - 1), then of
+        every other node.  At k = 0, returns the runs whose point makes a
+        denominator vanish, with the reason; their values are not meaningful."""
+        self._hold(k)
+        V, T, P = self.V, self.T, self.P
+        Pt = P[:, None]
+        n_z = self.tape.n_z
+        V[k, 1 + n_z:1 + n_z + self.tape.q] = self.jets[k]
+        if k:
+            zl, f = self.tape.z_leaves, self.tape.z_rhs
+            V[k, zl] = V[k - 1, f] * self.inv[k - 1] % P
+            T[k, zl] = T[k - 1, f] * self.inv[k - 1][:, None] % Pt
+        failed = dict(self.bad) if k == 0 else {}
+        for w, (kind, lo, hi, ops, _) in enumerate(self.tape.waves):
+            if kind == _ADD:
+                V[k, lo:hi] = V[k][ops].sum(1) % P
+                T[k, lo:hi] = T[k][ops].sum(1) % Pt
+            elif kind == _SCALE:
+                s = self.scales[w]
+                V[k, lo:hi] = V[k, ops] * s % P
+                T[k, lo:hi] = T[k, ops] * s[..., None] % Pt
+            elif kind == _MUL:
+                ia, ib = ops
+                a, b = V[:k + 1, ia], V[k::-1, ib]
+                V[k, lo:hi] = (a * b % P).sum(0) % P
+                T[k, lo:hi] = ((a[..., None] * T[k::-1, ib] % Pt).sum(0)
+                               + (T[:k + 1, ia] * b[..., None] % Pt).sum(0)) % Pt
+            elif k == 0:  # reciprocal: c_0 = 1/a_0, T(c)_0 = -T(a)_0 / a_0^2
+                a0 = V[0, ops]
+                for run in np.flatnonzero((a0 == 0).any(0)):
+                    failed.setdefault(int(run), "denominator series has zero constant term")
+                inv = np.array([[pow(int(v), -1, int(p)) if v else 0
+                                 for v, p in zip(row, P)] for row in a0], dtype=np.int64)
+                V[0, lo:hi] = inv
+                T[0, lo:hi] = -(inv * inv % P)[..., None] * T[0, ops] % Pt
+            else:  # reciprocal: from sum_j a_j c_(k-j) = 0 and its tangent
+                a, inv0 = V[1:k + 1, ops], V[0, lo:hi]
+                V[k, lo:hi] = -inv0 * ((a * V[k - 1::-1, lo:hi] % P).sum(0) % P) % P
+                t = ((T[:k + 1, ops] * V[k::-1, lo:hi][..., None] % Pt).sum(0)
+                     + (a[..., None] * T[k - 1::-1, lo:hi] % Pt).sum(0)) % Pt
+                T[k, lo:hi] = -inv0[..., None] * t % Pt
+        return failed
 
 
 # --------------------------------------------------------------------------
@@ -399,103 +437,29 @@ class SeriesSolution:
     order: int
 
 
-def _input_env(A: AugmentedSystem, u_series, p) -> dict[Symbol, _LNode]:
-    env = {}
-    for spec, series in zip(A.model.known_inputs, u_series):
-        env[spec.symbol] = _LGiven(series.coeffs, p)
-    return env
-
-
-@dataclass
-class _Graph:
-    """Lazy series of one specialization: the trajectory z, the sensitivities
-    S = dz/dz0 and the output-Jacobian entries dy[i][j] = sum_l
-    (dh_i/dz_l)(z, u) * S_lj, whose coefficient k is row k*m + i of the
-    output Jacobian."""
-    z0: tuple[int, ...]
-    u_series: tuple[TruncSeries, ...]
-    z: list[_LInt]
-    S: list[list[_LInt]]
-    dy: list[list[_LNode]]
-
-    def block(self, k: int) -> list[list[int]]:
-        """Block k of the output Jacobian: coefficient k of dy, one row per output."""
-        return [[node.coeff(k) for node in row] for row in self.dy]
-
-
-def _wire(A: AugmentedSystem, z0, u_series, p: int) -> _Graph:
-    """Wire z' = F(z, u), z(0) = z0, the variational system S' = (dF/dz) S,
-    S(0) = I, and the output-Jacobian entries into one lazy graph over F_p.
-
-    Every compiled expression is evaluated at t = 0 before returning, so a
-    denominator that vanishes at this point raises DivisionByZeroModP here,
-    whichever orders are pulled later.
-    """
+def series_solve(A: AugmentedSystem, z0, u_series, order: int, p: int, *,
+                 deadline: float | None = None) -> SeriesSolution:
+    """Solve z' = F(z, u), z(0) = z0 and S' = (dF/dz) S, S(0) = I through
+    the given truncation order, exactly over F_p: the sweep of one run, with
+    S read from the tangents of z.  Raises DivisionByZeroModP when a
+    denominator of F or h vanishes at t = 0."""
     n_z = A.n_z
     z0 = tuple(v % p for v in z0)
     if len(z0) != n_z:
         raise ValueError("initial point has wrong dimension")
-
-    env: dict[Symbol, _LNode] = _input_env(A, u_series, p)
-    znodes = [_LInt(z0[i], p) for i in range(n_z)]
-    for s, node in zip(A.z, znodes):
-        env[s] = node
-    memo: dict[Expr, _LNode] = {}
-    for i, Fi in enumerate(A.F):
-        znodes[i].rhs = None if Fi is sx.ZERO else _compile(Fi, env, p, memo)
-
-    def gradient(e: Expr) -> list[tuple[int, _LNode]]:
-        entries = []
-        for l, zl in enumerate(A.z):
-            d = sx.differentiate(e, zl)
-            if d is not sx.ZERO:
-                entries.append((l, _compile(d, env, p, memo)))
-        return entries
-
-    def dot(entries, j) -> _LNode:
-        parts = [_LMul(g, snodes[l][j], p) for l, g in entries]
-        return parts[0] if len(parts) == 1 else _LAdd(parts, p)
-
-    # Variational system: only rows with a nonzero Jacobian row evolve.
-    snodes = [[_LInt(1 if i == j else 0, p) for j in range(n_z)] for i in range(n_z)]
-    for i, Fi in enumerate(A.F):
-        row = [] if Fi is sx.ZERO else gradient(Fi)
-        if row:
-            for j in range(n_z):
-                snodes[i][j].rhs = dot(row, j)
-
-    dy = []
-    for h in A.outputs:
-        grad = gradient(h)
-        dy.append([dot(grad, j) if grad else _LConst(0, p) for j in range(n_z)])
-
-    for node in memo.values():
-        node.coeff(0)
-    return _Graph(z0=z0, u_series=tuple(u_series), z=znodes, S=snodes, dy=dy)
-
-
-def series_solve(A: AugmentedSystem, z0, u_series, order: int, p: int, *,
-                 deadline: float | None = None) -> SeriesSolution:
-    """Solve z' = F(z, u), z(0) = z0 and S' = (dF/dz) S, S(0) = I through
-    the given truncation order, exactly over F_p."""
-    g = _wire(A, z0, u_series, p)
-    for node in g.z:
+    sw = _Sweep(_Tape(A), [p], order)
+    sw.set_point(0, z0, u_series)
+    for k in range(order + 1):
         _check_deadline(deadline)
-        node.coeff(order)
-    for row in g.S:
-        _check_deadline(deadline)
-        for node in row:
-            node.coeff(order)
+        failed = sw.advance(k)
+        if failed:
+            raise DivisionByZeroModP(failed[0])
 
-    pack = lambda nd: TruncSeries(nd.c[:order + 1], p)
-    return SeriesSolution(
-        z_series=tuple(pack(nd) for nd in g.z),
-        S_series=tuple(tuple(pack(nd) for nd in row) for row in g.S),
-        u_series=g.u_series,
-        z0=g.z0,
-        p=p,
-        order=order,
-    )
+    z = sw.V[:, 1:1 + n_z, 0].T.tolist()
+    S = sw.T[:, 1:1 + n_z, 0].transpose(1, 2, 0).tolist()
+    return SeriesSolution(tuple(TruncSeries(c, p) for c in z),
+                          tuple(tuple(TruncSeries(c, p) for c in row) for row in S),
+                          tuple(u_series), z0, p, order)
 
 
 def output_jacobian(sol: SeriesSolution, A: AugmentedSystem) -> list[list[int]]:
@@ -571,80 +535,113 @@ def _draw_trial(A: AugmentedSystem, cfg: TrialConfig, trial: int, attempt: int):
     return z0, u_series
 
 
-def _wire_trial(A: AugmentedSystem, cfg: TrialConfig, trial: int) -> _Graph:
-    """The graph of one trial; a vanishing denominator restarts it with the
-    next attempt's random point."""
-    last = None
-    for attempt in range(cfg.retries):
-        z0, u_series = _draw_trial(A, cfg, trial, attempt)
-        try:
-            return _wire(A, z0, u_series, cfg.prime)
-        except DivisionByZeroModP as exc:
-            last = exc
-    raise RetriesExhausted(
-        f"all {cfg.retries} random specializations hit a vanishing denominator "
-        f"mod {cfg.prime}: {last}")
+@dataclass
+class _Run:
+    """One (prime, trial) run: its point, rows, echelon form and stop rule."""
+    cfg: TrialConfig
+    trial: int
+    attempt: int = 0
+    z0: list[int] = field(default_factory=list)
+    u_series: list[TruncSeries] = field(default_factory=list)
+    rows: list[list[int]] = field(default_factory=list)
+    echelon: _linalg.Echelon | None = None
+    stop: str | None = None
 
 
-def _grow(g: _Graph, n_z: int, order: int, p: int,
-          deadline: float | None = None) -> tuple[list[list[int]], str]:
-    """Output-Jacobian rows, one block of series coefficients at a time, and
-    the rule that stopped the growth: the rank reached n_z (full_rank), a
-    block k > 0 left it unchanged (saturation), or block ``order`` was
-    reached (order_exhausted)."""
-    rows: list[list[int]] = []
-    last = -1
+def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run]) -> None:
+    """Order 0 of every run.  A run whose point makes a denominator of F or h
+    vanish at t = 0 moves to its next attempt, and order 0 is redone; the
+    other runs keep their points."""
+    todo = range(len(runs))
+    last: dict[int, str] = {}
+    while todo:
+        for b in todo:
+            run = runs[b]
+            if run.attempt == run.cfg.retries:
+                raise RetriesExhausted(
+                    f"all {run.cfg.retries} random specializations hit a vanishing "
+                    f"denominator mod {run.cfg.prime}: {last.get(b)}")
+            run.z0, run.u_series = _draw_trial(A, run.cfg, run.trial, run.attempt)
+            sw.set_point(b, run.z0, run.u_series)
+        failed = sw.advance(0)
+        todo = sorted(failed)
+        for b in todo:
+            runs[b].attempt += 1
+            last[b] = failed[b]
+
+
+def _sweep_runs(A: AugmentedSystem, runs: list[_Run], order: int,
+                deadline: float | None = None) -> None:
+    """Grow every run's output Jacobian one block per series order, all runs
+    in one sweep.  Block k is the order-k tangent of the h nodes.  A run stops
+    when its rank reaches n_z (full_rank), when a block k > 0 leaves it
+    unchanged (saturation), or at block ``order`` (order_exhausted); the
+    sweep ends when every run has stopped."""
+    n_z = A.n_z
+    tape = _Tape(A)
+    sw = _Sweep(tape, [run.cfg.prime for run in runs], order)
+    for run in runs:
+        run.echelon = _linalg.Echelon(n_z, run.cfg.prime)
     for k in range(order + 1):
         _check_deadline(deadline)
-        rows += g.block(k)
-        r = _linalg.rank_mod_p(rows, p)
-        if r == n_z:
-            return rows, "full_rank"
-        if r == last:
-            return rows, "saturation"
-        last = r
-    return rows, "order_exhausted"
+        if k == 0:
+            _start(A, sw, runs)
+        else:
+            sw.advance(k)
+        blocks = sw.T[k, tape.h]
+        for b, run in enumerate(runs):
+            if run.stop is not None:
+                continue
+            before = run.echelon.rank
+            run.rows += blocks[:, b].tolist()
+            r = run.echelon.extend(blocks[:, b])
+            if r == n_z:
+                run.stop = "full_rank"
+            elif k > 0 and r == before:
+                run.stop = "saturation"
+        if all(run.stop is not None for run in runs):
+            return
+    for run in runs:
+        run.stop = run.stop or "order_exhausted"
 
 
 def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisReport:
     """Rank analysis from random finite-field series solutions.
 
-    Each trial grows the series order one block at a time and stops at full
-    rank, at the first block that does not raise the rank, or at the order
-    cap.  The aggregated rank is the max over all (prime, trial) runs; an
-    entry is identifiable when its column is independent of the others
-    (deleting it drops the rank by one) in every run that reaches that rank.
-    Per-prime ranks are reported so that prime-dependent rank drops are
-    visible.
+    Every (prime, trial) run grows the series order one block at a time and
+    stops at full rank, at the first block that does not raise its rank, or
+    at the order cap; one sweep per order advances all runs.  The aggregated
+    rank is the max over all runs; an entry is identifiable when its column
+    is independent of the others (deleting it drops the rank by one) in
+    every run that reaches that rank.  Per-prime ranks are reported so that
+    prime-dependent rank drops are visible.
     """
     opts = opts or FfprobOptions()
+    if opts.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not opts.primes:
+        raise ValueError("at least one prime is required")
     t0 = time.perf_counter()
     _require_rational(md)
     A = augment(md)
     n_z = A.n_z
     order = opts.order if opts.order is not None else max(n_z - 1, 1)
 
-    per_prime: dict[str, list[int]] = {}
-    trial_results: list[tuple[int, list[bool]]] = []
-    stops: list[str] = []
-    for p in opts.primes:
-        cfg = TrialConfig(prime=p, seed=opts.seed, order=order, retries=opts.retries)
-        ranks = []
-        for trial in range(opts.trials):
-            rows, stop = _grow(_wire_trial(A, cfg, trial), n_z, order, p, opts.deadline)
-            r, independent = _linalg.independent_columns(rows, p)
-            ranks.append(r)
-            trial_results.append((r, independent))
-            stops.append(stop)
-        per_prime[str(p)] = ranks
+    cfgs = [TrialConfig(prime=p, seed=opts.seed, order=order, retries=opts.retries)
+            for p in opts.primes]
+    runs = [_Run(cfg, trial) for cfg in cfgs for trial in range(opts.trials)]
+    _sweep_runs(A, runs, order, opts.deadline)
 
+    per_prime = {str(p): [run.echelon.rank for run in runs[i * opts.trials:(i + 1) * opts.trials]]
+                 for i, p in enumerate(opts.primes)}
+    trial_results = [(run.echelon.rank, run.echelon.independent_columns()) for run in runs]
     rank = max(r for r, _ in trial_results)
     identifiable = [all(independent[j] for r, independent in trial_results if r == rank)
                     for j in range(n_z)]
     verdict_map = {s: verdict_for(s.kind.value, identifiable[j]) for j, s in enumerate(A.z)}
     if rank == n_z:
         stop_reason = "full_rank"
-    elif all(stop == "saturation" for stop in stops):
+    elif all(run.stop == "saturation" for run in runs):
         stop_reason = "saturation"
     else:
         stop_reason = "order_exhausted"

@@ -74,6 +74,26 @@ def test_run_corpus_rejects_bad_prime_before_any_pair(mini_corpus, monkeypatch):
         run_corpus(mini_corpus, BenchOptions(primes=(100,)))
 
 
+@pytest.mark.parametrize("opts, match", [
+    (BenchOptions(trials=0), r"trials must be >= 1"),
+    (BenchOptions(primes=()), r"at least one prime"),
+])
+def test_run_corpus_rejects_empty_batch_before_any_pair(mini_corpus, monkeypatch, opts, match):
+    def no_pair(*args):
+        raise AssertionError(f"pair {args[:2]} ran")
+
+    monkeypatch.setattr(bench, "_run_one", no_pair)
+    with pytest.raises(ValueError, match=match):
+        run_corpus(mini_corpus, opts)
+
+
+@pytest.mark.parametrize("engine", bench.ENGINES)
+def test_analyze_rejects_empty_primes(engine):
+    md = load_model(corpus_dir() / "c2m_b.idm")
+    with pytest.raises(ValueError, match=r"at least one prime"):
+        bench.analyze(md, engine, seed=0, primes=())
+
+
 def test_run_corpus_empty_dir(tmp_path):
     assert run_corpus(tmp_path, BenchOptions()) == []
 

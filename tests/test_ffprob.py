@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from identiscope import ffprob
 from identiscope import symexpr as sx
+from identiscope._linalg import MAX_PRIME
 from identiscope.bench import corpus_dir
-from identiscope.errors import DivisionByZeroModP, NonRationalExpr
+from identiscope.errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted
 from identiscope.ffprob import (
     DEFAULT_PRIMES,
     FfprobOptions,
     TrialConfig,
     TruncSeries,
-    _grow,
-    _wire_trial,
+    _Run,
+    _sweep_runs,
     analyze_ffprob,
     cross_check_lie,
     eval_expr_series,
@@ -23,6 +25,7 @@ from identiscope.lie_orc import build_matrix
 from identiscope.model import augment, load_model, parse_model
 
 P = 2147483647
+BIG_P = 3037000493  # the largest prime <= MAX_PRIME
 
 DECAY = "model decay\nstates x\nparams th\nddt x = -th*x\noutput y = x\n"
 
@@ -108,12 +111,11 @@ def test_series_solve_sensitivity_initial_identity():
             assert sol.S_series[i][j].coeffs[0] == (1 if i == j else 0)
 
 
-def _residual_checks(name, order=6):
+def _residual_checks(name, order=6, p=P):
     """ODE and sensitivity residuals via the eager evaluator (independent
-    of the lazy solver)."""
+    of the sweep)."""
     md = load_model(corpus_dir() / name)
     A = augment(md)
-    p = P
     u_series = [TruncSeries([11 + 7 * j for j in range(order + 1)], p)
                 for _ in A.model.known_inputs]
     sol = series_solve(A, [5 + 3 * i for i in range(A.n_z)], u_series, order, p)
@@ -149,6 +151,13 @@ def _residual_checks(name, order=6):
 @pytest.mark.parametrize("name", ["c2m_a.idm", "c2m_c.idm", "hiv2.idm", "beta_ig.idm"])
 def test_ode_and_sensitivity_residuals(name):
     _residual_checks(name)
+
+
+def test_residuals_at_largest_prime():
+    # jak_stat1 has 10 states and 33 entries of z; at p near sqrt(2^63) a
+    # product reduced one step late would overflow int64.
+    assert BIG_P <= MAX_PRIME < BIG_P + 6
+    _residual_checks("jak_stat1.idm", order=4, p=BIG_P)
 
 
 # --------------------------------------------------------------------------
@@ -249,22 +258,120 @@ def test_engine_rank_agreement(reports_by_key):
 # incremental output Jacobian
 # --------------------------------------------------------------------------
 
+def _batch(A, primes, trials, seed):
+    order = max(A.n_z - 1, 1)
+    runs = [_Run(TrialConfig(prime=p, seed=seed, order=order), trial)
+            for p in primes for trial in range(trials)]
+    _sweep_runs(A, runs, order)
+    return runs
+
+
+def _eager_rows(A, run, k):
+    """output_jacobian of the run's point solved to order k, input jets
+    truncated to order k."""
+    p = run.cfg.prime
+    u_k = [TruncSeries(u.coeffs[:k + 1], p) for u in run.u_series]
+    return output_jacobian(series_solve(A, run.z0, u_k, k, p), A)
+
+
 def test_incremental_blocks_match_eager_route(corpus_entries):
-    """The rows the engine collects through block k equal the eager
-    output_jacobian of a series solved to order k at the same point."""
+    """For every (prime, trial) run of the batch, the rows the engine
+    collects through block k equal the eager output_jacobian of a series
+    solved to order k at that run's point."""
     for e in corpus_entries:
         if e.heavy or not e.rational:
             continue
         A = augment(load_model(e.path))
         m = len(A.outputs)
-        cfg = TrialConfig(prime=DEFAULT_PRIMES[0], seed=0, order=max(A.n_z - 1, 1))
-        g = _wire_trial(A, cfg, 0)
-        rows, _ = _grow(g, A.n_z, cfg.order, cfg.prime)
-        assert len(rows) % m == 0, e.name
-        for k in range(len(rows) // m):
-            u_k = [TruncSeries(u.coeffs[:k + 1], cfg.prime) for u in g.u_series]
-            eager = output_jacobian(series_solve(A, g.z0, u_k, k, cfg.prime), A)
-            assert rows[:(k + 1) * m] == eager, (e.name, k)
+        for seed in (0, 1):
+            for run in _batch(A, DEFAULT_PRIMES, 2, seed):
+                assert run.attempt == 0 and len(run.rows) % m == 0, e.name
+                for k in range(len(run.rows) // m):
+                    assert run.rows[:(k + 1) * m] == _eager_rows(A, run, k), \
+                        (e.name, seed, run.cfg.prime, run.trial, k)
+
+
+def test_blocks_match_eager_route_at_largest_prime():
+    A = augment(load_model(corpus_dir() / "jak_stat1.idm"))
+    m = len(A.outputs)
+    (run,) = _batch(A, (BIG_P,), 1, 0)
+    assert len(run.rows) > 3 * m
+    for k in range(len(run.rows) // m):
+        assert run.rows[:(k + 1) * m] == _eager_rows(A, run, k), k
+
+
+RECIP = """model recip
+states x1 x2
+params k1 k2
+ddt x1 = -k1*x1/(x1 + k2)
+ddt x2 = k1*x1 - k2*x2
+output y = x2
+"""
+
+
+def _vanishing_draw(monkeypatch, target, attempts):
+    """Replace _draw_trial so that run ``target`` = (prime, trial) draws
+    x1 = -k2, a zero of the denominator x1 + k2, at the given attempts."""
+    real = ffprob._draw_trial
+
+    def draw(A, cfg, trial, attempt):
+        z0, u = real(A, cfg, trial, attempt)
+        if (cfg.prime, trial) == target and attempt in attempts:
+            z0[0] = -z0[3] % cfg.prime
+        return z0, u
+
+    monkeypatch.setattr(ffprob, "_draw_trial", draw)
+    return real
+
+
+def test_restart_moves_only_the_failing_run(monkeypatch):
+    A = augment(parse_model(RECIP))
+    m = len(A.outputs)
+    plain = _batch(A, DEFAULT_PRIMES, 2, 0)
+    target = (DEFAULT_PRIMES[1], 1)
+    real = _vanishing_draw(monkeypatch, target, {0})
+    forced = _batch(A, DEFAULT_PRIMES, 2, 0)
+    for before, run in zip(plain, forced):
+        assert before.attempt == 0
+        if (run.cfg.prime, run.trial) != target:
+            assert (run.attempt, run.z0, run.rows, run.stop) == \
+                (0, before.z0, before.rows, before.stop)
+            continue
+        assert run.attempt == 1
+        assert (run.z0, run.u_series) == real(A, run.cfg, run.trial, 1)
+        assert run.z0 != before.z0
+        for k in range(len(run.rows) // m):
+            assert run.rows[:(k + 1) * m] == _eager_rows(A, run, k), k
+
+
+def test_restarts_exhausted(monkeypatch):
+    A = augment(parse_model(RECIP))
+    target = (DEFAULT_PRIMES[2], 0)
+    _vanishing_draw(monkeypatch, target, set(range(ffprob.DEFAULT_RETRIES)))
+    with pytest.raises(RetriesExhausted, match=rf"mod {target[0]}: denominator"):
+        _batch(A, DEFAULT_PRIMES, 2, 0)
+
+
+def test_constant_with_prime_denominator_exhausts_that_prime():
+    # 1/P has no residue mod P: every point of every run on P fails.
+    src = f"model m\nstates x\nparams k\nddt x = -k*x/{P}\noutput y = x\n"
+    with pytest.raises(RetriesExhausted, match=rf"mod {P}: constant -1/{P} has"):
+        analyze_ffprob(parse_model(src), FfprobOptions(primes=(DEFAULT_PRIMES[1], P)))
+
+
+def test_series_solve_raises_on_vanishing_denominator():
+    A = augment(parse_model(RECIP))
+    with pytest.raises(DivisionByZeroModP):
+        series_solve(A, [P - 5, 1, 2, 5], [], order=2, p=P)
+
+
+@pytest.mark.parametrize("opts, match", [
+    (FfprobOptions(trials=0), r"trials must be >= 1"),
+    (FfprobOptions(primes=()), r"at least one prime"),
+])
+def test_analyze_rejects_empty_batch(opts, match):
+    with pytest.raises(ValueError, match=match):
+        analyze_ffprob(parse_model(DECAY), opts)
 
 
 def test_stop_reason_full_rank():
@@ -275,6 +382,14 @@ def test_stop_reason_full_rank():
 def test_stop_reason_saturation():
     rep = analyze_ffprob(load_model(corpus_dir() / "c2m_b.idm"))
     assert (rep.rank, rep.n_z, rep.stop_reason) == (4, 6, "saturation")
+
+
+def test_zero_first_block_does_not_saturate():
+    # Every entry of the trap's output is 0 mod P, so block 0 leaves the rank
+    # at 0; saturation is a block k > 0 that does not raise it.
+    trap = f"model trap\nstates x\nparams th\nddt x = -th*x\noutput y = {P}*x\n"
+    (run,) = _batch(augment(parse_model(trap)), (P,), 1, 0)
+    assert (run.stop, len(run.rows), run.echelon.rank) == ("saturation", 2, 0)
 
 
 def test_stop_reason_order_exhausted():

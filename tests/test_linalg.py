@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from identiscope._linalg import independent_columns, rank_mod_p
+from identiscope._linalg import Echelon, independent_columns, rank_mod_p
 
 from oracles import deleted_column_ranks
 
@@ -53,3 +53,38 @@ def test_independent_columns_matches_deleted_rank_oracle(case):
 ])
 def test_independent_columns_edge_cases(rows, p):
     _check_against_oracle(rows, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_matrices(), st.data())
+def test_echelon_extended_by_blocks(case, data):
+    """Split into random blocks, the rank after each block equals the rank
+    of the rows so far, and the final flags equal independent_columns."""
+    rows, p = case
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
+    ech = Echelon(len(rows[0]), p)
+    for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
+        if hi > lo:
+            assert ech.extend(rows[lo:hi]) == rank_mod_p(rows[:hi], p)
+        assert ech.rank == (rank_mod_p(rows[:hi], p) if hi else 0)
+    flags = ech.independent_columns()
+    assert (ech.rank, flags) == independent_columns(rows, p)
+    r = ech.rank
+    assert flags == [d == r - 1 for d in deleted_column_ranks(rows, p)]
+
+
+def test_echelon_block_update_at_largest_prime():
+    # Near sqrt(2^63) two unreduced products already overflow int64.
+    p = 3037000493
+    q = p - 1
+    # Block 1 is q * (row 0 + row 1) mod p, so it must reduce to zero.
+    blocks = [[[1, 0, q, q, 5], [0, 1, q, q, q]],
+              [[q, q, 2, 2, p - 4]],
+              [[q, q, q, q - 1, 7], [q, 1, 3, q, q]]]
+    ech = Echelon(5, p)
+    rows = []
+    for block, want in zip(blocks, (2, 2, 4)):
+        rows += block
+        assert ech.extend(block) == rank_mod_p(rows, p) == want
+    r = ech.rank
+    assert ech.independent_columns() == [d == r - 1 for d in deleted_column_ranks(rows, p)]
