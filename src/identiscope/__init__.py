@@ -39,13 +39,9 @@ from .ffprob import (
 )
 from .lie_orc import (
     LieCache,
-    ObservabilityMatrix,
     SymbolicOptions,
     analyze_symbolic,
-    build_matrix,
-    classify_columns,
     extended_lie_derivative,
-    rank_by_random_eval,
 )
 from .model import (
     AugmentedSystem,
@@ -79,12 +75,11 @@ __all__ = [
     "DuplicateDeclaration", "EngineTimeout", "Expr", "FfprobOptions",
     "IdentiscopeError", "InputSpec", "LieCache", "MissingDynamics", "ModelDef",
     "ModelError", "ModelSyntaxError", "NonIntegerExponent", "NonRationalExpr",
-    "ObservabilityMatrix", "RetriesExhausted", "SeriesSolution", "Symbol",
-    "SymbolKind", "SymbolicOptions", "TruncSeries", "UndeclaredSymbol",
-    "UnknownInputSpec", "analyze_ffprob", "analyze_symbolic", "augment",
-    "build_matrix", "classify_columns", "cross_check_lie", "differentiate",
-    "eval_mod_p", "eval_rational", "extended_lie_derivative", "free_symbols",
-    "is_rational_expr", "load_model", "output_jacobian", "parse_model",
-    "print_model", "rank_by_random_eval", "series_solve", "simplify",
-    "substitute", "to_string",
+    "RetriesExhausted", "SeriesSolution", "Symbol", "SymbolKind",
+    "SymbolicOptions", "TruncSeries", "UndeclaredSymbol", "UnknownInputSpec",
+    "analyze_ffprob", "analyze_symbolic", "augment", "cross_check_lie",
+    "differentiate", "eval_mod_p", "eval_rational", "extended_lie_derivative",
+    "free_symbols", "is_rational_expr", "load_model", "output_jacobian",
+    "parse_model", "print_model", "series_solve", "simplify", "substitute",
+    "to_string",
 ]

@@ -109,24 +109,14 @@ class Echelon:
         return self.rank
 
     def independent_columns(self) -> list[bool]:
-        """For each column, whether it is independent of the others: a pivot
-        column whose pivot row is the unit vector (see ``independent_columns``)."""
+        """For each column, whether it is independent of the others.
+
+        Column j is independent of the others exactly when e_j lies in the
+        row space, that is when j is a pivot column whose pivot row is the
+        unit vector e_j; equivalently, deleting column j drops the rank by one.
+        """
         independent = [False] * self.basis.shape[1]
         for i, c in enumerate(self.pivots):
             independent[c] = np.count_nonzero(self.basis[i]) == 1
         return independent
 
-
-def independent_columns(rows, p: int) -> tuple[int, list[bool]]:
-    """Rank over F_p, and for each column whether it is independent of the others.
-
-    The reduced row echelon form (one ``Echelon`` block) decides it: column
-    j is independent of the others exactly when e_j lies in the row space,
-    that is when j is a pivot column whose pivot row is the unit vector e_j;
-    equivalently, deleting column j drops the rank by one.
-    """
-    a = _as_array(rows, p)
-    ech = Echelon(a.shape[1], p)
-    if a.size:
-        ech.extend(a)
-    return ech.rank, ech.independent_columns()

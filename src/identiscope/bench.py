@@ -107,7 +107,6 @@ class CorpusEntry:
     heavy: bool = False
     contested: bool = False
     provenance: str = "reconstructed"
-    timeout_s: float | None = None
     expected_verdicts: dict | None = None
 
     @property
@@ -184,7 +183,6 @@ def load_corpus(directory=None) -> list[CorpusEntry]:
             heavy=meta.get("heavy", False),
             contested=meta.get("contested", False),
             provenance=meta.get("provenance", "reconstructed"),
-            timeout_s=meta.get("timeout_s"),
             expected_verdicts=meta.get("verdicts"),
         ))
     return entries
@@ -267,11 +265,8 @@ def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[Analysi
     if opts.trials is not None and opts.trials < 1:
         raise ValueError("trials must be >= 1")
     entries = [e for e in load_corpus(directory) if opts.include_heavy or not e.heavy]
-    tasks = []
-    for entry in entries:
-        budget = entry.timeout_s if entry.timeout_s is not None else opts.timeout_s
-        for engine in opts.engines:
-            tasks.append((entry.path, engine, opts.seed, budget, opts.trials, opts.primes))
+    tasks = [(entry.path, engine, opts.seed, opts.timeout_s, opts.trials, opts.primes)
+             for entry in entries for engine in opts.engines]
 
     if opts.parallelism > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=opts.parallelism) as pool:

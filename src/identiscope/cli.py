@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("corpus", nargs="?", default=None,
                     help="corpus directory (default: packaged corpus)")
     common(pb)
-    pb.add_argument("--timeout-s", type=float, default=120.0,
+    pb.add_argument("--timeout-s", type=float, default=bench_mod.DEFAULT_TIMEOUT_S,
                     help="per-model wall-clock bound in seconds, > 0")
     pb.add_argument("--format", choices=["json", "csv"], default=None,
                     help="emit the machine-readable document to stdout")

@@ -181,8 +181,9 @@ def eval_expr_series(e: Expr, env: dict[Symbol, TruncSeries], order: int,
                      p: int, _memo=None) -> TruncSeries:
     """Eager evaluation of a rational expression over TruncSeries arithmetic.
 
-    Independent of the lazy solver, which makes it usable as the second
-    route when checking solver output (ODE and sensitivity residuals).
+    Independent of the ``_Sweep``, its h-node tangents included, which makes
+    it usable as the second route when checking solver output (ODE and
+    sensitivity residuals).
     """
     memo = {} if _memo is None else _memo
 
@@ -466,8 +467,9 @@ def output_jacobian(sol: SeriesSolution, A: AugmentedSystem) -> list[list[int]]:
     """Rows d(coeff_j of y_i)/dz0 for j = 0..N (j outer, i inner).
 
     Each row is coefficient j of (dh_i/dz)(z(t), u(t)) . S(t).  Evaluated
-    eagerly over TruncSeries, apart from the lazy graph that analyze_ffprob
-    pulls these rows from block by block, so tests can compare the two.
+    eagerly over TruncSeries, independent of the ``_Sweep``'s h-node
+    tangents that analyze_ffprob reads these rows from block by block, so
+    tests can compare the two.
     """
     p, N = sol.p, sol.order
     env = {s: sol.z_series[i] for i, s in enumerate(A.z)}

@@ -5,10 +5,12 @@ vector field symbolically, level by level.  The rows of the
 observability-identifiability matrix are their gradients with respect to
 z, evaluated numerically: one reverse sweep mod p over the expression DAG
 of each Lie derivative gives its whole row at a random point, and each
-level evaluates only its new rows.  The engine estimates the matrix's
-generic rank from these evaluations over a prime field and classifies each
-augmented-state entry with the column-deletion test.  Symbolic gradient
-rows are built only on request (``ObservabilityMatrix.rows``).
+level evaluates only its new rows.  Each trial keeps one reduced echelon
+form over the prime field and extends it with every level's new rows; the
+matrix's generic rank is the largest trial rank, and each augmented-state
+entry is classified from the echelon forms with the column-deletion test.
+Symbolic gradient rows are built only on request
+(``LieCache.gradient_rows``).
 
 Unlike purely symbolic rank computation, the rank step specializes every
 symbol to an independent uniform residue in [1, p-1]; a random point can
@@ -24,7 +26,7 @@ whenever this table is non-empty.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _linalg, _rng
 from . import symexpr as sx
@@ -48,20 +50,13 @@ class SymbolicOptions:
     deadline: float | None = None  # absolute time.monotonic() bound
 
 
-@dataclass
-class RankEstimate:
-    rank: int
-    trials: int
-    prime: int
-    mode: str = "mod-p"
-
-
 class _TrialPoint:
     """One random point of a trial, drawn lazily.
 
     Holds the residue of each symbol, the transcendental table, one memo of
-    node values shared by every row, and the numeric rows evaluated at this
-    point so far with, per row, whether the table was in use after it.
+    node values shared by every row, the numeric rows evaluated at this
+    point so far with, per row, whether the table was in use after it, and
+    the echelon form ``analyze_symbolic`` extends with those rows.
     """
 
     def __init__(self, seed: int, trial: int, attempt: int, p: int):
@@ -71,6 +66,7 @@ class _TrialPoint:
         self.memo: dict[Expr, int] = {}
         self.rows: list[list[int]] = []
         self.used: list[bool] = []
+        self.echelon: _linalg.Echelon | None = None
 
     def transc(self, node: Expr) -> int:
         key = node.shash
@@ -105,10 +101,10 @@ class LieCache:
 
     Level k+1 of each output is always derived from the cached level k.
     Numeric rows are kept per (trial, seed, prime), so each level evaluates
-    only its new rows; symbolic gradient rows are built only when
-    ``gradient_rows`` is called.  The optional deadline is checked between
-    per-output derivations and between rows so oversized models hit their
-    wall-clock bound promptly.
+    only its new rows.  The symbolic gradient rows, which the engine never
+    needs, are built only when ``LieCache.gradient_rows`` is called.  The
+    optional deadline is checked between per-output derivations and between
+    rows so oversized models hit their wall-clock bound promptly.
     """
 
     def __init__(self, A: AugmentedSystem, deadline: float | None = None):
@@ -332,90 +328,6 @@ def extended_lie_derivative(phi: Expr, A: AugmentedSystem) -> Expr:
     return sx.add(*terms)
 
 
-@dataclass
-class ObservabilityMatrix:
-    """Gradient rows of Lie derivative levels 0..k, columns ordered as z.
-
-    The matrix is read numerically through its cache (``_numeric_matrix``);
-    the symbolic rows are built on the first read of ``rows``.
-    """
-    level: int
-    symbols: tuple[Symbol, ...]
-    cache: LieCache = field(repr=False)
-    rank_estimate: RankEstimate | None = None
-    _ranked: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def rows(self) -> list[list[Expr]]:
-        rows: list[list[Expr]] = []
-        for j in range(self.level + 1):
-            rows.extend(self.cache.gradient_rows(j))
-        return rows
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.cache.A.outputs) * (self.level + 1), len(self.symbols))
-
-
-def build_matrix(A: AugmentedSystem, k: int, cache: LieCache | None = None) -> ObservabilityMatrix:
-    """Matrix with rows d(L^j h_i)/dz for j=0..k (j outer, i inner)."""
-    if k < 0:
-        raise ValueError("level must be nonnegative")
-    if cache is None:
-        cache = LieCache(A)
-    cache.ensure_level(k)
-    return ObservabilityMatrix(level=k, symbols=A.z, cache=cache)
-
-
-def _numeric_matrix(M: ObservabilityMatrix, trial: int, seed: int, p: int,
-                    retries: int) -> tuple[list[list[int]], bool]:
-    """Evaluate all entries at a random point; resample on vanishing
-    denominators.  Returns (numeric rows, transcendental-table-used)."""
-    return M.cache.numeric_rows(M.shape[0], trial, seed, p, retries)
-
-
-def _ranked(M: ObservabilityMatrix, trial: int, seed: int, p: int,
-            retries: int) -> tuple[int, list[bool]]:
-    """(rank, independent columns) of one trial's numeric matrix; M keeps it,
-    so the rank and the column classification share one elimination."""
-    key = (trial, seed, p)
-    got = M._ranked.get(key)
-    if got is None:
-        numeric, _ = _numeric_matrix(M, trial, seed, p, retries)
-        got = M._ranked[key] = _linalg.independent_columns(numeric, p)
-    return got
-
-
-def rank_by_random_eval(M: ObservabilityMatrix, trials: int, seed: int, p: int,
-                        retries: int = DEFAULT_RETRIES) -> int:
-    """Max over trials of the exact F_p rank at random specializations."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    best = max(_ranked(M, trial, seed, p, retries)[0] for trial in range(trials))
-    M.rank_estimate = RankEstimate(rank=best, trials=trials, prime=p)
-    return best
-
-
-def classify_columns(M: ObservabilityMatrix, r: int, trials: int, seed: int, p: int,
-                     retries: int = DEFAULT_RETRIES,
-                     deadline: float | None = None) -> dict[Symbol, str]:
-    """Column-independence test for each z entry.
-
-    Entry j is observable/identifiable when its column is independent of the
-    others (deleting it drops the rank to r-1) in every trial that reaches
-    rank r; otherwise it lies in the span of the others
-    (unobservable/unidentifiable).
-    """
-    identifiable = [True] * len(M.symbols)
-    for trial in range(trials):
-        _check_deadline(deadline)
-        rank, independent = _ranked(M, trial, seed, p, retries)
-        if rank == r:
-            identifiable = [a and b for a, b in zip(identifiable, independent)]
-    return {s: verdict_for(s.kind.value, identifiable[j])
-            for j, s in enumerate(M.symbols)}
-
-
 def _check_deadline(deadline: float | None):
     if deadline is not None and time.monotonic() > deadline:
         raise EngineTimeout("analysis exceeded its wall-clock bound")
@@ -425,23 +337,39 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     """Full observability/identifiability analysis via the rank condition.
 
     Levels are added until the matrix reaches full rank n_z, the rank stops
-    increasing (saturation), or max_level (default n_z - 1) is hit; the
-    final matrix is then classified column by column.
+    increasing (saturation), or max_level (default n_z - 1) is hit.  Each
+    level extends every trial's echelon form with the level's new rows; a
+    trial that restarts at a new point starts a new echelon form from all
+    its rows.  The level's rank is the largest trial rank.  Entry j is
+    observable/identifiable when its column is independent of the others
+    (deleting it drops the rank to r-1) in every trial that reaches the
+    final rank r; otherwise it lies in the span of the others.
     """
     opts = opts or SymbolicOptions()
+    if opts.trials < 1:
+        raise ValueError("trials must be >= 1")
     t0 = time.perf_counter()
     A = augment(md)
-    n_z = A.n_z
+    n_z, m = A.n_z, len(A.outputs)
     max_level = opts.max_level if opts.max_level is not None else max(n_z - 1, 0)
     cache = LieCache(A, deadline=opts.deadline)
 
     ranks: list[int] = []
-    M = None
     stop = "max_level"
     for k in range(max_level + 1):
         _check_deadline(opts.deadline)
-        M = build_matrix(A, k, cache)
-        r = rank_by_random_eval(M, opts.trials, opts.seed, opts.prime, opts.retries)
+        n = (k + 1) * m
+        points = []
+        for trial in range(opts.trials):
+            rows, _ = cache.numeric_rows(n, trial, opts.seed, opts.prime, opts.retries)
+            pt = cache._points[(trial, opts.seed, opts.prime)]
+            if pt.echelon is None:  # the trial's first point, or a restart's
+                pt.echelon = _linalg.Echelon(n_z, opts.prime)
+                pt.echelon.extend(rows)
+            else:
+                pt.echelon.extend(rows[n - m:])
+            points.append(pt)
+        r = max(pt.echelon.rank for pt in points)
         ranks.append(r)
         if r == n_z:
             stop = "full_rank"
@@ -451,18 +379,20 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
             break
 
     rank = ranks[-1]
-    verdict_map = classify_columns(M, rank, opts.trials, opts.seed, opts.prime,
-                                   opts.retries, opts.deadline)
+    identifiable = [True] * n_z
+    for pt in points:
+        if pt.echelon.rank == rank:
+            flags = pt.echelon.independent_columns()
+            identifiable = [a and b for a, b in zip(identifiable, flags)]
 
     warnings = []
-    if any(_numeric_matrix(M, trial, opts.seed, opts.prime, opts.retries)[1]
-           for trial in range(opts.trials)):
+    if any(pt.used[n - 1] for pt in points):
         warnings.append(
             "transcendental subterms were replaced by independent symbols; "
             "rank may be overestimated if they are algebraically dependent")
     if any(spec.mode == GENERIC for spec in md.known_inputs):
         warnings.append(
-            f"known-input derivatives materialized up to order {M.level}")
+            f"known-input derivatives materialized up to order {len(ranks) - 1}")
     if md.unknown_inputs:
         orders = ", ".join(f"{s.symbol.base}^({s.order + 1})=0" for s in md.unknown_inputs)
         warnings.append(
@@ -475,7 +405,7 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
         n_z=n_z,
         rank=rank,
         ranks_by_level=ranks,
-        verdicts={s.name: verdict_map[s] for s in A.z},
+        verdicts={s.name: verdict_for(s.kind.value, ok) for s, ok in zip(A.z, identifiable)},
         stop_reason=stop,
         seed=opts.seed,
         primes=[opts.prime],

@@ -16,7 +16,7 @@ from identiscope.ffprob import (
     output_jacobian,
     series_solve,
 )
-from identiscope.lie_orc import LieCache, build_matrix, _numeric_matrix, analyze_symbolic
+from identiscope.lie_orc import LieCache, analyze_symbolic
 from identiscope._linalg import rank_mod_p
 from identiscope.model import augment, load_model, parse_model, print_model
 from oracles import deleted_column_ranks
@@ -184,8 +184,8 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
             numeric = output_jacobian(sol, A)
         else:
             rep = reports_by_key[(e.name, "symbolic")]
-            M = build_matrix(A, len(rep.ranks_by_level) - 1, LieCache(A))
-            numeric, _ = _numeric_matrix(M, 0, 0, P, 25)
+            n = len(rep.ranks_by_level) * len(A.outputs)
+            numeric, _ = LieCache(A).numeric_rows(n, 0, 0, P, 25)
         r = rank_mod_p(numeric, P)
         for j, rj in enumerate(deleted_column_ranks(numeric, P)):
             if rj not in (r - 1, r):

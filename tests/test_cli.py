@@ -1,18 +1,25 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import identiscope
 from identiscope.bench import REPORT_SCHEMA, corpus_dir
 
 TOY = "model toy\nstates x\nparams k\nddt x = -k*x\noutput y = x\n"
 
+# The CLI runs in a child process, which must import the same identiscope
+# as the tests, also when only pytest's own `pythonpath` setting found it.
+SRC = str(Path(identiscope.__file__).resolve().parents[1])
+
 
 def run_cli(*args, env_extra=None):
-    import os
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env.pop("IDENTISCOPE_SEED", None)
     if env_extra:
         env.update(env_extra)

@@ -21,7 +21,7 @@ from identiscope.ffprob import (
     output_jacobian,
     series_solve,
 )
-from identiscope.lie_orc import build_matrix
+from identiscope.lie_orc import LieCache
 from identiscope.model import augment, load_model, parse_model
 
 P = 2147483647
@@ -179,13 +179,13 @@ def test_output_jacobian_matches_symbolic_matrix_at_point():
     z0 = [7, 11, 13, 17, 19, 23]
     sol = series_solve(A, z0, [], order=2, p=P)
     rows = output_jacobian(sol, A)
-    M = build_matrix(A, 2)
+    cache = LieCache(A)
     point = {s: z0[i] for i, s in enumerate(A.z)}
     fact = 1
     for j in range(3):
         if j:
             fact = fact * j % P
-        sym_row = [sx.eval_mod_p(e, point, P) for e in M.rows[j]]
+        sym_row = [sx.eval_mod_p(e, point, P) for e in cache.gradient_rows(j)[0]]
         inv = pow(fact, -1, P)
         assert rows[j] == [v * inv % P for v in sym_row]
 

@@ -1,21 +1,21 @@
 import pytest
 
 from identiscope import symexpr as sx
+from identiscope._linalg import rank_mod_p
 from identiscope.bench import corpus_dir
 from identiscope.errors import DivisionByZeroModP, RetriesExhausted
 from identiscope.lie_orc import (
     LieCache,
     SymbolicOptions,
     _grad_row,
-    _numeric_matrix,
     _TrialPoint,
     analyze_symbolic,
-    build_matrix,
-    classify_columns,
     extended_lie_derivative,
-    rank_by_random_eval,
 )
 from identiscope.model import augment, load_model, parse_model
+from identiscope.report import verdict_for
+
+from oracles import deleted_column_ranks
 
 P = 2147483647
 
@@ -26,6 +26,11 @@ SCALING = "model scaling\nstates x\nparams th c\nddt x = th*x\noutput y = c*x\n"
 
 def _aug(src):
     return augment(parse_model(src))
+
+
+def _gradient_matrix(cache, k):
+    """Symbolic gradient rows of Lie levels 0..k (level outer, output inner)."""
+    return [row for j in range(k + 1) for row in cache.gradient_rows(j)]
 
 
 # --------------------------------------------------------------------------
@@ -75,38 +80,38 @@ def test_lie_generic_input_introduces_next_derivative():
 # matrix construction
 # --------------------------------------------------------------------------
 
-def test_build_matrix_decay_level1():
+def test_gradient_rows_decay_level1():
     A = _aug(DECAY)
-    M = build_matrix(A, 1)
+    rows = _gradient_matrix(LieCache(A), 1)
     x, th = (sx.sym(s) for s in A.z)
-    assert M.shape == (2, 2)
-    assert M.rows[0] == [sx.ONE, sx.ZERO]
-    assert M.rows[1] == [sx.mul(sx.NEG_ONE, th), sx.mul(sx.NEG_ONE, x)]
+    assert (len(rows), len(rows[0])) == (2, 2)
+    assert rows[0] == [sx.ONE, sx.ZERO]
+    assert rows[1] == [sx.mul(sx.NEG_ONE, th), sx.mul(sx.NEG_ONE, x)]
 
 
-def test_build_matrix_level0_has_m_rows(corpus_entries):
+def test_gradient_rows_level0_has_m_rows(corpus_entries):
     for entry in corpus_entries[:6]:
         A = augment(load_model(entry.path))
-        M = build_matrix(A, 0)
-        assert M.shape == (len(A.outputs), A.n_z)
+        rows = LieCache(A).gradient_rows(0)
+        assert (len(rows), len(rows[0])) == (len(A.outputs), A.n_z)
 
 
-def test_build_matrix_sumrates_identical_param_columns():
+def test_gradient_rows_sumrates_identical_param_columns():
     A = _aug(SUMRATES)
-    M = build_matrix(A, 1)
+    rows = _gradient_matrix(LieCache(A), 1)
     x = sx.sym(A.z[0])
     th1, th2 = sx.sym(A.z[1]), sx.sym(A.z[2])
-    assert M.rows[0] == [sx.ONE, sx.ZERO, sx.ZERO]
+    assert rows[0] == [sx.ONE, sx.ZERO, sx.ZERO]
     minus_x = sx.mul(sx.NEG_ONE, x)
-    assert M.rows[1] == [sx.simplify(-(th1 + th2)), minus_x, minus_x]
+    assert rows[1] == [sx.simplify(-(th1 + th2)), minus_x, minus_x]
 
 
 def test_lie_cache_extends_incrementally():
     A = _aug(DECAY)
     cache = LieCache(A)
-    M1 = build_matrix(A, 1, cache)
-    M2 = build_matrix(A, 2, cache)
-    assert M2.rows[: len(M1.rows)] == M1.rows
+    rows1 = _gradient_matrix(cache, 1)
+    rows2 = _gradient_matrix(cache, 2)
+    assert rows2[: len(rows1)] == rows1
     assert len(cache.lies) == 3
 
 
@@ -115,35 +120,28 @@ def test_lie_cache_extends_incrementally():
 # --------------------------------------------------------------------------
 
 def test_rank_decay_full():
-    A = _aug(DECAY)
-    M = build_matrix(A, 1)
-    assert rank_by_random_eval(M, 3, 0, P) == 2
-    assert M.rank_estimate.rank == 2
-    assert M.rank_estimate.prime == P
+    rep = analyze_symbolic(parse_model(DECAY), SymbolicOptions(max_level=1))
+    assert rep.rank == 2
 
 
 def test_rank_sumrates_capped_by_identical_columns():
-    A = _aug(SUMRATES)
+    md = parse_model(SUMRATES)
     for level in (1, 2):
-        M = build_matrix(A, level)
-        assert rank_by_random_eval(M, 3, 0, P) == 2
+        assert analyze_symbolic(md, SymbolicOptions(max_level=level)).rank == 2
 
 
 def test_rank_zero_matrix():
     src = "model m\nstates x\nddt x = -x\noutput y = 7\n"
-    A = _aug(src)
-    M = build_matrix(A, 1)
-    assert rank_by_random_eval(M, 2, 0, P) == 0
+    rep = analyze_symbolic(parse_model(src), SymbolicOptions(trials=2, max_level=1))
+    assert rep.rank == 0
 
 
 def test_rank_retries_exhausted_on_denominator_divisible_by_p():
     # The output carries a literal constant 1/p, which vanishes mod p at
     # every evaluation point.
     src = f"model m\nstates x\nparams k\nddt x = -k*x\noutput y = x/{P}\n"
-    A = _aug(src)
-    M = build_matrix(A, 1)
     with pytest.raises(RetriesExhausted):
-        rank_by_random_eval(M, 1, 0, P)
+        analyze_symbolic(parse_model(src), SymbolicOptions(trials=1, max_level=1))
 
 
 # --------------------------------------------------------------------------
@@ -151,23 +149,17 @@ def test_rank_retries_exhausted_on_denominator_divisible_by_p():
 # --------------------------------------------------------------------------
 
 def test_classify_full_rank_skips_column_tests():
-    A = _aug(DECAY)
-    M = build_matrix(A, 1)
-    r = rank_by_random_eval(M, 3, 0, P)
-    verdicts = classify_columns(M, r, 3, 0, P)
-    assert verdicts[A.z[0]] == "observable"
-    assert verdicts[A.z[1]] == "SLI"
+    rep = analyze_symbolic(parse_model(DECAY), SymbolicOptions(max_level=1))
+    assert rep.verdicts["x"] == "observable"
+    assert rep.verdicts["th"] == "SLI"
 
 
 def test_classify_sumrates_by_column_deletion():
-    A = _aug(SUMRATES)
-    M = build_matrix(A, 2)
-    r = rank_by_random_eval(M, 3, 0, P)
-    assert r == 2
-    verdicts = classify_columns(M, r, 3, 0, P)
-    assert verdicts[A.z[0]] == "observable"  # deleting x drops rank to 1
-    assert verdicts[A.z[1]] == "SU"          # th1 column redundant
-    assert verdicts[A.z[2]] == "SU"
+    rep = analyze_symbolic(parse_model(SUMRATES), SymbolicOptions(max_level=2))
+    assert rep.rank == 2
+    assert rep.verdicts["x"] == "observable"  # deleting x drops rank to 1
+    assert rep.verdicts["th1"] == "SU"        # th1 column redundant
+    assert rep.verdicts["th2"] == "SU"
 
 
 def test_classify_scaling_toy_hand_derived():
@@ -230,8 +222,9 @@ def test_saturation_rank_stable_two_extra_levels():
         k_stop = len(rep.ranks_by_level) - 1
         cache = LieCache(A)
         for extra in (1, 2):
-            M = build_matrix(A, k_stop + extra, cache)
-            assert rank_by_random_eval(M, 3, 0, P) == rep.rank
+            n = (k_stop + extra + 1) * len(A.outputs)
+            assert max(rank_mod_p(cache.numeric_rows(n, trial, 0, P, 25)[0], P)
+                       for trial in range(3)) == rep.rank
 
 
 def test_determinism_identical_reports():
@@ -332,40 +325,57 @@ def test_sweep_rows_match_symbolic_rows_on_corpus(corpus_entries, reports_by_key
         cache = LieCache(A)
         ref, expected = None, []
         for k in range(len(reports_by_key[(entry.name, "symbolic")].ranks_by_level)):
-            M = build_matrix(A, k, cache)
-            got, used = _numeric_matrix(M, 0, 0, P, 25)
+            got, used = cache.numeric_rows((k + 1) * len(A.outputs), 0, 0, P, 25)
             pt = cache._points[(0, 0, P)]
             if ref is None or ref.attempt != pt.attempt:
                 ref, expected = _TrialPoint(0, 0, pt.attempt, P), []
-            expected += [_eval_row(row, ref) for row in M.rows[len(expected):]]
+            expected += [_eval_row(row, ref)
+                         for row in _gradient_matrix(cache, k)[len(expected):]]
             assert got == expected, (entry.name, k)
             assert used == bool(ref.table), (entry.name, k)
             assert pt.table.keys() == ref.table.keys(), (entry.name, k)
 
 
 def test_restart_takes_smallest_attempt_that_evaluates_all_rows():
-    # At p = 101 a trial of mapk (seed 1) hits a vanishing denominator and
-    # restarts; at each level the rows are the symbolic rows at the smallest
-    # attempt whose point evaluates rows 0..k.
-    p, seed, trials = 101, 1, 3
-    md = load_model(corpus_dir() / "mapk.idm")
+    # At p = 101 trial 0 of mapk (seed 1) hits a vanishing denominator at
+    # level 1 and restarts, and at p = 107 trial 2 of pk2 (seed 0) does at
+    # level 3.  At each level the rows are the symbolic rows at the smallest
+    # attempt whose point evaluates rows 0..k, and the report's rank at each
+    # level and its verdicts are those of these rows alone.  On pk2 a trial
+    # that kept ranking its first attempt's rows would reach full rank 13.
+    for name, p, seed in (("mapk", 101, 1), ("pk2", 107, 0)):
+        _check_restarts(name, p, seed)
+
+
+def _check_restarts(name, p, seed):
+    trials = 3
+    md = load_model(corpus_dir() / f"{name}.idm")
     A = augment(md)
-    levels = len(analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed)).ranks_by_level)
+    rep = analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed, trials=trials))
     cache = LieCache(A)
     restarted = False
-    for k in range(levels):
-        M = build_matrix(A, k, cache)
+    for k in range(len(rep.ranks_by_level)):
+        rows = _gradient_matrix(cache, k)
+        numeric = []
         for trial in range(trials):
-            got, used = _numeric_matrix(M, trial, seed, p, 25)
+            got, used = cache.numeric_rows(len(rows), trial, seed, p, 25)
             for attempt in range(25):
                 ref = _TrialPoint(seed, trial, attempt, p)
                 try:
-                    want = [_eval_row(row, ref) for row in M.rows]
+                    want = [_eval_row(row, ref) for row in rows]
                 except DivisionByZeroModP:
                     continue
                 break
-            assert got == want, (k, trial)
-            assert used == bool(ref.table), (k, trial)
+            assert got == want, (name, k, trial)
+            assert used == bool(ref.table), (name, k, trial)
             assert cache._points[(trial, seed, p)].attempt == attempt
             restarted = restarted or attempt > 0
-    assert restarted
+            numeric.append(got)
+        assert rep.ranks_by_level[k] == max(rank_mod_p(got, p) for got in numeric), (name, k)
+    assert restarted, name
+
+    r = rep.rank
+    deleted = [deleted_column_ranks(got, p) for got in numeric if rank_mod_p(got, p) == r]
+    identifiable = [all(d[j] == r - 1 for d in deleted) for j in range(A.n_z)]
+    assert rep.verdicts == {s.name: verdict_for(s.kind.value, ok)
+                            for s, ok in zip(A.z, identifiable)}, name
