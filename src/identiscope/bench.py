@@ -3,7 +3,7 @@
 The packaged corpus holds 25 benchmark variants of 21 published
 systems-biology models as ``corpus/<name>.idm``, each with a
 ``fixtures/<name>.expected.json`` record carrying its expected dimensions,
-rationality, heaviness tag, and (when settled) frozen consensus verdicts.
+rationality and (when settled) frozen consensus verdicts.
 Models whose published ground truth is disputed are tagged ``contested``;
 the harness reports their verdicts but never asserts them.
 
@@ -104,7 +104,6 @@ class CorpusEntry:
     unknown_inputs: int
     outputs: int
     rational: bool
-    heavy: bool = False
     contested: bool = False
     provenance: str = "reconstructed"
     expected_verdicts: dict | None = None
@@ -137,7 +136,6 @@ class BenchOptions:
     timeout_s: float | None = DEFAULT_TIMEOUT_S
     seed: int = 0
     parallelism: int = 1
-    include_heavy: bool = False
     trials: int | None = None  # None: per-engine default
     primes: tuple[int, ...] = DEFAULT_PRIMES
 
@@ -180,7 +178,6 @@ def load_corpus(directory=None) -> list[CorpusEntry]:
             unknown_inputs=meta.get("unknown_inputs", md.q_w),
             outputs=meta.get("outputs", md.m),
             rational=meta.get("rational", md.is_rational()),
-            heavy=meta.get("heavy", False),
             contested=meta.get("contested", False),
             provenance=meta.get("provenance", "reconstructed"),
             expected_verdicts=meta.get("verdicts"),
@@ -264,9 +261,8 @@ def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[Analysi
         check_prime(p)
     if opts.trials is not None and opts.trials < 1:
         raise ValueError("trials must be >= 1")
-    entries = [e for e in load_corpus(directory) if opts.include_heavy or not e.heavy]
     tasks = [(entry.path, engine, opts.seed, opts.timeout_s, opts.trials, opts.primes)
-             for entry in entries for engine in opts.engines]
+             for entry in load_corpus(directory) for engine in opts.engines]
 
     if opts.parallelism > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=opts.parallelism) as pool:

@@ -128,8 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="per-model wall-clock bound in seconds, > 0")
     pb.add_argument("--format", choices=["json", "csv"], default=None,
                     help="emit the machine-readable document to stdout")
-    pb.add_argument("--heavy", action="store_true",
-                    help="include heavy-tagged corpus models")
 
     pc = sub.add_parser("check", help="parse and validate a model file")
     pc.add_argument("model", help="path to a .idm model file")
@@ -211,7 +209,6 @@ def cmd_bench(args) -> int:
         engines=engines,
         timeout_s=args.timeout_s,
         seed=seed,
-        include_heavy=args.heavy,
         trials=args.trials,
         primes=primes,
     )

@@ -1,16 +1,17 @@
 """Symbolic observability/identifiability engine.
 
 Builds the extended Lie derivatives of the outputs along the augmented
-vector field symbolically, level by level.  The rows of the
-observability-identifiability matrix are their gradients with respect to
-z, evaluated numerically: one reverse sweep mod p over the expression DAG
-of each Lie derivative gives its whole row at a random point, and each
-level evaluates only its new rows.  Each trial keeps one reduced echelon
-form over the prime field and extends it with every level's new rows; the
-matrix's generic rank is the largest trial rank, and each augmented-state
-entry is classified from the echelon forms with the column-deletion test.
-Symbolic gradient rows are built only on request
-(``LieCache.gradient_rows``).
+vector field symbolically, level by level: each level is one memoized
+directional walk over the level below, and the walks of one analysis share
+their memo.  The rows of the observability-identifiability matrix are
+their gradients with respect to z, evaluated numerically: one reverse
+sweep mod p over the expression DAG of each Lie derivative gives its whole
+row at a random point, and each level evaluates only its new rows.  Each
+trial keeps one reduced echelon form over the prime field and extends it
+with every level's new rows; the matrix's generic rank is the largest
+trial rank, and each augmented-state entry is classified from the echelon
+forms with the column-deletion test.  Symbolic gradient rows are built
+only on request (``LieCache.gradient_rows``).
 
 Unlike purely symbolic rank computation, the rank step specializes every
 symbol to an independent uniform residue in [1, p-1]; a random point can
@@ -26,6 +27,7 @@ whenever this table is non-empty.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from . import _linalg, _rng
@@ -99,12 +101,15 @@ class _Point(dict):
 class LieCache:
     """Per-analysis cache of Lie derivatives and their numeric gradient rows.
 
-    Level k+1 of each output is always derived from the cached level k.
-    Numeric rows are kept per (trial, seed, prime), so each level evaluates
-    only its new rows.  The symbolic gradient rows, which the engine never
-    needs, are built only when ``LieCache.gradient_rows`` is called.  The
-    optional deadline is checked between per-output derivations and between
-    rows so oversized models hit their wall-clock bound promptly.
+    Level k+1 of each output is derived from the cached level k by one
+    memoized walk along the augmented field.  The walks of every level share
+    one memo of node derivatives, so each level reuses the derivatives of
+    the subtrees it shares with the level below.  Numeric rows are kept per
+    (trial, seed, prime), so each level evaluates only its new rows.  The
+    symbolic gradient rows, which the engine never needs, are built only
+    when ``LieCache.gradient_rows`` is called.  The optional deadline is
+    checked between per-output derivations and between rows so oversized
+    models hit their wall-clock bound promptly.
     """
 
     def __init__(self, A: AugmentedSystem, deadline: float | None = None):
@@ -112,6 +117,7 @@ class LieCache:
         self.deadline = deadline
         self.lies: list[list[Expr]] = [list(A.outputs)]
         self.grads: list[list[list[Expr]]] = []
+        self._derivs: dict[Expr, Expr] = {}
         self._tapes: dict[Expr, list] = {}
         self._points: dict[tuple[int, int, int], _TrialPoint] = {}
 
@@ -120,7 +126,7 @@ class LieCache:
             nxt = []
             for phi in self.lies[-1]:
                 _check_deadline(self.deadline)
-                nxt.append(extended_lie_derivative(phi, self.A))
+                nxt.append(extended_lie_derivative(phi, self.A, self._derivs))
             self.lies.append(nxt)
 
     def gradient_rows(self, k: int) -> list[list[Expr]]:
@@ -305,27 +311,35 @@ def _grad_row(phi: Expr, index: dict[Symbol, int], pt: _TrialPoint,
     return row
 
 
-def extended_lie_derivative(phi: Expr, A: AugmentedSystem) -> Expr:
+def _field_rate(A: AugmentedSystem) -> Callable[[Symbol], Expr]:
+    """Rate of each symbol along the augmented vector field: z_i -> F_i, a
+    generic known input u^(j) -> u^(j+1), t -> 1, any other symbol -> 0."""
+    F = dict(zip(A.z, A.F))
+    generic = {spec.symbol.base for spec in A.model.known_inputs if spec.mode == GENERIC}
+
+    def rate(s: Symbol) -> Expr:
+        Fs = F.get(s)
+        if Fs is not None:
+            return Fs
+        if s.kind is SymbolKind.KNOWN_INPUT and s.base in generic:
+            return sx.sym(s.derivative(1))
+        if s.kind is SymbolKind.TIME:
+            return sx.ONE
+        return sx.ZERO
+
+    return rate
+
+
+def extended_lie_derivative(phi: Expr, A: AugmentedSystem,
+                            memo: dict[Expr, Expr] | None = None) -> Expr:
     """Derivative of phi along the augmented vector field.
 
     (dphi/dz) . F  +  sum_j dphi/du^(j) * u^(j+1)  +  dphi/dt,
-    with u^(j+1) identically zero for constant-mode known inputs.
+    with u^(j+1) identically zero for constant-mode known inputs, taken by
+    one directional walk over phi's DAG.  ``memo`` may be kept across calls
+    for the same A, since the field's rates depend on A only.
     """
-    terms = []
-    for s in sx.free_symbols(phi):
-        i = A.index.get(s)
-        if i is not None:
-            Fi = A.F[i]
-            if Fi is not sx.ZERO:
-                terms.append(sx.mul(sx.differentiate(phi, s), Fi))
-        elif s.kind is SymbolKind.KNOWN_INPUT:
-            spec = A.model.input_spec(s.base)
-            if spec.mode == GENERIC:
-                terms.append(sx.mul(sx.differentiate(phi, s),
-                                    sx.sym(s.derivative(1))))
-        elif s.kind is SymbolKind.TIME:
-            terms.append(sx.differentiate(phi, s))
-    return sx.add(*terms)
+    return sx.derivative(phi, _field_rate(A), {} if memo is None else memo)
 
 
 def _check_deadline(deadline: float | None):

@@ -109,12 +109,6 @@ class ModelDef:
                 return hit
         return None
 
-    def input_spec(self, base: str) -> InputSpec:
-        for spec in self.known_inputs:
-            if spec.symbol.base == base:
-                return spec
-        raise KeyError(base)
-
 
 @dataclass(frozen=True)
 class AugmentedSystem:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from hashlib import blake2b
 
@@ -590,7 +591,53 @@ def first_transcendental(e: Expr) -> Expr | None:
 # Differentiation and substitution
 # --------------------------------------------------------------------------
 
-_DIFF: dict[tuple[Expr, Symbol], Expr] = {}
+def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr]) -> Expr:
+    """Directional derivative of ``e``: the sum over symbols s of
+    de/ds * rate(s).
+
+    ``rate`` maps each symbol to its rate of change and returns ZERO for a
+    symbol that does not move.  ``memo`` holds the derivative of every node
+    walked so far under this same rate; a caller that keeps one memo for a
+    fixed rate reuses the derivatives of subtrees shared between calls.
+    Factors whose derivative is ZERO are skipped.  The result is canonical.
+    """
+
+    def walk(node: Expr) -> Expr:
+        d = memo.get(node)
+        if d is not None:
+            return d
+        if isinstance(node, Const):
+            d = ZERO
+        elif isinstance(node, Sym):
+            d = rate(node.symbol)
+        elif isinstance(node, Add):
+            d = add(*(walk(t) for t in node.terms))
+        elif isinstance(node, Mul):
+            parts = []
+            fs = node.factors
+            for i, f in enumerate(fs):
+                df = walk(f)
+                if df is not ZERO:
+                    parts.append(mul(*fs[:i], df, *fs[i + 1:]))
+            d = add(*parts)
+        else:
+            da = walk(node.base if isinstance(node, Pow) else node.arg)
+            if da is ZERO:
+                d = ZERO
+            elif isinstance(node, Pow):
+                d = mul(const(node.exponent), pow_(node.base, node.exponent - 1), da)
+            elif node.fname == "ln":
+                d = div(da, node.arg)
+            elif node.fname == "exp":
+                d = mul(node, da)
+            elif node.fname == "sin":
+                d = mul(cos(node.arg), da)
+            else:
+                d = mul(NEG_ONE, sin(node.arg), da)
+        memo[node] = d
+        return d
+
+    return walk(_canon(_coerce(e)))
 
 
 def differentiate(e: Expr, s: Symbol) -> Expr:
@@ -598,38 +645,7 @@ def differentiate(e: Expr, s: Symbol) -> Expr:
 
     All other symbols are treated as independent.  The result is canonical.
     """
-    e = _canon(_coerce(e))
-    if s not in free_symbols(e):
-        return ZERO
-    key = (e, s)
-    d = _DIFF.get(key)
-    if d is not None:
-        return d
-    if isinstance(e, Sym):
-        d = ONE
-    elif isinstance(e, Add):
-        d = add(*(differentiate(t, s) for t in e.terms))
-    elif isinstance(e, Mul):
-        parts = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            if s in free_symbols(f):
-                parts.append(mul(*fs[:i], differentiate(f, s), *fs[i + 1:]))
-        d = add(*parts)
-    elif isinstance(e, Pow):
-        d = mul(const(e.exponent), pow_(e.base, e.exponent - 1), differentiate(e.base, s))
-    else:
-        da = differentiate(e.arg, s)
-        if e.fname == "ln":
-            d = div(da, e.arg)
-        elif e.fname == "exp":
-            d = mul(e, da)
-        elif e.fname == "sin":
-            d = mul(cos(e.arg), da)
-        else:
-            d = mul(NEG_ONE, sin(e.arg), da)
-    _DIFF[key] = d
-    return d
+    return derivative(e, lambda x: ONE if x == s else ZERO, {})
 
 
 def substitute(e: Expr, bindings: dict[Symbol, Expr]) -> Expr:
@@ -823,8 +839,7 @@ def to_string(e: Expr) -> str:
 
 
 def clear_caches():
-    """Drop the intern table and derivative memo (frees memory between runs)."""
+    """Drop the intern table (frees memory between runs)."""
     _INTERN.clear()
-    _DIFF.clear()
     for e in (ZERO, ONE, NEG_ONE):
         _INTERN[e.shash] = e

@@ -10,7 +10,7 @@ def corpus_entries():
 
 @pytest.fixture(scope="session")
 def corpus_reports():
-    """One full default bench run (non-heavy corpus, both engines, seed 0).
+    """One full default bench run (whole corpus, both engines, seed 0).
 
     Shared across test modules so the expensive analyses run exactly once.
     """

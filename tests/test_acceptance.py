@@ -79,7 +79,7 @@ def test_criterion_1_corpus_dimension_fidelity(corpus_entries):
 
 
 def test_criterion_2_engine_equivalence(reports_by_key, corpus_entries):
-    rational = [e.name for e in corpus_entries if e.rational and not e.heavy]
+    rational = [e.name for e in corpus_entries if e.rational]
     ok = True
     for name in rational:
         sym = reports_by_key[(name, "symbolic")]
@@ -161,10 +161,8 @@ def test_criterion_6_prime_sensitivity_regression():
 def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
     t0 = time.perf_counter()
     ok = True
-    nonheavy = [e for e in corpus_entries if not e.heavy]
-
     # Rank monotonicity by level (symbolic reports).
-    for e in nonheavy:
+    for e in corpus_entries:
         ranks = reports_by_key[(e.name, "symbolic")].ranks_by_level
         if not all(a <= b for a, b in zip(ranks, ranks[1:])):
             ok = False
@@ -174,7 +172,7 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
     # per rational model, one evaluated symbolic matrix per non-rational.
     from identiscope.ffprob import TrialConfig, _draw_trial
 
-    for e in nonheavy:
+    for e in corpus_entries:
         md = load_model(e.path)
         A = augment(md)
         if e.rational:
@@ -193,7 +191,7 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
                 print(f"  column-deletion invariant broken on {e.name} col {j}")
 
     # ODE and sensitivity residuals vanish identically (eager re-evaluation).
-    for e in nonheavy:
+    for e in corpus_entries:
         if not e.rational:
             continue
         md = load_model(e.path)
@@ -233,7 +231,7 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
                     ok = False
                     print(f"  sensitivity residual nonzero for {e.name} ({i},{j})")
 
-    # Parser round-trips on the full corpus, heavy entries included.
+    # Parser round-trips on the full corpus.
     for e in corpus_entries:
         md = load_model(e.path)
         if parse_model(print_model(md)) != md:
@@ -255,7 +253,7 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
             print(f"  nondeterministic report for {name}")
 
     elapsed = time.perf_counter() - t0
-    crit(7, "invariant suites across the non-heavy corpus",
+    crit(7, "invariant suites across the corpus",
          ok and elapsed < 300, f"{elapsed:.1f} s")
 
 

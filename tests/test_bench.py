@@ -32,10 +32,8 @@ def test_corpus_dimension_fidelity(corpus_entries):
         assert md.is_rational() == entry.rational, entry.name
 
 
-def test_heavy_and_contested_tags():
+def test_contested_tags():
     entries = {e.name: e for e in load_corpus()}
-    assert {n for n, e in entries.items() if e.heavy} == \
-        {"nfkb1", "nfkb2", "jak_stat2", "a_thaliana"}
     assert {n for n, e in entries.items() if e.contested} == \
         {"hiv1_b", "jak_stat2", "a_thaliana"}
     for e in entries.values():
@@ -115,7 +113,7 @@ def test_run_corpus_parallel_matches_sequential(mini_corpus):
 
 
 def test_compare_engines_agreement(reports_by_key, corpus_entries):
-    rational = {e.name for e in corpus_entries if e.rational and not e.heavy}
+    rational = {e.name for e in corpus_entries if e.rational}
     consensus = compare_engines(list(reports_by_key.values()))
     by_model = {c.model: c for c in consensus}
     for name in rational:
@@ -125,7 +123,7 @@ def test_compare_engines_agreement(reports_by_key, corpus_entries):
 def test_non_rational_models_are_unconfirmed(reports_by_key, corpus_entries):
     consensus = {c.model: c for c in compare_engines(list(reports_by_key.values()))}
     for e in corpus_entries:
-        if e.heavy or e.rational:
+        if e.rational:
             continue
         assert consensus[e.name].agreement == "unconfirmed"
 
@@ -140,9 +138,9 @@ def test_compare_engines_synthetic_disagreement():
 
 def test_frozen_verdict_fixtures_still_hold(reports_by_key, corpus_entries):
     # Regression net: current consensus output must match the frozen
-    # fixtures (contested/heavy entries carry none).
+    # fixtures (contested entries carry none).
     for e in corpus_entries:
-        if e.expected_verdicts is None or e.heavy or e.contested:
+        if e.expected_verdicts is None or e.contested:
             continue
         rep = reports_by_key[(e.name, "symbolic")]
         assert rep.verdicts == e.expected_verdicts, e.name
@@ -184,7 +182,7 @@ GOLDEN = Path(__file__).parent / "golden" / "bench_seed0.json"
 
 
 def test_report_bytes_match_golden(corpus_reports):
-    """The default bench report (non-heavy corpus, seed 0) keeps its bytes.
+    """The default bench report (whole corpus, seed 0) keeps its bytes.
 
     A change that alters them on purpose regenerates the file with
     emit_report(corpus_reports, compare_engines(corpus_reports),

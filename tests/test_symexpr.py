@@ -260,6 +260,51 @@ def test_differentiate_matches_dual_numbers_mod_p(seed, wrt):
     assert checked > 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_derivative_matches_dual_numbers_mod_p(seed):
+    # derivative(e, rate) = sum_s de/ds * rate(s); each rate is ZERO, a
+    # constant or a small expression over the same symbols.
+    rng = random.Random(seed)
+    e = _simplify_or_discard(_rand_raw_expr(rng, 3))
+    rates = {}
+    for s in SYMS:
+        kind = rng.randrange(3)
+        rates[s] = (sx.ZERO if kind == 0
+                    else sx.const(rng.randrange(-5, 6)) if kind == 1
+                    else _simplify_or_discard(_rand_raw_expr(rng, 1)))
+    d = sx.derivative(e, rates.__getitem__, {})
+    checked = 0
+    attempts = 0
+    while checked < 20 and attempts < 200:
+        attempts += 1
+        point = rand_point(rng)
+        try:
+            want = sum(oracles.eval_dual_mod_p(e, point, s, P)[1]
+                       * oracles.eval_plain_mod_p(rates[s], point, P) for s in SYMS) % P
+        except (ZeroDivisionError, ValueError):
+            continue
+        try:
+            got = sx.eval_mod_p(d, point, P)
+        except DivisionByZeroModP:
+            continue  # derivative denominator degenerate at this point
+        assert got == want
+        checked += 1
+    assert checked > 0
+
+
+def test_derivative_memo_reuses_shared_subtrees():
+    memo = {}
+    s = xx * yy + th
+    rate = {X: sx.ONE, Y: sx.ZERO, TH: sx.ZERO}.__getitem__
+    first = sx.derivative(sx.ln(s), rate, memo)
+    assert memo[s] == yy
+    n = len(memo)
+    second = sx.derivative(s ** 2 + sx.ln(s), rate, memo)
+    assert len(memo) == n + 2  # only s^2 and the new sum are new nodes
+    assert second == sx.add(sx.mul(2, s, yy), first)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_to_string_reparses_to_same_expression(seed):
