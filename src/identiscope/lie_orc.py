@@ -4,14 +4,18 @@ Builds the extended Lie derivatives of the outputs along the augmented
 vector field symbolically, level by level: each level is one memoized
 directional walk over the level below, and the walks of one analysis share
 their memo.  The rows of the observability-identifiability matrix are
-their gradients with respect to z, evaluated numerically: one reverse
-sweep mod p over the expression DAG of each Lie derivative gives its whole
-row at a random point, and each level evaluates only its new rows.  Each
-trial keeps one reduced echelon form over the prime field and extends it
-with every level's new rows; the matrix's generic rank is the largest
-trial rank, and each augmented-state entry is classified from the echelon
-forms with the column-deletion test.  Symbolic gradient rows are built
-only on request (``LieCache.gradient_rows``).
+their gradients with respect to z, evaluated numerically by forward
+tangents mod p: every z-dependent node of the Lie DAG gets one int64
+tangent d node/dz per random point, formed once from its children's
+tangents and batched over the trials, so each level computes only the
+tangents of the nodes it adds.  Each product of two residues is reduced
+before it is summed, which keeps the arithmetic exact for p up to
+``_linalg.MAX_PRIME``.  Each trial keeps one reduced echelon form over the
+prime field and extends it with every level's new rows; the matrix's
+generic rank is the largest trial rank, and each augmented-state entry is
+classified from the echelon forms with the column-deletion test.
+Symbolic gradient rows are built only on request
+(``LieCache.gradient_rows``).
 
 Unlike purely symbolic rank computation, the rank step specializes every
 symbol to an independent uniform residue in [1, p-1]; a random point can
@@ -27,8 +31,10 @@ whenever this table is non-empty.
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import _linalg, _rng
 from . import symexpr as sx
@@ -104,12 +110,14 @@ class LieCache:
     Level k+1 of each output is derived from the cached level k by one
     memoized walk along the augmented field.  The walks of every level share
     one memo of node derivatives, so each level reuses the derivatives of
-    the subtrees it shares with the level below.  Numeric rows are kept per
-    (trial, seed, prime), so each level evaluates only its new rows.  The
-    symbolic gradient rows, which the engine never needs, are built only
-    when ``LieCache.gradient_rows`` is called.  The optional deadline is
-    checked between per-output derivations and between rows so oversized
-    models hit their wall-clock bound promptly.
+    the subtrees it shares with the level below.  Numeric rows come from
+    forward tangents kept per batch of trials (see ``_Tangents``): every
+    z-dependent node of the Lie DAG gets its tangent once per point, so each
+    level computes only the tangents of the nodes it adds.  The symbolic
+    gradient rows, which the engine never needs, are built only when
+    ``LieCache.gradient_rows`` is called.  The optional deadline is checked
+    between per-output derivations and between rows so oversized models hit
+    their wall-clock bound promptly.
     """
 
     def __init__(self, A: AugmentedSystem, deadline: float | None = None):
@@ -118,8 +126,8 @@ class LieCache:
         self.lies: list[list[Expr]] = [list(A.outputs)]
         self.grads: list[list[list[Expr]]] = []
         self._derivs: dict[Expr, Expr] = {}
-        self._tapes: dict[Expr, list] = {}
         self._points: dict[tuple[int, int, int], _TrialPoint] = {}
+        self._tangents: dict[tuple[tuple[int, ...], int, int], _Tangents] = {}
 
     def ensure_level(self, k: int):
         while len(self.lies) <= k:
@@ -143,54 +151,143 @@ class LieCache:
     def numeric_rows(self, n: int, trial: int, seed: int, p: int,
                      retries: int) -> tuple[list[list[int]], bool]:
         """The first n gradient rows at the trial's random point, and whether
-        the transcendental table was in use.
-
-        A vanishing denominator moves the trial to its next attempt, where
-        every row is evaluated again.  The smallest attempt whose point
-        evaluates rows 0..k can only grow with k, so this gives the rows of
-        the smallest attempt that evaluates all n rows.
-        """
-        key = (trial, seed, p)
-        pt = self._points.get(key)
-        if pt is None:
-            pt = self._points[key] = _TrialPoint(seed, trial, 0, p)
-        m = len(self.A.outputs)
-        while len(pt.rows) < n:
-            level, i = divmod(len(pt.rows), m)
-            self.ensure_level(level)
-            _check_deadline(self.deadline)
-            try:
-                row = _grad_row(self.lies[level][i], self.A.index, pt, self._tapes)
-            except DivisionByZeroModP as exc:
-                if pt.attempt + 1 >= retries:
-                    raise RetriesExhausted(
-                        f"all {retries} evaluation points hit a vanishing denominator "
-                        f"mod {p} (model degenerate at this prime, or prime too small): "
-                        f"{exc}") from exc
-                pt = self._points[key] = _TrialPoint(seed, trial, pt.attempt + 1, p)
-                continue
-            pt.rows.append(row)
-            pt.used.append(bool(pt.table))
+        the transcendental table was in use (see ``trial_points``)."""
+        pt, = self.trial_points(n, (trial,), seed, p, retries)
         return pt.rows[:n], n > 0 and pt.used[n - 1]
 
+    def trial_points(self, n: int, trials: Iterable[int], seed: int, p: int,
+                     retries: int) -> list[_TrialPoint]:
+        """The current point of each listed trial, holding at least its
+        first n gradient rows, evaluated together by one tangent pass.
 
-# Steps of a reverse sweep; see _tape.
-_SYM, _ADD, _MUL1, _MULN, _POW, _LN, _FUNC = range(7)
+        A vanishing denominator moves only the trial that meets it to its
+        next attempt, where every row is evaluated again; the batch's
+        tangents are then rebuilt.  The smallest attempt whose point
+        evaluates rows 0..k can only grow with k, so each trial gets the rows
+        of the smallest attempt that evaluates all n of them.  A trial that
+        runs out of attempts leaves the batch, and once the others hold n
+        rows the lowest such trial raises RetriesExhausted.
+        """
+        trials = tuple(trials)
+        m = len(self.A.outputs)
+        failed: dict[int, RetriesExhausted] = {}
+        while True:
+            live = [t for t in trials if t not in failed]
+            points = [self._point(t, seed, p) for t in live]
+            tg = self._tangents.get((trials, seed, p))
+            if tg is None or tg.points != points:  # _TrialPoints compare by identity
+                tg = self._tangents[(trials, seed, p)] = _Tangents(points, self.A.index, p)
+            if all(len(pt.rows) >= n for pt in points):
+                break
+            level, i = divmod(tg.n_rows, m)
+            self.ensure_level(level)
+            _check_deadline(self.deadline)
+            for pos, exc in tg.extend(self.lies[level][i]):
+                t, pt = live[pos], points[pos]
+                if pt.attempt + 1 >= retries:
+                    err = RetriesExhausted(
+                        f"all {retries} evaluation points hit a vanishing denominator "
+                        f"mod {p} (model degenerate at this prime, or prime too small): "
+                        f"{exc}")
+                    err.__cause__ = exc
+                    failed[t] = err
+                else:
+                    self._points[(t, seed, p)] = _TrialPoint(seed, t, pt.attempt + 1, p)
+        if failed:
+            raise failed[min(failed)]
+        return points
+
+    def _point(self, trial: int, seed: int, p: int) -> _TrialPoint:
+        pt = self._points.get((trial, seed, p))
+        if pt is None:
+            pt = self._points[(trial, seed, p)] = _TrialPoint(seed, trial, 0, p)
+        return pt
 
 
-def _tape(phi: Expr, index: dict[Symbol, int]) -> list[tuple]:
-    """The z-dependent nodes of phi, parents before children, as sweep steps.
+class _Tangents:
+    """Forward tangents mod p at a batch of trial points.
 
-    Step i stands for the i-th node; it names the node's z-dependent
-    children by their step numbers and carries the nodes whose values the
-    sweep multiplies the adjoint by.
+    ``memo`` maps every z-dependent node of the rows evaluated so far to an
+    int64 array of shape (trials, n_z): d node/dz at each trial's point.  A
+    node's tangent is formed once, from its children's tangents, so a row
+    computes only the tangents of nodes that no earlier row reached.  The
+    coefficient multiplying a child's tangent is read per trial through
+    ``_TrialPoint.value``, and each node reads exactly the values that its
+    symbolic derivative contains: the siblings of a z-dependent factor, the
+    base of a power, the argument of ln, and the table entries of exp(a),
+    cos(a) and sin(a) for exp, sin and cos nodes.  So a vanishing
+    denominator raises DivisionByZeroModP, and the transcendental table
+    fills, as evaluating ``differentiate(phi, z_j)`` would.  Products use
+    prefix and suffix products, never an inverse, so a factor that is 0 mod
+    p is fine.  Every product of two residues is reduced mod p before it is
+    summed, which keeps int64 exact for p <= ``_linalg.MAX_PRIME``.
     """
-    zset = frozenset(index)
 
-    def dep(node):
-        return not sx.free_symbols(node).isdisjoint(zset)
+    def __init__(self, points: list[_TrialPoint], index: dict[Symbol, int], p: int):
+        self.points, self.index, self.p = points, index, p
+        self.zset = frozenset(index)
+        self.units = np.eye(len(index), dtype=np.int64)
+        self.memo: dict[Expr, np.ndarray] = {}
+        self.n_rows = 0
 
-    if not dep(phi):
+    def extend(self, phi: Expr) -> list[tuple[int, DivisionByZeroModP]]:
+        """Evaluate the next row, dphi/dz, at every point of the batch.
+
+        Returns the (position, error) of each point that met a vanishing
+        denominator; then no tangent is kept and no row is added.  Otherwise
+        the row goes to each point that does not hold it yet.
+        """
+        p, memo = self.p, self.memo
+        post = _new_nodes(phi, memo, self.zset)
+        steps = [_step(node, self.index, self.zset) for node in post]
+        # Each point reads its coefficients parents first, the order of a
+        # walk down phi's DAG: that order fixes which vanishing denominator
+        # a point reports when it has several.
+        coefs, failed = [], []
+        for pos, pt in enumerate(self.points):
+            try:
+                coefs.append(_coefficients(steps, pt))
+            except DivisionByZeroModP as exc:
+                failed.append((pos, exc))
+        if failed:
+            return failed
+        C = np.array(coefs, dtype=np.int64).reshape(len(self.points), -1)
+        off = 0
+        for node, (op, kids, _) in zip(post, steps):
+            if op == _SYM:
+                t = np.broadcast_to(self.units[kids], (len(self.points), len(self.index)))
+            elif op == _ADD:
+                t = memo[kids[0]]
+                if len(kids) > 1:
+                    t = sum((memo[c] for c in kids[1:]), t) % p
+            else:
+                t = C[:, off, None] * memo[kids[0]] % p
+                off += 1
+                for c in kids[1:]:
+                    t = (t + C[:, off, None] * memo[c] % p) % p
+                    off += 1
+            memo[node] = t
+        row = memo.get(phi)
+        for pos, pt in enumerate(self.points):
+            if len(pt.rows) == self.n_rows:
+                pt.rows.append([0] * len(self.index) if row is None else row[pos].tolist())
+                pt.used.append(bool(pt.table))
+        self.n_rows += 1
+        return []
+
+
+def _new_nodes(phi: Expr, memo: dict[Expr, np.ndarray], zset: frozenset) -> list[Expr]:
+    """The z-dependent nodes of phi that have no tangent yet, children
+    before parents.
+
+    The memo is closed under z-dependent children, so skipping its nodes
+    keeps the other nodes in the order a walk of phi's whole DAG gives them.
+    """
+
+    def fresh(node):
+        return node not in memo and _depends(node, zset)
+
+    if not fresh(phi):
         return []
     post: list[Expr] = []
     seen = {phi}
@@ -198,45 +295,14 @@ def _tape(phi: Expr, index: dict[Symbol, int]) -> list[tuple]:
     while stack:
         node, it = stack[-1]
         for c in it:
-            if c not in seen and dep(c):
+            if c not in seen and fresh(c):
                 seen.add(c)
                 stack.append((c, iter(_kids(c))))
                 break
         else:
             stack.pop()
             post.append(node)
-    post.reverse()
-    slot = {node: i for i, node in enumerate(post)}
-
-    steps = []
-    for node in post:
-        if isinstance(node, sx.Sym):
-            steps.append((_SYM, index[node.symbol]))
-        elif isinstance(node, sx.Add):
-            steps.append((_ADD, tuple(slot[t] for t in node.terms if t in slot)))
-        elif isinstance(node, sx.Mul):
-            fs = node.factors
-            deps = [k for k, f in enumerate(fs) if f in slot]
-            if len(deps) == 1:
-                k = deps[0]
-                steps.append((_MUL1, slot[fs[k]], fs[:k] + fs[k + 1:]))
-            else:
-                steps.append((_MULN, tuple(slot.get(f) for f in fs), fs))
-        elif isinstance(node, sx.Pow):
-            steps.append((_POW, slot[node.base], node.base, node.exponent))
-        elif node.fname == "ln":
-            steps.append((_LN, slot[node.arg], node.arg))
-        else:
-            # d exp(a) = exp(a) da, d sin(a) = cos(a) da, d cos(a) = -sin(a) da,
-            # with the same nodes the symbolic derivative builds.
-            if node.fname == "exp":
-                factor, sign = node, 1
-            elif node.fname == "sin":
-                factor, sign = sx.cos(node.arg), 1
-            else:
-                factor, sign = sx.sin(node.arg), -1
-            steps.append((_FUNC, slot[node.arg], factor, sign))
-    return steps
+    return post
 
 
 def _kids(node: Expr) -> tuple[Expr, ...]:
@@ -251,64 +317,78 @@ def _kids(node: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-def _grad_row(phi: Expr, index: dict[Symbol, int], pt: _TrialPoint,
-              tapes: dict[Expr, list]) -> list[int]:
-    """dphi/dz at pt's point, by one reverse sweep mod p over phi's DAG.
+# Node kinds of a tangent step; see _step.
+_SYM, _ADD, _MUL, _POW, _LN, _FUNC = range(6)
 
-    Evaluates exactly the values the symbolic gradient contains: the
-    siblings of each z-dependent factor, the bases of powers, the arguments
-    of ln, and the table entries of exp(a), cos(a) and sin(a) for exp, sin
-    and cos nodes respectively.  So a vanishing denominator
-    raises DivisionByZeroModP, and the transcendental table fills, as
-    evaluating ``differentiate(phi, z_j)`` would.  Products use prefix and
-    suffix products, never an inverse, so a factor that is 0 mod p is fine.
-    """
-    tape = tapes.get(phi)
-    if tape is None:
-        tape = tapes[phi] = _tape(phi, index)
+
+def _step(node: Expr, index: dict[Symbol, int], zset: frozenset) -> tuple:
+    """(kind, z-dependent children, what the coefficients read) for a
+    z-dependent node; a Sym names its column in place of children."""
+    if isinstance(node, sx.Sym):
+        return _SYM, index[node.symbol], None
+    if isinstance(node, sx.Add):
+        return _ADD, [t for t in node.terms if _depends(t, zset)], None
+    if isinstance(node, sx.Mul):
+        fs = node.factors
+        deps = [k for k, f in enumerate(fs) if _depends(f, zset)]
+        return _MUL, [fs[k] for k in deps], (fs, deps)
+    if isinstance(node, sx.Pow):
+        return _POW, [node.base], node
+    if node.fname == "ln":
+        return _LN, [node.arg], node.arg
+    # d exp(a) = exp(a) da, d sin(a) = cos(a) da, d cos(a) = -sin(a) da,
+    # with the same nodes the symbolic derivative builds.
+    if node.fname == "exp":
+        return _FUNC, [node.arg], (node, 1)
+    if node.fname == "sin":
+        return _FUNC, [node.arg], (sx.cos(node.arg), 1)
+    return _FUNC, [node.arg], (sx.sin(node.arg), -1)
+
+
+def _depends(node: Expr, zset: frozenset) -> bool:
+    return not sx.free_symbols(node).isdisjoint(zset)
+
+
+def _coefficients(steps: list[tuple], pt: _TrialPoint) -> list[int]:
+    """The coefficients of the steps at pt's point, one per z-dependent
+    child in step order; the values are read parents first."""
     p, value = pt.p, pt.value
-    row = [0] * len(index)
-    adj = [0] * len(tape)
-    if tape:
-        adj[0] = 1
-    for i, step in enumerate(tape):
-        a = adj[i] % p
-        op = step[0]
-        if op == _SYM:
-            row[step[1]] = a
-        elif op == _ADD:
-            for c in step[1]:
-                adj[c] += a
-        elif op == _MUL1:
-            for f in step[2]:
-                a = a * value(f) % p
-            adj[step[1]] += a
-        elif op == _MULN:
-            slots, fs = step[1], step[2]
+    out: list[int] = []  # built backwards
+    for op, _, arg in reversed(steps):
+        if op == _MUL:
+            fs, deps = arg
+            if len(deps) == 1:
+                k, c = deps[0], 1
+                for f in fs[:k] + fs[k + 1:]:
+                    c = c * value(f) % p
+                out.append(c)
+                continue
             vals = [value(f) for f in fs]
             suffix = [1] * (len(vals) + 1)
             for k in range(len(vals) - 1, 0, -1):
                 suffix[k] = suffix[k + 1] * vals[k] % p
-            prefix = a
-            for k, c in enumerate(slots):
-                if c is not None:
-                    adj[c] += prefix * suffix[k + 1]
-                prefix = prefix * vals[k] % p
+            prefix, cs = 1, []
+            for k, v in enumerate(vals):
+                if k in deps:
+                    cs.append(prefix * suffix[k + 1] % p)
+                prefix = prefix * v % p
+            out.extend(reversed(cs))
         elif op == _POW:
-            _, c, base, e = step
-            b = value(base)
+            b, e = value(arg.base), arg.exponent
             if b == 0 and e < 0:
-                raise DivisionByZeroModP(f"base of {sx.to_string(base)}^{e} is 0 mod {p}")
-            adj[c] += a * e * pow(b, e - 1, p)
+                raise DivisionByZeroModP(
+                    f"base of {sx.to_string(arg.base)}^{e} is 0 mod {p}")
+            out.append(e * pow(b, e - 1, p) % p)
         elif op == _LN:
-            b = value(step[2])
+            b = value(arg)
             if b == 0:
-                raise DivisionByZeroModP(f"argument of ln({sx.to_string(step[2])}) is 0 mod {p}")
-            adj[step[1]] += a * pow(b, -1, p)
-        else:
-            _, c, factor, sign = step
-            adj[c] += sign * a * value(factor)
-    return row
+                raise DivisionByZeroModP(f"argument of ln({sx.to_string(arg)}) is 0 mod {p}")
+            out.append(pow(b, -1, p))
+        elif op == _FUNC:
+            factor, sign = arg
+            out.append(sign * value(factor) % p)
+    out.reverse()
+    return out
 
 
 def _field_rate(A: AugmentedSystem) -> Callable[[Symbol], Expr]:
@@ -362,6 +442,8 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     opts = opts or SymbolicOptions()
     if opts.trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 2 <= opts.prime <= _linalg.MAX_PRIME:
+        raise ValueError(f"prime must be in [2, {_linalg.MAX_PRIME}]")
     t0 = time.perf_counter()
     A = augment(md)
     n_z, m = A.n_z, len(A.outputs)
@@ -373,16 +455,14 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     for k in range(max_level + 1):
         _check_deadline(opts.deadline)
         n = (k + 1) * m
-        points = []
-        for trial in range(opts.trials):
-            rows, _ = cache.numeric_rows(n, trial, opts.seed, opts.prime, opts.retries)
-            pt = cache._points[(trial, opts.seed, opts.prime)]
+        points = cache.trial_points(n, range(opts.trials), opts.seed, opts.prime,
+                                    opts.retries)
+        for pt in points:
             if pt.echelon is None:  # the trial's first point, or a restart's
                 pt.echelon = _linalg.Echelon(n_z, opts.prime)
-                pt.echelon.extend(rows)
+                pt.echelon.extend(pt.rows[:n])
             else:
-                pt.echelon.extend(rows[n - m:])
-            points.append(pt)
+                pt.echelon.extend(pt.rows[n - m:n])
         r = max(pt.echelon.rank for pt in points)
         ranks.append(r)
         if r == n_z:

@@ -1,13 +1,14 @@
 import pytest
 
 from identiscope import symexpr as sx
-from identiscope._linalg import rank_mod_p
+from identiscope import lie_orc
+from identiscope._linalg import MAX_PRIME, rank_mod_p
 from identiscope.bench import corpus_dir
 from identiscope.errors import DivisionByZeroModP, RetriesExhausted
 from identiscope.lie_orc import (
     LieCache,
     SymbolicOptions,
-    _grad_row,
+    _Tangents,
     _TrialPoint,
     analyze_symbolic,
     extended_lie_derivative,
@@ -161,6 +162,16 @@ def test_rank_sumrates_capped_by_identical_columns():
         assert analyze_symbolic(md, SymbolicOptions(max_level=level)).rank == 2
 
 
+@pytest.mark.parametrize("prime", [0, 1, MAX_PRIME + 1, 2**64])
+def test_prime_out_of_range_rejected_before_any_work(prime, monkeypatch):
+    def no_work(md):
+        raise AssertionError("augment ran before the prime was checked")
+
+    monkeypatch.setattr(lie_orc, "augment", no_work)
+    with pytest.raises(ValueError, match="prime must be in"):
+        analyze_symbolic(parse_model(DECAY), SymbolicOptions(prime=prime))
+
+
 def test_rank_zero_matrix():
     src = "model m\nstates x\nddt x = -x\noutput y = 7\n"
     rep = analyze_symbolic(parse_model(src), SymbolicOptions(trials=2, max_level=1))
@@ -281,7 +292,7 @@ def test_transcendental_warning_on_nonrational_model():
 
 
 # --------------------------------------------------------------------------
-# numeric rows: reverse sweep against the symbolic gradient
+# numeric rows: forward tangents against the symbolic gradient
 # --------------------------------------------------------------------------
 
 X, Y, TH = sx.state("x"), sx.state("y"), sx.param("th")
@@ -299,9 +310,17 @@ def _symbolic_row(phi, ref: _TrialPoint):
     return _eval_row([sx.differentiate(phi, s) for s in Z], ref)
 
 
+def _tangent_row(phi, pt: _TrialPoint):
+    # dphi/dz at pt's point by the engine's forward tangent pass.
+    failed = _Tangents([pt], INDEX, P).extend(phi)
+    if failed:
+        raise failed[0][1]
+    return pt.rows[-1]
+
+
 def _assert_sweep_matches(phi):
     pt, ref = _TrialPoint(0, 0, 0, P), _TrialPoint(0, 0, 0, P)
-    assert _grad_row(phi, INDEX, pt, {}) == _symbolic_row(phi, ref)
+    assert _tangent_row(phi, pt) == _symbolic_row(phi, ref)
     assert pt.table.keys() == ref.table.keys()
 
 
@@ -329,7 +348,7 @@ def test_grad_row_product_with_a_zero_factor():
     zero = y - vy  # 0 mod P at the point
     phi = x * zero * th * (x + th) + zero * sx.sin(x * th)
     _assert_sweep_matches(phi)
-    row = _grad_row(phi, INDEX, _TrialPoint(0, 0, 0, P), {})
+    row = _tangent_row(phi, _TrialPoint(0, 0, 0, P))
     assert row[0] == 0 and row[2] == 0 and row[1] != 0
 
 
@@ -340,7 +359,7 @@ def test_grad_row_product_with_a_zero_factor():
 def test_grad_row_vanishing_denominator_raises(vanishing):
     phi = vanishing(y - _TrialPoint(0, 0, 0, P).point[Y])
     with pytest.raises(DivisionByZeroModP):
-        _grad_row(phi, INDEX, _TrialPoint(0, 0, 0, P), {})
+        _tangent_row(phi, _TrialPoint(0, 0, 0, P))
     with pytest.raises(DivisionByZeroModP):
         _symbolic_row(phi, _TrialPoint(0, 0, 0, P))
 
@@ -414,3 +433,69 @@ def _check_restarts(name, p, seed):
     identifiable = [all(d[j] == r - 1 for d in deleted) for j in range(A.n_z)]
     assert rep.verdicts == {s.name: verdict_for(s.kind.value, ok)
                             for s, ok in zip(A.z, identifiable)}, name
+
+
+def test_restart_of_one_trial_leaves_the_others_alone():
+    # mapk at p = 101, seed 1: trial 0 meets a vanishing denominator at
+    # level 1 and restarts.  Evaluated together, trials 1 and 2 keep the rows
+    # each gets alone, and every trial sits at the smallest attempt whose
+    # point evaluates all of its rows.
+    p, seed, trials = 101, 1, 3
+    md = load_model(corpus_dir() / "mapk.idm")
+    A = augment(md)
+    m = len(A.outputs)
+    levels = len(analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed)).ranks_by_level)
+    batch = LieCache(A)
+    alone = [LieCache(A) for _ in range(trials)]
+    for k in range(levels):
+        n = (k + 1) * m
+        points = batch.trial_points(n, range(trials), seed, p, 25)
+        rows = _gradient_matrix(batch, k)
+        for trial, pt in enumerate(points):
+            got, used = alone[trial].numeric_rows(n, trial, seed, p, 25)
+            assert (pt.rows[:n], pt.used[n - 1]) == (got, used), (k, trial)
+            for attempt in range(pt.attempt + 1):
+                try:
+                    want = [_eval_row(row, _TrialPoint(seed, trial, attempt, p)) for row in rows]
+                except DivisionByZeroModP:
+                    assert attempt < pt.attempt, (k, trial)
+                    continue
+                assert attempt == pt.attempt and got == want, (k, trial)
+        attempts = [pt.attempt for pt in points]
+        assert attempts == ([0, 0, 0] if k == 0 else [attempts[0], 0, 0]), k
+    assert points[0].attempt > 0
+
+
+def test_tangents_are_reused_across_levels(monkeypatch):
+    # After level K the tangent memo holds exactly the distinct z-dependent
+    # nodes of levels 0..K, and no node's tangent is formed twice.
+    formed = []
+
+    def recording(phi, memo, zset):
+        nodes = new_nodes(phi, memo, zset)
+        formed.extend(nodes)
+        return nodes
+
+    new_nodes = lie_orc._new_nodes
+    monkeypatch.setattr(lie_orc, "_new_nodes", recording)
+    md = load_model(corpus_dir() / "sirs_forced.idm")
+    A = augment(md)
+    zset = frozenset(A.z)
+    cache = LieCache(A)
+    m, trials = len(A.outputs), range(3)
+    dependent = set()
+    for k in range(6):
+        points = cache.trial_points((k + 1) * m, trials, 0, P, 25)
+        assert [pt.attempt for pt in points] == [0, 0, 0]
+        stack = list(cache.lies[k])
+        while stack:
+            node = stack.pop()
+            if node in dependent or sx.free_symbols(node).isdisjoint(zset):
+                continue
+            dependent.add(node)
+            stack.extend(getattr(node, "terms", ()) or getattr(node, "factors", ()))
+            stack.extend(c for c in (getattr(node, "base", None), getattr(node, "arg", None))
+                         if c is not None)
+        memo = cache._tangents[(tuple(trials), 0, P)].memo
+        assert set(memo) == dependent, k
+        assert len(formed) == len(dependent), k
