@@ -33,10 +33,10 @@ from .ffprob import (
     SeriesSolution,
     TruncSeries,
     analyze_ffprob,
-    cross_check_lie,
     output_jacobian,
     series_solve,
 )
+from .bench import cross_check_lie
 from .lie_orc import (
     LieCache,
     SymbolicOptions,

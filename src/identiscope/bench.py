@@ -12,7 +12,9 @@ per-model wall-clock budget: the finite-field engine is recorded as "na"
 on non-rational models, a timeout produces a timeout record with no
 partial verdicts, and any other failure becomes an error record.
 ``compare_engines`` then marks per-model consensus, which is the
-correctness criterion for engines that share no code path.
+correctness criterion for engines that share no code path, and
+``cross_check_lie`` checks one engine's math against the other's at a
+random point.
 """
 
 from __future__ import annotations
@@ -27,12 +29,15 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from . import _rng
 from . import symexpr as sx
 from ._linalg import MAX_PRIME
-from .errors import EngineTimeout, IdentiscopeError, NonRationalExpr
-from .ffprob import DEFAULT_PRIMES, MIN_PRIME, FfprobOptions, analyze_ffprob
-from .lie_orc import SymbolicOptions, analyze_symbolic
-from .model import ModelDef, load_model
+from .errors import (DivisionByZeroModP, EngineTimeout, IdentiscopeError, NonRationalExpr,
+                     RetriesExhausted)
+from .ffprob import (DEFAULT_PRIMES, MIN_PRIME, RETRIES, FfprobOptions, TruncSeries,
+                     _require_rational, analyze_ffprob, eval_expr_series, series_solve)
+from .lie_orc import LieCache, SymbolicOptions, analyze_symbolic
+from .model import CONSTANT, ModelDef, augment, load_model
 from .report import SCHEMA_VERSION, STATUS_ERROR, STATUS_NA, STATUS_OK, STATUS_TIMEOUT, AnalysisReport
 
 ENGINES = ("symbolic", "ffprob")
@@ -97,7 +102,6 @@ class CorpusEntry:
     """One benchmark model plus its fixture metadata."""
     name: str
     path: str
-    display_name: str
     states: int
     params: int
     known_inputs: int
@@ -105,7 +109,6 @@ class CorpusEntry:
     outputs: int
     rational: bool
     contested: bool = False
-    provenance: str = "reconstructed"
     expected_verdicts: dict | None = None
 
     @property
@@ -119,7 +122,6 @@ class ConsensusResult:
     """Per-model agreement between engine verdict maps."""
     model: str
     agreement: str  # agree | disagree | unconfirmed
-    engine_verdicts: dict[str, dict | None] = field(default_factory=dict)
     disagreements: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -171,7 +173,6 @@ def load_corpus(directory=None) -> list[CorpusEntry]:
         entries.append(CorpusEntry(
             name=name,
             path=str(path),
-            display_name=meta.get("display_name", name),
             states=meta.get("states", md.n),
             params=meta.get("params", md.p),
             known_inputs=meta.get("known_inputs", md.q),
@@ -179,7 +180,6 @@ def load_corpus(directory=None) -> list[CorpusEntry]:
             outputs=meta.get("outputs", md.m),
             rational=meta.get("rational", md.is_rational()),
             contested=meta.get("contested", False),
-            provenance=meta.get("provenance", "reconstructed"),
             expected_verdicts=meta.get("verdicts"),
         ))
     return entries
@@ -217,6 +217,52 @@ def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
     if trials is not None:
         opts.trials = trials
     return run(md, opts)
+
+
+def cross_check_lie(md: ModelDef, order: int, p: int, seed: int = 0) -> bool:
+    """Verify k! * coeff_k(y_i) == (L^k h_i)(z0, u-jet) mod p for k <= order.
+
+    The left side comes from ffprob's series solution, the right side from
+    lie_orc's symbolic Lie derivatives with input-derivative symbols bound
+    to the matching jet coefficients (u^(j) -> j! * coeff_j(u)).  The
+    identity holds at every point where no denominator vanishes, so the
+    point is drawn here, under its own tag, and redrawn when a denominator
+    vanishes.  Returns True iff every comparison holds exactly.
+    """
+    check_prime(p)
+    _require_rational(md)
+    A = augment(md)
+    cache = LieCache(A)
+    cache.ensure_level(order)
+
+    last = None
+    for attempt in range(RETRIES):
+        tag = ("xcheck", seed, p, attempt)
+        z0 = [_rng.residue(tag + (s.name,), p) for s in A.z]
+        point = dict(zip(A.z, z0))
+        env: dict[sx.Symbol, TruncSeries] = {}
+        for spec in A.model.known_inputs:
+            u = spec.symbol
+            jet = [_rng.residue(tag + (u.name, j), p) if j == 0 or spec.mode != CONSTANT else 0
+                   for j in range(order + 1)]
+            env[u] = TruncSeries(jet, p)
+            for j, c in enumerate(jet):
+                point[u.derivative(j) if j else u] = math.factorial(j) * c % p
+        try:
+            sol = series_solve(A, z0, [env[s.symbol] for s in A.model.known_inputs],
+                               order, p)
+            env.update(zip(A.z, sol.z_series))
+            memo: dict[sx.Expr, TruncSeries] = {}
+            ys = [eval_expr_series(h, env, order, p, _memo=memo) for h in A.outputs]
+            for k in range(order + 1):
+                for y, lie in zip(ys, cache.lies[k]):
+                    if math.factorial(k) * y.coeffs[k] % p != sx.eval_mod_p(lie, point, p):
+                        return False
+            return True
+        except DivisionByZeroModP as exc:
+            last = exc
+    raise RetriesExhausted(
+        f"all {RETRIES} random specializations hit a vanishing denominator mod {p}: {last}")
 
 
 def failure_record(md: ModelDef, engine: str, seed: int,
@@ -288,7 +334,6 @@ def compare_engines(reports: list[AnalysisReport]) -> list[ConsensusResult]:
         group = by_model[model]
         ok = [r for r in group if r.status == STATUS_OK and r.verdicts is not None]
         res = ConsensusResult(model=model, agreement="unconfirmed")
-        res.engine_verdicts = {r.engine: r.verdicts for r in group}
         if len(ok) >= 2:
             base, rest = ok[0], ok[1:]
             diffs = []

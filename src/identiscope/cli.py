@@ -51,8 +51,7 @@ def _load(path: str):
 
 def _run_settings(args) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
     """(seed, primes, engines) for analyze and bench, after checking
-    --prime, --trials, --max-level, --series-order, --timeout-s and
-    IDENTISCOPE_SEED; a bad value exits 2."""
+    --prime, --trials, --timeout-s and IDENTISCOPE_SEED; a bad value exits 2."""
     for p in args.prime or ():
         try:
             bench_mod.check_prime(p)
@@ -60,10 +59,6 @@ def _run_settings(args) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
             _usage_error(f"--prime {exc}")
     if args.trials is not None and args.trials < 1:
         _usage_error(f"--trials {args.trials}: need at least 1")
-    if args.max_level is not None and args.max_level < 0:
-        _usage_error(f"--max-level {args.max_level}: need at least 0")
-    if args.series_order is not None and args.series_order < 1:
-        _usage_error(f"--series-order {args.series_order}: need at least 1")
     if args.timeout_s is not None and not args.timeout_s > 0:
         _usage_error(f"--timeout-s {args.timeout_s}: need a positive number of seconds")
     env = os.environ.get("IDENTISCOPE_SEED", "0")
@@ -101,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=None,
                        help="random trials per prime, at least 1 "
                             "(default: symbolic 3, ffprob 2)")
-        p.add_argument("--max-level", type=int, default=None,
-                       help="symbolic engine: max Lie-derivative level (default n_z-1)")
-        p.add_argument("--series-order", type=int, default=None,
-                       help="ffprob engine: max series order (default n_z-1); "
-                            "stops earlier at full rank or saturation")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="also write the full JSON report to PATH")
         p.add_argument("--require-consensus", action="store_true",
@@ -115,6 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     pa.add_argument("model", help="path to a .idm model file")
     common(pa)
+    pa.add_argument("--max-level", type=int, default=None,
+                    help="symbolic engine: max Lie-derivative level (default n_z-1)")
+    pa.add_argument("--series-order", type=int, default=None,
+                    help="ffprob engine: max series order (default n_z-1); "
+                         "stops earlier at full rank or saturation")
     pa.add_argument("--timeout-s", type=float, default=None,
                     help="wall-clock bound for the analysis in seconds, > 0 "
                          "(default: none)")
@@ -161,6 +156,10 @@ def _print_report(r: AnalysisReport):
 
 def cmd_analyze(args) -> int:
     seed, primes, engines = _run_settings(args)
+    if args.max_level is not None and args.max_level < 0:
+        _usage_error(f"--max-level {args.max_level}: need at least 0")
+    if args.series_order is not None and args.series_order < 1:
+        _usage_error(f"--series-order {args.series_order}: need at least 1")
     md = _load(args.model)
     deadline = None if args.timeout_s is None else time.monotonic() + args.timeout_s
     reports = []

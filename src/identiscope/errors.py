@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import time
+
 
 class IdentiscopeError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,6 +32,12 @@ class RetriesExhausted(IdentiscopeError):
 
 class EngineTimeout(IdentiscopeError):
     """An analysis exceeded its wall-clock deadline."""
+
+
+def check_deadline(deadline: float | None) -> None:
+    """Raise EngineTimeout once ``time.monotonic()`` has passed the deadline."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise EngineTimeout("analysis exceeded its wall-clock bound")
 
 
 class ModelError(IdentiscopeError):

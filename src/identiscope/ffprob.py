@@ -39,8 +39,7 @@ import numpy as np
 
 from . import _linalg, _rng
 from . import symexpr as sx
-from .errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted
-from .lie_orc import LieCache, DEFAULT_RETRIES, _check_deadline
+from .errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted, check_deadline
 from .model import AugmentedSystem, ModelDef, augment, CONSTANT
 from .report import AnalysisReport, verdict_for
 from .symexpr import Expr, Symbol
@@ -48,23 +47,7 @@ from .symexpr import Expr, Symbol
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
 DEFAULT_TRIALS_PER_PRIME = 2
 MIN_PRIME = 2**20
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """One random specialization: prime field, seed context, series order."""
-    prime: int
-    seed: int
-    order: int
-    retries: int = DEFAULT_RETRIES
-
-    def __post_init__(self):
-        if self.prime <= MIN_PRIME:
-            raise ValueError(f"prime must exceed 2^20, got {self.prime}")
-        if self.prime > _linalg.MAX_PRIME:
-            raise ValueError(f"prime must not exceed {_linalg.MAX_PRIME}")
-        if self.order < 1:
-            raise ValueError("truncation order must be >= 1")
+RETRIES = 25  # random points per run before RetriesExhausted
 
 
 # --------------------------------------------------------------------------
@@ -357,13 +340,14 @@ class _Sweep:
             except DivisionByZeroModP as exc:
                 self.bad[b] = str(exc)
 
-    def set_point(self, run: int, z0, u_series) -> None:
-        """Initial state and input jets of one run (jets are zero past their order)."""
+    def set_point(self, run: int, z0, u_jets) -> None:
+        """Initial state and input jets (coefficient lists) of one run; a jet
+        is zero past its last coefficient."""
         n_z, p = self.tape.n_z, int(self.P[run])
         self.V[0, 1:1 + n_z, run] = [v % p for v in z0]
         self.jets[:, :, run] = 0
-        for i, series in enumerate(u_series):
-            coeffs = series.coeffs[:self.order + 1]
+        for i, jet in enumerate(u_jets):
+            coeffs = jet[:self.order + 1]
             self.jets[:len(coeffs), i, run] = [v % p for v in coeffs]
 
     def _hold(self, k: int) -> None:
@@ -449,9 +433,9 @@ def series_solve(A: AugmentedSystem, z0, u_series, order: int, p: int, *,
     if len(z0) != n_z:
         raise ValueError("initial point has wrong dimension")
     sw = _Sweep(_Tape(A), [p], order)
-    sw.set_point(0, z0, u_series)
+    sw.set_point(0, z0, [u.coeffs for u in u_series])
     for k in range(order + 1):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         failed = sw.advance(k)
         if failed:
             raise DivisionByZeroModP(failed[0])
@@ -510,7 +494,6 @@ class FfprobOptions:
     trials: int = DEFAULT_TRIALS_PER_PRIME
     seed: int = 0
     order: int | None = None  # default n_z - 1
-    retries: int = DEFAULT_RETRIES
     deadline: float | None = None
 
 
@@ -522,35 +505,37 @@ def _require_rational(md: ModelDef):
             "use the symbolic engine")
 
 
-def _draw_trial(A: AugmentedSystem, cfg: TrialConfig, trial: int, attempt: int):
-    p = cfg.prime
-    z0 = [_rng.residue(("ffp-z0", cfg.seed, p, trial, attempt, s.name), p) for s in A.z]
-    u_series = []
+def _draw_trial(A: AugmentedSystem, seed: int, p: int, order: int, trial: int,
+                attempt: int) -> tuple[list[int], list[list[int]]]:
+    """The random point of one attempt: z0 and the coefficients 0..order of
+    each known input's jet (a constant input's jet is zero past order 0)."""
+    z0 = [_rng.residue(("ffp-z0", seed, p, trial, attempt, s.name), p) for s in A.z]
+    u_jets = []
     for spec in A.model.known_inputs:
         if spec.mode == CONSTANT:
-            coeffs = [_rng.residue(("ffp-u", cfg.seed, p, trial, attempt, spec.symbol.name, 0), p)]
-            coeffs += [0] * cfg.order
+            coeffs = [_rng.residue(("ffp-u", seed, p, trial, attempt, spec.symbol.name, 0), p)]
+            coeffs += [0] * order
         else:
-            coeffs = [_rng.residue(("ffp-u", cfg.seed, p, trial, attempt, spec.symbol.name, j), p)
-                      for j in range(cfg.order + 1)]
-        u_series.append(TruncSeries(coeffs, p))
-    return z0, u_series
+            coeffs = [_rng.residue(("ffp-u", seed, p, trial, attempt, spec.symbol.name, j), p)
+                      for j in range(order + 1)]
+        u_jets.append(coeffs)
+    return z0, u_jets
 
 
 @dataclass
 class _Run:
     """One (prime, trial) run: its point, rows, echelon form and stop rule."""
-    cfg: TrialConfig
+    prime: int
     trial: int
     attempt: int = 0
     z0: list[int] = field(default_factory=list)
-    u_series: list[TruncSeries] = field(default_factory=list)
+    u_jets: list[list[int]] = field(default_factory=list)
     rows: list[list[int]] = field(default_factory=list)
     echelon: _linalg.Echelon | None = None
     stop: str | None = None
 
 
-def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run]) -> None:
+def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run], seed: int) -> None:
     """Order 0 of every run.  A run whose point makes a denominator of F or h
     vanish at t = 0 moves to its next attempt, and order 0 is redone; the
     other runs keep their points."""
@@ -559,12 +544,13 @@ def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run]) -> None:
     while todo:
         for b in todo:
             run = runs[b]
-            if run.attempt == run.cfg.retries:
+            if run.attempt == RETRIES:
                 raise RetriesExhausted(
-                    f"all {run.cfg.retries} random specializations hit a vanishing "
-                    f"denominator mod {run.cfg.prime}: {last.get(b)}")
-            run.z0, run.u_series = _draw_trial(A, run.cfg, run.trial, run.attempt)
-            sw.set_point(b, run.z0, run.u_series)
+                    f"all {RETRIES} random specializations hit a vanishing "
+                    f"denominator mod {run.prime}: {last.get(b)}")
+            run.z0, run.u_jets = _draw_trial(A, seed, run.prime, sw.order, run.trial,
+                                             run.attempt)
+            sw.set_point(b, run.z0, run.u_jets)
         failed = sw.advance(0)
         todo = sorted(failed)
         for b in todo:
@@ -572,7 +558,7 @@ def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run]) -> None:
             last[b] = failed[b]
 
 
-def _sweep_runs(A: AugmentedSystem, runs: list[_Run], order: int,
+def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
                 deadline: float | None = None) -> None:
     """Grow every run's output Jacobian one block per series order, all runs
     in one sweep.  Block k is the order-k tangent of the h nodes.  A run stops
@@ -581,13 +567,13 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], order: int,
     sweep ends when every run has stopped."""
     n_z = A.n_z
     tape = _Tape(A)
-    sw = _Sweep(tape, [run.cfg.prime for run in runs], order)
+    sw = _Sweep(tape, [run.prime for run in runs], order)
     for run in runs:
-        run.echelon = _linalg.Echelon(n_z, run.cfg.prime)
+        run.echelon = _linalg.Echelon(n_z, run.prime)
     for k in range(order + 1):
-        _check_deadline(deadline)
+        check_deadline(deadline)
         if k == 0:
-            _start(A, sw, runs)
+            _start(A, sw, runs, seed)
         else:
             sw.advance(k)
         blocks = sw.T[k, tape.h]
@@ -625,14 +611,19 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
         raise ValueError("at least one prime is required")
     t0 = time.perf_counter()
     _require_rational(md)
+    for p in opts.primes:
+        if p <= MIN_PRIME:
+            raise ValueError(f"prime must exceed 2^20, got {p}")
+        if p > _linalg.MAX_PRIME:
+            raise ValueError(f"prime must not exceed {_linalg.MAX_PRIME}")
+    if opts.order is not None and opts.order < 1:
+        raise ValueError("truncation order must be >= 1")
     A = augment(md)
     n_z = A.n_z
     order = opts.order if opts.order is not None else max(n_z - 1, 1)
 
-    cfgs = [TrialConfig(prime=p, seed=opts.seed, order=order, retries=opts.retries)
-            for p in opts.primes]
-    runs = [_Run(cfg, trial) for cfg in cfgs for trial in range(opts.trials)]
-    _sweep_runs(A, runs, order, opts.deadline)
+    runs = [_Run(p, trial) for p in opts.primes for trial in range(opts.trials)]
+    _sweep_runs(A, runs, opts.seed, order, opts.deadline)
 
     per_prime = {str(p): [run.echelon.rank for run in runs[i * opts.trials:(i + 1) * opts.trials]]
                  for i, p in enumerate(opts.primes)}
@@ -670,52 +661,3 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
         warnings=warnings,
     )
 
-
-def cross_check_lie(md: ModelDef, order: int, p: int, seed: int = 0,
-                    retries: int = DEFAULT_RETRIES) -> bool:
-    """Verify k! * coeff_k(y_i) == (L^k h_i)(z0, u-jet) mod p for k <= order.
-
-    The left side comes from the series solution, the right side from the
-    symbolic Lie derivatives with input-derivative symbols bound to the
-    matching jet coefficients (u^(j) -> j! * coeff_j(u)).  Returns True iff
-    every comparison holds exactly.
-    """
-    _require_rational(md)
-    A = augment(md)
-    cfg = TrialConfig(prime=p, seed=seed, order=max(order, 1), retries=retries)
-
-    last = None
-    for attempt in range(retries):
-        z0, u_series = _draw_trial(A, cfg, 0, attempt)
-        try:
-            sol = series_solve(A, z0, u_series, cfg.order, p)
-            env = {s: sol.z_series[i] for i, s in enumerate(A.z)}
-            for spec, series in zip(A.model.known_inputs, sol.u_series):
-                env[spec.symbol] = series
-            memo: dict[Expr, TruncSeries] = {}
-            y_series = [eval_expr_series(h, env, cfg.order, p, _memo=memo)
-                        for h in A.outputs]
-
-            point: dict[Symbol, int] = {s: z0[i] for i, s in enumerate(A.z)}
-            for spec, series in zip(A.model.known_inputs, u_series):
-                fj = 1
-                for j in range(order + 1):
-                    uj = spec.symbol if j == 0 else spec.symbol.derivative(j)
-                    point[uj] = fj * series.coeffs[j] % p if j <= series.order else 0
-                    fj *= j + 1
-
-            cache = LieCache(A)
-            cache.ensure_level(order)
-            fact = 1
-            for k in range(order + 1):
-                if k:
-                    fact = fact * k % p
-                for i in range(len(A.outputs)):
-                    lie_val = sx.eval_mod_p(cache.lies[k][i], point, p)
-                    if fact * y_series[i].coeffs[k] % p != lie_val:
-                        return False
-            return True
-        except DivisionByZeroModP as exc:
-            last = exc
-    raise RetriesExhausted(
-        f"all {retries} random specializations hit a vanishing denominator mod {p}: {last}")

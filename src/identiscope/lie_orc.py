@@ -38,14 +38,14 @@ import numpy as np
 
 from . import _linalg, _rng
 from . import symexpr as sx
-from .errors import EngineTimeout, RetriesExhausted, DivisionByZeroModP
+from .errors import DivisionByZeroModP, RetriesExhausted, check_deadline
 from .model import AugmentedSystem, ModelDef, augment, GENERIC
 from .report import AnalysisReport, verdict_for
 from .symexpr import Expr, Symbol, SymbolKind
 
 DEFAULT_PRIME = 2147483647
 DEFAULT_TRIALS = 3
-DEFAULT_RETRIES = 25
+RETRIES = 25  # random points per trial before RetriesExhausted
 
 
 @dataclass
@@ -54,7 +54,6 @@ class SymbolicOptions:
     seed: int = 0
     prime: int = DEFAULT_PRIME
     max_level: int | None = None  # default n_z - 1
-    retries: int = DEFAULT_RETRIES
     deadline: float | None = None  # absolute time.monotonic() bound
 
 
@@ -133,7 +132,7 @@ class LieCache:
         while len(self.lies) <= k:
             nxt = []
             for phi in self.lies[-1]:
-                _check_deadline(self.deadline)
+                check_deadline(self.deadline)
                 nxt.append(extended_lie_derivative(phi, self.A, self._derivs))
             self.lies.append(nxt)
 
@@ -143,20 +142,20 @@ class LieCache:
             j = len(self.grads)
             rows = []
             for phi in self.lies[j]:
-                _check_deadline(self.deadline)
+                check_deadline(self.deadline)
                 rows.append([sx.differentiate(phi, zi) for zi in self.A.z])
             self.grads.append(rows)
         return self.grads[k]
 
-    def numeric_rows(self, n: int, trial: int, seed: int, p: int,
-                     retries: int) -> tuple[list[list[int]], bool]:
+    def numeric_rows(self, n: int, trial: int, seed: int,
+                     p: int) -> tuple[list[list[int]], bool]:
         """The first n gradient rows at the trial's random point, and whether
         the transcendental table was in use (see ``trial_points``)."""
-        pt, = self.trial_points(n, (trial,), seed, p, retries)
+        pt, = self.trial_points(n, (trial,), seed, p)
         return pt.rows[:n], n > 0 and pt.used[n - 1]
 
-    def trial_points(self, n: int, trials: Iterable[int], seed: int, p: int,
-                     retries: int) -> list[_TrialPoint]:
+    def trial_points(self, n: int, trials: Iterable[int], seed: int,
+                     p: int) -> list[_TrialPoint]:
         """The current point of each listed trial, holding at least its
         first n gradient rows, evaluated together by one tangent pass.
 
@@ -165,8 +164,8 @@ class LieCache:
         tangents are then rebuilt.  The smallest attempt whose point
         evaluates rows 0..k can only grow with k, so each trial gets the rows
         of the smallest attempt that evaluates all n of them.  A trial that
-        runs out of attempts leaves the batch, and once the others hold n
-        rows the lowest such trial raises RetriesExhausted.
+        runs out of its ``RETRIES`` attempts leaves the batch, and once the
+        others hold n rows the lowest such trial raises RetriesExhausted.
         """
         trials = tuple(trials)
         m = len(self.A.outputs)
@@ -181,12 +180,12 @@ class LieCache:
                 break
             level, i = divmod(tg.n_rows, m)
             self.ensure_level(level)
-            _check_deadline(self.deadline)
+            check_deadline(self.deadline)
             for pos, exc in tg.extend(self.lies[level][i]):
                 t, pt = live[pos], points[pos]
-                if pt.attempt + 1 >= retries:
+                if pt.attempt + 1 >= RETRIES:
                     err = RetriesExhausted(
-                        f"all {retries} evaluation points hit a vanishing denominator "
+                        f"all {RETRIES} evaluation points hit a vanishing denominator "
                         f"mod {p} (model degenerate at this prime, or prime too small): "
                         f"{exc}")
                     err.__cause__ = exc
@@ -422,11 +421,6 @@ def extended_lie_derivative(phi: Expr, A: AugmentedSystem,
     return sx.derivative(phi, _field_rate(A), {} if memo is None else memo)
 
 
-def _check_deadline(deadline: float | None):
-    if deadline is not None and time.monotonic() > deadline:
-        raise EngineTimeout("analysis exceeded its wall-clock bound")
-
-
 def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> AnalysisReport:
     """Full observability/identifiability analysis via the rank condition.
 
@@ -453,10 +447,9 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     ranks: list[int] = []
     stop = "max_level"
     for k in range(max_level + 1):
-        _check_deadline(opts.deadline)
+        check_deadline(opts.deadline)
         n = (k + 1) * m
-        points = cache.trial_points(n, range(opts.trials), opts.seed, opts.prime,
-                                    opts.retries)
+        points = cache.trial_points(n, range(opts.trials), opts.seed, opts.prime)
         for pt in points:
             if pt.echelon is None:  # the trial's first point, or a restart's
                 pt.echelon = _linalg.Echelon(n_z, opts.prime)

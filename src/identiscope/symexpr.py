@@ -27,16 +27,11 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from collections.abc import Callable
 from fractions import Fraction
 from hashlib import blake2b
 
 from .errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr
-
-# Canonicalization and differentiation recurse over tree depth; Lie chains
-# on larger models go deeper than CPython's default limit.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
 
 
 class SymbolKind(enum.Enum):

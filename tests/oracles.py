@@ -1,14 +1,17 @@
 """Independent oracles used to check the expression kernel and the engines.
 
-Everything here is deliberately written against the *node structure* of
-expressions only — no call ever touches differentiate/simplify/eval paths
-under test, so a bug in those cannot hide itself.
+Everything here except ``check_residuals`` is deliberately written against
+the *node structure* of expressions only — no call ever touches
+differentiate/simplify/eval paths under test, so a bug in those cannot hide
+itself.  ``check_residuals`` checks ffprob's forward-mode sweep against the
+eager TruncSeries route.
 """
 
 from fractions import Fraction
 
 from identiscope import symexpr as sx
 from identiscope._linalg import rank_mod_p
+from identiscope.ffprob import TruncSeries, eval_expr_series, series_solve
 
 
 def eval_dual_rational(e, point, wrt):
@@ -98,3 +101,37 @@ def deleted_column_ranks(rows, p):
     n_cols = len(rows[0]) if len(rows) else 0
     return [rank_mod_p([list(row[:j]) + list(row[j + 1:]) for row in rows], p)
             for j in range(n_cols)]
+
+
+def check_residuals(A, z0, u_coeffs, order, p):
+    """Assert that the series solution at z0, with the known inputs' jets
+    given by their coefficient lists, solves z' = F(z, u) and
+    S' = (dF/dz) S with S(0) = I through order - 1.  Each right side is
+    evaluated eagerly over TruncSeries, independent of the sweep."""
+    name = A.model.name
+    sol = series_solve(A, z0, [TruncSeries(c, p) for c in u_coeffs], order, p)
+    env = dict(zip(A.z, sol.z_series))
+    env.update((spec.symbol, u) for spec, u in zip(A.model.known_inputs, sol.u_series))
+    memo = {}
+    # z residual: d/dt z_i == F_i(z, u) through order-1
+    for i, Fi in enumerate(A.F):
+        rhs = (TruncSeries.constant(0, order, p) if Fi is sx.ZERO
+               else eval_expr_series(Fi, env, order, p, _memo=memo))
+        assert sol.z_series[i].differentiate().coeffs == rhs.coeffs[:order], (name, i)
+    # S residual: d/dt S_ij == sum_l dF_i/dz_l * S_lj through order-1
+    jrows = []
+    for Fi in A.F:
+        row = []
+        for zl in A.z:
+            d = sx.differentiate(Fi, zl)
+            row.append(None if d is sx.ZERO else eval_expr_series(d, env, order, p, _memo=memo))
+        jrows.append(row)
+    zero = TruncSeries.constant(0, order, p)
+    for i in range(A.n_z):
+        assert sol.S_series[i][i].coeffs[0] == 1, (name, i)
+        for j in range(A.n_z):
+            acc = zero
+            for l in range(A.n_z):
+                if jrows[i][l] is not None:
+                    acc = acc + jrows[i][l] * sol.S_series[l][j]
+            assert sol.S_series[i][j].differentiate().coeffs == acc.coeffs[:order], (name, i, j)

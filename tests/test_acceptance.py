@@ -1,25 +1,25 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with -s or -v to see them)."""
 
+import statistics
 import time
 
 import pytest
 
 from identiscope import symexpr as sx
-from identiscope.bench import BenchOptions, compare_engines, emit_report, run_corpus
+from identiscope.bench import (BenchOptions, compare_engines, corpus_dir, cross_check_lie,
+                               emit_report, run_corpus)
 from identiscope.ffprob import (
     FfprobOptions,
     TruncSeries,
     analyze_ffprob,
-    cross_check_lie,
-    eval_expr_series,
     output_jacobian,
     series_solve,
 )
 from identiscope.lie_orc import LieCache, analyze_symbolic
 from identiscope._linalg import rank_mod_p
 from identiscope.model import augment, load_model, parse_model, print_model
-from oracles import deleted_column_ranks
+from oracles import check_residuals, deleted_column_ranks
 
 P = 2147483647
 
@@ -130,12 +130,24 @@ def test_criterion_4_hand_derived_toys():
          f"{elapsed:.2f} s")
 
 
-def test_criterion_5_speed_ordering(reports_by_key):
+def _median_wall_ms(md, analyze, runs=5):
+    """Median engine wall time of ``runs`` analyses after one warm-up, each
+    from an empty intern table as in ``bench``, so that one slow run on a
+    loaded host does not decide the comparison."""
+    times = []
+    for _ in range(runs + 1):
+        sx.clear_caches()
+        times.append(analyze(md).wall_time_ms)
+    return statistics.median(times[1:])
+
+
+def test_criterion_5_speed_ordering():
     ok = True
     details = []
     for name in ("hiv2", "gene_p53"):
-        sym = reports_by_key[(name, "symbolic")].wall_time_ms
-        ffp = reports_by_key[(name, "ffprob")].wall_time_ms
+        md = load_model(corpus_dir() / f"{name}.idm")
+        sym = _median_wall_ms(md, analyze_symbolic)
+        ffp = _median_wall_ms(md, analyze_ffprob)
         details.append(f"{name}: ffprob {ffp:.0f} ms vs symbolic {sym:.0f} ms")
         if not ffp <= 0.5 * sym:
             ok = False
@@ -170,20 +182,20 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
 
     # Column-deletion rank is always r or r-1: check one random Jacobian
     # per rational model, one evaluated symbolic matrix per non-rational.
-    from identiscope.ffprob import TrialConfig, _draw_trial
+    from identiscope.ffprob import _draw_trial
 
     for e in corpus_entries:
         md = load_model(e.path)
         A = augment(md)
         if e.rational:
-            cfg = TrialConfig(prime=P, seed=0, order=max(A.n_z - 1, 1))
-            z0, u = _draw_trial(A, cfg, 0, 0)
-            sol = series_solve(A, z0, u, cfg.order, P)
+            order = max(A.n_z - 1, 1)
+            z0, u = _draw_trial(A, 0, P, order, 0, 0)
+            sol = series_solve(A, z0, [TruncSeries(c, P) for c in u], order, P)
             numeric = output_jacobian(sol, A)
         else:
             rep = reports_by_key[(e.name, "symbolic")]
             n = len(rep.ranks_by_level) * len(A.outputs)
-            numeric, _ = LieCache(A).numeric_rows(n, 0, 0, P, 25)
+            numeric, _ = LieCache(A).numeric_rows(n, 0, 0, P)
         r = rank_mod_p(numeric, P)
         for j, rj in enumerate(deleted_column_ranks(numeric, P)):
             if rj not in (r - 1, r):
@@ -191,45 +203,13 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
                 print(f"  column-deletion invariant broken on {e.name} col {j}")
 
     # ODE and sensitivity residuals vanish identically (eager re-evaluation).
+    order = 5
     for e in corpus_entries:
-        if not e.rational:
-            continue
-        md = load_model(e.path)
-        A = augment(md)
-        order = 5
-        u_series = [TruncSeries([3 + 2 * j for j in range(order + 1)], P)
-                    for _ in md.known_inputs]
-        sol = series_solve(A, [7 + i for i in range(A.n_z)], u_series, order, P)
-        env = {s: sol.z_series[i] for i, s in enumerate(A.z)}
-        for spec, series in zip(md.known_inputs, sol.u_series):
-            env[spec.symbol] = series
-        memo = {}
-        for i, Fi in enumerate(A.F):
-            rhs = (TruncSeries.constant(0, order, P) if Fi is sx.ZERO
-                   else eval_expr_series(Fi, env, order, P, _memo=memo))
-            if sol.z_series[i].differentiate().coeffs != rhs.coeffs[:order]:
-                ok = False
-                print(f"  ODE residual nonzero for {e.name} row {i}")
-        jrows = []
-        for Fi in A.F:
-            row = []
-            for zl in A.z:
-                d = sx.differentiate(Fi, zl)
-                row.append(None if d is sx.ZERO
-                           else eval_expr_series(d, env, order, P, _memo=memo))
-            jrows.append(row)
-        zero = TruncSeries.constant(0, order, P)
-        for i in range(A.n_z):
-            if sol.S_series[i][i].coeffs[0] != 1:
-                ok = False
-            for j in range(A.n_z):
-                acc = zero
-                for l in range(A.n_z):
-                    if jrows[i][l] is not None:
-                        acc = acc + jrows[i][l] * sol.S_series[l][j]
-                if sol.S_series[i][j].differentiate().coeffs != acc.coeffs[:order]:
-                    ok = False
-                    print(f"  sensitivity residual nonzero for {e.name} ({i},{j})")
+        if e.rational:
+            A = augment(load_model(e.path))
+            check_residuals(A, [7 + i for i in range(A.n_z)],
+                            [[3 + 2 * j for j in range(order + 1)] for _ in A.model.known_inputs],
+                            order, P)
 
     # Parser round-trips on the full corpus.
     for e in corpus_entries:

@@ -169,6 +169,15 @@ def test_bench_json_document(tmp_path):
     assert doc["consensus"][0]["agreement"] == "agree"
 
 
+@pytest.mark.parametrize("flag", ["--max-level", "--series-order"])
+def test_bench_rejects_analyze_only_flags(flag, tmp_path):
+    # bench runs every engine at its default depth; it has no depth flags.
+    res = run_cli("bench", str(tmp_path), flag, "1")
+    assert res.returncode == 2
+    assert "unrecognized arguments" in res.stderr
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("command,flags,env", [
     pytest.param("analyze", ["--prime", "7"], None, id="analyze-prime-below-2^20"),
     pytest.param("analyze", ["--prime", "100"], None, id="analyze-prime-not-prime"),

@@ -1,28 +1,28 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from identiscope import ffprob
+from identiscope import ffprob, lie_orc
 from identiscope import symexpr as sx
 from identiscope._linalg import MAX_PRIME
-from identiscope.bench import corpus_dir
+from identiscope.bench import corpus_dir, cross_check_lie
 from identiscope.errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted
 from identiscope.ffprob import (
     DEFAULT_PRIMES,
     FfprobOptions,
-    TrialConfig,
     TruncSeries,
     _Run,
     _sweep_runs,
     analyze_ffprob,
-    cross_check_lie,
-    eval_expr_series,
     output_jacobian,
     series_solve,
 )
 from identiscope.lie_orc import LieCache
 from identiscope.model import augment, load_model, parse_model
+from oracles import check_residuals
 
 P = 2147483647
 BIG_P = 3037000493  # the largest prime <= MAX_PRIME
@@ -73,12 +73,29 @@ def test_series_pow_matches_repeated_mul():
     assert (a ** -2) * a * a == TruncSeries.constant(1, 2, p)
 
 
-def test_trial_config_rejects_small_and_huge_primes():
-    with pytest.raises(ValueError):
-        TrialConfig(prime=1048573, seed=0, order=3)  # below 2^20
-    with pytest.raises(ValueError):
-        TrialConfig(prime=2**62, seed=0, order=3)
-    TrialConfig(prime=P, seed=0, order=3)
+def _forbid_augment(monkeypatch):
+    def unreachable(md):
+        raise AssertionError("augment reached")
+
+    monkeypatch.setattr(ffprob, "augment", unreachable)
+
+
+def test_trial_config_rejects_small_and_huge_primes(monkeypatch):
+    # The primes are checked before the model is augmented.
+    md = parse_model(DECAY)
+    _forbid_augment(monkeypatch)
+    with pytest.raises(ValueError, match=r"^prime must exceed 2\^20, got 1048573$"):
+        analyze_ffprob(md, FfprobOptions(primes=(1048573,), order=3))  # below 2^20
+    with pytest.raises(ValueError, match=rf"^prime must not exceed {MAX_PRIME}$"):
+        analyze_ffprob(md, FfprobOptions(primes=(2**62,), order=3))
+    with pytest.raises(AssertionError, match="augment reached"):
+        analyze_ffprob(md, FfprobOptions(primes=(P,), order=3))
+
+
+def test_analyze_rejects_order_below_one_before_augment(monkeypatch):
+    _forbid_augment(monkeypatch)
+    with pytest.raises(ValueError, match=r"^truncation order must be >= 1$"):
+        analyze_ffprob(parse_model(DECAY), FfprobOptions(order=0))
 
 
 # --------------------------------------------------------------------------
@@ -112,40 +129,10 @@ def test_series_solve_sensitivity_initial_identity():
 
 
 def _residual_checks(name, order=6, p=P):
-    """ODE and sensitivity residuals via the eager evaluator (independent
-    of the sweep)."""
-    md = load_model(corpus_dir() / name)
-    A = augment(md)
-    u_series = [TruncSeries([11 + 7 * j for j in range(order + 1)], p)
-                for _ in A.model.known_inputs]
-    sol = series_solve(A, [5 + 3 * i for i in range(A.n_z)], u_series, order, p)
-    env = {s: sol.z_series[i] for i, s in enumerate(A.z)}
-    for spec, series in zip(md.known_inputs, sol.u_series):
-        env[spec.symbol] = series
-    memo = {}
-    # z residual: d/dt z_i == F_i(z, u) through order-1
-    for i, Fi in enumerate(A.F):
-        lhs = sol.z_series[i].differentiate()
-        rhs = (TruncSeries.constant(0, order, p) if Fi is sx.ZERO
-               else eval_expr_series(Fi, env, order, p, _memo=memo))
-        assert lhs.coeffs == rhs.coeffs[:order], (name, i)
-    # S residual: d/dt S_ij == sum_l dF_i/dz_l * S_lj through order-1
-    jrows = []
-    for Fi in A.F:
-        row = []
-        for zl in A.z:
-            d = sx.differentiate(Fi, zl)
-            row.append(None if d is sx.ZERO else eval_expr_series(d, env, order, p, _memo=memo))
-        jrows.append(row)
-    zero = TruncSeries.constant(0, order, p)
-    for i in range(A.n_z):
-        for j in range(A.n_z):
-            lhs = sol.S_series[i][j].differentiate()
-            acc = zero
-            for l in range(A.n_z):
-                if jrows[i][l] is not None:
-                    acc = acc + jrows[i][l] * sol.S_series[l][j]
-            assert lhs.coeffs == acc.coeffs[:order], (name, i, j)
+    A = augment(load_model(corpus_dir() / name))
+    check_residuals(A, [5 + 3 * i for i in range(A.n_z)],
+                    [[11 + 7 * j for j in range(order + 1)] for _ in A.model.known_inputs],
+                    order, p)
 
 
 @pytest.mark.parametrize("name", ["c2m_a.idm", "c2m_c.idm", "hiv2.idm", "beta_ig.idm"])
@@ -259,18 +246,16 @@ def test_engine_rank_agreement(reports_by_key):
 # --------------------------------------------------------------------------
 
 def _batch(A, primes, trials, seed):
-    order = max(A.n_z - 1, 1)
-    runs = [_Run(TrialConfig(prime=p, seed=seed, order=order), trial)
-            for p in primes for trial in range(trials)]
-    _sweep_runs(A, runs, order)
+    runs = [_Run(p, trial) for p in primes for trial in range(trials)]
+    _sweep_runs(A, runs, seed, max(A.n_z - 1, 1))
     return runs
 
 
 def _eager_rows(A, run, k):
     """output_jacobian of the run's point solved to order k, input jets
     truncated to order k."""
-    p = run.cfg.prime
-    u_k = [TruncSeries(u.coeffs[:k + 1], p) for u in run.u_series]
+    p = run.prime
+    u_k = [TruncSeries(u[:k + 1], p) for u in run.u_jets]
     return output_jacobian(series_solve(A, run.z0, u_k, k, p), A)
 
 
@@ -288,7 +273,7 @@ def test_incremental_blocks_match_eager_route(corpus_entries):
                 assert run.attempt == 0 and len(run.rows) % m == 0, e.name
                 for k in range(len(run.rows) // m):
                     assert run.rows[:(k + 1) * m] == _eager_rows(A, run, k), \
-                        (e.name, seed, run.cfg.prime, run.trial, k)
+                        (e.name, seed, run.prime, run.trial, k)
 
 
 def test_blocks_match_eager_route_at_largest_prime():
@@ -314,10 +299,10 @@ def _vanishing_draw(monkeypatch, target, attempts):
     x1 = -k2, a zero of the denominator x1 + k2, at the given attempts."""
     real = ffprob._draw_trial
 
-    def draw(A, cfg, trial, attempt):
-        z0, u = real(A, cfg, trial, attempt)
-        if (cfg.prime, trial) == target and attempt in attempts:
-            z0[0] = -z0[3] % cfg.prime
+    def draw(A, seed, p, order, trial, attempt):
+        z0, u = real(A, seed, p, order, trial, attempt)
+        if (p, trial) == target and attempt in attempts:
+            z0[0] = -z0[3] % p
         return z0, u
 
     monkeypatch.setattr(ffprob, "_draw_trial", draw)
@@ -333,12 +318,12 @@ def test_restart_moves_only_the_failing_run(monkeypatch):
     forced = _batch(A, DEFAULT_PRIMES, 2, 0)
     for before, run in zip(plain, forced):
         assert before.attempt == 0
-        if (run.cfg.prime, run.trial) != target:
+        if (run.prime, run.trial) != target:
             assert (run.attempt, run.z0, run.rows, run.stop) == \
                 (0, before.z0, before.rows, before.stop)
             continue
         assert run.attempt == 1
-        assert (run.z0, run.u_series) == real(A, run.cfg, run.trial, 1)
+        assert (run.z0, run.u_jets) == real(A, 0, run.prime, max(A.n_z - 1, 1), run.trial, 1)
         assert run.z0 != before.z0
         for k in range(len(run.rows) // m):
             assert run.rows[:(k + 1) * m] == _eager_rows(A, run, k), k
@@ -347,7 +332,7 @@ def test_restart_moves_only_the_failing_run(monkeypatch):
 def test_restarts_exhausted(monkeypatch):
     A = augment(parse_model(RECIP))
     target = (DEFAULT_PRIMES[2], 0)
-    _vanishing_draw(monkeypatch, target, set(range(ffprob.DEFAULT_RETRIES)))
+    _vanishing_draw(monkeypatch, target, set(range(ffprob.RETRIES)))
     with pytest.raises(RetriesExhausted, match=rf"mod {target[0]}: denominator"):
         _batch(A, DEFAULT_PRIMES, 2, 0)
 
@@ -437,3 +422,25 @@ def test_prime_trap_single_prime_underreports_rank():
     assert default.rank == 2
     assert default.per_prime_ranks[str(P)] == [0, 0]
     assert default.verdicts == {"x": "observable", "th": "SLI"}
+
+
+# --------------------------------------------------------------------------
+# engine independence
+# --------------------------------------------------------------------------
+
+def _imported_modules(module) -> set[str]:
+    """Last dotted component of every module the source of ``module``
+    imports, or imports names from."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(a.name for a in node.names)  # from . import lie_orc
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+    return {n.rsplit(".", 1)[-1] for n in names}
+
+
+def test_engines_import_nothing_from_each_other():
+    assert "lie_orc" not in _imported_modules(ffprob)
+    assert "ffprob" not in _imported_modules(lie_orc)

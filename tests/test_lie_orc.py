@@ -1,5 +1,12 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import identiscope
 from identiscope import symexpr as sx
 from identiscope import lie_orc
 from identiscope._linalg import MAX_PRIME, rank_mod_p
@@ -265,7 +272,7 @@ def test_saturation_rank_stable_two_extra_levels():
         cache = LieCache(A)
         for extra in (1, 2):
             n = (k_stop + extra + 1) * len(A.outputs)
-            assert max(rank_mod_p(cache.numeric_rows(n, trial, 0, P, 25)[0], P)
+            assert max(rank_mod_p(cache.numeric_rows(n, trial, 0, P)[0], P)
                        for trial in range(3)) == rep.rank
 
 
@@ -379,7 +386,7 @@ def test_sweep_rows_match_symbolic_rows_on_corpus(corpus_entries, reports_by_key
         if entry.name == "a_thaliana":
             levels = min(levels, 9)
         for k in range(levels):
-            got, used = cache.numeric_rows((k + 1) * len(A.outputs), 0, 0, P, 25)
+            got, used = cache.numeric_rows((k + 1) * len(A.outputs), 0, 0, P)
             pt = cache._points[(0, 0, P)]
             if ref is None or ref.attempt != pt.attempt:
                 ref, expected = _TrialPoint(0, 0, pt.attempt, P), []
@@ -412,8 +419,8 @@ def _check_restarts(name, p, seed):
         rows = _gradient_matrix(cache, k)
         numeric = []
         for trial in range(trials):
-            got, used = cache.numeric_rows(len(rows), trial, seed, p, 25)
-            for attempt in range(25):
+            got, used = cache.numeric_rows(len(rows), trial, seed, p)
+            for attempt in range(lie_orc.RETRIES):
                 ref = _TrialPoint(seed, trial, attempt, p)
                 try:
                     want = [_eval_row(row, ref) for row in rows]
@@ -449,10 +456,10 @@ def test_restart_of_one_trial_leaves_the_others_alone():
     alone = [LieCache(A) for _ in range(trials)]
     for k in range(levels):
         n = (k + 1) * m
-        points = batch.trial_points(n, range(trials), seed, p, 25)
+        points = batch.trial_points(n, range(trials), seed, p)
         rows = _gradient_matrix(batch, k)
         for trial, pt in enumerate(points):
-            got, used = alone[trial].numeric_rows(n, trial, seed, p, 25)
+            got, used = alone[trial].numeric_rows(n, trial, seed, p)
             assert (pt.rows[:n], pt.used[n - 1]) == (got, used), (k, trial)
             for attempt in range(pt.attempt + 1):
                 try:
@@ -485,7 +492,7 @@ def test_tangents_are_reused_across_levels(monkeypatch):
     m, trials = len(A.outputs), range(3)
     dependent = set()
     for k in range(6):
-        points = cache.trial_points((k + 1) * m, trials, 0, P, 25)
+        points = cache.trial_points((k + 1) * m, trials, 0, P)
         assert [pt.attempt for pt in points] == [0, 0, 0]
         stack = list(cache.lies[k])
         while stack:
@@ -499,3 +506,43 @@ def test_tangents_are_reused_across_levels(monkeypatch):
         memo = cache._tangents[(tuple(trials), 0, P)].memo
         assert set(memo) == dependent, k
         assert len(formed) == len(dependent), k
+
+
+def _chain_model(n: int) -> str:
+    """Catenary linear compartment model: n compartments in a row, input,
+    output and leak in compartment 1 (n_z = 3n - 1)."""
+    lines = [f"model chain{n}", "states " + " ".join(f"x{i}" for i in range(1, n + 1)),
+             "params k0 " + " ".join(f"a{i} b{i}" for i in range(1, n)), "inputs u"]
+    for i in range(1, n + 1):
+        rhs = []
+        if i > 1:
+            rhs.append(f"a{i - 1}*x{i - 1} - b{i - 1}*x{i}")
+        if i < n:
+            rhs.append(f"b{i}*x{i + 1} - a{i}*x{i}")
+        if i == 1:
+            rhs.append("u - k0*x1")
+        lines.append(f"ddt x{i} = " + " + ".join(rhs))
+    lines.append("output y = x1")
+    return "\n".join(lines) + "\n"
+
+
+def test_default_recursion_limit_suffices(tmp_path):
+    """Importing identiscope leaves the recursion limit alone, and the
+    symbolic engine decides a 30-compartment chain (n_z = 89) at the
+    interpreter's default limit."""
+    path = tmp_path / "chain30.idm"
+    path.write_text(_chain_model(30))
+    script = (
+        "import json, sys\n"
+        "before = sys.getrecursionlimit()\n"
+        "import identiscope\n"
+        "rep = identiscope.analyze_symbolic(identiscope.load_model(sys.argv[1]))\n"
+        "print(json.dumps([before, sys.getrecursionlimit(), rep.status, rep.rank, rep.n_z]))\n"
+    )
+    src = str(Path(identiscope.__file__).resolve().parents[1])
+    res = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert res.returncode == 0, res.stderr
+    before, after, status, rank, n_z = json.loads(res.stdout)
+    assert after == before
+    assert (status, rank, n_z) == ("ok", 89, 89)
