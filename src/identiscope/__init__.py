@@ -64,7 +64,6 @@ from .symexpr import (
     free_symbols,
     is_rational_expr,
     simplify,
-    substitute,
     to_string,
 )
 
@@ -80,6 +79,5 @@ __all__ = [
     "analyze_ffprob", "analyze_symbolic", "augment", "cross_check_lie",
     "differentiate", "eval_mod_p", "eval_rational", "extended_lie_derivative",
     "free_symbols", "is_rational_expr", "load_model", "output_jacobian",
-    "parse_model", "print_model", "series_solve", "simplify", "substitute",
-    "to_string",
+    "parse_model", "print_model", "series_solve", "simplify", "to_string",
 ]

@@ -1,4 +1,5 @@
-"""Exact Gaussian elimination over prime fields.
+"""Exact Gaussian elimination over prime fields, and the primality test
+for their moduli.
 
 Matrices are kept in int64 numpy arrays.  With p bounded by sqrt(2^63) the
 rank-1 update ``row_i - f * row_r`` cannot overflow, and a block update
@@ -14,6 +15,39 @@ import numpy as np
 
 # (p-1)^2 plus one subtraction must fit in a signed 64-bit integer.
 MAX_PRIME = math.isqrt(2**63 - 1) - 1
+
+
+# The least odd composite that passes Miller-Rabin to bases 2, 3, 5 and 7.
+_MR_BOUND = 3_215_031_751
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, for n below 3,215,031,751 (above MAX_PRIME).
+
+    Deterministic Miller-Rabin with bases 2, 3, 5 and 7, which no composite
+    below that bound passes.
+    """
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is exact only below {_MR_BOUND}, got {n}")
+    if n < 2:
+        return False
+    for b in (2, 3, 5, 7):
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in (2, 3, 5, 7):
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _check_modulus(p: int) -> None:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import _rng
 from . import symexpr as sx
-from ._linalg import MAX_PRIME
+from ._linalg import MAX_PRIME, is_prime
 from .errors import (DivisionByZeroModP, EngineTimeout, IdentiscopeError, NonRationalExpr,
                      RetriesExhausted)
 from .ffprob import (DEFAULT_PRIMES, MIN_PRIME, RETRIES, FfprobOptions, TruncSeries,
@@ -185,14 +185,10 @@ def load_corpus(directory=None) -> list[CorpusEntry]:
     return entries
 
 
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
-
 def check_prime(p: int) -> None:
     """Raise ValueError naming p unless it is a prime in (2^20, MAX_PRIME],
     the fields both engines accept."""
-    if not (MIN_PRIME < p <= MAX_PRIME and _is_prime(p)):
+    if not (MIN_PRIME < p <= MAX_PRIME and is_prime(p)):
         raise ValueError(f"{p} is not a prime in (2^20, {MAX_PRIME}]")
 
 

@@ -86,9 +86,6 @@ class TruncSeries:
         return (isinstance(other, TruncSeries) and self.p == other.p
                 and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.coeffs, self.p))
-
     def __repr__(self):
         return f"TruncSeries({list(self.coeffs)}, p={self.p})"
 
@@ -96,17 +93,6 @@ class TruncSeries:
         self._align(other)
         p = self.p
         return TruncSeries([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)], p)
-
-    def __sub__(self, other):
-        self._align(other)
-        p = self.p
-        return TruncSeries([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)], p)
-
-    def __neg__(self):
-        return TruncSeries([-a % self.p for a in self.coeffs], self.p)
-
-    def scale(self, k: int) -> "TruncSeries":
-        return TruncSeries([a * k % self.p for a in self.coeffs], self.p)
 
     def __mul__(self, other):
         self._align(other)
@@ -616,6 +602,8 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
             raise ValueError(f"prime must exceed 2^20, got {p}")
         if p > _linalg.MAX_PRIME:
             raise ValueError(f"prime must not exceed {_linalg.MAX_PRIME}")
+        if not _linalg.is_prime(p):
+            raise ValueError(f"prime {p} is composite")
     if opts.order is not None and opts.order < 1:
         raise ValueError("truncation order must be >= 1")
     A = augment(md)

@@ -3,18 +3,19 @@
 Builds the extended Lie derivatives of the outputs along the augmented
 vector field symbolically, level by level: each level is one memoized
 directional walk over the level below, and the walks of one analysis share
-their memo.  The rows of the observability-identifiability matrix are
-their gradients with respect to z, evaluated numerically by forward
-tangents mod p: every z-dependent node of the Lie DAG gets one int64
-tangent d node/dz per random point, formed once from its children's
-tangents and batched over the trials, so each level computes only the
-tangents of the nodes it adds.  Each product of two residues is reduced
-before it is summed, which keeps the arithmetic exact for p up to
-``_linalg.MAX_PRIME``.  Each trial keeps one reduced echelon form over the
-prime field and extends it with every level's new rows; the matrix's
-generic rank is the largest trial rank, and each augmented-state entry is
-classified from the echelon forms with the column-deletion test.
-Symbolic gradient rows are built only on request
+their memo (``LieCache``).  The rows of the observability-identifiability
+matrix are their gradients with respect to z, evaluated numerically by
+forward tangents mod p at one batch of random points per analysis
+(``_Trials``): every z-dependent node of the Lie DAG gets one int64
+tangent d node/dz per point, formed once from its children's tangents and
+batched over the trials, so each level computes only the tangents of the
+nodes it adds.  Each product of two residues is reduced before it is
+summed, which keeps the arithmetic exact for p up to
+``_linalg.MAX_PRIME``.  Each trial's point keeps one reduced echelon form
+over the prime field, which the batch extends with every level's new rows;
+the matrix's generic rank is the largest trial rank, and each
+augmented-state entry is classified from the echelon forms with the
+column-deletion test.  Symbolic gradient rows are built only on request
 (``LieCache.gradient_rows``).
 
 Unlike purely symbolic rank computation, the rank step specializes every
@@ -57,23 +58,26 @@ class SymbolicOptions:
     deadline: float | None = None  # absolute time.monotonic() bound
 
 
-class _TrialPoint:
-    """One random point of a trial, drawn lazily.
+class _TrialPoint(dict):
+    """One random point of a trial: symbol -> residue, each drawn on first
+    lookup from the point's tag.
 
-    Holds the residue of each symbol, the transcendental table, one memo of
-    node values shared by every row, the numeric rows evaluated at this
-    point so far with, per row, whether the table was in use after it, and
-    the echelon form ``analyze_symbolic`` extends with those rows.
+    Also holds the transcendental table, one memo of node values shared by
+    every row, the numeric rows evaluated at this point so far, and the
+    echelon form of those rows that ``_Trials.grow`` extends.
     """
 
-    def __init__(self, seed: int, trial: int, attempt: int, p: int):
+    def __init__(self, seed: int, trial: int, attempt: int, p: int, n_z: int):
+        super().__init__()
         self.seed, self.trial, self.attempt, self.p = seed, trial, attempt, p
-        self.point = _Point(("sym", seed, trial, attempt), p)
         self.table: dict[bytes, int] = {}
         self.memo: dict[Expr, int] = {}
         self.rows: list[list[int]] = []
-        self.used: list[bool] = []
-        self.echelon: _linalg.Echelon | None = None
+        self.echelon = _linalg.Echelon(n_z, p)
+
+    def __missing__(self, s: Symbol) -> int:
+        v = self[s] = _rng.residue(("sym", self.seed, self.trial, self.attempt, s.name), self.p)
+        return v
 
     def transc(self, node: Expr) -> int:
         key = node.shash
@@ -86,37 +90,22 @@ class _TrialPoint:
     def value(self, node: Expr) -> int:
         v = self.memo.get(node)
         if v is None:
-            v = sx.eval_mod_p(node, self.point, self.p, transcendental=self.transc,
-                              _memo=self.memo)
-        return v
-
-
-class _Point(dict):
-    """Symbol -> residue, each drawn on first lookup from the point's tag."""
-
-    def __init__(self, tag: tuple, p: int):
-        super().__init__()
-        self.tag, self.p = tag, p
-
-    def __missing__(self, s: Symbol) -> int:
-        v = self[s] = _rng.residue(self.tag + (s.name,), self.p)
+            v = sx.eval_mod_p(node, self, self.p, transcendental=self.transc, _memo=self.memo)
         return v
 
 
 class LieCache:
-    """Per-analysis cache of Lie derivatives and their numeric gradient rows.
+    """Per-analysis cache of the extended Lie derivatives.
 
     Level k+1 of each output is derived from the cached level k by one
     memoized walk along the augmented field.  The walks of every level share
     one memo of node derivatives, so each level reuses the derivatives of
-    the subtrees it shares with the level below.  Numeric rows come from
-    forward tangents kept per batch of trials (see ``_Tangents``): every
-    z-dependent node of the Lie DAG gets its tangent once per point, so each
-    level computes only the tangents of the nodes it adds.  The symbolic
-    gradient rows, which the engine never needs, are built only when
-    ``LieCache.gradient_rows`` is called.  The optional deadline is checked
-    between per-output derivations and between rows so oversized models hit
-    their wall-clock bound promptly.
+    the subtrees it shares with the level below.  The cache holds no random
+    point: the numeric rows belong to the analysis's one ``_Trials`` batch.
+    The symbolic gradient rows, which the engine never needs, are built only
+    when ``LieCache.gradient_rows`` is called.  The optional deadline is
+    checked between per-output derivations so oversized models hit their
+    wall-clock bound promptly.
     """
 
     def __init__(self, A: AugmentedSystem, deadline: float | None = None):
@@ -125,8 +114,6 @@ class LieCache:
         self.lies: list[list[Expr]] = [list(A.outputs)]
         self.grads: list[list[list[Expr]]] = []
         self._derivs: dict[Expr, Expr] = {}
-        self._points: dict[tuple[int, int, int], _TrialPoint] = {}
-        self._tangents: dict[tuple[tuple[int, ...], int, int], _Tangents] = {}
 
     def ensure_level(self, k: int):
         while len(self.lies) <= k:
@@ -147,87 +134,86 @@ class LieCache:
             self.grads.append(rows)
         return self.grads[k]
 
-    def numeric_rows(self, n: int, trial: int, seed: int,
-                     p: int) -> tuple[list[list[int]], bool]:
-        """The first n gradient rows at the trial's random point, and whether
-        the transcendental table was in use (see ``trial_points``)."""
-        pt, = self.trial_points(n, (trial,), seed, p)
-        return pt.rows[:n], n > 0 and pt.used[n - 1]
 
-    def trial_points(self, n: int, trials: Iterable[int], seed: int,
-                     p: int) -> list[_TrialPoint]:
-        """The current point of each listed trial, holding at least its
-        first n gradient rows, evaluated together by one tangent pass.
+class _Trials:
+    """The numeric side of one analysis: a batch of trial points, the
+    forward tangents at them, and the restarts after a vanishing
+    denominator.
+
+    ``points`` holds each live trial's current point, ``memo`` maps every
+    z-dependent node of the rows evaluated so far to an int64 array of
+    shape (live trials, n_z): d node/dz at each point, and ``n_rows``
+    counts the rows that the memo covers.  A node's tangent is formed once,
+    from its children's tangents, so a row computes only the tangents of
+    nodes that no earlier row reached.  The coefficient multiplying a
+    child's tangent is read per trial through ``_TrialPoint.value``, and
+    each node reads exactly the values that its symbolic derivative
+    contains: the siblings of a z-dependent factor, the base of a power, the
+    argument of ln, and the table entries of exp(a), cos(a) and sin(a) for
+    exp, sin and cos nodes.  So a vanishing denominator raises
+    DivisionByZeroModP, and the transcendental table fills, as evaluating
+    ``differentiate(phi, z_j)`` would.  Products use prefix and suffix
+    products, never an inverse, so a factor that is 0 mod p is fine.  Every
+    product of two residues is reduced mod p before it is summed, which
+    keeps int64 exact for p <= ``_linalg.MAX_PRIME``.
+    """
+
+    def __init__(self, cache: LieCache, trials: Iterable[int], seed: int, p: int):
+        self.cache, self.seed, self.p = cache, seed, p
+        self.index = cache.A.index
+        self.zset = frozenset(self.index)
+        self.units = np.eye(len(self.index), dtype=np.int64)
+        self.points = [_TrialPoint(seed, t, 0, p, cache.A.n_z) for t in trials]
+        self.memo: dict[Expr, np.ndarray] = {}
+        self.n_rows = 0
+
+    def grow(self, n: int) -> list[_TrialPoint]:
+        """Bring every trial's point to its first n gradient rows and extend
+        each point's echelon form with the rows it gained; returns the points.
 
         A vanishing denominator moves only the trial that meets it to its
-        next attempt, where every row is evaluated again; the batch's
-        tangents are then rebuilt.  The smallest attempt whose point
-        evaluates rows 0..k can only grow with k, so each trial gets the rows
-        of the smallest attempt that evaluates all n of them.  A trial that
-        runs out of its ``RETRIES`` attempts leaves the batch, and once the
-        others hold n rows the lowest such trial raises RetriesExhausted.
+        next attempt, where every row is evaluated again and a new echelon
+        form starts; the batch's tangents are then rebuilt.  The smallest
+        attempt whose point evaluates rows 0..k can only grow with k, so each
+        trial gets the rows of the smallest attempt that evaluates all n of
+        them.  A trial that runs out of its ``RETRIES`` attempts leaves the
+        batch, and once the others hold n rows the lowest such trial raises
+        RetriesExhausted.
         """
-        trials = tuple(trials)
-        m = len(self.A.outputs)
+        cache, p = self.cache, self.p
+        m = len(cache.A.outputs)
+        held = {pt.trial: len(pt.rows) for pt in self.points}
         failed: dict[int, RetriesExhausted] = {}
-        while True:
-            live = [t for t in trials if t not in failed]
-            points = [self._point(t, seed, p) for t in live]
-            tg = self._tangents.get((trials, seed, p))
-            if tg is None or tg.points != points:  # _TrialPoints compare by identity
-                tg = self._tangents[(trials, seed, p)] = _Tangents(points, self.A.index, p)
-            if all(len(pt.rows) >= n for pt in points):
-                break
-            level, i = divmod(tg.n_rows, m)
-            self.ensure_level(level)
-            check_deadline(self.deadline)
-            for pos, exc in tg.extend(self.lies[level][i]):
-                t, pt = live[pos], points[pos]
+        while any(len(pt.rows) < n for pt in self.points):
+            level, i = divmod(self.n_rows, m)
+            cache.ensure_level(level)
+            check_deadline(cache.deadline)
+            errors = self.extend(cache.lies[level][i])
+            if not errors:
+                continue
+            points = self.points[:]
+            for pos, exc in errors:
+                pt = points[pos]
                 if pt.attempt + 1 >= RETRIES:
                     err = RetriesExhausted(
                         f"all {RETRIES} evaluation points hit a vanishing denominator "
                         f"mod {p} (model degenerate at this prime, or prime too small): "
                         f"{exc}")
                     err.__cause__ = exc
-                    failed[t] = err
+                    failed[pt.trial] = err
+                    points[pos] = None
                 else:
-                    self._points[(t, seed, p)] = _TrialPoint(seed, t, pt.attempt + 1, p)
+                    points[pos] = _TrialPoint(self.seed, pt.trial, pt.attempt + 1, p,
+                                              cache.A.n_z)
+                    held[pt.trial] = 0
+            self.points = [pt for pt in points if pt is not None]
+            self.memo, self.n_rows = {}, 0
         if failed:
             raise failed[min(failed)]
-        return points
-
-    def _point(self, trial: int, seed: int, p: int) -> _TrialPoint:
-        pt = self._points.get((trial, seed, p))
-        if pt is None:
-            pt = self._points[(trial, seed, p)] = _TrialPoint(seed, trial, 0, p)
-        return pt
-
-
-class _Tangents:
-    """Forward tangents mod p at a batch of trial points.
-
-    ``memo`` maps every z-dependent node of the rows evaluated so far to an
-    int64 array of shape (trials, n_z): d node/dz at each trial's point.  A
-    node's tangent is formed once, from its children's tangents, so a row
-    computes only the tangents of nodes that no earlier row reached.  The
-    coefficient multiplying a child's tangent is read per trial through
-    ``_TrialPoint.value``, and each node reads exactly the values that its
-    symbolic derivative contains: the siblings of a z-dependent factor, the
-    base of a power, the argument of ln, and the table entries of exp(a),
-    cos(a) and sin(a) for exp, sin and cos nodes.  So a vanishing
-    denominator raises DivisionByZeroModP, and the transcendental table
-    fills, as evaluating ``differentiate(phi, z_j)`` would.  Products use
-    prefix and suffix products, never an inverse, so a factor that is 0 mod
-    p is fine.  Every product of two residues is reduced mod p before it is
-    summed, which keeps int64 exact for p <= ``_linalg.MAX_PRIME``.
-    """
-
-    def __init__(self, points: list[_TrialPoint], index: dict[Symbol, int], p: int):
-        self.points, self.index, self.p = points, index, p
-        self.zset = frozenset(index)
-        self.units = np.eye(len(index), dtype=np.int64)
-        self.memo: dict[Expr, np.ndarray] = {}
-        self.n_rows = 0
+        for pt in self.points:
+            if len(pt.rows) > held[pt.trial]:
+                pt.echelon.extend(pt.rows[held[pt.trial]:])
+        return self.points
 
     def extend(self, phi: Expr) -> list[tuple[int, DivisionByZeroModP]]:
         """Evaluate the next row, dphi/dz, at every point of the batch.
@@ -270,7 +256,6 @@ class _Tangents:
         for pos, pt in enumerate(self.points):
             if len(pt.rows) == self.n_rows:
                 pt.rows.append([0] * len(self.index) if row is None else row[pos].tolist())
-                pt.used.append(bool(pt.table))
         self.n_rows += 1
         return []
 
@@ -425,37 +410,34 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     """Full observability/identifiability analysis via the rank condition.
 
     Levels are added until the matrix reaches full rank n_z, the rank stops
-    increasing (saturation), or max_level (default n_z - 1) is hit.  Each
-    level extends every trial's echelon form with the level's new rows; a
-    trial that restarts at a new point starts a new echelon form from all
-    its rows.  The level's rank is the largest trial rank.  Entry j is
-    observable/identifiable when its column is independent of the others
-    (deleting it drops the rank to r-1) in every trial that reaches the
-    final rank r; otherwise it lies in the span of the others.
+    increasing (saturation), or max_level (default n_z - 1) is hit.  One
+    ``_Trials`` batch evaluates the rows of every trial and extends each
+    trial's echelon form with them; a trial that restarts at a new point
+    starts a new echelon form from all its rows.  The level's rank is the
+    largest trial rank.  Entry j is observable/identifiable when its column
+    is independent of the others (deleting it drops the rank to r-1) in
+    every trial that reaches the final rank r; otherwise it lies in the span
+    of the others.
     """
     opts = opts or SymbolicOptions()
     if opts.trials < 1:
         raise ValueError("trials must be >= 1")
     if not 2 <= opts.prime <= _linalg.MAX_PRIME:
         raise ValueError(f"prime must be in [2, {_linalg.MAX_PRIME}]")
+    if not _linalg.is_prime(opts.prime):
+        raise ValueError(f"prime {opts.prime} is composite")
     t0 = time.perf_counter()
     A = augment(md)
     n_z, m = A.n_z, len(A.outputs)
     max_level = opts.max_level if opts.max_level is not None else max(n_z - 1, 0)
-    cache = LieCache(A, deadline=opts.deadline)
+    batch = _Trials(LieCache(A, deadline=opts.deadline), range(opts.trials),
+                    opts.seed, opts.prime)
 
     ranks: list[int] = []
     stop = "max_level"
     for k in range(max_level + 1):
         check_deadline(opts.deadline)
-        n = (k + 1) * m
-        points = cache.trial_points(n, range(opts.trials), opts.seed, opts.prime)
-        for pt in points:
-            if pt.echelon is None:  # the trial's first point, or a restart's
-                pt.echelon = _linalg.Echelon(n_z, opts.prime)
-                pt.echelon.extend(pt.rows[:n])
-            else:
-                pt.echelon.extend(pt.rows[n - m:n])
+        points = batch.grow((k + 1) * m)
         r = max(pt.echelon.rank for pt in points)
         ranks.append(r)
         if r == n_z:
@@ -473,7 +455,7 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
             identifiable = [a and b for a, b in zip(identifiable, flags)]
 
     warnings = []
-    if any(pt.used[n - 1] for pt in points):
+    if any(pt.table for pt in points):
         warnings.append(
             "transcendental subterms were replaced by independent symbols; "
             "rank may be overestimated if they are algebraically dependent")

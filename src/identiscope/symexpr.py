@@ -583,7 +583,7 @@ def first_transcendental(e: Expr) -> Expr | None:
 
 
 # --------------------------------------------------------------------------
-# Differentiation and substitution
+# Differentiation
 # --------------------------------------------------------------------------
 
 def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr]) -> Expr:
@@ -641,37 +641,6 @@ def differentiate(e: Expr, s: Symbol) -> Expr:
     All other symbols are treated as independent.  The result is canonical.
     """
     return derivative(e, lambda x: ONE if x == s else ZERO, {})
-
-
-def substitute(e: Expr, bindings: dict[Symbol, Expr]) -> Expr:
-    """Simultaneous substitution of symbols, followed by simplification.
-
-    May raise DivisionByZero if a substituted value annihilates a
-    denominator (e.g. substituting x -> 0 into 1/x).
-    """
-    repl = {s: _canon(_coerce(v)) for s, v in bindings.items()}
-    memo: dict[Expr, Expr] = {}
-
-    def walk(node: Expr) -> Expr:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            out = node
-        elif isinstance(node, Sym):
-            out = repl.get(node.symbol, node)
-        elif isinstance(node, Add):
-            out = add(*(walk(t) for t in node.terms))
-        elif isinstance(node, Mul):
-            out = mul(*(walk(f) for f in node.factors))
-        elif isinstance(node, Pow):
-            out = pow_(walk(node.base), node.exponent)
-        else:
-            out = func(node.fname, walk(node.arg))
-        memo[node] = out
-        return out
-
-    return walk(_canon(_coerce(e)))
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from identiscope.ffprob import (
     output_jacobian,
     series_solve,
 )
-from identiscope.lie_orc import LieCache, analyze_symbolic
+from identiscope.lie_orc import LieCache, _Trials, analyze_symbolic
 from identiscope._linalg import rank_mod_p
 from identiscope.model import augment, load_model, parse_model, print_model
 from oracles import check_residuals, deleted_column_ranks
@@ -195,7 +195,7 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
         else:
             rep = reports_by_key[(e.name, "symbolic")]
             n = len(rep.ranks_by_level) * len(A.outputs)
-            numeric, _ = LieCache(A).numeric_rows(n, 0, 0, P)
+            numeric = _Trials(LieCache(A), (0,), 0, P).grow(n)[0].rows
         r = rank_mod_p(numeric, P)
         for j, rj in enumerate(deleted_column_ranks(numeric, P)):
             if rj not in (r - 1, r):

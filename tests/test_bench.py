@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import identiscope
 from identiscope import bench
 from identiscope.bench import (
     BenchOptions,
@@ -19,6 +20,12 @@ from identiscope.bench import (
 )
 from identiscope.model import load_model
 from identiscope.report import AnalysisReport
+
+
+def test_public_names_resolve_without_duplicates():
+    assert len(set(identiscope.__all__)) == len(identiscope.__all__)
+    for name in identiscope.__all__:
+        assert hasattr(identiscope, name), name
 
 
 def test_corpus_has_25_entries(corpus_entries):

@@ -92,6 +92,12 @@ def test_trial_config_rejects_small_and_huge_primes(monkeypatch):
         analyze_ffprob(md, FfprobOptions(primes=(P,), order=3))
 
 
+def test_composite_prime_rejected_before_augment(monkeypatch):
+    _forbid_augment(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^prime {2**21} is composite$"):
+        analyze_ffprob(parse_model(DECAY), FfprobOptions(primes=(2**21,), order=3))
+
+
 def test_analyze_rejects_order_below_one_before_augment(monkeypatch):
     _forbid_augment(monkeypatch)
     with pytest.raises(ValueError, match=r"^truncation order must be >= 1$"):

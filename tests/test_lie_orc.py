@@ -15,8 +15,8 @@ from identiscope.errors import DivisionByZeroModP, RetriesExhausted
 from identiscope.lie_orc import (
     LieCache,
     SymbolicOptions,
-    _Tangents,
     _TrialPoint,
+    _Trials,
     analyze_symbolic,
     extended_lie_derivative,
 )
@@ -179,6 +179,15 @@ def test_prime_out_of_range_rejected_before_any_work(prime, monkeypatch):
         analyze_symbolic(parse_model(DECAY), SymbolicOptions(prime=prime))
 
 
+def test_composite_prime_rejected_before_any_work(monkeypatch):
+    def no_work(md):
+        raise AssertionError("augment ran before the prime was checked")
+
+    monkeypatch.setattr(lie_orc, "augment", no_work)
+    with pytest.raises(ValueError, match=rf"^prime {3 * 1000003} is composite$"):
+        analyze_symbolic(parse_model(DECAY), SymbolicOptions(prime=3 * 1000003))
+
+
 def test_rank_zero_matrix():
     src = "model m\nstates x\nddt x = -x\noutput y = 7\n"
     rep = analyze_symbolic(parse_model(src), SymbolicOptions(trials=2, max_level=1))
@@ -269,11 +278,10 @@ def test_saturation_rank_stable_two_extra_levels():
         if rep.stop_reason != "saturation":
             continue
         k_stop = len(rep.ranks_by_level) - 1
-        cache = LieCache(A)
+        batch = _Trials(LieCache(A), range(3), 0, P)
         for extra in (1, 2):
             n = (k_stop + extra + 1) * len(A.outputs)
-            assert max(rank_mod_p(cache.numeric_rows(n, trial, 0, P)[0], P)
-                       for trial in range(3)) == rep.rank
+            assert max(rank_mod_p(pt.rows, P) for pt in batch.grow(n)) == rep.rank
 
 
 def test_determinism_identical_reports():
@@ -308,8 +316,11 @@ INDEX = {s: j for j, s in enumerate(Z)}
 x, y, th = (sx.sym(s) for s in Z)
 
 
+XYTH = _aug("model xyth\nstates x y\nparams th\nddt x = -th*x\nddt y = x\noutput o = x\n")
+
+
 def _eval_row(row, ref: _TrialPoint):
-    return [sx.eval_mod_p(e, ref.point, ref.p, transcendental=ref.transc, _memo=ref.memo)
+    return [sx.eval_mod_p(e, ref, ref.p, transcendental=ref.transc, _memo=ref.memo)
             for e in row]
 
 
@@ -319,14 +330,17 @@ def _symbolic_row(phi, ref: _TrialPoint):
 
 def _tangent_row(phi, pt: _TrialPoint):
     # dphi/dz at pt's point by the engine's forward tangent pass.
-    failed = _Tangents([pt], INDEX, P).extend(phi)
+    batch = _Trials(LieCache(XYTH), (pt.trial,), pt.seed, pt.p)
+    assert batch.index == INDEX
+    batch.points = [pt]
+    failed = batch.extend(phi)
     if failed:
         raise failed[0][1]
     return pt.rows[-1]
 
 
 def _assert_sweep_matches(phi):
-    pt, ref = _TrialPoint(0, 0, 0, P), _TrialPoint(0, 0, 0, P)
+    pt, ref = _TrialPoint(0, 0, 0, P, len(Z)), _TrialPoint(0, 0, 0, P, len(Z))
     assert _tangent_row(phi, pt) == _symbolic_row(phi, ref)
     assert pt.table.keys() == ref.table.keys()
 
@@ -351,11 +365,11 @@ def test_grad_row_shared_subtree():
 
 
 def test_grad_row_product_with_a_zero_factor():
-    vy = _TrialPoint(0, 0, 0, P).point[Y]
+    vy = _TrialPoint(0, 0, 0, P, len(Z))[Y]
     zero = y - vy  # 0 mod P at the point
     phi = x * zero * th * (x + th) + zero * sx.sin(x * th)
     _assert_sweep_matches(phi)
-    row = _tangent_row(phi, _TrialPoint(0, 0, 0, P))
+    row = _tangent_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
     assert row[0] == 0 and row[2] == 0 and row[1] != 0
 
 
@@ -364,11 +378,11 @@ def test_grad_row_product_with_a_zero_factor():
     lambda zero: x * sx.ln(zero),
 ], ids=["negative-power", "ln"])
 def test_grad_row_vanishing_denominator_raises(vanishing):
-    phi = vanishing(y - _TrialPoint(0, 0, 0, P).point[Y])
+    phi = vanishing(y - _TrialPoint(0, 0, 0, P, len(Z))[Y])
     with pytest.raises(DivisionByZeroModP):
-        _tangent_row(phi, _TrialPoint(0, 0, 0, P))
+        _tangent_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
     with pytest.raises(DivisionByZeroModP):
-        _symbolic_row(phi, _TrialPoint(0, 0, 0, P))
+        _symbolic_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
 
 
 def test_sweep_rows_match_symbolic_rows_on_corpus(corpus_entries, reports_by_key):
@@ -381,15 +395,16 @@ def test_sweep_rows_match_symbolic_rows_on_corpus(corpus_entries, reports_by_key
     for entry in corpus_entries:
         A = augment(load_model(entry.path))
         cache = LieCache(A)
+        batch = _Trials(cache, (0,), 0, P)
         ref, expected = None, []
         levels = len(reports_by_key[(entry.name, "symbolic")].ranks_by_level)
         if entry.name == "a_thaliana":
             levels = min(levels, 9)
         for k in range(levels):
-            got, used = cache.numeric_rows((k + 1) * len(A.outputs), 0, 0, P)
-            pt = cache._points[(0, 0, P)]
+            pt, = batch.grow((k + 1) * len(A.outputs))
+            got, used = pt.rows, bool(pt.table)
             if ref is None or ref.attempt != pt.attempt:
-                ref, expected = _TrialPoint(0, 0, pt.attempt, P), []
+                ref, expected = _TrialPoint(0, 0, pt.attempt, P, A.n_z), []
             expected += [_eval_row(row, ref)
                          for row in _gradient_matrix(cache, k)[len(expected):]]
             assert got == expected, (entry.name, k)
@@ -414,14 +429,16 @@ def _check_restarts(name, p, seed):
     A = augment(md)
     rep = analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed, trials=trials))
     cache = LieCache(A)
+    alone = [_Trials(cache, (trial,), seed, p) for trial in range(trials)]
     restarted = False
     for k in range(len(rep.ranks_by_level)):
         rows = _gradient_matrix(cache, k)
         numeric = []
         for trial in range(trials):
-            got, used = cache.numeric_rows(len(rows), trial, seed, p)
+            pt, = alone[trial].grow(len(rows))
+            got, used = pt.rows, bool(pt.table)
             for attempt in range(lie_orc.RETRIES):
-                ref = _TrialPoint(seed, trial, attempt, p)
+                ref = _TrialPoint(seed, trial, attempt, p, A.n_z)
                 try:
                     want = [_eval_row(row, ref) for row in rows]
                 except DivisionByZeroModP:
@@ -429,7 +446,8 @@ def _check_restarts(name, p, seed):
                 break
             assert got == want, (name, k, trial)
             assert used == bool(ref.table), (name, k, trial)
-            assert cache._points[(trial, seed, p)].attempt == attempt
+            assert pt.attempt == attempt
+            assert pt.echelon.rank == rank_mod_p(got, p), (name, k, trial)
             restarted = restarted or attempt > 0
             numeric.append(got)
         assert rep.ranks_by_level[k] == max(rank_mod_p(got, p) for got in numeric), (name, k)
@@ -452,18 +470,20 @@ def test_restart_of_one_trial_leaves_the_others_alone():
     A = augment(md)
     m = len(A.outputs)
     levels = len(analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed)).ranks_by_level)
-    batch = LieCache(A)
-    alone = [LieCache(A) for _ in range(trials)]
+    batch = _Trials(LieCache(A), range(trials), seed, p)
+    alone = [_Trials(LieCache(A), (trial,), seed, p) for trial in range(trials)]
     for k in range(levels):
         n = (k + 1) * m
-        points = batch.trial_points(n, range(trials), seed, p)
-        rows = _gradient_matrix(batch, k)
+        points = batch.grow(n)
+        rows = _gradient_matrix(batch.cache, k)
         for trial, pt in enumerate(points):
-            got, used = alone[trial].numeric_rows(n, trial, seed, p)
-            assert (pt.rows[:n], pt.used[n - 1]) == (got, used), (k, trial)
+            single, = alone[trial].grow(n)
+            got, used = single.rows, bool(single.table)
+            assert (pt.rows[:n], bool(pt.table)) == (got, used), (k, trial)
             for attempt in range(pt.attempt + 1):
                 try:
-                    want = [_eval_row(row, _TrialPoint(seed, trial, attempt, p)) for row in rows]
+                    want = [_eval_row(row, _TrialPoint(seed, trial, attempt, p, A.n_z))
+                            for row in rows]
                 except DivisionByZeroModP:
                     assert attempt < pt.attempt, (k, trial)
                     continue
@@ -489,10 +509,11 @@ def test_tangents_are_reused_across_levels(monkeypatch):
     A = augment(md)
     zset = frozenset(A.z)
     cache = LieCache(A)
-    m, trials = len(A.outputs), range(3)
+    batch = _Trials(cache, range(3), 0, P)
+    m = len(A.outputs)
     dependent = set()
     for k in range(6):
-        points = cache.trial_points((k + 1) * m, trials, 0, P)
+        points = batch.grow((k + 1) * m)
         assert [pt.attempt for pt in points] == [0, 0, 0]
         stack = list(cache.lies[k])
         while stack:
@@ -503,9 +524,12 @@ def test_tangents_are_reused_across_levels(monkeypatch):
             stack.extend(getattr(node, "terms", ()) or getattr(node, "factors", ()))
             stack.extend(c for c in (getattr(node, "base", None), getattr(node, "arg", None))
                          if c is not None)
-        memo = cache._tangents[(tuple(trials), 0, P)].memo
-        assert set(memo) == dependent, k
+        assert set(batch.memo) == dependent, k
         assert len(formed) == len(dependent), k
+    # A batch already holding n rows evaluates nothing and leaves the ranks.
+    ranks = [pt.echelon.rank for pt in points]
+    assert [pt.echelon.rank for pt in batch.grow(m)] == ranks
+    assert len(formed) == len(dependent)
 
 
 def _chain_model(n: int) -> str:

@@ -1,7 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from identiscope._linalg import Echelon, rank_mod_p
+from identiscope import lie_orc
+from identiscope._linalg import MAX_PRIME, Echelon, is_prime, rank_mod_p
+from identiscope.ffprob import DEFAULT_PRIMES
 
 from oracles import deleted_column_ranks
 
@@ -95,3 +99,25 @@ def test_echelon_block_update_at_largest_prime():
         assert ech.extend(block) == rank_mod_p(rows, p) == want
     r = ech.rank
     assert ech.independent_columns() == [d == r - 1 for d in deleted_column_ranks(rows, p)]
+
+
+def _trial_division(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == \
+        [n for n in range(10**5) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3277])
+def test_is_prime_rejects_pseudoprimes(n):
+    # 561 is a Carmichael number; 2047 and 3277 are strong pseudoprimes to base 2.
+    assert not is_prime(n)
+
+
+def test_is_prime_accepts_the_engines_primes():
+    assert all(is_prime(p) for p in DEFAULT_PRIMES + (lie_orc.DEFAULT_PRIME, 3037000493))
+    assert 3037000493 <= MAX_PRIME
+    with pytest.raises(ValueError):
+        is_prime(3_215_031_751)  # the first strong pseudoprime to bases 2, 3, 5, 7

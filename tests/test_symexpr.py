@@ -118,24 +118,6 @@ def test_transcendental_derivatives_by_finite_differences():
 
 
 # --------------------------------------------------------------------------
-# substitute
-# --------------------------------------------------------------------------
-
-def test_substitute_examples():
-    assert sx.substitute(sx.add(xx, th), {X: sx.const(2)}) == sx.add(sx.const(2), th)
-    assert sx.substitute(sx.pow_(xx, 2), {X: sx.add(xx, sx.ONE)}) == sx.pow_(sx.add(xx, sx.ONE), 2)
-    assert sx.substitute(sx.div(xx, th), {X: th}) == sx.ONE
-
-
-def test_substitution_composes():
-    e = sx.add(sx.mul(xx, xx), sx.const(4))  # y does not occur
-    ab = sx.substitute(e, {X: yy})
-    bc = sx.substitute(ab, {Y: th})
-    direct = sx.substitute(e, {X: th})
-    assert bc == direct
-
-
-# --------------------------------------------------------------------------
 # evaluation
 # --------------------------------------------------------------------------
 
