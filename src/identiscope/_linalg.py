@@ -55,11 +55,12 @@ def _check_modulus(p: int) -> None:
         raise ValueError(f"prime must be in [2, {MAX_PRIME}]")
 
 
-def _as_array(rows, p: int) -> np.ndarray:
+def _as_array(rows, p: int, n_cols: int = 0) -> np.ndarray:
+    # n_cols is the width of an empty row list, which has no row to show it.
     _check_modulus(p)
     a = np.array(rows, dtype=np.int64)
     if a.ndim != 2:
-        a = a.reshape(len(rows), -1)
+        a = a.reshape(len(rows), -1) if len(rows) else a.reshape(0, n_cols)
     return a % p
 
 
@@ -125,7 +126,7 @@ class Echelon:
     def extend(self, rows) -> int:
         """Add a block of rows; returns the rank of all rows so far."""
         p = self.p
-        a = _as_array(rows, p)
+        a = _as_array(rows, p, self.basis.shape[1])
         if self.pivots:
             a = _reduce_mod(a, a[:, self.pivots], self.basis, p)
         r, pivots = _eliminate(a, p)

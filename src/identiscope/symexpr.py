@@ -21,12 +21,24 @@ dict keys.  Construction through the module-level smart constructors (or
 the arithmetic operators) yields interned canonical nodes; building nodes
 directly through the class constructors is allowed and ``simplify`` brings
 such raw trees to canonical form.
+
+Identity is structural.  A node's hash is computed when it is built, from
+its kind and its children's hashes (or its constant value or symbol), and
+equality compares kinds and children, so a raw tree equals its canonical
+twin.  The smart constructors look a node up in the intern table by that
+hash and its children before they build it: an existing subtree is
+returned, never built again, and equal canonical subtrees are one object.
+The table is global and only ``clear_caches`` empties it.  The 128-bit
+blake2b content digest ``Expr.shash`` is computed only where it is read,
+by the tie-break of the canonical child order and by the rank engine's
+tags for transcendental nodes.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
 from collections.abc import Callable
 from fractions import Fraction
 from hashlib import blake2b
@@ -117,75 +129,110 @@ FUNC_NAMES = ("ln", "exp", "sin", "cos")
 # Node classes
 # --------------------------------------------------------------------------
 
+# Node kinds, mixed into the structural hash.  An integer n enters that
+# hash as 2*n, since hash(-1) == hash(-2) would make -x and -2*x collide.
+_CONST, _SYM, _ADD, _MUL, _POW, _FUNC = range(6)
+
+_node_hash = operator.attrgetter("_hash")
+
+
+def _const_hash(v: Fraction) -> int:
+    return hash((_CONST, 2 * v.numerator, v.denominator))
+
+
+def _sym_hash(s: Symbol) -> int:
+    return hash((_SYM, s))
+
+
+def _tuple_hash(kind: int, kids: tuple) -> int:
+    return hash((kind, *map(_node_hash, kids)))
+
+
+def _pow_hash(base: Expr, k: int) -> int:
+    return hash((_POW, base._hash, 2 * k))
+
+
+def _func_hash(fname: str, arg: Expr) -> int:
+    return hash((_FUNC, fname, arg._hash))
+
+
 class Expr:
     """Base class for expression nodes.
 
-    Structural identity is decided by a 128-bit content digest; smart
-    constructors intern nodes so equal subtrees are usually the same object.
+    Equality and hashing are structural: two nodes are equal when they are
+    of the same kind and their children, exponent, function name, constant
+    value or symbol are equal, so a raw tree equals and hashes like its
+    canonical twin.  A node's hash is computed when the node is built, from
+    its children's hashes.  The smart constructors intern nodes on that hash
+    and look them up before building them, so equal canonical subtrees are
+    one object.  ``shash`` is a 128-bit blake2b content digest, computed only
+    when read: the canonical child order breaks ties with it, and the rank
+    engine names transcendental nodes by it.
     """
 
     __slots__ = ("_shash", "_hash", "_free", "_rat", "_skey", "_canonical")
 
-    def _init_caches(self):
+    def _init_caches(self, h: int):
+        self._hash = h
         self._shash = None
-        self._hash = None
         self._free = None
         self._rat = None
         self._skey = None
         self._canonical = False
 
+    def _fields(self):
+        # What decides equality within the node's kind; children compare by ==.
+        raise NotImplementedError
+
     def _digest(self) -> bytes:
+        # Reads the children's digests, which _digest_tree computes first.
         raise NotImplementedError
 
     @property
     def shash(self) -> bytes:
         h = self._shash
         if h is None:
-            h = self._digest()
-            self._shash = h
+            h = _digest_tree(self)
         return h
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = int.from_bytes(self.shash[:8], "big", signed=True)
-            self._hash = h
-        return h
+        return self._hash
 
     def __eq__(self, other):
         if self is other:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
-        return type(self) is type(other) and self.shash == other.shash
+        return (type(self) is type(other) and self._hash == other._hash
+                and self._fields() == other._fields())
 
     def __repr__(self):
         return to_string(self)
 
     # Arithmetic sugar; coerces ints and Fractions.
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return add(self, other)
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return add(other, self)
 
     def __sub__(self, other):
-        return add(self, mul(NEG_ONE, _coerce(other)))
+        return add(self, mul(NEG_ONE, other))
 
     def __rsub__(self, other):
-        return add(_coerce(other), mul(NEG_ONE, self))
+        return add(other, mul(NEG_ONE, self))
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return mul(self, other)
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return mul(other, self)
 
     def __truediv__(self, other):
-        return div(self, _coerce(other))
+        return div(self, other)
 
     def __rtruediv__(self, other):
-        return div(_coerce(other), self)
+        return div(other, self)
 
     def __pow__(self, k):
         return pow_(self, k)
@@ -198,8 +245,12 @@ class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self._init_caches()
-        self.value = value if isinstance(value, Fraction) else Fraction(value)
+        v = value if isinstance(value, Fraction) else Fraction(value)
+        self._init_caches(_const_hash(v))
+        self.value = v
+
+    def _fields(self):
+        return self.value
 
     def _digest(self):
         v = self.value
@@ -210,8 +261,11 @@ class Sym(Expr):
     __slots__ = ("symbol",)
 
     def __init__(self, symbol: Symbol):
-        self._init_caches()
+        self._init_caches(_sym_hash(symbol))
         self.symbol = symbol
+
+    def _fields(self):
+        return self.symbol
 
     def _digest(self):
         s = self.symbol
@@ -223,34 +277,43 @@ class Add(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, terms):
-        self._init_caches()
         self.terms = tuple(terms)
+        self._init_caches(_tuple_hash(_ADD, self.terms))
+
+    def _fields(self):
+        return self.terms
 
     def _digest(self):
-        return blake2b(b"A" + b"".join(t.shash for t in self.terms), digest_size=16).digest()
+        return blake2b(b"A" + b"".join(t._shash for t in self.terms), digest_size=16).digest()
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        self._init_caches()
         self.factors = tuple(factors)
+        self._init_caches(_tuple_hash(_MUL, self.factors))
+
+    def _fields(self):
+        return self.factors
 
     def _digest(self):
-        return blake2b(b"M" + b"".join(f.shash for f in self.factors), digest_size=16).digest()
+        return blake2b(b"M" + b"".join(f._shash for f in self.factors), digest_size=16).digest()
 
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
-        self._init_caches()
         self.base = base
         self.exponent = int(exponent)
+        self._init_caches(_pow_hash(base, self.exponent))
+
+    def _fields(self):
+        return self.base, self.exponent
 
     def _digest(self):
-        return blake2b(b"P%d:" % self.exponent + self.base.shash, digest_size=16).digest()
+        return blake2b(b"P%d:" % self.exponent + self.base._shash, digest_size=16).digest()
 
 
 class Func(Expr):
@@ -259,37 +322,104 @@ class Func(Expr):
     def __init__(self, fname: str, arg: Expr):
         if fname not in FUNC_NAMES:
             raise ValueError(f"unsupported function {fname!r}")
-        self._init_caches()
         self.fname = fname
         self.arg = arg
+        self._init_caches(_func_hash(fname, arg))
+
+    def _fields(self):
+        return self.fname, self.arg
 
     def _digest(self):
-        return blake2b(b"F" + self.fname.encode() + b":" + self.arg.shash, digest_size=16).digest()
+        return blake2b(b"F" + self.fname.encode() + b":" + self.arg._shash, digest_size=16).digest()
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Func):
+        return (e.arg,)
+    return ()
+
+
+def _digest_tree(root: Expr) -> bytes:
+    # Digests are computed on first read, so a deep tree may have none below
+    # its root: compute the missing ones children first, without recursion.
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        todo = [c for c in _children(node) if c._shash is None]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            if node._shash is None:
+                node._shash = node._digest()
+    return root._shash
 
 
 # --------------------------------------------------------------------------
 # Interning and smart constructors
 # --------------------------------------------------------------------------
 
-_INTERN: dict[bytes, Expr] = {}
+# Canonical nodes by structural hash.  Two distinct nodes whose hashes
+# collide take the next free integer key, so a lookup walks the keys from
+# the hash until it meets the node or a free key.  0, 1 and -1 are always
+# entered, so the canonical zero and one are ZERO and ONE.
+_INTERN: dict[int, Expr] = {}
+
+
+def _lookup(kind: type, h: int, fields):
+    """The interned node of this kind, hash and fields, or None."""
+    got = _INTERN.get(h)
+    while got is not None:
+        if type(got) is kind and got._fields() == fields:
+            return got
+        h += 1
+        got = _INTERN.get(h)
+    return None
 
 
 def _intern(node: Expr) -> Expr:
-    h = node.shash
-    got = _INTERN.get(h)
-    if got is not None:
-        return got
+    """Enter a node that ``_lookup`` did not find; returns it."""
+    h = node._hash
+    while h in _INTERN:
+        h += 1
     node._canonical = True
     _INTERN[h] = node
     return node
 
 
 def const(value) -> Const:
-    return _intern(Const(value))
+    v = value if isinstance(value, Fraction) else Fraction(value)
+    got = _lookup(Const, _const_hash(v), v)
+    return got if got is not None else _intern(Const(v))
 
 
 def sym(s: Symbol) -> Sym:
-    return _intern(Sym(s))
+    got = _lookup(Sym, _sym_hash(s), s)
+    return got if got is not None else _intern(Sym(s))
+
+
+def _mul_node(factors: tuple) -> Expr:
+    # factors: canonical, sorted, at least two, a Const only in front.
+    got = _lookup(Mul, _tuple_hash(_MUL, factors), factors)
+    return got if got is not None else _intern(Mul(factors))
+
+
+def _add_node(terms: tuple) -> Expr:
+    # terms: canonical, sorted, at least two, a Const only in front.
+    got = _lookup(Add, _tuple_hash(_ADD, terms), terms)
+    return got if got is not None else _intern(Add(terms))
+
+
+def _pow_node(base: Expr, k: int) -> Expr:
+    # base: canonical and not a Const, Mul or Pow; k not 0 or 1.
+    got = _lookup(Pow, _pow_hash(base, k), (base, k))
+    return got if got is not None else _intern(Pow(base, k))
 
 
 ZERO = const(0)
@@ -307,95 +437,110 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
-def _coeff_core(term: Expr) -> tuple[Fraction, Expr]:
-    # Split a canonical term into (rational coefficient, symbolic core).
-    if isinstance(term, Const):
-        return term.value, ONE
-    if isinstance(term, Mul) and isinstance(term.factors[0], Const):
-        rest = term.factors[1:]
-        core = rest[0] if len(rest) == 1 else _intern(Mul(rest))
-        return term.factors[0].value, core
-    return Fraction(1), term
-
-
-def _with_coeff(coeff: Fraction, core: Expr) -> Expr:
-    if core is ONE:
-        return const(coeff)
-    if coeff == 1:
-        return core
-    if isinstance(core, Mul):
-        return _intern(Mul((const(coeff),) + core.factors))
-    return _intern(Mul((const(coeff), core)))
+def _fold(consts: list[Const], op) -> Const:
+    # The constants folded by op (sum or product); one Const is kept as it is.
+    return consts[0] if len(consts) == 1 else const(op(c.value for c in consts))
 
 
 def add(*terms) -> Expr:
-    """Canonical sum: flatten, fold constants, merge like terms, sort."""
-    acc: dict[Expr, Fraction] = {}
-    cval = Fraction(0)
-    stack = [_canon(_coerce(t)) for t in reversed(terms)]
+    """Canonical sum: flatten, fold constants, merge like terms, sort.
+
+    A term is merged on its core, the term without its rational
+    coefficient; a core of several factors is keyed by their tuple, so it
+    need not exist as a node.  A term whose core occurs once is kept as it
+    came.
+    """
+    acc: dict = {}  # core -> [coefficient, the term while its core occurs once]
+    consts: list[Const] = []
+    stack = [_canon(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
         if isinstance(t, Add):
             stack.extend(reversed(t.terms))
-        elif isinstance(t, Const):
-            cval += t.value
+            continue
+        if isinstance(t, Const):
+            consts.append(t)
+            continue
+        if isinstance(t, Mul):
+            fs = t.factors
+            if isinstance(fs[0], Const):
+                coeff, core = fs[0].value, (fs[1] if len(fs) == 2 else fs[1:])
+            else:
+                coeff, core = 1, fs
         else:
-            coeff, core = _coeff_core(t)
-            acc[core] = acc.get(core, Fraction(0)) + coeff
-    out = [_with_coeff(c, core) for core, c in acc.items() if c != 0]
+            coeff, core = 1, t
+        got = acc.get(core)
+        if got is None:
+            acc[core] = [coeff, t]
+        else:
+            got[0] += coeff
+            got[1] = None
+    out = []
+    for core, (coeff, t) in acc.items():
+        if t is None:
+            if coeff == 0:
+                continue
+            if coeff == 1:
+                t = _mul_node(core) if isinstance(core, tuple) else core
+            else:
+                t = _mul_node((const(coeff),) + (core if isinstance(core, tuple) else (core,)))
+        out.append(t)
     out.sort(key=_sort_key)
-    if cval != 0:
-        out.insert(0, const(cval))
+    if consts:
+        c = _fold(consts, sum)
+        if c is not ZERO:
+            out.insert(0, c)
     if not out:
         return ZERO
     if len(out) == 1:
         return out[0]
-    return _intern(Add(out))
+    return _add_node(tuple(out))
 
 
 def mul(*factors) -> Expr:
-    """Canonical product: flatten, fold constants, merge same-base powers, sort."""
-    powers: dict[Expr, int] = {}
-    order: list[Expr] = []
-    cval = Fraction(1)
-    stack = [_canon(_coerce(f)) for f in reversed(factors)]
+    """Canonical product: flatten, fold constants, merge same-base powers, sort.
+
+    A factor whose base occurs once is kept as it came.
+    """
+    powers: dict[Expr, list] = {}  # base -> [exponent, the factor while the base occurs once]
+    consts: list[Const] = []
+    stack = [_canon(f) for f in reversed(factors)]
     while stack:
         f = stack.pop()
         if isinstance(f, Mul):
             stack.extend(reversed(f.factors))
-        elif isinstance(f, Const):
-            cval *= f.value
-        elif isinstance(f, Pow):
-            if f.base not in powers:
-                order.append(f.base)
-            powers[f.base] = powers.get(f.base, 0) + f.exponent
+            continue
+        if isinstance(f, Const):
+            consts.append(f)
+            continue
+        if isinstance(f, Pow):
+            base, e = f.base, f.exponent
         else:
-            if f not in powers:
-                order.append(f)
-            powers[f] = powers.get(f, 0) + 1
-    if cval == 0:
+            base, e = f, 1
+        got = powers.get(base)
+        if got is None:
+            powers[base] = [e, f]
+        else:
+            got[0] += e
+            got[1] = None
+    c = _fold(consts, math.prod) if consts else ONE
+    if c is ZERO:
         return ZERO
     out = []
-    for base in order:
-        e = powers[base]
-        if e == 0:
-            continue
-        out.append(base if e == 1 else _pow_node(base, e))
+    for base, (e, f) in powers.items():
+        if f is None:
+            if e == 0:
+                continue
+            f = base if e == 1 else _pow_node(base, e)
+        out.append(f)
     out.sort(key=_sort_key)
     if not out:
-        return const(cval)
-    if cval != 1:
-        out.insert(0, const(cval))
+        return c
+    if c is not ONE:
+        out.insert(0, c)
     if len(out) == 1:
         return out[0]
-    return _intern(Mul(out))
-
-
-def _pow_node(base: Expr, k: int) -> Expr:
-    # base is canonical, not Const/Mul/Pow (those are handled by pow_).
-    if isinstance(base, (Const, Mul, Pow)):
-        return pow_(base, k)
-    return _intern(Pow(base, k))
+    return _mul_node(tuple(out))
 
 
 def pow_(base, k: int) -> Expr:
@@ -406,7 +551,7 @@ def pow_(base, k: int) -> Expr:
     """
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
-    base = _canon(_coerce(base))
+    base = _canon(base)
     if k == 0:
         return ONE
     if k == 1:
@@ -421,12 +566,12 @@ def pow_(base, k: int) -> Expr:
         return pow_(base.base, base.exponent * k)
     if isinstance(base, Mul):
         return mul(*(pow_(f, k) for f in base.factors))
-    return _intern(Pow(base, k))
+    return _pow_node(base, k)
 
 
 def div(num, den) -> Expr:
     """Quotient, represented as num * den^-1."""
-    den = _canon(_coerce(den))
+    den = _canon(den)
     if isinstance(den, Const) and den.value == 0:
         raise DivisionByZero("division by the zero constant")
     return mul(num, pow_(den, -1))
@@ -434,7 +579,7 @@ def div(num, den) -> Expr:
 
 def func(fname: str, arg) -> Expr:
     """Unary transcendental node, folding the exact rational special points."""
-    arg = _canon(_coerce(arg))
+    arg = _canon(arg)
     if isinstance(arg, Const):
         v = arg.value
         if fname == "ln" and v == 1:
@@ -445,7 +590,8 @@ def func(fname: str, arg) -> Expr:
             return ZERO
         if fname == "cos" and v == 0:
             return ONE
-    return _intern(Func(fname, arg))
+    got = _lookup(Func, _func_hash(fname, arg), (fname, arg))
+    return got if got is not None else _intern(Func(fname, arg))
 
 
 def ln(arg) -> Expr:
@@ -464,8 +610,9 @@ def cos(arg) -> Expr:
     return func("cos", arg)
 
 
-def _canon(e: Expr) -> Expr:
-    return e if e._canonical else simplify(e)
+def _canon(x) -> Expr:
+    # x as a canonical expression; ints, Fractions and Symbols are coerced.
+    return x if isinstance(x, Expr) and x._canonical else simplify(x)
 
 
 def simplify(e: Expr) -> Expr:
@@ -525,18 +672,13 @@ def free_symbols(e: Expr) -> frozenset[Symbol]:
     """All symbols occurring in ``e``."""
     f = e._free
     if f is None:
-        if isinstance(e, Const):
-            f = frozenset()
-        elif isinstance(e, Sym):
+        kids = _children(e)
+        if isinstance(e, Sym):
             f = frozenset((e.symbol,))
-        elif isinstance(e, Add):
-            f = frozenset().union(*(free_symbols(t) for t in e.terms))
-        elif isinstance(e, Mul):
-            f = frozenset().union(*(free_symbols(x) for x in e.factors))
-        elif isinstance(e, Pow):
-            f = free_symbols(e.base)
+        elif len(kids) == 1:
+            f = free_symbols(kids[0])
         else:
-            f = free_symbols(e.arg)
+            f = frozenset().union(*map(free_symbols, kids))
         e._free = f
     return f
 
@@ -549,16 +691,7 @@ def is_rational_expr(e: Expr) -> bool:
     """
     r = e._rat
     if r is None:
-        if isinstance(e, (Const, Sym)):
-            r = True
-        elif isinstance(e, Func):
-            r = False
-        elif isinstance(e, Add):
-            r = all(is_rational_expr(t) for t in e.terms)
-        elif isinstance(e, Mul):
-            r = all(is_rational_expr(f) for f in e.factors)
-        else:
-            r = is_rational_expr(e.base)
+        r = not isinstance(e, Func) and all(map(is_rational_expr, _children(e)))
         e._rat = r
     return r
 
@@ -569,13 +702,7 @@ def first_transcendental(e: Expr) -> Expr | None:
         return None
     if isinstance(e, Func):
         return e
-    if isinstance(e, Add):
-        children = e.terms
-    elif isinstance(e, Mul):
-        children = e.factors
-    else:
-        children = (e.base,)
-    for c in children:
+    for c in _children(e):
         hit = first_transcendental(c)
         if hit is not None:
             return hit
@@ -632,7 +759,7 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr]) 
         memo[node] = d
         return d
 
-    return walk(_canon(_coerce(e)))
+    return walk(_canon(e))
 
 
 def differentiate(e: Expr, s: Symbol) -> Expr:
@@ -760,7 +887,7 @@ def _product_str(coeff: Fraction, factors: tuple[Expr, ...]) -> str:
         den_parts.append(str(coeff.denominator))
     for f in factors:
         if isinstance(f, Pow) and f.exponent < 0:
-            inv = f.base if f.exponent == -1 else _intern(Pow(f.base, -f.exponent))
+            inv = f.base if f.exponent == -1 else Pow(f.base, -f.exponent)
             den_parts.append(_atom_str(inv))
         else:
             num_parts.append(_atom_str(f))
@@ -806,4 +933,4 @@ def clear_caches():
     """Drop the intern table (frees memory between runs)."""
     _INTERN.clear()
     for e in (ZERO, ONE, NEG_ONE):
-        _INTERN[e.shash] = e
+        _intern(e)

@@ -101,6 +101,24 @@ def test_echelon_block_update_at_largest_prime():
     assert ech.independent_columns() == [d == r - 1 for d in deleted_column_ranks(rows, p)]
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_rank_of_no_rows_is_zero(p):
+    assert rank_mod_p([], p) == 0
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_echelon_extended_by_no_rows_is_unchanged(p):
+    ech = Echelon(3, p)
+    assert ech.extend([]) == 0
+    assert ech.basis.shape == (0, 3) and ech.pivots == []
+    ech.extend([[1, 1, 0], [0, 1, 1]])
+    basis, pivots = ech.basis.copy(), list(ech.pivots)
+    assert ech.extend([]) == 2
+    assert (ech.basis == basis).all() and ech.pivots == pivots
+    assert ech.independent_columns() == [d == 1 for d in deleted_column_ranks(
+        [[1, 1, 0], [0, 1, 1]], p)]
+
+
 def _trial_division(n: int) -> bool:
     return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from identiscope import symexpr as sx
+from identiscope import lie_orc, symexpr as sx
+from identiscope.bench import corpus_dir
 from identiscope.errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr
+from identiscope.model import augment, load_model
 
 import oracles
 
@@ -148,6 +150,108 @@ def test_eval_rational_examples():
     assert sx.eval_rational(sx.add(sx.exp(sx.ZERO), sx.sin(sx.ZERO)), {}) == 1
 
 
+# --------------------------------------------------------------------------
+# identity and interning
+# --------------------------------------------------------------------------
+
+def test_shash_values_are_fixed():
+    # _sort_key breaks ties with these digests and the symbolic engine tags
+    # transcendental values with them: a change would reorder canonical
+    # forms and redraw the residues of every non-rational model.
+    pinned = [
+        (sx.const(Fraction(-3, 2)), "55d382bb0d2a2473f4d3c5dc0f51a9b7"),
+        (xx, "f6f6ab82326fef64cd618cbebdc341e1"),
+        (sx.pow_(xx, -2), "89d630c41468ca19550068667f152c8f"),
+        (sx.exp(th * xx), "742019f47512ecf97a68b39536e35ecb"),
+        (sx.ln(xx + yy), "17b89cb9cc3a9f2f15f67ba3e458b66b"),
+        (3 * xx * yy ** 2, "bfdf30904a06004f0b55736bf6cb5698"),
+        (xx + 2 * yy + 1, "604435b2b82d672e409f7feeabe0e935"),
+    ]
+    assert [sx.to_string(e) for e, _ in pinned] == [
+        "-3/2", "x", "1/x^2", "exp(th*x)", "ln(x + y)", "3*x*y^2", "1 + x + 2*y"]
+    for e, want in pinned:
+        assert e.shash.hex() == want
+
+
+def test_raw_tree_equals_its_canonical_twin():
+    raw = sx.Mul((sx.Sym(X), sx.Pow(sx.Sym(Y), 2)))
+    canon = xx * yy ** 2
+    assert raw is not canon and raw == canon and canon == raw
+    assert hash(raw) == hash(canon)
+    assert {canon: 1}[raw] == 1
+    assert raw.shash == canon.shash
+    assert sx.simplify(raw) is canon
+    assert raw != sx.Add((sx.Sym(X), sx.Pow(sx.Sym(Y), 2)))
+    assert raw != xx * yy ** 3
+
+
+def test_structural_hash_separates_small_integers():
+    # hash(-1) == hash(-2) in Python; the intern keys must still tell
+    # -1 from -2, x^-1 from x^-2 and -x*y from -2*x*y.
+    nodes = [sx.const(n) for n in range(-20, 21)]
+    nodes += [sx.const(Fraction(n, 3)) for n in (-2, -1, 1, 2)]
+    nodes += [sx.pow_(xx, k) for k in range(-20, 21) if k not in (0, 1)]
+    nodes += [sx.mul(n, xx, yy) for n in (-2, -1, 2)]
+    assert len({hash(e) for e in nodes}) == len(nodes)
+
+
+def test_rebuilding_an_expression_builds_no_node(monkeypatch):
+    A = augment(load_model(corpus_dir() / "gene_p53.idm"))
+
+    def level3():
+        phi, memo = A.outputs[0], {}
+        for _ in range(3):
+            phi = lie_orc.extended_lie_derivative(phi, A, memo)
+        return phi
+
+    first = level3()
+    n = len(sx._INTERN)
+    built = []
+    init = sx.Expr._init_caches
+    monkeypatch.setattr(sx.Expr, "_init_caches", lambda e, h: built.append(e) or init(e, h))
+    assert level3() is first
+    assert len(sx._INTERN) == n
+    assert built == []
+
+
+def test_expression_built_before_clear_caches_equals_its_rebuild():
+    def build():
+        x, y, t = sx.sym(X), sx.sym(Y), sx.sym(TH)
+        return sx.div(sx.ln(x * y + t), 3 * x ** 2 + 1)
+
+    before = build()
+    sx.clear_caches()
+    after = build()
+    assert after is not before
+    assert after == before and hash(after) == hash(before)
+    assert after.shash == before.shash
+    # Like terms and like factors still merge across the two generations.
+    assert sx.add(before, after) == sx.mul(2, after)
+    assert sx.mul(before, after) == sx.pow_(after, 2)
+
+
+def test_intern_table_steps_past_a_colliding_key():
+    z = sx.sym(sx.state("z_collision"))
+    h = hash(sx.Mul((xx, z)))
+    assert h not in sx._INTERN
+    sx._INTERN[h] = yy  # a different node under the product's hash
+    try:
+        e = sx.mul(xx, z)
+        assert isinstance(e, sx.Mul) and e.factors == (xx, z)
+        assert sx._INTERN[h] is yy and sx._INTERN[h + 1] is e
+        assert sx.mul(z, xx) is e
+    finally:
+        sx._INTERN.pop(h, None)
+        sx._INTERN.pop(h + 1, None)
+
+
+def test_digest_of_a_deep_tree():
+    e = xx
+    for _ in range(5000):
+        e = sx.exp(e)
+    assert len(e.shash) == 16
+
+
 def test_is_rational_expr():
     assert sx.is_rational_expr(sx.div(xx, sx.add(th, xx)))
     assert not sx.is_rational_expr(sx.ln(xx))
@@ -216,6 +320,17 @@ def test_simplify_idempotent(seed):
     raw = _rand_raw_expr(rng, 3)
     once = _simplify_or_discard(raw)
     assert sx.simplify(once) == once
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**9))
+def test_intern_table_holds_each_structure_once(seed):
+    rng = random.Random(seed)
+    e = _simplify_or_discard(_rand_raw_expr(rng, 3))
+    sx.differentiate(sx.ln(e), X)
+    sx.to_string(e)
+    nodes = list(sx._INTERN.values())
+    assert len(set(nodes)) == len(nodes)
 
 
 @settings(max_examples=60, deadline=None)
