@@ -58,7 +58,7 @@ def _check_modulus(p: int) -> None:
 def _as_array(rows, p: int, n_cols: int = 0) -> np.ndarray:
     # n_cols is the width of an empty row list, which has no row to show it.
     _check_modulus(p)
-    a = np.array(rows, dtype=np.int64)
+    a = np.asarray(rows, dtype=np.int64)
     if a.ndim != 2:
         a = a.reshape(len(rows), -1) if len(rows) else a.reshape(0, n_cols)
     return a % p
@@ -66,25 +66,29 @@ def _as_array(rows, p: int, n_cols: int = 0) -> np.ndarray:
 
 def _eliminate(a: np.ndarray, p: int) -> tuple[int, list[int]]:
     # In-place forward elimination; returns (rank, pivot column indices).
-    n_rows, n_cols = a.shape
+    n_rows = a.shape[0]
     r = 0
     pivots: list[int] = []
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
+    # Row operations keep a zero column zero, so only the others can pivot.
+    for c in a.any(axis=0).nonzero()[0].tolist():
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
-            continue
+            if a[r:].any():
+                continue
+            break
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[r + 1:, c]
-        if col.any():
-            a[r + 1:] = (a[r + 1:] - col[:, None] * a[r][None, :]) % p
-        pivots.append(c)
+        row = a[r]
+        row *= pow(int(row[c]), -1, p)
+        row %= p
         r += 1
+        pivots.append(c)
+        if r == n_rows:
+            break
+        col = a[r:, c]
+        if col.any():
+            a[r:] = (a[r:] - col[:, None] * row) % p
     return r, pivots
 
 

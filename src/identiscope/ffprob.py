@@ -633,6 +633,10 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
         warnings.append(
             f"unknown-input derivative chains truncated ({orders}), "
             "including any direct output feedthrough")
+    if md.ics:
+        ics = ", ".join(f"ic {s.name}" for s in md.ics)
+        warnings.append(
+            f"initial conditions ignored ({ics}): verdicts hold for generic initial states")
 
     return AnalysisReport(
         model=md.name,

@@ -6,12 +6,14 @@ directional walk over the level below, and the walks of one analysis share
 their memo (``LieCache``).  The rows of the observability-identifiability
 matrix are their gradients with respect to z, evaluated numerically by
 forward tangents mod p at one batch of random points per analysis
-(``_Trials``): every z-dependent node of the Lie DAG gets one int64
-tangent d node/dz per point, formed once from its children's tangents and
-batched over the trials, so each level computes only the tangents of the
-nodes it adds.  Each product of two residues is reduced before it is
-summed, which keeps the arithmetic exact for p up to
-``_linalg.MAX_PRIME``.  Each trial's point keeps one reduced echelon form
+(``_Trials``).  Every z-dependent node of the Lie DAG gets one slot, which
+holds its value and its int64 tangent d node/dz at every point, so each
+level evaluates only the nodes it adds.  It evaluates them in waves, a
+straight-line program over (nodes, trials): the new nodes of one kind and
+one height take a handful of numpy operations together, not a few each.
+Each product of two residues is reduced before it is summed, which keeps
+the arithmetic exact for p up to ``_linalg.MAX_PRIME``.  Each trial's point
+keeps one reduced echelon form
 over the prime field, which the batch extends with every level's new rows;
 the matrix's generic rank is the largest trial rank, and each
 augmented-state entry is classified from the echelon forms with the
@@ -31,6 +33,7 @@ whenever this table is non-empty.
 
 from __future__ import annotations
 
+import bisect
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -62,15 +65,17 @@ class _TrialPoint(dict):
     """One random point of a trial: symbol -> residue, each drawn on first
     lookup from the point's tag.
 
-    Also holds the transcendental table, one memo of node values shared by
-    every row, the numeric rows evaluated at this point so far, and the
-    echelon form of those rows that ``_Trials.grow`` extends.
+    Also holds the transcendental table (the residues of the Func nodes
+    whose values the rows read), one memo of z-independent node values, the
+    numeric rows evaluated at this point so far, and the echelon form of
+    those rows that ``_Trials.grow`` extends.
     """
 
     def __init__(self, seed: int, trial: int, attempt: int, p: int, n_z: int):
         super().__init__()
         self.seed, self.trial, self.attempt, self.p = seed, trial, attempt, p
         self.table: dict[bytes, int] = {}
+        self.drawn: dict[bytes, int] = {}
         self.memo: dict[Expr, int] = {}
         self.rows: list[list[int]] = []
         self.echelon = _linalg.Echelon(n_z, p)
@@ -79,18 +84,18 @@ class _TrialPoint(dict):
         v = self[s] = _rng.residue(("sym", self.seed, self.trial, self.attempt, s.name), self.p)
         return v
 
-    def transc(self, node: Expr) -> int:
+    def residue(self, node: Expr) -> int:
+        """The residue that stands for a transcendental node at this point;
+        it enters the table only through ``transc``."""
         key = node.shash
-        v = self.table.get(key)
+        v = self.drawn.get(key)
         if v is None:
             v = _rng.residue(("transc", self.seed, self.trial, self.attempt, key.hex()), self.p)
-            self.table[key] = v
+            self.drawn[key] = v
         return v
 
-    def value(self, node: Expr) -> int:
-        v = self.memo.get(node)
-        if v is None:
-            v = sx.eval_mod_p(node, self, self.p, transcendental=self.transc, _memo=self.memo)
+    def transc(self, node: Expr) -> int:
+        v = self.table[node.shash] = self.residue(node)
         return v
 
 
@@ -140,22 +145,36 @@ class _Trials:
     forward tangents at them, and the restarts after a vanishing
     denominator.
 
-    ``points`` holds each live trial's current point, ``memo`` maps every
-    z-dependent node of the rows evaluated so far to an int64 array of
-    shape (live trials, n_z): d node/dz at each point, and ``n_rows``
-    counts the rows that the memo covers.  A node's tangent is formed once,
-    from its children's tangents, so a row computes only the tangents of
-    nodes that no earlier row reached.  The coefficient multiplying a
-    child's tangent is read per trial through ``_TrialPoint.value``, and
-    each node reads exactly the values that its symbolic derivative
-    contains: the siblings of a z-dependent factor, the base of a power, the
-    argument of ln, and the table entries of exp(a), cos(a) and sin(a) for
-    exp, sin and cos nodes.  So a vanishing denominator raises
-    DivisionByZeroModP, and the transcendental table fills, as evaluating
-    ``differentiate(phi, z_j)`` would.  Products use prefix and suffix
-    products, never an inverse, so a factor that is 0 mod p is fine.  Every
-    product of two residues is reduced mod p before it is summed, which
-    keeps int64 exact for p <= ``_linalg.MAX_PRIME``.
+    ``points`` holds each live trial's current point.  Every z-dependent
+    node of the rows evaluated so far has one slot (``slot``), and the
+    nodes that one evaluation added form one block of ``blocks``: VAL of
+    shape (nodes, trials), the node's value at each point; UNDEF of the same
+    shape, whether that value meets a vanishing denominator; and TAN of
+    shape (nodes, trials, n_z), d node/dz.  ``starts`` holds each block's
+    first slot and ``n_rows`` counts the rows that the slots cover.
+
+    An evaluation works in waves: the new nodes of one kind and one height
+    (a node is one above its highest new child) take a handful of numpy
+    operations over (nodes, trials).  An Add sums its terms.  A Mul gathers
+    its z-dependent factors, padded with a "one" slot, and takes prefix and
+    suffix products over them, starting from the product of its
+    z-independent factors; they give its value and every product-rule
+    coefficient without an inverse, so a factor that is 0 mod p is fine.  A
+    Pow or a Func takes its value and coefficient per node and point in
+    Python.  z-independent children are evaluated per point by
+    ``eval_mod_p``, and transcendental nodes take their table residues.
+    Every product of two residues is reduced mod p before it is summed,
+    which keeps int64 exact for p <= ``_linalg.MAX_PRIME``.
+
+    A node reads exactly the values that its symbolic derivative contains:
+    a Mul every factor when two or more depend on z and otherwise the
+    siblings of its z-dependent factor, a Pow its base, ln its argument, and
+    exp(a), sin(a) and cos(a) the table entries of exp(a), cos(a) and
+    sin(a); reading a value reads its subtree, Func arguments excepted.  A
+    point fails when a read value is undefined, is a zero base under a
+    negative power or is a zero argument of ln, and its table holds the
+    Func nodes that the reads reach, as evaluating ``differentiate(phi,
+    z_j)`` would.
     """
 
     def __init__(self, cache: LieCache, trials: Iterable[int], seed: int, p: int):
@@ -164,37 +183,45 @@ class _Trials:
         self.zset = frozenset(self.index)
         self.units = np.eye(len(self.index), dtype=np.int64)
         self.points = [_TrialPoint(seed, t, 0, p, cache.A.n_z) for t in trials]
-        self.memo: dict[Expr, np.ndarray] = {}
+        self._reset()
+
+    def _reset(self):
+        self.slot: dict[Expr, int] = {}
+        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.starts: list[int] = []
+        self.read: set[Expr] = set()  # non-rational nodes the tables have covered
         self.n_rows = 0
 
     def grow(self, n: int) -> list[_TrialPoint]:
         """Bring every trial's point to its first n gradient rows and extend
         each point's echelon form with the rows it gained; returns the points.
 
-        A vanishing denominator moves only the trial that meets it to its
-        next attempt, where every row is evaluated again and a new echelon
-        form starts; the batch's tangents are then rebuilt.  The smallest
-        attempt whose point evaluates rows 0..k can only grow with k, so each
-        trial gets the rows of the smallest attempt that evaluates all n of
-        them.  A trial that runs out of its ``RETRIES`` attempts leaves the
-        batch, and once the others hold n rows the lowest such trial raises
-        RetriesExhausted.
+        The rows that the points lack are evaluated together.  A point that
+        fails moves only its trial to the next attempt, where every row is
+        evaluated again and a new echelon form starts; the batch's slots are
+        then rebuilt.  The smallest attempt whose point evaluates rows 0..k
+        can only grow with k, so each trial gets the rows of the smallest
+        attempt that evaluates all n of them.  A trial that runs out of its
+        ``RETRIES`` attempts leaves the batch, and once the others hold n
+        rows the lowest such trial raises RetriesExhausted, naming the first
+        vanishing denominator that its last point reads.
         """
         cache, p = self.cache, self.p
         m = len(cache.A.outputs)
         held = {pt.trial: len(pt.rows) for pt in self.points}
         failed: dict[int, RetriesExhausted] = {}
         while any(len(pt.rows) < n for pt in self.points):
-            level, i = divmod(self.n_rows, m)
-            cache.ensure_level(level)
+            cache.ensure_level((n - 1) // m)
             check_deadline(cache.deadline)
-            errors = self.extend(cache.lies[level][i])
-            if not errors:
+            rows = [cache.lies[r // m][r % m] for r in range(n)]
+            bad = self._evaluate(rows[self.n_rows:])
+            if not bad:
                 continue
             points = self.points[:]
-            for pos, exc in errors:
+            for pos in bad:
                 pt = points[pos]
                 if pt.attempt + 1 >= RETRIES:
+                    exc = _first_failure(rows, self.zset, pt)
                     err = RetriesExhausted(
                         f"all {RETRIES} evaluation points hit a vanishing denominator "
                         f"mod {p} (model degenerate at this prime, or prime too small): "
@@ -207,7 +234,7 @@ class _Trials:
                                               cache.A.n_z)
                     held[pt.trial] = 0
             self.points = [pt for pt in points if pt is not None]
-            self.memo, self.n_rows = {}, 0
+            self._reset()
         if failed:
             raise failed[min(failed)]
         for pt in self.points:
@@ -215,78 +242,316 @@ class _Trials:
                 pt.echelon.extend(pt.rows[held[pt.trial]:])
         return self.points
 
-    def extend(self, phi: Expr) -> list[tuple[int, DivisionByZeroModP]]:
-        """Evaluate the next row, dphi/dz, at every point of the batch.
+    def _evaluate(self, rows: list[Expr]) -> list[int]:
+        """Evaluate the gradients of the rows that follow the first
+        ``n_rows`` at every point of the batch.
 
-        Returns the (position, error) of each point that met a vanishing
-        denominator; then no tangent is kept and no row is added.  Otherwise
-        the row goes to each point that does not hold it yet.
+        Returns the positions of the points that fail; then no row is added
+        and the batch must be reset.  Otherwise each point gets the rows it
+        does not hold yet, and its table the Func nodes that they read.
         """
-        p, memo = self.p, self.memo
-        post = _new_nodes(phi, memo, self.zset)
-        steps = [_step(node, self.index, self.zset) for node in post]
-        # Each point reads its coefficients parents first, the order of a
-        # walk down phi's DAG: that order fixes which vanishing denominator
-        # a point reports when it has several.
-        coefs, failed = [], []
-        for pos, pt in enumerate(self.points):
-            try:
-                coefs.append(_coefficients(steps, pt))
-            except DivisionByZeroModP as exc:
-                failed.append((pos, exc))
-        if failed:
-            return failed
-        C = np.array(coefs, dtype=np.int64).reshape(len(self.points), -1)
-        off = 0
-        for node, (op, kids, _) in zip(post, steps):
-            if op == _SYM:
-                t = np.broadcast_to(self.units[kids], (len(self.points), len(self.index)))
-            elif op == _ADD:
-                t = memo[kids[0]]
-                if len(kids) > 1:
-                    t = sum((memo[c] for c in kids[1:]), t) % p
+        p, slot, points = self.p, self.slot, self.points
+        base = len(slot)
+        nodes = [entry for post in _walk(rows, slot, self.zset) for entry in post]
+        # Work rows: the new nodes, a "one" and a "zero" slot, the nodes of
+        # earlier blocks that they read, and, counted from the end, their
+        # z-independent children.  TAN stops before the z-independent rows.
+        N = len(nodes)
+        ext: dict[int, int] = {}
+        indep: dict[Expr, int] = {}
+
+        def row(g):
+            return g - base if g >= base else ext.setdefault(g, N + 2 + len(ext))
+
+        height: list[int] = []
+        waves: dict[tuple[int, int], list] = {}
+        for node, dep, ind in nodes:
+            h = 0
+            if isinstance(node, sx.Sym):
+                kind, item = _SYM, node.symbol
             else:
-                t = C[:, off, None] * memo[kids[0]] % p
-                off += 1
-                for c in kids[1:]:
-                    t = (t + C[:, off, None] * memo[c] % p) % p
-                    off += 1
-            memo[node] = t
-        row = memo.get(phi)
-        for pos, pt in enumerate(self.points):
-            if len(pt.rows) == self.n_rows:
-                pt.rows.append([0] * len(self.index) if row is None else row[pos].tolist())
-        self.n_rows += 1
+                for g in dep:
+                    if g >= base and height[g - base] >= h:
+                        h = height[g - base] + 1
+                dep = [row(g) for g in dep]
+                ind = [indep.setdefault(c, -1 - len(indep)) for c in ind]
+                if isinstance(node, sx.Add):
+                    kind, item = _ADD, (dep, ind)
+                elif isinstance(node, sx.Mul):
+                    kind, item = _MUL, (dep, ind)
+                else:
+                    kind, item = _UNARY, (dep[0], node)
+            waves.setdefault((h, kind), []).append((len(height), item))
+            height.append(h)
+        out = [N + 1 if slot.get(phi) is None else row(slot[phi]) for phi in rows]
+
+        shape = (N + 2 + len(ext) + len(indep), len(points))
+        VAL = np.empty(shape, dtype=np.int64)
+        UNDEF = np.zeros(shape, dtype=bool)
+        TAN = np.empty((N + 2 + len(ext), len(points), len(self.index)), dtype=np.int64)
+        VAL[N], VAL[N + 1], TAN[N:N + 2] = 1, 0, 0
+        if ext:
+            gs = np.fromiter(ext, np.int64, len(ext))
+            which = np.searchsorted(self.starts, gs, side="right") - 1
+            for b in set(which.tolist()):
+                sel = np.flatnonzero(which == b)
+                for work, block in zip((VAL, UNDEF, TAN), self.blocks[b]):
+                    work[N + 2 + sel] = block[gs[sel] - self.starts[b]]
+        for c, j in indep.items():
+            if isinstance(c, sx.Const):  # the same at every point
+                VAL[j] = _value(c, points[0])
+            else:
+                VAL[j] = [_value(c, pt) for pt in points]
+        if indep:
+            UNDEF[-len(indep):] = VAL[-len(indep):] < 0
+        dirty = bool(UNDEF[N + 2:].any())
+
+        bad = np.zeros(len(points), dtype=bool)
+        for h, kind in sorted(waves):
+            for chunk in _chunks(waves[h, kind], kind):
+                check_deadline(self.cache.deadline)
+                locs, items = zip(*chunk)
+                locs = list(locs)
+                if kind == _SYM:
+                    VAL[locs] = [[pt[s] for pt in points] for s in items]
+                    TAN[locs] = self.units[[self.index[s] for s in items], None, :]
+                elif kind == _ADD:
+                    _add_wave(locs, items, VAL, UNDEF, TAN, p, dirty)
+                elif kind == _MUL:
+                    _mul_wave(locs, items, N, VAL, UNDEF, TAN, p, dirty, bad)
+                else:
+                    _unary_wave(locs, items, points, VAL, UNDEF, TAN, p, dirty, bad)
+        if bad.any():
+            return np.flatnonzero(bad).tolist()
+
+        self.blocks.append((VAL[:N].copy(), UNDEF[:N].copy(), TAN[:N].copy()))
+        self.starts.append(base)
+        funcs = self._table_entries([node for node, _, _ in nodes])
+        got = TAN[out].transpose(1, 0, 2).tolist()
+        for pt, pt_rows in zip(points, got):
+            for f in funcs:
+                pt.transc(f)
+            pt.rows.extend(pt_rows[len(pt.rows) - self.n_rows:])
+        self.n_rows += len(rows)
         return []
 
+    def _table_entries(self, nodes: list[Expr]) -> list[Expr]:
+        """The Func nodes, not covered yet, that the derivatives of the new
+        nodes read."""
+        slot, todo = self.slot, []
+        for node in nodes:
+            if sx.is_rational_expr(node):
+                continue
+            if isinstance(node, sx.Mul):
+                dep = [f in slot for f in node.factors]
+                todo += [f for f, d in zip(node.factors, dep) if not d or sum(dep) > 1]
+            elif isinstance(node, sx.Pow):
+                todo.append(node.base)
+            elif isinstance(node, sx.Func):
+                todo.append(node.arg if node.fname == "ln" else _func_factor(node)[0])
+        funcs = []
+        while todo:
+            node = todo.pop()
+            if node in self.read or sx.is_rational_expr(node):
+                continue
+            self.read.add(node)
+            if isinstance(node, sx.Func):
+                funcs.append(node)
+            else:
+                todo += _kids(node)
+        return funcs
 
-def _new_nodes(phi: Expr, memo: dict[Expr, np.ndarray], zset: frozenset) -> list[Expr]:
-    """The z-dependent nodes of phi that have no tangent yet, children
-    before parents.
 
-    The memo is closed under z-dependent children, so skipping its nodes
-    keeps the other nodes in the order a walk of phi's whole DAG gives them.
-    """
+# Node kinds of a wave.
+_SYM, _ADD, _MUL, _UNARY = range(4)
+# Tangent rows that one numpy step of a wave gathers at most, which bounds
+# the temporaries of the largest waves.
+_CHUNK = 4096
 
-    def fresh(node):
-        return node not in memo and _depends(node, zset)
 
-    if not fresh(phi):
-        return []
-    post: list[Expr] = []
-    seen = {phi}
-    stack = [(phi, iter(_kids(phi)))]
-    while stack:
-        node, it = stack[-1]
-        for c in it:
-            if c not in seen and fresh(c):
-                seen.add(c)
-                stack.append((c, iter(_kids(c))))
-                break
+def _chunks(wave: list, kind: int):
+    """Split a wave so that each part gathers at most ``_CHUNK`` tangent
+    rows at once: an Add one per z-dependent term, any other node one."""
+    part, size = [], 0
+    for entry in wave:
+        cost = len(entry[1][0]) if kind == _ADD else 1
+        if part and size + cost > _CHUNK:
+            yield part
+            part, size = [], 0
+        part.append(entry)
+        size += cost
+    yield part
+
+
+def _value(node: Expr, pt: _TrialPoint) -> int:
+    """A z-independent node's value at pt, or -1 where it is undefined."""
+    try:
+        if isinstance(node, sx.Const):
+            return sx.const_mod_p(node.value, pt.p)
+        return sx.eval_mod_p(node, pt, pt.p, transcendental=pt.residue, _memo=pt.memo)
+    except DivisionByZeroModP:
+        return -1
+
+
+def _add_wave(locs, items, VAL, UNDEF, TAN, p, dirty):
+    terms = [dep + ind for dep, ind in items]
+    flat, starts = _flatten(terms)
+    VAL[locs] = np.add.reduceat(VAL[flat], starts, axis=0) % p
+    if dirty:
+        UNDEF[locs] = np.logical_or.reduceat(UNDEF[flat], starts, axis=0)
+    flat, starts = _flatten([dep for dep, _ in items])
+    TAN[locs] = np.add.reduceat(TAN[flat], starts, axis=0) % p
+
+
+def _mul_wave(locs, items, one, VAL, UNDEF, TAN, p, dirty, bad):
+    """Evaluate a wave of Mul nodes; marks the points that fail in bad."""
+    # Nodes with fewest z-dependent factors first, so that the nodes with a
+    # k-th one are a trailing slice.
+    order = sorted(range(len(items)), key=lambda w: len(items[w][0]))
+    locs, items = [locs[w] for w in order], [items[w] for w in order]
+    counts = [len(dep) for dep, _ in items]
+    width, width_ind = counts[-1], max(1, max(len(ind) for _, ind in items))
+    D = np.array([dep + [one] * (width - len(dep)) for dep, _ in items])
+    I = np.array([ind + [one] * (width_ind - len(ind)) for _, ind in items])
+    c = VAL[I[:, 0]]
+    for k in range(1, width_ind):
+        c = c * VAL[I[:, k]] % p
+    V = VAL[D]
+    prefix = [c]
+    for k in range(width - 1):
+        prefix.append(prefix[-1] * V[:, k] % p)
+    VAL[locs] = prefix[-1] * V[:, -1] % p
+    coefs, suffix = prefix[:], None
+    for k in reversed(range(width)):
+        if suffix is not None:
+            coefs[k] = prefix[k] * suffix % p
+        if k:
+            suffix = V[:, k] if suffix is None else suffix * V[:, k] % p
+    acc = None
+    for k in range(width):
+        s = bisect.bisect_right(counts, k)
+        term = TAN[D[s:, k]]
+        term *= coefs[k][s:, :, None]
+        term %= p
+        if acc is None:
+            acc = term
         else:
-            stack.pop()
-            post.append(node)
-    return post
+            acc[s:] += term
+    if width > 1:
+        acc %= p
+    TAN[locs] = acc
+    if dirty:
+        dep_undef, ind_undef = UNDEF[D].any(axis=1), UNDEF[I].any(axis=1)
+        UNDEF[locs] = dep_undef | ind_undef
+        reads_all = np.array(counts)[:, None] > 1
+        bad |= (ind_undef | reads_all & dep_undef).any(axis=0)
+
+
+def _unary_wave(locs, items, points, VAL, UNDEF, TAN, p, dirty, bad):
+    """Evaluate a wave of Pow and Func nodes; marks the points that fail in bad."""
+    kids = [kid for kid, _ in items]
+    bases = VAL[kids].tolist()
+    got = np.array([_unary(node, b, points, p) for (_, node), b in zip(items, bases)],
+                   dtype=np.int64)
+    VAL[locs] = got[:, :, 0]
+    tan = TAN[kids]
+    tan *= got[:, :, 1, None]
+    tan %= p
+    TAN[locs] = tan
+    bad |= got[:, :, 2].any(axis=0)
+    if dirty:
+        reads = np.array([isinstance(node, sx.Pow) or node.fname == "ln"
+                          for _, node in items])[:, None]
+        bad |= (reads & UNDEF[kids]).any(axis=0)
+
+
+def _unary(node: Expr, bases: list[int], points: list[_TrialPoint], p: int) -> list[tuple]:
+    """(value, derivative coefficient, fails) of a Pow or Func node at each
+    point, given its child's values."""
+    if isinstance(node, sx.Pow):
+        e = node.exponent
+        return [(0, 0, True) if b == 0 and e < 0 else (pow(b, e, p), e * pow(b, e - 1, p) % p, False)
+                for b in bases]
+    if node.fname == "ln":
+        return [(pt.residue(node), pow(b, -1, p) if b else 0, b == 0)
+                for b, pt in zip(bases, points)]
+    factor, sign = _func_factor(node)
+    return [(pt.residue(node), sign * pt.residue(factor) % p, False) for pt in points]
+
+
+def _func_factor(node: sx.Func) -> tuple[Expr, int]:
+    """d f(a) = sign * factor * da for f = exp, sin, cos, with the nodes the
+    symbolic derivative builds."""
+    if node.fname == "exp":
+        return node, 1
+    if node.fname == "sin":
+        return sx.cos(node.arg), 1
+    return sx.sin(node.arg), -1
+
+
+def _flatten(groups: list[list[int]]) -> tuple[list[int], np.ndarray]:
+    """The groups' entries in one list, and where each group starts."""
+    starts = np.zeros(len(groups), dtype=np.int64)
+    np.cumsum([len(g) for g in groups[:-1]], out=starts[1:])
+    return [i for g in groups for i in g], starts
+
+
+def _first_failure(rows: list[Expr], zset: frozenset, pt: _TrialPoint) -> DivisionByZeroModP:
+    """The first vanishing denominator that pt's point meets when it reads,
+    row by row, the values that the rows' derivatives read, each row's new
+    nodes parents first: the order of a walk down the row's DAG."""
+    p = pt.p
+
+    def value(node):
+        return sx.eval_mod_p(node, pt, p, transcendental=pt.residue, _memo=pt.memo)
+
+    try:
+        for post in _walk(rows, {}, zset):
+            for node, dep, ind in reversed(post):
+                if isinstance(node, sx.Mul):
+                    for f in node.factors if len(dep) > 1 else ind:
+                        value(f)
+                elif isinstance(node, sx.Pow):
+                    e = node.exponent
+                    if value(node.base) == 0 and e < 0:
+                        raise DivisionByZeroModP(
+                            f"base of {sx.to_string(node.base)}^{e} is 0 mod {p}")
+                elif isinstance(node, sx.Func) and node.fname == "ln" and value(node.arg) == 0:
+                    raise DivisionByZeroModP(
+                        f"argument of ln({sx.to_string(node.arg)}) is 0 mod {p}")
+    except DivisionByZeroModP as exc:
+        return exc
+    raise AssertionError("the point reads no vanishing denominator")
+
+
+def _walk(rows: list[Expr], slot: dict[Expr, int], zset: frozenset) -> list[list[tuple]]:
+    """Give the next free slot to every z-dependent node of the rows that has
+    none, children before parents, in the order of a walk down each row's
+    DAG.  Returns, per row, its new nodes, each as (node, slots of its
+    z-dependent children, its z-independent children)."""
+    posts = []
+    for phi in rows:
+        post: list[tuple] = []
+        stack = [] if phi in slot or not _depends(phi, zset) else [(phi, iter(_kids(phi)), [], [])]
+        while stack:
+            node, it, dep, ind = stack[-1]
+            for c in it:
+                g = slot.get(c)
+                if g is not None:
+                    dep.append(g)
+                elif _depends(c, zset):
+                    stack.append((c, iter(_kids(c)), [], []))
+                    break
+                else:
+                    ind.append(c)
+            else:
+                stack.pop()
+                g = slot[node] = len(slot)
+                post.append((node, dep, ind))
+                if stack:
+                    stack[-1][2].append(g)
+        posts.append(post)
+    return posts
 
 
 def _kids(node: Expr) -> tuple[Expr, ...]:
@@ -301,78 +566,8 @@ def _kids(node: Expr) -> tuple[Expr, ...]:
     return ()
 
 
-# Node kinds of a tangent step; see _step.
-_SYM, _ADD, _MUL, _POW, _LN, _FUNC = range(6)
-
-
-def _step(node: Expr, index: dict[Symbol, int], zset: frozenset) -> tuple:
-    """(kind, z-dependent children, what the coefficients read) for a
-    z-dependent node; a Sym names its column in place of children."""
-    if isinstance(node, sx.Sym):
-        return _SYM, index[node.symbol], None
-    if isinstance(node, sx.Add):
-        return _ADD, [t for t in node.terms if _depends(t, zset)], None
-    if isinstance(node, sx.Mul):
-        fs = node.factors
-        deps = [k for k, f in enumerate(fs) if _depends(f, zset)]
-        return _MUL, [fs[k] for k in deps], (fs, deps)
-    if isinstance(node, sx.Pow):
-        return _POW, [node.base], node
-    if node.fname == "ln":
-        return _LN, [node.arg], node.arg
-    # d exp(a) = exp(a) da, d sin(a) = cos(a) da, d cos(a) = -sin(a) da,
-    # with the same nodes the symbolic derivative builds.
-    if node.fname == "exp":
-        return _FUNC, [node.arg], (node, 1)
-    if node.fname == "sin":
-        return _FUNC, [node.arg], (sx.cos(node.arg), 1)
-    return _FUNC, [node.arg], (sx.sin(node.arg), -1)
-
-
 def _depends(node: Expr, zset: frozenset) -> bool:
     return not sx.free_symbols(node).isdisjoint(zset)
-
-
-def _coefficients(steps: list[tuple], pt: _TrialPoint) -> list[int]:
-    """The coefficients of the steps at pt's point, one per z-dependent
-    child in step order; the values are read parents first."""
-    p, value = pt.p, pt.value
-    out: list[int] = []  # built backwards
-    for op, _, arg in reversed(steps):
-        if op == _MUL:
-            fs, deps = arg
-            if len(deps) == 1:
-                k, c = deps[0], 1
-                for f in fs[:k] + fs[k + 1:]:
-                    c = c * value(f) % p
-                out.append(c)
-                continue
-            vals = [value(f) for f in fs]
-            suffix = [1] * (len(vals) + 1)
-            for k in range(len(vals) - 1, 0, -1):
-                suffix[k] = suffix[k + 1] * vals[k] % p
-            prefix, cs = 1, []
-            for k, v in enumerate(vals):
-                if k in deps:
-                    cs.append(prefix * suffix[k + 1] % p)
-                prefix = prefix * v % p
-            out.extend(reversed(cs))
-        elif op == _POW:
-            b, e = value(arg.base), arg.exponent
-            if b == 0 and e < 0:
-                raise DivisionByZeroModP(
-                    f"base of {sx.to_string(arg.base)}^{e} is 0 mod {p}")
-            out.append(e * pow(b, e - 1, p) % p)
-        elif op == _LN:
-            b = value(arg)
-            if b == 0:
-                raise DivisionByZeroModP(f"argument of ln({sx.to_string(arg)}) is 0 mod {p}")
-            out.append(pow(b, -1, p))
-        elif op == _FUNC:
-            factor, sign = arg
-            out.append(sign * value(factor) % p)
-    out.reverse()
-    return out
 
 
 def _field_rate(A: AugmentedSystem) -> Callable[[Symbol], Expr]:
@@ -422,6 +617,8 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     opts = opts or SymbolicOptions()
     if opts.trials < 1:
         raise ValueError("trials must be >= 1")
+    if opts.max_level is not None and opts.max_level < 0:
+        raise ValueError("max_level must be >= 0")
     if not 2 <= opts.prime <= _linalg.MAX_PRIME:
         raise ValueError(f"prime must be in [2, {_linalg.MAX_PRIME}]")
     if not _linalg.is_prime(opts.prime):
@@ -467,6 +664,10 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
         warnings.append(
             f"unknown-input derivative chains truncated ({orders}), "
             "including any direct output feedthrough")
+    if md.ics:
+        ics = ", ".join(f"ic {s.name}" for s in md.ics)
+        warnings.append(
+            f"initial conditions ignored ({ics}): verdicts hold for generic initial states")
 
     return AnalysisReport(
         model=md.name,

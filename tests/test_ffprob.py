@@ -217,6 +217,16 @@ def test_analyze_sumrates_identical_columns():
     assert rep.verdicts["th1"] == "SU" and rep.verdicts["th2"] == "SU"
 
 
+def test_ic_lines_are_reported_as_ignored():
+    # x(0) = 0 makes k unidentifiable from this experiment; the engine still
+    # answers for generic initial states, and says so.
+    rep = analyze_ffprob(parse_model(DECAY.replace("th", "k") + "ic x = 0\n"))
+    assert rep.verdicts == {"x": "observable", "k": "SLI"}
+    assert rep.warnings == [
+        "initial conditions ignored (ic x): verdicts hold for generic initial states"]
+    assert analyze_ffprob(parse_model(DECAY)).warnings == []
+
+
 def test_analyze_rejects_non_rational_naming_the_node():
     md = load_model(corpus_dir() / "competition.idm")
     with pytest.raises(NonRationalExpr, match=r"ln\("):

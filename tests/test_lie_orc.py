@@ -188,6 +188,15 @@ def test_composite_prime_rejected_before_any_work(monkeypatch):
         analyze_symbolic(parse_model(DECAY), SymbolicOptions(prime=3 * 1000003))
 
 
+def test_negative_max_level_rejected_before_any_work(monkeypatch):
+    def no_work(md):
+        raise AssertionError("augment ran before max_level was checked")
+
+    monkeypatch.setattr(lie_orc, "augment", no_work)
+    with pytest.raises(ValueError, match=r"^max_level must be >= 0$"):
+        analyze_symbolic(parse_model(DECAY), SymbolicOptions(max_level=-1))
+
+
 def test_rank_zero_matrix():
     src = "model m\nstates x\nddt x = -x\noutput y = 7\n"
     rep = analyze_symbolic(parse_model(src), SymbolicOptions(trials=2, max_level=1))
@@ -200,6 +209,25 @@ def test_rank_retries_exhausted_on_denominator_divisible_by_p():
     src = f"model m\nstates x\nparams k\nddt x = -k*x\noutput y = x/{P}\n"
     with pytest.raises(RetriesExhausted):
         analyze_symbolic(parse_model(src), SymbolicOptions(trials=1, max_level=1))
+
+
+@pytest.mark.parametrize("name, p, seed, trials, denominator", [
+    ("mapk", 3, 0, 3, "base of 1/(1 + kk5 - x3) is 0 mod 3"),
+    ("mapk", 3, 4, 1, "base of 1/(1 + kk1 - x1) is 0 mod 3"),
+    ("jak_stat1", 2, 0, 3, "constant 1/2 has denominator divisible by 2"),
+])
+def test_retries_exhausted_names_the_first_vanishing_denominator(name, p, seed, trials,
+                                                                  denominator):
+    # The denominator is the first one that the trial's last point reads:
+    # rows in order, each row's nodes parents first, each value's subtree
+    # depth first.
+    md = load_model(corpus_dir() / f"{name}.idm")
+    with pytest.raises(RetriesExhausted) as info:
+        analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed, trials=trials))
+    assert str(info.value) == (
+        f"all {lie_orc.RETRIES} evaluation points hit a vanishing denominator mod {p} "
+        f"(model degenerate at this prime, or prime too small): {denominator}")
+    assert isinstance(info.value.__cause__, DivisionByZeroModP)
 
 
 # --------------------------------------------------------------------------
@@ -299,6 +327,16 @@ def test_max_level_stop_reason():
     assert rep.ranks_by_level == [1]
 
 
+def test_ic_lines_are_reported_as_ignored():
+    # x(0) = 0 makes th unidentifiable from this experiment; the engine still
+    # answers for generic initial states, and says so.
+    rep = analyze_symbolic(parse_model(DECAY + "ic x = 0\n"))
+    assert rep.verdicts == {"x": "observable", "th": "SLI"}
+    assert rep.warnings == [
+        "initial conditions ignored (ic x): verdicts hold for generic initial states"]
+    assert analyze_symbolic(parse_model(DECAY)).warnings == []
+
+
 def test_transcendental_warning_on_nonrational_model():
     md = load_model(corpus_dir() / "competition.idm")
     rep = analyze_symbolic(md)
@@ -329,13 +367,13 @@ def _symbolic_row(phi, ref: _TrialPoint):
 
 
 def _tangent_row(phi, pt: _TrialPoint):
-    # dphi/dz at pt's point by the engine's forward tangent pass.
+    # dphi/dz at pt's point by the engine's wave evaluation; a point that
+    # fails raises the first vanishing denominator it reads.
     batch = _Trials(LieCache(XYTH), (pt.trial,), pt.seed, pt.p)
     assert batch.index == INDEX
     batch.points = [pt]
-    failed = batch.extend(phi)
-    if failed:
-        raise failed[0][1]
+    if batch._evaluate([phi]):
+        raise lie_orc._first_failure([phi], batch.zset, pt)
     return pt.rows[-1]
 
 
@@ -383,6 +421,60 @@ def test_grad_row_vanishing_denominator_raises(vanishing):
         _tangent_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
     with pytest.raises(DivisionByZeroModP):
         _symbolic_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
+
+
+def _input_zero_model(output: str):
+    # One trial at seed 0: u - c is 0 mod P at attempt 0 and not at attempt 1.
+    src = "model m\nstates x\nparams th\ninputs u constant\nddt x = -th*x\noutput y = {}\n"
+    u = augment(parse_model(src.format("x"))).model.known_inputs[0].symbol
+    c = _TrialPoint(0, 0, 0, P, 2)[u]
+    assert _TrialPoint(0, 0, 1, P, 2)[u] != c
+    return augment(parse_model(src.format(output.replace("c", str(c)))))
+
+
+def _symbolic_rows(A, cache, n, ref):
+    rows = [row for j in range(n // len(A.outputs)) for row in cache.gradient_rows(j)]
+    return [_eval_row(row, ref) for row in rows]
+
+
+def test_vanishing_denominator_in_an_unread_add_term_keeps_the_point():
+    # An Add reads none of its terms' values, so 1/(u - c) with u = c at
+    # the point is never read by the row's derivative.
+    A = _input_zero_model("x*th + 1/(u - c)")
+    cache = LieCache(A)
+    pt, = _Trials(cache, (0,), 0, P).grow(2)
+    assert pt.attempt == 0
+    assert pt.rows == _symbolic_rows(A, cache, 2, _TrialPoint(0, 0, 0, P, A.n_z))
+
+
+def test_vanishing_denominator_in_a_sibling_factor_restarts_the_trial():
+    # A Mul with two z-dependent factors reads every factor, 1/(u - c) too.
+    A = _input_zero_model("x*th/(u - c)")
+    cache = LieCache(A)
+    pt, = _Trials(cache, (0,), 0, P).grow(2)
+    assert pt.attempt == 1
+    with pytest.raises(DivisionByZeroModP):
+        _symbolic_rows(A, cache, 2, _TrialPoint(0, 0, 0, P, A.n_z))
+    assert pt.rows == _symbolic_rows(A, cache, 2, _TrialPoint(0, 0, 1, P, A.n_z))
+
+
+def test_lone_sin_reads_only_its_cosine():
+    pt = _TrialPoint(0, 0, 0, P, len(Z))
+    _tangent_row(sx.sin(x * th), pt)
+    assert list(pt.table) == [sx.cos(x * th).shash]
+
+
+def test_trials_batched_get_the_rows_they_get_alone():
+    A = augment(load_model(corpus_dir() / "gene_p53.idm"))
+    m = len(A.outputs)
+    batch = _Trials(LieCache(A), range(3), 0, P)
+    alone = [_Trials(LieCache(A), (trial,), 0, P) for trial in range(3)]
+    for k in range(5):
+        points = batch.grow((k + 1) * m)
+        for trial, pt in enumerate(points):
+            single, = alone[trial].grow((k + 1) * m)
+            assert (pt.trial, pt.attempt, pt.rows) == (trial, single.attempt, single.rows), k
+            assert pt.table.keys() == single.table.keys(), k
 
 
 def test_sweep_rows_match_symbolic_rows_on_corpus(corpus_entries, reports_by_key):
@@ -493,18 +585,9 @@ def test_restart_of_one_trial_leaves_the_others_alone():
     assert points[0].attempt > 0
 
 
-def test_tangents_are_reused_across_levels(monkeypatch):
-    # After level K the tangent memo holds exactly the distinct z-dependent
-    # nodes of levels 0..K, and no node's tangent is formed twice.
-    formed = []
-
-    def recording(phi, memo, zset):
-        nodes = new_nodes(phi, memo, zset)
-        formed.extend(nodes)
-        return nodes
-
-    new_nodes = lie_orc._new_nodes
-    monkeypatch.setattr(lie_orc, "_new_nodes", recording)
+def test_tangents_are_reused_across_levels():
+    # After level K the slots hold exactly the distinct z-dependent nodes of
+    # levels 0..K, and no node gets two slots.
     md = load_model(corpus_dir() / "sirs_forced.idm")
     A = augment(md)
     zset = frozenset(A.z)
@@ -524,12 +607,16 @@ def test_tangents_are_reused_across_levels(monkeypatch):
             stack.extend(getattr(node, "terms", ()) or getattr(node, "factors", ()))
             stack.extend(c for c in (getattr(node, "base", None), getattr(node, "arg", None))
                          if c is not None)
-        assert set(batch.memo) == dependent, k
-        assert len(formed) == len(dependent), k
+        assert set(batch.slot) == dependent, k
+        assert _slots(batch) == len(dependent), k
     # A batch already holding n rows evaluates nothing and leaves the ranks.
     ranks = [pt.echelon.rank for pt in points]
     assert [pt.echelon.rank for pt in batch.grow(m)] == ranks
-    assert len(formed) == len(dependent)
+    assert _slots(batch) == len(dependent)
+
+
+def _slots(batch):
+    return sum(len(tan) for _, _, tan in batch.blocks)
 
 
 def _chain_model(n: int) -> str:

@@ -52,6 +52,41 @@ def test_independent_columns_matches_deleted_rank_oracle(case):
     _check_against_oracle(*case)
 
 
+def _reference_rank(rows, p):
+    """Rank over F_p by Gauss-Jordan elimination on Python ints."""
+    m = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [v * inv % p for v in m[rank]]
+        for i, row in enumerate(m):
+            if i != rank and row[c]:
+                m[i] = [(a - row[c] * b) % p for a, b in zip(row, m[rank])]
+        rank += 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(low_rank_matrices(), st.data())
+def test_rank_with_zero_columns_matches_reference(case, data):
+    # Elimination skips the columns that are zero in every row; zero
+    # columns spliced in anywhere change no rank.
+    rows, p = case
+    at = data.draw(st.lists(st.integers(0, len(rows[0])), max_size=4))
+    for j in sorted(at, reverse=True):
+        rows = [row[:j] + [0] + row[j:] for row in rows]
+    r = _reference_rank(rows, p)
+    assert rank_mod_p(rows, p) == r
+    ech = Echelon(len(rows[0]), p)
+    for row in rows:
+        ech.extend([row])
+    assert ech.rank == r
+
+
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("rows", [
     [[0, 0, 0], [0, 0, 0]],        # zero matrix
