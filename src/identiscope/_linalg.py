@@ -58,7 +58,7 @@ def _check_modulus(p: int) -> None:
 def _as_array(rows, p: int, n_cols: int = 0) -> np.ndarray:
     # n_cols is the width of an empty row list, which has no row to show it.
     _check_modulus(p)
-    a = np.asarray(rows, dtype=np.int64)
+    a = np.array(rows, dtype=np.int64)
     if a.ndim != 2:
         a = a.reshape(len(rows), -1) if len(rows) else a.reshape(0, n_cols)
     return a % p
@@ -66,29 +66,25 @@ def _as_array(rows, p: int, n_cols: int = 0) -> np.ndarray:
 
 def _eliminate(a: np.ndarray, p: int) -> tuple[int, list[int]]:
     # In-place forward elimination; returns (rank, pivot column indices).
-    n_rows = a.shape[0]
+    n_rows, n_cols = a.shape
     r = 0
     pivots: list[int] = []
-    # Row operations keep a zero column zero, so only the others can pivot.
-    for c in a.any(axis=0).nonzero()[0].tolist():
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
-            if a[r:].any():
-                continue
+    for c in range(n_cols):
+        if r == n_rows:
             break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        row = a[r]
-        row *= pow(int(row[c]), -1, p)
-        row %= p
-        r += 1
-        pivots.append(c)
-        if r == n_rows:
-            break
-        col = a[r:, c]
+        inv = pow(int(a[r, c]), -1, p)
+        a[r] = a[r] * inv % p
+        col = a[r + 1:, c]
         if col.any():
-            a[r:] = (a[r:] - col[:, None] * row) % p
+            a[r + 1:] = (a[r + 1:] - col[:, None] * a[r][None, :]) % p
+        pivots.append(c)
+        r += 1
     return r, pivots
 
 
@@ -101,51 +97,37 @@ def rank_mod_p(rows, p: int) -> int:
     return r
 
 
-def _reduce_mod(a: np.ndarray, coeffs: np.ndarray, basis: np.ndarray, p: int) -> np.ndarray:
-    # a - coeffs @ basis mod p, each product reduced before the sum.
-    return (a - (coeffs[:, :, None] * basis[None] % p).sum(1)) % p
-
-
 class Echelon:
     """Reduced row echelon form over F_p, extended one block of rows at a time.
 
-    ``extend`` reduces a new block against the pivot rows so far (each pivot
-    row is zero at every other pivot column, so one vectorized step clears
-    them all), eliminates what is left, and clears the new pivot columns from
-    the older rows.  The form is therefore the reduced row echelon form of
-    all rows so far, ``rank`` is their rank after each block, and
+    Row c of ``by_col`` is the pivot row of column c, or zero when c is not a
+    pivot column.  ``extend`` (``extend_all`` for several forms at once)
+    reduces a new block against the pivot rows so far (each pivot row is
+    zero at every other pivot column, so one vectorized step clears them
+    all), eliminates what is left, and clears the new pivot columns from the
+    older rows.  The form is therefore the reduced row echelon form of all
+    rows so far, ``rank`` is their rank after each block, and
     ``independent_columns`` reads the flags from it.
     """
 
     def __init__(self, n_cols: int, p: int):
         _check_modulus(p)
         self.p = p
-        self.basis = np.zeros((0, n_cols), dtype=np.int64)
+        self.by_col = np.zeros((n_cols, n_cols), dtype=np.int64)
         self.pivots: list[int] = []
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def basis(self) -> np.ndarray:
+        """The pivot rows, in the order their columns became pivots."""
+        return self.by_col[self.pivots]
+
     def extend(self, rows) -> int:
         """Add a block of rows; returns the rank of all rows so far."""
-        p = self.p
-        a = _as_array(rows, p, self.basis.shape[1])
-        if self.pivots:
-            a = _reduce_mod(a, a[:, self.pivots], self.basis, p)
-        r, pivots = _eliminate(a, p)
-        new = a[:r]
-        for i in range(r - 1, 0, -1):
-            col = new[:i, pivots[i]]
-            if col.any():
-                new[:i] = (new[:i] - col[:, None] * new[i][None, :]) % p
-        if r:
-            basis = self.basis
-            if self.pivots:
-                basis = _reduce_mod(basis, basis[:, pivots], new, p)
-            self.basis = np.concatenate([basis, new])
-            self.pivots += pivots
-        return self.rank
+        return extend_all([self], [rows])[0]
 
     def independent_columns(self) -> list[bool]:
         """For each column, whether it is independent of the others.
@@ -154,8 +136,55 @@ class Echelon:
         row space, that is when j is a pivot column whose pivot row is the
         unit vector e_j; equivalently, deleting column j drops the rank by one.
         """
-        independent = [False] * self.basis.shape[1]
-        for i, c in enumerate(self.pivots):
-            independent[c] = np.count_nonzero(self.basis[i]) == 1
+        independent = [False] * len(self.by_col)
+        for c in self.pivots:
+            independent[c] = np.count_nonzero(self.by_col[c]) == 1
         return independent
 
+
+def extend_all(echelons: list[Echelon], blocks) -> list[int]:
+    """Extend each echelon form by its block of rows, the blocks all of one
+    shape and each form over its own prime; returns their ranks.
+
+    Each step runs over all the forms at once, and every product is reduced
+    mod p before it is summed.  A column that is a pivot of no form has a
+    zero row, so the pivot columns of all the forms serve each of them.
+    """
+    n = len(echelons[0].by_col)
+    primes = [e.p for e in echelons]
+    P = np.array(primes, dtype=np.int64)[:, None, None]
+    a = np.asarray(blocks, dtype=np.int64).reshape(len(echelons), -1, n) % P
+    B = np.stack([e.by_col for e in echelons])
+    old = sorted(set().union(*(e.pivots for e in echelons)))
+    if old:
+        a = (a - (a[:, :, old, None] * B[:, None, old] % P[..., None]).sum(2)) % P
+    # Gauss-Jordan elimination of the blocks, one row position at a time,
+    # over all the forms; a row that is zero scales by 0 and clears nothing.
+    sets = np.arange(len(primes))
+    found = []
+    for i in range(a.shape[1]):
+        lead = (a[:, i] != 0).argmax(1)
+        v = a[sets, i, lead]
+        if not v.any():
+            continue
+        inv = [pow(x, -1, p) if x else 0 for x, p in zip(v.tolist(), primes)]
+        row = a[:, i] * np.array(inv, dtype=np.int64)[:, None] % P[:, 0]
+        f = a[sets, :, lead]
+        f[:, i] = 0
+        a -= f[:, :, None] * row[:, None] % P
+        a %= P
+        a[:, i] = row
+        s = v.nonzero()[0]
+        found.append((s, lead[s], i))
+    N = np.zeros_like(B)
+    for s, c, i in found:
+        N[s, c] = a[s, i]
+        for j, col in zip(s.tolist(), c.tolist()):
+            echelons[j].pivots.append(col)
+    new = sorted({col for _, c, _ in found for col in c.tolist()})
+    if new and old:
+        B = (B - (B[:, :, new, None] * N[:, None, new] % P[..., None]).sum(2)) % P
+    B += N
+    for e, b in zip(echelons, B):
+        e.by_col = b
+    return [e.rank for e in echelons]

@@ -8,27 +8,15 @@ across processes and platforms for a fixed seed.
 
 from __future__ import annotations
 
-import _random
+import random
 from hashlib import blake2b
 
 
 def _seed_int(parts) -> int:
-    tag = "\x1f".join(map(str, parts)).encode()
+    tag = "\x1f".join(str(p) for p in parts).encode()
     return int.from_bytes(blake2b(tag, digest_size=8).digest(), "big")
 
 
 def residue(parts, p: int) -> int:
-    """Uniform residue in [1, p-1] determined entirely by ``parts``.
-
-    It is ``random.Random(seed).randrange(1, p)`` for the keyed seed, drawn
-    the way randrange draws it: k-bit outputs of a Mersenne Twister seeded
-    with the seed, until one falls below p - 1.  The generator is the C type
-    behind ``random.Random``, which skips that class's Python-level set-up.
-    """
-    gen = _random.Random(_seed_int(parts))
-    n = p - 1
-    k = n.bit_length()
-    r = gen.getrandbits(k)
-    while r >= n:
-        r = gen.getrandbits(k)
-    return 1 + r
+    """Uniform residue in [1, p-1] determined entirely by ``parts``."""
+    return random.Random(_seed_int(parts)).randrange(1, p)

@@ -294,8 +294,10 @@ class _Sweep:
 
     V[k, node, run] is coefficient k of the node's series and
     T[k, node, run, l] its derivative with respect to z0_l; T[0] of z leaf l
-    is e_l, so the tangents of z are S.  The arrays hold only the orders
-    reached so far, doubling up to the cap.
+    is e_l, so the tangents of z are S.  Both are views of one array X, with
+    the value before the tangent on its last axis, so that a linear step
+    (sum, scale, integration) takes one numpy expression for both.  X holds
+    only the orders reached so far, doubling up to the cap.
     """
 
     def __init__(self, tape: _Tape, primes, order: int):
@@ -303,9 +305,7 @@ class _Sweep:
         self.order = order
         B, n_z = len(primes), tape.n_z
         self.P = np.array(primes, dtype=np.int64)
-        held = min(order + 1, 4)
-        self.V = np.zeros((held, tape.size, B), dtype=np.int64)
-        self.T = np.zeros((held, tape.size, B, n_z), dtype=np.int64)
+        self._view(np.zeros((min(order + 1, 4), tape.size, B, 1 + n_z), dtype=np.int64))
         leaves = np.arange(n_z)
         self.T[0, 1 + leaves, :, leaves] = 1
         self.jets = np.zeros((order + 1, tape.q, B), dtype=np.int64)
@@ -336,46 +336,45 @@ class _Sweep:
             coeffs = jet[:self.order + 1]
             self.jets[:len(coeffs), i, run] = [v % p for v in coeffs]
 
+    def _view(self, X: np.ndarray) -> None:
+        self.X, self.V, self.T = X, X[..., 0], X[..., 1:]
+
     def _hold(self, k: int) -> None:
         """Make room for order k."""
-        held = len(self.V)
+        held = len(self.X)
         if k < held:
             return
-        n = min(self.order + 1, 2 * held)
-        for name in ("V", "T"):
-            old = getattr(self, name)
-            grown = np.zeros((n,) + old.shape[1:], dtype=np.int64)
-            grown[:held] = old
-            setattr(self, name, grown)
+        grown = np.zeros((min(self.order + 1, 2 * held),) + self.X.shape[1:], dtype=np.int64)
+        grown[:held] = self.X
+        self._view(grown)
 
     def advance(self, k: int) -> dict[int, str]:
         """Coefficient k of the z leaves (z' = F, from order k - 1), then of
         every other node.  At k = 0, returns the runs whose point makes a
         denominator vanish, with the reason; their values are not meaningful."""
         self._hold(k)
-        V, T, P = self.V, self.T, self.P
+        X, V, T, P = self.X, self.V, self.T, self.P
         Pt = P[:, None]
         n_z = self.tape.n_z
         V[k, 1 + n_z:1 + n_z + self.tape.q] = self.jets[k]
         if k:
             zl, f = self.tape.z_leaves, self.tape.z_rhs
-            V[k, zl] = V[k - 1, f] * self.inv[k - 1] % P
-            T[k, zl] = T[k - 1, f] * self.inv[k - 1][:, None] % Pt
+            X[k, zl] = X[k - 1, f] * self.inv[k - 1][:, None] % Pt
         failed = dict(self.bad) if k == 0 else {}
         for w, (kind, lo, hi, ops, _) in enumerate(self.tape.waves):
             if kind == _ADD:
-                V[k, lo:hi] = V[k][ops].sum(1) % P
-                T[k, lo:hi] = T[k][ops].sum(1) % Pt
+                X[k, lo:hi] = X[k][ops].sum(1) % Pt
             elif kind == _SCALE:
-                s = self.scales[w]
-                V[k, lo:hi] = V[k, ops] * s % P
-                T[k, lo:hi] = T[k, ops] * s[..., None] % Pt
+                X[k, lo:hi] = X[k, ops] * self.scales[w][..., None] % Pt
             elif kind == _MUL:
+                # (a b)_k = sum_j a_j b_(k-j), and its tangent adds
+                # T(a)_j b_(k-j) to a_j T(b)_(k-j).  Two products below
+                # p^2 < 2^63 sum below 2^64.
                 ia, ib = ops
-                a, b = V[:k + 1, ia], V[k::-1, ib]
-                V[k, lo:hi] = (a * b % P).sum(0) % P
-                T[k, lo:hi] = ((a[..., None] * T[k::-1, ib] % Pt).sum(0)
-                               + (T[:k + 1, ia] * b[..., None] % Pt).sum(0)) % Pt
+                b = V[k::-1, ib]
+                t = (V[:k + 1, ia, :, None] * X[k::-1, ib]).view(np.uint64)
+                t[..., 1:] += (T[:k + 1, ia] * b[..., None]).view(np.uint64)
+                X[k, lo:hi] = (t % Pt.view(np.uint64)).sum(0).view(np.int64) % Pt
             elif k == 0:  # reciprocal: c_0 = 1/a_0, T(c)_0 = -T(a)_0 / a_0^2
                 a0 = V[0, ops]
                 for run in np.flatnonzero((a0 == 0).any(0)):
@@ -547,10 +546,11 @@ def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run], seed: int) -> None:
 def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
                 deadline: float | None = None) -> None:
     """Grow every run's output Jacobian one block per series order, all runs
-    in one sweep.  Block k is the order-k tangent of the h nodes.  A run stops
-    when its rank reaches n_z (full_rank), when a block k > 0 leaves it
-    unchanged (saturation), or at block ``order`` (order_exhausted); the
-    sweep ends when every run has stopped."""
+    in one sweep.  Block k is the order-k tangent of the h nodes, and one
+    ``extend_all`` step adds it to the echelon form of every run still going.
+    A run stops when its rank reaches n_z (full_rank), when a block k > 0
+    leaves it unchanged (saturation), or at block ``order``
+    (order_exhausted); the sweep ends when every run has stopped."""
     n_z = A.n_z
     tape = _Tape(A)
     sw = _Sweep(tape, [run.prime for run in runs], order)
@@ -562,16 +562,16 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
             _start(A, sw, runs, seed)
         else:
             sw.advance(k)
-        blocks = sw.T[k, tape.h]
-        for b, run in enumerate(runs):
-            if run.stop is not None:
-                continue
-            before = run.echelon.rank
-            run.rows += blocks[:, b].tolist()
-            r = run.echelon.extend(blocks[:, b])
+        blocks = sw.T[k, tape.h].swapaxes(0, 1)
+        live = [b for b, run in enumerate(runs) if run.stop is None]
+        before = [runs[b].echelon.rank for b in live]
+        ranks = _linalg.extend_all([runs[b].echelon for b in live], blocks[live])
+        for b, r0, r in zip(live, before, ranks):
+            run = runs[b]
+            run.rows += blocks[b].tolist()
             if r == n_z:
                 run.stop = "full_rank"
-            elif k > 0 and r == before:
+            elif k > 0 and r == r0:
                 run.stop = "saturation"
         if all(run.stop is not None for run in runs):
             return
@@ -634,9 +634,7 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
             f"unknown-input derivative chains truncated ({orders}), "
             "including any direct output feedthrough")
     if md.ics:
-        ics = ", ".join(f"ic {s.name}" for s in md.ics)
-        warnings.append(
-            f"initial conditions ignored ({ics}): verdicts hold for generic initial states")
+        warnings.append(md.ic_warning())
 
     return AnalysisReport(
         model=md.name,

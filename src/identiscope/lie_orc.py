@@ -13,12 +13,11 @@ straight-line program over (nodes, trials): the new nodes of one kind and
 one height take a handful of numpy operations together, not a few each.
 Each product of two residues is reduced before it is summed, which keeps
 the arithmetic exact for p up to ``_linalg.MAX_PRIME``.  Each trial's point
-keeps one reduced echelon form
-over the prime field, which the batch extends with every level's new rows;
-the matrix's generic rank is the largest trial rank, and each
-augmented-state entry is classified from the echelon forms with the
-column-deletion test.  Symbolic gradient rows are built only on request
-(``LieCache.gradient_rows``).
+keeps one reduced echelon form over the prime field, which the batch
+extends with every level's new rows; the matrix's generic rank is the
+largest trial rank, and each augmented-state entry is classified from the
+echelon forms with the column-deletion test.  Symbolic gradient rows are
+built only on request (``LieCache.gradient_rows``).
 
 Unlike purely symbolic rank computation, the rank step specializes every
 symbol to an independent uniform residue in [1, p-1]; a random point can
@@ -166,14 +165,11 @@ class _Trials:
     Every product of two residues is reduced mod p before it is summed,
     which keeps int64 exact for p <= ``_linalg.MAX_PRIME``.
 
-    A node reads exactly the values that its symbolic derivative contains:
-    a Mul every factor when two or more depend on z and otherwise the
-    siblings of its z-dependent factor, a Pow its base, ln its argument, and
-    exp(a), sin(a) and cos(a) the table entries of exp(a), cos(a) and
-    sin(a); reading a value reads its subtree, Func arguments excepted.  A
-    point fails when a read value is undefined, is a zero base under a
-    negative power or is a zero argument of ln, and its table holds the
-    Func nodes that the reads reach, as evaluating ``differentiate(phi,
+    A node reads exactly the values that its symbolic derivative contains
+    (``_reads``); reading a value reads its subtree, Func arguments
+    excepted.  A point fails when a read value is undefined, is a zero base
+    under a negative power or is a zero argument of ln, and its table holds
+    the Func nodes that the reads reach, as evaluating ``differentiate(phi,
     z_j)`` would.
     """
 
@@ -194,7 +190,8 @@ class _Trials:
 
     def grow(self, n: int) -> list[_TrialPoint]:
         """Bring every trial's point to its first n gradient rows and extend
-        each point's echelon form with the rows it gained; returns the points.
+        each point's echelon form with the rows it gained, the points that
+        gained equally many in one step; returns the points.
 
         The rows that the points lack are evaluated together.  A point that
         fails moves only its trial to the next attempt, where every row is
@@ -237,9 +234,12 @@ class _Trials:
             self._reset()
         if failed:
             raise failed[min(failed)]
+        gained: dict[int, list[_TrialPoint]] = {}
         for pt in self.points:
-            if len(pt.rows) > held[pt.trial]:
-                pt.echelon.extend(pt.rows[held[pt.trial]:])
+            gained.setdefault(len(pt.rows) - held[pt.trial], []).append(pt)
+        for k, pts in gained.items():
+            if k:
+                _linalg.extend_all([pt.echelon for pt in pts], [pt.rows[-k:] for pt in pts])
         return self.points
 
     def _evaluate(self, rows: list[Expr]) -> list[int]:
@@ -326,7 +326,7 @@ class _Trials:
 
         self.blocks.append((VAL[:N].copy(), UNDEF[:N].copy(), TAN[:N].copy()))
         self.starts.append(base)
-        funcs = self._table_entries([node for node, _, _ in nodes])
+        funcs = self._table_entries(nodes)
         got = TAN[out].transpose(1, 0, 2).tolist()
         for pt, pt_rows in zip(points, got):
             for f in funcs:
@@ -335,20 +335,11 @@ class _Trials:
         self.n_rows += len(rows)
         return []
 
-    def _table_entries(self, nodes: list[Expr]) -> list[Expr]:
+    def _table_entries(self, nodes: list[tuple]) -> list[Expr]:
         """The Func nodes, not covered yet, that the derivatives of the new
-        nodes read."""
-        slot, todo = self.slot, []
-        for node in nodes:
-            if sx.is_rational_expr(node):
-                continue
-            if isinstance(node, sx.Mul):
-                dep = [f in slot for f in node.factors]
-                todo += [f for f, d in zip(node.factors, dep) if not d or sum(dep) > 1]
-            elif isinstance(node, sx.Pow):
-                todo.append(node.base)
-            elif isinstance(node, sx.Func):
-                todo.append(node.arg if node.fname == "ln" else _func_factor(node)[0])
+        nodes, given as ``_walk`` gives them, read."""
+        todo = [r for node, dep, ind in nodes if not sx.is_rational_expr(node)
+                for r in _reads(node, dep, ind)]
         funcs = []
         while todo:
             node = todo.pop()
@@ -508,20 +499,32 @@ def _first_failure(rows: list[Expr], zset: frozenset, pt: _TrialPoint) -> Divisi
     try:
         for post in _walk(rows, {}, zset):
             for node, dep, ind in reversed(post):
-                if isinstance(node, sx.Mul):
-                    for f in node.factors if len(dep) > 1 else ind:
-                        value(f)
-                elif isinstance(node, sx.Pow):
-                    e = node.exponent
-                    if value(node.base) == 0 and e < 0:
+                for r in _reads(node, dep, ind):
+                    v = value(r)
+                    if v == 0 and isinstance(node, sx.Pow) and node.exponent < 0:
                         raise DivisionByZeroModP(
-                            f"base of {sx.to_string(node.base)}^{e} is 0 mod {p}")
-                elif isinstance(node, sx.Func) and node.fname == "ln" and value(node.arg) == 0:
-                    raise DivisionByZeroModP(
-                        f"argument of ln({sx.to_string(node.arg)}) is 0 mod {p}")
+                            f"base of {sx.to_string(r)}^{node.exponent} is 0 mod {p}")
+                    if v == 0 and isinstance(node, sx.Func):  # only ln reads a value that can be 0
+                        raise DivisionByZeroModP(f"argument of ln({sx.to_string(r)}) is 0 mod {p}")
     except DivisionByZeroModP as exc:
         return exc
     raise AssertionError("the point reads no vanishing denominator")
+
+
+def _reads(node: Expr, dep: list, ind: list[Expr]) -> tuple[Expr, ...]:
+    """The nodes whose values the symbolic derivative of a z-dependent node
+    reads, given its z-dependent children ``dep`` and the others ``ind``: a
+    Mul every factor when two or more depend on z and otherwise the siblings
+    of its z-dependent factor, a Pow its base, ln its argument, exp(a),
+    sin(a) and cos(a) the Func nodes exp(a), cos(a) and sin(a), and an Add
+    nothing."""
+    if isinstance(node, sx.Mul):
+        return node.factors if len(dep) > 1 else tuple(ind)
+    if isinstance(node, sx.Pow):
+        return (node.base,)
+    if isinstance(node, sx.Func):
+        return (node.arg if node.fname == "ln" else _func_factor(node)[0],)
+    return ()
 
 
 def _walk(rows: list[Expr], slot: dict[Expr, int], zset: frozenset) -> list[list[tuple]]:
@@ -665,9 +668,7 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
             f"unknown-input derivative chains truncated ({orders}), "
             "including any direct output feedthrough")
     if md.ics:
-        ics = ", ".join(f"ic {s.name}" for s in md.ics)
-        warnings.append(
-            f"initial conditions ignored ({ics}): verdicts hold for generic initial states")
+        warnings.append(md.ic_warning())
 
     return AnalysisReport(
         model=md.name,

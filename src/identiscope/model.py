@@ -109,6 +109,12 @@ class ModelDef:
                 return hit
         return None
 
+    def ic_warning(self) -> str:
+        """The report warning for the model's ``ic`` lines, which both
+        engines ignore."""
+        ics = ", ".join(f"ic {s.name}" for s in self.ics)
+        return f"initial conditions ignored ({ics}): verdicts hold for generic initial states"
+
 
 @dataclass(frozen=True)
 class AugmentedSystem:

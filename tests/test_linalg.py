@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from identiscope import lie_orc
-from identiscope._linalg import MAX_PRIME, Echelon, is_prime, rank_mod_p
+from identiscope._linalg import MAX_PRIME, Echelon, extend_all, is_prime, rank_mod_p
 from identiscope.ffprob import DEFAULT_PRIMES
 
 from oracles import deleted_column_ranks
@@ -73,8 +73,8 @@ def _reference_rank(rows, p):
 @settings(max_examples=300, deadline=None)
 @given(low_rank_matrices(), st.data())
 def test_rank_with_zero_columns_matches_reference(case, data):
-    # Elimination skips the columns that are zero in every row; zero
-    # columns spliced in anywhere change no rank.
+    # Zero columns spliced in anywhere change no rank, whether the rows come
+    # all at once or one at a time.
     rows, p = case
     at = data.draw(st.lists(st.integers(0, len(rows[0])), max_size=4))
     for j in sorted(at, reverse=True):
@@ -85,6 +85,27 @@ def test_rank_with_zero_columns_matches_reference(case, data):
     for row in rows:
         ech.extend([row])
     assert ech.rank == r
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(low_rank_matrices(), min_size=1, max_size=4), st.data())
+def test_extend_all_matches_each_form_alone(cases, data):
+    # Forms over different primes, each extended by blocks of one shape, end
+    # where each form extended alone does.
+    n_cols = min(len(rows[0]) for rows, _ in cases)
+    n_rows = min(len(rows) for rows, _ in cases)
+    cases = [([row[:n_cols] for row in rows[:n_rows]], p) for rows, p in cases]
+    cut = data.draw(st.integers(0, n_rows))
+    together = [Echelon(n_cols, p) for _, p in cases]
+    for lo, hi in ((0, cut), (cut, n_rows)):
+        ranks = extend_all(together, [rows[lo:hi] for rows, _ in cases])
+        assert ranks == [rank_mod_p(rows[:hi], p) if hi else 0 for rows, p in cases]
+    for ech, (rows, p) in zip(together, cases):
+        alone = Echelon(n_cols, p)
+        alone.extend(rows)
+        assert ech.pivots == alone.pivots and (ech.basis == alone.basis).all()
+        r = ech.rank
+        assert ech.independent_columns() == [d == r - 1 for d in deleted_column_ranks(rows, p)]
 
 
 @pytest.mark.parametrize("p", PRIMES)
