@@ -23,9 +23,10 @@ tangent of the h nodes.  One sweep per order advances every (prime, trial)
 run at once: runs are an array axis, each with its prime broadcast along it.
 Storage is order-major, so only the orders some run reaches take memory.
 Every product of two residues is reduced mod p before it is added to
-anything, which keeps int64 arithmetic exact for p <= MAX_PRIME.  A run
-whose point makes a denominator of F or h vanish at t = 0 restarts at its
-next random point (order 0 is redone; the other runs keep theirs).
+anything but one other such product (two sum below 2^64 in uint64), which
+keeps the arithmetic exact for p <= MAX_PRIME.  A run whose point makes a
+denominator of F or h vanish at t = 0 restarts at its next random point
+(order 0 is redone; the other runs keep theirs).
 """
 
 from __future__ import annotations
