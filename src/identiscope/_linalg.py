@@ -2,9 +2,11 @@
 for their moduli.
 
 Matrices are kept in int64 numpy arrays.  With p bounded by sqrt(2^63) the
-rank-1 update ``row_i - f * row_r`` cannot overflow, and a block update
-reduces each product mod p before summing, so every intermediate stays
-exact.
+rank-1 update ``row_i - f * row_r`` cannot overflow.  A block update is an
+int64 matrix product with its left factor split into 16-bit limbs: p is
+below 2^32, so each product of a limb and an entry is below 2^48, and a sum
+of fewer than 2^15 of them, one per column of a form of at most
+``MAX_COLS`` columns, stays below 2^63.  Every intermediate stays exact.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import numpy as np
 
 # (p-1)^2 plus one subtraction must fit in a signed 64-bit integer.
 MAX_PRIME = math.isqrt(2**63 - 1) - 1
+# The widest echelon form whose block products stay exact (module docstring).
+MAX_COLS = 2**15 - 1
 
 
 # The least odd composite that passes Miller-Rabin to bases 2, 3, 5 and 7.
@@ -112,6 +116,8 @@ class Echelon:
 
     def __init__(self, n_cols: int, p: int):
         _check_modulus(p)
+        if n_cols > MAX_COLS:
+            raise ValueError(f"an echelon form has at most {MAX_COLS} columns")
         self.p = p
         self.by_col = np.zeros((n_cols, n_cols), dtype=np.int64)
         self.pivots: list[int] = []
@@ -142,22 +148,34 @@ class Echelon:
         return independent
 
 
+def _matmul(x: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """An int64 array congruent to x @ y mod P, for stacks of matrices with
+    entries in [0, p) and at most MAX_COLS columns in x.  x is split into
+    16-bit limbs: the high limb's product is reduced and shifted below 2^48,
+    and the low limb's sums at most MAX_COLS products below 2^48 onto it."""
+    out = (x >> 16) @ y % P
+    out <<= 16
+    out += (x & 0xFFFF) @ y
+    return out
+
+
 def extend_all(echelons: list[Echelon], blocks) -> list[int]:
     """Extend each echelon form by its block of rows, the blocks all of one
     shape and each form over its own prime; returns their ranks.
 
-    Each step runs over all the forms at once, and every product is reduced
-    mod p before it is summed.  A column that is a pivot of no form has a
-    zero row, so the pivot columns of all the forms serve each of them.
+    Each step runs over all the forms at once; the reduction against the old
+    pivot rows and the clearing of the new pivot columns are one exact
+    matrix product each.  A column that is a pivot of no form has a zero
+    row, so the pivot columns of all the forms serve each of them.
     """
     n = len(echelons[0].by_col)
     primes = [e.p for e in echelons]
     P = np.array(primes, dtype=np.int64)[:, None, None]
     a = np.asarray(blocks, dtype=np.int64).reshape(len(echelons), -1, n) % P
-    B = np.stack([e.by_col for e in echelons])
+    B = np.array([e.by_col for e in echelons])
     old = sorted(set().union(*(e.pivots for e in echelons)))
     if old:
-        a = (a - (a[:, :, old, None] * B[:, None, old] % P[..., None]).sum(2)) % P
+        a = (a - _matmul(a[:, :, old], B[:, old], P)) % P
     # Gauss-Jordan elimination of the blocks, one row position at a time,
     # over all the forms; a row that is zero scales by 0 and clears nothing.
     sets = np.arange(len(primes))
@@ -165,16 +183,15 @@ def extend_all(echelons: list[Echelon], blocks) -> list[int]:
     for i in range(a.shape[1]):
         lead = (a[:, i] != 0).argmax(1)
         v = a[sets, i, lead]
-        if not v.any():
+        s = v.nonzero()[0]
+        if not s.size:
             continue
         inv = [pow(x, -1, p) if x else 0 for x, p in zip(v.tolist(), primes)]
         row = a[:, i] * np.array(inv, dtype=np.int64)[:, None] % P[:, 0]
-        f = a[sets, :, lead]
-        f[:, i] = 0
-        a -= f[:, :, None] * row[:, None] % P
+        # Row i itself clears to 0 here and then takes the scaled row.
+        a -= a[sets, :, lead][:, :, None] * row[:, None] % P
         a %= P
         a[:, i] = row
-        s = v.nonzero()[0]
         found.append((s, lead[s], i))
     N = np.zeros_like(B)
     for s, c, i in found:
@@ -183,7 +200,9 @@ def extend_all(echelons: list[Echelon], blocks) -> list[int]:
             echelons[j].pivots.append(col)
     new = sorted({col for _, c, _ in found for col in c.tolist()})
     if new and old:
-        B = (B - (B[:, :, new, None] * N[:, None, new] % P[..., None]).sum(2)) % P
+        # Only the old pivot rows are nonzero.
+        Bo = B[:, old]
+        B[:, old] = (Bo - _matmul(Bo[:, :, new], N[:, new], P)) % P
     B += N
     for e, b in zip(echelons, B):
         e.by_col = b

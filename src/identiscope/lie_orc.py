@@ -108,8 +108,8 @@ class LieCache:
     point: the numeric rows belong to the analysis's one ``_Trials`` batch.
     The symbolic gradient rows, which the engine never needs, are built only
     when ``LieCache.gradient_rows`` is called.  The optional deadline is
-    checked between per-output derivations so oversized models hit their
-    wall-clock bound promptly.
+    checked between per-output derivations and inside each derivation walk,
+    so oversized models hit their wall-clock bound promptly.
     """
 
     def __init__(self, A: AugmentedSystem, deadline: float | None = None):
@@ -124,7 +124,8 @@ class LieCache:
             nxt = []
             for phi in self.lies[-1]:
                 check_deadline(self.deadline)
-                nxt.append(extended_lie_derivative(phi, self.A, self._derivs))
+                nxt.append(extended_lie_derivative(phi, self.A, self._derivs,
+                                                   deadline=self.deadline))
             self.lies.append(nxt)
 
     def gradient_rows(self, k: int) -> list[list[Expr]]:
@@ -177,6 +178,8 @@ class _Trials:
         self.cache, self.seed, self.p = cache, seed, p
         self.index = cache.A.index
         self.zset = frozenset(self.index)
+        # Nodes known not to depend on z; structural, so kept across resets.
+        self.indep: set[Expr] = set()
         self.units = np.eye(len(self.index), dtype=np.int64)
         self.points = [_TrialPoint(seed, t, 0, p, cache.A.n_z) for t in trials]
         self._reset()
@@ -252,7 +255,7 @@ class _Trials:
         """
         p, slot, points = self.p, self.slot, self.points
         base = len(slot)
-        nodes = [entry for post in _walk(rows, slot, self.zset) for entry in post]
+        nodes = [entry for post in _walk(rows, slot, self.indep, self.zset) for entry in post]
         # Work rows: the new nodes, a "one" and a "zero" slot, the nodes of
         # earlier blocks that they read, and, counted from the end, their
         # z-independent children.  TAN stops before the z-independent rows.
@@ -497,7 +500,7 @@ def _first_failure(rows: list[Expr], zset: frozenset, pt: _TrialPoint) -> Divisi
         return sx.eval_mod_p(node, pt, p, transcendental=pt.residue, _memo=pt.memo)
 
     try:
-        for post in _walk(rows, {}, zset):
+        for post in _walk(rows, {}, set(), zset):
             for node, dep, ind in reversed(post):
                 for r in _reads(node, dep, ind):
                     v = value(r)
@@ -527,32 +530,42 @@ def _reads(node: Expr, dep: list, ind: list[Expr]) -> tuple[Expr, ...]:
     return ()
 
 
-def _walk(rows: list[Expr], slot: dict[Expr, int], zset: frozenset) -> list[list[tuple]]:
+def _walk(rows: list[Expr], slot: dict[Expr, int], indep: set[Expr],
+          zset: frozenset) -> list[list[tuple]]:
     """Give the next free slot to every z-dependent node of the rows that has
     none, children before parents, in the order of a walk down each row's
     DAG.  Returns, per row, its new nodes, each as (node, slots of its
-    z-dependent children, its z-independent children)."""
+    z-dependent children, its z-independent children).
+
+    A node depends on z when it is a z symbol or a child of it has a slot.
+    ``indep`` holds the nodes known not to; the walk adds the ones it finds.
+    """
     posts = []
     for phi in rows:
         post: list[tuple] = []
-        stack = [] if phi in slot or not _depends(phi, zset) else [(phi, iter(_kids(phi)), [], [])]
+        stack = [] if phi in slot or phi in indep else [(phi, iter(_kids(phi)), [], [])]
         while stack:
             node, it, dep, ind = stack[-1]
             for c in it:
                 g = slot.get(c)
                 if g is not None:
                     dep.append(g)
-                elif _depends(c, zset):
+                elif c in indep or isinstance(c, sx.Const):
+                    ind.append(c)
+                else:
                     stack.append((c, iter(_kids(c)), [], []))
                     break
-                else:
-                    ind.append(c)
             else:
                 stack.pop()
-                g = slot[node] = len(slot)
-                post.append((node, dep, ind))
-                if stack:
-                    stack[-1][2].append(g)
+                if dep or isinstance(node, sx.Sym) and node.symbol in zset:
+                    g = slot[node] = len(slot)
+                    post.append((node, dep, ind))
+                    if stack:
+                        stack[-1][2].append(g)
+                else:
+                    indep.add(node)
+                    if stack:
+                        stack[-1][3].append(node)
         posts.append(post)
     return posts
 
@@ -567,10 +580,6 @@ def _kids(node: Expr) -> tuple[Expr, ...]:
     if isinstance(node, sx.Func):
         return (node.arg,)
     return ()
-
-
-def _depends(node: Expr, zset: frozenset) -> bool:
-    return not sx.free_symbols(node).isdisjoint(zset)
 
 
 def _field_rate(A: AugmentedSystem) -> Callable[[Symbol], Expr]:
@@ -593,15 +602,18 @@ def _field_rate(A: AugmentedSystem) -> Callable[[Symbol], Expr]:
 
 
 def extended_lie_derivative(phi: Expr, A: AugmentedSystem,
-                            memo: dict[Expr, Expr] | None = None) -> Expr:
+                            memo: dict[Expr, Expr] | None = None, *,
+                            deadline: float | None = None) -> Expr:
     """Derivative of phi along the augmented vector field.
 
     (dphi/dz) . F  +  sum_j dphi/du^(j) * u^(j+1)  +  dphi/dt,
     with u^(j+1) identically zero for constant-mode known inputs, taken by
     one directional walk over phi's DAG.  ``memo`` may be kept across calls
-    for the same A, since the field's rates depend on A only.
+    for the same A, since the field's rates depend on A only.  The walk
+    raises EngineTimeout once ``deadline`` has passed.
     """
-    return sx.derivative(phi, _field_rate(A), {} if memo is None else memo)
+    return sx.derivative(phi, _field_rate(A), {} if memo is None else memo,
+                         deadline=deadline)
 
 
 def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> AnalysisReport:

@@ -43,7 +43,7 @@ from collections.abc import Callable
 from fractions import Fraction
 from hashlib import blake2b
 
-from .errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr
+from .errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr, check_deadline
 
 
 class SymbolKind(enum.Enum):
@@ -134,10 +134,11 @@ FUNC_NAMES = ("ln", "exp", "sin", "cos")
 _CONST, _SYM, _ADD, _MUL, _POW, _FUNC = range(6)
 
 _node_hash = operator.attrgetter("_hash")
+_first = operator.itemgetter(0)
 
 
-def _const_hash(v: Fraction) -> int:
-    return hash((_CONST, 2 * v.numerator, v.denominator))
+def _const_hash(num: int, den: int = 1) -> int:
+    return hash((_CONST, 2 * num, den))
 
 
 def _sym_hash(s: Symbol) -> int:
@@ -242,15 +243,19 @@ class Expr:
 
 
 class Const(Expr):
-    __slots__ = ("value",)
+    # _coeff is the value as an int when it is one, else the Fraction: the
+    # operand of the constructors' coefficient arithmetic, which then stays
+    # in ints for integer constants.
+    __slots__ = ("value", "_coeff")
 
     def __init__(self, value):
         v = value if isinstance(value, Fraction) else Fraction(value)
-        self._init_caches(_const_hash(v))
+        self._init_caches(_const_hash(v.numerator, v.denominator))
         self.value = v
+        self._coeff = v.numerator if v.denominator == 1 else v
 
     def _fields(self):
-        return self.value
+        return self._coeff
 
     def _digest(self):
         v = self.value
@@ -346,6 +351,12 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 
 
 def _digest_tree(root: Expr) -> bytes:
+    # A new node's children almost always have their digests already.
+    try:
+        root._shash = root._digest()
+        return root._shash
+    except TypeError:  # a child's digest is still None
+        pass
     # Digests are computed on first read, so a deep tree may have none below
     # its root: compute the missing ones children first, without recursion.
     stack = [root]
@@ -394,9 +405,16 @@ def _intern(node: Expr) -> Expr:
 
 
 def const(value) -> Const:
-    v = value if isinstance(value, Fraction) else Fraction(value)
-    got = _lookup(Const, _const_hash(v), v)
-    return got if got is not None else _intern(Const(v))
+    # An int is looked up by its structural hash without building a Fraction.
+    if type(value) is int:
+        h = _const_hash(value)
+    else:
+        value = value if isinstance(value, Fraction) else Fraction(value)
+        h = _const_hash(value.numerator, value.denominator)
+        if value.denominator == 1:
+            value = value.numerator
+    got = _lookup(Const, h, value)
+    return got if got is not None else _intern(Const(value))
 
 
 def sym(s: Symbol) -> Sym:
@@ -439,7 +457,7 @@ def _coerce(x) -> Expr:
 
 def _fold(consts: list[Const], op) -> Const:
     # The constants folded by op (sum or product); one Const is kept as it is.
-    return consts[0] if len(consts) == 1 else const(op(c.value for c in consts))
+    return consts[0] if len(consts) == 1 else const(op(c._coeff for c in consts))
 
 
 def add(*terms) -> Expr:
@@ -464,7 +482,7 @@ def add(*terms) -> Expr:
         if isinstance(t, Mul):
             fs = t.factors
             if isinstance(fs[0], Const):
-                coeff, core = fs[0].value, (fs[1] if len(fs) == 2 else fs[1:])
+                coeff, core = fs[0]._coeff, (fs[1] if len(fs) == 2 else fs[1:])
             else:
                 coeff, core = 1, fs
         else:
@@ -713,7 +731,80 @@ def first_transcendental(e: Expr) -> Expr | None:
 # Differentiation
 # --------------------------------------------------------------------------
 
-def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr]) -> Expr:
+# New memo entries between two deadline checks of ``derivative``; a_thaliana's
+# deepest levels spend 150-180 us per entry, so about 40 ms.
+_DEADLINE_EVERY = 256
+
+
+def _base_positions(fs: tuple) -> dict[int, int] | None:
+    """For the factors of a canonical Mul, the position of each non-constant
+    factor by the structural hash of its base; None when two bases share a
+    hash."""
+    where = {}
+    for j, f in enumerate(fs):
+        if not isinstance(f, Const):
+            where[(f.base if isinstance(f, Pow) else f)._hash] = j
+    return where if len(where) == len(fs) - isinstance(fs[0], Const) else None
+
+
+def _product_term(fs: tuple, i: int, df: Expr, where: dict[int, int] | None) -> Expr:
+    """``mul(*fs[:i], df, *fs[i + 1:])`` for the factors ``fs`` of a canonical
+    Mul and a canonical ``df`` other than ZERO: the same node, built by
+    merging ``df`` into the factors without factor i.
+
+    ``where`` is ``_base_positions(fs)``.  fs is sorted and its bases are
+    distinct, so only ``df``'s constant and factors are new: the constant
+    folds into fs's, a factor whose base is in fs adds its exponent there,
+    and the others are inserted.  The factors are sorted again only when one
+    was inserted or changed.
+    """
+    if where is None:
+        return mul(*fs[:i], df, *fs[i + 1:])
+    out = list(fs)
+    out[i] = None
+    c = None
+    if i and isinstance(fs[0], Const):
+        c, out[0] = fs[0], None
+    new = []
+    merged = []
+    for g in df.factors if isinstance(df, Mul) else (df,):
+        if isinstance(g, Const):
+            c = g if c is None else const(c._coeff * g._coeff)
+            continue
+        base, e = (g.base, g.exponent) if isinstance(g, Pow) else (g, 1)
+        j = where.get(base._hash)
+        if j is None or j == i:
+            new.append(g)
+            continue
+        f = fs[j]
+        b, k = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
+        if b is not base and b != base:  # the hashes collide
+            return mul(*fs[:i], df, *fs[i + 1:])
+        out[j] = None
+        # Like mul, keep the base and build the powers in the order that the
+        # bases first occur in fs[:i], df, fs[i + 1:].
+        merged.append((j, b, k + e) if j < i else (i, base, k + e))
+    merged.sort(key=_first)
+    for _, b, k in merged:
+        if k:
+            new.append(b if k == 1 else _pow_node(b, k))
+    out = [f for f in out if f is not None]
+    if new:
+        out += new
+        out.sort(key=_sort_key)
+    if c is None:
+        c = ONE
+    if not out:
+        return c
+    if c is not ONE:
+        out.insert(0, c)
+    if len(out) == 1:
+        return out[0]
+    return _mul_node(tuple(out))
+
+
+def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr], *,
+               deadline: float | None = None) -> Expr:
     """Directional derivative of ``e``: the sum over symbols s of
     de/ds * rate(s).
 
@@ -721,7 +812,11 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr]) 
     symbol that does not move.  ``memo`` holds the derivative of every node
     walked so far under this same rate; a caller that keeps one memo for a
     fixed rate reuses the derivatives of subtrees shared between calls.
-    Factors whose derivative is ZERO are skipped.  The result is canonical.
+    Factors whose derivative is ZERO are skipped, and each product-rule
+    term is merged into its sorted sibling factors (``_product_term``).
+    The result is canonical.  With a ``deadline`` (a ``time.monotonic()`` bound) the walk raises
+    EngineTimeout once it has passed, checked every ``_DEADLINE_EVERY`` new
+    memo entries.
     """
 
     def walk(node: Expr) -> Expr:
@@ -737,11 +832,15 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr]) 
         elif isinstance(node, Mul):
             parts = []
             fs = node.factors
+            where = None
             for i, f in enumerate(fs):
                 df = walk(f)
                 if df is not ZERO:
-                    parts.append(mul(*fs[:i], df, *fs[i + 1:]))
-            d = add(*parts)
+                    if where is None:
+                        where = _base_positions(fs)
+                    parts.append(_product_term(fs, i, df, where))
+            # add() returns a lone term as it is, unless it is an Add.
+            d = parts[0] if len(parts) == 1 and not isinstance(parts[0], Add) else add(*parts)
         else:
             da = walk(node.base if isinstance(node, Pow) else node.arg)
             if da is ZERO:
@@ -757,6 +856,8 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr]) 
             else:
                 d = mul(NEG_ONE, sin(node.arg), da)
         memo[node] = d
+        if deadline is not None and len(memo) % _DEADLINE_EVERY == 0:
+            check_deadline(deadline)
         return d
 
     return walk(_canon(e))

@@ -3,15 +3,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import identiscope
+from identiscope import errors, lie_orc
 from identiscope import symexpr as sx
-from identiscope import lie_orc
 from identiscope._linalg import MAX_PRIME, rank_mod_p
 from identiscope.bench import corpus_dir
-from identiscope.errors import DivisionByZeroModP, RetriesExhausted
+from identiscope.errors import DivisionByZeroModP, EngineTimeout, RetriesExhausted
 from identiscope.lie_orc import (
     LieCache,
     SymbolicOptions,
@@ -617,6 +618,73 @@ def test_tangents_are_reused_across_levels():
 
 def _slots(batch):
     return sum(len(tan) for _, _, tan in batch.blocks)
+
+
+def _walk_oracle(rows, slot, zset):
+    """``lie_orc._walk`` with z-dependence read from ``free_symbols``."""
+    def depends(node):
+        return not sx.free_symbols(node).isdisjoint(zset)
+
+    posts = []
+    for phi in rows:
+        post = []
+        stack = [] if phi in slot or not depends(phi) else [(phi, iter(lie_orc._kids(phi)), [], [])]
+        while stack:
+            node, it, dep, ind = stack[-1]
+            for c in it:
+                if c in slot:
+                    dep.append(slot[c])
+                elif depends(c):
+                    stack.append((c, iter(lie_orc._kids(c)), [], []))
+                    break
+                else:
+                    ind.append(c)
+            else:
+                stack.pop()
+                g = slot[node] = len(slot)
+                post.append((node, dep, ind))
+                if stack:
+                    stack[-1][2].append(g)
+        posts.append(post)
+    return posts
+
+
+def test_walk_matches_free_symbols_oracle(corpus_entries):
+    # Level by level, as _Trials walks them: the same new nodes in the same
+    # order, with the same children, on every corpus model through level 3.
+    for entry in corpus_entries:
+        A = augment(load_model(entry.path))
+        zset = frozenset(A.z)
+        cache = LieCache(A)
+        cache.ensure_level(3)
+        slot, want, indep = {}, {}, set()
+        for k, rows in enumerate(cache.lies[:4]):
+            assert lie_orc._walk(rows, slot, indep, zset) == _walk_oracle(rows, want, zset), \
+                (entry.name, k)
+        assert slot == want
+        assert all(sx.free_symbols(node).isdisjoint(zset) for node in indep)
+
+
+def test_deadline_passing_mid_walk_stops_the_derivation(monkeypatch):
+    # A fake clock passes the deadline at its second reading.  ensure_level
+    # reads it before each output's walk, so the derivation must stop inside
+    # the first output's walk, where the derivative walk reads the clock.
+    A = augment(load_model(corpus_dir() / "a_thaliana.idm"))
+    cache = LieCache(A)
+    cache.ensure_level(10)
+    start = len(cache._derivs)
+    memo = dict(cache._derivs)
+    extended_lie_derivative(cache.lies[10][0], A, memo)
+    whole = len(memo) - start
+    assert whole > 2 * sx._DEADLINE_EVERY
+    readings = []
+    monkeypatch.setattr(errors, "time", SimpleNamespace(
+        monotonic=lambda: readings.append(None) or float(len(readings))))
+    cache.deadline = 1.5
+    with pytest.raises(EngineTimeout):
+        cache.ensure_level(11)
+    assert len(readings) == 2
+    assert len(cache.lies) == 11 and len(cache._derivs) - start < whole
 
 
 def _chain_model(n: int) -> str:

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from identiscope import lie_orc
-from identiscope._linalg import MAX_PRIME, Echelon, extend_all, is_prime, rank_mod_p
+import numpy as np
+
+from identiscope import _linalg
+from identiscope._linalg import MAX_COLS, MAX_PRIME, Echelon, extend_all, is_prime, rank_mod_p
 from identiscope.ffprob import DEFAULT_PRIMES
 
 from oracles import deleted_column_ranks
@@ -155,6 +158,51 @@ def test_echelon_block_update_at_largest_prime():
         assert ech.extend(block) == rank_mod_p(rows, p) == want
     r = ech.rank
     assert ech.independent_columns() == [d == r - 1 for d in deleted_column_ranks(rows, p)]
+
+
+BIG_PRIMES = (3037000493, 2**31 - 1)  # the largest prime <= MAX_PRIME, and 2^31 - 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_extend_all_exact_at_the_largest_primes(data):
+    # Forms up to 64 columns wide, of rank at most k, whose entries are
+    # small sums of +-1 and so mostly near p: the block products sum many
+    # terms with high limbs near 2^16.  Ranks equal rank_mod_p's, which uses
+    # no block product, and the two forms end where each alone does.
+    n = data.draw(st.integers(1, 64))
+    n_rows = data.draw(st.integers(1, 80))
+    k = data.draw(st.integers(0, min(n, n_rows)))
+    sign = st.sampled_from((-1, 0, 1))
+    cases = []
+    for p in BIG_PRIMES:
+        B = data.draw(st.lists(st.lists(sign, min_size=k, max_size=k), min_size=n_rows,
+                               max_size=n_rows))
+        C = data.draw(st.lists(st.lists(st.sampled_from((-1, 1, p - 1)), min_size=n,
+                                        max_size=n), min_size=k, max_size=k))
+        cases.append(([[sum(B[i][t] * C[t][j] for t in range(k)) % p for j in range(n)]
+                       for i in range(n_rows)], p))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n_rows), max_size=3)))
+    together = [Echelon(n, p) for _, p in cases]
+    for lo, hi in zip([0] + cuts, cuts + [n_rows]):
+        ranks = extend_all(together, [rows[lo:hi] for rows, _ in cases])
+        assert ranks == [rank_mod_p(rows[:hi], p) if hi else 0 for rows, p in cases]
+    for ech, (rows, p) in zip(together, cases):
+        assert ech.rank == _reference_rank(rows, p) <= k
+        alone = Echelon(n, p)
+        alone.extend(rows)
+        assert ech.pivots == alone.pivots and (ech.by_col == alone.by_col).all()
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_block_product_exact_at_the_column_bound(p):
+    # MAX_COLS products of (p - 1)^2, the largest sum a block product takes.
+    x = np.full((1, 2, MAX_COLS), p - 1, dtype=np.int64)
+    P = np.array([p], dtype=np.int64)[:, None, None]
+    got = _linalg._matmul(x, x.transpose(0, 2, 1), P)
+    assert (got >= 0).all() and (got % p == MAX_COLS * (p - 1) ** 2 % p).all()
+    with pytest.raises(ValueError):
+        Echelon(MAX_COLS + 1, p)
 
 
 @pytest.mark.parametrize("p", PRIMES)

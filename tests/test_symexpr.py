@@ -243,6 +243,79 @@ def test_intern_table_steps_past_a_colliding_key():
     finally:
         sx._INTERN.pop(h, None)
         sx._INTERN.pop(h + 1, None)
+    # An int constant is looked up on the same hash without a Fraction.
+    k = 2**61 + 12345
+    h = hash(sx.Const(k))
+    assert h not in sx._INTERN
+    sx._INTERN[h] = yy
+    try:
+        c = sx.const(k)
+        assert sx._INTERN[h] is yy and sx._INTERN[h + 1] is c
+        assert sx.const(Fraction(k)) is c and sx.const(k) is c and c.value == k
+    finally:
+        sx._INTERN.pop(h, None)
+        sx._INTERN.pop(h + 1, None)
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 2, -2, 10**30, -(10**30) - 7])
+@pytest.mark.parametrize("int_first", [True, False])
+def test_int_constant_is_the_fraction_constant(n, int_first):
+    n += int_first  # a large value is new to the table on either path
+    first, second = (n, Fraction(n)) if int_first else (Fraction(n), n)
+    c = sx.const(first)
+    assert sx.const(second) is c
+    assert type(c.value) is Fraction and c.value == n
+
+
+# Bases of the product-rule cases: a Sym, a Func and an Add, each canonical.
+_BASES = (xx, yy, th, sx.add(xx, th), sx.exp(yy))
+_COEFFS = (1, -1, 2, Fraction(-3, 2), Fraction(1, 2))
+
+
+@st.composite
+def _products(draw, bases=_BASES):
+    """A canonical product of a constant and powers of distinct bases."""
+    chosen = draw(st.lists(st.sampled_from(bases), max_size=len(bases), unique=True))
+    return sx.mul(draw(st.sampled_from(_COEFFS)),
+                  *(sx.pow_(b, draw(st.integers(-3, 3))) for b in chosen))
+
+
+def _check_product_terms(node, df, product_first):
+    # Each product-rule term is the node mul gives, and neither way of
+    # building it interns a node the other does not.
+    fs = node.factors
+    where = sx._base_positions(fs)
+    for i in range(len(fs)):
+        if product_first:
+            got = sx._product_term(fs, i, df, where)
+            n = len(sx._INTERN)
+            want = sx.mul(*fs[:i], df, *fs[i + 1:])
+        else:
+            want = sx.mul(*fs[:i], df, *fs[i + 1:])
+            n = len(sx._INTERN)
+            got = sx._product_term(fs, i, df, where)
+        assert got is want, (node, i, df)
+        assert len(sx._INTERN) == n
+
+
+@pytest.mark.parametrize("node, df", [
+    # Leading constants; x's exponents sum to 0 and y's to 1, or, where x or
+    # y is the removed factor, df's power of it is inserted.
+    (sx.mul(3, xx, yy ** 2, sx.exp(yy)), sx.mul(-2, xx ** -1, yy ** -1, th)),
+    (sx.mul(Fraction(1, 2), xx, yy), sx.mul(2, xx)),  # the constants fold to 1
+    (sx.mul(xx, sx.add(xx, th)), sx.add(xx, th)),     # an Add base shared
+    (sx.mul(xx, yy), yy),
+    (sx.mul(xx, yy ** -1), sx.ONE),
+])
+def test_product_term_is_the_mul_node(node, df):
+    _check_product_terms(node, df, True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_products(), st.one_of(_products(), st.sampled_from(_BASES)), st.booleans())
+def test_product_term_is_the_mul_node_for_random_products(node, df, product_first):
+    assume(isinstance(node, sx.Mul) and df is not sx.ZERO)
+    _check_product_terms(node, df, product_first)
 
 
 def test_digest_of_a_deep_tree():
