@@ -28,15 +28,7 @@ from .errors import (
     RetriesExhausted,
     UndeclaredSymbol,
 )
-from .ffprob import (
-    FfprobOptions,
-    SeriesSolution,
-    TruncSeries,
-    analyze_ffprob,
-    output_jacobian,
-    series_solve,
-)
-from .bench import cross_check_lie
+from .ffprob import FfprobOptions, analyze_ffprob
 from .lie_orc import (
     LieCache,
     SymbolicOptions,
@@ -60,8 +52,6 @@ from .symexpr import (
     SymbolKind,
     differentiate,
     eval_mod_p,
-    eval_rational,
-    free_symbols,
     is_rational_expr,
     simplify,
     to_string,
@@ -74,10 +64,9 @@ __all__ = [
     "DuplicateDeclaration", "EngineTimeout", "Expr", "FfprobOptions",
     "IdentiscopeError", "InputSpec", "LieCache", "MissingDynamics", "ModelDef",
     "ModelError", "ModelSyntaxError", "NonIntegerExponent", "NonRationalExpr",
-    "RetriesExhausted", "SeriesSolution", "Symbol", "SymbolKind",
-    "SymbolicOptions", "TruncSeries", "UndeclaredSymbol", "UnknownInputSpec",
-    "analyze_ffprob", "analyze_symbolic", "augment", "cross_check_lie",
-    "differentiate", "eval_mod_p", "eval_rational", "extended_lie_derivative",
-    "free_symbols", "is_rational_expr", "load_model", "output_jacobian",
-    "parse_model", "print_model", "series_solve", "simplify", "to_string",
+    "RetriesExhausted", "Symbol", "SymbolKind", "SymbolicOptions",
+    "UndeclaredSymbol", "UnknownInputSpec", "analyze_ffprob", "analyze_symbolic",
+    "augment", "differentiate", "eval_mod_p", "extended_lie_derivative",
+    "is_rational_expr", "load_model", "parse_model", "print_model", "simplify",
+    "to_string",
 ]

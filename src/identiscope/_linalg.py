@@ -2,11 +2,12 @@
 for their moduli.
 
 Matrices are kept in int64 numpy arrays.  With p bounded by sqrt(2^63) the
-rank-1 update ``row_i - f * row_r`` cannot overflow.  A block update is an
-int64 matrix product with its left factor split into 16-bit limbs: p is
-below 2^32, so each product of a limb and an entry is below 2^48, and a sum
-of fewer than 2^15 of them, one per column of a form of at most
-``MAX_COLS`` columns, stays below 2^63.  Every intermediate stays exact.
+product of two residues, which the elimination of a block reduces before
+it subtracts it, cannot overflow.  A block update is an int64 matrix
+product with its left factor split into 16-bit limbs: p is below 2^32, so
+each product of a limb and an entry is below 2^48, and a sum of fewer than
+2^15 of them, one per column of a form of at most ``MAX_COLS`` columns,
+stays below 2^63.  Every intermediate stays exact.
 """
 
 from __future__ import annotations
@@ -57,48 +58,6 @@ def is_prime(n: int) -> bool:
 def _check_modulus(p: int) -> None:
     if p < 2 or p > MAX_PRIME:
         raise ValueError(f"prime must be in [2, {MAX_PRIME}]")
-
-
-def _as_array(rows, p: int, n_cols: int = 0) -> np.ndarray:
-    # n_cols is the width of an empty row list, which has no row to show it.
-    _check_modulus(p)
-    a = np.array(rows, dtype=np.int64)
-    if a.ndim != 2:
-        a = a.reshape(len(rows), -1) if len(rows) else a.reshape(0, n_cols)
-    return a % p
-
-
-def _eliminate(a: np.ndarray, p: int) -> tuple[int, list[int]]:
-    # In-place forward elimination; returns (rank, pivot column indices).
-    n_rows, n_cols = a.shape
-    r = 0
-    pivots: list[int] = []
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[r + 1:, c]
-        if col.any():
-            a[r + 1:] = (a[r + 1:] - col[:, None] * a[r][None, :]) % p
-        pivots.append(c)
-        r += 1
-    return r, pivots
-
-
-def rank_mod_p(rows, p: int) -> int:
-    """Exact rank over F_p."""
-    a = _as_array(rows, p)
-    if a.size == 0:
-        return 0
-    r, _ = _eliminate(a, p)
-    return r
 
 
 class Echelon:

@@ -12,32 +12,25 @@ per-model wall-clock budget: the finite-field engine is recorded as "na"
 on non-rational models, a timeout produces a timeout record with no
 partial verdicts, and any other failure becomes an error record.
 ``compare_engines`` then marks per-model consensus, which is the
-correctness criterion for engines that share no code path, and
-``cross_check_lie`` checks one engine's math against the other's at a
-random point.
+correctness criterion for engines that share no code path.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from . import _rng
 from . import symexpr as sx
 from ._linalg import MAX_PRIME, is_prime
-from .errors import (DivisionByZeroModP, EngineTimeout, IdentiscopeError, NonRationalExpr,
-                     RetriesExhausted)
-from .ffprob import (DEFAULT_PRIMES, MIN_PRIME, RETRIES, FfprobOptions, TruncSeries,
-                     _require_rational, analyze_ffprob, eval_expr_series, series_solve)
-from .lie_orc import LieCache, SymbolicOptions, analyze_symbolic
-from .model import CONSTANT, ModelDef, augment, load_model
+from .errors import EngineTimeout, IdentiscopeError, NonRationalExpr
+from .ffprob import DEFAULT_PRIMES, MIN_PRIME, FfprobOptions, analyze_ffprob
+from .lie_orc import SymbolicOptions, analyze_symbolic
+from .model import ModelDef, load_model
 from .report import SCHEMA_VERSION, STATUS_ERROR, STATUS_NA, STATUS_OK, STATUS_TIMEOUT, AnalysisReport
 
 ENGINES = ("symbolic", "ffprob")
@@ -137,7 +130,6 @@ class BenchOptions:
     engines: tuple[str, ...] = ENGINES
     timeout_s: float | None = DEFAULT_TIMEOUT_S
     seed: int = 0
-    parallelism: int = 1
     trials: int | None = None  # None: per-engine default
     primes: tuple[int, ...] = DEFAULT_PRIMES
 
@@ -215,52 +207,6 @@ def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
     return run(md, opts)
 
 
-def cross_check_lie(md: ModelDef, order: int, p: int, seed: int = 0) -> bool:
-    """Verify k! * coeff_k(y_i) == (L^k h_i)(z0, u-jet) mod p for k <= order.
-
-    The left side comes from ffprob's series solution, the right side from
-    lie_orc's symbolic Lie derivatives with input-derivative symbols bound
-    to the matching jet coefficients (u^(j) -> j! * coeff_j(u)).  The
-    identity holds at every point where no denominator vanishes, so the
-    point is drawn here, under its own tag, and redrawn when a denominator
-    vanishes.  Returns True iff every comparison holds exactly.
-    """
-    check_prime(p)
-    _require_rational(md)
-    A = augment(md)
-    cache = LieCache(A)
-    cache.ensure_level(order)
-
-    last = None
-    for attempt in range(RETRIES):
-        tag = ("xcheck", seed, p, attempt)
-        z0 = [_rng.residue(tag + (s.name,), p) for s in A.z]
-        point = dict(zip(A.z, z0))
-        env: dict[sx.Symbol, TruncSeries] = {}
-        for spec in A.model.known_inputs:
-            u = spec.symbol
-            jet = [_rng.residue(tag + (u.name, j), p) if j == 0 or spec.mode != CONSTANT else 0
-                   for j in range(order + 1)]
-            env[u] = TruncSeries(jet, p)
-            for j, c in enumerate(jet):
-                point[u.derivative(j) if j else u] = math.factorial(j) * c % p
-        try:
-            sol = series_solve(A, z0, [env[s.symbol] for s in A.model.known_inputs],
-                               order, p)
-            env.update(zip(A.z, sol.z_series))
-            memo: dict[sx.Expr, TruncSeries] = {}
-            ys = [eval_expr_series(h, env, order, p, _memo=memo) for h in A.outputs]
-            for k in range(order + 1):
-                for y, lie in zip(ys, cache.lies[k]):
-                    if math.factorial(k) * y.coeffs[k] % p != sx.eval_mod_p(lie, point, p):
-                        return False
-            return True
-        except DivisionByZeroModP as exc:
-            last = exc
-    raise RetriesExhausted(
-        f"all {RETRIES} random specializations hit a vanishing denominator mod {p}: {last}")
-
-
 def failure_record(md: ModelDef, engine: str, seed: int,
                    exc: IdentiscopeError) -> AnalysisReport:
     """The record of a run that raised: na for a non-rational model, timeout
@@ -275,26 +221,25 @@ def failure_record(md: ModelDef, engine: str, seed: int,
                           seed=seed, error=error)
 
 
-def _run_one(path: str, engine: str, seed: int, timeout_s: float | None,
-             trials: int | None, primes: tuple[int, ...]) -> AnalysisReport:
+def _run_one(path: str, engine: str, opts: BenchOptions) -> AnalysisReport:
     """Analyze one (model, engine) pair; analysis failures become records."""
     sx.clear_caches()
     md = load_model(path)
-    deadline = None if timeout_s is None else time.monotonic() + timeout_s
+    deadline = None if opts.timeout_s is None else time.monotonic() + opts.timeout_s
     try:
-        return analyze(md, engine, seed=seed, primes=primes, trials=trials,
+        return analyze(md, engine, seed=opts.seed, primes=opts.primes, trials=opts.trials,
                        deadline=deadline)
     except IdentiscopeError as exc:
-        return failure_record(md, engine, seed, exc)
+        return failure_record(md, engine, opts.seed, exc)
 
 
 def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[AnalysisReport]:
     """Analyze every corpus model with every requested engine.
 
-    Results are ordered by (model, engine) regardless of completion order;
-    failures become error/timeout/na records rather than exceptions.  A bad
-    prime in ``opts.primes``, an empty ``opts.primes`` or ``opts.trials`` < 1
-    raises ValueError before any pair runs.
+    Results are ordered by (model, engine); failures become error/timeout/na
+    records rather than exceptions.  A bad prime in ``opts.primes``, an
+    empty ``opts.primes`` or ``opts.trials`` < 1 raises ValueError before
+    any pair runs.
     """
     opts = opts or BenchOptions()
     if not opts.primes:
@@ -303,14 +248,8 @@ def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[Analysi
         check_prime(p)
     if opts.trials is not None and opts.trials < 1:
         raise ValueError("trials must be >= 1")
-    tasks = [(entry.path, engine, opts.seed, opts.timeout_s, opts.trials, opts.primes)
-             for entry in load_corpus(directory) for engine in opts.engines]
-
-    if opts.parallelism > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=opts.parallelism) as pool:
-            reports = list(pool.map(_run_one, *zip(*tasks)))
-    else:
-        reports = [_run_one(*t) for t in tasks]
+    reports = [_run_one(entry.path, engine, opts)
+               for entry in load_corpus(directory) for engine in opts.engines]
     reports.sort(key=lambda r: (r.model, r.engine))
     return reports
 

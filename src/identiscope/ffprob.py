@@ -52,140 +52,6 @@ RETRIES = 25  # random points per run before RetriesExhausted
 
 
 # --------------------------------------------------------------------------
-# Truncated power series over F_p
-# --------------------------------------------------------------------------
-
-class TruncSeries:
-    """Element of F_p[t]/(t^(N+1)): coefficients for orders 0..N.
-
-    Arithmetic is exact in the quotient ring; division requires a unit
-    (nonzero constant term).  Differentiation drops one order; integration
-    gains one and takes the constant term from the caller.
-    """
-
-    __slots__ = ("coeffs", "p")
-
-    def __init__(self, coeffs, p: int):
-        self.coeffs = tuple(c % p for c in coeffs)
-        self.p = p
-        if not self.coeffs:
-            raise ValueError("series needs at least the constant coefficient")
-
-    @classmethod
-    def constant(cls, value: int, order: int, p: int) -> "TruncSeries":
-        return cls((value,) + (0,) * order, p)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _align(self, other: "TruncSeries"):
-        if self.p != other.p or len(self.coeffs) != len(other.coeffs):
-            raise ValueError("series mismatch (modulus or order)")
-
-    def __eq__(self, other):
-        return (isinstance(other, TruncSeries) and self.p == other.p
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        return f"TruncSeries({list(self.coeffs)}, p={self.p})"
-
-    def __add__(self, other):
-        self._align(other)
-        p = self.p
-        return TruncSeries([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)], p)
-
-    def __mul__(self, other):
-        self._align(other)
-        p = self.p
-        a, b = self.coeffs, other.coeffs
-        n = len(a)
-        out = []
-        for k in range(n):
-            out.append(sum(a[i] * b[k - i] for i in range(k + 1)) % p)
-        return TruncSeries(out, p)
-
-    def inverse(self) -> "TruncSeries":
-        p = self.p
-        a = self.coeffs
-        if a[0] == 0:
-            raise DivisionByZeroModP("series division by a non-unit (zero constant term)")
-        inv0 = pow(a[0], -1, p)
-        out = [inv0]
-        for k in range(1, len(a)):
-            s = sum(a[i] * out[k - i] for i in range(1, k + 1))
-            out.append(-inv0 * s % p)
-        return TruncSeries(out, p)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = TruncSeries.constant(1, self.order, self.p)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def differentiate(self) -> "TruncSeries":
-        p = self.p
-        c = self.coeffs
-        if len(c) == 1:
-            raise ValueError("cannot differentiate an order-0 series")
-        return TruncSeries([k * c[k] % p for k in range(1, len(c))], p)
-
-    def integrate(self, constant: int) -> "TruncSeries":
-        p = self.p
-        out = [constant % p]
-        for k, a in enumerate(self.coeffs):
-            out.append(a * pow(k + 1, -1, p) % p)
-        return TruncSeries(out, p)
-
-
-def eval_expr_series(e: Expr, env: dict[Symbol, TruncSeries], order: int,
-                     p: int, _memo=None) -> TruncSeries:
-    """Eager evaluation of a rational expression over TruncSeries arithmetic.
-
-    Independent of the ``_Sweep``, its h-node tangents included, which makes
-    it usable as the second route when checking solver output (ODE and
-    sensitivity residuals).
-    """
-    memo = {} if _memo is None else _memo
-
-    def ev(node: Expr) -> TruncSeries:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, sx.Const):
-            out = TruncSeries.constant(sx.const_mod_p(node.value, p), order, p)
-        elif isinstance(node, sx.Sym):
-            out = env[node.symbol]
-        elif isinstance(node, sx.Add):
-            acc = ev(node.terms[0])
-            for t in node.terms[1:]:
-                acc = acc + ev(t)
-            out = acc
-        elif isinstance(node, sx.Mul):
-            acc = ev(node.factors[0])
-            for f in node.factors[1:]:
-                acc = acc * ev(f)
-            out = acc
-        elif isinstance(node, sx.Pow):
-            out = ev(node.base) ** node.exponent
-        else:
-            raise NonRationalExpr(f"transcendental node {sx.to_string(node)}")
-        memo[node] = out
-        return out
-
-    return ev(e)
-
-
-# --------------------------------------------------------------------------
 # Forward-mode sweep over a flat tape of F and h
 # --------------------------------------------------------------------------
 
@@ -391,83 +257,6 @@ class _Sweep:
                      + (a[..., None] * T[k - 1::-1, lo:hi] % Pt).sum(0)) % Pt
                 T[k, lo:hi] = -inv0[..., None] * t % Pt
         return failed
-
-
-# --------------------------------------------------------------------------
-# Series solution and output Jacobian
-# --------------------------------------------------------------------------
-
-@dataclass
-class SeriesSolution:
-    """Truncated solution of the augmented ODE plus first sensitivities."""
-    z_series: tuple[TruncSeries, ...]
-    S_series: tuple[tuple[TruncSeries, ...], ...]
-    u_series: tuple[TruncSeries, ...]
-    z0: tuple[int, ...]
-    p: int
-    order: int
-
-
-def series_solve(A: AugmentedSystem, z0, u_series, order: int, p: int, *,
-                 deadline: float | None = None) -> SeriesSolution:
-    """Solve z' = F(z, u), z(0) = z0 and S' = (dF/dz) S, S(0) = I through
-    the given truncation order, exactly over F_p: the sweep of one run, with
-    S read from the tangents of z.  Raises DivisionByZeroModP when a
-    denominator of F or h vanishes at t = 0."""
-    n_z = A.n_z
-    z0 = tuple(v % p for v in z0)
-    if len(z0) != n_z:
-        raise ValueError("initial point has wrong dimension")
-    sw = _Sweep(_Tape(A), [p], order)
-    sw.set_point(0, z0, [u.coeffs for u in u_series])
-    for k in range(order + 1):
-        check_deadline(deadline)
-        failed = sw.advance(k)
-        if failed:
-            raise DivisionByZeroModP(failed[0])
-
-    z = sw.V[:, 1:1 + n_z, 0].T.tolist()
-    S = sw.T[:, 1:1 + n_z, 0].transpose(1, 2, 0).tolist()
-    return SeriesSolution(tuple(TruncSeries(c, p) for c in z),
-                          tuple(tuple(TruncSeries(c, p) for c in row) for row in S),
-                          tuple(u_series), z0, p, order)
-
-
-def output_jacobian(sol: SeriesSolution, A: AugmentedSystem) -> list[list[int]]:
-    """Rows d(coeff_j of y_i)/dz0 for j = 0..N (j outer, i inner).
-
-    Each row is coefficient j of (dh_i/dz)(z(t), u(t)) . S(t).  Evaluated
-    eagerly over TruncSeries, independent of the ``_Sweep``'s h-node
-    tangents that analyze_ffprob reads these rows from block by block, so
-    tests can compare the two.
-    """
-    p, N = sol.p, sol.order
-    env = {s: sol.z_series[i] for i, s in enumerate(A.z)}
-    for spec, series in zip(A.model.known_inputs, sol.u_series):
-        env[spec.symbol] = series
-    memo: dict[Expr, TruncSeries] = {}
-
-    zero = TruncSeries.constant(0, N, p)
-    blocks: list[list[TruncSeries]] = []
-    for h in A.outputs:
-        grad_entries = []
-        for l, zl in enumerate(A.z):
-            d = sx.differentiate(h, zl)
-            if d is not sx.ZERO:
-                grad_entries.append((l, eval_expr_series(d, env, N, p, _memo=memo)))
-        row = []
-        for j in range(A.n_z):
-            acc = zero
-            for l, g in grad_entries:
-                acc = acc + g * sol.S_series[l][j]
-            row.append(acc)
-        blocks.append(row)
-
-    rows: list[list[int]] = []
-    for j in range(N + 1):
-        for block in blocks:
-            rows.append([series.coeffs[j] for series in block])
-    return rows
 
 
 # --------------------------------------------------------------------------

@@ -16,8 +16,8 @@ the arithmetic exact for p up to ``_linalg.MAX_PRIME``.  Each trial's point
 keeps one reduced echelon form over the prime field, which the batch
 extends with every level's new rows; the matrix's generic rank is the
 largest trial rank, and each augmented-state entry is classified from the
-echelon forms with the column-deletion test.  Symbolic gradient rows are
-built only on request (``LieCache.gradient_rows``).
+echelon forms with the column-deletion test.  No gradient is ever built
+symbolically.
 
 Unlike purely symbolic rank computation, the rank step specializes every
 symbol to an independent uniform residue in [1, p-1]; a random point can
@@ -106,17 +106,15 @@ class LieCache:
     one memo of node derivatives, so each level reuses the derivatives of
     the subtrees it shares with the level below.  The cache holds no random
     point: the numeric rows belong to the analysis's one ``_Trials`` batch.
-    The symbolic gradient rows, which the engine never needs, are built only
-    when ``LieCache.gradient_rows`` is called.  The optional deadline is
-    checked between per-output derivations and inside each derivation walk,
-    so oversized models hit their wall-clock bound promptly.
+    The optional deadline is checked between per-output derivations and
+    inside each derivation walk, so oversized models hit their wall-clock
+    bound promptly.
     """
 
     def __init__(self, A: AugmentedSystem, deadline: float | None = None):
         self.A = A
         self.deadline = deadline
         self.lies: list[list[Expr]] = [list(A.outputs)]
-        self.grads: list[list[list[Expr]]] = []
         self._derivs: dict[Expr, Expr] = {}
 
     def ensure_level(self, k: int):
@@ -127,17 +125,6 @@ class LieCache:
                 nxt.append(extended_lie_derivative(phi, self.A, self._derivs,
                                                    deadline=self.deadline))
             self.lies.append(nxt)
-
-    def gradient_rows(self, k: int) -> list[list[Expr]]:
-        self.ensure_level(k)
-        while len(self.grads) <= k:
-            j = len(self.grads)
-            rows = []
-            for phi in self.lies[j]:
-                check_deadline(self.deadline)
-                rows.append([sx.differentiate(phi, zi) for zi in self.A.z])
-            self.grads.append(rows)
-        return self.grads[k]
 
 
 class _Trials:

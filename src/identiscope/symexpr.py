@@ -12,9 +12,8 @@ flattened, like terms and like factors merged, children sorted by a
 deterministic key.  No polynomial expansion is ever performed — value-level
 correctness is enforced by evaluation, and expansion can blow up.
 
-All constants are exact (arbitrary-precision rationals).  Floating point
-appears only in ``eval_rational`` for transcendental nodes, which exists
-for finite-difference test oracles and never feeds rank decisions.
+All constants are exact (arbitrary-precision rationals), and evaluation
+is exact too: ``eval_mod_p`` computes residues mod p.
 
 Expressions are immutable values: safe to share between threads, usable as
 dict keys.  Construction through the module-level smart constructors (or
@@ -171,12 +170,11 @@ class Expr:
     engine names transcendental nodes by it.
     """
 
-    __slots__ = ("_shash", "_hash", "_free", "_rat", "_skey", "_canonical")
+    __slots__ = ("_shash", "_hash", "_rat", "_skey", "_canonical")
 
     def _init_caches(self, h: int):
         self._hash = h
         self._shash = None
-        self._free = None
         self._rat = None
         self._skey = None
         self._canonical = False
@@ -686,21 +684,6 @@ def _sort_key(e: Expr):
 # Queries
 # --------------------------------------------------------------------------
 
-def free_symbols(e: Expr) -> frozenset[Symbol]:
-    """All symbols occurring in ``e``."""
-    f = e._free
-    if f is None:
-        kids = _children(e)
-        if isinstance(e, Sym):
-            f = frozenset((e.symbol,))
-        elif len(kids) == 1:
-            f = free_symbols(kids[0])
-        else:
-            f = frozenset().union(*map(free_symbols, kids))
-        e._free = f
-    return f
-
-
 def is_rational_expr(e: Expr) -> bool:
     """True iff ``e`` contains no transcendental node.
 
@@ -922,43 +905,6 @@ def eval_mod_p(e: Expr, point: dict[Symbol, int], p: int, *, transcendental=None
             if transcendental is None:
                 raise NonRationalExpr(f"transcendental node {to_string(node)}")
             out = transcendental(node) % p
-        memo[node] = out
-        return out
-
-    return ev(_coerce(e))
-
-
-def eval_rational(e: Expr, point: dict[Symbol, Fraction]):
-    """Exact rational value of ``e`` at ``point``.
-
-    Transcendental nodes are evaluated in floating point (machine
-    precision), which makes the result a float; intended for test oracles
-    only.  Raises DivisionByZero on vanishing denominators.
-    """
-    memo: dict[Expr, object] = {}
-
-    def ev(node: Expr):
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Const):
-            out = node.value
-        elif isinstance(node, Sym):
-            out = point[node.symbol]
-        elif isinstance(node, Add):
-            out = sum(ev(t) for t in node.terms)
-        elif isinstance(node, Mul):
-            out = 1
-            for f in node.factors:
-                out = out * ev(f)
-        elif isinstance(node, Pow):
-            b = ev(node.base)
-            if b == 0 and node.exponent < 0:
-                raise DivisionByZero(f"base of {to_string(node)} evaluates to 0")
-            out = b ** node.exponent
-        else:
-            a = float(ev(node.arg))
-            out = {"ln": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos}[node.fname](a)
         memo[node] = out
         return out
 

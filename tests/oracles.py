@@ -1,18 +1,44 @@
 """Independent oracles used to check the expression kernel and the engines.
 
-Everything here except ``check_residuals`` is deliberately written against
-the *node structure* of expressions only — no call ever touches
-differentiate/simplify/eval paths under test, so a bug in those cannot hide
-itself.  ``check_residuals`` checks ffprob's forward-mode sweep against the
-eager TruncSeries route.
+No engine, CLI command or benchmark path calls anything here.  The helpers
+fall into two groups:
+
+* Read node structure only, so that a bug in the kernel's differentiate,
+  simplify or eval paths cannot hide itself: ``eval_dual_rational``,
+  ``eval_dual_mod_p``, ``eval_plain_mod_p``, ``eval_rational``,
+  ``free_symbols``, and the ``TruncSeries`` evaluator
+  ``eval_expr_series``.  ``rank_mod_p`` and ``deleted_column_ranks`` read
+  no expressions at all: they are the brute-force elimination that
+  ``_linalg.Echelon`` is checked against.
+* Go through the kernel's ``sx.differentiate`` or ``sx.eval_mod_p``, or
+  through an engine, to check one route against another:
+  ``gradient_rows`` (symbolic gradients by ``sx.differentiate``),
+  ``series_solve`` (ffprob's ``_Sweep`` driven as one run),
+  ``output_jacobian`` and ``check_residuals`` (``sx.differentiate`` plus
+  eager ``TruncSeries`` evaluation, against the sweep's tangents), and
+  ``cross_check_lie`` (series coefficients against ``lie_orc``'s Lie
+  derivatives by ``sx.eval_mod_p``).
 """
 
+import math
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
-from identiscope import symexpr as sx
-from identiscope._linalg import rank_mod_p
-from identiscope.ffprob import TruncSeries, eval_expr_series, series_solve
+import numpy as np
 
+from identiscope import _rng
+from identiscope import symexpr as sx
+from identiscope.bench import check_prime
+from identiscope.errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr, RetriesExhausted
+from identiscope.ffprob import RETRIES, _require_rational, _Sweep, _Tape
+from identiscope.lie_orc import LieCache
+from identiscope.model import CONSTANT, augment
+
+
+# --------------------------------------------------------------------------
+# Expression evaluation from node structure
+# --------------------------------------------------------------------------
 
 def eval_dual_rational(e, point, wrt):
     """Forward-mode dual-number evaluation over exact rationals.
@@ -92,6 +118,85 @@ def eval_plain_mod_p(e, point, p):
     raise ValueError(f"non-rational node {e!r}")
 
 
+def eval_rational(e, point):
+    """Exact rational value of ``e`` at ``point``.
+
+    Transcendental nodes are evaluated in floating point (machine
+    precision), which makes the result a float.  Raises DivisionByZero on
+    vanishing denominators.
+    """
+    memo = {}
+
+    def ev(node):
+        got = memo.get(node)
+        if got is not None:
+            return got
+        if isinstance(node, sx.Const):
+            out = node.value
+        elif isinstance(node, sx.Sym):
+            out = point[node.symbol]
+        elif isinstance(node, sx.Add):
+            out = sum(ev(t) for t in node.terms)
+        elif isinstance(node, sx.Mul):
+            out = 1
+            for f in node.factors:
+                out = out * ev(f)
+        elif isinstance(node, sx.Pow):
+            b = ev(node.base)
+            if b == 0 and node.exponent < 0:
+                raise DivisionByZero(f"base of {sx.to_string(node)} evaluates to 0")
+            out = b ** node.exponent
+        else:
+            a = float(ev(node.arg))
+            out = {"ln": math.log, "exp": math.exp, "sin": math.sin, "cos": math.cos}[node.fname](a)
+        memo[node] = out
+        return out
+
+    return ev(e)
+
+
+def free_symbols(e, memo=None):
+    """All symbols occurring in ``e``.  ``memo`` maps nodes to their sets;
+    pass one dict to many calls, since Lie DAGs share most subtrees."""
+    memo = {} if memo is None else memo
+    got = memo.get(e)
+    if got is None:
+        if isinstance(e, sx.Sym):
+            got = frozenset((e.symbol,))
+        else:
+            got = frozenset().union(*(free_symbols(c, memo) for c in sx._children(e)))
+        memo[e] = got
+    return got
+
+
+# --------------------------------------------------------------------------
+# Brute-force elimination over F_p
+# --------------------------------------------------------------------------
+
+def rank_mod_p(rows, p):
+    """Exact rank over F_p by forward elimination, one pivot at a time."""
+    if not len(rows):
+        return 0
+    a = np.array(rows, dtype=np.int64) % p
+    n_rows, n_cols = a.shape
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        col = a[r + 1:, c]
+        if col.any():
+            a[r + 1:] = (a[r + 1:] - col[:, None] * a[r][None, :]) % p
+        r += 1
+    return r
+
+
 def deleted_column_ranks(rows, p):
     """Rank over F_p of the matrix with column j removed, for every j.
 
@@ -101,6 +206,200 @@ def deleted_column_ranks(rows, p):
     n_cols = len(rows[0]) if len(rows) else 0
     return [rank_mod_p([list(row[:j]) + list(row[j + 1:]) for row in rows], p)
             for j in range(n_cols)]
+
+
+# --------------------------------------------------------------------------
+# Truncated power series over F_p
+# --------------------------------------------------------------------------
+
+class TruncSeries:
+    """Element of F_p[t]/(t^(N+1)): coefficients for orders 0..N.
+
+    Arithmetic is exact in the quotient ring; division requires a unit
+    (nonzero constant term).  Differentiation drops one order; integration
+    gains one and takes the constant term from the caller.
+    """
+
+    __slots__ = ("coeffs", "p")
+
+    def __init__(self, coeffs, p):
+        self.coeffs = tuple(c % p for c in coeffs)
+        self.p = p
+        if not self.coeffs:
+            raise ValueError("series needs at least the constant coefficient")
+
+    @classmethod
+    def constant(cls, value, order, p):
+        return cls((value,) + (0,) * order, p)
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    def _align(self, other):
+        if self.p != other.p or len(self.coeffs) != len(other.coeffs):
+            raise ValueError("series mismatch (modulus or order)")
+
+    def __eq__(self, other):
+        return (isinstance(other, TruncSeries) and self.p == other.p
+                and self.coeffs == other.coeffs)
+
+    def __repr__(self):
+        return f"TruncSeries({list(self.coeffs)}, p={self.p})"
+
+    def __add__(self, other):
+        self._align(other)
+        p = self.p
+        return TruncSeries([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)], p)
+
+    def __mul__(self, other):
+        self._align(other)
+        p = self.p
+        a, b = self.coeffs, other.coeffs
+        return TruncSeries([sum(a[i] * b[k - i] for i in range(k + 1)) % p
+                            for k in range(len(a))], p)
+
+    def inverse(self):
+        p = self.p
+        a = self.coeffs
+        if a[0] == 0:
+            raise DivisionByZeroModP("series division by a non-unit (zero constant term)")
+        inv0 = pow(a[0], -1, p)
+        out = [inv0]
+        for k in range(1, len(a)):
+            s = sum(a[i] * out[k - i] for i in range(1, k + 1))
+            out.append(-inv0 * s % p)
+        return TruncSeries(out, p)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = TruncSeries.constant(1, self.order, self.p)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def differentiate(self):
+        p = self.p
+        c = self.coeffs
+        if len(c) == 1:
+            raise ValueError("cannot differentiate an order-0 series")
+        return TruncSeries([k * c[k] % p for k in range(1, len(c))], p)
+
+    def integrate(self, constant):
+        p = self.p
+        out = [constant % p]
+        for k, a in enumerate(self.coeffs):
+            out.append(a * pow(k + 1, -1, p) % p)
+        return TruncSeries(out, p)
+
+
+def eval_expr_series(e, env, order, p, _memo=None):
+    """Eager evaluation of a rational expression over TruncSeries arithmetic,
+    independent of the ``_Sweep`` and its h-node tangents."""
+    memo = {} if _memo is None else _memo
+
+    def ev(node):
+        got = memo.get(node)
+        if got is not None:
+            return got
+        if isinstance(node, sx.Const):
+            out = TruncSeries.constant(sx.const_mod_p(node.value, p), order, p)
+        elif isinstance(node, sx.Sym):
+            out = env[node.symbol]
+        elif isinstance(node, sx.Add):
+            out = ev(node.terms[0])
+            for t in node.terms[1:]:
+                out = out + ev(t)
+        elif isinstance(node, sx.Mul):
+            out = ev(node.factors[0])
+            for f in node.factors[1:]:
+                out = out * ev(f)
+        elif isinstance(node, sx.Pow):
+            out = ev(node.base) ** node.exponent
+        else:
+            raise NonRationalExpr(f"transcendental node {sx.to_string(node)}")
+        memo[node] = out
+        return out
+
+    return ev(e)
+
+
+# --------------------------------------------------------------------------
+# ffprob's sweep as one run, and the eager routes checked against it
+# --------------------------------------------------------------------------
+
+@dataclass
+class SeriesSolution:
+    """Truncated solution of the augmented ODE plus first sensitivities."""
+    z_series: tuple
+    S_series: tuple
+    u_series: tuple
+    z0: tuple
+    p: int
+    order: int
+
+
+def series_solve(A, z0, u_series, order, p):
+    """Solve z' = F(z, u), z(0) = z0 and S' = (dF/dz) S, S(0) = I through
+    the given truncation order, exactly over F_p: ffprob's sweep of one
+    run, with S read from the tangents of z.  Raises DivisionByZeroModP
+    when a denominator of F or h vanishes at t = 0."""
+    n_z = A.n_z
+    z0 = tuple(v % p for v in z0)
+    if len(z0) != n_z:
+        raise ValueError("initial point has wrong dimension")
+    sw = _Sweep(_Tape(A), [p], order)
+    sw.set_point(0, z0, [u.coeffs for u in u_series])
+    for k in range(order + 1):
+        failed = sw.advance(k)
+        if failed:
+            raise DivisionByZeroModP(failed[0])
+
+    z = sw.V[:, 1:1 + n_z, 0].T.tolist()
+    S = sw.T[:, 1:1 + n_z, 0].transpose(1, 2, 0).tolist()
+    return SeriesSolution(tuple(TruncSeries(c, p) for c in z),
+                          tuple(tuple(TruncSeries(c, p) for c in row) for row in S),
+                          tuple(u_series), z0, p, order)
+
+
+def output_jacobian(sol, A):
+    """Rows d(coeff_j of y_i)/dz0 for j = 0..N (j outer, i inner).
+
+    Each row is coefficient j of (dh_i/dz)(z(t), u(t)) . S(t), evaluated
+    eagerly over TruncSeries, independent of the ``_Sweep``'s h-node
+    tangents that analyze_ffprob reads these rows from block by block.
+    """
+    p, N = sol.p, sol.order
+    env = {s: sol.z_series[i] for i, s in enumerate(A.z)}
+    for spec, series in zip(A.model.known_inputs, sol.u_series):
+        env[spec.symbol] = series
+    memo = {}
+
+    zero = TruncSeries.constant(0, N, p)
+    blocks = []
+    for h in A.outputs:
+        grad_entries = []
+        for l, zl in enumerate(A.z):
+            d = sx.differentiate(h, zl)
+            if d is not sx.ZERO:
+                grad_entries.append((l, eval_expr_series(d, env, N, p, _memo=memo)))
+        row = []
+        for j in range(A.n_z):
+            acc = zero
+            for l, g in grad_entries:
+                acc = acc + g * sol.S_series[l][j]
+            row.append(acc)
+        blocks.append(row)
+
+    return [[series.coeffs[j] for series in block] for j in range(N + 1) for block in blocks]
 
 
 def check_residuals(A, z0, u_coeffs, order, p):
@@ -135,3 +434,69 @@ def check_residuals(A, z0, u_coeffs, order, p):
                 if jrows[i][l] is not None:
                     acc = acc + jrows[i][l] * sol.S_series[l][j]
             assert sol.S_series[i][j].differentiate().coeffs == acc.coeffs[:order], (name, i, j)
+
+
+# --------------------------------------------------------------------------
+# Symbolic gradient rows, and the coefficient-Lie correspondence
+# --------------------------------------------------------------------------
+
+# The rows built so far for each LieCache, kept while the cache lives: a
+# test that reads levels 0..k again and again builds each level once.
+_GRADIENT_ROWS = weakref.WeakKeyDictionary()
+
+
+def gradient_rows(cache, k):
+    """Symbolic gradient rows of Lie level k: row i holds
+    ``sx.differentiate(L^k h_i, z_j)`` for every entry z_j."""
+    cache.ensure_level(k)
+    grads = _GRADIENT_ROWS.setdefault(cache, [])
+    while len(grads) <= k:
+        grads.append([[sx.differentiate(phi, zi) for zi in cache.A.z]
+                      for phi in cache.lies[len(grads)]])
+    return grads[k]
+
+
+def cross_check_lie(md, order, p, seed=0):
+    """Verify k! * coeff_k(y_i) == (L^k h_i)(z0, u-jet) mod p for k <= order.
+
+    The left side comes from ffprob's series solution, the right side from
+    lie_orc's symbolic Lie derivatives with input-derivative symbols bound
+    to the matching jet coefficients (u^(j) -> j! * coeff_j(u)).  The
+    identity holds at every point where no denominator vanishes, so the
+    point is drawn here, under its own tag, and redrawn when a denominator
+    vanishes.  Returns True iff every comparison holds exactly.
+    """
+    check_prime(p)
+    _require_rational(md)
+    A = augment(md)
+    cache = LieCache(A)
+    cache.ensure_level(order)
+
+    last = None
+    for attempt in range(RETRIES):
+        tag = ("xcheck", seed, p, attempt)
+        z0 = [_rng.residue(tag + (s.name,), p) for s in A.z]
+        point = dict(zip(A.z, z0))
+        env = {}
+        for spec in A.model.known_inputs:
+            u = spec.symbol
+            jet = [_rng.residue(tag + (u.name, j), p) if j == 0 or spec.mode != CONSTANT else 0
+                   for j in range(order + 1)]
+            env[u] = TruncSeries(jet, p)
+            for j, c in enumerate(jet):
+                point[u.derivative(j) if j else u] = math.factorial(j) * c % p
+        try:
+            sol = series_solve(A, z0, [env[s.symbol] for s in A.model.known_inputs],
+                               order, p)
+            env.update(zip(A.z, sol.z_series))
+            memo = {}
+            ys = [eval_expr_series(h, env, order, p, _memo=memo) for h in A.outputs]
+            for k in range(order + 1):
+                for y, lie in zip(ys, cache.lies[k]):
+                    if math.factorial(k) * y.coeffs[k] % p != sx.eval_mod_p(lie, point, p):
+                        return False
+            return True
+        except DivisionByZeroModP as exc:
+            last = exc
+    raise RetriesExhausted(
+        f"all {RETRIES} random specializations hit a vanishing denominator mod {p}: {last}")

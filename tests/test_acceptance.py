@@ -7,19 +7,12 @@ import time
 import pytest
 
 from identiscope import symexpr as sx
-from identiscope.bench import (BenchOptions, compare_engines, corpus_dir, cross_check_lie,
-                               emit_report, run_corpus)
-from identiscope.ffprob import (
-    FfprobOptions,
-    TruncSeries,
-    analyze_ffprob,
-    output_jacobian,
-    series_solve,
-)
+from identiscope.bench import BenchOptions, compare_engines, corpus_dir, emit_report, run_corpus
+from identiscope.ffprob import FfprobOptions, analyze_ffprob
 from identiscope.lie_orc import LieCache, _Trials, analyze_symbolic
-from identiscope._linalg import rank_mod_p
 from identiscope.model import augment, load_model, parse_model, print_model
-from oracles import check_residuals, deleted_column_ranks
+from oracles import (TruncSeries, check_residuals, cross_check_lie, deleted_column_ranks,
+                     output_jacobian, rank_mod_p, series_solve)
 
 P = 2147483647
 
@@ -130,15 +123,20 @@ def test_criterion_4_hand_derived_toys():
          f"{elapsed:.2f} s")
 
 
-def _median_wall_ms(md, analyze, runs=5):
-    """Median engine wall time of ``runs`` analyses after one warm-up, each
-    from an empty intern table as in ``bench``, so that one slow run on a
-    loaded host does not decide the comparison."""
-    times = []
-    for _ in range(runs + 1):
-        sx.clear_caches()
-        times.append(analyze(md).wall_time_ms)
-    return statistics.median(times[1:])
+def _median_wall_ms(md, engines, runs=5):
+    """Median engine wall time of each engine over ``runs`` rounds after one
+    warm-up round, each analysis from an empty intern table as in ``bench``.
+    A round runs every engine once, and the engine that goes first
+    alternates from round to round, so that a burst of load on the host
+    falls on both engines' runs and one slow run does not decide the
+    comparison."""
+    times = [[] for _ in engines]
+    for r in range(runs + 1):
+        order = range(len(engines)) if r % 2 else reversed(range(len(engines)))
+        for i in order:
+            sx.clear_caches()
+            times[i].append(engines[i](md).wall_time_ms)
+    return [statistics.median(t[1:]) for t in times]
 
 
 def test_criterion_5_speed_ordering():
@@ -146,8 +144,7 @@ def test_criterion_5_speed_ordering():
     details = []
     for name in ("hiv2", "gene_p53"):
         md = load_model(corpus_dir() / f"{name}.idm")
-        sym = _median_wall_ms(md, analyze_symbolic)
-        ffp = _median_wall_ms(md, analyze_ffprob)
+        sym, ffp = _median_wall_ms(md, (analyze_symbolic, analyze_ffprob))
         details.append(f"{name}: ffprob {ffp:.0f} ms vs symbolic {sym:.0f} ms")
         if not ffp <= 0.5 * sym:
             ok = False

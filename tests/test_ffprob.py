@@ -5,24 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from identiscope import ffprob, lie_orc
+from identiscope import bench, ffprob, lie_orc
 from identiscope import symexpr as sx
 from identiscope._linalg import MAX_PRIME
-from identiscope.bench import corpus_dir, cross_check_lie
+from identiscope.bench import corpus_dir
 from identiscope.errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted
-from identiscope.ffprob import (
-    DEFAULT_PRIMES,
-    FfprobOptions,
-    TruncSeries,
-    _Run,
-    _sweep_runs,
-    analyze_ffprob,
-    output_jacobian,
-    series_solve,
-)
+from identiscope.ffprob import DEFAULT_PRIMES, FfprobOptions, _Run, _sweep_runs, analyze_ffprob
 from identiscope.lie_orc import LieCache
 from identiscope.model import augment, load_model, parse_model
-from oracles import check_residuals
+from oracles import (TruncSeries, check_residuals, cross_check_lie, gradient_rows,
+                     output_jacobian, series_solve)
 
 P = 2147483647
 BIG_P = 3037000493  # the largest prime <= MAX_PRIME
@@ -178,7 +170,7 @@ def test_output_jacobian_matches_symbolic_matrix_at_point():
     for j in range(3):
         if j:
             fact = fact * j % P
-        sym_row = [sx.eval_mod_p(e, point, P) for e in cache.gradient_rows(j)[0]]
+        sym_row = [sx.eval_mod_p(e, point, P) for e in gradient_rows(cache, j)[0]]
         inv = pow(fact, -1, P)
         assert rows[j] == [v * inv % P for v in sym_row]
 
@@ -444,15 +436,19 @@ def test_prime_trap_single_prime_underreports_rank():
 # engine independence
 # --------------------------------------------------------------------------
 
-def _imported_modules(module) -> set[str]:
+def _imported_modules(module, source=None) -> set[str]:
     """Last dotted component of every module the source of ``module``
-    imports, or imports names from."""
+    imports, or imports names from; with ``source``, only the names it
+    imports from modules whose last dotted component is ``source``."""
     names = set()
     for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
-            names.add(node.module or "")
+            if source is None:
+                names.add(node.module or "")
+            elif (node.module or "").rsplit(".", 1)[-1] != source:
+                continue
             names.update(a.name for a in node.names)  # from . import lie_orc
-        elif isinstance(node, ast.Import):
+        elif isinstance(node, ast.Import) and source is None:
             names.update(a.name for a in node.names)
     return {n.rsplit(".", 1)[-1] for n in names}
 
@@ -460,3 +456,9 @@ def _imported_modules(module) -> set[str]:
 def test_engines_import_nothing_from_each_other():
     assert "lie_orc" not in _imported_modules(ffprob)
     assert "ffprob" not in _imported_modules(lie_orc)
+
+
+def test_bench_imports_only_public_engine_names():
+    for engine in ("ffprob", "lie_orc"):
+        names = _imported_modules(bench, engine)
+        assert names and not [n for n in names if n.startswith("_")], (engine, names)

@@ -10,7 +10,7 @@ import pytest
 import identiscope
 from identiscope import errors, lie_orc
 from identiscope import symexpr as sx
-from identiscope._linalg import MAX_PRIME, rank_mod_p
+from identiscope._linalg import MAX_PRIME
 from identiscope.bench import corpus_dir
 from identiscope.errors import DivisionByZeroModP, EngineTimeout, RetriesExhausted
 from identiscope.lie_orc import (
@@ -24,7 +24,7 @@ from identiscope.lie_orc import (
 from identiscope.model import augment, load_model, parse_model
 from identiscope.report import verdict_for
 
-from oracles import deleted_column_ranks
+from oracles import deleted_column_ranks, free_symbols, gradient_rows, rank_mod_p
 
 P = 2147483647
 
@@ -39,7 +39,7 @@ def _aug(src):
 
 def _gradient_matrix(cache, k):
     """Symbolic gradient rows of Lie levels 0..k (level outer, output inner)."""
-    return [row for j in range(k + 1) for row in cache.gradient_rows(j)]
+    return [row for j in range(k + 1) for row in gradient_rows(cache, j)]
 
 
 # --------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def test_gradient_rows_decay_level1():
 def test_gradient_rows_level0_has_m_rows(corpus_entries):
     for entry in corpus_entries[:6]:
         A = augment(load_model(entry.path))
-        rows = LieCache(A).gradient_rows(0)
+        rows = gradient_rows(LieCache(A), 0)
         assert (len(rows), len(rows[0])) == (len(A.outputs), A.n_z)
 
 
@@ -434,7 +434,7 @@ def _input_zero_model(output: str):
 
 
 def _symbolic_rows(A, cache, n, ref):
-    rows = [row for j in range(n // len(A.outputs)) for row in cache.gradient_rows(j)]
+    rows = [row for j in range(n // len(A.outputs)) for row in gradient_rows(cache, j)]
     return [_eval_row(row, ref) for row in rows]
 
 
@@ -595,14 +595,14 @@ def test_tangents_are_reused_across_levels():
     cache = LieCache(A)
     batch = _Trials(cache, range(3), 0, P)
     m = len(A.outputs)
-    dependent = set()
+    dependent, symbols = set(), {}
     for k in range(6):
         points = batch.grow((k + 1) * m)
         assert [pt.attempt for pt in points] == [0, 0, 0]
         stack = list(cache.lies[k])
         while stack:
             node = stack.pop()
-            if node in dependent or sx.free_symbols(node).isdisjoint(zset):
+            if node in dependent or free_symbols(node, symbols).isdisjoint(zset):
                 continue
             dependent.add(node)
             stack.extend(getattr(node, "terms", ()) or getattr(node, "factors", ()))
@@ -620,10 +620,11 @@ def _slots(batch):
     return sum(len(tan) for _, _, tan in batch.blocks)
 
 
-def _walk_oracle(rows, slot, zset):
-    """``lie_orc._walk`` with z-dependence read from ``free_symbols``."""
+def _walk_oracle(rows, slot, zset, symbols):
+    """``lie_orc._walk`` with z-dependence read from ``free_symbols``, its
+    memo ``symbols``."""
     def depends(node):
-        return not sx.free_symbols(node).isdisjoint(zset)
+        return not free_symbols(node, symbols).isdisjoint(zset)
 
     posts = []
     for phi in rows:
@@ -657,12 +658,12 @@ def test_walk_matches_free_symbols_oracle(corpus_entries):
         zset = frozenset(A.z)
         cache = LieCache(A)
         cache.ensure_level(3)
-        slot, want, indep = {}, {}, set()
+        slot, want, indep, symbols = {}, {}, set(), {}
         for k, rows in enumerate(cache.lies[:4]):
-            assert lie_orc._walk(rows, slot, indep, zset) == _walk_oracle(rows, want, zset), \
-                (entry.name, k)
+            assert lie_orc._walk(rows, slot, indep, zset) == \
+                _walk_oracle(rows, want, zset, symbols), (entry.name, k)
         assert slot == want
-        assert all(sx.free_symbols(node).isdisjoint(zset) for node in indep)
+        assert all(free_symbols(node, symbols).isdisjoint(zset) for node in indep)
 
 
 def test_deadline_passing_mid_walk_stops_the_derivation(monkeypatch):

@@ -7,10 +7,10 @@ from identiscope import lie_orc
 import numpy as np
 
 from identiscope import _linalg
-from identiscope._linalg import MAX_COLS, MAX_PRIME, Echelon, extend_all, is_prime, rank_mod_p
+from identiscope._linalg import MAX_COLS, MAX_PRIME, Echelon, extend_all, is_prime
 from identiscope.ffprob import DEFAULT_PRIMES
 
-from oracles import deleted_column_ranks
+from oracles import deleted_column_ranks, rank_mod_p
 
 PRIMES = (2, 3, 7, 101, 2**31 - 1)
 

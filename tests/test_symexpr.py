@@ -89,7 +89,7 @@ def test_derivative_quotient_against_dual_numbers():
     point = {X: Fraction(2), TH: Fraction(3)}
     _, expected = oracles.eval_dual_rational(e, point, TH)
     assert expected == Fraction(-2, 25)
-    assert sx.eval_rational(d, point) == expected
+    assert oracles.eval_rational(d, point) == expected
 
 
 def test_derivative_of_symbol_free_expression_is_zero():
@@ -112,10 +112,10 @@ def test_transcendental_derivatives_by_finite_differences():
         d = sx.differentiate(e, X)
         for _ in range(3):
             x0 = Fraction(rng.randrange(1, 200), 100)
-            hi = sx.eval_rational(e, {X: x0 + h})
-            lo = sx.eval_rational(e, {X: x0 - h})
+            hi = oracles.eval_rational(e, {X: x0 + h})
+            lo = oracles.eval_rational(e, {X: x0 - h})
             fd = (hi - lo) / (2 * float(h))
-            exact = sx.eval_rational(d, {X: x0})
+            exact = oracles.eval_rational(d, {X: x0})
             assert abs(fd - exact) <= 1e-6
 
 
@@ -144,10 +144,10 @@ def test_eval_mod_p_rejects_transcendental():
 
 
 def test_eval_rational_examples():
-    assert sx.eval_rational(sx.ln(sx.ONE), {}) == 0
-    assert sx.eval_rational(sx.add(sx.const(Fraction(1, 3)), sx.const(Fraction(1, 6))), {}) \
+    assert oracles.eval_rational(sx.ln(sx.ONE), {}) == 0
+    assert oracles.eval_rational(sx.add(sx.const(Fraction(1, 3)), sx.const(Fraction(1, 6))), {}) \
         == Fraction(1, 2)
-    assert sx.eval_rational(sx.add(sx.exp(sx.ZERO), sx.sin(sx.ZERO)), {}) == 1
+    assert oracles.eval_rational(sx.add(sx.exp(sx.ZERO), sx.sin(sx.ZERO)), {}) == 1
 
 
 # --------------------------------------------------------------------------
