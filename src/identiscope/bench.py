@@ -221,7 +221,7 @@ def failure_record(md: ModelDef, engine: str, seed: int,
                           seed=seed, error=error)
 
 
-def _run_one(path: str, engine: str, opts: BenchOptions) -> AnalysisReport:
+def _run_one(path: Path, engine: str, opts: BenchOptions) -> AnalysisReport:
     """Analyze one (model, engine) pair; analysis failures become records."""
     sx.clear_caches()
     md = load_model(path)
@@ -248,8 +248,9 @@ def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[Analysi
         check_prime(p)
     if opts.trials is not None and opts.trials < 1:
         raise ValueError("trials must be >= 1")
-    reports = [_run_one(entry.path, engine, opts)
-               for entry in load_corpus(directory) for engine in opts.engines]
+    base = Path(directory) if directory is not None else corpus_dir()
+    reports = [_run_one(path, engine, opts)
+               for path in sorted(base.glob("*.idm")) for engine in opts.engines]
     reports.sort(key=lambda r: (r.model, r.engine))
     return reports
 

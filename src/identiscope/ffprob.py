@@ -32,7 +32,7 @@ denominator of F or h vanish at t = 0 restarts at its next random point
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 
@@ -299,13 +299,11 @@ def _draw_trial(A: AugmentedSystem, seed: int, p: int, order: int, trial: int,
 
 @dataclass
 class _Run:
-    """One (prime, trial) run: its point, rows, echelon form and stop rule."""
+    """One (prime, trial) run: the attempt that drew its point, the echelon
+    form of its output Jacobian's rows, and why it stopped."""
     prime: int
     trial: int
     attempt: int = 0
-    z0: list[int] = field(default_factory=list)
-    u_jets: list[list[int]] = field(default_factory=list)
-    rows: list[list[int]] = field(default_factory=list)
     echelon: _linalg.Echelon | None = None
     stop: str | None = None
 
@@ -323,9 +321,8 @@ def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run], seed: int) -> None:
                 raise RetriesExhausted(
                     f"all {RETRIES} random specializations hit a vanishing "
                     f"denominator mod {run.prime}: {last.get(b)}")
-            run.z0, run.u_jets = _draw_trial(A, seed, run.prime, sw.order, run.trial,
-                                             run.attempt)
-            sw.set_point(b, run.z0, run.u_jets)
+            sw.set_point(b, *_draw_trial(A, seed, run.prime, sw.order, run.trial,
+                                         run.attempt))
         failed = sw.advance(0)
         todo = sorted(failed)
         for b in todo:
@@ -358,7 +355,6 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
         ranks = _linalg.extend_all([runs[b].echelon for b in live], blocks[live])
         for b, r0, r in zip(live, before, ranks):
             run = runs[b]
-            run.rows += blocks[b].tolist()
             if r == n_z:
                 run.stop = "full_rank"
             elif k > 0 and r == r0:
@@ -419,10 +415,7 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
 
     warnings = []
     if md.unknown_inputs:
-        orders = ", ".join(f"{s.symbol.base}^({s.order + 1})=0" for s in md.unknown_inputs)
-        warnings.append(
-            f"unknown-input derivative chains truncated ({orders}), "
-            "including any direct output feedthrough")
+        warnings.append(md.unknown_input_warning())
     if md.ics:
         warnings.append(md.ic_warning())
 

@@ -27,7 +27,7 @@ subexpressions are handled by replacing each maximal transcendental subterm
 with a fresh independent symbol before specialization, which keeps
 non-rational models analyzable at the cost of possibly overestimating rank
 when those subterms are algebraically dependent; reports carry a warning
-whenever this table is non-empty.
+whenever the rows read such a subterm.
 """
 
 from __future__ import annotations
@@ -64,19 +64,16 @@ class _TrialPoint(dict):
     """One random point of a trial: symbol -> residue, each drawn on first
     lookup from the point's tag.
 
-    Also holds the transcendental table (the residues of the Func nodes
-    whose values the rows read), one memo of z-independent node values, the
-    numeric rows evaluated at this point so far, and the echelon form of
-    those rows that ``_Trials.grow`` extends.
+    Also holds the residues drawn for transcendental nodes, one memo of
+    z-independent node values, and the echelon form of the rows evaluated
+    at this point, which ``_Trials`` extends.
     """
 
     def __init__(self, seed: int, trial: int, attempt: int, p: int, n_z: int):
         super().__init__()
         self.seed, self.trial, self.attempt, self.p = seed, trial, attempt, p
-        self.table: dict[bytes, int] = {}
         self.drawn: dict[bytes, int] = {}
         self.memo: dict[Expr, int] = {}
-        self.rows: list[list[int]] = []
         self.echelon = _linalg.Echelon(n_z, p)
 
     def __missing__(self, s: Symbol) -> int:
@@ -84,17 +81,13 @@ class _TrialPoint(dict):
         return v
 
     def residue(self, node: Expr) -> int:
-        """The residue that stands for a transcendental node at this point;
-        it enters the table only through ``transc``."""
+        """The residue that stands for a transcendental node at this point,
+        drawn on first use from the point's tag and the node's hash."""
         key = node.shash
         v = self.drawn.get(key)
         if v is None:
             v = _rng.residue(("transc", self.seed, self.trial, self.attempt, key.hex()), self.p)
             self.drawn[key] = v
-        return v
-
-    def transc(self, node: Expr) -> int:
-        v = self.table[node.shash] = self.residue(node)
         return v
 
 
@@ -132,13 +125,14 @@ class _Trials:
     forward tangents at them, and the restarts after a vanishing
     denominator.
 
-    ``points`` holds each live trial's current point.  Every z-dependent
-    node of the rows evaluated so far has one slot (``slot``), and the
-    nodes that one evaluation added form one block of ``blocks``: VAL of
-    shape (nodes, trials), the node's value at each point; UNDEF of the same
+    ``points`` holds each live trial's current point, and every point's
+    echelon form holds the first ``n_rows`` rows at that point.  Every
+    z-dependent node of those rows has one slot (``slot``), and the nodes
+    that one evaluation added form one block of ``blocks``: VAL of shape
+    (nodes, trials), the node's value at each point; UNDEF of the same
     shape, whether that value meets a vanishing denominator; and TAN of
     shape (nodes, trials, n_z), d node/dz.  ``starts`` holds each block's
-    first slot and ``n_rows`` counts the rows that the slots cover.
+    first slot.
 
     An evaluation works in waves: the new nodes of one kind and one height
     (a node is one above its highest new child) take a handful of numpy
@@ -149,24 +143,26 @@ class _Trials:
     coefficient without an inverse, so a factor that is 0 mod p is fine.  A
     Pow or a Func takes its value and coefficient per node and point in
     Python.  z-independent children are evaluated per point by
-    ``eval_mod_p``, and transcendental nodes take their table residues.
+    ``eval_mod_p``, and transcendental nodes take their point's residues.
     Every product of two residues is reduced mod p before it is summed,
     which keeps int64 exact for p <= ``_linalg.MAX_PRIME``.
 
     A node reads exactly the values that its symbolic derivative contains
     (``_reads``); reading a value reads its subtree, Func arguments
     excepted.  A point fails when a read value is undefined, is a zero base
-    under a negative power or is a zero argument of ln, and its table holds
-    the Func nodes that the reads reach, as evaluating ``differentiate(phi,
-    z_j)`` would.
+    under a negative power or is a zero argument of ln.  ``transcendental``
+    is set once a row reads a non-rational value, that is once evaluating
+    some ``differentiate(phi, z_j)`` would meet a Func node.
     """
 
     def __init__(self, cache: LieCache, trials: Iterable[int], seed: int, p: int):
         self.cache, self.seed, self.p = cache, seed, p
         self.index = cache.A.index
         self.zset = frozenset(self.index)
-        # Nodes known not to depend on z; structural, so kept across resets.
+        # Nodes known not to depend on z, and whether the rows read a
+        # transcendental value; structural, so kept across resets.
         self.indep: set[Expr] = set()
+        self.transcendental = False
         self.units = np.eye(len(self.index), dtype=np.int64)
         self.points = [_TrialPoint(seed, t, 0, p, cache.A.n_z) for t in trials]
         self._reset()
@@ -175,29 +171,26 @@ class _Trials:
         self.slot: dict[Expr, int] = {}
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.starts: list[int] = []
-        self.read: set[Expr] = set()  # non-rational nodes the tables have covered
         self.n_rows = 0
 
     def grow(self, n: int) -> list[_TrialPoint]:
-        """Bring every trial's point to its first n gradient rows and extend
-        each point's echelon form with the rows it gained, the points that
-        gained equally many in one step; returns the points.
+        """Bring every trial's point to its first n gradient rows, each
+        point's echelon form extended with them; returns the points.
 
         The rows that the points lack are evaluated together.  A point that
-        fails moves only its trial to the next attempt, where every row is
-        evaluated again and a new echelon form starts; the batch's slots are
-        then rebuilt.  The smallest attempt whose point evaluates rows 0..k
-        can only grow with k, so each trial gets the rows of the smallest
-        attempt that evaluates all n of them.  A trial that runs out of its
-        ``RETRIES`` attempts leaves the batch, and once the others hold n
-        rows the lowest such trial raises RetriesExhausted, naming the first
-        vanishing denominator that its last point reads.
+        fails moves its trial to the next attempt; then every live point
+        starts a new echelon form, the batch's slots are rebuilt and every
+        row is evaluated again.  The smallest attempt whose point evaluates
+        rows 0..k can only grow with k, so each trial gets the rows of the
+        smallest attempt that evaluates all n of them.  A trial that runs
+        out of its ``RETRIES`` attempts leaves the batch, and once the others
+        hold n rows the lowest such trial raises RetriesExhausted, naming
+        the first vanishing denominator that its last point reads.
         """
-        cache, p = self.cache, self.p
+        cache, p, n_z = self.cache, self.p, self.cache.A.n_z
         m = len(cache.A.outputs)
-        held = {pt.trial: len(pt.rows) for pt in self.points}
         failed: dict[int, RetriesExhausted] = {}
-        while any(len(pt.rows) < n for pt in self.points):
+        while self.points and self.n_rows < n:
             cache.ensure_level((n - 1) // m)
             check_deadline(cache.deadline)
             rows = [cache.lies[r // m][r % m] for r in range(n)]
@@ -217,19 +210,13 @@ class _Trials:
                     failed[pt.trial] = err
                     points[pos] = None
                 else:
-                    points[pos] = _TrialPoint(self.seed, pt.trial, pt.attempt + 1, p,
-                                              cache.A.n_z)
-                    held[pt.trial] = 0
+                    points[pos] = _TrialPoint(self.seed, pt.trial, pt.attempt + 1, p, n_z)
             self.points = [pt for pt in points if pt is not None]
+            for pt in self.points:
+                pt.echelon = _linalg.Echelon(n_z, p)
             self._reset()
         if failed:
             raise failed[min(failed)]
-        gained: dict[int, list[_TrialPoint]] = {}
-        for pt in self.points:
-            gained.setdefault(len(pt.rows) - held[pt.trial], []).append(pt)
-        for k, pts in gained.items():
-            if k:
-                _linalg.extend_all([pt.echelon for pt in pts], [pt.rows[-k:] for pt in pts])
         return self.points
 
     def _evaluate(self, rows: list[Expr]) -> list[int]:
@@ -237,8 +224,8 @@ class _Trials:
         ``n_rows`` at every point of the batch.
 
         Returns the positions of the points that fail; then no row is added
-        and the batch must be reset.  Otherwise each point gets the rows it
-        does not hold yet, and its table the Func nodes that they read.
+        and the batch must be reset.  Otherwise every point's echelon form
+        is extended with the new rows, in one ``extend_all`` step.
         """
         p, slot, points = self.p, self.slot, self.points
         base = len(slot)
@@ -316,31 +303,13 @@ class _Trials:
 
         self.blocks.append((VAL[:N].copy(), UNDEF[:N].copy(), TAN[:N].copy()))
         self.starts.append(base)
-        funcs = self._table_entries(nodes)
-        got = TAN[out].transpose(1, 0, 2).tolist()
-        for pt, pt_rows in zip(points, got):
-            for f in funcs:
-                pt.transc(f)
-            pt.rows.extend(pt_rows[len(pt.rows) - self.n_rows:])
+        # A non-rational value always has a Func node below it.
+        self.transcendental = self.transcendental or any(
+            not sx.is_rational_expr(r) for node, dep, ind in nodes
+            if not sx.is_rational_expr(node) for r in _reads(node, dep, ind))
+        _linalg.extend_all([pt.echelon for pt in points], TAN[out].swapaxes(0, 1))
         self.n_rows += len(rows)
         return []
-
-    def _table_entries(self, nodes: list[tuple]) -> list[Expr]:
-        """The Func nodes, not covered yet, that the derivatives of the new
-        nodes, given as ``_walk`` gives them, read."""
-        todo = [r for node, dep, ind in nodes if not sx.is_rational_expr(node)
-                for r in _reads(node, dep, ind)]
-        funcs = []
-        while todo:
-            node = todo.pop()
-            if node in self.read or sx.is_rational_expr(node):
-                continue
-            self.read.add(node)
-            if isinstance(node, sx.Func):
-                funcs.append(node)
-            else:
-                todo += _kids(node)
-        return funcs
 
 
 # Node kinds of a wave.
@@ -530,7 +499,7 @@ def _walk(rows: list[Expr], slot: dict[Expr, int], indep: set[Expr],
     posts = []
     for phi in rows:
         post: list[tuple] = []
-        stack = [] if phi in slot or phi in indep else [(phi, iter(_kids(phi)), [], [])]
+        stack = [] if phi in slot or phi in indep else [(phi, iter(sx.children(phi)), [], [])]
         while stack:
             node, it, dep, ind = stack[-1]
             for c in it:
@@ -540,7 +509,7 @@ def _walk(rows: list[Expr], slot: dict[Expr, int], indep: set[Expr],
                 elif c in indep or isinstance(c, sx.Const):
                     ind.append(c)
                 else:
-                    stack.append((c, iter(_kids(c)), [], []))
+                    stack.append((c, iter(sx.children(c)), [], []))
                     break
             else:
                 stack.pop()
@@ -555,18 +524,6 @@ def _walk(rows: list[Expr], slot: dict[Expr, int], indep: set[Expr],
                         stack[-1][3].append(node)
         posts.append(post)
     return posts
-
-
-def _kids(node: Expr) -> tuple[Expr, ...]:
-    if isinstance(node, sx.Add):
-        return node.terms
-    if isinstance(node, sx.Mul):
-        return node.factors
-    if isinstance(node, sx.Pow):
-        return (node.base,)
-    if isinstance(node, sx.Func):
-        return (node.arg,)
-    return ()
 
 
 def _field_rate(A: AugmentedSystem) -> Callable[[Symbol], Expr]:
@@ -609,12 +566,12 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     Levels are added until the matrix reaches full rank n_z, the rank stops
     increasing (saturation), or max_level (default n_z - 1) is hit.  One
     ``_Trials`` batch evaluates the rows of every trial and extends each
-    trial's echelon form with them; a trial that restarts at a new point
-    starts a new echelon form from all its rows.  The level's rank is the
-    largest trial rank.  Entry j is observable/identifiable when its column
-    is independent of the others (deleting it drops the rank to r-1) in
-    every trial that reaches the final rank r; otherwise it lies in the span
-    of the others.
+    trial's echelon form with them; when a trial restarts at a new point,
+    every trial starts a new echelon form from all its rows.  The level's
+    rank is the largest trial rank.  Entry j is observable/identifiable when
+    its column is independent of the others (deleting it drops the rank to
+    r-1) in every trial that reaches the final rank r; otherwise it lies in
+    the span of the others.
     """
     opts = opts or SymbolicOptions()
     if opts.trials < 1:
@@ -654,7 +611,7 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
             identifiable = [a and b for a, b in zip(identifiable, flags)]
 
     warnings = []
-    if any(pt.table for pt in points):
+    if batch.transcendental:
         warnings.append(
             "transcendental subterms were replaced by independent symbols; "
             "rank may be overestimated if they are algebraically dependent")
@@ -662,10 +619,7 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
         warnings.append(
             f"known-input derivatives materialized up to order {len(ranks) - 1}")
     if md.unknown_inputs:
-        orders = ", ".join(f"{s.symbol.base}^({s.order + 1})=0" for s in md.unknown_inputs)
-        warnings.append(
-            f"unknown-input derivative chains truncated ({orders}), "
-            "including any direct output feedthrough")
+        warnings.append(md.unknown_input_warning())
     if md.ics:
         warnings.append(md.ic_warning())
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import symexpr as sx
 from .errors import (
@@ -108,6 +107,13 @@ class ModelDef:
             if hit is not None:
                 return hit
         return None
+
+    def unknown_input_warning(self) -> str:
+        """The report warning for the model's unknown inputs, whose
+        derivative chains both engines truncate."""
+        orders = ", ".join(f"{s.symbol.base}^({s.order + 1})=0" for s in self.unknown_inputs)
+        return (f"unknown-input derivative chains truncated ({orders}), "
+                "including any direct output feedthrough")
 
     def ic_warning(self) -> str:
         """The report warning for the model's ``ic`` lines, which both

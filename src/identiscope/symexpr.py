@@ -336,7 +336,9 @@ class Func(Expr):
         return blake2b(b"F" + self.fname.encode() + b":" + self.arg._shash, digest_size=16).digest()
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
+def children(e: Expr) -> tuple[Expr, ...]:
+    """An Add's terms, a Mul's factors, a Pow's base or a Func's argument;
+    a leaf has none."""
     if isinstance(e, Add):
         return e.terms
     if isinstance(e, Mul):
@@ -360,7 +362,7 @@ def _digest_tree(root: Expr) -> bytes:
     stack = [root]
     while stack:
         node = stack[-1]
-        todo = [c for c in _children(node) if c._shash is None]
+        todo = [c for c in children(node) if c._shash is None]
         if todo:
             stack.extend(todo)
         else:
@@ -692,7 +694,7 @@ def is_rational_expr(e: Expr) -> bool:
     """
     r = e._rat
     if r is None:
-        r = not isinstance(e, Func) and all(map(is_rational_expr, _children(e)))
+        r = not isinstance(e, Func) and all(map(is_rational_expr, children(e)))
         e._rat = r
     return r
 
@@ -703,7 +705,7 @@ def first_transcendental(e: Expr) -> Expr | None:
         return None
     if isinstance(e, Func):
         return e
-    for c in _children(e):
+    for c in children(e):
         hit = first_transcendental(c)
         if hit is not None:
             return hit

@@ -18,6 +18,9 @@ fall into two groups:
   eager ``TruncSeries`` evaluation, against the sweep's tangents), and
   ``cross_check_lie`` (series coefficients against ``lie_orc``'s Lie
   derivatives by ``sx.eval_mod_p``).
+
+``record_rows`` makes ``_linalg.extend_all`` keep the rows that each echelon
+form receives, which ``rows_of`` returns.
 """
 
 import math
@@ -27,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from identiscope import _rng
+from identiscope import _linalg, _rng
 from identiscope import symexpr as sx
 from identiscope.bench import check_prime
 from identiscope.errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr, RetriesExhausted
@@ -164,7 +167,7 @@ def free_symbols(e, memo=None):
         if isinstance(e, sx.Sym):
             got = frozenset((e.symbol,))
         else:
-            got = frozenset().union(*(free_symbols(c, memo) for c in sx._children(e)))
+            got = frozenset().union(*(free_symbols(c, memo) for c in sx.children(e)))
         memo[e] = got
     return got
 
@@ -500,3 +503,30 @@ def cross_check_lie(md, order, p, seed=0):
             last = exc
     raise RetriesExhausted(
         f"all {RETRIES} random specializations hit a vanishing denominator mod {p}: {last}")
+
+
+# --------------------------------------------------------------------------
+# The rows the engines rank
+# --------------------------------------------------------------------------
+
+# The rows each echelon form has received, kept while the form lives.
+_RECEIVED = weakref.WeakKeyDictionary()
+
+
+def record_rows(monkeypatch):
+    """Make ``_linalg.extend_all``, which both engines and ``Echelon.extend``
+    look up at call time, record every block of rows it is given."""
+    extend_all = _linalg.extend_all
+
+    def recording(echelons, blocks):
+        for e, block in zip(echelons, blocks):
+            rows = np.asarray(block, dtype=np.int64).reshape(-1, len(e.by_col))
+            _RECEIVED.setdefault(e, []).extend(rows.tolist())
+        return extend_all(echelons, blocks)
+
+    monkeypatch.setattr(_linalg, "extend_all", recording)
+
+
+def rows_of(echelon):
+    """The rows that ``echelon`` received under ``record_rows``, in order."""
+    return _RECEIVED[echelon]

@@ -12,7 +12,7 @@ from identiscope.ffprob import FfprobOptions, analyze_ffprob
 from identiscope.lie_orc import LieCache, _Trials, analyze_symbolic
 from identiscope.model import augment, load_model, parse_model, print_model
 from oracles import (TruncSeries, check_residuals, cross_check_lie, deleted_column_ranks,
-                     output_jacobian, rank_mod_p, series_solve)
+                     output_jacobian, rank_mod_p, record_rows, rows_of, series_solve)
 
 P = 2147483647
 
@@ -167,7 +167,7 @@ def test_criterion_6_prime_sensitivity_regression():
          f"forced rank {forced.rank}, aggregated rank {default.rank}, {elapsed:.2f} s")
 
 
-def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
+def test_criterion_7_invariant_suites(corpus_entries, reports_by_key, monkeypatch):
     t0 = time.perf_counter()
     ok = True
     # Rank monotonicity by level (symbolic reports).
@@ -181,6 +181,7 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
     # per rational model, one evaluated symbolic matrix per non-rational.
     from identiscope.ffprob import _draw_trial
 
+    record_rows(monkeypatch)
     for e in corpus_entries:
         md = load_model(e.path)
         A = augment(md)
@@ -192,7 +193,7 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key):
         else:
             rep = reports_by_key[(e.name, "symbolic")]
             n = len(rep.ranks_by_level) * len(A.outputs)
-            numeric = _Trials(LieCache(A), (0,), 0, P).grow(n)[0].rows
+            numeric = rows_of(_Trials(LieCache(A), (0,), 0, P).grow(n)[0].echelon)
         r = rank_mod_p(numeric, P)
         for j, rj in enumerate(deleted_column_ranks(numeric, P)):
             if rj not in (r - 1, r):

@@ -1,3 +1,4 @@
+import ast
 import json
 import shutil
 from pathlib import Path
@@ -42,6 +43,21 @@ def test_public_names_are_the_engines_and_the_model_kernel():
         "is_rational_expr", "load_model", "parse_model", "print_model", "simplify",
         "to_string",
     ]
+
+
+def test_library_modules_use_every_name_they_import():
+    # __init__.py imports names to re-export them.
+    for path in sorted(Path(identiscope.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(a.asname or a.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
 
 
 def test_corpus_has_25_entries(corpus_entries):

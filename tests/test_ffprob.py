@@ -14,7 +14,7 @@ from identiscope.ffprob import DEFAULT_PRIMES, FfprobOptions, _Run, _sweep_runs,
 from identiscope.lie_orc import LieCache
 from identiscope.model import augment, load_model, parse_model
 from oracles import (TruncSeries, check_residuals, cross_check_lie, gradient_rows,
-                     output_jacobian, series_solve)
+                     output_jacobian, record_rows, rows_of, series_solve)
 
 P = 2147483647
 BIG_P = 3037000493  # the largest prime <= MAX_PRIME
@@ -259,12 +259,18 @@ def _batch(A, primes, trials, seed):
     return runs
 
 
-def _eager_rows(A, run, k):
+@pytest.fixture(autouse=True)
+def _record_rows(monkeypatch):
+    record_rows(monkeypatch)
+
+
+def _eager_rows(A, run, seed, k):
     """output_jacobian of the run's point solved to order k, input jets
     truncated to order k."""
     p = run.prime
-    u_k = [TruncSeries(u[:k + 1], p) for u in run.u_jets]
-    return output_jacobian(series_solve(A, run.z0, u_k, k, p), A)
+    z0, u_jets = ffprob._draw_trial(A, seed, p, max(A.n_z - 1, 1), run.trial, run.attempt)
+    u_k = [TruncSeries(u[:k + 1], p) for u in u_jets]
+    return output_jacobian(series_solve(A, z0, u_k, k, p), A)
 
 
 def test_incremental_blocks_match_eager_route(corpus_entries):
@@ -278,9 +284,10 @@ def test_incremental_blocks_match_eager_route(corpus_entries):
         m = len(A.outputs)
         for seed in (0, 1):
             for run in _batch(A, DEFAULT_PRIMES, 2, seed):
-                assert run.attempt == 0 and len(run.rows) % m == 0, e.name
-                for k in range(len(run.rows) // m):
-                    assert run.rows[:(k + 1) * m] == _eager_rows(A, run, k), \
+                rows = rows_of(run.echelon)
+                assert run.attempt == 0 and len(rows) % m == 0, e.name
+                for k in range(len(rows) // m):
+                    assert rows[:(k + 1) * m] == _eager_rows(A, run, seed, k), \
                         (e.name, seed, run.prime, run.trial, k)
 
 
@@ -288,9 +295,10 @@ def test_blocks_match_eager_route_at_largest_prime():
     A = augment(load_model(corpus_dir() / "jak_stat1.idm"))
     m = len(A.outputs)
     (run,) = _batch(A, (BIG_P,), 1, 0)
-    assert len(run.rows) > 3 * m
-    for k in range(len(run.rows) // m):
-        assert run.rows[:(k + 1) * m] == _eager_rows(A, run, k), k
+    rows = rows_of(run.echelon)
+    assert len(rows) > 3 * m
+    for k in range(len(rows) // m):
+        assert rows[:(k + 1) * m] == _eager_rows(A, run, 0, k), k
 
 
 RECIP = """model recip
@@ -327,14 +335,16 @@ def test_restart_moves_only_the_failing_run(monkeypatch):
     for before, run in zip(plain, forced):
         assert before.attempt == 0
         if (run.prime, run.trial) != target:
-            assert (run.attempt, run.z0, run.rows, run.stop) == \
-                (0, before.z0, before.rows, before.stop)
+            assert (run.attempt, rows_of(run.echelon), run.stop) == \
+                (0, rows_of(before.echelon), before.stop)
             continue
         assert run.attempt == 1
-        assert (run.z0, run.u_jets) == real(A, 0, run.prime, max(A.n_z - 1, 1), run.trial, 1)
-        assert run.z0 != before.z0
-        for k in range(len(run.rows) // m):
-            assert run.rows[:(k + 1) * m] == _eager_rows(A, run, k), k
+        order = max(A.n_z - 1, 1)
+        assert real(A, 0, run.prime, order, run.trial, 1)[0] != \
+            real(A, 0, run.prime, order, run.trial, 0)[0]
+        rows = rows_of(run.echelon)
+        for k in range(len(rows) // m):
+            assert rows[:(k + 1) * m] == _eager_rows(A, run, 0, k), k
 
 
 def test_restarts_exhausted(monkeypatch):
@@ -382,7 +392,7 @@ def test_zero_first_block_does_not_saturate():
     # at 0; saturation is a block k > 0 that does not raise it.
     trap = f"model trap\nstates x\nparams th\nddt x = -th*x\noutput y = {P}*x\n"
     (run,) = _batch(augment(parse_model(trap)), (P,), 1, 0)
-    assert (run.stop, len(run.rows), run.echelon.rank) == ("saturation", 2, 0)
+    assert (run.stop, len(rows_of(run.echelon)), run.echelon.rank) == ("saturation", 2, 0)
 
 
 def test_stop_reason_order_exhausted():

@@ -24,7 +24,8 @@ from identiscope.lie_orc import (
 from identiscope.model import augment, load_model, parse_model
 from identiscope.report import verdict_for
 
-from oracles import deleted_column_ranks, free_symbols, gradient_rows, rank_mod_p
+from oracles import (deleted_column_ranks, free_symbols, gradient_rows, rank_mod_p, record_rows,
+                     rows_of)
 
 P = 2147483647
 
@@ -35,6 +36,11 @@ SCALING = "model scaling\nstates x\nparams th c\nddt x = th*x\noutput y = c*x\n"
 
 def _aug(src):
     return augment(parse_model(src))
+
+
+@pytest.fixture(autouse=True)
+def _record_rows(monkeypatch):
+    record_rows(monkeypatch)
 
 
 def _gradient_matrix(cache, k):
@@ -310,7 +316,7 @@ def test_saturation_rank_stable_two_extra_levels():
         batch = _Trials(LieCache(A), range(3), 0, P)
         for extra in (1, 2):
             n = (k_stop + extra + 1) * len(A.outputs)
-            assert max(rank_mod_p(pt.rows, P) for pt in batch.grow(n)) == rep.rank
+            assert max(rank_mod_p(rows_of(pt.echelon), P) for pt in batch.grow(n)) == rep.rank
 
 
 def test_determinism_identical_reports():
@@ -345,6 +351,16 @@ def test_transcendental_warning_on_nonrational_model():
     assert rep.status == "ok"
 
 
+@pytest.mark.parametrize("output, warns", [("x + sin(t)", False), ("x*sin(t)", True)])
+def test_transcendental_warning_only_when_a_row_reads_one(output, warns):
+    # Both models are non-rational.  An Add reads none of its terms, so the
+    # rows of x + sin(t) read no transcendental value; x*sin(t) reads sin(t).
+    md = parse_model(f"model m\nstates x\nparams k\nddt x = -k*x\noutput y = {output}\n")
+    assert not md.is_rational()
+    rep = analyze_symbolic(md)
+    assert any("transcendental" in w for w in rep.warnings) == warns, rep.warnings
+
+
 # --------------------------------------------------------------------------
 # numeric rows: forward tangents against the symbolic gradient
 # --------------------------------------------------------------------------
@@ -358,30 +374,43 @@ x, y, th = (sx.sym(s) for s in Z)
 XYTH = _aug("model xyth\nstates x y\nparams th\nddt x = -th*x\nddt y = x\noutput o = x\n")
 
 
-def _eval_row(row, ref: _TrialPoint):
+class _Reference(_TrialPoint):
+    """A point for the symbolic reference rows; ``read`` collects the
+    transcendental nodes that their evaluation reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def transc(self, node):
+        self.read.add(node)
+        return self.residue(node)
+
+
+def _eval_row(row, ref: _Reference):
     return [sx.eval_mod_p(e, ref, ref.p, transcendental=ref.transc, _memo=ref.memo)
             for e in row]
 
 
-def _symbolic_row(phi, ref: _TrialPoint):
+def _symbolic_row(phi, ref: _Reference):
     return _eval_row([sx.differentiate(phi, s) for s in Z], ref)
 
 
 def _tangent_row(phi, pt: _TrialPoint):
-    # dphi/dz at pt's point by the engine's wave evaluation; a point that
-    # fails raises the first vanishing denominator it reads.
+    # dphi/dz at pt's point by the engine's wave evaluation, and whether it
+    # reads a transcendental value; a point that fails raises the first
+    # vanishing denominator it reads.
     batch = _Trials(LieCache(XYTH), (pt.trial,), pt.seed, pt.p)
     assert batch.index == INDEX
     batch.points = [pt]
     if batch._evaluate([phi]):
         raise lie_orc._first_failure([phi], batch.zset, pt)
-    return pt.rows[-1]
+    return rows_of(pt.echelon)[-1], batch.transcendental
 
 
 def _assert_sweep_matches(phi):
-    pt, ref = _TrialPoint(0, 0, 0, P, len(Z)), _TrialPoint(0, 0, 0, P, len(Z))
-    assert _tangent_row(phi, pt) == _symbolic_row(phi, ref)
-    assert pt.table.keys() == ref.table.keys()
+    pt, ref = _TrialPoint(0, 0, 0, P, len(Z)), _Reference(0, 0, 0, P, len(Z))
+    assert _tangent_row(phi, pt) == (_symbolic_row(phi, ref), bool(ref.read))
 
 
 @pytest.mark.parametrize("phi", [
@@ -408,7 +437,7 @@ def test_grad_row_product_with_a_zero_factor():
     zero = y - vy  # 0 mod P at the point
     phi = x * zero * th * (x + th) + zero * sx.sin(x * th)
     _assert_sweep_matches(phi)
-    row = _tangent_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
+    row, _ = _tangent_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
     assert row[0] == 0 and row[2] == 0 and row[1] != 0
 
 
@@ -421,7 +450,7 @@ def test_grad_row_vanishing_denominator_raises(vanishing):
     with pytest.raises(DivisionByZeroModP):
         _tangent_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
     with pytest.raises(DivisionByZeroModP):
-        _symbolic_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
+        _symbolic_row(phi, _Reference(0, 0, 0, P, len(Z)))
 
 
 def _input_zero_model(output: str):
@@ -445,7 +474,7 @@ def test_vanishing_denominator_in_an_unread_add_term_keeps_the_point():
     cache = LieCache(A)
     pt, = _Trials(cache, (0,), 0, P).grow(2)
     assert pt.attempt == 0
-    assert pt.rows == _symbolic_rows(A, cache, 2, _TrialPoint(0, 0, 0, P, A.n_z))
+    assert rows_of(pt.echelon) == _symbolic_rows(A, cache, 2, _Reference(0, 0, 0, P, A.n_z))
 
 
 def test_vanishing_denominator_in_a_sibling_factor_restarts_the_trial():
@@ -455,14 +484,15 @@ def test_vanishing_denominator_in_a_sibling_factor_restarts_the_trial():
     pt, = _Trials(cache, (0,), 0, P).grow(2)
     assert pt.attempt == 1
     with pytest.raises(DivisionByZeroModP):
-        _symbolic_rows(A, cache, 2, _TrialPoint(0, 0, 0, P, A.n_z))
-    assert pt.rows == _symbolic_rows(A, cache, 2, _TrialPoint(0, 0, 1, P, A.n_z))
+        _symbolic_rows(A, cache, 2, _Reference(0, 0, 0, P, A.n_z))
+    assert rows_of(pt.echelon) == _symbolic_rows(A, cache, 2, _Reference(0, 0, 1, P, A.n_z))
 
 
 def test_lone_sin_reads_only_its_cosine():
-    pt = _TrialPoint(0, 0, 0, P, len(Z))
-    _tangent_row(sx.sin(x * th), pt)
-    assert list(pt.table) == [sx.cos(x * th).shash]
+    _assert_sweep_matches(sx.sin(x * th))
+    ref = _Reference(0, 0, 0, P, len(Z))
+    _symbolic_row(sx.sin(x * th), ref)
+    assert ref.read == {sx.cos(x * th)}
 
 
 def test_trials_batched_get_the_rows_they_get_alone():
@@ -474,8 +504,9 @@ def test_trials_batched_get_the_rows_they_get_alone():
         points = batch.grow((k + 1) * m)
         for trial, pt in enumerate(points):
             single, = alone[trial].grow((k + 1) * m)
-            assert (pt.trial, pt.attempt, pt.rows) == (trial, single.attempt, single.rows), k
-            assert pt.table.keys() == single.table.keys(), k
+            assert (pt.trial, pt.attempt, rows_of(pt.echelon)) == \
+                (trial, single.attempt, rows_of(single.echelon)), k
+            assert batch.transcendental == alone[trial].transcendental, k
 
 
 def test_sweep_rows_match_symbolic_rows_on_corpus(corpus_entries, reports_by_key):
@@ -495,14 +526,12 @@ def test_sweep_rows_match_symbolic_rows_on_corpus(corpus_entries, reports_by_key
             levels = min(levels, 9)
         for k in range(levels):
             pt, = batch.grow((k + 1) * len(A.outputs))
-            got, used = pt.rows, bool(pt.table)
             if ref is None or ref.attempt != pt.attempt:
-                ref, expected = _TrialPoint(0, 0, pt.attempt, P, A.n_z), []
+                ref, expected = _Reference(0, 0, pt.attempt, P, A.n_z), []
             expected += [_eval_row(row, ref)
                          for row in _gradient_matrix(cache, k)[len(expected):]]
-            assert got == expected, (entry.name, k)
-            assert used == bool(ref.table), (entry.name, k)
-            assert pt.table.keys() == ref.table.keys(), (entry.name, k)
+            assert rows_of(pt.echelon) == expected, (entry.name, k)
+            assert batch.transcendental == bool(ref.read), (entry.name, k)
 
 
 def test_restart_takes_smallest_attempt_that_evaluates_all_rows():
@@ -529,16 +558,16 @@ def _check_restarts(name, p, seed):
         numeric = []
         for trial in range(trials):
             pt, = alone[trial].grow(len(rows))
-            got, used = pt.rows, bool(pt.table)
+            got = rows_of(pt.echelon)
             for attempt in range(lie_orc.RETRIES):
-                ref = _TrialPoint(seed, trial, attempt, p, A.n_z)
+                ref = _Reference(seed, trial, attempt, p, A.n_z)
                 try:
                     want = [_eval_row(row, ref) for row in rows]
                 except DivisionByZeroModP:
                     continue
                 break
             assert got == want, (name, k, trial)
-            assert used == bool(ref.table), (name, k, trial)
+            assert alone[trial].transcendental == bool(ref.read), (name, k, trial)
             assert pt.attempt == attempt
             assert pt.echelon.rank == rank_mod_p(got, p), (name, k, trial)
             restarted = restarted or attempt > 0
@@ -571,11 +600,12 @@ def test_restart_of_one_trial_leaves_the_others_alone():
         rows = _gradient_matrix(batch.cache, k)
         for trial, pt in enumerate(points):
             single, = alone[trial].grow(n)
-            got, used = single.rows, bool(single.table)
-            assert (pt.rows[:n], bool(pt.table)) == (got, used), (k, trial)
+            got = rows_of(single.echelon)
+            assert (rows_of(pt.echelon), batch.transcendental) == \
+                (got, alone[trial].transcendental), (k, trial)
             for attempt in range(pt.attempt + 1):
                 try:
-                    want = [_eval_row(row, _TrialPoint(seed, trial, attempt, p, A.n_z))
+                    want = [_eval_row(row, _Reference(seed, trial, attempt, p, A.n_z))
                             for row in rows]
                 except DivisionByZeroModP:
                     assert attempt < pt.attempt, (k, trial)
@@ -629,14 +659,14 @@ def _walk_oracle(rows, slot, zset, symbols):
     posts = []
     for phi in rows:
         post = []
-        stack = [] if phi in slot or not depends(phi) else [(phi, iter(lie_orc._kids(phi)), [], [])]
+        stack = [] if phi in slot or not depends(phi) else [(phi, iter(sx.children(phi)), [], [])]
         while stack:
             node, it, dep, ind = stack[-1]
             for c in it:
                 if c in slot:
                     dep.append(slot[c])
                 elif depends(c):
-                    stack.append((c, iter(lie_orc._kids(c)), [], []))
+                    stack.append((c, iter(sx.children(c)), [], []))
                     break
                 else:
                     ind.append(c)
