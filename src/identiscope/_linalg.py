@@ -122,10 +122,12 @@ def extend_all(echelons: list[Echelon], blocks) -> list[int]:
     """Extend each echelon form by its block of rows, the blocks all of one
     shape and each form over its own prime; returns their ranks.
 
-    Each step runs over all the forms at once; the reduction against the old
-    pivot rows and the clearing of the new pivot columns are one exact
-    matrix product each.  A column that is a pivot of no form has a zero
-    row, so the pivot columns of all the forms serve each of them.
+    Each step runs over all the forms at once.  The reduction against the
+    old pivot rows is one exact matrix product; a column that is a pivot of
+    no form has a zero row, so the pivot columns of all the forms serve
+    each of them.  The new rows are then eliminated below the old pivot
+    rows in one stack, so that each elimination step also clears its pivot
+    column from the old rows.
     """
     n = len(echelons[0].by_col)
     primes = [e.p for e in echelons]
@@ -137,32 +139,27 @@ def extend_all(echelons: list[Echelon], blocks) -> list[int]:
         a = (a - _matmul(a[:, :, old], B[:, old], P)) % P
     # Gauss-Jordan elimination of the blocks, one row position at a time,
     # over all the forms; a row that is zero scales by 0 and clears nothing.
+    S = np.concatenate((B, a), axis=1)
     sets = np.arange(len(primes))
     found = []
-    for i in range(a.shape[1]):
-        lead = (a[:, i] != 0).argmax(1)
-        v = a[sets, i, lead]
+    for i in range(n, len(S[0])):
+        lead = (S[:, i] != 0).argmax(1)
+        v = S[sets, i, lead]
         s = v.nonzero()[0]
         if not s.size:
             continue
         inv = [pow(x, -1, p) if x else 0 for x, p in zip(v.tolist(), primes)]
-        row = a[:, i] * np.array(inv, dtype=np.int64)[:, None] % P[:, 0]
+        row = S[:, i] * np.array(inv, dtype=np.int64)[:, None] % P[:, 0]
         # Row i itself clears to 0 here and then takes the scaled row.
-        a -= a[sets, :, lead][:, :, None] * row[:, None] % P
-        a %= P
-        a[:, i] = row
+        S -= S[sets, :, lead][:, :, None] * row[:, None] % P
+        S %= P
+        S[:, i] = row
         found.append((s, lead[s], i))
-    N = np.zeros_like(B)
     for s, c, i in found:
-        N[s, c] = a[s, i]
+        S[s, c] = S[s, i]
         for j, col in zip(s.tolist(), c.tolist()):
             echelons[j].pivots.append(col)
-    new = sorted({col for _, c, _ in found for col in c.tolist()})
-    if new and old:
-        # Only the old pivot rows are nonzero.
-        Bo = B[:, old]
-        B[:, old] = (Bo - _matmul(Bo[:, :, new], N[:, new], P)) % P
-    B += N
+    B = S[:, :n].copy()
     for e, b in zip(echelons, B):
         e.by_col = b
     return [e.rank for e in echelons]

@@ -4,30 +4,24 @@ Every random draw in the analysis engines is derived from a context tag
 (seed, trial, attempt, symbol name, ...) through a keyed hash, never from
 Python's process-randomized ``hash``.  This makes reports byte-reproducible
 across processes and platforms for a fixed seed.
+
+A draw is counter-based, as in Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3" (SC 2011): the tag is the counter, one 128-bit blake2b
+digest of it is the random word, and no generator is seeded or kept.
 """
 
 from __future__ import annotations
 
-from _random import Random
 from hashlib import blake2b
 
 
-def _seed_int(parts) -> int:
-    tag = "\x1f".join(map(str, parts)).encode()
-    return int.from_bytes(blake2b(tag, digest_size=8).digest(), "big")
-
-
 def residue(parts, p: int) -> int:
-    """Uniform residue in [1, p-1] determined entirely by ``parts``.
+    """Residue in [1, p-1] determined entirely by ``parts``.
 
-    It is ``random.Random(seed).randrange(1, p)``, drawn from the C Mersenne
-    Twister under ``random.Random`` by randrange's own rejection loop, which
-    skips the Python layers of seeding and of randrange.
+    It is 1 + (the 128-bit blake2b digest of the tag) mod (p - 1), the tag
+    being ``parts`` joined by a unit separator.  It is off uniform by at
+    most (p - 1) / 2^128, below 2^-96 for every prime up to
+    ``_linalg.MAX_PRIME``.
     """
-    mt = Random(_seed_int(parts))
-    n = p - 1
-    k = n.bit_length()
-    r = mt.getrandbits(k)
-    while r >= n:
-        r = mt.getrandbits(k)
-    return 1 + r
+    tag = "\x1f".join(map(str, parts)).encode()
+    return 1 + int.from_bytes(blake2b(tag, digest_size=16).digest(), "big") % (p - 1)

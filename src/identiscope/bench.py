@@ -90,26 +90,6 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    """One benchmark model plus its fixture metadata."""
-    name: str
-    path: str
-    states: int
-    params: int
-    known_inputs: int
-    unknown_inputs: int
-    outputs: int
-    rational: bool
-    contested: bool = False
-    expected_verdicts: dict | None = None
-
-    @property
-    def dims(self) -> tuple[int, int, int, int, int]:
-        return (self.states, self.params, self.known_inputs,
-                self.unknown_inputs, self.outputs)
-
-
 @dataclass
 class ConsensusResult:
     """Per-model agreement between engine verdict maps."""
@@ -140,41 +120,6 @@ def corpus_dir() -> Path:
 
 def fixtures_dir() -> Path:
     return Path(resources.files("identiscope") / "fixtures")
-
-
-def load_corpus(directory=None) -> list[CorpusEntry]:
-    """Corpus entries from a directory of .idm files, fixture-enriched.
-
-    Fixtures are looked up next to the corpus directory (``../fixtures`` for
-    the packaged layout, or ``fixtures/`` inside the given directory).
-    """
-    base = Path(directory) if directory is not None else corpus_dir()
-    fixdirs = [base / "fixtures", base.parent / "fixtures"]
-    if directory is None:
-        fixdirs.insert(0, fixtures_dir())
-    entries = []
-    for path in sorted(base.glob("*.idm")):
-        name = path.stem
-        meta = {}
-        for fd in fixdirs:
-            fpath = fd / f"{name}.expected.json"
-            if fpath.exists():
-                meta = json.loads(fpath.read_text())
-                break
-        md = load_model(path)
-        entries.append(CorpusEntry(
-            name=name,
-            path=str(path),
-            states=meta.get("states", md.n),
-            params=meta.get("params", md.p),
-            known_inputs=meta.get("known_inputs", md.q),
-            unknown_inputs=meta.get("unknown_inputs", md.q_w),
-            outputs=meta.get("outputs", md.m),
-            rational=meta.get("rational", md.is_rational()),
-            contested=meta.get("contested", False),
-            expected_verdicts=meta.get("verdicts"),
-        ))
-    return entries
 
 
 def check_prime(p: int) -> None:

@@ -31,6 +31,7 @@ denominator of F or h vanish at t = 0 restarts at its next random point
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,38 +59,66 @@ RETRIES = 25  # random points per run before RetriesExhausted
 _CONST, _LEAF, _ADD, _SCALE, _MUL, _RECIP = range(6)
 
 
-def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], memo: dict) -> int:
-    """Append the nodes of ``e`` to ``nodes`` as (kind, operand ids, constant)
-    and return the id of its root; operands always precede their users."""
+def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], depth: list[int],
+             memo: dict) -> int:
+    """Append the nodes of ``e`` to ``nodes`` as (kind, operand ids, constant),
+    and their depths to ``depth``, and return the id of its root; operands
+    always precede their users.
+
+    A sum is one add node whose constant is the weight of each operand, so
+    a term c*m adds m with weight c and needs no scale node.  A product of
+    several factors is a tree of binary muls that always joins the two
+    shallowest operands, so that it takes as few waves as it can."""
     got = memo.get(e)
     if got is not None:
         return got
 
     def node(kind, ops=(), const=None) -> int:
         nodes.append((kind, ops, const))
+        depth.append(1 + max(depth[o] for o in ops) if ops else 0)
         return len(nodes) - 1
+
+    def product(factors) -> int | None:
+        operands = [(depth[o], n, o) for n, o in enumerate(
+            _compile(f, env, nodes, depth, memo) for f in factors)]
+        heapq.heapify(operands)
+        n = len(operands)
+        while len(operands) > 1:
+            (_, _, x), (_, _, y) = heapq.heappop(operands), heapq.heappop(operands)
+            o = node(_MUL, (x, y))
+            heapq.heappush(operands, (depth[o], n, o))
+            n += 1
+        return operands[0][2] if operands else None
+
+    def scaled(e) -> tuple[Fraction | None, list[Expr]]:
+        factors = list(e.factors)
+        return (factors.pop(0).value if isinstance(factors[0], sx.Const) else None), factors
 
     if isinstance(e, sx.Const):
         out = 0 if e.value == 0 else node(_CONST, const=e.value)
     elif isinstance(e, sx.Sym):
         out = env[e.symbol]
     elif isinstance(e, sx.Add):
-        out = node(_ADD, tuple(_compile(t, env, nodes, memo) for t in e.terms))
+        ops, weights = [], []
+        for t in e.terms:
+            c, factors = scaled(t) if isinstance(t, sx.Mul) else (None, None)
+            if c is None:
+                ops.append(_compile(t, env, nodes, depth, memo))
+                weights.append(1)
+            else:
+                ops.append(product(factors))
+                weights.append(c)
+        out = node(_ADD, tuple(ops), tuple(weights))
     elif isinstance(e, sx.Mul):
-        factors = list(e.factors)
-        scale = factors.pop(0).value if isinstance(factors[0], sx.Const) else None
-        operands = [_compile(f, env, nodes, memo) for f in factors]
-        if not operands:
+        scale, factors = scaled(e)
+        out = product(factors)
+        if out is None:
             out = node(_CONST, const=scale)
-        else:
-            out = operands[0]
-            for x in operands[1:]:
-                out = node(_MUL, (out, x))
-            if scale is not None:
-                out = node(_SCALE, (out,), scale)
+        elif scale is not None:
+            out = node(_SCALE, (out,), scale)
     elif isinstance(e, sx.Pow):
         k = abs(e.exponent)
-        out, sq = None, _compile(e.base, env, nodes, memo)
+        out, sq = None, _compile(e.base, env, nodes, depth, memo)
         while k:
             if k & 1:
                 out = sq if out is None else node(_MUL, (out, sq))
@@ -107,25 +136,24 @@ def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], memo: dict) ->
 class _Tape:
     """F and h compiled into a flat tape.  Node 0 is the constant 0, nodes
     1..n_z the z leaves, the next q the input jets, then the other constants.
-    The other nodes (add, scale by a constant, binary mul, reciprocal) are
-    numbered by depth; one kind at one depth forms a wave, a contiguous range
-    whose operands all come earlier, evaluated by one numpy expression."""
+    The other nodes (weighted add, scale by a constant, binary mul,
+    reciprocal) are numbered by depth; one kind at one depth forms a wave, a
+    contiguous range whose operands all come earlier, evaluated by one numpy
+    expression.  A wave's constants are its scales, or its adds' weights
+    (None when every weight is 1)."""
 
     def __init__(self, A: AugmentedSystem):
         n_z, q = A.n_z, len(A.model.known_inputs)
         self.n_z, self.q = n_z, q
         nodes: list[tuple] = [(_CONST, (), Fraction(0))] + [(_LEAF, (), None)] * (n_z + q)
+        depth = [0] * len(nodes)
         env = {s: 1 + l for l, s in enumerate(A.z)}
         env.update({spec.symbol: 1 + n_z + i
                     for i, spec in enumerate(A.model.known_inputs)})
         memo: dict[Expr, int] = {}
-        F = [(1 + l, _compile(Fl, env, nodes, memo))
+        F = [(1 + l, _compile(Fl, env, nodes, depth, memo))
              for l, Fl in enumerate(A.F) if Fl is not sx.ZERO]
-        h = [_compile(hi, env, nodes, memo) for hi in A.outputs]
-
-        depth = []
-        for _, ops, _ in nodes:
-            depth.append(1 + max(depth[o] for o in ops) if ops else 0)
+        h = [_compile(hi, env, nodes, depth, memo) for hi in A.outputs]
         lead = 1 + n_z + q
 
         def wave_of(o):
@@ -149,7 +177,10 @@ class _Tape:
                     ops[n, :len(o)] = [new[x] for x in o]  # adds padded with node 0
                 if kind != _ADD:
                     ops = ops.T if kind == _MUL else ops[:, 0]
-                self.waves.append((kind, lo, hi, ops, [c for _, _, c in group]))
+                consts = [c for _, _, c in group]
+                if kind == _ADD and all(w == 1 for ws in consts for w in ws):
+                    consts = None  # a plain sum
+                self.waves.append((kind, lo, hi, ops, consts))
             lo = hi
         self.z_leaves = np.array([l for l, _ in F], dtype=np.intp)
         self.z_rhs = np.array([new[f] for _, f in F], dtype=np.intp)
@@ -172,26 +203,41 @@ class _Sweep:
         self.order = order
         B, n_z = len(primes), tape.n_z
         self.P = np.array(primes, dtype=np.int64)
+        self.Pt = self.P[:, None]
+        self.Pu = self.Pt.view(np.uint64)
         self._view(np.zeros((min(order + 1, 4), tape.size, B, 1 + n_z), dtype=np.int64))
         leaves = np.arange(n_z)
         self.T[0, 1 + leaves, :, leaves] = 1
         self.jets = np.zeros((order + 1, tape.q, B), dtype=np.int64)
         # inv[j - 1, run] = 1/j, the integration factor of order j.
-        self.inv = np.array([[pow(j, -1, p) for p in primes] for j in range(1, order + 1)],
-                            dtype=np.int64).reshape(order, B)
-        self.scales = {w: np.zeros((hi - lo, B), dtype=np.int64)
-                       for w, (kind, lo, hi, _, _) in enumerate(tape.waves) if kind == _SCALE}
-        # Constants mod each prime; a prime that divides a denominator fails
-        # every run on it, at every attempt.
+        self.inv = np.zeros((order, B), dtype=np.int64)
+        # The scales of scale waves, (nodes, runs), and the weights of
+        # weighted add waves, (nodes, operands, runs, 1).
+        self.scales = {}
+        for w, (kind, lo, hi, ops, consts) in enumerate(tape.waves):
+            if kind == _SCALE:
+                self.scales[w] = np.zeros((hi - lo, B), dtype=np.int64)
+            elif kind == _ADD and consts is not None:
+                self.scales[w] = np.zeros(ops.shape + (B, 1), dtype=np.int64)
+        # Constants mod each prime, computed once for all the runs on it; a
+        # prime that divides a denominator fails every run on it, at every
+        # attempt.
         self.bad: dict[int, str] = {}
-        for b, p in enumerate(primes):
+        for p in dict.fromkeys(primes):
+            on = [b for b, q in enumerate(primes) if q == p]
+            self.inv[:, on] = np.array([pow(j, -1, p) for j in range(1, order + 1)])[:, None]
             try:
                 for i, c in tape.consts:
-                    self.V[0, i, b] = sx.const_mod_p(c, p)
+                    self.V[0, i, on] = sx.const_mod_p(c, p)
                 for w, s in self.scales.items():
-                    s[:, b] = [sx.const_mod_p(c, p) for c in tape.waves[w][4]]
+                    kind, consts = tape.waves[w][0], tape.waves[w][4]
+                    for n, c in enumerate(consts):
+                        if kind == _SCALE:
+                            s[n, on] = sx.const_mod_p(c, p)
+                        else:
+                            s[n, :len(c)][:, on, 0] = np.array([sx.const_mod_p(x, p) for x in c])[:, None]
             except DivisionByZeroModP as exc:
-                self.bad[b] = str(exc)
+                self.bad.update(dict.fromkeys(on, str(exc)))
 
     def set_point(self, run: int, z0, u_jets) -> None:
         """Initial state and input jets (coefficient lists) of one run; a jet
@@ -220,17 +266,21 @@ class _Sweep:
         every other node.  At k = 0, returns the runs whose point makes a
         denominator vanish, with the reason; their values are not meaningful."""
         self._hold(k)
-        X, V, T, P = self.X, self.V, self.T, self.P
-        Pt = P[:, None]
-        n_z = self.tape.n_z
-        V[k, 1 + n_z:1 + n_z + self.tape.q] = self.jets[k]
+        X, V, T, P, Pt = self.X, self.V, self.T, self.P, self.Pt
+        n_z, q = self.tape.n_z, self.tape.q
+        if q:
+            V[k, 1 + n_z:1 + n_z + q] = self.jets[k]
         if k:
             zl, f = self.tape.z_leaves, self.tape.z_rhs
             X[k, zl] = X[k - 1, f] * self.inv[k - 1][:, None] % Pt
         failed = dict(self.bad) if k == 0 else {}
         for w, (kind, lo, hi, ops, _) in enumerate(self.tape.waves):
             if kind == _ADD:
-                X[k, lo:hi] = X[k][ops].sum(1) % Pt
+                W = self.scales.get(w)
+                if W is None:
+                    X[k, lo:hi] = X[k][ops].sum(1) % Pt
+                else:
+                    X[k, lo:hi] = (X[k][ops] * W % Pt).sum(1) % Pt
             elif kind == _SCALE:
                 X[k, lo:hi] = X[k, ops] * self.scales[w][..., None] % Pt
             elif kind == _MUL:
@@ -238,10 +288,10 @@ class _Sweep:
                 # T(a)_j b_(k-j) to a_j T(b)_(k-j).  Two products below
                 # p^2 < 2^63 sum below 2^64.
                 ia, ib = ops
-                b = V[k::-1, ib]
-                t = (V[:k + 1, ia, :, None] * X[k::-1, ib]).view(np.uint64)
-                t[..., 1:] += (T[:k + 1, ia] * b[..., None]).view(np.uint64)
-                X[k, lo:hi] = (t % Pt.view(np.uint64)).sum(0).view(np.int64) % Pt
+                a, b = X[:k + 1, ia], X[k::-1, ib]
+                t = (a[..., :1] * b).view(np.uint64)
+                t[..., 1:] += (a[..., 1:] * b[..., :1]).view(np.uint64)
+                X[k, lo:hi] = (t % self.Pu).sum(0).view(np.int64) % Pt
             elif k == 0:  # reciprocal: c_0 = 1/a_0, T(c)_0 = -T(a)_0 / a_0^2
                 a0 = V[0, ops]
                 for run in np.flatnonzero((a0 == 0).any(0)):
@@ -352,7 +402,9 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
         blocks = sw.T[k, tape.h].swapaxes(0, 1)
         live = [b for b, run in enumerate(runs) if run.stop is None]
         before = [runs[b].echelon.rank for b in live]
-        ranks = _linalg.extend_all([runs[b].echelon for b in live], blocks[live])
+        if len(live) < len(runs):
+            blocks = blocks[live]
+        ranks = _linalg.extend_all([runs[b].echelon for b in live], blocks)
         for b, r0, r in zip(live, before, ranks):
             run = runs[b]
             if r == n_z:

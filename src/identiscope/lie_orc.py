@@ -449,16 +449,22 @@ def _flatten(groups: list[list[int]]) -> tuple[list[int], np.ndarray]:
 def _first_failure(rows: list[Expr], zset: frozenset, pt: _TrialPoint) -> DivisionByZeroModP:
     """The first vanishing denominator that pt's point meets when it reads,
     row by row, the values that the rows' derivatives read, each row's new
-    nodes parents first: the order of a walk down the row's DAG."""
+    nodes parents first: the order of a walk down the row's DAG.  The walk
+    and each node's reads take children in ``sx.structural_order``, so the
+    denominator named does not depend on the order in which nodes were
+    built."""
     p = pt.p
 
     def value(node):
         return sx.eval_mod_p(node, pt, p, transcendental=pt.residue, _memo=pt.memo)
 
+    def kids(node):
+        return sx.structural_order(sx.children(node))
+
     try:
-        for post in _walk(rows, {}, set(), zset):
+        for post in _walk(rows, {}, set(), zset, kids):
             for node, dep, ind in reversed(post):
-                for r in _reads(node, dep, ind):
+                for r in sx.structural_order(_reads(node, dep, ind)):
                     v = value(r)
                     if v == 0 and isinstance(node, sx.Pow) and node.exponent < 0:
                         raise DivisionByZeroModP(
@@ -487,11 +493,13 @@ def _reads(node: Expr, dep: list, ind: list[Expr]) -> tuple[Expr, ...]:
 
 
 def _walk(rows: list[Expr], slot: dict[Expr, int], indep: set[Expr],
-          zset: frozenset) -> list[list[tuple]]:
+          zset: frozenset, kids: Callable[[Expr], Iterable[Expr]] = sx.children
+          ) -> list[list[tuple]]:
     """Give the next free slot to every z-dependent node of the rows that has
     none, children before parents, in the order of a walk down each row's
-    DAG.  Returns, per row, its new nodes, each as (node, slots of its
-    z-dependent children, its z-independent children).
+    DAG that takes each node's children in the order of ``kids``.  Returns,
+    per row, its new nodes, each as (node, slots of its z-dependent
+    children, its z-independent children).
 
     A node depends on z when it is a z symbol or a child of it has a slot.
     ``indep`` holds the nodes known not to; the walk adds the ones it finds.
@@ -499,7 +507,7 @@ def _walk(rows: list[Expr], slot: dict[Expr, int], indep: set[Expr],
     posts = []
     for phi in rows:
         post: list[tuple] = []
-        stack = [] if phi in slot or phi in indep else [(phi, iter(sx.children(phi)), [], [])]
+        stack = [] if phi in slot or phi in indep else [(phi, iter(kids(phi)), [], [])]
         while stack:
             node, it, dep, ind = stack[-1]
             for c in it:
@@ -509,7 +517,7 @@ def _walk(rows: list[Expr], slot: dict[Expr, int], indep: set[Expr],
                 elif c in indep or isinstance(c, sx.Const):
                     ind.append(c)
                 else:
-                    stack.append((c, iter(sx.children(c)), [], []))
+                    stack.append((c, iter(kids(c)), [], []))
                     break
             else:
                 stack.pop()

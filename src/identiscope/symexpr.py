@@ -8,9 +8,9 @@ products with negative integer powers; the printer renders them back with
 a '/'.
 
 Canonical form is structural: constants folded, nested sums/products
-flattened, like terms and like factors merged, children sorted by a
-deterministic key.  No polynomial expansion is ever performed — value-level
-correctness is enforced by evaluation, and expansion can blow up.
+flattened, like terms and like factors merged.  No polynomial expansion is
+ever performed — value-level correctness is enforced by evaluation, and
+expansion can blow up.
 
 All constants are exact (arbitrary-precision rationals), and evaluation
 is exact too: ``eval_mod_p`` computes residues mod p.
@@ -22,22 +22,34 @@ directly through the class constructors is allowed and ``simplify`` brings
 such raw trees to canonical form.
 
 Identity is structural.  A node's hash is computed when it is built, from
-its kind and its children's hashes (or its constant value or symbol), and
-equality compares kinds and children, so a raw tree equals its canonical
-twin.  The smart constructors look a node up in the intern table by that
-hash and its children before they build it: an existing subtree is
-returned, never built again, and equal canonical subtrees are one object.
-The table is global and only ``clear_caches`` empties it.  The 128-bit
-blake2b content digest ``Expr.shash`` is computed only where it is read,
-by the tie-break of the canonical child order and by the rank engine's
-tags for transcendental nodes.
+its kind and its children's hashes (or its constant value or symbol); the
+hash of a sum or product does not depend on the order of its children, and
+equality compares a sum's terms or a product's factors as multisets, so a
+raw tree equals its canonical twin in any order.  The smart constructors
+look a node up in the intern table by that hash and its children before
+they build it: an existing subtree is returned, never built again, and
+equal canonical subtrees are one object.  The table is global and only
+``clear_caches`` empties it.
+
+A canonical node also gets an intern serial, an int from one process-wide
+counter that is never reset, and the constructors store a sum's terms and
+a product's factors in serial order, after a leading constant.  That order
+is cheap but depends on the order in which nodes were first built, so
+nothing visible reads it.  Where order shows, in ``to_string``, in the
+128-bit blake2b content digest ``Expr.shash`` and in
+``first_transcendental``, children are taken in the structural order of
+``structural_order``: by kind, then by name and exponent, then by digest.
+The digest is computed only where it is read, by that order and by the
+rank engine's tags for transcendental nodes.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
+from collections import Counter
 from collections.abc import Callable
 from fractions import Fraction
 from hashlib import blake2b
@@ -133,6 +145,7 @@ FUNC_NAMES = ("ln", "exp", "sin", "cos")
 _CONST, _SYM, _ADD, _MUL, _POW, _FUNC = range(6)
 
 _node_hash = operator.attrgetter("_hash")
+_serial = operator.attrgetter("_serial")
 _first = operator.itemgetter(0)
 
 
@@ -145,7 +158,8 @@ def _sym_hash(s: Symbol) -> int:
 
 
 def _tuple_hash(kind: int, kids: tuple) -> int:
-    return hash((kind, *map(_node_hash, kids)))
+    # The same for the children in any order.
+    return hash((kind, len(kids), sum(map(_node_hash, kids))))
 
 
 def _pow_hash(base: Expr, k: int) -> int:
@@ -161,16 +175,18 @@ class Expr:
 
     Equality and hashing are structural: two nodes are equal when they are
     of the same kind and their children, exponent, function name, constant
-    value or symbol are equal, so a raw tree equals and hashes like its
-    canonical twin.  A node's hash is computed when the node is built, from
-    its children's hashes.  The smart constructors intern nodes on that hash
-    and look them up before building them, so equal canonical subtrees are
-    one object.  ``shash`` is a 128-bit blake2b content digest, computed only
-    when read: the canonical child order breaks ties with it, and the rank
-    engine names transcendental nodes by it.
+    value or symbol are equal, a sum's terms and a product's factors taken
+    as multisets, so a raw tree equals and hashes like its canonical twin.
+    A node's hash is computed when the node is built, from its children's
+    hashes.  The smart constructors intern nodes on that hash and look them
+    up before building them, so equal canonical subtrees are one object;
+    interning gives a node its serial, which orders the children of the
+    sums and products built after it.  ``shash`` is a 128-bit blake2b
+    content digest, computed only when read: the structural order breaks
+    ties with it, and the rank engine names transcendental nodes by it.
     """
 
-    __slots__ = ("_shash", "_hash", "_rat", "_skey", "_canonical")
+    __slots__ = ("_shash", "_hash", "_rat", "_skey", "_canonical", "_serial")
 
     def _init_caches(self, h: int):
         self._hash = h
@@ -202,8 +218,12 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
-        return (type(self) is type(other) and self._hash == other._hash
-                and self._fields() == other._fields())
+        if type(self) is not type(other) or self._hash != other._hash:
+            return False
+        a, b = self._fields(), other._fields()
+        if isinstance(self, (Add, Mul)):  # the same children in any order
+            return _same_children(a, b)
+        return a == b
 
     def __repr__(self):
         return to_string(self)
@@ -287,7 +307,7 @@ class Add(Expr):
         return self.terms
 
     def _digest(self):
-        return blake2b(b"A" + b"".join(t._shash for t in self.terms), digest_size=16).digest()
+        return blake2b(b"A" + _joined_digests(self.terms), digest_size=16).digest()
 
 
 class Mul(Expr):
@@ -301,7 +321,7 @@ class Mul(Expr):
         return self.factors
 
     def _digest(self):
-        return blake2b(b"M" + b"".join(f._shash for f in self.factors), digest_size=16).digest()
+        return blake2b(b"M" + _joined_digests(self.factors), digest_size=16).digest()
 
 
 class Pow(Expr):
@@ -381,13 +401,17 @@ def _digest_tree(root: Expr) -> bytes:
 # the hash until it meets the node or a free key.  0, 1 and -1 are always
 # entered, so the canonical zero and one are ZERO and ONE.
 _INTERN: dict[int, Expr] = {}
+# Intern serials; never reset, so a node built before ``clear_caches`` keeps
+# a serial that no later node gets.
+_SERIALS = itertools.count()
 
 
 def _lookup(kind: type, h: int, fields):
     """The interned node of this kind, hash and fields, or None."""
     got = _INTERN.get(h)
     while got is not None:
-        if type(got) is kind and got._fields() == fields:
+        if type(got) is kind and (got._fields() == fields or (kind is Add or kind is Mul)
+                                  and _same_children(got._fields(), fields)):
             return got
         h += 1
         got = _INTERN.get(h)
@@ -400,6 +424,7 @@ def _intern(node: Expr) -> Expr:
     while h in _INTERN:
         h += 1
     node._canonical = True
+    node._serial = next(_SERIALS)
     _INTERN[h] = node
     return node
 
@@ -422,14 +447,20 @@ def sym(s: Symbol) -> Sym:
     return got if got is not None else _intern(Sym(s))
 
 
+def _same_children(a: tuple, b: tuple) -> bool:
+    # Equal as multisets; the order is the same unless one of them was
+    # built before clear_caches.
+    return a == b or Counter(a) == Counter(b)
+
+
 def _mul_node(factors: tuple) -> Expr:
-    # factors: canonical, sorted, at least two, a Const only in front.
+    # factors: canonical, in serial order, at least two, a Const only in front.
     got = _lookup(Mul, _tuple_hash(_MUL, factors), factors)
     return got if got is not None else _intern(Mul(factors))
 
 
 def _add_node(terms: tuple) -> Expr:
-    # terms: canonical, sorted, at least two, a Const only in front.
+    # terms: canonical, in serial order, at least two, a Const only in front.
     got = _lookup(Add, _tuple_hash(_ADD, terms), terms)
     return got if got is not None else _intern(Add(terms))
 
@@ -461,14 +492,17 @@ def _fold(consts: list[Const], op) -> Const:
 
 
 def add(*terms) -> Expr:
-    """Canonical sum: flatten, fold constants, merge like terms, sort.
+    """Canonical sum: flatten, fold constants, merge like terms, order by
+    serial.
 
     A term is merged on its core, the term without its rational
-    coefficient; a core of several factors is keyed by their tuple, so it
-    need not exist as a node.  A term whose core occurs once is kept as it
-    came.
+    coefficient.  A core of several factors need not exist as a node: it
+    is keyed by the sum of its factors' hashes and compared as a multiset,
+    so its factors merge in any order.  A term whose core occurs once is
+    kept as it came.
     """
-    acc: dict = {}  # core -> [coefficient, the term while its core occurs once]
+    # core key -> [coefficient, the term while its core occurs once, core]
+    acc: dict = {}
     consts: list[Const] = []
     stack = [_canon(t) for t in reversed(terms)]
     while stack:
@@ -487,14 +521,22 @@ def add(*terms) -> Expr:
                 coeff, core = 1, fs
         else:
             coeff, core = 1, t
-        got = acc.get(core)
+        if type(core) is tuple:
+            key = sum(map(_node_hash, core))
+            got = acc.get(key)
+            if got is not None and not _same_children(got[2], core):
+                key = frozenset(core)  # another core whose hashes sum alike
+                got = acc.get(key)
+        else:
+            key = core
+            got = acc.get(key)
         if got is None:
-            acc[core] = [coeff, t]
+            acc[key] = [coeff, t, core]
         else:
             got[0] += coeff
             got[1] = None
     out = []
-    for core, (coeff, t) in acc.items():
+    for coeff, t, core in acc.values():
         if t is None:
             if coeff == 0:
                 continue
@@ -503,7 +545,7 @@ def add(*terms) -> Expr:
             else:
                 t = _mul_node((const(coeff),) + (core if isinstance(core, tuple) else (core,)))
         out.append(t)
-    out.sort(key=_sort_key)
+    out.sort(key=_serial)
     if consts:
         c = _fold(consts, sum)
         if c is not ZERO:
@@ -516,7 +558,8 @@ def add(*terms) -> Expr:
 
 
 def mul(*factors) -> Expr:
-    """Canonical product: flatten, fold constants, merge same-base powers, sort.
+    """Canonical product: flatten, fold constants, merge same-base powers,
+    order by serial.
 
     A factor whose base occurs once is kept as it came.
     """
@@ -551,7 +594,7 @@ def mul(*factors) -> Expr:
                 continue
             f = base if e == 1 else _pow_node(base, e)
         out.append(f)
-    out.sort(key=_sort_key)
+    out.sort(key=_serial)
     if not out:
         return c
     if c is not ONE:
@@ -657,13 +700,14 @@ def simplify(e: Expr) -> Expr:
 
 
 # --------------------------------------------------------------------------
-# Deterministic ordering
+# Structural order
 # --------------------------------------------------------------------------
 
 _RANK = {Const: 0, Sym: 1, Pow: 2, Func: 3, Mul: 4, Add: 5}
 
 
-def _sort_key(e: Expr):
+def _structural_key(e: Expr) -> tuple:
+    # Reads the digest as it is, None while it is not computed.
     k = e._skey
     if k is None:
         if isinstance(e, Const):
@@ -677,9 +721,31 @@ def _sort_key(e: Expr):
             local = (e.fname, "")
         else:
             local = ("", "")
-        k = (_RANK[type(e)], local, e.shash)
-        e._skey = k
+        k = (_RANK[type(e)], local, e._shash)
+        if k[2] is not None:
+            e._skey = k
     return k
+
+
+def _sort_key(e: Expr) -> tuple:
+    if e._shash is None:
+        _digest_tree(e)
+    return _structural_key(e)
+
+
+def _joined_digests(kids: tuple) -> bytes:
+    # The children's digests in structural order; a child whose digest is
+    # not computed yet raises TypeError, which _digest_tree catches.
+    return b"".join(k[2] for k in sorted(map(_structural_key, kids)))
+
+
+def structural_order(nodes) -> list[Expr]:
+    """The nodes in structural order: by kind (constants, symbols, powers,
+    functions, products, sums), then by symbol name, exponent or function
+    name, then by digest.  It does not depend on the order in which nodes
+    were built, so printing, digests and every order that a report or an
+    error message can show follow it."""
+    return sorted(nodes, key=_sort_key)
 
 
 # --------------------------------------------------------------------------
@@ -700,12 +766,13 @@ def is_rational_expr(e: Expr) -> bool:
 
 
 def first_transcendental(e: Expr) -> Expr | None:
-    """Leftmost transcendental node, or None if the expression is rational."""
+    """Leftmost transcendental node in structural order, or None if the
+    expression is rational."""
     if is_rational_expr(e):
         return None
     if isinstance(e, Func):
         return e
-    for c in children(e):
+    for c in structural_order(children(e)):
         hit = first_transcendental(c)
         if hit is not None:
             return hit
@@ -737,11 +804,11 @@ def _product_term(fs: tuple, i: int, df: Expr, where: dict[int, int] | None) -> 
     Mul and a canonical ``df`` other than ZERO: the same node, built by
     merging ``df`` into the factors without factor i.
 
-    ``where`` is ``_base_positions(fs)``.  fs is sorted and its bases are
-    distinct, so only ``df``'s constant and factors are new: the constant
-    folds into fs's, a factor whose base is in fs adds its exponent there,
-    and the others are inserted.  The factors are sorted again only when one
-    was inserted or changed.
+    ``where`` is ``_base_positions(fs)``.  fs is in serial order and its
+    bases are distinct, so only ``df``'s constant and factors are new: the
+    constant folds into fs's, a factor whose base is in fs adds its exponent
+    there, and the others are inserted.  The factors are put in serial order
+    again only when one was inserted or changed.
     """
     if where is None:
         return mul(*fs[:i], df, *fs[i + 1:])
@@ -776,7 +843,7 @@ def _product_term(fs: tuple, i: int, df: Expr, where: dict[int, int] | None) -> 
     out = [f for f in out if f is not None]
     if new:
         out += new
-        out.sort(key=_sort_key)
+        out.sort(key=_serial)
     if c is None:
         c = ONE
     if not out:
@@ -798,7 +865,7 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr], 
     walked so far under this same rate; a caller that keeps one memo for a
     fixed rate reuses the derivatives of subtrees shared between calls.
     Factors whose derivative is ZERO are skipped, and each product-rule
-    term is merged into its sorted sibling factors (``_product_term``).
+    term is merged into its sibling factors (``_product_term``).
     The result is canonical.  With a ``deadline`` (a ``time.monotonic()`` bound) the walk raises
     EngineTimeout once it has passed, checked every ``_DEADLINE_EVERY`` new
     memo entries.
@@ -951,7 +1018,8 @@ def _product_str(coeff: Fraction, factors: tuple[Expr, ...]) -> str:
 
 
 def to_string(e: Expr) -> str:
-    """Deterministic text form; re-parses to the same canonical expression."""
+    """Deterministic text form, children in structural order; re-parses to
+    the same canonical expression."""
     if isinstance(e, Const):
         return str(e.value)
     if isinstance(e, Sym):
@@ -963,11 +1031,11 @@ def to_string(e: Expr) -> str:
             return _product_str(Fraction(1), (e,))
         return f"{_atom_str(e.base)}^{e.exponent}"
     if isinstance(e, Mul):
-        coeff, rest = (e.factors[0].value, e.factors[1:]) if isinstance(e.factors[0], Const) \
-            else (Fraction(1), e.factors)
+        fs = structural_order(e.factors)
+        coeff, rest = (fs[0].value, fs[1:]) if isinstance(fs[0], Const) else (Fraction(1), fs)
         return _product_str(coeff, rest)
     parts = []
-    for i, t in enumerate(e.terms):
+    for i, t in enumerate(structural_order(e.terms)):
         s = to_string(t)
         if i == 0:
             parts.append(s)

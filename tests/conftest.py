@@ -1,11 +1,12 @@
 import pytest
 
 from identiscope import bench
+from oracles import load_corpus
 
 
 @pytest.fixture(scope="session")
 def corpus_entries():
-    return bench.load_corpus()
+    return load_corpus()
 
 
 @pytest.fixture(scope="session")

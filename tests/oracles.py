@@ -20,23 +20,26 @@ fall into two groups:
   derivatives by ``sx.eval_mod_p``).
 
 ``record_rows`` makes ``_linalg.extend_all`` keep the rows that each echelon
-form receives, which ``rows_of`` returns.
+form receives, which ``rows_of`` returns.  ``load_corpus`` reads the
+packaged corpus and its fixtures as ``CorpusEntry`` records for the tests.
 """
 
+import json
 import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from identiscope import _linalg, _rng
 from identiscope import symexpr as sx
-from identiscope.bench import check_prime
+from identiscope.bench import check_prime, corpus_dir, fixtures_dir
 from identiscope.errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr, RetriesExhausted
 from identiscope.ffprob import RETRIES, _require_rational, _Sweep, _Tape
 from identiscope.lie_orc import LieCache
-from identiscope.model import CONSTANT, augment
+from identiscope.model import CONSTANT, augment, load_model
 
 
 # --------------------------------------------------------------------------
@@ -530,3 +533,62 @@ def record_rows(monkeypatch):
 def rows_of(echelon):
     """The rows that ``echelon`` received under ``record_rows``, in order."""
     return _RECEIVED[echelon]
+
+
+# --------------------------------------------------------------------------
+# The corpus as test data
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CorpusEntry:
+    """One benchmark model plus its fixture metadata."""
+    name: str
+    path: str
+    states: int
+    params: int
+    known_inputs: int
+    unknown_inputs: int
+    outputs: int
+    rational: bool
+    contested: bool = False
+    expected_verdicts: dict | None = None
+
+    @property
+    def dims(self) -> tuple[int, int, int, int, int]:
+        return (self.states, self.params, self.known_inputs,
+                self.unknown_inputs, self.outputs)
+
+
+def load_corpus(directory=None) -> list[CorpusEntry]:
+    """Corpus entries from a directory of .idm files, fixture-enriched.
+
+    Fixtures are looked up next to the corpus directory (``../fixtures`` for
+    the packaged layout, or ``fixtures/`` inside the given directory).
+    """
+    base = Path(directory) if directory is not None else corpus_dir()
+    fixdirs = [base / "fixtures", base.parent / "fixtures"]
+    if directory is None:
+        fixdirs.insert(0, fixtures_dir())
+    entries = []
+    for path in sorted(base.glob("*.idm")):
+        name = path.stem
+        meta = {}
+        for fd in fixdirs:
+            fpath = fd / f"{name}.expected.json"
+            if fpath.exists():
+                meta = json.loads(fpath.read_text())
+                break
+        md = load_model(path)
+        entries.append(CorpusEntry(
+            name=name,
+            path=str(path),
+            states=meta.get("states", md.n),
+            params=meta.get("params", md.p),
+            known_inputs=meta.get("known_inputs", md.q),
+            unknown_inputs=meta.get("unknown_inputs", md.q_w),
+            outputs=meta.get("outputs", md.m),
+            rational=meta.get("rational", md.is_rational()),
+            contested=meta.get("contested", False),
+            expected_verdicts=meta.get("verdicts"),
+        ))
+    return entries

@@ -16,11 +16,12 @@ from identiscope.bench import (
     corpus_dir,
     emit_report,
     fixtures_dir,
-    load_corpus,
     run_corpus,
 )
 from identiscope.model import load_model
 from identiscope.report import AnalysisReport
+
+from oracles import load_corpus
 
 
 def test_public_names_resolve_without_duplicates():

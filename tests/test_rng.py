@@ -1,15 +1,43 @@
-import random
+from collections import Counter
 
 import pytest
 
-from identiscope import _rng
+from identiscope import _linalg, _rng
 
 
-@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1, 3037000493])
-def test_residue_is_randrange_of_the_seeded_generator(p):
-    # The reference is the draw that residue stands for, through Python's
-    # own seeding and randrange.
-    for i in range(300):
-        parts = ("tag", i, i % 7, "x" * (i % 3))
-        want = random.Random(_rng._seed_int(parts)).randrange(1, p)
-        assert _rng.residue(parts, p) == want
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1, _linalg.MAX_PRIME])
+def test_residue_lies_in_one_to_p_minus_one(p):
+    values = {_rng.residue(("tag", i, i % 7, "x" * (i % 3)), p) for i in range(300)}
+    assert min(values) >= 1 and max(values) <= p - 1
+    if p > 3:
+        assert len(values) > 1
+
+
+@pytest.mark.parametrize("parts, p, value", [
+    (("sym", 0, 0, 0, "x"), 2147483647, 1086924927),
+    (("ffp-z0", 0, 2147483629, 1, 0, "k1"), 2147483629, 217416230),
+    (("transc", 3, 2, 1, "ab" * 16), 101, 47),
+])
+def test_residue_values_are_fixed(parts, p, value):
+    # 1 + (128-bit blake2b of the tag) mod (p - 1): every drawn point of
+    # both engines, and so every report, depends on these values.
+    assert _rng.residue(parts, p) == value
+
+
+def test_residue_is_near_uniform_at_a_small_prime():
+    # 11,000 draws at p = 11: the chi-square statistic over the 10 values
+    # (9 degrees of freedom) stays below its 0.1 % critical value, 27.9.
+    n = 11_000
+    counts = Counter(_rng.residue(("u", i), 11) for i in range(n))
+    assert sorted(counts) == list(range(1, 11))
+    expected = n / 10
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < 27.9
+
+
+def test_residue_depends_on_every_part_of_the_tag():
+    base = ("sym", 0, 1, 2, "x")
+    p = 2**31 - 1
+    v = _rng.residue(base, p)
+    for i in range(len(base)):
+        changed = base[:i] + (str(base[i]) + "'",) + base[i + 1:]
+        assert _rng.residue(changed, p) != v

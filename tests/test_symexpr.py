@@ -5,9 +5,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from identiscope import lie_orc, symexpr as sx
-from identiscope.bench import corpus_dir
-from identiscope.errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr
-from identiscope.model import augment, load_model
+from identiscope.bench import analyze, corpus_dir
+from identiscope.errors import (DivisionByZero, DivisionByZeroModP, IdentiscopeError,
+                                NonRationalExpr, RetriesExhausted)
+from identiscope.ffprob import DEFAULT_PRIMES
+from identiscope.model import augment, load_model, parse_model, print_model
 
 import oracles
 
@@ -185,6 +187,43 @@ def test_raw_tree_equals_its_canonical_twin():
     assert raw != xx * yy ** 3
 
 
+def _reversed_raw(e):
+    """A raw copy of e, leaves too, whose every sum and product lists its
+    children in reverse."""
+    kids = tuple(_reversed_raw(c) for c in reversed(sx.children(e)))
+    if isinstance(e, (sx.Add, sx.Mul)):
+        return type(e)(kids)
+    if isinstance(e, sx.Pow):
+        return sx.Pow(kids[0], e.exponent)
+    if isinstance(e, sx.Func):
+        return sx.Func(e.fname, kids[0])
+    return sx.Const(e.value) if isinstance(e, sx.Const) else sx.Sym(e.symbol)
+
+
+@pytest.mark.parametrize("build", [
+    lambda x, y, t: 3 * x * y ** 2 * sx.exp(t),
+    lambda x, y, t: x + 2 * y + sx.ln(t) + 1,
+    lambda x, y, t: sx.add(x * y, sx.mul(-1, y, t), sx.div(1, x + t)),
+], ids=["mul", "add", "nested"])
+def test_raw_node_in_any_child_order_is_its_canonical_twin(build):
+    # Children are stored in intern-serial order; a raw node that lists
+    # them in any other order, its own children raw and reversed too, is
+    # still the same value, hash, digest and text.
+    canon = build(*(sx.sym(s) for s in (X, Y, TH)))
+    kids = sx.children(canon)
+    twins = [type(canon)(kids[i:] + kids[:i]) for i in range(1, len(kids))]
+    twins += [type(canon)(tuple(reversed(kids))), _reversed_raw(canon)]
+    for twin in twins:
+        assert twin is not canon
+        assert twin == canon and canon == twin
+        assert hash(twin) == hash(canon)
+        assert {canon: 1}[twin] == 1
+        assert twin.shash == canon.shash
+        assert sx.to_string(twin) == sx.to_string(canon)
+        assert sx.simplify(twin) is canon
+    assert type(canon)(kids[1:] + kids[1:2]) != canon  # one child twice, one missing
+
+
 def test_structural_hash_separates_small_integers():
     # hash(-1) == hash(-2) in Python; the intern keys must still tell
     # -1 from -2, x^-1 from x^-2 and -x*y from -2*x*y.
@@ -228,6 +267,67 @@ def test_expression_built_before_clear_caches_equals_its_rebuild():
     # Like terms and like factors still merge across the two generations.
     assert sx.add(before, after) == sx.mul(2, after)
     assert sx.mul(before, after) == sx.pow_(after, 2)
+
+
+# At p = 2 every residue is 1, so both denominators vanish at every point
+# and the RetriesExhausted message names whichever the rows read first.
+_TWO_POLES = "model two_poles\nstates x\nparams a b c d\nddt x = -a*x\n" \
+    "output y = x/(a + b) + x/(c + d)\n"
+
+
+def _models(names):
+    return [load_model(corpus_dir() / f"{name}.idm") for name in names] + [parse_model(_TWO_POLES)]
+
+
+def _order_free_view(names):
+    """What a run shows of each model: its printed text, the digest of every
+    node of its first Lie levels (the Func nodes' digests tag their
+    residues), both engines' reports or failure messages, and two_poles'
+    RetriesExhausted message at p = 2."""
+    view = []
+    for md in _models(names):
+        A = augment(md)
+        cache = lie_orc.LieCache(A)
+        cache.ensure_level(2)
+        funcs, digests, stack = {}, [], [e for level in cache.lies for e in level]
+        while stack:
+            e = stack.pop()
+            digests.append(e.shash)
+            if isinstance(e, sx.Func):
+                funcs[sx.to_string(e)] = e.shash
+            stack.extend(sx.structural_order(sx.children(e)))
+        reports = []
+        for engine in ("symbolic", "ffprob"):
+            try:
+                rep = analyze(md, engine, seed=0, primes=DEFAULT_PRIMES, trials=None,
+                              deadline=None)
+                reports.append(rep.to_dict(include_timing=False))
+            except IdentiscopeError as exc:
+                reports.append(str(exc))
+        view.append((print_model(md), funcs, digests, reports))
+    with pytest.raises(RetriesExhausted) as info:
+        lie_orc.analyze_symbolic(parse_model(_TWO_POLES), lie_orc.SymbolicOptions(prime=2))
+    view.append(str(info.value))
+    return view
+
+
+def test_intern_serial_order_never_shows():
+    # Children are kept in the order their nodes were first interned.  Fill
+    # the table in another order than a fresh run does (gene_p53's levels
+    # 0-3 first, then every model expression rebuilt with its children in
+    # reverse), and the text, digests, reports and messages are still those
+    # of a fresh run.
+    names = ("toggle_b", "sirs_forced", "hiv2", "competition")
+    exprs = [_reversed_raw(e) for md in _models(names)
+             for e in list(md.dynamics.values()) + [h for _, h in md.outputs]]
+    sx.clear_caches()
+    fresh = _order_free_view(names)
+    sx.clear_caches()
+    lie_orc.LieCache(augment(load_model(corpus_dir() / "gene_p53.idm"))).ensure_level(3)
+    for e in exprs:
+        sx.simplify(e)
+    assert len(sx._INTERN) > 300
+    assert _order_free_view(names) == fresh
 
 
 def test_intern_table_steps_past_a_colliding_key():
