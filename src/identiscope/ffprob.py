@@ -56,7 +56,7 @@ RETRIES = 25  # random points per run before RetriesExhausted
 # Forward-mode sweep over a flat tape of F and h
 # --------------------------------------------------------------------------
 
-_CONST, _LEAF, _ADD, _SCALE, _MUL, _RECIP = range(6)
+_CONST, _LEAF, _ADD, _MUL, _RECIP = range(5)
 
 
 def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], depth: list[int],
@@ -65,10 +65,11 @@ def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], depth: list[in
     and their depths to ``depth``, and return the id of its root; operands
     always precede their users.
 
-    A sum is one add node whose constant is the weight of each operand, so
-    a term c*m adds m with weight c and needs no scale node.  A product of
-    several factors is a tree of binary muls that always joins the two
-    shallowest operands, so that it takes as few waves as it can."""
+    An add node's constant is the weight of each operand: a sum adds a term
+    c*m as m with weight c, and a product c*m alone is an add of m with
+    weight c.  A product of several factors is a tree of binary muls that
+    always joins the two shallowest operands, so that it takes as few waves
+    as it can."""
     got = memo.get(e)
     if got is not None:
         return got
@@ -91,6 +92,7 @@ def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], depth: list[in
         return operands[0][2] if operands else None
 
     def scaled(e) -> tuple[Fraction | None, list[Expr]]:
+        # A product's constant, or None, and its other factors.
         factors = list(e.factors)
         return (factors.pop(0).value if isinstance(factors[0], sx.Const) else None), factors
 
@@ -115,7 +117,7 @@ def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], depth: list[in
         if out is None:
             out = node(_CONST, const=scale)
         elif scale is not None:
-            out = node(_SCALE, (out,), scale)
+            out = node(_ADD, (out,), (scale,))
     elif isinstance(e, sx.Pow):
         k = abs(e.exponent)
         out, sq = None, _compile(e.base, env, nodes, depth, memo)
@@ -136,11 +138,10 @@ def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], depth: list[in
 class _Tape:
     """F and h compiled into a flat tape.  Node 0 is the constant 0, nodes
     1..n_z the z leaves, the next q the input jets, then the other constants.
-    The other nodes (weighted add, scale by a constant, binary mul,
-    reciprocal) are numbered by depth; one kind at one depth forms a wave, a
-    contiguous range whose operands all come earlier, evaluated by one numpy
-    expression.  A wave's constants are its scales, or its adds' weights
-    (None when every weight is 1)."""
+    The other nodes (weighted add, binary mul, reciprocal) are numbered by
+    depth; one kind at one depth forms a wave, a contiguous range whose
+    operands all come earlier, evaluated by one numpy expression.  An add
+    wave's constants are its nodes' weights, None when every weight is 1."""
 
     def __init__(self, A: AugmentedSystem):
         n_z, q = A.n_z, len(A.model.known_inputs)
@@ -194,7 +195,7 @@ class _Sweep:
     T[k, node, run, l] its derivative with respect to z0_l; T[0] of z leaf l
     is e_l, so the tangents of z are S.  Both are views of one array X, with
     the value before the tangent on its last axis, so that a linear step
-    (sum, scale, integration) takes one numpy expression for both.  X holds
+    (weighted sum, integration) takes one numpy expression for both.  X holds
     only the orders reached so far, doubling up to the cap.
     """
 
@@ -211,14 +212,11 @@ class _Sweep:
         self.jets = np.zeros((order + 1, tape.q, B), dtype=np.int64)
         # inv[j - 1, run] = 1/j, the integration factor of order j.
         self.inv = np.zeros((order, B), dtype=np.int64)
-        # The scales of scale waves, (nodes, runs), and the weights of
-        # weighted add waves, (nodes, operands, runs, 1).
-        self.scales = {}
-        for w, (kind, lo, hi, ops, consts) in enumerate(tape.waves):
-            if kind == _SCALE:
-                self.scales[w] = np.zeros((hi - lo, B), dtype=np.int64)
-            elif kind == _ADD and consts is not None:
-                self.scales[w] = np.zeros(ops.shape + (B, 1), dtype=np.int64)
+        # The weights of each add wave that has some other than 1, as
+        # (nodes, operands, runs, 1).
+        self.weights = {w: np.zeros(ops.shape + (B, 1), dtype=np.int64)
+                        for w, (kind, _, _, ops, consts) in enumerate(tape.waves)
+                        if kind == _ADD and consts is not None}
         # Constants mod each prime, computed once for all the runs on it; a
         # prime that divides a denominator fails every run on it, at every
         # attempt.
@@ -229,13 +227,9 @@ class _Sweep:
             try:
                 for i, c in tape.consts:
                     self.V[0, i, on] = sx.const_mod_p(c, p)
-                for w, s in self.scales.items():
-                    kind, consts = tape.waves[w][0], tape.waves[w][4]
-                    for n, c in enumerate(consts):
-                        if kind == _SCALE:
-                            s[n, on] = sx.const_mod_p(c, p)
-                        else:
-                            s[n, :len(c)][:, on, 0] = np.array([sx.const_mod_p(x, p) for x in c])[:, None]
+                for w, W in self.weights.items():
+                    for n, ws in enumerate(tape.waves[w][4]):
+                        W[n, :len(ws)][:, on, 0] = [[sx.const_mod_p(c, p)] for c in ws]
             except DivisionByZeroModP as exc:
                 self.bad.update(dict.fromkeys(on, str(exc)))
 
@@ -276,13 +270,11 @@ class _Sweep:
         failed = dict(self.bad) if k == 0 else {}
         for w, (kind, lo, hi, ops, _) in enumerate(self.tape.waves):
             if kind == _ADD:
-                W = self.scales.get(w)
+                W = self.weights.get(w)
                 if W is None:
                     X[k, lo:hi] = X[k][ops].sum(1) % Pt
                 else:
                     X[k, lo:hi] = (X[k][ops] * W % Pt).sum(1) % Pt
-            elif kind == _SCALE:
-                X[k, lo:hi] = X[k, ops] * self.scales[w][..., None] % Pt
             elif kind == _MUL:
                 # (a b)_k = sum_j a_j b_(k-j), and its tangent adds
                 # T(a)_j b_(k-j) to a_j T(b)_(k-j).  Two products below

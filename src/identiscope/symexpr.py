@@ -299,9 +299,10 @@ class Sym(Expr):
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms):
+    def __init__(self, terms, h: int | None = None):
+        # h: the hash when the caller has computed it.
         self.terms = tuple(terms)
-        self._init_caches(_tuple_hash(_ADD, self.terms))
+        self._init_caches(_tuple_hash(_ADD, self.terms) if h is None else h)
 
     def _fields(self):
         return self.terms
@@ -313,9 +314,10 @@ class Add(Expr):
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors):
+    def __init__(self, factors, h: int | None = None):
+        # h: the hash when the caller has computed it.
         self.factors = tuple(factors)
-        self._init_caches(_tuple_hash(_MUL, self.factors))
+        self._init_caches(_tuple_hash(_MUL, self.factors) if h is None else h)
 
     def _fields(self):
         return self.factors
@@ -448,21 +450,24 @@ def sym(s: Symbol) -> Sym:
 
 
 def _same_children(a: tuple, b: tuple) -> bool:
-    # Equal as multisets; the order is the same unless one of them was
-    # built before clear_caches.
+    # Equal as multisets.  Two canonical nodes list equal children in the
+    # same order unless one was built before clear_caches; a raw node may
+    # list them in any order.
     return a == b or Counter(a) == Counter(b)
 
 
 def _mul_node(factors: tuple) -> Expr:
     # factors: canonical, in serial order, at least two, a Const only in front.
-    got = _lookup(Mul, _tuple_hash(_MUL, factors), factors)
-    return got if got is not None else _intern(Mul(factors))
+    h = _tuple_hash(_MUL, factors)
+    got = _lookup(Mul, h, factors)
+    return got if got is not None else _intern(Mul(factors, h))
 
 
 def _add_node(terms: tuple) -> Expr:
     # terms: canonical, in serial order, at least two, a Const only in front.
-    got = _lookup(Add, _tuple_hash(_ADD, terms), terms)
-    return got if got is not None else _intern(Add(terms))
+    h = _tuple_hash(_ADD, terms)
+    got = _lookup(Add, h, terms)
+    return got if got is not None else _intern(Add(terms, h))
 
 
 def _pow_node(base: Expr, k: int) -> Expr:
