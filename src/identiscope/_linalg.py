@@ -122,12 +122,10 @@ def extend_all(echelons: list[Echelon], blocks) -> list[int]:
     """Extend each echelon form by its block of rows, the blocks all of one
     shape and each form over its own prime; returns their ranks.
 
-    Each step runs over all the forms at once.  The reduction against the
-    old pivot rows is one exact matrix product; a column that is a pivot of
-    no form has a zero row, so the pivot columns of all the forms serve
-    each of them.  The new rows are then eliminated below the old pivot
-    rows in one stack, so that each elimination step also clears its pivot
-    column from the old rows.
+    Each step runs over all the forms at once; the reduction against the old
+    pivot rows and the clearing of the new pivot columns are one exact
+    matrix product each.  A column that is a pivot of no form has a zero
+    row, so the pivot columns of all the forms serve each of them.
     """
     n = len(echelons[0].by_col)
     primes = [e.p for e in echelons]
@@ -139,27 +137,34 @@ def extend_all(echelons: list[Echelon], blocks) -> list[int]:
         a = (a - _matmul(a[:, :, old], B[:, old], P)) % P
     # Gauss-Jordan elimination of the blocks, one row position at a time,
     # over all the forms; a row that is zero scales by 0 and clears nothing.
-    S = np.concatenate((B, a), axis=1)
     sets = np.arange(len(primes))
     found = []
-    for i in range(n, len(S[0])):
-        lead = (S[:, i] != 0).argmax(1)
-        v = S[sets, i, lead]
+    for i in range(a.shape[1]):
+        lead = (a[:, i] != 0).argmax(1)
+        col = a[sets, :, lead]
+        v = col[:, i]
         s = v.nonzero()[0]
         if not s.size:
             continue
         inv = [pow(x, -1, p) if x else 0 for x, p in zip(v.tolist(), primes)]
-        row = S[:, i] * np.array(inv, dtype=np.int64)[:, None] % P[:, 0]
-        # Row i itself clears to 0 here and then takes the scaled row.
-        S -= S[sets, :, lead][:, :, None] * row[:, None] % P
-        S %= P
-        S[:, i] = row
+        row = a[:, i] * np.array(inv, dtype=np.int64)[:, None] % P[:, 0]
+        # Row i itself clears to 0 here and then takes the scaled row.  A
+        # product is below p^2 < 2^63, so the difference needs no reduction
+        # before the last.
+        a = (a - col[:, :, None] * row[:, None]) % P
+        a[:, i] = row
         found.append((s, lead[s], i))
+    N = np.zeros_like(B)
     for s, c, i in found:
-        S[s, c] = S[s, i]
+        N[s, c] = a[s, i]
         for j, col in zip(s.tolist(), c.tolist()):
             echelons[j].pivots.append(col)
-    B = S[:, :n].copy()
+    new = sorted({col for _, c, _ in found for col in c.tolist()})
+    if new and old:
+        # Only the old pivot rows are nonzero.
+        Bo = B[:, old]
+        B[:, old] = (Bo - _matmul(Bo[:, :, new], N[:, new], P)) % P
+    B += N
     for e, b in zip(echelons, B):
         e.by_col = b
     return [e.rank for e in echelons]

@@ -59,80 +59,79 @@ RETRIES = 25  # random points per run before RetriesExhausted
 _CONST, _LEAF, _ADD, _MUL, _RECIP = range(5)
 
 
-def _compile(e: Expr, env: dict[Symbol, int], nodes: list[tuple], depth: list[int],
-             memo: dict) -> int:
-    """Append the nodes of ``e`` to ``nodes`` as (kind, operand ids, constant),
-    and their depths to ``depth``, and return the id of its root; operands
-    always precede their users.
+class _Compiler:
+    """Compiles expressions into tape nodes (kind, operand ids, constant),
+    each with its depth; node 0 is the constant 0 and nodes 1..n_leaves the
+    leaves, numbered by ``env``.  Operands always precede their users.
 
     An add node's constant is the weight of each operand: a sum adds a term
     c*m as m with weight c, and a product c*m alone is an add of m with
     weight c.  A product of several factors is a tree of binary muls that
     always joins the two shallowest operands, so that it takes as few waves
     as it can."""
-    got = memo.get(e)
-    if got is not None:
-        return got
 
-    def node(kind, ops=(), const=None) -> int:
-        nodes.append((kind, ops, const))
-        depth.append(1 + max(depth[o] for o in ops) if ops else 0)
-        return len(nodes) - 1
+    def __init__(self, env: dict[Symbol, int]):
+        self.env = env
+        self.nodes: list[tuple] = [(_CONST, (), Fraction(0))] + [(_LEAF, (), None)] * len(env)
+        self.depth = [0] * len(self.nodes)
+        self.memo: dict[Expr, int] = {}
 
-    def product(factors) -> int | None:
-        operands = [(depth[o], n, o) for n, o in enumerate(
-            _compile(f, env, nodes, depth, memo) for f in factors)]
+    def _node(self, kind, ops=(), const=None) -> int:
+        self.nodes.append((kind, ops, const))
+        self.depth.append(1 + max(self.depth[o] for o in ops) if ops else 0)
+        return len(self.nodes) - 1
+
+    def _product(self, factors) -> int:
+        depth = self.depth
+        operands = [(depth[o], n, o) for n, o in enumerate(map(self.compile, factors))]
         heapq.heapify(operands)
         n = len(operands)
         while len(operands) > 1:
             (_, _, x), (_, _, y) = heapq.heappop(operands), heapq.heappop(operands)
-            o = node(_MUL, (x, y))
+            o = self._node(_MUL, (x, y))
             heapq.heappush(operands, (depth[o], n, o))
             n += 1
-        return operands[0][2] if operands else None
+        return operands[0][2]
 
-    def scaled(e) -> tuple[Fraction | None, list[Expr]]:
-        # A product's constant, or None, and its other factors.
-        factors = list(e.factors)
-        return (factors.pop(0).value if isinstance(factors[0], sx.Const) else None), factors
-
-    if isinstance(e, sx.Const):
-        out = 0 if e.value == 0 else node(_CONST, const=e.value)
-    elif isinstance(e, sx.Sym):
-        out = env[e.symbol]
-    elif isinstance(e, sx.Add):
-        ops, weights = [], []
-        for t in e.terms:
-            c, factors = scaled(t) if isinstance(t, sx.Mul) else (None, None)
-            if c is None:
-                ops.append(_compile(t, env, nodes, depth, memo))
-                weights.append(1)
+    def compile(self, e: Expr) -> int:
+        """The id of e's root node, compiling what is new."""
+        got = self.memo.get(e)
+        if got is not None:
+            return got
+        if isinstance(e, sx.Const):
+            out = 0 if e.value == 0 else self._node(_CONST, const=e.value)
+        elif isinstance(e, sx.Sym):
+            out = self.env[e.symbol]
+        elif isinstance(e, sx.Add):
+            ops, weights = [], []
+            for t in e.terms:
+                if isinstance(t, sx.Mul) and isinstance(t.factors[0], sx.Const):
+                    ops.append(self._product(t.factors[1:]))
+                    weights.append(t.factors[0].value)
+                else:
+                    ops.append(self.compile(t))
+                    weights.append(1)
+            out = self._node(_ADD, tuple(ops), tuple(weights))
+        elif isinstance(e, sx.Mul):
+            if isinstance(e.factors[0], sx.Const):
+                out = self._node(_ADD, (self._product(e.factors[1:]),), (e.factors[0].value,))
             else:
-                ops.append(product(factors))
-                weights.append(c)
-        out = node(_ADD, tuple(ops), tuple(weights))
-    elif isinstance(e, sx.Mul):
-        scale, factors = scaled(e)
-        out = product(factors)
-        if out is None:
-            out = node(_CONST, const=scale)
-        elif scale is not None:
-            out = node(_ADD, (out,), (scale,))
-    elif isinstance(e, sx.Pow):
-        k = abs(e.exponent)
-        out, sq = None, _compile(e.base, env, nodes, depth, memo)
-        while k:
-            if k & 1:
-                out = sq if out is None else node(_MUL, (out, sq))
-            k >>= 1
-            if k:
-                sq = node(_MUL, (sq, sq))
-        if e.exponent < 0:
-            out = node(_RECIP, (out,))
-    else:
-        raise NonRationalExpr(f"transcendental node {sx.to_string(e)}")
-    memo[e] = out
-    return out
+                out = self._product(e.factors)
+        elif isinstance(e, sx.Pow):
+            k = abs(e.exponent)
+            out, sq = None, self.compile(e.base)
+            while k:
+                if k & 1:
+                    out = sq if out is None else self._node(_MUL, (out, sq))
+                k >>= 1
+                if k:
+                    sq = self._node(_MUL, (sq, sq))
+            if e.exponent < 0:
+                out = self._node(_RECIP, (out,))
+        else:
+            raise NonRationalExpr(f"transcendental node {sx.to_string(e)}")
+        self.memo[e] = out
+        return out
 
 
 class _Tape:
@@ -146,15 +145,13 @@ class _Tape:
     def __init__(self, A: AugmentedSystem):
         n_z, q = A.n_z, len(A.model.known_inputs)
         self.n_z, self.q = n_z, q
-        nodes: list[tuple] = [(_CONST, (), Fraction(0))] + [(_LEAF, (), None)] * (n_z + q)
-        depth = [0] * len(nodes)
         env = {s: 1 + l for l, s in enumerate(A.z)}
         env.update({spec.symbol: 1 + n_z + i
                     for i, spec in enumerate(A.model.known_inputs)})
-        memo: dict[Expr, int] = {}
-        F = [(1 + l, _compile(Fl, env, nodes, depth, memo))
-             for l, Fl in enumerate(A.F) if Fl is not sx.ZERO]
-        h = [_compile(hi, env, nodes, depth, memo) for hi in A.outputs]
+        c = _Compiler(env)
+        F = [(1 + l, c.compile(Fl)) for l, Fl in enumerate(A.F) if Fl is not sx.ZERO]
+        h = [c.compile(hi) for hi in A.outputs]
+        nodes, depth = c.nodes, c.depth
         lead = 1 + n_z + q
 
         def wave_of(o):
