@@ -21,7 +21,15 @@ value series and an n_z tangent vector d/dz0 per order, in int64 numpy.  The
 tangents of z are S, and block k of the output Jacobian is the order-k
 tangent of the h nodes.  One sweep per order advances every (prime, trial)
 run at once: runs are an array axis, each with its prime broadcast along it.
-Storage is order-major, so only the orders some run reaches take memory.
+Storage is order-major, and the input jets and integration factors of an
+order are drawn and computed when the sweep reaches it, so only the orders
+some run reaches cost memory or time.  At order k a product convolves the
+k + 1 terms of its two series only when both vary in time.  A parameter, a
+constant input, and any node built from such only, is time-constant: its
+series is zero past order 0, so its product a with b takes the one term
+a_0 b_k, and a wave of time-constant nodes is evaluated at order 0 alone
+(Bostan, Chyzak, Ollivier, Salvy, Schost & Sedoglavic, "Fast computation of
+power series solutions of systems of differential equations", SODA 2007).
 Every product of two residues is reduced mod p before it is added to
 anything but one other such product (two sum below 2^64 in uint64), which
 keeps the arithmetic exact for p <= MAX_PRIME.  A run whose point makes a
@@ -33,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -61,37 +70,46 @@ _CONST, _LEAF, _ADD, _MUL, _RECIP = range(5)
 
 class _Compiler:
     """Compiles expressions into tape nodes (kind, operand ids, constant),
-    each with its depth; node 0 is the constant 0 and nodes 1..n_leaves the
-    leaves, numbered by ``env``.  Operands always precede their users.
+    each with its depth and whether it is time-constant; node 0 is the
+    constant 0 and nodes 1..n_leaves the leaves, numbered by ``env``, whose
+    flags ``still`` gives.  Operands always precede their users.
 
     An add node's constant is the weight of each operand: a sum adds a term
     c*m as m with weight c, and a product c*m alone is an add of m with
     weight c.  A product of several factors is a tree of binary muls that
-    always joins the two shallowest operands, so that it takes as few waves
-    as it can."""
+    always joins the two shallowest operands, time-constant ones first at
+    equal depth, so that it takes as few waves as it can and its
+    time-constant factors make one operand.  A mul node with a
+    time-constant operand has it first."""
 
-    def __init__(self, env: dict[Symbol, int]):
+    def __init__(self, env: dict[Symbol, int], still: list[bool]):
         self.env = env
         self.nodes: list[tuple] = [(_CONST, (), Fraction(0))] + [(_LEAF, (), None)] * len(env)
         self.depth = [0] * len(self.nodes)
+        self.still = [True] + still
         self.memo: dict[Expr, int] = {}
 
     def _node(self, kind, ops=(), const=None) -> int:
+        depth, still = self.depth, self.still
+        if kind == _MUL and still[ops[1]]:
+            ops = ops[::-1]
         self.nodes.append((kind, ops, const))
-        self.depth.append(1 + max(self.depth[o] for o in ops) if ops else 0)
+        depth.append(1 + max(map(depth.__getitem__, ops)) if ops else 0)
+        still.append(all(map(still.__getitem__, ops)))
         return len(self.nodes) - 1
 
     def _product(self, factors) -> int:
-        depth = self.depth
-        operands = [(depth[o], n, o) for n, o in enumerate(map(self.compile, factors))]
+        depth, still = self.depth, self.still
+        operands = [(depth[o], not still[o], n, o)
+                    for n, o in enumerate(map(self.compile, factors))]
         heapq.heapify(operands)
         n = len(operands)
         while len(operands) > 1:
-            (_, _, x), (_, _, y) = heapq.heappop(operands), heapq.heappop(operands)
+            x, y = heapq.heappop(operands)[-1], heapq.heappop(operands)[-1]
             o = self._node(_MUL, (x, y))
-            heapq.heappush(operands, (depth[o], n, o))
+            heapq.heappush(operands, (depth[o], not still[o], n, o))
             n += 1
-        return operands[0][2]
+        return operands[0][-1]
 
     def compile(self, e: Expr) -> int:
         """The id of e's root node, compiling what is new."""
@@ -140,7 +158,17 @@ class _Tape:
     The other nodes (weighted add, binary mul, reciprocal) are numbered by
     depth; one kind at one depth forms a wave, a contiguous range whose
     operands all come earlier, evaluated by one numpy expression.  An add
-    wave's constants are its nodes' weights, None when every weight is 1."""
+    wave's constants are its nodes' weights, None when every weight is 1.
+
+    A node is time-constant (``still``), its series zero past order 0, when
+    it is a constant, a z leaf whose F is 0 (a parameter, the last
+    derivative of an unknown input's chain), a constant input, or a node of
+    time-constant operands only.  A product with a time-constant operand
+    has it first, and its coefficient k is the one term a_0 b_k.  Such
+    products come first in their mul wave, whose constant is their number:
+    past order 0 a mul wave is one numpy expression for them and one for
+    the products that convolve.  A wave of time-constant nodes only is
+    still, and is evaluated at order 0 alone."""
 
     def __init__(self, A: AugmentedSystem):
         n_z, q = A.n_z, len(A.model.known_inputs)
@@ -148,23 +176,25 @@ class _Tape:
         env = {s: 1 + l for l, s in enumerate(A.z)}
         env.update({spec.symbol: 1 + n_z + i
                     for i, spec in enumerate(A.model.known_inputs)})
-        c = _Compiler(env)
+        c = _Compiler(env, [Fl is sx.ZERO for Fl in A.F]
+                      + [spec.mode == CONSTANT for spec in A.model.known_inputs])
         F = [(1 + l, c.compile(Fl)) for l, Fl in enumerate(A.F) if Fl is not sx.ZERO]
         h = [c.compile(hi) for hi in A.outputs]
-        nodes, depth = c.nodes, c.depth
+        nodes, depth, still = c.nodes, c.depth, c.still
         lead = 1 + n_z + q
-
-        def wave_of(o):
-            return depth[o], nodes[o][0]
-
-        order = list(range(lead)) + sorted(range(lead, len(nodes)),
-                                           key=lambda o: (wave_of(o), o))
+        # The sort key: the wave, then the products with a time-constant
+        # operand before the others.
+        key = [(depth[o], kind, not (kind == _MUL and still[ops[0]]), o)
+               for o, (kind, ops, _) in enumerate(nodes)]
+        order = list(range(lead)) + sorted(range(lead, len(nodes)), key=key.__getitem__)
         new = {old: i for i, old in enumerate(order)}
         self.size = len(order)
+        self.still = [still[o] for o in order]
         self.consts: list[tuple[int, Fraction]] = []
-        self.waves: list[tuple] = []  # (kind, lo, hi, operand ids, constants)
+        self.waves: list[tuple] = []  # (kind, lo, hi, operand ids, constants, still)
         lo = lead
-        for (_, kind), olds in groupby(order[lead:], key=wave_of):
+        for (_, kind), olds in groupby(order[lead:], key=lambda o: key[o][:2]):
+            olds = list(olds)
             group = [nodes[o] for o in olds]
             hi = lo + len(group)
             if kind == _CONST:
@@ -173,16 +203,28 @@ class _Tape:
                 ops = np.zeros((hi - lo, max(len(o) for _, o, _ in group)), dtype=np.intp)
                 for n, (_, o, _) in enumerate(group):
                     ops[n, :len(o)] = [new[x] for x in o]  # adds padded with node 0
-                if kind != _ADD:
-                    ops = ops.T if kind == _MUL else ops[:, 0]
                 consts = [c for _, _, c in group]
-                if kind == _ADD and all(w == 1 for ws in consts for w in ws):
+                if kind == _MUL:
+                    ops, consts = ops.T, sum(not key[o][2] for o in olds)
+                elif kind == _RECIP:
+                    ops = ops[:, 0]
+                elif all(w == 1 for ws in consts for w in ws):
                     consts = None  # a plain sum
-                self.waves.append((kind, lo, hi, ops, consts))
+                self.waves.append((kind, lo, hi, ops, consts, all(self.still[lo:hi])))
             lo = hi
         self.z_leaves = np.array([l for l, _ in F], dtype=np.intp)
         self.z_rhs = np.array([new[f] for _, f in F], dtype=np.intp)
         self.h = np.array([new[x] for x in h], dtype=np.intp)
+
+
+def _products(a: np.ndarray, b: np.ndarray, Pu: np.ndarray) -> np.ndarray:
+    """a b with its tangent T(a) b + a T(b), reduced mod p, for values and
+    tangents on the last axis.  Two products below p^2 < 2^63 sum below
+    2^64."""
+    t = (a[..., :1] * b).view(np.uint64)
+    t[..., 1:] += (a[..., 1:] * b[..., :1]).view(np.uint64)
+    t %= Pu
+    return t.view(np.int64)
 
 
 class _Sweep:
@@ -193,26 +235,29 @@ class _Sweep:
     is e_l, so the tangents of z are S.  Both are views of one array X, with
     the value before the tangent on its last axis, so that a linear step
     (weighted sum, integration) takes one numpy expression for both.  X holds
-    only the orders reached so far, doubling up to the cap.
+    only the orders reached so far, doubling up to the cap, and the input
+    jets and integration factors of an order are computed when it is
+    reached.  A product convolves the k + 1 terms of its operands at order k
+    unless one of them is time-constant (see ``_Tape``), and a still wave
+    keeps its order-0 values, the later ones being zero.
     """
 
     def __init__(self, tape: _Tape, primes, order: int):
         self.tape = tape
         self.order = order
         B, n_z = len(primes), tape.n_z
+        self.primes = list(primes)
         self.P = np.array(primes, dtype=np.int64)
         self.Pt = self.P[:, None]
         self.Pu = self.Pt.view(np.uint64)
         self._view(np.zeros((min(order + 1, 4), tape.size, B, 1 + n_z), dtype=np.int64))
         leaves = np.arange(n_z)
         self.T[0, 1 + leaves, :, leaves] = 1
-        self.jets = np.zeros((order + 1, tape.q, B), dtype=np.int64)
-        # inv[j - 1, run] = 1/j, the integration factor of order j.
-        self.inv = np.zeros((order, B), dtype=np.int64)
+        self.jets = [None] * B
         # The weights of each add wave that has some other than 1, as
         # (nodes, operands, runs, 1).
         self.weights = {w: np.zeros(ops.shape + (B, 1), dtype=np.int64)
-                        for w, (kind, _, _, ops, consts) in enumerate(tape.waves)
+                        for w, (kind, _, _, ops, consts, _) in enumerate(tape.waves)
                         if kind == _ADD and consts is not None}
         # Constants mod each prime, computed once for all the runs on it; a
         # prime that divides a denominator fails every run on it, at every
@@ -220,7 +265,6 @@ class _Sweep:
         self.bad: dict[int, str] = {}
         for p in dict.fromkeys(primes):
             on = [b for b, q in enumerate(primes) if q == p]
-            self.inv[:, on] = np.array([pow(j, -1, p) for j in range(1, order + 1)])[:, None]
             try:
                 for i, c in tape.consts:
                     self.V[0, i, on] = sx.const_mod_p(c, p)
@@ -230,15 +274,13 @@ class _Sweep:
             except DivisionByZeroModP as exc:
                 self.bad.update(dict.fromkeys(on, str(exc)))
 
-    def set_point(self, run: int, z0, u_jets) -> None:
-        """Initial state and input jets (coefficient lists) of one run; a jet
-        is zero past its last coefficient."""
+    def set_point(self, run: int, z0, jet) -> None:
+        """Initial state of one run and its input jets: jet(j) is the list of
+        the inputs' coefficients j, called once per order reached.  A
+        constant input's coefficients past 0 must be 0."""
         n_z, p = self.tape.n_z, int(self.P[run])
-        self.V[0, 1:1 + n_z, run] = [v % p for v in z0]
-        self.jets[:, :, run] = 0
-        for i, jet in enumerate(u_jets):
-            coeffs = jet[:self.order + 1]
-            self.jets[:len(coeffs), i, run] = [v % p for v in coeffs]
+        self.jets[run] = jet
+        self.V[0, 1:1 + n_z + self.tape.q, run] = [v % p for v in [*z0, *jet(0)]]
 
     def _view(self, X: np.ndarray) -> None:
         self.X, self.V, self.T = X, X[..., 0], X[..., 1:]
@@ -259,13 +301,18 @@ class _Sweep:
         self._hold(k)
         X, V, T, P, Pt = self.X, self.V, self.T, self.P, self.Pt
         n_z, q = self.tape.n_z, self.tape.q
-        if q:
-            V[k, 1 + n_z:1 + n_z + q] = self.jets[k]
         if k:
+            if q:
+                V[k, 1 + n_z:1 + n_z + q] = np.array(
+                    [[v % p for v in jet(k)] for jet, p in zip(self.jets, self.primes)]).T
+            # z_k = F_(k-1) / k
+            inv = np.array([pow(k, -1, p) for p in self.primes])
             zl, f = self.tape.z_leaves, self.tape.z_rhs
-            X[k, zl] = X[k - 1, f] * self.inv[k - 1][:, None] % Pt
+            X[k, zl] = X[k - 1, f] * inv[:, None] % Pt
         failed = dict(self.bad) if k == 0 else {}
-        for w, (kind, lo, hi, ops, _) in enumerate(self.tape.waves):
+        for w, (kind, lo, hi, ops, consts, still) in enumerate(self.tape.waves):
+            if k and still:
+                continue
             if kind == _ADD:
                 W = self.weights.get(w)
                 if W is None:
@@ -273,14 +320,15 @@ class _Sweep:
                 else:
                     X[k, lo:hi] = (X[k][ops] * W % Pt).sum(1) % Pt
             elif kind == _MUL:
-                # (a b)_k = sum_j a_j b_(k-j), and its tangent adds
-                # T(a)_j b_(k-j) to a_j T(b)_(k-j).  Two products below
-                # p^2 < 2^63 sum below 2^64.
+                # (a b)_k = sum_j a_j b_(k-j), which is a_0 b_k for the first
+                # ``consts`` products, whose a is time-constant, and at k = 0.
                 ia, ib = ops
-                a, b = X[:k + 1, ia], X[k::-1, ib]
-                t = (a[..., :1] * b).view(np.uint64)
-                t[..., 1:] += (a[..., 1:] * b[..., :1]).view(np.uint64)
-                X[k, lo:hi] = (t % self.Pu).sum(0).view(np.int64) % Pt
+                n = consts if k else hi - lo
+                if n:
+                    X[k, lo:lo + n] = _products(X[0][ia[:n]], X[k][ib[:n]], self.Pu)
+                if lo + n < hi:
+                    X[k, lo + n:hi] = _products(X[:k + 1, ia[n:]], X[k::-1, ib[n:]],
+                                                self.Pu).sum(0) % Pt
             elif k == 0:  # reciprocal: c_0 = 1/a_0, T(c)_0 = -T(a)_0 / a_0^2
                 a0 = V[0, ops]
                 for run in np.flatnonzero((a0 == 0).any(0)):
@@ -319,21 +367,19 @@ def _require_rational(md: ModelDef):
             "use the symbolic engine")
 
 
-def _draw_trial(A: AugmentedSystem, seed: int, p: int, order: int, trial: int,
-                attempt: int) -> tuple[list[int], list[list[int]]]:
-    """The random point of one attempt: z0 and the coefficients 0..order of
-    each known input's jet (a constant input's jet is zero past order 0)."""
+def _draw_trial(A: AugmentedSystem, seed: int, p: int, trial: int,
+                attempt: int) -> tuple[list[int], Callable[[int], list[int]]]:
+    """The random point of one attempt: z0, and the function of j that
+    draws coefficient j of each known input's jet (a constant input's jet is
+    zero past order 0)."""
     z0 = [_rng.residue(("ffp-z0", seed, p, trial, attempt, s.name), p) for s in A.z]
-    u_jets = []
-    for spec in A.model.known_inputs:
-        if spec.mode == CONSTANT:
-            coeffs = [_rng.residue(("ffp-u", seed, p, trial, attempt, spec.symbol.name, 0), p)]
-            coeffs += [0] * order
-        else:
-            coeffs = [_rng.residue(("ffp-u", seed, p, trial, attempt, spec.symbol.name, j), p)
-                      for j in range(order + 1)]
-        u_jets.append(coeffs)
-    return z0, u_jets
+    specs = A.model.known_inputs
+
+    def jet(j: int) -> list[int]:
+        return [_rng.residue(("ffp-u", seed, p, trial, attempt, spec.symbol.name, j), p)
+                if j == 0 or spec.mode != CONSTANT else 0 for spec in specs]
+
+    return z0, jet
 
 
 @dataclass
@@ -360,8 +406,7 @@ def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run], seed: int) -> None:
                 raise RetriesExhausted(
                     f"all {RETRIES} random specializations hit a vanishing "
                     f"denominator mod {run.prime}: {last.get(b)}")
-            sw.set_point(b, *_draw_trial(A, seed, run.prime, sw.order, run.trial,
-                                         run.attempt))
+            sw.set_point(b, *_draw_trial(A, seed, run.prime, run.trial, run.attempt))
         failed = sw.advance(0)
         todo = sorted(failed)
         for b in todo:

@@ -363,7 +363,7 @@ def series_solve(A, z0, u_series, order, p):
     if len(z0) != n_z:
         raise ValueError("initial point has wrong dimension")
     sw = _Sweep(_Tape(A), [p], order)
-    sw.set_point(0, z0, [u.coeffs for u in u_series])
+    sw.set_point(0, z0, lambda j: [u.coeffs[j] if j < len(u.coeffs) else 0 for u in u_series])
     for k in range(order + 1):
         failed = sw.advance(k)
         if failed:
@@ -374,6 +374,12 @@ def series_solve(A, z0, u_series, order, p):
     return SeriesSolution(tuple(TruncSeries(c, p) for c in z),
                           tuple(tuple(TruncSeries(c, p) for c in row) for row in S),
                           tuple(u_series), z0, p, order)
+
+
+def jet_coeffs(jet, order):
+    """Coefficients 0..order of each input, from a jet function of
+    ``ffprob._draw_trial``."""
+    return [list(c) for c in zip(*map(jet, range(order + 1)))]
 
 
 def output_jacobian(sol, A):

@@ -12,7 +12,8 @@ from identiscope.ffprob import FfprobOptions, analyze_ffprob
 from identiscope.lie_orc import LieCache, _Trials, analyze_symbolic
 from identiscope.model import augment, load_model, parse_model, print_model
 from oracles import (TruncSeries, check_residuals, cross_check_lie, deleted_column_ranks,
-                     output_jacobian, rank_mod_p, record_rows, rows_of, series_solve)
+                     jet_coeffs, output_jacobian, rank_mod_p, record_rows, rows_of,
+                     series_solve)
 
 P = 2147483647
 
@@ -187,8 +188,9 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key, monkeypatc
         A = augment(md)
         if e.rational:
             order = max(A.n_z - 1, 1)
-            z0, u = _draw_trial(A, 0, P, order, 0, 0)
-            sol = series_solve(A, z0, [TruncSeries(c, P) for c in u], order, P)
+            z0, jet = _draw_trial(A, 0, P, 0, 0)
+            sol = series_solve(A, z0, [TruncSeries(c, P) for c in jet_coeffs(jet, order)],
+                               order, P)
             numeric = output_jacobian(sol, A)
         else:
             rep = reports_by_key[(e.name, "symbolic")]

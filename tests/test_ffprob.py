@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from identiscope import bench, ffprob, lie_orc
+from identiscope import _rng, bench, ffprob, lie_orc
 from identiscope import symexpr as sx
 from identiscope._linalg import MAX_PRIME
 from identiscope.bench import corpus_dir
@@ -13,8 +13,9 @@ from identiscope.errors import DivisionByZeroModP, NonRationalExpr, RetriesExhau
 from identiscope.ffprob import DEFAULT_PRIMES, FfprobOptions, _Run, _sweep_runs, analyze_ffprob
 from identiscope.lie_orc import LieCache
 from identiscope.model import augment, load_model, parse_model
-from oracles import (TruncSeries, check_residuals, cross_check_lie, gradient_rows,
+from oracles import (TruncSeries, check_residuals, cross_check_lie, gradient_rows, jet_coeffs,
                      output_jacobian, record_rows, rows_of, series_solve)
+from test_lie_orc import _chain_model
 
 P = 2147483647
 BIG_P = 3037000493  # the largest prime <= MAX_PRIME
@@ -268,8 +269,8 @@ def _eager_rows(A, run, seed, k):
     """output_jacobian of the run's point solved to order k, input jets
     truncated to order k."""
     p = run.prime
-    z0, u_jets = ffprob._draw_trial(A, seed, p, max(A.n_z - 1, 1), run.trial, run.attempt)
-    u_k = [TruncSeries(u[:k + 1], p) for u in u_jets]
+    z0, jet = ffprob._draw_trial(A, seed, p, run.trial, run.attempt)
+    u_k = [TruncSeries(u, p) for u in jet_coeffs(jet, k)]
     return output_jacobian(series_solve(A, z0, u_k, k, p), A)
 
 
@@ -315,8 +316,8 @@ def _vanishing_draw(monkeypatch, target, attempts):
     x1 = -k2, a zero of the denominator x1 + k2, at the given attempts."""
     real = ffprob._draw_trial
 
-    def draw(A, seed, p, order, trial, attempt):
-        z0, u = real(A, seed, p, order, trial, attempt)
+    def draw(A, seed, p, trial, attempt):
+        z0, u = real(A, seed, p, trial, attempt)
         if (p, trial) == target and attempt in attempts:
             z0[0] = -z0[3] % p
         return z0, u
@@ -339,9 +340,7 @@ def test_restart_moves_only_the_failing_run(monkeypatch):
                 (0, rows_of(before.echelon), before.stop)
             continue
         assert run.attempt == 1
-        order = max(A.n_z - 1, 1)
-        assert real(A, 0, run.prime, order, run.trial, 1)[0] != \
-            real(A, 0, run.prime, order, run.trial, 0)[0]
+        assert real(A, 0, run.prime, run.trial, 1)[0] != real(A, 0, run.prime, run.trial, 0)[0]
         rows = rows_of(run.echelon)
         for k in range(len(rows) // m):
             assert rows[:(k + 1) * m] == _eager_rows(A, run, 0, k), k
@@ -400,6 +399,73 @@ def test_stop_reason_order_exhausted():
     rep = analyze_ffprob(md, FfprobOptions(order=1))
     assert rep.rank < rep.n_z
     assert rep.stop_reason == "order_exhausted"
+
+
+# --------------------------------------------------------------------------
+# time-constant nodes and orders drawn when reached
+# --------------------------------------------------------------------------
+
+MIXED_INPUTS = """model tc
+states x1 x2
+params k1 k2
+inputs u constant v
+unknown_inputs w order 1
+ddt x1 = -k1*x1 + u*v + k1*k2*w
+ddt x2 = k2*u*x1 - x2*v
+output y = x1 + x2
+"""
+
+
+def test_time_constant_leaves_and_nodes():
+    A = augment(parse_model(MIXED_INPUTS))
+    tape = ffprob._Tape(A)
+    leaves = {s.name: tape.still[1 + l] for l, s in enumerate(A.z)}
+    leaves.update({spec.symbol.name: tape.still[1 + A.n_z + i]
+                   for i, spec in enumerate(A.model.known_inputs)})
+    assert leaves == {"x1": False, "x2": False, "k1": True, "k2": True, "w": False,
+                      "w'": True, "u": True, "v": False}
+    # k1*k2 and k2*u are time-constant products, and each wave of them only
+    # is still.
+    assert any(tape.still[tape.n_z + tape.q + 1:])
+    for kind, lo, hi, ops, consts, still in tape.waves:
+        assert still == all(tape.still[lo:hi])
+        if kind == ffprob._MUL:
+            a, b = ([tape.still[o] for o in x] for x in ops)
+            assert a == [True] * consts + [False] * (hi - lo - consts)
+            assert not any(b[consts:])
+
+
+def test_chain_products_take_one_term():
+    tape = ffprob._Tape(augment(parse_model(_chain_model(10))))
+    muls = [(lo, hi, consts) for kind, lo, hi, _, consts, _ in tape.waves if kind == ffprob._MUL]
+    assert muls and all(consts == hi - lo for lo, hi, consts in muls)
+
+
+def test_chain30_matches_symbolic():
+    """The 89-entry chain needs order 88, which took seconds while every
+    product convolved all of its terms."""
+    md = parse_model(_chain_model(30))
+    rep = analyze_ffprob(md)
+    assert (rep.rank, rep.stop_reason) == (89, "full_rank")
+    assert rep.verdicts == lie_orc.analyze_symbolic(md).verdicts
+
+
+def test_order_cap_no_run_reaches_draws_nothing_more(monkeypatch):
+    md = load_model(corpus_dir() / "nfkb2.idm")
+    assert md.known_inputs
+    draws = []
+    residue = _rng.residue
+
+    def counted(parts, p):
+        draws.append(parts)
+        return residue(parts, p)
+
+    monkeypatch.setattr(_rng, "residue", counted)
+    default = analyze_ffprob(md).to_dict(include_timing=False)
+    n = len(draws)
+    huge = analyze_ffprob(md, FfprobOptions(order=10**6)).to_dict(include_timing=False)
+    assert default["stop_reason"] != "order_exhausted"
+    assert huge == default and len(draws) == 2 * n
 
 
 # --------------------------------------------------------------------------
