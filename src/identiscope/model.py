@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import symexpr as sx
 from .errors import (
@@ -166,16 +167,15 @@ def augment(md: ModelDef) -> AugmentedSystem:
 # --------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<decimal>\d+\.\d+)"
     r"|(?P<int>\d+)"
     r"|(?P<op>[-+*/^()=])"
+    r"|(?P<bad>\S)"
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # ident | int | decimal | op | end
     text: str
     line: int
@@ -183,19 +183,17 @@ class _Tok:
 
 
 def _tokenize(text: str) -> list[list[_Tok]]:
+    """The tokens of each non-empty line, ending with an ``end`` token.
+    Whitespace matches no token and ``finditer`` skips it; any other
+    character that starts no token is ``bad``."""
     stmts: list[list[_Tok]] = []
     for ln_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         toks: list[_Tok] = []
-        pos = 0
-        while pos < len(line):
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise ModelSyntaxError(f"unexpected character {line[pos]!r}", ln_no, pos + 1)
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(line):
             kind = m.lastgroup
-            if kind == "ws":
-                continue
+            if kind == "bad":
+                raise ModelSyntaxError(f"unexpected character {m.group()!r}", ln_no, m.start() + 1)
             toks.append(_Tok(kind, m.group(), ln_no, m.start() + 1))
         if toks:
             toks.append(_Tok("end", "", ln_no, len(line) + 1))

@@ -84,6 +84,14 @@ def test_syntax_error_carries_location():
     assert err.value.line == 3
 
 
+def test_unexpected_character_reports_its_column():
+    # Whitespace before the character and a comment after it.
+    src = "model m\nstates x\nparams k\nddt x = -k*x   $ # note\noutput y = x\n"
+    with pytest.raises(ModelSyntaxError, match=r"^line 4, col 16: unexpected character '\$'$") as err:
+        parse_model(src)
+    assert (err.value.line, err.value.col) == (4, 16)
+
+
 def test_reserved_word_rejected_as_name():
     with pytest.raises(ModelSyntaxError, match="reserved"):
         parse_model("model m\nstates ln\nddt ln = 1\noutput y = ln\n")

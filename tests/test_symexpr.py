@@ -157,9 +157,11 @@ def test_eval_rational_examples():
 # --------------------------------------------------------------------------
 
 def test_shash_values_are_fixed():
-    # _sort_key breaks ties with these digests and the symbolic engine tags
-    # transcendental values with them: a change would reorder canonical
-    # forms and redraw the residues of every non-rational model.
+    # structural_order breaks ties with these digests and the symbolic
+    # engine tags transcendental values with them: a change would reorder
+    # printed forms, digests and error messages (canonical forms keep their
+    # children in intern serial order) and redraw the residues of every
+    # non-rational model.
     pinned = [
         (sx.const(Fraction(-3, 2)), "55d382bb0d2a2473f4d3c5dc0f51a9b7"),
         (xx, "f6f6ab82326fef64cd618cbebdc341e1"),
