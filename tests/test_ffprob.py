@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from identiscope import _rng, bench, ffprob, lie_orc
@@ -424,15 +425,20 @@ def test_time_constant_leaves_and_nodes():
                    for i, spec in enumerate(A.model.known_inputs)})
     assert leaves == {"x1": False, "x2": False, "k1": True, "k2": True, "w": False,
                       "w'": True, "u": True, "v": False}
-    # k1*k2 and k2*u are time-constant products, and each wave of them only
-    # is still.
+    # k1*k2 and k2*u are time-constant products.
     assert any(tape.still[tape.n_z + tape.q + 1:])
-    for kind, lo, hi, ops, consts, still in tape.waves:
-        assert still == all(tape.still[lo:hi])
+    for kind, lo, hi, ops, consts, _ in tape.waves:
         if kind == ffprob._MUL:
             a, b = ([tape.still[o] for o in x] for x in ops)
             assert a == [True] * consts + [False] * (hi - lo - consts)
             assert not any(b[consts:])
+    # Every time-constant node's series is zero past order 0.
+    sw = ffprob._Sweep(tape, [P], 4)
+    sw.set_point(0, *ffprob._draw_trial(A, 0, P, 0, 0))
+    for k in range(5):
+        assert not sw.advance(k)
+    assert sw.X[1:, tape.still].any(axis=(1, 2, 3)).tolist() == [False] * 4
+    assert sw.X[1:, np.logical_not(tape.still)].any()
 
 
 def test_chain_products_take_one_term():
