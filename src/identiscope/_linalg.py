@@ -12,6 +12,7 @@ stays below 2^63.  Every intermediate stays exact.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,11 +27,13 @@ MAX_COLS = 2**15 - 1
 _MR_BOUND = 3_215_031_751
 
 
+@functools.lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Whether n is prime, for n below 3,215,031,751 (above MAX_PRIME).
 
     Deterministic Miller-Rabin with bases 2, 3, 5 and 7, which no composite
-    below that bound passes.
+    below that bound passes.  The engines test their primes on every
+    analysis, so the last 64 answers are kept.
     """
     if n >= _MR_BOUND:
         raise ValueError(f"is_prime is exact only below {_MR_BOUND}, got {n}")

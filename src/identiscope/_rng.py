@@ -12,16 +12,34 @@ digest of it is the random word, and no generator is seeded or kept.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from hashlib import blake2b
+
+SEP = "\x1f"  # the unit separator that joins the parts of a tag
 
 
 def residue(parts, p: int) -> int:
     """Residue in [1, p-1] determined entirely by ``parts``.
 
     It is 1 + (the 128-bit blake2b digest of the tag) mod (p - 1), the tag
-    being ``parts`` joined by a unit separator.  It is off uniform by at
-    most (p - 1) / 2^128, below 2^-96 for every prime up to
+    being ``parts`` joined by ``SEP``.  It is off uniform by at most
+    (p - 1) / 2^128, below 2^-96 for every prime up to
     ``_linalg.MAX_PRIME``.
     """
-    tag = "\x1f".join(map(str, parts)).encode()
+    tag = SEP.join(map(str, parts)).encode()
     return 1 + int.from_bytes(blake2b(tag, digest_size=16).digest(), "big") % (p - 1)
+
+
+def drawer(prefix, p: int) -> Callable[[str], int]:
+    """The function of ``tail`` that returns ``residue((*prefix, tail), p)``;
+    a tail of several parts is joined by ``SEP``.  The prefix is hashed
+    once, and each draw hashes its tail on a copy of that state."""
+    head = blake2b((SEP.join(map(str, prefix)) + SEP).encode(), digest_size=16)
+    q = p - 1
+
+    def draw(tail: str) -> int:
+        h = head.copy()
+        h.update(tail.encode())
+        return 1 + int.from_bytes(h.digest(), "big") % q
+
+    return draw

@@ -372,11 +372,13 @@ def _draw_trial(A: AugmentedSystem, seed: int, p: int, trial: int,
     """The random point of one attempt: z0, and the function of j that
     draws coefficient j of each known input's jet (a constant input's jet is
     zero past order 0)."""
-    z0 = [_rng.residue(("ffp-z0", seed, p, trial, attempt, s.name), p) for s in A.z]
+    draw = _rng.drawer(("ffp-z0", seed, p, trial, attempt), p)
+    z0 = [draw(s.name) for s in A.z]
     specs = A.model.known_inputs
+    draw_u = _rng.drawer(("ffp-u", seed, p, trial, attempt), p)
 
     def jet(j: int) -> list[int]:
-        return [_rng.residue(("ffp-u", seed, p, trial, attempt, spec.symbol.name, j), p)
+        return [draw_u(f"{spec.symbol.name}{_rng.SEP}{j}")
                 if j == 0 or spec.mode != CONSTANT else 0 for spec in specs]
 
     return z0, jet

@@ -108,7 +108,7 @@ class LieCache:
         self.A = A
         self.deadline = deadline
         self.lies: list[list[Expr]] = [list(A.outputs)]
-        self._derivs: dict[Expr, Expr] = {}
+        self._derivs: dict = {}  # sx.derivative's memo
 
     def ensure_level(self, k: int):
         while len(self.lies) <= k:
@@ -554,7 +554,7 @@ def _field_rate(A: AugmentedSystem) -> Callable[[Symbol], Expr]:
 
 
 def extended_lie_derivative(phi: Expr, A: AugmentedSystem,
-                            memo: dict[Expr, Expr] | None = None, *,
+                            memo: dict | None = None, *,
                             deadline: float | None = None) -> Expr:
     """Derivative of phi along the augmented vector field.
 

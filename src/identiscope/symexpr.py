@@ -41,6 +41,12 @@ nothing visible reads it.  Where order shows, in ``to_string``, in the
 ``structural_order``: by kind, then by name and exponent, then by digest.
 The digest is computed only where it is read, by that order and by the
 rank engine's tags for transcendental nodes.
+
+``derivative`` builds only the nodes that its result reaches.  A
+product-rule term stays unbuilt, as the (coefficient, core) pair into which
+``add`` splits a product, until it survives the merge of like terms, and the
+derivative of a product stays in the walk's memo as a tuple of such terms
+until something reads it as a node; a parent sum only flattens it.
 """
 
 from __future__ import annotations
@@ -504,21 +510,39 @@ def add(*terms) -> Expr:
     coefficient.  A core of several factors need not exist as a node: it
     is keyed by the sum of its factors' hashes and compared as a multiset,
     so its factors merge in any order.  A term whose core occurs once is
-    kept as it came.
+    kept as it came, and a merged term is built only if its coefficient is
+    not 0.
+    """
+    return _sum([_canon(t) for t in reversed(terms)])
+
+
+def _sum(stack: list) -> Expr:
+    """``add`` of the terms on ``stack``, the last one first.
+
+    Besides canonical nodes, ``stack`` may hold unbuilt product terms,
+    ``_product_term``'s (coefficient, core) pairs, and ``derivative``'s
+    pending sums, tuples of such terms and nodes, which are flattened like
+    an Add.  A pair is built only if its core occurs once, and a merged core
+    only if its coefficient is not 0.
     """
     # core key -> [coefficient, the term while its core occurs once, core]
     acc: dict = {}
     consts: list[Const] = []
-    stack = [_canon(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
-        if isinstance(t, Add):
+        if type(t) is tuple:
+            coeff = t[0]
+            if not isinstance(coeff, (int, Fraction)):  # a pending sum
+                stack.extend(reversed(t))
+                continue
+            core, t = t[1], None
+        elif isinstance(t, Add):
             stack.extend(reversed(t.terms))
             continue
-        if isinstance(t, Const):
+        elif isinstance(t, Const):
             consts.append(t)
             continue
-        if isinstance(t, Mul):
+        elif isinstance(t, Mul):
             fs = t.factors
             if isinstance(fs[0], Const):
                 coeff, core = fs[0]._coeff, (fs[1] if len(fs) == 2 else fs[1:])
@@ -545,10 +569,7 @@ def add(*terms) -> Expr:
         if t is None:
             if coeff == 0:
                 continue
-            if coeff == 1:
-                t = _mul_node(core) if isinstance(core, tuple) else core
-            else:
-                t = _mul_node((const(coeff),) + (core if isinstance(core, tuple) else (core,)))
+            t = _term_node(coeff, core)
         out.append(t)
     out.sort(key=_serial)
     if consts:
@@ -560,6 +581,15 @@ def add(*terms) -> Expr:
     if len(out) == 1:
         return out[0]
     return _add_node(tuple(out))
+
+
+def _term_node(coeff, core) -> Expr:
+    # The term of a nonzero coefficient and a core, split as add splits it.
+    if type(core) is not tuple:
+        if coeff == 1:
+            return core
+        core = (core,)
+    return _mul_node(core if coeff == 1 else (const(coeff),) + core)
 
 
 def mul(*factors) -> Expr:
@@ -804,29 +834,35 @@ def _base_positions(fs: tuple) -> dict[int, int] | None:
     return where if len(where) == len(fs) - isinstance(fs[0], Const) else None
 
 
-def _product_term(fs: tuple, i: int, df: Expr, where: dict[int, int] | None) -> Expr:
+def _product_term(fs: tuple, i: int, df: Expr, where: dict[int, int] | None):
     """``mul(*fs[:i], df, *fs[i + 1:])`` for the factors ``fs`` of a canonical
-    Mul and a canonical ``df`` other than ZERO: the same node, built by
-    merging ``df`` into the factors without factor i.
+    Mul and a canonical ``df`` other than ZERO, by merging ``df`` into the
+    factors without factor i.
 
     ``where`` is ``_base_positions(fs)``.  fs is in serial order and its
     bases are distinct, so only ``df``'s constant and factors are new: the
     constant folds into fs's, a factor whose base is in fs adds its exponent
     there, and the others are inserted.  The factors are put in serial order
     again only when one was inserted or changed.
+
+    A term that is a constant or one factor is returned as that node.  A
+    product is returned unbuilt, as the (coefficient, core) pair into which
+    ``add`` splits its Mul; ``_term_node`` builds ``mul``'s node from it, and
+    ``_sum`` does so only if the term survives the like-term merge.  The
+    powers of merged bases are built either way.
     """
     if where is None:
         return mul(*fs[:i], df, *fs[i + 1:])
     out = list(fs)
     out[i] = None
-    c = None
+    c = 1  # the coefficient
     if i and isinstance(fs[0], Const):
-        c, out[0] = fs[0], None
+        c, out[0] = fs[0]._coeff, None
     new = []
     merged = []
     for g in df.factors if isinstance(df, Mul) else (df,):
         if isinstance(g, Const):
-            c = g if c is None else const(c._coeff * g._coeff)
+            c *= g._coeff
             continue
         base, e = (g.base, g.exponent) if isinstance(g, Pow) else (g, 1)
         j = where.get(base._hash)
@@ -849,18 +885,14 @@ def _product_term(fs: tuple, i: int, df: Expr, where: dict[int, int] | None) -> 
     if new:
         out += new
         out.sort(key=_serial)
-    if c is None:
-        c = ONE
     if not out:
-        return c
-    if c is not ONE:
-        out.insert(0, c)
-    if len(out) == 1:
-        return out[0]
-    return _mul_node(tuple(out))
+        return const(c)
+    if len(out) > 1:
+        return c, tuple(out)
+    return out[0] if c == 1 else (c, out[0])
 
 
-def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr], *,
+def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict, *,
                deadline: float | None = None) -> Expr:
     """Directional derivative of ``e``: the sum over symbols s of
     de/ds * rate(s).
@@ -871,12 +903,26 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr], 
     fixed rate reuses the derivatives of subtrees shared between calls.
     Factors whose derivative is ZERO are skipped, and each product-rule
     term is merged into its sibling factors (``_product_term``).
-    The result is canonical.  With a ``deadline`` (a ``time.monotonic()`` bound) the walk raises
-    EngineTimeout once it has passed, checked every ``_DEADLINE_EVERY`` new
-    memo entries.
+
+    Only the nodes that the result reaches are built.  A product-rule term
+    is built only if it survives the merge of like terms.  A product's
+    derivative, unless it is one node, stays in the memo as the tuple of its
+    terms, which a parent sum flattens; its node is built the first time it
+    is read as a node: as a factor, a Pow or Func argument, or the result.
+    A memo value may thus be such a tuple, which a caller only passes back.
+    The result is canonical.  With a ``deadline`` (a
+    ``time.monotonic()`` bound) the walk raises EngineTimeout once it has
+    passed, checked every ``_DEADLINE_EVERY`` new memo entries.
     """
 
-    def walk(node: Expr) -> Expr:
+    def node_of(node: Expr) -> Expr:
+        # The derivative of node, built if it was a tuple of terms.
+        d = walk(node)
+        if type(d) is tuple:
+            d = memo[node] = _sum(list(reversed(d)))
+        return d
+
+    def walk(node: Expr):
         d = memo.get(node)
         if d is not None:
             return d
@@ -885,21 +931,27 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr], 
         elif isinstance(node, Sym):
             d = rate(node.symbol)
         elif isinstance(node, Add):
-            d = add(*(walk(t) for t in node.terms))
+            parts = [walk(t) for t in node.terms]
+            parts.reverse()
+            d = _sum(parts)
         elif isinstance(node, Mul):
             parts = []
             fs = node.factors
             where = None
             for i, f in enumerate(fs):
-                df = walk(f)
+                df = node_of(f)
                 if df is not ZERO:
                     if where is None:
                         where = _base_positions(fs)
                     parts.append(_product_term(fs, i, df, where))
-            # add() returns a lone term as it is, unless it is an Add.
-            d = parts[0] if len(parts) == 1 and not isinstance(parts[0], Add) else add(*parts)
+            if not parts:
+                d = ZERO
+            elif len(parts) == 1 and type(parts[0]) is not tuple:
+                d = parts[0]
+            else:
+                d = tuple(parts)
         else:
-            da = walk(node.base if isinstance(node, Pow) else node.arg)
+            da = node_of(node.base if isinstance(node, Pow) else node.arg)
             if da is ZERO:
                 d = ZERO
             elif isinstance(node, Pow):
@@ -917,7 +969,7 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict[Expr, Expr], 
             check_deadline(deadline)
         return d
 
-    return walk(_canon(e))
+    return node_of(_canon(e))
 
 
 def differentiate(e: Expr, s: Symbol) -> Expr:

@@ -10,8 +10,10 @@ fall into two groups:
   ``eval_expr_series``.  ``rank_mod_p`` and ``deleted_column_ranks`` read
   no expressions at all: they are the brute-force elimination that
   ``_linalg.Echelon`` is checked against.
-* Go through the kernel's ``sx.differentiate`` or ``sx.eval_mod_p``, or
-  through an engine, to check one route against another:
+* Go through the kernel's smart constructors, ``sx.differentiate`` or
+  ``sx.eval_mod_p``, or through an engine, to check one route against
+  another: ``eager_derivative`` (``sx.derivative`` with every product-rule
+  term built by ``sx.mul`` and every sum by ``sx.add``),
   ``gradient_rows`` (symbolic gradients by ``sx.differentiate``),
   ``series_solve`` (ffprob's ``_Sweep`` driven as one run),
   ``output_jacobian`` and ``check_residuals`` (``sx.differentiate`` plus
@@ -173,6 +175,45 @@ def free_symbols(e, memo=None):
             got = frozenset().union(*(free_symbols(c, memo) for c in sx.children(e)))
         memo[e] = got
     return got
+
+
+def eager_derivative(e, rate, memo):
+    """``sx.derivative(e, rate, memo)`` by a walk that builds every node it
+    meets: each product-rule term by ``sx.mul`` and the derivative of each
+    sum and product by ``sx.add``.  ``memo`` maps nodes to their derivatives,
+    all of them nodes."""
+    def walk(node):
+        d = memo.get(node)
+        if d is not None:
+            return d
+        if isinstance(node, sx.Const):
+            d = sx.ZERO
+        elif isinstance(node, sx.Sym):
+            d = rate(node.symbol)
+        elif isinstance(node, sx.Add):
+            d = sx.add(*map(walk, node.terms))
+        elif isinstance(node, sx.Mul):
+            fs = node.factors
+            d = sx.add(*(sx.mul(*fs[:i], df, *fs[i + 1:])
+                         for i, df in enumerate(map(walk, fs)) if df is not sx.ZERO))
+        else:
+            da = walk(node.base if isinstance(node, sx.Pow) else node.arg)
+            if da is sx.ZERO:
+                d = sx.ZERO
+            elif isinstance(node, sx.Pow):
+                d = sx.mul(node.exponent, sx.pow_(node.base, node.exponent - 1), da)
+            elif node.fname == "ln":
+                d = sx.div(da, node.arg)
+            elif node.fname == "exp":
+                d = sx.mul(node, da)
+            elif node.fname == "sin":
+                d = sx.mul(sx.cos(node.arg), da)
+            else:
+                d = sx.mul(-1, sx.sin(node.arg), da)
+        memo[node] = d
+        return d
+
+    return walk(e)
 
 
 # --------------------------------------------------------------------------

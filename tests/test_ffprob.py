@@ -278,7 +278,10 @@ def _eager_rows(A, run, seed, k):
 def test_incremental_blocks_match_eager_route(corpus_entries):
     """For every (prime, trial) run of the batch, the rows the engine
     collects through block k equal the eager output_jacobian of a series
-    solved to order k at that run's point."""
+    solved to order k at that run's point.  Both routes read z and S from
+    the sweep, so at seed 0 each run's series is also checked against the
+    ODE and its sensitivities, through the run's last order, by eager
+    evaluation of the right sides."""
     for e in corpus_entries:
         if not e.rational:
             continue
@@ -291,6 +294,10 @@ def test_incremental_blocks_match_eager_route(corpus_entries):
                 for k in range(len(rows) // m):
                     assert rows[:(k + 1) * m] == _eager_rows(A, run, seed, k), \
                         (e.name, seed, run.prime, run.trial, k)
+                if seed == 0:
+                    last = max(len(rows) // m - 1, 1)
+                    z0, jet = ffprob._draw_trial(A, seed, run.prime, run.trial, run.attempt)
+                    check_residuals(A, z0, jet_coeffs(jet, last), last, run.prime)
 
 
 def test_blocks_match_eager_route_at_largest_prime():

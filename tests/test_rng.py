@@ -41,3 +41,11 @@ def test_residue_depends_on_every_part_of_the_tag():
     for i in range(len(base)):
         changed = base[:i] + (str(base[i]) + "'",) + base[i + 1:]
         assert _rng.residue(changed, p) != v
+
+
+@pytest.mark.parametrize("p", [101, 2**31 - 1])
+def test_drawer_draws_the_residue_of_the_whole_tag(p):
+    prefix = ("ffp-u", 3, p, 1, 0)
+    draw = _rng.drawer(prefix, p)
+    for tail in (("k1",), ("u", 0), ("u", 12), ("",)):
+        assert draw(_rng.SEP.join(map(str, tail))) == _rng.residue(prefix + tail, p), tail

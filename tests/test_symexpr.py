@@ -382,20 +382,26 @@ def _products(draw, bases=_BASES):
                   *(sx.pow_(b, draw(st.integers(-3, 3))) for b in chosen))
 
 
+def _built_term(fs, i, df, where):
+    # _product_term returns a product as an unbuilt (coefficient, core) pair.
+    term = sx._product_term(fs, i, df, where)
+    return sx._term_node(*term) if type(term) is tuple else term
+
+
 def _check_product_terms(node, df, product_first):
-    # Each product-rule term is the node mul gives, and neither way of
-    # building it interns a node the other does not.
+    # Each product-rule term, once built, is the node mul gives, and neither
+    # way of building it interns a node the other does not.
     fs = node.factors
     where = sx._base_positions(fs)
     for i in range(len(fs)):
         if product_first:
-            got = sx._product_term(fs, i, df, where)
+            got = _built_term(fs, i, df, where)
             n = len(sx._INTERN)
             want = sx.mul(*fs[:i], df, *fs[i + 1:])
         else:
             want = sx.mul(*fs[:i], df, *fs[i + 1:])
             n = len(sx._INTERN)
-            got = sx._product_term(fs, i, df, where)
+            got = _built_term(fs, i, df, where)
         assert got is want, (node, i, df)
         assert len(sx._INTERN) == n
 
