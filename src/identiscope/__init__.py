@@ -53,7 +53,6 @@ from .symexpr import (
     differentiate,
     eval_mod_p,
     is_rational_expr,
-    simplify,
     to_string,
 )
 
@@ -67,6 +66,5 @@ __all__ = [
     "RetriesExhausted", "Symbol", "SymbolKind", "SymbolicOptions",
     "UndeclaredSymbol", "UnknownInputSpec", "analyze_ffprob", "analyze_symbolic",
     "augment", "differentiate", "eval_mod_p", "extended_lie_derivative",
-    "is_rational_expr", "load_model", "parse_model", "print_model", "simplify",
-    "to_string",
+    "is_rational_expr", "load_model", "parse_model", "print_model", "to_string",
 ]

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from . import symexpr as sx
 from ._linalg import MAX_PRIME, is_prime
 from .errors import EngineTimeout, IdentiscopeError, NonRationalExpr
 from .ffprob import DEFAULT_PRIMES, MIN_PRIME, FfprobOptions, analyze_ffprob
@@ -168,7 +167,6 @@ def failure_record(md: ModelDef, engine: str, seed: int,
 
 def _run_one(path: Path, engine: str, opts: BenchOptions) -> AnalysisReport:
     """Analyze one (model, engine) pair; analysis failures become records."""
-    sx.clear_caches()
     md = load_model(path)
     deadline = None if opts.timeout_s is None else time.monotonic() + opts.timeout_s
     try:

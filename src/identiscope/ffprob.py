@@ -99,6 +99,8 @@ class _Compiler:
         return len(self.nodes) - 1
 
     def _product(self, factors) -> int:
+        if len(factors) == 1:
+            return self.compile(factors[0])
         depth, still = self.depth, self.still
         operands = [(depth[o], not still[o], n, o)
                     for n, o in enumerate(map(self.compile, factors))]
@@ -157,8 +159,12 @@ class _Tape:
     1..n_z the z leaves, the next q the input jets, then the other constants.
     The other nodes (weighted add, binary mul, reciprocal) are numbered by
     depth; one kind at one depth forms a wave, a contiguous range whose
-    operands all come earlier, evaluated by one numpy expression.  An add
-    wave's constants are its nodes' weights, None when every weight is 1.
+    operands all come earlier, evaluated by one numpy expression.
+    ``fractions`` lists the values of the constant nodes ``const_ids``, then
+    the weights of every add wave that has some other than 1, row by row,
+    each row padded with 0 to the wave's widest; such a wave's constant is
+    the slice of its weights in ``fractions``, and None when every weight is
+    1.
 
     A node is time-constant (``still``), its series zero past order 0, when
     it is a constant, a z leaf whose F is 0 (a parameter, the last
@@ -190,7 +196,8 @@ class _Tape:
         new = {old: i for i, old in enumerate(order)}
         self.size = len(order)
         self.still = [still[o] for o in order]
-        self.consts: list[tuple[int, Fraction]] = []
+        self.const_ids = np.zeros(0, dtype=np.intp)
+        self.fractions: list[Fraction] = []
         self.waves: list[tuple] = []  # (kind, lo, hi, operand ids, constants, still)
         lo = lead
         for (_, kind), olds in groupby(order[lead:], key=lambda o: key[o][:2]):
@@ -198,18 +205,22 @@ class _Tape:
             group = [nodes[o] for o in olds]
             hi = lo + len(group)
             if kind == _CONST:
-                self.consts += [(lo + n, c) for n, (_, _, c) in enumerate(group)]
+                self.const_ids = np.arange(lo, hi)
+                self.fractions = [c for _, _, c in group]
             else:
-                ops = np.zeros((hi - lo, max(len(o) for _, o, _ in group)), dtype=np.intp)
-                for n, (_, o, _) in enumerate(group):
-                    ops[n, :len(o)] = [new[x] for x in o]  # adds padded with node 0
-                consts = [c for _, _, c in group]
+                width = max(len(o) for _, o, _ in group)
+                ops = np.array([[new[x] for x in o] + [0] * (width - len(o))  # adds padded with node 0
+                                for _, o, _ in group], dtype=np.intp)
+                consts = None
                 if kind == _MUL:
                     ops, consts = ops.T, sum(not key[o][2] for o in olds)
                 elif kind == _RECIP:
                     ops = ops[:, 0]
-                elif all(w == 1 for ws in consts for w in ws):
-                    consts = None  # a plain sum
+                elif any(w != 1 for _, _, ws in group for w in ws):
+                    start = len(self.fractions)
+                    for _, _, ws in group:
+                        self.fractions += ws + (0,) * (width - len(ws))
+                    consts = slice(start, len(self.fractions))
                 self.waves.append((kind, lo, hi, ops, consts, all(self.still[lo:hi])))
             lo = hi
         self.z_leaves = np.array([l for l, _ in F], dtype=np.intp)
@@ -239,7 +250,10 @@ class _Sweep:
     jets and integration factors of an order are computed when it is
     reached.  A product convolves the k + 1 terms of its operands at order k
     unless one of them is time-constant (see ``_Tape``), and a still wave
-    keeps its order-0 values, the later ones being zero.
+    keeps its order-0 values, the later ones being zero.  Operands are
+    gathered from X with ``take``, which costs less than fancy indexing on
+    a contiguous array but first copies a view that is not, such as V, T
+    or a reversed range of orders.
     """
 
     def __init__(self, tape: _Tape, primes, order: int):
@@ -254,25 +268,25 @@ class _Sweep:
         leaves = np.arange(n_z)
         self.T[0, 1 + leaves, :, leaves] = 1
         self.jets = [None] * B
+        self.still_a: dict[int, np.ndarray] = {}  # see advance
+        # The tape's fractions mod each prime, computed once for all the runs
+        # on it; a prime that divides a denominator fails every run on it, at
+        # every attempt.
+        self.bad: dict[int, str] = {}
+        residues = {}
+        for p in dict.fromkeys(primes):
+            try:
+                residues[p] = [sx.const_mod_p(c, p) for c in tape.fractions]
+            except DivisionByZeroModP as exc:
+                residues[p] = [0] * len(tape.fractions)
+                self.bad.update((b, str(exc)) for b, q in enumerate(primes) if q == p)
+        R = np.array([residues[p] for p in primes], dtype=np.int64).reshape(B, -1).T
+        self.V[0, tape.const_ids] = R[:len(tape.const_ids)]
         # The weights of each add wave that has some other than 1, as
         # (nodes, operands, runs, 1).
-        self.weights = {w: np.zeros(ops.shape + (B, 1), dtype=np.int64)
+        self.weights = {w: R[consts].reshape(ops.shape + (B, 1))
                         for w, (kind, _, _, ops, consts, _) in enumerate(tape.waves)
                         if kind == _ADD and consts is not None}
-        # Constants mod each prime, computed once for all the runs on it; a
-        # prime that divides a denominator fails every run on it, at every
-        # attempt.
-        self.bad: dict[int, str] = {}
-        for p in dict.fromkeys(primes):
-            on = [b for b, q in enumerate(primes) if q == p]
-            try:
-                for i, c in tape.consts:
-                    self.V[0, i, on] = sx.const_mod_p(c, p)
-                for w, W in self.weights.items():
-                    for n, ws in enumerate(tape.waves[w][4]):
-                        W[n, :len(ws)][:, on, 0] = [[sx.const_mod_p(c, p)] for c in ws]
-            except DivisionByZeroModP as exc:
-                self.bad.update(dict.fromkeys(on, str(exc)))
 
     def set_point(self, run: int, z0, jet) -> None:
         """Initial state of one run and its input jets: jet(j) is the list of
@@ -308,7 +322,7 @@ class _Sweep:
             # z_k = F_(k-1) / k
             inv = np.array([pow(k, -1, p) for p in self.primes])
             zl, f = self.tape.z_leaves, self.tape.z_rhs
-            X[k, zl] = X[k - 1, f] * inv[:, None] % Pt
+            X[k, zl] = X[k - 1].take(f, 0) * inv[:, None] % Pt
         failed = dict(self.bad) if k == 0 else {}
         for w, (kind, lo, hi, ops, consts, still) in enumerate(self.tape.waves):
             if k and still:
@@ -316,18 +330,25 @@ class _Sweep:
             if kind == _ADD:
                 W = self.weights.get(w)
                 if W is None:
-                    X[k, lo:hi] = X[k][ops].sum(1) % Pt
+                    X[k, lo:hi] = X[k].take(ops, 0).sum(1) % Pt
                 else:
-                    X[k, lo:hi] = (X[k][ops] * W % Pt).sum(1) % Pt
+                    X[k, lo:hi] = (X[k].take(ops, 0) * W % Pt).sum(1) % Pt
             elif kind == _MUL:
                 # (a b)_k = sum_j a_j b_(k-j), which is a_0 b_k for the first
                 # ``consts`` products, whose a is time-constant, and at k = 0.
+                # Those a_0 are kept from order 0.
                 ia, ib = ops
-                n = consts if k else hi - lo
+                if k == 0:
+                    a = X[0].take(ia, 0)
+                    self.still_a[w] = a[:consts]
+                    X[0, lo:hi] = _products(a, X[0].take(ib, 0), self.Pu)
+                    continue
+                n = consts
                 if n:
-                    X[k, lo:lo + n] = _products(X[0][ia[:n]], X[k][ib[:n]], self.Pu)
+                    X[k, lo:lo + n] = _products(self.still_a[w], X[k].take(ib[:n], 0), self.Pu)
                 if lo + n < hi:
-                    X[k, lo + n:hi] = _products(X[:k + 1, ia[n:]], X[k::-1, ib[n:]],
+                    X[k, lo + n:hi] = _products(X[:k + 1].take(ia[n:], 1),
+                                                X[:k + 1].take(ib[n:], 1)[::-1],
                                                 self.Pu).sum(0) % Pt
             elif k == 0:  # reciprocal: c_0 = 1/a_0, T(c)_0 = -T(a)_0 / a_0^2
                 a0 = V[0, ops]

@@ -285,7 +285,6 @@ class _ExprParser:
             self.take()
             e = self.expr()
             self.expect_op(")")
-            e = sx.simplify(e)
             if isinstance(e, sx.Const):
                 v = e.value
                 if v.denominator == 1:
@@ -445,7 +444,7 @@ def parse_model(text: str) -> ModelDef:
                     "collides with an existing declaration")
             e = _ExprParser(toks, 3, declared, allow_time=True).parse()
             output_names.add(oname)
-            outputs.append((oname, sx.simplify(e)))
+            outputs.append((oname, e))
             continue
         tname = target.text
         target_sym = declared.get(tname)
@@ -457,13 +456,13 @@ def parse_model(text: str) -> ModelDef:
                 raise DuplicateDeclaration(
                     f"line {target.line}, col {target.col}: duplicate ddt for {tname!r}")
             e = _ExprParser(toks, 3, declared, allow_time=True).parse()
-            dynamics[target_sym] = sx.simplify(e)
+            dynamics[target_sym] = e
         else:  # ic
             if target_sym in ics:
                 raise DuplicateDeclaration(
                     f"line {target.line}, col {target.col}: duplicate ic for {tname!r}")
             e = _ExprParser(toks, 3, params_only, allow_time=False).parse()
-            ics[target_sym] = sx.simplify(e)
+            ics[target_sym] = e
 
     for s in states:
         if s not in dynamics:

@@ -15,28 +15,25 @@ expansion can blow up.
 All constants are exact (arbitrary-precision rationals), and evaluation
 is exact too: ``eval_mod_p`` computes residues mod p.
 
-Expressions are immutable values: safe to share between threads, usable as
-dict keys.  Construction through the module-level smart constructors (or
-the arithmetic operators) yields interned canonical nodes; building nodes
-directly through the class constructors is allowed and ``simplify`` brings
-such raw trees to canonical form.
+Expressions are immutable values, safe to share between threads.  They are
+built only by the module-level smart constructors (or the arithmetic
+operators), which return canonical nodes; the constructors reject, with
+TypeError, a node built through a class constructor.
 
-Identity is structural.  A node's hash is computed when it is built, from
-its kind and its children's hashes (or its constant value or symbol); the
-hash of a sum or product does not depend on the order of its children, and
-equality compares a sum's terms or a product's factors as multisets, so a
-raw tree equals its canonical twin in any order.  The smart constructors
-look a node up in the intern table by that hash and its children before
-they build it: an existing subtree is returned, never built again, and
-equal canonical subtrees are one object.  The table is global and only
-``clear_caches`` empties it.
+Identity is the object.  The smart constructors look a node up in the
+intern table by its kind and its children (or its constant value or
+symbol) before they build it, so a canonical node exists exactly once while
+anything refers to it, and ``==`` and ``hash`` are those of ``object``.
+The table holds its nodes weakly: a node that nothing else refers to is
+freed, and leaves the table, with the last reference to it, so no node
+outlives the analysis that built it.
 
 A canonical node also gets an intern serial, an int from one process-wide
-counter that is never reset, and the constructors store a sum's terms and
-a product's factors in serial order, after a leading constant.  That order
-is cheap but depends on the order in which nodes were first built, so
-nothing visible reads it.  Where order shows, in ``to_string``, in the
-128-bit blake2b content digest ``Expr.shash`` and in
+counter, and the constructors store a sum's terms and a product's factors
+in serial order, after a leading constant; that tuple is the node's key in
+the table.  That order is cheap but depends on the order in which nodes
+were first built, so nothing visible reads it.  Where order shows, in
+``to_string``, in the 128-bit blake2b content digest ``Expr.shash`` and in
 ``first_transcendental``, children are taken in the structural order of
 ``structural_order``: by kind, then by name and exponent, then by digest.
 The digest is computed only where it is read, by that order and by the
@@ -55,7 +52,7 @@ import enum
 import itertools
 import math
 import operator
-from collections import Counter
+import weakref
 from collections.abc import Callable
 from fractions import Fraction
 from hashlib import blake2b
@@ -146,64 +143,30 @@ FUNC_NAMES = ("ln", "exp", "sin", "cos")
 # Node classes
 # --------------------------------------------------------------------------
 
-# Node kinds, mixed into the structural hash.  An integer n enters that
-# hash as 2*n, since hash(-1) == hash(-2) would make -x and -2*x collide.
-_CONST, _SYM, _ADD, _MUL, _POW, _FUNC = range(6)
-
-_node_hash = operator.attrgetter("_hash")
 _serial = operator.attrgetter("_serial")
 _first = operator.itemgetter(0)
-
-
-def _const_hash(num: int, den: int = 1) -> int:
-    return hash((_CONST, 2 * num, den))
-
-
-def _sym_hash(s: Symbol) -> int:
-    return hash((_SYM, s))
-
-
-def _tuple_hash(kind: int, kids: tuple) -> int:
-    # The same for the children in any order.
-    return hash((kind, len(kids), sum(map(_node_hash, kids))))
-
-
-def _pow_hash(base: Expr, k: int) -> int:
-    return hash((_POW, base._hash, 2 * k))
-
-
-def _func_hash(fname: str, arg: Expr) -> int:
-    return hash((_FUNC, fname, arg._hash))
 
 
 class Expr:
     """Base class for expression nodes.
 
-    Equality and hashing are structural: two nodes are equal when they are
-    of the same kind and their children, exponent, function name, constant
-    value or symbol are equal, a sum's terms and a product's factors taken
-    as multisets, so a raw tree equals and hashes like its canonical twin.
-    A node's hash is computed when the node is built, from its children's
-    hashes.  The smart constructors intern nodes on that hash and look them
-    up before building them, so equal canonical subtrees are one object;
-    interning gives a node its serial, which orders the children of the
-    sums and products built after it.  ``shash`` is a 128-bit blake2b
-    content digest, computed only when read: the structural order breaks
-    ties with it, and the rank engine names transcendental nodes by it.
+    Nodes are built by the smart constructors, which intern them: a
+    canonical node exists once while anything refers to it, so equality
+    and hashing are object identity, inherited from ``object``.  Interning
+    gives a node its serial, which orders the children of the sums and
+    products built after it; a node that no constructor interned has
+    serial None.  ``shash`` is a 128-bit blake2b content digest, computed
+    only when read: the structural order breaks ties with it, and the rank
+    engine names transcendental nodes by it.
     """
 
-    __slots__ = ("_shash", "_hash", "_rat", "_skey", "_canonical", "_serial")
+    __slots__ = ("_shash", "_rat", "_skey", "_serial", "__weakref__")
 
-    def _init_caches(self, h: int):
-        self._hash = h
+    def _init_caches(self):
         self._shash = None
         self._rat = None
         self._skey = None
-        self._canonical = False
-
-    def _fields(self):
-        # What decides equality within the node's kind; children compare by ==.
-        raise NotImplementedError
+        self._serial = None
 
     def _digest(self) -> bytes:
         # Reads the children's digests, which _digest_tree computes first.
@@ -215,21 +178,6 @@ class Expr:
         if h is None:
             h = _digest_tree(self)
         return h
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Expr):
-            return NotImplemented
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        a, b = self._fields(), other._fields()
-        if isinstance(self, (Add, Mul)):  # the same children in any order
-            return _same_children(a, b)
-        return a == b
 
     def __repr__(self):
         return to_string(self)
@@ -274,12 +222,9 @@ class Const(Expr):
 
     def __init__(self, value):
         v = value if isinstance(value, Fraction) else Fraction(value)
-        self._init_caches(_const_hash(v.numerator, v.denominator))
+        self._init_caches()
         self.value = v
         self._coeff = v.numerator if v.denominator == 1 else v
-
-    def _fields(self):
-        return self._coeff
 
     def _digest(self):
         v = self.value
@@ -290,11 +235,8 @@ class Sym(Expr):
     __slots__ = ("symbol",)
 
     def __init__(self, symbol: Symbol):
-        self._init_caches(_sym_hash(symbol))
+        self._init_caches()
         self.symbol = symbol
-
-    def _fields(self):
-        return self.symbol
 
     def _digest(self):
         s = self.symbol
@@ -305,13 +247,9 @@ class Sym(Expr):
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms, h: int | None = None):
-        # h: the hash when the caller has computed it.
+    def __init__(self, terms):
+        self._init_caches()
         self.terms = tuple(terms)
-        self._init_caches(_tuple_hash(_ADD, self.terms) if h is None else h)
-
-    def _fields(self):
-        return self.terms
 
     def _digest(self):
         return blake2b(b"A" + _joined_digests(self.terms), digest_size=16).digest()
@@ -320,13 +258,9 @@ class Add(Expr):
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors, h: int | None = None):
-        # h: the hash when the caller has computed it.
+    def __init__(self, factors):
+        self._init_caches()
         self.factors = tuple(factors)
-        self._init_caches(_tuple_hash(_MUL, self.factors) if h is None else h)
-
-    def _fields(self):
-        return self.factors
 
     def _digest(self):
         return blake2b(b"M" + _joined_digests(self.factors), digest_size=16).digest()
@@ -336,12 +270,9 @@ class Pow(Expr):
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
+        self._init_caches()
         self.base = base
         self.exponent = int(exponent)
-        self._init_caches(_pow_hash(base, self.exponent))
-
-    def _fields(self):
-        return self.base, self.exponent
 
     def _digest(self):
         return blake2b(b"P%d:" % self.exponent + self.base._shash, digest_size=16).digest()
@@ -353,12 +284,9 @@ class Func(Expr):
     def __init__(self, fname: str, arg: Expr):
         if fname not in FUNC_NAMES:
             raise ValueError(f"unsupported function {fname!r}")
+        self._init_caches()
         self.fname = fname
         self.arg = arg
-        self._init_caches(_func_hash(fname, arg))
-
-    def _fields(self):
-        return self.fname, self.arg
 
     def _digest(self):
         return blake2b(b"F" + self.fname.encode() + b":" + self.arg._shash, digest_size=16).digest()
@@ -404,82 +332,44 @@ def _digest_tree(root: Expr) -> bytes:
 # Interning and smart constructors
 # --------------------------------------------------------------------------
 
-# Canonical nodes by structural hash.  Two distinct nodes whose hashes
-# collide take the next free integer key, so a lookup walks the keys from
-# the hash until it meets the node or a free key.  0, 1 and -1 are always
-# entered, so the canonical zero and one are ZERO and ONE.
-_INTERN: dict[int, Expr] = {}
-# Intern serials; never reset, so a node built before ``clear_caches`` keeps
-# a serial that no later node gets.
+# Canonical nodes by key: (class, fields), where the fields are a constant's
+# value (an int when it is one), a symbol, a sum's terms or a product's
+# factors in serial order, a power's base and exponent, or a function's name
+# and argument.  Children compare by identity, so a lookup runs in C.  The
+# values are weak: a node leaves the table when it is freed.  ZERO, ONE and
+# NEG_ONE stay, so the canonical zero and one are those objects.
+_INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Intern serials, from one process-wide counter that is never reset, so no
+# two nodes share one.
 _SERIALS = itertools.count()
 
 
-def _lookup(kind: type, h: int, fields):
-    """The interned node of this kind, hash and fields, or None."""
-    got = _INTERN.get(h)
-    while got is not None:
-        if type(got) is kind and (got._fields() == fields or (kind is Add or kind is Mul)
-                                  and _same_children(got._fields(), fields)):
-            return got
-        h += 1
-        got = _INTERN.get(h)
-    return None
-
-
-def _intern(node: Expr) -> Expr:
-    """Enter a node that ``_lookup`` did not find; returns it."""
-    h = node._hash
-    while h in _INTERN:
-        h += 1
-    node._canonical = True
+def _intern(key: tuple) -> Expr:
+    """Build and enter the node of a key that is not in the table."""
+    node = key[0](*key[1:])
     node._serial = next(_SERIALS)
-    _INTERN[h] = node
+    _INTERN[key] = node
     return node
 
 
+def _node(key: tuple) -> Expr:
+    # The node of a key whose children are canonical: a Mul's or an Add's
+    # at least two, in serial order, a Const only in front; a Pow's base not
+    # a Const, Mul or Pow, and its exponent not 0 or 1.
+    got = _INTERN.get(key)
+    return got if got is not None else _intern(key)
+
+
 def const(value) -> Const:
-    # An int is looked up by its structural hash without building a Fraction.
-    if type(value) is int:
-        h = _const_hash(value)
-    else:
+    if type(value) is not int:
         value = value if isinstance(value, Fraction) else Fraction(value)
-        h = _const_hash(value.numerator, value.denominator)
         if value.denominator == 1:
             value = value.numerator
-    got = _lookup(Const, h, value)
-    return got if got is not None else _intern(Const(value))
+    return _node((Const, value))
 
 
 def sym(s: Symbol) -> Sym:
-    got = _lookup(Sym, _sym_hash(s), s)
-    return got if got is not None else _intern(Sym(s))
-
-
-def _same_children(a: tuple, b: tuple) -> bool:
-    # Equal as multisets.  Two canonical nodes list equal children in the
-    # same order unless one was built before clear_caches; a raw node may
-    # list them in any order.
-    return a == b or Counter(a) == Counter(b)
-
-
-def _mul_node(factors: tuple) -> Expr:
-    # factors: canonical, in serial order, at least two, a Const only in front.
-    h = _tuple_hash(_MUL, factors)
-    got = _lookup(Mul, h, factors)
-    return got if got is not None else _intern(Mul(factors, h))
-
-
-def _add_node(terms: tuple) -> Expr:
-    # terms: canonical, in serial order, at least two, a Const only in front.
-    h = _tuple_hash(_ADD, terms)
-    got = _lookup(Add, h, terms)
-    return got if got is not None else _intern(Add(terms, h))
-
-
-def _pow_node(base: Expr, k: int) -> Expr:
-    # base: canonical and not a Const, Mul or Pow; k not 0 or 1.
-    got = _lookup(Pow, _pow_hash(base, k), (base, k))
-    return got if got is not None else _intern(Pow(base, k))
+    return _node((Sym, s))
 
 
 ZERO = const(0)
@@ -487,8 +377,11 @@ ONE = const(1)
 NEG_ONE = const(-1)
 
 
-def _coerce(x) -> Expr:
+def _canon(x) -> Expr:
+    # x as a canonical expression; ints, Fractions and Symbols are coerced.
     if isinstance(x, Expr):
+        if x._serial is None:
+            raise TypeError(f"{type(x).__name__} node not built by a smart constructor")
         return x
     if isinstance(x, (int, Fraction)):
         return const(x)
@@ -507,11 +400,9 @@ def add(*terms) -> Expr:
     serial.
 
     A term is merged on its core, the term without its rational
-    coefficient.  A core of several factors need not exist as a node: it
-    is keyed by the sum of its factors' hashes and compared as a multiset,
-    so its factors merge in any order.  A term whose core occurs once is
-    kept as it came, and a merged term is built only if its coefficient is
-    not 0.
+    coefficient: a node, or a tuple of several factors in serial order,
+    which need not exist as a node.  A term whose core occurs once is kept
+    as it came, and a merged term is built only if its coefficient is not 0.
     """
     return _sum([_canon(t) for t in reversed(terms)])
 
@@ -525,7 +416,7 @@ def _sum(stack: list) -> Expr:
     an Add.  A pair is built only if its core occurs once, and a merged core
     only if its coefficient is not 0.
     """
-    # core key -> [coefficient, the term while its core occurs once, core]
+    # core -> [coefficient, the term while its core occurs once]
     acc: dict = {}
     consts: list[Const] = []
     while stack:
@@ -550,22 +441,14 @@ def _sum(stack: list) -> Expr:
                 coeff, core = 1, fs
         else:
             coeff, core = 1, t
-        if type(core) is tuple:
-            key = sum(map(_node_hash, core))
-            got = acc.get(key)
-            if got is not None and not _same_children(got[2], core):
-                key = frozenset(core)  # another core whose hashes sum alike
-                got = acc.get(key)
-        else:
-            key = core
-            got = acc.get(key)
+        got = acc.get(core)
         if got is None:
-            acc[key] = [coeff, t, core]
+            acc[core] = [coeff, t]
         else:
             got[0] += coeff
             got[1] = None
     out = []
-    for coeff, t, core in acc.values():
+    for core, (coeff, t) in acc.items():
         if t is None:
             if coeff == 0:
                 continue
@@ -580,7 +463,7 @@ def _sum(stack: list) -> Expr:
         return ZERO
     if len(out) == 1:
         return out[0]
-    return _add_node(tuple(out))
+    return _node((Add, tuple(out)))
 
 
 def _term_node(coeff, core) -> Expr:
@@ -589,7 +472,7 @@ def _term_node(coeff, core) -> Expr:
         if coeff == 1:
             return core
         core = (core,)
-    return _mul_node(core if coeff == 1 else (const(coeff),) + core)
+    return _node((Mul, core if coeff == 1 else (const(coeff),) + core))
 
 
 def mul(*factors) -> Expr:
@@ -627,7 +510,7 @@ def mul(*factors) -> Expr:
         if f is None:
             if e == 0:
                 continue
-            f = base if e == 1 else _pow_node(base, e)
+            f = base if e == 1 else _node((Pow, base, e))
         out.append(f)
     out.sort(key=_serial)
     if not out:
@@ -636,7 +519,7 @@ def mul(*factors) -> Expr:
         out.insert(0, c)
     if len(out) == 1:
         return out[0]
-    return _mul_node(tuple(out))
+    return _node((Mul, tuple(out)))
 
 
 def pow_(base, k: int) -> Expr:
@@ -662,7 +545,7 @@ def pow_(base, k: int) -> Expr:
         return pow_(base.base, base.exponent * k)
     if isinstance(base, Mul):
         return mul(*(pow_(f, k) for f in base.factors))
-    return _pow_node(base, k)
+    return _node((Pow, base, k))
 
 
 def div(num, den) -> Expr:
@@ -686,8 +569,7 @@ def func(fname: str, arg) -> Expr:
             return ZERO
         if fname == "cos" and v == 0:
             return ONE
-    got = _lookup(Func, _func_hash(fname, arg), (fname, arg))
-    return got if got is not None else _intern(Func(fname, arg))
+    return _node((Func, fname, arg))
 
 
 def ln(arg) -> Expr:
@@ -704,34 +586,6 @@ def sin(arg) -> Expr:
 
 def cos(arg) -> Expr:
     return func("cos", arg)
-
-
-def _canon(x) -> Expr:
-    # x as a canonical expression; ints, Fractions and Symbols are coerced.
-    return x if isinstance(x, Expr) and x._canonical else simplify(x)
-
-
-def simplify(e: Expr) -> Expr:
-    """Canonical form of ``e``; idempotent, value-preserving.
-
-    Smart-constructed expressions are already canonical and returned as-is.
-    """
-    e = _coerce(e)
-    if e._canonical:
-        return e
-    if isinstance(e, Const):
-        return const(e.value)
-    if isinstance(e, Sym):
-        return sym(e.symbol)
-    if isinstance(e, Add):
-        return add(*(simplify(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(simplify(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(simplify(e.base), e.exponent)
-    if isinstance(e, Func):
-        return func(e.fname, simplify(e.arg))
-    raise TypeError(f"not an expression: {e!r}")
 
 
 # --------------------------------------------------------------------------
@@ -823,18 +677,14 @@ def first_transcendental(e: Expr) -> Expr | None:
 _DEADLINE_EVERY = 256
 
 
-def _base_positions(fs: tuple) -> dict[int, int] | None:
+def _base_positions(fs: tuple) -> dict[Expr, int]:
     """For the factors of a canonical Mul, the position of each non-constant
-    factor by the structural hash of its base; None when two bases share a
-    hash."""
-    where = {}
-    for j, f in enumerate(fs):
-        if not isinstance(f, Const):
-            where[(f.base if isinstance(f, Pow) else f)._hash] = j
-    return where if len(where) == len(fs) - isinstance(fs[0], Const) else None
+    factor by its base."""
+    return {(f.base if isinstance(f, Pow) else f): j
+            for j, f in enumerate(fs) if not isinstance(f, Const)}
 
 
-def _product_term(fs: tuple, i: int, df: Expr, where: dict[int, int] | None):
+def _product_term(fs: tuple, i: int, df: Expr, where: dict[Expr, int]):
     """``mul(*fs[:i], df, *fs[i + 1:])`` for the factors ``fs`` of a canonical
     Mul and a canonical ``df`` other than ZERO, by merging ``df`` into the
     factors without factor i.
@@ -851,8 +701,6 @@ def _product_term(fs: tuple, i: int, df: Expr, where: dict[int, int] | None):
     ``_sum`` does so only if the term survives the like-term merge.  The
     powers of merged bases are built either way.
     """
-    if where is None:
-        return mul(*fs[:i], df, *fs[i + 1:])
     out = list(fs)
     out[i] = None
     c = 1  # the coefficient
@@ -865,22 +713,19 @@ def _product_term(fs: tuple, i: int, df: Expr, where: dict[int, int] | None):
             c *= g._coeff
             continue
         base, e = (g.base, g.exponent) if isinstance(g, Pow) else (g, 1)
-        j = where.get(base._hash)
+        j = where.get(base)
         if j is None or j == i:
             new.append(g)
             continue
         f = fs[j]
-        b, k = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
-        if b is not base and b != base:  # the hashes collide
-            return mul(*fs[:i], df, *fs[i + 1:])
         out[j] = None
-        # Like mul, keep the base and build the powers in the order that the
-        # bases first occur in fs[:i], df, fs[i + 1:].
-        merged.append((j, b, k + e) if j < i else (i, base, k + e))
+        # Like mul, build the powers in the order that the bases first occur
+        # in fs[:i], df, fs[i + 1:].
+        merged.append((min(i, j), base, e + (f.exponent if isinstance(f, Pow) else 1)))
     merged.sort(key=_first)
     for _, b, k in merged:
         if k:
-            new.append(b if k == 1 else _pow_node(b, k))
+            new.append(b if k == 1 else _node((Pow, b, k)))
     out = [f for f in out if f is not None]
     if new:
         out += new
@@ -969,7 +814,13 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict, *,
             check_deadline(deadline)
         return d
 
-    return node_of(_canon(e))
+    try:
+        return node_of(_canon(e))
+    finally:
+        # walk and node_of refer to each other; unbinding them frees the
+        # closures, and with them the nodes they reach, without waiting for
+        # the cycle collector.
+        del walk, node_of
 
 
 def differentiate(e: Expr, s: Symbol) -> Expr:
@@ -1034,7 +885,10 @@ def eval_mod_p(e: Expr, point: dict[Symbol, int], p: int, *, transcendental=None
         memo[node] = out
         return out
 
-    return ev(_coerce(e))
+    try:
+        return ev(_canon(e))
+    finally:
+        del ev  # ev refers to itself; see derivative
 
 
 # --------------------------------------------------------------------------
@@ -1060,8 +914,8 @@ def _product_str(coeff: Fraction, factors: tuple[Expr, ...]) -> str:
         den_parts.append(str(coeff.denominator))
     for f in factors:
         if isinstance(f, Pow) and f.exponent < 0:
-            inv = f.base if f.exponent == -1 else Pow(f.base, -f.exponent)
-            den_parts.append(_atom_str(inv))
+            s = _atom_str(f.base)
+            den_parts.append(s if f.exponent == -1 else f"{s}^{-f.exponent}")
         else:
             num_parts.append(_atom_str(f))
     if not num_parts:
@@ -1104,7 +958,6 @@ def to_string(e: Expr) -> str:
 
 
 def clear_caches():
-    """Drop the intern table (frees memory between runs)."""
-    _INTERN.clear()
-    for e in (ZERO, ONE, NEG_ONE):
-        _intern(e)
+    """Does nothing.  The intern table holds its nodes weakly, so a node is
+    freed with the last reference to it and there is nothing to clear; the
+    name stays for callers written when the table had to be emptied."""

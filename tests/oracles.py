@@ -4,7 +4,7 @@ No engine, CLI command or benchmark path calls anything here.  The helpers
 fall into two groups:
 
 * Read node structure only, so that a bug in the kernel's differentiate,
-  simplify or eval paths cannot hide itself: ``eval_dual_rational``,
+  constructor or eval paths cannot hide itself: ``eval_dual_rational``,
   ``eval_dual_mod_p``, ``eval_plain_mod_p``, ``eval_rational``,
   ``free_symbols``, and the ``TruncSeries`` evaluator
   ``eval_expr_series``.  ``rank_mod_p`` and ``deleted_column_ranks`` read
@@ -22,7 +22,8 @@ fall into two groups:
   derivatives by ``sx.eval_mod_p``).
 
 ``record_rows`` makes ``_linalg.extend_all`` keep the rows that each echelon
-form receives, which ``rows_of`` returns.  ``load_corpus`` reads the
+form receives, which ``rows_of`` returns, and ``record_builds`` lists the
+nodes that the smart constructors build.  ``load_corpus`` reads the
 packaged corpus and its fixtures as ``CorpusEntry`` records for the tests.
 """
 
@@ -580,6 +581,22 @@ def record_rows(monkeypatch):
 def rows_of(echelon):
     """The rows that ``echelon`` received under ``record_rows``, in order."""
     return _RECEIVED[echelon]
+
+
+def record_builds(monkeypatch):
+    """Make ``sx._intern``, which every smart constructor looks up at call
+    time, append each node it builds to the returned list.  The list keeps
+    those nodes alive, so none of them leaves the weak intern table and is
+    built again while the list is held."""
+    built = []
+    intern = sx._intern
+
+    def recording(key):
+        built.append(intern(key))
+        return built[-1]
+
+    monkeypatch.setattr(sx, "_intern", recording)
+    return built
 
 
 # --------------------------------------------------------------------------

@@ -41,8 +41,7 @@ def test_public_names_are_the_engines_and_the_model_kernel():
         "RetriesExhausted", "Symbol", "SymbolKind", "SymbolicOptions",
         "UndeclaredSymbol", "UnknownInputSpec", "analyze_ffprob", "analyze_symbolic",
         "augment", "differentiate", "eval_mod_p", "extended_lie_derivative",
-        "is_rational_expr", "load_model", "parse_model", "print_model", "simplify",
-        "to_string",
+        "is_rational_expr", "load_model", "parse_model", "print_model", "to_string",
     ]
 
 
@@ -59,6 +58,18 @@ def test_library_modules_use_every_name_they_import():
                     for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_library_builds_expressions_only_through_the_smart_constructors():
+    # A node built by its class constructor is not interned, so it is not
+    # the canonical node of its value; the smart constructors reject it.
+    classes = {"Const", "Sym", "Add", "Mul", "Pow", "Func"}
+    for path in sorted(Path(identiscope.__file__).parent.glob("*.py")):
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and (getattr(node.func, "id", None) in classes
+                      or getattr(node.func, "attr", None) in classes)]
+        assert calls == [], (path.name, calls)
 
 
 def test_corpus_has_25_entries(corpus_entries):

@@ -26,38 +26,59 @@ def rand_point(rng, p=P):
 
 
 # --------------------------------------------------------------------------
-# simplify
+# canonical form
 # --------------------------------------------------------------------------
 
+def _construct(e, kids):
+    """What the smart constructor of e's kind returns for e's constant,
+    symbol, exponent or function name and the children ``kids``."""
+    if isinstance(e, sx.Add):
+        return sx.add(*kids)
+    if isinstance(e, sx.Mul):
+        return sx.mul(*kids)
+    if isinstance(e, sx.Pow):
+        return sx.pow_(kids[0], e.exponent)
+    if isinstance(e, sx.Func):
+        return sx.func(e.fname, kids[0])
+    return sx.const(e.value) if isinstance(e, sx.Const) else sx.sym(e.symbol)
+
+
+def _canonical(raw):
+    """The canonical expression of a raw tree, one built with the node
+    classes as plain data: a fold through the smart constructors."""
+    return _construct(raw, [_canonical(c) for c in sx.children(raw)])
+
+
 def test_simplify_additive_identity():
-    raw = sx.Add((xx, sx.Const(0)))
-    assert sx.simplify(raw) == xx
+    raw = sx.Add((sx.Sym(X), sx.Const(0)))
+    assert _canonical(raw) is xx
 
 
 def test_simplify_constant_folding():
-    raw = sx.Mul((sx.Const(Fraction(2, 4)), xx, sx.Const(1)))
-    assert sx.simplify(raw) == sx.mul(sx.const(Fraction(1, 2)), xx)
+    raw = sx.Mul((sx.Const(Fraction(2, 4)), sx.Sym(X), sx.Const(1)))
+    assert _canonical(raw) is sx.mul(sx.const(Fraction(1, 2)), xx)
 
 
 def test_simplify_merges_powers():
     e = sx.mul(xx, sx.pow_(xx, 2))
-    assert e == sx.pow_(xx, 3)
+    assert e is sx.pow_(xx, 3)
     # value check via independent mod-p evaluation at x = 3
-    lhs = oracles.eval_plain_mod_p(sx.Mul((xx, sx.Pow(xx, 2))), {X: 3}, P)
+    lhs = oracles.eval_plain_mod_p(sx.Mul((sx.Sym(X), sx.Pow(sx.Sym(X), 2))), {X: 3}, P)
     rhs = sx.eval_mod_p(e, {X: 3}, P)
     assert lhs == rhs
 
 
 def test_simplify_idempotent_on_examples():
+    x, y = sx.Sym(X), sx.Sym(Y)
     samples = [
-        sx.Add((xx, sx.Const(0), sx.Add((yy, sx.Const(2))))),
-        sx.Mul((sx.Const(3), sx.Pow(xx, 2), sx.Mul((xx, yy)))),
-        sx.Pow(sx.Pow(xx, 2), 3),
-        sx.Func("ln", sx.Mul((xx, sx.Const(1)))),
+        sx.Add((x, sx.Const(0), sx.Add((y, sx.Const(2))))),
+        sx.Mul((sx.Const(3), sx.Pow(x, 2), sx.Mul((x, y)))),
+        sx.Pow(sx.Pow(x, 2), 3),
+        sx.Func("ln", sx.Mul((x, sx.Const(1)))),
     ]
     for raw in samples:
-        once = sx.simplify(raw)
-        assert sx.simplify(once) == once
+        once = _canonical(raw)
+        assert _canonical(once) is once
 
 
 def test_pow_distributes_and_collapses():
@@ -178,15 +199,15 @@ def test_shash_values_are_fixed():
 
 
 def test_raw_tree_equals_its_canonical_twin():
+    # A raw tree is plain data: it is never its canonical twin, though it
+    # has the twin's digest and text, and folding it through the smart
+    # constructors gives the twin.
     raw = sx.Mul((sx.Sym(X), sx.Pow(sx.Sym(Y), 2)))
     canon = xx * yy ** 2
-    assert raw is not canon and raw == canon and canon == raw
-    assert hash(raw) == hash(canon)
-    assert {canon: 1}[raw] == 1
-    assert raw.shash == canon.shash
-    assert sx.simplify(raw) is canon
-    assert raw != sx.Add((sx.Sym(X), sx.Pow(sx.Sym(Y), 2)))
-    assert raw != xx * yy ** 3
+    assert raw != canon and raw not in {canon}
+    assert raw.shash == canon.shash and sx.to_string(raw) == sx.to_string(canon)
+    assert _canonical(raw) is canon
+    assert _canonical(raw) is not xx * yy ** 3
 
 
 def _reversed_raw(e):
@@ -208,32 +229,39 @@ def _reversed_raw(e):
     lambda x, y, t: sx.add(x * y, sx.mul(-1, y, t), sx.div(1, x + t)),
 ], ids=["mul", "add", "nested"])
 def test_raw_node_in_any_child_order_is_its_canonical_twin(build):
-    # Children are stored in intern-serial order; a raw node that lists
-    # them in any other order, its own children raw and reversed too, is
-    # still the same value, hash, digest and text.
+    # Children are stored in intern-serial order; the constructors given
+    # them in any other order return the same node, and a raw copy that
+    # lists them in reverse, its own children raw and reversed too, has the
+    # same digest and text and folds to that node.
     canon = build(*(sx.sym(s) for s in (X, Y, TH)))
     kids = sx.children(canon)
-    twins = [type(canon)(kids[i:] + kids[:i]) for i in range(1, len(kids))]
-    twins += [type(canon)(tuple(reversed(kids))), _reversed_raw(canon)]
-    for twin in twins:
-        assert twin is not canon
-        assert twin == canon and canon == twin
-        assert hash(twin) == hash(canon)
-        assert {canon: 1}[twin] == 1
-        assert twin.shash == canon.shash
-        assert sx.to_string(twin) == sx.to_string(canon)
-        assert sx.simplify(twin) is canon
-    assert type(canon)(kids[1:] + kids[1:2]) != canon  # one child twice, one missing
+    for order in [kids[i:] + kids[:i] for i in range(1, len(kids))] + [kids[::-1]]:
+        assert _construct(canon, order) is canon
+    twin = _reversed_raw(canon)
+    assert twin is not canon
+    assert twin.shash == canon.shash
+    assert sx.to_string(twin) == sx.to_string(canon)
+    assert _canonical(twin) is canon
+    assert _construct(canon, kids[1:] + kids[1:2]) is not canon  # one child twice, one missing
 
 
 def test_structural_hash_separates_small_integers():
-    # hash(-1) == hash(-2) in Python; the intern keys must still tell
-    # -1 from -2, x^-1 from x^-2 and -x*y from -2*x*y.
+    # hash(-1) == hash(-2) in Python; the table must still tell -1 from -2,
+    # x^-1 from x^-2 and -x*y from -2*x*y.
     nodes = [sx.const(n) for n in range(-20, 21)]
     nodes += [sx.const(Fraction(n, 3)) for n in (-2, -1, 1, 2)]
     nodes += [sx.pow_(xx, k) for k in range(-20, 21) if k not in (0, 1)]
     nodes += [sx.mul(n, xx, yy) for n in (-2, -1, 2)]
-    assert len({hash(e) for e in nodes}) == len(nodes)
+    assert len(nodes) == 87
+    assert len(set(map(id, nodes))) == len(nodes)
+
+
+def test_constructors_reject_a_node_that_no_constructor_interned():
+    raw = sx.Mul((sx.Sym(X), sx.Sym(Y)))
+    for build in (lambda: sx.add(raw, xx), lambda: sx.mul(yy, raw), lambda: sx.pow_(raw, 2),
+                  lambda: sx.ln(raw), lambda: raw + 1, lambda: sx.eval_mod_p(raw, {X: 1, Y: 2}, P)):
+        with pytest.raises(TypeError, match="not built by a smart constructor"):
+            build()
 
 
 def test_rebuilding_an_expression_builds_no_node(monkeypatch):
@@ -245,14 +273,13 @@ def test_rebuilding_an_expression_builds_no_node(monkeypatch):
             phi = lie_orc.extended_lie_derivative(phi, A, memo)
         return phi
 
+    built = oracles.record_builds(monkeypatch)
     first = level3()
-    n = len(sx._INTERN)
-    built = []
-    init = sx.Expr._init_caches
-    monkeypatch.setattr(sx.Expr, "_init_caches", lambda e, h: built.append(e) or init(e, h))
+    n = len(built)
+    assert n > 0
+    # While the nodes of the first walk live, a second one finds them all.
     assert level3() is first
-    assert len(sx._INTERN) == n
-    assert built == []
+    assert len(built) == n
 
 
 def test_expression_built_before_clear_caches_equals_its_rebuild():
@@ -261,14 +288,28 @@ def test_expression_built_before_clear_caches_equals_its_rebuild():
         return sx.div(sx.ln(x * y + t), 3 * x ** 2 + 1)
 
     before = build()
-    sx.clear_caches()
+    sx.clear_caches()  # a no-op
     after = build()
-    assert after is not before
-    assert after == before and hash(after) == hash(before)
-    assert after.shash == before.shash
-    # Like terms and like factors still merge across the two generations.
-    assert sx.add(before, after) == sx.mul(2, after)
-    assert sx.mul(before, after) == sx.pow_(after, 2)
+    assert after is before
+    # Like terms and like factors still merge with the held node.
+    assert sx.add(before, after) is sx.mul(2, after)
+    assert sx.mul(before, after) is sx.pow_(after, 2)
+    # Once nothing holds it, the node is freed and a rebuild is a new node
+    # with the same digest.
+    digest, serial = before.shash, before._serial
+    del before, after
+    again = build()
+    assert again._serial > serial and again.shash == digest
+
+
+def test_analysis_leaves_only_the_models_nodes_in_the_table():
+    md = load_model(corpus_dir() / "gene_p53.idm")
+    before = set(sx._INTERN.values())
+    first = next(sx._SERIALS)
+    lie_orc.analyze_symbolic(md)
+    assert next(sx._SERIALS) - first > 500  # the nodes the analysis built
+    outlived = len(set(sx._INTERN.values()) - before)  # a count: a set diff reports slowly
+    assert outlived == 0
 
 
 # At p = 2 every residue is 1, so both denominators vanish at every point
@@ -313,50 +354,36 @@ def _order_free_view(names):
     return view
 
 
+def _model_exprs(names):
+    return [e for md in _models(names)
+            for e in list(md.dynamics.values()) + [h for _, h in md.outputs]]
+
+
+def _child_digests(exprs):
+    return [[c.shash for c in sx.children(e)] for e in exprs]
+
+
 def test_intern_serial_order_never_shows():
     # Children are kept in the order their nodes were first interned.  Fill
     # the table in another order than a fresh run does (gene_p53's levels
     # 0-3 first, then every model expression rebuilt with its children in
     # reverse), and the text, digests, reports and messages are still those
-    # of a fresh run.
+    # of a fresh run.  The table is weak, so the rebuilt nodes and the
+    # LieCache are held until the second view is taken, and the models'
+    # own nodes are dropped before the rebuild.
     names = ("toggle_b", "sirs_forced", "hiv2", "competition")
-    exprs = [_reversed_raw(e) for md in _models(names)
-             for e in list(md.dynamics.values()) + [h for _, h in md.outputs]]
-    sx.clear_caches()
+    exprs = _model_exprs(names)
+    raws = [_reversed_raw(e) for e in exprs]
+    fresh_order = _child_digests(exprs)
+    del exprs
     fresh = _order_free_view(names)
-    sx.clear_caches()
-    lie_orc.LieCache(augment(load_model(corpus_dir() / "gene_p53.idm"))).ensure_level(3)
-    for e in exprs:
-        sx.simplify(e)
+    cache = lie_orc.LieCache(augment(load_model(corpus_dir() / "gene_p53.idm")))
+    cache.ensure_level(3)
+    rebuilt = [_canonical(r) for r in raws]
+    assert _child_digests(rebuilt) != fresh_order
+    assert _child_digests(_model_exprs(names)) == _child_digests(rebuilt)
     assert len(sx._INTERN) > 300
     assert _order_free_view(names) == fresh
-
-
-def test_intern_table_steps_past_a_colliding_key():
-    z = sx.sym(sx.state("z_collision"))
-    h = hash(sx.Mul((xx, z)))
-    assert h not in sx._INTERN
-    sx._INTERN[h] = yy  # a different node under the product's hash
-    try:
-        e = sx.mul(xx, z)
-        assert isinstance(e, sx.Mul) and e.factors == (xx, z)
-        assert sx._INTERN[h] is yy and sx._INTERN[h + 1] is e
-        assert sx.mul(z, xx) is e
-    finally:
-        sx._INTERN.pop(h, None)
-        sx._INTERN.pop(h + 1, None)
-    # An int constant is looked up on the same hash without a Fraction.
-    k = 2**61 + 12345
-    h = hash(sx.Const(k))
-    assert h not in sx._INTERN
-    sx._INTERN[h] = yy
-    try:
-        c = sx.const(k)
-        assert sx._INTERN[h] is yy and sx._INTERN[h + 1] is c
-        assert sx.const(Fraction(k)) is c and sx.const(k) is c and c.value == k
-    finally:
-        sx._INTERN.pop(h, None)
-        sx._INTERN.pop(h + 1, None)
 
 
 @pytest.mark.parametrize("n", [0, 1, -1, 2, -2, 10**30, -(10**30) - 7])
@@ -390,20 +417,22 @@ def _built_term(fs, i, df, where):
 
 def _check_product_terms(node, df, product_first):
     # Each product-rule term, once built, is the node mul gives, and neither
-    # way of building it interns a node the other does not.
+    # way of building it builds a node the other does not.
     fs = node.factors
     where = sx._base_positions(fs)
     for i in range(len(fs)):
-        if product_first:
-            got = _built_term(fs, i, df, where)
-            n = len(sx._INTERN)
-            want = sx.mul(*fs[:i], df, *fs[i + 1:])
-        else:
-            want = sx.mul(*fs[:i], df, *fs[i + 1:])
-            n = len(sx._INTERN)
-            got = _built_term(fs, i, df, where)
+        with pytest.MonkeyPatch.context() as mp:
+            built = oracles.record_builds(mp)
+            if product_first:
+                got = _built_term(fs, i, df, where)
+                n = len(built)
+                want = sx.mul(*fs[:i], df, *fs[i + 1:])
+            else:
+                want = sx.mul(*fs[:i], df, *fs[i + 1:])
+                n = len(built)
+                got = _built_term(fs, i, df, where)
         assert got is want, (node, i, df)
-        assert len(sx._INTERN) == n
+        assert len(built) == n
 
 
 @pytest.mark.parametrize("node, df", [
@@ -464,11 +493,11 @@ def _rand_raw_expr(rng, depth):
     return sx.Add((_rand_raw_expr(rng, depth - 1), sx.Const(rng.randrange(-3, 4))))
 
 
-def _simplify_or_discard(raw):
-    # Trees that fold to 0^(-k) are rejected by simplify (division by the
-    # zero constant); they are not interesting for these properties.
+def _canonical_or_discard(raw):
+    # Trees that fold to 0^(-k) are rejected by pow_ (division by the zero
+    # constant); they are not interesting for these properties.
     try:
-        return sx.simplify(raw)
+        return _canonical(raw)
     except DivisionByZero:
         assume(False)
 
@@ -478,7 +507,7 @@ def _simplify_or_discard(raw):
 def test_simplify_preserves_value_mod_p(seed):
     rng = random.Random(seed)
     raw = _rand_raw_expr(rng, 3)
-    simp = _simplify_or_discard(raw)
+    simp = _canonical_or_discard(raw)
     checked = 0
     attempts = 0
     while checked < 20 and attempts < 200:
@@ -499,26 +528,30 @@ def test_simplify_preserves_value_mod_p(seed):
 def test_simplify_idempotent(seed):
     rng = random.Random(seed)
     raw = _rand_raw_expr(rng, 3)
-    once = _simplify_or_discard(raw)
-    assert sx.simplify(once) == once
+    once = _canonical_or_discard(raw)
+    assert _canonical(once) is once
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**9))
 def test_intern_table_holds_each_structure_once(seed):
+    # Every live node in the table is what its smart constructor returns
+    # from its own children, so no structure is held twice.
     rng = random.Random(seed)
-    e = _simplify_or_discard(_rand_raw_expr(rng, 3))
-    sx.differentiate(sx.ln(e), X)
-    sx.to_string(e)
+    e = _canonical_or_discard(_rand_raw_expr(rng, 3))
+    d = sx.differentiate(sx.ln(e), rng.choice(SYMS))
+    sx.to_string(d)
     nodes = list(sx._INTERN.values())
-    assert len(set(nodes)) == len(nodes)
+    assert e in nodes and d in nodes
+    for n in nodes:
+        assert _construct(n, sx.children(n)) is n
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9), st.sampled_from(SYMS))
 def test_differentiate_matches_dual_numbers_mod_p(seed, wrt):
     rng = random.Random(seed)
-    e = _simplify_or_discard(_rand_raw_expr(rng, 3))
+    e = _canonical_or_discard(_rand_raw_expr(rng, 3))
     d = sx.differentiate(e, wrt)
     checked = 0
     attempts = 0
@@ -544,13 +577,13 @@ def test_derivative_matches_dual_numbers_mod_p(seed):
     # derivative(e, rate) = sum_s de/ds * rate(s); each rate is ZERO, a
     # constant or a small expression over the same symbols.
     rng = random.Random(seed)
-    e = _simplify_or_discard(_rand_raw_expr(rng, 3))
+    e = _canonical_or_discard(_rand_raw_expr(rng, 3))
     rates = {}
     for s in SYMS:
         kind = rng.randrange(3)
         rates[s] = (sx.ZERO if kind == 0
                     else sx.const(rng.randrange(-5, 6)) if kind == 1
-                    else _simplify_or_discard(_rand_raw_expr(rng, 1)))
+                    else _canonical_or_discard(_rand_raw_expr(rng, 1)))
     d = sx.derivative(e, rates.__getitem__, {})
     checked = 0
     attempts = 0
@@ -589,11 +622,11 @@ def test_to_string_reparses_to_same_expression(seed):
     from identiscope.model import parse_model
 
     rng = random.Random(seed)
-    e = _simplify_or_discard(_rand_raw_expr(rng, 3))
+    e = _canonical_or_discard(_rand_raw_expr(rng, 3))
     text = (
         "model roundtrip\nstates x y\nparams th\n"
         "ddt x = 0\nddt y = 0\n"
         f"output y1 = {sx.to_string(e)}\n"
     )
     md = parse_model(text)
-    assert md.outputs[0][1] == e
+    assert md.outputs[0][1] is e
