@@ -103,11 +103,10 @@ class Echelon:
         Column j is independent of the others exactly when e_j lies in the
         row space, that is when j is a pivot column whose pivot row is the
         unit vector e_j; equivalently, deleting column j drops the rank by one.
+        The row of a column that is not a pivot is zero, so these are the
+        rows with one nonzero entry.
         """
-        independent = [False] * len(self.by_col)
-        for c in self.pivots:
-            independent[c] = np.count_nonzero(self.by_col[c]) == 1
-        return independent
+        return ((self.by_col != 0).sum(1) == 1).tolist()
 
 
 def _matmul(x: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -21,15 +21,19 @@ value series and an n_z tangent vector d/dz0 per order, in int64 numpy.  The
 tangents of z are S, and block k of the output Jacobian is the order-k
 tangent of the h nodes.  One sweep per order advances every (prime, trial)
 run at once: runs are an array axis, each with its prime broadcast along it.
-Storage is order-major, and the input jets and integration factors of an
-order are drawn and computed when the sweep reaches it, so only the orders
-some run reaches cost memory or time.  At order k a product convolves the
-k + 1 terms of its two series only when both vary in time.  A parameter, a
-constant input, and any node built from such only, is time-constant: its
-series is zero past order 0, so its product a with b takes the one term
-a_0 b_k, and a wave of time-constant nodes is evaluated at order 0 alone
-(Bostan, Chyzak, Ollivier, Salvy, Schost & Sedoglavic, "Fast computation of
-power series solutions of systems of differential equations", SODA 2007).
+The input jets and integration factors of an order are drawn and computed
+when the sweep reaches it, so only the orders some run reaches cost time.
+At order k a product convolves the k + 1 terms of its two series only when
+both vary in time.  A parameter, a constant input, and any node built from
+such only, is time-constant: its series is zero past order 0, so its
+product a with b takes the one term a_0 b_k, and a wave of time-constant
+nodes is evaluated at order 0 alone (Bostan, Chyzak, Ollivier, Salvy, Schost
+& Sedoglavic, "Fast computation of power series solutions of systems of
+differential equations", SODA 2007).  Only the operands of a convolution or
+of a reciprocal, and the reciprocals, are read at earlier orders, so only
+they keep every order reached; every other node keeps order 0 and the last
+two orders, which is all that sums, one-term products, h and z' = F read
+(van der Hoeven, "Relax, but don't be too lazy", J. Symb. Comput. 2002).
 Every product of two residues is reduced mod p before it is added to
 anything but one other such product (two sum below 2^64 in uint64), which
 keeps the arithmetic exact for p <= MAX_PRIME.  A run whose point makes a
@@ -39,6 +43,7 @@ denominator of F or h vanish at t = 0 restarts at its next random point
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import time
 from collections.abc import Callable
@@ -174,7 +179,11 @@ class _Tape:
     products come first in their mul wave, whose constant is their number:
     past order 0 a mul wave is one numpy expression for them and one for
     the products that convolve.  A wave of time-constant nodes only is
-    still, and is evaluated at order 0 alone."""
+    still, and is evaluated at order 0 alone.
+
+    ``history`` lists, in order, the nodes that are read at earlier orders:
+    the operands of the products that convolve and of the reciprocals, and
+    the reciprocals themselves, in the waves that are not still."""
 
     def __init__(self, A: AugmentedSystem):
         n_z, q = A.n_z, len(A.model.known_inputs)
@@ -226,34 +235,59 @@ class _Tape:
         self.z_leaves = np.array([l for l, _ in F], dtype=np.intp)
         self.z_rhs = np.array([new[f] for _, f in F], dtype=np.intp)
         self.h = np.array([new[x] for x in h], dtype=np.intp)
+        history = set()
+        for kind, lo, hi, ops, consts, still in self.waves:
+            if kind == _MUL and not still:
+                history.update(ops[:, consts:].ravel().tolist())
+            elif kind == _RECIP and not still:
+                history.update([*ops.tolist(), *range(lo, hi)])
+        self.history = np.array(sorted(history), dtype=np.intp)
 
 
-def _products(a: np.ndarray, b: np.ndarray, Pu: np.ndarray) -> np.ndarray:
-    """a b with its tangent T(a) b + a T(b), reduced mod p, for values and
-    tangents on the last axis.  Two products below p^2 < 2^63 sum below
-    2^64."""
-    t = (a[..., :1] * b).view(np.uint64)
-    t[..., 1:] += (a[..., 1:] * b[..., :1]).view(np.uint64)
+def _products(a: np.ndarray, b: np.ndarray, Pu: np.ndarray, out: np.ndarray) -> None:
+    """a b with its tangent T(a) b + a T(b), reduced mod p, written to out
+    (which may be a), for values and tangents on the last axis; b is
+    overwritten.  Two products below p^2 < 2^63 sum below 2^64."""
+    np.multiply(a[..., 1:], b[..., :1], out=out[..., 1:])
+    b *= a[..., :1]
+    out[..., 0] = 0
+    t = out.view(np.uint64)
+    t += b.view(np.uint64)
     t %= Pu
-    return t.view(np.int64)
 
 
 class _Sweep:
     """Value and tangent series of every tape node over a batch of runs.
 
-    V[k, node, run] is coefficient k of the node's series and
-    T[k, node, run, l] its derivative with respect to z0_l; T[0] of z leaf l
-    is e_l, so the tangents of z are S.  Both are views of one array X, with
-    the value before the tangent on its last axis, so that a linear step
-    (weighted sum, integration) takes one numpy expression for both.  X holds
-    only the orders reached so far, doubling up to the cap, and the input
-    jets and integration factors of an order are computed when it is
-    reached.  A product convolves the k + 1 terms of its operands at order k
-    unless one of them is time-constant (see ``_Tape``), and a still wave
-    keeps its order-0 values, the later ones being zero.  Operands are
-    gathered from X with ``take``, which costs less than fancy indexing on
-    a contiguous array but first copies a view that is not, such as V, T
-    or a reversed range of orders.
+    Coefficient k of a node is an array over (run, 1 + n_z): its value, then
+    its derivative with respect to each z0_l, so that a linear step
+    (weighted sum, integration) takes one numpy expression for both.  The
+    order-0 tangent of z leaf l is e_l, so the tangents of z are S.  Only
+    the orders that a later step reads are kept, in three arrays:
+
+    - ``X0[node]``, order 0 of every node;
+    - ``ring[k % 2, node]``, order k >= 1 of every node until order k + 2
+      overwrites it.  A sum, a one-term product and h read order k, and a
+      z leaf reads F at order k - 1.  A time-constant node is never written
+      past order 0, so its rows stay zero;
+    - ``H[k, i]``, every order reached of the history node
+      ``tape.history[i]`` (see ``_Tape``), which a convolution or a
+      reciprocal reads at all orders up to k.  The leaves and each wave copy
+      their history nodes into ``H[k]`` as soon as they are computed, since
+      later waves of the same order read them; H doubles up to the cap.
+
+    ``at(k)`` is the array of order k, for k = 0 and the last two orders
+    reached.  The input jets and integration factors of an order are
+    computed when it is reached.  A product convolves the k + 1 terms of its
+    operands at order k unless one of them is time-constant, and a still
+    wave is evaluated at order 0 alone.  Operands are gathered with
+    ``take``, which costs less than fancy indexing on a contiguous array
+    but first copies a view that is not, such as a reversed range of orders.
+    A step works in place in its gathered operands and writes its result
+    straight into its rows: with arrays this small, the temporaries that
+    every order would otherwise allocate and free are given back to the
+    system and faulted in again, which made the 40-compartment chain take
+    about 1.5 times as long (``BENCH_20.json``).
     """
 
     def __init__(self, tape: _Tape, primes, order: int):
@@ -264,11 +298,38 @@ class _Sweep:
         self.P = np.array(primes, dtype=np.int64)
         self.Pt = self.P[:, None]
         self.Pu = self.Pt.view(np.uint64)
-        self._view(np.zeros((min(order + 1, 4), tape.size, B, 1 + n_z), dtype=np.int64))
+        shape = (tape.size, B, 1 + n_z)
+        X = np.zeros((3,) + shape, dtype=np.int64)
+        self.X0, self.ring = X[0], X[1:]
+        hist = tape.history
+        self.H = np.zeros((min(order + 1, 4), len(hist)) + shape[1:], dtype=np.int64)
         leaves = np.arange(n_z)
-        self.T[0, 1 + leaves, :, leaves] = 1
+        self.X0[1 + leaves, :, 1 + leaves] = 1
         self.jets = [None] * B
         self.still_a: dict[int, np.ndarray] = {}  # see advance
+
+        # The history nodes of a node range and their rows of H, which are
+        # consecutive, or None if it has none.
+        hist_list = hist.tolist()
+
+        def keep(lo, hi):
+            i, j = bisect.bisect_left(hist_list, lo), bisect.bisect_left(hist_list, hi)
+            return (hist[i:j], slice(i, j)) if i < j else None
+
+        row = np.zeros(tape.size, dtype=np.intp)
+        row[hist] = np.arange(len(hist))
+        self.keep_leaves = keep(0, 1 + n_z + tape.q)
+        self.keep = [None] * len(tape.waves)  # a wave's history copy to H
+        self.rows = {}  # the rows of H that a wave's convolutions or reciprocals read
+        for w, (kind, lo, hi, ops, consts, still) in enumerate(tape.waves):
+            if still:
+                continue
+            if kind == _MUL and consts < hi - lo:
+                self.rows[w] = row[ops[:, consts:]]
+            if kind == _RECIP:  # computed in H
+                self.rows[w] = row[ops], keep(lo, hi)[1]
+            else:
+                self.keep[w] = keep(lo, hi)
         # The tape's fractions mod each prime, computed once for all the runs
         # on it; a prime that divides a denominator fails every run on it, at
         # every attempt.
@@ -281,7 +342,7 @@ class _Sweep:
                 residues[p] = [0] * len(tape.fractions)
                 self.bad.update((b, str(exc)) for b, q in enumerate(primes) if q == p)
         R = np.array([residues[p] for p in primes], dtype=np.int64).reshape(B, -1).T
-        self.V[0, tape.const_ids] = R[:len(tape.const_ids)]
+        self.X0[tape.const_ids, :, 0] = R[:len(tape.const_ids)]
         # The weights of each add wave that has some other than 1, as
         # (nodes, operands, runs, 1).
         self.weights = {w: R[consts].reshape(ops.shape + (B, 1))
@@ -294,76 +355,95 @@ class _Sweep:
         constant input's coefficients past 0 must be 0."""
         n_z, p = self.tape.n_z, int(self.P[run])
         self.jets[run] = jet
-        self.V[0, 1:1 + n_z + self.tape.q, run] = [v % p for v in [*z0, *jet(0)]]
+        self.X0[1:1 + n_z + self.tape.q, run, 0] = [v % p for v in [*z0, *jet(0)]]
 
-    def _view(self, X: np.ndarray) -> None:
-        self.X, self.V, self.T = X, X[..., 0], X[..., 1:]
+    def at(self, k: int) -> np.ndarray:
+        """Order k of every node, as (node, run, 1 + n_z)."""
+        return self.ring[k % 2] if k else self.X0
 
     def _hold(self, k: int) -> None:
-        """Make room for order k."""
-        held = len(self.X)
+        """Make room for order k in H."""
+        held = len(self.H)
         if k < held:
             return
-        grown = np.zeros((min(self.order + 1, 2 * held),) + self.X.shape[1:], dtype=np.int64)
-        grown[:held] = self.X
-        self._view(grown)
+        grown = np.zeros((min(self.order + 1, 2 * held),) + self.H.shape[1:], dtype=np.int64)
+        grown[:held] = self.H
+        self.H = grown
 
     def advance(self, k: int) -> dict[int, str]:
         """Coefficient k of the z leaves (z' = F, from order k - 1), then of
         every other node.  At k = 0, returns the runs whose point makes a
         denominator vanish, with the reason; their values are not meaningful."""
         self._hold(k)
-        X, V, T, P, Pt = self.X, self.V, self.T, self.P, self.Pt
+        X, H, P, Pt = self.at(k), self.H, self.P, self.Pt
         n_z, q = self.tape.n_z, self.tape.q
         if k:
             if q:
-                V[k, 1 + n_z:1 + n_z + q] = np.array(
+                X[1 + n_z:1 + n_z + q, :, 0] = np.array(
                     [[v % p for v in jet(k)] for jet, p in zip(self.jets, self.primes)]).T
             # z_k = F_(k-1) / k
             inv = np.array([pow(k, -1, p) for p in self.primes])
             zl, f = self.tape.z_leaves, self.tape.z_rhs
-            X[k, zl] = X[k - 1].take(f, 0) * inv[:, None] % Pt
+            z = self.at(k - 1).take(f, 0)
+            z *= inv[:, None]
+            z %= Pt
+            X[zl] = z
+            if self.keep_leaves:
+                nodes, rows = self.keep_leaves
+                H[k, rows] = X.take(nodes, 0)
         failed = dict(self.bad) if k == 0 else {}
         for w, (kind, lo, hi, ops, consts, still) in enumerate(self.tape.waves):
             if k and still:
                 continue
             if kind == _ADD:
-                W = self.weights.get(w)
-                if W is None:
-                    X[k, lo:hi] = X[k].take(ops, 0).sum(1) % Pt
-                else:
-                    X[k, lo:hi] = (X[k].take(ops, 0) * W % Pt).sum(1) % Pt
+                Y, W = X.take(ops, 0), self.weights.get(w)
+                if W is not None:
+                    Y *= W
+                    Y %= Pt
+                Y.sum(1, out=X[lo:hi])
+                X[lo:hi] %= Pt
             elif kind == _MUL:
                 # (a b)_k = sum_j a_j b_(k-j), which is a_0 b_k for the first
                 # ``consts`` products, whose a is time-constant, and at k = 0.
                 # Those a_0 are kept from order 0.
                 ia, ib = ops
                 if k == 0:
-                    a = X[0].take(ia, 0)
+                    a = X.take(ia, 0)
                     self.still_a[w] = a[:consts]
-                    X[0, lo:hi] = _products(a, X[0].take(ib, 0), self.Pu)
+                    _products(a, X.take(ib, 0), self.Pu, X[lo:hi])
                     continue
                 n = consts
                 if n:
-                    X[k, lo:lo + n] = _products(self.still_a[w], X[k].take(ib[:n], 0), self.Pu)
+                    _products(self.still_a[w], X.take(ib[:n], 0), self.Pu, X[lo:lo + n])
                 if lo + n < hi:
-                    X[k, lo + n:hi] = _products(X[:k + 1].take(ia[n:], 1),
-                                                X[:k + 1].take(ib[n:], 1)[::-1],
-                                                self.Pu).sum(0) % Pt
+                    ha, hb = self.rows[w]
+                    a = H[:k + 1].take(ha, 1)
+                    _products(a, H[:k + 1].take(hb, 1)[::-1], self.Pu, a)
+                    a.sum(0, out=X[lo + n:hi])
+                    X[lo + n:hi] %= Pt
             elif k == 0:  # reciprocal: c_0 = 1/a_0, T(c)_0 = -T(a)_0 / a_0^2
-                a0 = V[0, ops]
+                a0 = X[ops, :, 0]
                 for run in np.flatnonzero((a0 == 0).any(0)):
                     failed.setdefault(int(run), "denominator series has zero constant term")
                 inv = np.array([[pow(int(v), -1, int(p)) if v else 0
                                  for v, p in zip(row, P)] for row in a0], dtype=np.int64)
-                V[0, lo:hi] = inv
-                T[0, lo:hi] = -(inv * inv % P)[..., None] * T[0, ops] % Pt
-            else:  # reciprocal: from sum_j a_j c_(k-j) = 0 and its tangent
-                a, inv0 = V[1:k + 1, ops], V[0, lo:hi]
-                V[k, lo:hi] = -inv0 * ((a * V[k - 1::-1, lo:hi] % P).sum(0) % P) % P
-                t = ((T[:k + 1, ops] * V[k::-1, lo:hi][..., None] % Pt).sum(0)
-                     + (a[..., None] * T[k - 1::-1, lo:hi] % Pt).sum(0)) % Pt
-                T[k, lo:hi] = -inv0[..., None] * t % Pt
+                X[lo:hi, :, 0] = inv
+                X[lo:hi, :, 1:] = -(inv * inv % P)[..., None] * X[ops, :, 1:] % Pt
+            else:  # reciprocal: from sum_j a_j c_(k-j) = 0 and its tangent,
+                # computed in its rows of H
+                ha, rows = self.rows[w]
+                A, C = H[:k + 1].take(ha, 1), H[:k + 1, rows]
+                a, inv0 = A[1:, ..., 0], C[0, ..., 0]
+                C[k, ..., 0] = -inv0 * ((a * C[k - 1::-1, ..., 0] % P).sum(0) % P) % P
+                t = ((A[..., 1:] * C[k::-1, ..., :1] % Pt).sum(0)
+                     + (a[..., None] * C[k - 1::-1, ..., 1:] % Pt).sum(0)) % Pt
+                C[k, ..., 1:] = -inv0[..., None] * t % Pt
+                X[lo:hi] = C[k]
+            if k and self.keep[w]:
+                nodes, rows = self.keep[w]
+                H[k, rows] = X.take(nodes, 0)
+        if k == 0:
+            H[0] = X.take(self.tape.history, 0)
         return failed
 
 
@@ -456,7 +536,7 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
             _start(A, sw, runs, seed)
         else:
             sw.advance(k)
-        blocks = sw.T[k, tape.h].swapaxes(0, 1)
+        blocks = sw.at(k)[tape.h, :, 1:].swapaxes(0, 1)
         live = [b for b, run in enumerate(runs) if run.stop is None]
         before = [runs[b].echelon.rank for b in live]
         if len(live) < len(runs):

@@ -406,13 +406,16 @@ def series_solve(A, z0, u_series, order, p):
         raise ValueError("initial point has wrong dimension")
     sw = _Sweep(_Tape(A), [p], order)
     sw.set_point(0, z0, lambda j: [u.coeffs[j] if j < len(u.coeffs) else 0 for u in u_series])
+    zs = []  # order k: the z leaves' values and tangents, as (n_z, 1 + n_z)
     for k in range(order + 1):
         failed = sw.advance(k)
         if failed:
             raise DivisionByZeroModP(failed[0])
+        zs.append(sw.at(k)[1:1 + n_z, 0].copy())
 
-    z = sw.V[:, 1:1 + n_z, 0].T.tolist()
-    S = sw.T[:, 1:1 + n_z, 0].transpose(1, 2, 0).tolist()
+    zs = np.array(zs)
+    z = zs[..., 0].T.tolist()
+    S = zs[..., 1:].transpose(1, 2, 0).tolist()
     return SeriesSolution(tuple(TruncSeries(c, p) for c in z),
                           tuple(tuple(TruncSeries(c, p) for c in row) for row in S),
                           tuple(u_series), z0, p, order)
