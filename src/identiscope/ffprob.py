@@ -487,12 +487,13 @@ def _draw_trial(A: AugmentedSystem, seed: int, p: int, trial: int,
 
 @dataclass
 class _Run:
-    """One (prime, trial) run: the attempt that drew its point, the echelon
-    form of its output Jacobian's rows, and why it stopped."""
+    """One (prime, trial) run: the attempt that drew its point, the last
+    series order whose block its echelon form took (-1 before the first),
+    and why it stopped."""
     prime: int
     trial: int
     attempt: int = 0
-    echelon: _linalg.Echelon | None = None
+    order: int = -1
     stop: str | None = None
 
 
@@ -518,18 +519,19 @@ def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run], seed: int) -> None:
 
 
 def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
-                deadline: float | None = None) -> None:
+                deadline: float | None = None) -> _linalg.Echelons:
     """Grow every run's output Jacobian one block per series order, all runs
-    in one sweep.  Block k is the order-k tangent of the h nodes, and one
-    ``extend_all`` step adds it to the echelon form of every run still going.
-    A run stops when its rank reaches n_z (full_rank), when a block k > 0
-    leaves it unchanged (saturation), or at block ``order``
+    in one sweep; returns their echelon forms, form b being run b's.
+    Block k is the order-k tangent of the h nodes, and one
+    ``Echelons.extend`` step adds it to the form of every run still going;
+    a run that has stopped takes a block of zeros, which leaves its form
+    unchanged.  A run stops when its rank reaches n_z (full_rank), when a
+    block k > 0 leaves it unchanged (saturation), or at block ``order``
     (order_exhausted); the sweep ends when every run has stopped."""
     n_z = A.n_z
     tape = _Tape(A)
     sw = _Sweep(tape, [run.prime for run in runs], order)
-    for run in runs:
-        run.echelon = _linalg.Echelon(n_z, run.prime)
+    forms = _linalg.Echelons(n_z, [run.prime for run in runs])
     for k in range(order + 1):
         check_deadline(deadline)
         if k == 0:
@@ -537,21 +539,21 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
         else:
             sw.advance(k)
         blocks = sw.at(k)[tape.h, :, 1:].swapaxes(0, 1)
-        live = [b for b, run in enumerate(runs) if run.stop is None]
-        before = [runs[b].echelon.rank for b in live]
-        if len(live) < len(runs):
-            blocks = blocks[live]
-        ranks = _linalg.extend_all([runs[b].echelon for b in live], blocks)
-        for b, r0, r in zip(live, before, ranks):
-            run = runs[b]
+        blocks[[run.stop is not None for run in runs]] = 0
+        before = forms.ranks
+        for run, r0, r in zip(runs, before, forms.extend(blocks)):
+            if run.stop is not None:
+                continue
+            run.order = k
             if r == n_z:
                 run.stop = "full_rank"
             elif k > 0 and r == r0:
                 run.stop = "saturation"
         if all(run.stop is not None for run in runs):
-            return
+            return forms
     for run in runs:
         run.stop = run.stop or "order_exhausted"
+    return forms
 
 
 def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisReport:
@@ -586,14 +588,13 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
     order = opts.order if opts.order is not None else max(n_z - 1, 1)
 
     runs = [_Run(p, trial) for p in opts.primes for trial in range(opts.trials)]
-    _sweep_runs(A, runs, opts.seed, order, opts.deadline)
+    forms = _sweep_runs(A, runs, opts.seed, order, opts.deadline)
 
-    per_prime = {str(p): [run.echelon.rank for run in runs[i * opts.trials:(i + 1) * opts.trials]]
+    ranks = forms.ranks
+    per_prime = {str(p): ranks[i * opts.trials:(i + 1) * opts.trials]
                  for i, p in enumerate(opts.primes)}
-    trial_results = [(run.echelon.rank, run.echelon.independent_columns()) for run in runs]
-    rank = max(r for r, _ in trial_results)
-    identifiable = [all(independent[j] for r, independent in trial_results if r == rank)
-                    for j in range(n_z)]
+    rank = max(ranks)
+    identifiable = forms.independent_columns()[np.array(ranks) == rank].all(0).tolist()
     verdict_map = {s: verdict_for(s.kind.value, identifiable[j]) for j, s in enumerate(A.z)}
     if rank == n_z:
         stop_reason = "full_rank"

@@ -12,12 +12,12 @@ level evaluates only the nodes it adds.  It evaluates them in waves, a
 straight-line program over (nodes, trials): the new nodes of one kind and
 one height take a handful of numpy operations together, not a few each.
 Each product of two residues is reduced before it is summed, which keeps
-the arithmetic exact for p up to ``_linalg.MAX_PRIME``.  Each trial's point
-keeps one reduced echelon form over the prime field, which the batch
-extends with every level's new rows; the matrix's generic rank is the
-largest trial rank, and each augmented-state entry is classified from the
-echelon forms with the column-deletion test.  No gradient is ever built
-symbolically.
+the arithmetic exact for p up to ``_linalg.MAX_PRIME``.  The batch keeps
+one reduced echelon form over the prime field per trial, stacked in one
+``_linalg.Echelons``, and extends them with every level's new rows; the
+matrix's generic rank is the largest trial rank, and each augmented-state
+entry is classified from the echelon forms with the column-deletion test.
+No gradient is ever built symbolically.
 
 Unlike purely symbolic rank computation, the rank step specializes every
 symbol to an independent uniform residue in [1, p-1]; a random point can
@@ -64,17 +64,15 @@ class _TrialPoint(dict):
     """One random point of a trial: symbol -> residue, each drawn on first
     lookup from the point's tag.
 
-    Also holds the residues drawn for transcendental nodes, one memo of
-    z-independent node values, and the echelon form of the rows evaluated
-    at this point, which ``_Trials`` extends.
+    Also holds the residues drawn for transcendental nodes and one memo of
+    z-independent node values.
     """
 
-    def __init__(self, seed: int, trial: int, attempt: int, p: int, n_z: int):
+    def __init__(self, seed: int, trial: int, attempt: int, p: int):
         super().__init__()
         self.seed, self.trial, self.attempt, self.p = seed, trial, attempt, p
         self.drawn: dict[bytes, int] = {}
         self.memo: dict[Expr, int] = {}
-        self.echelon = _linalg.Echelon(n_z, p)
 
     def __missing__(self, s: Symbol) -> int:
         v = self[s] = _rng.residue(("sym", self.seed, self.trial, self.attempt, s.name), self.p)
@@ -125,14 +123,14 @@ class _Trials:
     forward tangents at them, and the restarts after a vanishing
     denominator.
 
-    ``points`` holds each live trial's current point, and every point's
-    echelon form holds the first ``n_rows`` rows at that point.  Every
-    z-dependent node of those rows has one slot (``slot``), and the nodes
-    that one evaluation added form one block of ``blocks``: VAL of shape
-    (nodes, trials), the node's value at each point; UNDEF of the same
-    shape, whether that value meets a vanishing denominator; and TAN of
-    shape (nodes, trials, n_z), d node/dz.  ``starts`` holds each block's
-    first slot.
+    ``points`` holds each live trial's current point, and form f of
+    ``forms`` is the echelon form of the first ``n_rows`` rows at point f;
+    a restart rebuilds it with the slots.  Every z-dependent node of those
+    rows has one slot (``slot``), and the nodes that one evaluation added
+    form one block of ``blocks``: VAL of shape (nodes, trials), the node's
+    value at each point; UNDEF of the same shape, whether that value meets
+    a vanishing denominator; and TAN of shape (nodes, trials, n_z), d
+    node/dz.  ``starts`` holds each block's first slot.
 
     An evaluation works in waves: the new nodes of one kind and one height
     (a node is one above its highest new child) take a handful of numpy
@@ -164,10 +162,11 @@ class _Trials:
         self.indep: set[Expr] = set()
         self.transcendental = False
         self.units = np.eye(len(self.index), dtype=np.int64)
-        self.points = [_TrialPoint(seed, t, 0, p, cache.A.n_z) for t in trials]
+        self.points = [_TrialPoint(seed, t, 0, p) for t in trials]
         self._reset()
 
     def _reset(self):
+        self.forms = _linalg.Echelons(len(self.index), [self.p] * len(self.points))
         self.slot: dict[Expr, int] = {}
         self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.starts: list[int] = []
@@ -175,19 +174,19 @@ class _Trials:
 
     def grow(self, n: int) -> list[_TrialPoint]:
         """Bring every trial's point to its first n gradient rows, each
-        point's echelon form extended with them; returns the points.
+        point's form in ``forms`` extended with them; returns the points.
 
         The rows that the points lack are evaluated together.  A point that
-        fails moves its trial to the next attempt; then every live point
-        starts a new echelon form, the batch's slots are rebuilt and every
-        row is evaluated again.  The smallest attempt whose point evaluates
+        fails moves its trial to the next attempt; then the batch's forms
+        and slots are rebuilt for the live points and every row is
+        evaluated again.  The smallest attempt whose point evaluates
         rows 0..k can only grow with k, so each trial gets the rows of the
         smallest attempt that evaluates all n of them.  A trial that runs
         out of its ``RETRIES`` attempts leaves the batch, and once the others
         hold n rows the lowest such trial raises RetriesExhausted, naming
         the first vanishing denominator that its last point reads.
         """
-        cache, p, n_z = self.cache, self.p, self.cache.A.n_z
+        cache, p = self.cache, self.p
         m = len(cache.A.outputs)
         failed: dict[int, RetriesExhausted] = {}
         while self.points and self.n_rows < n:
@@ -210,10 +209,8 @@ class _Trials:
                     failed[pt.trial] = err
                     points[pos] = None
                 else:
-                    points[pos] = _TrialPoint(self.seed, pt.trial, pt.attempt + 1, p, n_z)
+                    points[pos] = _TrialPoint(self.seed, pt.trial, pt.attempt + 1, p)
             self.points = [pt for pt in points if pt is not None]
-            for pt in self.points:
-                pt.echelon = _linalg.Echelon(n_z, p)
             self._reset()
         if failed:
             raise failed[min(failed)]
@@ -224,8 +221,8 @@ class _Trials:
         ``n_rows`` at every point of the batch.
 
         Returns the positions of the points that fail; then no row is added
-        and the batch must be reset.  Otherwise every point's echelon form
-        is extended with the new rows, in one ``extend_all`` step.
+        and the batch must be reset.  Otherwise every point's form is
+        extended with the new rows, in one ``Echelons.extend`` step.
         """
         p, slot, points = self.p, self.slot, self.points
         base = len(slot)
@@ -307,7 +304,7 @@ class _Trials:
         self.transcendental = self.transcendental or any(
             not sx.is_rational_expr(r) for node, dep, ind in nodes
             if not sx.is_rational_expr(node) for r in _reads(node, dep, ind))
-        _linalg.extend_all([pt.echelon for pt in points], TAN[out].swapaxes(0, 1))
+        self.forms.extend(TAN[out].swapaxes(0, 1))
         self.n_rows += len(rows)
         return []
 
@@ -575,8 +572,8 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     increasing (saturation), or max_level (default n_z - 1) is hit.  One
     ``_Trials`` batch evaluates the rows of every trial and extends each
     trial's echelon form with them; when a trial restarts at a new point,
-    every trial starts a new echelon form from all its rows.  The level's
-    rank is the largest trial rank.  Entry j is observable/identifiable when
+    the batch starts new forms for every trial from all its rows.  The
+    level's rank is the largest trial rank.  Entry j is observable/identifiable when
     its column is independent of the others (deleting it drops the rank to
     r-1) in every trial that reaches the final rank r; otherwise it lies in
     the span of the others.
@@ -586,8 +583,7 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
         raise ValueError("trials must be >= 1")
     if opts.max_level is not None and opts.max_level < 0:
         raise ValueError("max_level must be >= 0")
-    if not 2 <= opts.prime <= _linalg.MAX_PRIME:
-        raise ValueError(f"prime must be in [2, {_linalg.MAX_PRIME}]")
+    _linalg._check_modulus(opts.prime)
     if not _linalg.is_prime(opts.prime):
         raise ValueError(f"prime {opts.prime} is composite")
     t0 = time.perf_counter()
@@ -601,8 +597,8 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     stop = "max_level"
     for k in range(max_level + 1):
         check_deadline(opts.deadline)
-        points = batch.grow((k + 1) * m)
-        r = max(pt.echelon.rank for pt in points)
+        batch.grow((k + 1) * m)
+        r = max(batch.forms.ranks)
         ranks.append(r)
         if r == n_z:
             stop = "full_rank"
@@ -612,11 +608,8 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
             break
 
     rank = ranks[-1]
-    identifiable = [True] * n_z
-    for pt in points:
-        if pt.echelon.rank == rank:
-            flags = pt.echelon.independent_columns()
-            identifiable = [a and b for a, b in zip(identifiable, flags)]
+    at_rank = np.array(batch.forms.ranks) == rank
+    identifiable = batch.forms.independent_columns()[at_rank].all(0).tolist()
 
     warnings = []
     if batch.transcendental:

@@ -9,7 +9,7 @@ fall into two groups:
   ``free_symbols``, and the ``TruncSeries`` evaluator
   ``eval_expr_series``.  ``rank_mod_p`` and ``deleted_column_ranks`` read
   no expressions at all: they are the brute-force elimination that
-  ``_linalg.Echelon`` is checked against.
+  ``_linalg.Echelons`` is checked against.
 * Go through the kernel's smart constructors, ``sx.differentiate`` or
   ``sx.eval_mod_p``, or through an engine, to check one route against
   another: ``eager_derivative`` (``sx.derivative`` with every product-rule
@@ -21,10 +21,11 @@ fall into two groups:
   ``cross_check_lie`` (series coefficients against ``lie_orc``'s Lie
   derivatives by ``sx.eval_mod_p``).
 
-``record_rows`` makes ``_linalg.extend_all`` keep the rows that each echelon
-form receives, which ``rows_of`` returns, and ``record_builds`` lists the
-nodes that the smart constructors build.  ``load_corpus`` reads the
-packaged corpus and its fixtures as ``CorpusEntry`` records for the tests.
+``record_rows`` makes ``_linalg.Echelons.extend`` keep the rows that each
+echelon form receives, which ``rows_of`` returns, and ``record_builds``
+lists the nodes that the smart constructors build.  ``load_corpus`` reads
+the packaged corpus and its fixtures as ``CorpusEntry`` records for the
+tests.
 """
 
 import json
@@ -563,27 +564,29 @@ def cross_check_lie(md, order, p, seed=0):
 # The rows the engines rank
 # --------------------------------------------------------------------------
 
-# The rows each echelon form has received, kept while the form lives.
+# The rows each set of echelon forms has received, one list per form, kept
+# while the set lives.
 _RECEIVED = weakref.WeakKeyDictionary()
 
 
 def record_rows(monkeypatch):
-    """Make ``_linalg.extend_all``, which both engines and ``Echelon.extend``
-    look up at call time, record every block of rows it is given."""
-    extend_all = _linalg.extend_all
+    """Make ``_linalg.Echelons.extend``, which both engines look up at call
+    time, record every block of rows it is given."""
+    extend = _linalg.Echelons.extend
 
-    def recording(echelons, blocks):
-        for e, block in zip(echelons, blocks):
-            rows = np.asarray(block, dtype=np.int64).reshape(-1, len(e.by_col))
-            _RECEIVED.setdefault(e, []).extend(rows.tolist())
-        return extend_all(echelons, blocks)
+    def recording(forms, blocks):
+        received = _RECEIVED.setdefault(forms, [[] for _ in forms.primes])
+        for rows, block in zip(received, blocks):
+            rows.extend(np.asarray(block, dtype=np.int64).reshape(-1, forms.B.shape[1]).tolist())
+        return extend(forms, blocks)
 
-    monkeypatch.setattr(_linalg, "extend_all", recording)
+    monkeypatch.setattr(_linalg.Echelons, "extend", recording)
 
 
-def rows_of(echelon):
-    """The rows that ``echelon`` received under ``record_rows``, in order."""
-    return _RECEIVED[echelon]
+def rows_of(forms, f=0):
+    """The rows that form f of ``forms`` received under ``record_rows``, in
+    order."""
+    return _RECEIVED[forms][f]
 
 
 def record_builds(monkeypatch):

@@ -192,7 +192,9 @@ def test_criterion_7_invariant_suites(corpus_entries, reports_by_key, monkeypatc
         else:
             rep = reports_by_key[(e.name, "symbolic")]
             n = len(rep.ranks_by_level) * len(A.outputs)
-            numeric = rows_of(_Trials(LieCache(A), (0,), 0, P).grow(n)[0].echelon)
+            batch = _Trials(LieCache(A), (0,), 0, P)
+            batch.grow(n)
+            numeric = rows_of(batch.forms)
         r = rank_mod_p(numeric, P)
         for j, rj in enumerate(deleted_column_ranks(numeric, P)):
             if rj not in (r - 1, r):

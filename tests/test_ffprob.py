@@ -16,13 +16,15 @@ from identiscope.ffprob import DEFAULT_PRIMES, FfprobOptions, _Run, _sweep_runs,
 from identiscope.lie_orc import LieCache
 from identiscope.model import augment, load_model, parse_model
 from oracles import (TruncSeries, check_residuals, cross_check_lie, gradient_rows, jet_coeffs,
-                     output_jacobian, record_rows, rows_of, series_solve)
+                     output_jacobian, rank_mod_p, record_rows, rows_of, series_solve)
 from test_lie_orc import _chain_model
 
 P = 2147483647
 BIG_P = 3037000493  # the largest prime <= MAX_PRIME
 
 DECAY = "model decay\nstates x\nparams th\nddt x = -th*x\noutput y = x\n"
+# Every entry of the output is 0 mod P.
+TRAP = f"model trap\nstates x\nparams th\nddt x = -th*x\noutput y = {P}*x\n"
 
 
 def frac_mod(f: Fraction, p: int) -> int:
@@ -256,10 +258,20 @@ def test_engine_rank_agreement(reports_by_key):
 # incremental output Jacobian
 # --------------------------------------------------------------------------
 
-def _batch(A, primes, trials, seed):
+def _batch(A, primes, trials, seed, order=None):
+    """(run, rows, rank) for every (prime, trial) run of one sweep: the rows
+    that the run's echelon form took through the run's own last order, and
+    the form's rank.  The blocks a form takes after its run has stopped are
+    checked to be zero and cut."""
     runs = [_Run(p, trial) for p in primes for trial in range(trials)]
-    _sweep_runs(A, runs, seed, max(A.n_z - 1, 1))
-    return runs
+    forms = _sweep_runs(A, runs, seed, max(A.n_z - 1, 1) if order is None else order)
+    m = len(A.outputs)
+    out = []
+    for f, (run, rank) in enumerate(zip(runs, forms.ranks)):
+        rows, cut = rows_of(forms, f), (run.order + 1) * m
+        assert len(rows) >= cut and not np.any(rows[cut:]), (run, cut)
+        out.append((run, rows[:cut], rank))
+    return out
 
 
 @pytest.fixture(autouse=True)
@@ -289,8 +301,7 @@ def test_incremental_blocks_match_eager_route(corpus_entries):
         A = augment(load_model(e.path))
         m = len(A.outputs)
         for seed in (0, 1):
-            for run in _batch(A, DEFAULT_PRIMES, 2, seed):
-                rows = rows_of(run.echelon)
+            for run, rows, _ in _batch(A, DEFAULT_PRIMES, 2, seed):
                 assert run.attempt == 0 and len(rows) % m == 0, e.name
                 for k in range(len(rows) // m):
                     assert rows[:(k + 1) * m] == _eager_rows(A, run, seed, k), \
@@ -304,8 +315,7 @@ def test_incremental_blocks_match_eager_route(corpus_entries):
 def test_blocks_match_eager_route_at_largest_prime():
     A = augment(load_model(corpus_dir() / "jak_stat1.idm"))
     m = len(A.outputs)
-    (run,) = _batch(A, (BIG_P,), 1, 0)
-    rows = rows_of(run.echelon)
+    ((run, rows, _),) = _batch(A, (BIG_P,), 1, 0)
     assert len(rows) > 3 * m
     for k in range(len(rows) // m):
         assert rows[:(k + 1) * m] == _eager_rows(A, run, 0, k), k
@@ -342,15 +352,13 @@ def test_restart_moves_only_the_failing_run(monkeypatch):
     target = (DEFAULT_PRIMES[1], 1)
     real = _vanishing_draw(monkeypatch, target, {0})
     forced = _batch(A, DEFAULT_PRIMES, 2, 0)
-    for before, run in zip(plain, forced):
+    for (before, before_rows, _), (run, rows, _) in zip(plain, forced):
         assert before.attempt == 0
         if (run.prime, run.trial) != target:
-            assert (run.attempt, rows_of(run.echelon), run.stop) == \
-                (0, rows_of(before.echelon), before.stop)
+            assert (run.attempt, rows, run.stop) == (0, before_rows, before.stop)
             continue
         assert run.attempt == 1
         assert real(A, 0, run.prime, run.trial, 1)[0] != real(A, 0, run.prime, run.trial, 0)[0]
-        rows = rows_of(run.echelon)
         for k in range(len(rows) // m):
             assert rows[:(k + 1) * m] == _eager_rows(A, run, 0, k), k
 
@@ -398,9 +406,8 @@ def test_stop_reason_saturation():
 def test_zero_first_block_does_not_saturate():
     # Every entry of the trap's output is 0 mod P, so block 0 leaves the rank
     # at 0; saturation is a block k > 0 that does not raise it.
-    trap = f"model trap\nstates x\nparams th\nddt x = -th*x\noutput y = {P}*x\n"
-    (run,) = _batch(augment(parse_model(trap)), (P,), 1, 0)
-    assert (run.stop, len(rows_of(run.echelon)), run.echelon.rank) == ("saturation", 2, 0)
+    ((run, rows, rank),) = _batch(augment(parse_model(TRAP)), (P,), 1, 0)
+    assert (run.stop, len(rows), rank) == ("saturation", 2, 0)
 
 
 def test_stop_reason_order_exhausted():
@@ -408,6 +415,52 @@ def test_stop_reason_order_exhausted():
     rep = analyze_ffprob(md, FfprobOptions(order=1))
     assert rep.rank < rep.n_z
     assert rep.stop_reason == "order_exhausted"
+
+
+def _stop_rule(rows, m, n_z, p, cap):
+    """(order, stop) of the first block at which the stop rule fires on a
+    run's rows, from rank_mod_p of the rows through each block."""
+    before = None
+    for k in range(cap + 1):
+        r = rank_mod_p(rows[:(k + 1) * m], p)
+        if r == n_z:
+            return k, "full_rank"
+        if k > 0 and r == before:
+            return k, "saturation"
+        before = r
+    return cap, "order_exhausted"
+
+
+# At P the output is x1, so that run saturates at rank 2 after block 2,
+# while the runs at the other primes reach full rank 4 after block 3.
+TRAP_ONE_TERM = f"""model trap2
+states x1 x2
+params a b
+ddt x1 = -a*x1
+ddt x2 = -b*x2
+output y = x1 + {P}*x2
+"""
+
+
+@pytest.mark.parametrize("md, order, stops", [
+    (parse_model(DECAY), None, {(1, "full_rank")}),
+    (load_model(corpus_dir() / "c2m_b.idm"), None, {(4, "saturation")}),
+    (parse_model(TRAP), None, {(1, "saturation"), (1, "full_rank")}),
+    (parse_model(TRAP_ONE_TERM), None, {(2, "saturation"), (3, "full_rank")}),
+    (load_model(corpus_dir() / "c2m_a.idm"), 1, {(1, "order_exhausted")}),
+], ids=["decay", "c2m_b", "trap", "trap-one-term", "c2m_a-order-1"])
+def test_each_run_stops_at_the_block_where_its_rule_fires(md, order, stops):
+    # Each run's order is the block at which its own rule fires on its own
+    # rows, and its form's rank is the rank of those rows; the runs of one
+    # sweep may stop at different blocks.
+    A = augment(md)
+    m, cap = len(A.outputs), max(A.n_z - 1, 1) if order is None else order
+    got = set()
+    for run, rows, rank in _batch(A, DEFAULT_PRIMES, 2, 0, order):
+        assert (run.order, run.stop) == _stop_rule(rows, m, A.n_z, run.prime, cap), run
+        assert rank == rank_mod_p(rows, run.prime), run
+        got.add((run.order, run.stop))
+    assert got == stops
 
 
 # --------------------------------------------------------------------------
@@ -567,8 +620,7 @@ def test_prime_trap_single_prime_underreports_rank():
     # Scaling the full-rank decay output by one of the field primes makes
     # every Jacobian entry vanish mod that prime; the default multi-prime
     # aggregation still finds the true rank through the other primes.
-    trap = f"model trap\nstates x\nparams th\nddt x = -th*x\noutput y = {P}*x\n"
-    md = parse_model(trap)
+    md = parse_model(TRAP)
     forced = analyze_ffprob(md, FfprobOptions(primes=(P,), trials=1))
     assert forced.rank == 0
     default = analyze_ffprob(md, FfprobOptions())

@@ -373,7 +373,8 @@ def test_saturation_rank_stable_two_extra_levels():
         batch = _Trials(LieCache(A), range(3), 0, P)
         for extra in (1, 2):
             n = (k_stop + extra + 1) * len(A.outputs)
-            assert max(rank_mod_p(rows_of(pt.echelon), P) for pt in batch.grow(n)) == rep.rank
+            assert max(rank_mod_p(rows_of(batch.forms, f), P)
+                       for f, _ in enumerate(batch.grow(n))) == rep.rank
 
 
 def test_determinism_identical_reports():
@@ -462,11 +463,11 @@ def _tangent_row(phi, pt: _TrialPoint):
     batch.points = [pt]
     if batch._evaluate([phi]):
         raise lie_orc._first_failure([phi], batch.zset, pt)
-    return rows_of(pt.echelon)[-1], batch.transcendental
+    return rows_of(batch.forms)[-1], batch.transcendental
 
 
 def _assert_sweep_matches(phi):
-    pt, ref = _TrialPoint(0, 0, 0, P, len(Z)), _Reference(0, 0, 0, P, len(Z))
+    pt, ref = _TrialPoint(0, 0, 0, P), _Reference(0, 0, 0, P)
     assert _tangent_row(phi, pt) == (_symbolic_row(phi, ref), bool(ref.read))
 
 
@@ -490,11 +491,11 @@ def test_grad_row_shared_subtree():
 
 
 def test_grad_row_product_with_a_zero_factor():
-    vy = _TrialPoint(0, 0, 0, P, len(Z))[Y]
+    vy = _TrialPoint(0, 0, 0, P)[Y]
     zero = y - vy  # 0 mod P at the point
     phi = x * zero * th * (x + th) + zero * sx.sin(x * th)
     _assert_sweep_matches(phi)
-    row, _ = _tangent_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
+    row, _ = _tangent_row(phi, _TrialPoint(0, 0, 0, P))
     assert row[0] == 0 and row[2] == 0 and row[1] != 0
 
 
@@ -503,19 +504,19 @@ def test_grad_row_product_with_a_zero_factor():
     lambda zero: x * sx.ln(zero),
 ], ids=["negative-power", "ln"])
 def test_grad_row_vanishing_denominator_raises(vanishing):
-    phi = vanishing(y - _TrialPoint(0, 0, 0, P, len(Z))[Y])
+    phi = vanishing(y - _TrialPoint(0, 0, 0, P)[Y])
     with pytest.raises(DivisionByZeroModP):
-        _tangent_row(phi, _TrialPoint(0, 0, 0, P, len(Z)))
+        _tangent_row(phi, _TrialPoint(0, 0, 0, P))
     with pytest.raises(DivisionByZeroModP):
-        _symbolic_row(phi, _Reference(0, 0, 0, P, len(Z)))
+        _symbolic_row(phi, _Reference(0, 0, 0, P))
 
 
 def _input_zero_model(output: str):
     # One trial at seed 0: u - c is 0 mod P at attempt 0 and not at attempt 1.
     src = "model m\nstates x\nparams th\ninputs u constant\nddt x = -th*x\noutput y = {}\n"
     u = augment(parse_model(src.format("x"))).model.known_inputs[0].symbol
-    c = _TrialPoint(0, 0, 0, P, 2)[u]
-    assert _TrialPoint(0, 0, 1, P, 2)[u] != c
+    c = _TrialPoint(0, 0, 0, P)[u]
+    assert _TrialPoint(0, 0, 1, P)[u] != c
     return augment(parse_model(src.format(output.replace("c", str(c)))))
 
 
@@ -529,25 +530,27 @@ def test_vanishing_denominator_in_an_unread_add_term_keeps_the_point():
     # the point is never read by the row's derivative.
     A = _input_zero_model("x*th + 1/(u - c)")
     cache = LieCache(A)
-    pt, = _Trials(cache, (0,), 0, P).grow(2)
+    batch = _Trials(cache, (0,), 0, P)
+    pt, = batch.grow(2)
     assert pt.attempt == 0
-    assert rows_of(pt.echelon) == _symbolic_rows(A, cache, 2, _Reference(0, 0, 0, P, A.n_z))
+    assert rows_of(batch.forms) == _symbolic_rows(A, cache, 2, _Reference(0, 0, 0, P))
 
 
 def test_vanishing_denominator_in_a_sibling_factor_restarts_the_trial():
     # A Mul with two z-dependent factors reads every factor, 1/(u - c) too.
     A = _input_zero_model("x*th/(u - c)")
     cache = LieCache(A)
-    pt, = _Trials(cache, (0,), 0, P).grow(2)
+    batch = _Trials(cache, (0,), 0, P)
+    pt, = batch.grow(2)
     assert pt.attempt == 1
     with pytest.raises(DivisionByZeroModP):
-        _symbolic_rows(A, cache, 2, _Reference(0, 0, 0, P, A.n_z))
-    assert rows_of(pt.echelon) == _symbolic_rows(A, cache, 2, _Reference(0, 0, 1, P, A.n_z))
+        _symbolic_rows(A, cache, 2, _Reference(0, 0, 0, P))
+    assert rows_of(batch.forms) == _symbolic_rows(A, cache, 2, _Reference(0, 0, 1, P))
 
 
 def test_lone_sin_reads_only_its_cosine():
     _assert_sweep_matches(sx.sin(x * th))
-    ref = _Reference(0, 0, 0, P, len(Z))
+    ref = _Reference(0, 0, 0, P)
     _symbolic_row(sx.sin(x * th), ref)
     assert ref.read == {sx.cos(x * th)}
 
@@ -561,8 +564,8 @@ def test_trials_batched_get_the_rows_they_get_alone():
         points = batch.grow((k + 1) * m)
         for trial, pt in enumerate(points):
             single, = alone[trial].grow((k + 1) * m)
-            assert (pt.trial, pt.attempt, rows_of(pt.echelon)) == \
-                (trial, single.attempt, rows_of(single.echelon)), k
+            assert (pt.trial, pt.attempt, rows_of(batch.forms, trial)) == \
+                (trial, single.attempt, rows_of(alone[trial].forms)), k
             assert batch.transcendental == alone[trial].transcendental, k
 
 
@@ -584,10 +587,10 @@ def test_sweep_rows_match_symbolic_rows_on_corpus(corpus_entries, reports_by_key
         for k in range(levels):
             pt, = batch.grow((k + 1) * len(A.outputs))
             if ref is None or ref.attempt != pt.attempt:
-                ref, expected = _Reference(0, 0, pt.attempt, P, A.n_z), []
+                ref, expected = _Reference(0, 0, pt.attempt, P), []
             expected += [_eval_row(row, ref)
                          for row in _gradient_matrix(cache, k)[len(expected):]]
-            assert rows_of(pt.echelon) == expected, (entry.name, k)
+            assert rows_of(batch.forms) == expected, (entry.name, k)
             assert batch.transcendental == bool(ref.read), (entry.name, k)
 
 
@@ -615,9 +618,9 @@ def _check_restarts(name, p, seed):
         numeric = []
         for trial in range(trials):
             pt, = alone[trial].grow(len(rows))
-            got = rows_of(pt.echelon)
+            got = rows_of(alone[trial].forms)
             for attempt in range(lie_orc.RETRIES):
-                ref = _Reference(seed, trial, attempt, p, A.n_z)
+                ref = _Reference(seed, trial, attempt, p)
                 try:
                     want = [_eval_row(row, ref) for row in rows]
                 except DivisionByZeroModP:
@@ -626,7 +629,7 @@ def _check_restarts(name, p, seed):
             assert got == want, (name, k, trial)
             assert alone[trial].transcendental == bool(ref.read), (name, k, trial)
             assert pt.attempt == attempt
-            assert pt.echelon.rank == rank_mod_p(got, p), (name, k, trial)
+            assert alone[trial].forms.ranks == [rank_mod_p(got, p)], (name, k, trial)
             restarted = restarted or attempt > 0
             numeric.append(got)
         assert rep.ranks_by_level[k] == max(rank_mod_p(got, p) for got in numeric), (name, k)
@@ -657,12 +660,12 @@ def test_restart_of_one_trial_leaves_the_others_alone():
         rows = _gradient_matrix(batch.cache, k)
         for trial, pt in enumerate(points):
             single, = alone[trial].grow(n)
-            got = rows_of(single.echelon)
-            assert (rows_of(pt.echelon), batch.transcendental) == \
+            got = rows_of(alone[trial].forms)
+            assert (rows_of(batch.forms, trial), batch.transcendental) == \
                 (got, alone[trial].transcendental), (k, trial)
             for attempt in range(pt.attempt + 1):
                 try:
-                    want = [_eval_row(row, _Reference(seed, trial, attempt, p, A.n_z))
+                    want = [_eval_row(row, _Reference(seed, trial, attempt, p))
                             for row in rows]
                 except DivisionByZeroModP:
                     assert attempt < pt.attempt, (k, trial)
@@ -698,8 +701,8 @@ def test_tangents_are_reused_across_levels():
         assert set(batch.slot) == dependent, k
         assert _slots(batch) == len(dependent), k
     # A batch already holding n rows evaluates nothing and leaves the ranks.
-    ranks = [pt.echelon.rank for pt in points]
-    assert [pt.echelon.rank for pt in batch.grow(m)] == ranks
+    ranks = batch.forms.ranks
+    assert batch.grow(m) == points and batch.forms.ranks == ranks
     assert _slots(batch) == len(dependent)
 
 

@@ -7,7 +7,7 @@ from identiscope import lie_orc
 import numpy as np
 
 from identiscope import _linalg
-from identiscope._linalg import MAX_COLS, MAX_PRIME, Echelon, extend_all, is_prime
+from identiscope._linalg import MAX_COLS, MAX_PRIME, Echelons, is_prime
 from identiscope.ffprob import DEFAULT_PRIMES
 
 from oracles import deleted_column_ranks, rank_mod_p
@@ -36,10 +36,16 @@ def low_rank_matrices(draw):
 
 
 def _one_block(rows, p):
-    """(rank, independent columns) of an Echelon extended once with all rows."""
-    ech = Echelon(len(rows[0]), p)
-    ech.extend(rows)
-    return ech.rank, ech.independent_columns()
+    """(rank, independent columns) of one echelon form extended once with
+    all rows."""
+    ech = Echelons(len(rows[0]), [p])
+    ech.extend([rows])
+    return ech.ranks[0], ech.independent_columns()[0].tolist()
+
+
+def _basis(forms, f):
+    """Form f's pivot rows, in the order their columns became pivots."""
+    return forms.B[f][forms.pivots[f]]
 
 
 def _check_against_oracle(rows, p):
@@ -84,31 +90,65 @@ def test_rank_with_zero_columns_matches_reference(case, data):
         rows = [row[:j] + [0] + row[j:] for row in rows]
     r = _reference_rank(rows, p)
     assert rank_mod_p(rows, p) == r
-    ech = Echelon(len(rows[0]), p)
+    ech = Echelons(len(rows[0]), [p])
     for row in rows:
-        ech.extend([row])
-    assert ech.rank == r
+        ech.extend([[row]])
+    assert ech.ranks == [r]
+
+
+def _trimmed(cases):
+    """The cases cut to the fewest rows and columns among them, and those
+    counts."""
+    n_cols = min(len(rows[0]) for rows, _ in cases)
+    n_rows = min(len(rows) for rows, _ in cases)
+    return [([row[:n_cols] for row in rows[:n_rows]], p) for rows, p in cases], n_cols, n_rows
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(low_rank_matrices(), min_size=1, max_size=4), st.data())
-def test_extend_all_matches_each_form_alone(cases, data):
+def test_extend_matches_each_form_alone(cases, data):
     # Forms over different primes, each extended by blocks of one shape, end
     # where each form extended alone does.
-    n_cols = min(len(rows[0]) for rows, _ in cases)
-    n_rows = min(len(rows) for rows, _ in cases)
-    cases = [([row[:n_cols] for row in rows[:n_rows]], p) for rows, p in cases]
+    cases, n_cols, n_rows = _trimmed(cases)
     cut = data.draw(st.integers(0, n_rows))
-    together = [Echelon(n_cols, p) for _, p in cases]
+    together = Echelons(n_cols, [p for _, p in cases])
     for lo, hi in ((0, cut), (cut, n_rows)):
-        ranks = extend_all(together, [rows[lo:hi] for rows, _ in cases])
+        ranks = together.extend([rows[lo:hi] for rows, _ in cases])
         assert ranks == [rank_mod_p(rows[:hi], p) if hi else 0 for rows, p in cases]
-    for ech, (rows, p) in zip(together, cases):
-        alone = Echelon(n_cols, p)
-        alone.extend(rows)
-        assert ech.pivots == alone.pivots and (ech.basis == alone.basis).all()
-        r = ech.rank
-        assert ech.independent_columns() == [d == r - 1 for d in deleted_column_ranks(rows, p)]
+    flags = together.independent_columns().tolist()
+    for f, (rows, p) in enumerate(cases):
+        alone = Echelons(n_cols, [p])
+        alone.extend([rows])
+        assert together.pivots[f] == alone.pivots[0]
+        assert (_basis(together, f) == _basis(alone, 0)).all()
+        r = together.ranks[f]
+        assert flags[f] == [d == r - 1 for d in deleted_column_ranks(rows, p)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(low_rank_matrices(), min_size=2, max_size=4), st.data())
+def test_zero_blocks_leave_their_form_unchanged(cases, data):
+    # One form takes its first rows and then blocks of zeros, as a stopped
+    # ffprob run does, while the others extend.  From then on its B and
+    # pivots stay byte for byte what they were, and every form's rank is
+    # that of its nonzero rows.
+    cases, n_cols, n_rows = _trimmed(cases)
+    idle = data.draw(st.integers(0, len(cases) - 1))
+    stop = data.draw(st.integers(0, n_rows))
+    cuts = sorted({stop, *data.draw(st.lists(st.integers(0, n_rows), max_size=2))})
+    forms = Echelons(n_cols, [p for _, p in cases])
+    received = [[] for _ in cases]
+    for lo, hi in zip([0] + cuts, cuts + [n_rows]):
+        blocks = [rows[lo:hi] for rows, _ in cases]
+        if lo >= stop:
+            blocks[idle] = [[0] * n_cols for _ in range(hi - lo)]
+        B, pivots = forms.B[idle].tobytes(), list(forms.pivots[idle])
+        ranks = forms.extend(blocks)
+        if lo >= stop:
+            assert forms.B[idle].tobytes() == B and forms.pivots[idle] == pivots
+        for got, block in zip(received, blocks):
+            got += [row for row in block if any(row)]
+        assert ranks == [rank_mod_p(got, p) for got, (_, p) in zip(received, cases)]
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -132,14 +172,14 @@ def test_echelon_extended_by_blocks(case, data):
     of the rows so far, and the final flags equal those of one block."""
     rows, p = case
     cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4)))
-    ech = Echelon(len(rows[0]), p)
+    ech = Echelons(len(rows[0]), [p])
     for lo, hi in zip([0] + cuts, cuts + [len(rows)]):
         if hi > lo:
-            assert ech.extend(rows[lo:hi]) == rank_mod_p(rows[:hi], p)
-        assert ech.rank == (rank_mod_p(rows[:hi], p) if hi else 0)
-    flags = ech.independent_columns()
-    assert (ech.rank, flags) == _one_block(rows, p)
-    r = ech.rank
+            assert ech.extend([rows[lo:hi]]) == [rank_mod_p(rows[:hi], p)]
+        assert ech.ranks == [rank_mod_p(rows[:hi], p) if hi else 0]
+    flags = ech.independent_columns()[0].tolist()
+    assert (ech.ranks[0], flags) == _one_block(rows, p)
+    r = ech.ranks[0]
     assert flags == [d == r - 1 for d in deleted_column_ranks(rows, p)]
 
 
@@ -151,13 +191,14 @@ def test_echelon_block_update_at_largest_prime():
     blocks = [[[1, 0, q, q, 5], [0, 1, q, q, q]],
               [[q, q, 2, 2, p - 4]],
               [[q, q, q, q - 1, 7], [q, 1, 3, q, q]]]
-    ech = Echelon(5, p)
+    ech = Echelons(5, [p])
     rows = []
     for block, want in zip(blocks, (2, 2, 4)):
         rows += block
-        assert ech.extend(block) == rank_mod_p(rows, p) == want
-    r = ech.rank
-    assert ech.independent_columns() == [d == r - 1 for d in deleted_column_ranks(rows, p)]
+        assert ech.extend([block]) == [rank_mod_p(rows, p)] == [want]
+    r = ech.ranks[0]
+    assert ech.independent_columns()[0].tolist() == \
+        [d == r - 1 for d in deleted_column_ranks(rows, p)]
 
 
 BIG_PRIMES = (3037000493, 2**31 - 1)  # the largest prime <= MAX_PRIME, and 2^31 - 1
@@ -165,7 +206,7 @@ BIG_PRIMES = (3037000493, 2**31 - 1)  # the largest prime <= MAX_PRIME, and 2^31
 
 @settings(max_examples=25, deadline=None)
 @given(st.data())
-def test_extend_all_exact_at_the_largest_primes(data):
+def test_extend_exact_at_the_largest_primes(data):
     # Forms up to 64 columns wide, of rank at most k, whose entries are
     # small sums of +-1 and so mostly near p: the block products sum many
     # terms with high limbs near 2^16.  Ranks equal rank_mod_p's, which uses
@@ -183,15 +224,15 @@ def test_extend_all_exact_at_the_largest_primes(data):
         cases.append(([[sum(B[i][t] * C[t][j] for t in range(k)) % p for j in range(n)]
                        for i in range(n_rows)], p))
     cuts = sorted(data.draw(st.lists(st.integers(0, n_rows), max_size=3)))
-    together = [Echelon(n, p) for _, p in cases]
+    together = Echelons(n, [p for _, p in cases])
     for lo, hi in zip([0] + cuts, cuts + [n_rows]):
-        ranks = extend_all(together, [rows[lo:hi] for rows, _ in cases])
+        ranks = together.extend([rows[lo:hi] for rows, _ in cases])
         assert ranks == [rank_mod_p(rows[:hi], p) if hi else 0 for rows, p in cases]
-    for ech, (rows, p) in zip(together, cases):
-        assert ech.rank == _reference_rank(rows, p) <= k
-        alone = Echelon(n, p)
-        alone.extend(rows)
-        assert ech.pivots == alone.pivots and (ech.by_col == alone.by_col).all()
+    for f, (rows, p) in enumerate(cases):
+        assert together.ranks[f] == _reference_rank(rows, p) <= k
+        alone = Echelons(n, [p])
+        alone.extend([rows])
+        assert together.pivots[f] == alone.pivots[0] and (together.B[f] == alone.B[0]).all()
 
 
 @pytest.mark.parametrize("p", BIG_PRIMES)
@@ -202,7 +243,7 @@ def test_block_product_exact_at_the_column_bound(p):
     got = _linalg._matmul(x, x.transpose(0, 2, 1), P)
     assert (got >= 0).all() and (got % p == MAX_COLS * (p - 1) ** 2 % p).all()
     with pytest.raises(ValueError):
-        Echelon(MAX_COLS + 1, p)
+        Echelons(MAX_COLS + 1, [p])
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -212,14 +253,14 @@ def test_rank_of_no_rows_is_zero(p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_echelon_extended_by_no_rows_is_unchanged(p):
-    ech = Echelon(3, p)
-    assert ech.extend([]) == 0
-    assert ech.basis.shape == (0, 3) and ech.pivots == []
-    ech.extend([[1, 1, 0], [0, 1, 1]])
-    basis, pivots = ech.basis.copy(), list(ech.pivots)
-    assert ech.extend([]) == 2
-    assert (ech.basis == basis).all() and ech.pivots == pivots
-    assert ech.independent_columns() == [d == 1 for d in deleted_column_ranks(
+    ech = Echelons(3, [p])
+    assert ech.extend([[]]) == [0]
+    assert _basis(ech, 0).shape == (0, 3) and ech.pivots == [[]]
+    ech.extend([[[1, 1, 0], [0, 1, 1]]])
+    basis, pivots = _basis(ech, 0), list(ech.pivots[0])
+    assert ech.extend([[]]) == [2]
+    assert (_basis(ech, 0) == basis).all() and ech.pivots == [pivots]
+    assert ech.independent_columns()[0].tolist() == [d == 1 for d in deleted_column_ranks(
         [[1, 1, 0], [0, 1, 1]], p)]
 
 
