@@ -4,11 +4,19 @@ for their moduli.
 ``Echelons`` holds the echelon forms of one analysis, one per trial or
 run, stacked in one int64 numpy array and extended in place.  With p
 bounded by sqrt(2^63) the product of two residues, which the elimination
-of a block reduces before it subtracts it, cannot overflow.  A block update is an int64 matrix
-product with its left factor split into 16-bit limbs: p is below 2^32, so
-each product of a limb and an entry is below 2^48, and a sum of fewer than
-2^15 of them, one per column of a form of at most ``MAX_COLS`` columns,
-stays below 2^63.  Every intermediate stays exact.
+reduces before it subtracts the next, cannot overflow.  The reduction of a
+new block against the old pivot rows is an int64 matrix product with its
+left factor split into 16-bit limbs: p is below 2^32, so each product of a
+limb and an entry is below 2^48, and a sum of fewer than 2^15 of them, one
+per column of a form of at most ``MAX_COLS`` columns, stays below 2^63.
+Every intermediate stays exact.
+
+A column is settled once it is a pivot column of every form.  Every row an
+extension adds or changes is 0 at each settled column, before and after
+(see ``Echelons.extend``), so the work of an extension is done on the
+unsettled columns alone.  As the forms fill up, that is fewer and fewer
+columns, as in the blocked elimination mod p of FFLAS-FFPACK (Dumas,
+Giorgi & Pernet, ACM TOMS 2008).
 """
 
 from __future__ import annotations
@@ -85,10 +93,15 @@ class Echelons:
     ``pivots[f]`` lists form f's pivot columns in the order they became
     pivots, and ``P[f]`` is its prime.  ``extend`` reduces each new block
     against its form's pivot rows so far (each pivot row is zero at every
-    other pivot column, so one vectorized step clears them all), eliminates
-    what is left, and clears the new pivot columns from the older rows, in
-    place.  Each form is therefore the reduced row echelon form of all its
-    rows so far.  A block of zeros leaves its form as it was.
+    other pivot column, so one vectorized step clears them all), then
+    eliminates what is left, clearing each new pivot column from the new and
+    the old rows alike, in place.  Each form is therefore the reduced row
+    echelon form of all its rows so far.  A block of zeros leaves its form
+    as it was.
+
+    The object also keeps how many forms pivot on each column, and from
+    that the union of the pivot columns, the unsettled columns and where
+    the old pivot rows' entries at those columns lie in ``B``.
     """
 
     def __init__(self, n_cols: int, primes):
@@ -100,10 +113,40 @@ class Echelons:
         self.P = np.array(self.primes, dtype=np.int64)[:, None, None]
         self.B = np.zeros((len(self.primes), n_cols, n_cols), dtype=np.int64)
         self.pivots: list[list[int]] = [[] for _ in self.primes]
+        self._forms = np.arange(len(self.primes))
+        # Row c of form f is row f * n_cols + c of B.reshape(-1, n_cols), and
+        # starts at entry (f * n_cols + c) * n_cols of B.reshape(-1).
+        self._rows = self._forms[:, None] * n_cols + np.arange(n_cols)
+        self._starts = self._rows * n_cols
+        self._count = [0] * n_cols
+        self._settle()
+
+    def _settle(self):
+        """Derive the columns and indices ``extend`` works on from the count
+        of forms that pivot on each column."""
+        n = self.B.shape[1]
+        count = np.array(self._count)
+        self._old = count.nonzero()[0]
+        self._cols = cols = (count < len(self.primes)).nonzero()[0]
+        if cols.size < n:
+            # Some column is settled: the unsettled entries of a row, as
+            # indices into the flat B.
+            self._free, self._flat = cols, self.B.reshape(-1)
+        else:
+            # None is: whole rows, and columns selected by a view.
+            self._free, self._flat = slice(None), self.B.reshape(-1, n)
+        self._region = self._entries(self._forms[:, None], self._old)
+
+    def _entries(self, f, c) -> np.ndarray:
+        """The indices into ``_flat`` of the unsettled entries of row c of
+        form f, for f and c broadcast together."""
+        if isinstance(self._free, slice):
+            return self._rows[f, c]
+        return self._starts[f, c][..., None] + self._free
 
     @property
     def ranks(self) -> list[int]:
-        return [len(pivots) for pivots in self.pivots]
+        return list(map(len, self.pivots))
 
     def independent_columns(self) -> np.ndarray:
         """(forms, n_cols) bool: whether each column of each form is
@@ -121,48 +164,64 @@ class Echelons:
         """Extend each form by its block of rows, the blocks all of one
         shape; returns the ranks of all rows so far.
 
-        Each step runs over all the forms at once; the reduction against the
-        old pivot rows and the clearing of the new pivot columns are one
-        exact matrix product each.  A column that is a pivot of no form has
-        a zero row, so the pivot columns of all the forms serve each of them.
+        Each step runs over all the forms at once, on the unsettled columns
+        only, which is exact.  An old pivot row is 1 at its own column and 0
+        at its form's other pivot columns, so a new row reduced against them
+        is 0 at every pivot column of its form, and so at every settled
+        column.  The elimination then only subtracts multiples of such rows
+        from each other and from the old pivot rows, so no row changes at a
+        settled column.  The reduction is one exact matrix product; a column
+        that is a pivot of no form has a zero row, so the pivot columns of
+        all the forms serve each of them.
         """
-        B, P, primes = self.B, self.P, self.primes
+        B, P, primes, forms = self.B, self.P, self.primes, self._forms
+        old, free, cols = self._old, self._free, self._cols
         a = np.asarray(blocks, dtype=np.int64).reshape(len(primes), -1, B.shape[1]) % P
-        old = sorted(set().union(*self.pivots))
-        if old:
-            a = (a - _matmul(a[:, :, old], B[:, old], P)) % P
-        # Gauss-Jordan elimination of the blocks, one row position at a time,
-        # over all the forms; a row that is zero scales by 0 and clears nothing.
-        forms = np.arange(len(primes))
-        found = []
-        for i in range(a.shape[1]):
+        r = a.shape[1]
+        if not (r and cols.size):
+            return self.ranks  # no rows, or every form has full rank
+        if old.size:
+            # The new rows, reduced, at the unsettled columns, over the old
+            # pivot rows there.
+            Bo = self._flat.take(self._region, 0)
+            a = (a[:, :, free] - _matmul(a.take(old, 2), Bo, P)) % P
+            a = np.concatenate((a, Bo), 1)
+        # Gauss-Jordan elimination of the new rows, one row position at a
+        # time, over all the forms; a row that is zero scales by 0 and clears
+        # nothing.  V[i][f] is the pivot that row i of form f found at its
+        # lead column L[i][f], or 0 when the row is zero and stays so.
+        V, L = [], []
+        tmp = np.empty_like(a)
+        for i in range(r):
             lead = (a[:, i] != 0).argmax(1)
             col = a[forms, :, lead]
             v = col[:, i]
-            s = v.nonzero()[0]
-            if not s.size:
+            V.append(v)
+            L.append(lead)
+            if not np.count_nonzero(v):
                 continue
             inv = [pow(x, -1, p) if x else 0 for x, p in zip(v.tolist(), primes)]
             row = a[:, i] * np.array(inv, dtype=np.int64)[:, None] % P[:, 0]
-            # Row i itself clears to 0 here and then takes the scaled row.  A
-            # product is below p^2 < 2^63, so the difference needs no reduction
-            # before the last.
-            a = (a - col[:, :, None] * row[:, None]) % P
+            # Every other row, old or new, loses its multiple of the scaled
+            # row; row i itself clears to 0 here and then takes it.  A product
+            # is below p^2 < 2^63, so the difference needs no reduction before
+            # the last.
+            np.multiply(col[:, :, None], row[:, None], out=tmp)
+            a -= tmp
+            a %= P
             a[:, i] = row
-            found.append((s, lead, i))
-        if not found:
+        f, i = np.array(V).T.nonzero()
+        if not f.size:
             return self.ranks
-        if old:
-            # Clear the new pivot columns from the old pivot rows, the only
-            # nonzero ones.  Row i of a form with no pivot in it is zero, so
-            # its lead column, whatever it is, clears nothing.
-            Bo = B[:, old]
-            leads = np.array([lead for _, lead, _ in found]).T
-            cols = Bo[forms[:, None], :, leads].swapaxes(1, 2)
-            B[:, old] = (Bo - _matmul(cols, a[:, [i for _, _, i in found]], P)) % P
-        # A form's row of a new pivot column is zero until it takes the pivot row.
-        for s, lead, i in found:
-            B[s, lead[s]] = a[s, i]
-            for f, c in zip(s.tolist(), lead[s].tolist()):
-                self.pivots[f].append(c)
+        if old.size:
+            self._flat[self._region] = a[:, r:]
+        # A form's row of a new pivot column is zero until it takes the pivot
+        # row, which is zero at every settled column.
+        c = cols[np.array(L).T[f, i]]
+        self._flat[self._entries(f, c)] = a[f, i]
+        count = self._count
+        for form, column in zip(f.tolist(), c.tolist()):
+            self.pivots[form].append(column)
+            count[column] += 1
+        self._settle()
         return self.ranks

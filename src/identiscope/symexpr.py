@@ -339,6 +339,9 @@ def _digest_tree(root: Expr) -> bytes:
 # values are weak: a node leaves the table when it is freed.  ZERO, ONE and
 # NEG_ONE stay, so the canonical zero and one are those objects.
 _INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# The table's own dict of weak references, which ``_node`` reads directly so
+# that a lookup stays in C, as ``WeakValueDictionary.get`` reads it.
+_REFS: dict = _INTERN.data
 # Intern serials, from one process-wide counter that is never reset, so no
 # two nodes share one.
 _SERIALS = itertools.count()
@@ -356,7 +359,9 @@ def _node(key: tuple) -> Expr:
     # The node of a key whose children are canonical: a Mul's or an Add's
     # at least two, in serial order, a Const only in front; a Pow's base not
     # a Const, Mul or Pow, and its exponent not 0 or 1.
-    got = _INTERN.get(key)
+    # A reference whose node is gone reads as absent, as in ``get``.
+    ref = _REFS.get(key)
+    got = ref() if ref is not None else None
     return got if got is not None else _intern(key)
 
 

@@ -8,9 +8,11 @@ import numpy as np
 
 from identiscope import _linalg
 from identiscope._linalg import MAX_COLS, MAX_PRIME, Echelons, is_prime
-from identiscope.ffprob import DEFAULT_PRIMES
+from identiscope.bench import corpus_dir
+from identiscope.ffprob import DEFAULT_PRIMES, analyze_ffprob
+from identiscope.model import load_model
 
-from oracles import deleted_column_ranks, rank_mod_p
+from oracles import deleted_column_ranks, rank_mod_p, record_rows, rows_of
 
 PRIMES = (2, 3, 7, 101, 2**31 - 1)
 
@@ -233,6 +235,117 @@ def test_extend_exact_at_the_largest_primes(data):
         alone = Echelons(n, [p])
         alone.extend([rows])
         assert together.pivots[f] == alone.pivots[0] and (together.B[f] == alone.B[0]).all()
+
+
+@st.composite
+def settling_forms(draw):
+    """(n_cols, primes, rows, cuts, stops) for forms that share some pivot
+    columns but not all.  Every form's first block holds a row led by each
+    shared column (zero before it, nonzero at it), so the shared columns
+    settle at once.  Form 0
+    then takes a row led by each other column in its second block and
+    reaches full rank; form 1's later rows lie in the shared span, so the
+    settled columns stay a nonempty strict subset of the union.  Any other
+    form takes rows led by a drawn set of further columns, mixed with sums
+    of its rows so far, some of them zero.  From block ``stops[f]`` on (when not
+    None), form f takes zero blocks."""
+    n = draw(st.integers(3, 9))
+    n_forms = draw(st.integers(2, 4))
+    primes = [BIG_PRIMES[0]] + [draw(st.sampled_from(PRIMES + BIG_PRIMES))
+                                for _ in range(n_forms - 1)]
+    shared = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1)))
+    rest = [c for c in range(n) if c not in shared]
+    leads = [rest, []] + [sorted(draw(st.sets(st.sampled_from(rest)))) for _ in primes[2:]]
+    tail = len(rest) + draw(st.integers(2, 6))  # rows after the first block
+    rows = []
+    for f, (p, extra) in enumerate(zip(primes, leads)):
+        unit = st.integers(1, p - 1)
+
+        def led(c):
+            return [0] * c + [draw(unit)] + [draw(st.integers(0, p - 1)) for _ in range(n - c - 1)]
+
+        basis = [led(c) for c in shared + extra]
+        later = basis[len(shared):]
+        for _ in range(tail - len(later)):
+            coef = [draw(st.integers(0, p - 1)) for _ in basis]
+            later.append([sum(k * b[j] for k, b in zip(coef, basis)) % p for j in range(n)])
+        if f > 1:
+            later = draw(st.permutations(later))
+        rows.append(basis[:len(shared)] + later)
+    # Form 0's second block holds all its led rows; at least two blocks
+    # follow.
+    second = len(shared) + len(rest)
+    cuts = sorted({len(shared), second, *draw(
+        st.lists(st.integers(second + 1, len(shared) + tail - 1), min_size=1, max_size=3))})
+    stops = [None, None] + [draw(st.none() | st.integers(1, len(cuts))) for _ in primes[2:]]
+    return n, primes, rows, cuts, stops
+
+
+@settings(max_examples=150, deadline=None)
+@given(settling_forms())
+def test_extend_with_settled_columns_matches_each_form_alone(case):
+    # Forms over mixed primes, the largest prime allowed among them, extended
+    # by at least three blocks while some columns are settled (a pivot of
+    # every form) and others are not; one form reaches full rank and some
+    # take zero blocks while the others keep growing.  Every rank equals
+    # rank_mod_p of the rows so far; at the end every form is, byte for byte,
+    # the form extended alone with its nonzero rows, and its flags are those
+    # of column deletion.
+    n, primes, rows, cuts, stops = case
+    forms = Echelons(n, primes)
+    received = [[] for _ in primes]
+    bounds = list(zip([0] + cuts, cuts + [len(rows[0])]))
+    assert len(bounds) >= 4
+    for b, (lo, hi) in enumerate(bounds):
+        blocks = [r[lo:hi] if stop is None or b < stop else [[0] * n] * (hi - lo)
+                  for r, stop in zip(rows, stops)]
+        for got, block in zip(received, blocks):
+            got += [row for row in block if any(row)]
+        ranks = forms.extend(blocks)
+        assert ranks == [rank_mod_p(got, p) for got, p in zip(received, primes)]
+    assert forms.ranks[0] == n
+    settled = set.intersection(*map(set, forms.pivots))
+    assert 0 < len(settled) < len(set.union(*map(set, forms.pivots)))
+    flags = forms.independent_columns().tolist()
+    for f, (got, p) in enumerate(zip(received, primes)):
+        alone = Echelons(n, [p])
+        alone.extend([got])
+        assert forms.pivots[f] == alone.pivots[0]
+        assert forms.B[f].tobytes() == alone.B[0].tobytes()
+        r = forms.ranks[f]
+        assert flags[f] == [d == r - 1 for d in deleted_column_ranks(got, p)]
+
+
+@pytest.mark.parametrize("name", ["hiv2", "nfkb1", "gene_p53"])
+def test_engine_rows_give_the_same_forms_under_any_blocks(name, monkeypatch):
+    # The rows both engines feed their forms, extended again one row per
+    # call and all as one block: the settled columns evolve differently
+    # under each, and all three end byte for byte alike.
+    record_rows(monkeypatch)
+    made = []
+    init = Echelons.__init__
+
+    def keep(forms, *args):
+        init(forms, *args)
+        made.append(forms)
+
+    monkeypatch.setattr(Echelons, "__init__", keep)
+    md = load_model(str(corpus_dir() / f"{name}.idm"))
+    analyze_ffprob(md)
+    lie_orc.analyze_symbolic(md)
+    monkeypatch.undo()
+    made = [forms for forms in made if any(forms.ranks)]
+    assert len(made) >= 2
+    for forms in made:
+        n, primes = forms.B.shape[1], forms.primes
+        rows = [rows_of(forms, f) for f in range(len(primes))]
+        whole, single = Echelons(n, primes), Echelons(n, primes)
+        whole.extend(rows)
+        for k in range(len(rows[0])):
+            single.extend([[r[k]] for r in rows])
+        for again in (whole, single):
+            assert again.pivots == forms.pivots
+            assert again.B.tobytes() == forms.B.tobytes()
 
 
 @pytest.mark.parametrize("p", BIG_PRIMES)
