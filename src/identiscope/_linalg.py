@@ -114,35 +114,25 @@ class Echelons:
         self.B = np.zeros((len(self.primes), n_cols, n_cols), dtype=np.int64)
         self.pivots: list[list[int]] = [[] for _ in self.primes]
         self._forms = np.arange(len(self.primes))
-        # Row c of form f is row f * n_cols + c of B.reshape(-1, n_cols), and
-        # starts at entry (f * n_cols + c) * n_cols of B.reshape(-1).
-        self._rows = self._forms[:, None] * n_cols + np.arange(n_cols)
-        self._starts = self._rows * n_cols
-        self._count = [0] * n_cols
+        # Row c of form f starts at entry (f * n_cols + c) * n_cols of _flat.
+        self._flat = self.B.reshape(-1)
+        self._starts = (self._forms[:, None] * n_cols + np.arange(n_cols)) * n_cols
+        # How many forms pivot on each column.
+        self._count = np.zeros(n_cols, dtype=np.int64)
         self._settle()
 
     def _settle(self):
-        """Derive the columns and indices ``extend`` works on from the count
-        of forms that pivot on each column."""
-        n = self.B.shape[1]
-        count = np.array(self._count)
-        self._old = count.nonzero()[0]
-        self._cols = cols = (count < len(self.primes)).nonzero()[0]
-        if cols.size < n:
-            # Some column is settled: the unsettled entries of a row, as
-            # indices into the flat B.
-            self._free, self._flat = cols, self.B.reshape(-1)
-        else:
-            # None is: whole rows, and columns selected by a view.
-            self._free, self._flat = slice(None), self.B.reshape(-1, n)
-        self._region = self._entries(self._forms[:, None], self._old)
+        """Derive from ``_count`` the union of the pivot columns, the
+        unsettled columns and the indices into ``_flat`` of the old pivot
+        rows' entries at those columns."""
+        self._old = self._count.nonzero()[0]
+        self._cols = (self._count < len(self.primes)).nonzero()[0]
+        self._region = self._entries(self._starts.take(self._old, 1))
 
-    def _entries(self, f, c) -> np.ndarray:
-        """The indices into ``_flat`` of the unsettled entries of row c of
-        form f, for f and c broadcast together."""
-        if isinstance(self._free, slice):
-            return self._rows[f, c]
-        return self._starts[f, c][..., None] + self._free
+    def _entries(self, starts) -> np.ndarray:
+        """The indices into ``_flat`` of the unsettled entries of the rows
+        that start at ``starts``."""
+        return starts[..., None] + self._cols
 
     @property
     def ranks(self) -> list[int]:
@@ -175,7 +165,7 @@ class Echelons:
         all the forms serve each of them.
         """
         B, P, primes, forms = self.B, self.P, self.primes, self._forms
-        old, free, cols = self._old, self._free, self._cols
+        old, cols = self._old, self._cols
         a = np.asarray(blocks, dtype=np.int64).reshape(len(primes), -1, B.shape[1]) % P
         r = a.shape[1]
         if not (r and cols.size):
@@ -183,9 +173,11 @@ class Echelons:
         if old.size:
             # The new rows, reduced, at the unsettled columns, over the old
             # pivot rows there.
-            Bo = self._flat.take(self._region, 0)
-            a = (a[:, :, free] - _matmul(a.take(old, 2), Bo, P)) % P
+            Bo = self._flat.take(self._region)
+            a = (a.take(cols, 2) - _matmul(a.take(old, 2), Bo, P)) % P
             a = np.concatenate((a, Bo), 1)
+        else:
+            a = a.take(cols, 2)
         # Gauss-Jordan elimination of the new rows, one row position at a
         # time, over all the forms; a row that is zero scales by 0 and clears
         # nothing.  V[i][f] is the pivot that row i of form f found at its
@@ -210,18 +202,17 @@ class Echelons:
             a -= tmp
             a %= P
             a[:, i] = row
-        f, i = np.array(V).T.nonzero()
+        i, f = np.array(V).nonzero()
         if not f.size:
             return self.ranks
         if old.size:
             self._flat[self._region] = a[:, r:]
         # A form's row of a new pivot column is zero until it takes the pivot
         # row, which is zero at every settled column.
-        c = cols[np.array(L).T[f, i]]
-        self._flat[self._entries(f, c)] = a[f, i]
-        count = self._count
+        c = cols[np.array(L)[i, f]]
+        self._flat[self._entries(self._starts[f, c])] = a[f, i]
         for form, column in zip(f.tolist(), c.tolist()):
             self.pivots[form].append(column)
-            count[column] += 1
+        self._count += np.bincount(c, minlength=self._count.size)
         self._settle()
         return self.ranks
