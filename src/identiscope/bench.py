@@ -10,7 +10,8 @@ the harness reports their verdicts but never asserts them.
 ``run_corpus`` analyzes every applicable (model, engine) pair with a
 per-model wall-clock budget: the finite-field engine is recorded as "na"
 on non-rational models, a timeout produces a timeout record with no
-partial verdicts, and any other failure becomes an error record.
+partial verdicts, and any other failure becomes an error record, as does
+a model file that does not load.
 ``compare_engines`` then marks per-model consensus, which is the
 correctness criterion for engines that share no code path.
 """
@@ -26,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 
 from ._linalg import MAX_PRIME, is_prime
-from .errors import EngineTimeout, IdentiscopeError, NonRationalExpr
+from .errors import EngineTimeout, IdentiscopeError, ModelError, NonRationalExpr
 from .ffprob import DEFAULT_PRIMES, MIN_PRIME, FfprobOptions, analyze_ffprob
 from .lie_orc import SymbolicOptions, analyze_symbolic
 from .model import ModelDef, load_model
@@ -151,36 +152,36 @@ def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
     return run(md, opts)
 
 
-def failure_record(md: ModelDef, engine: str, seed: int,
-                   exc: IdentiscopeError) -> AnalysisReport:
-    """The record of a run that raised: na for a non-rational model, timeout
-    for an exceeded budget, error for anything else."""
+def failure_record(model: str, engine: str, seed: int, exc: Exception) -> AnalysisReport:
+    """The record of a run of ``model`` that raised: na for a non-rational
+    model, timeout for an exceeded budget, error for anything else."""
     if isinstance(exc, NonRationalExpr):
         status, error = STATUS_NA, "NonRationalExpr"
     elif isinstance(exc, EngineTimeout):
         status, error = STATUS_TIMEOUT, "EngineTimeout"
     else:
         status, error = STATUS_ERROR, f"{type(exc).__name__}: {exc}"
-    return AnalysisReport(model=md.name, engine=engine, status=status,
+    return AnalysisReport(model=model, engine=engine, status=status,
                           seed=seed, error=error)
 
 
-def _run_one(path: Path, engine: str, opts: BenchOptions) -> AnalysisReport:
+def _run_one(md: ModelDef, engine: str, opts: BenchOptions) -> AnalysisReport:
     """Analyze one (model, engine) pair; analysis failures become records."""
-    md = load_model(path)
     deadline = None if opts.timeout_s is None else time.monotonic() + opts.timeout_s
     try:
         return analyze(md, engine, seed=opts.seed, primes=opts.primes, trials=opts.trials,
                        deadline=deadline)
     except IdentiscopeError as exc:
-        return failure_record(md, engine, opts.seed, exc)
+        return failure_record(md.name, engine, opts.seed, exc)
 
 
 def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[AnalysisReport]:
     """Analyze every corpus model with every requested engine.
 
-    Results are ordered by (model, engine); failures become error/timeout/na
-    records rather than exceptions.  A bad prime in ``opts.primes``, an
+    Each model file is parsed once for all engines.  Results are ordered by
+    (model, engine); failures become error/timeout/na records rather than
+    exceptions, and a file that does not load gives one error record per
+    engine, named after the file's stem.  A bad prime in ``opts.primes``, an
     empty ``opts.primes`` or ``opts.trials`` < 1 raises ValueError before
     any pair runs.
     """
@@ -192,8 +193,15 @@ def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[Analysi
     if opts.trials is not None and opts.trials < 1:
         raise ValueError("trials must be >= 1")
     base = Path(directory) if directory is not None else corpus_dir()
-    reports = [_run_one(path, engine, opts)
-               for path in sorted(base.glob("*.idm")) for engine in opts.engines]
+    reports = []
+    for path in sorted(base.glob("*.idm")):
+        try:
+            md = load_model(path)
+        except (ModelError, OSError, UnicodeDecodeError) as exc:
+            reports += [failure_record(path.stem, engine, opts.seed, exc)
+                        for engine in opts.engines]
+        else:
+            reports += [_run_one(md, engine, opts) for engine in opts.engines]
     reports.sort(key=lambda r: (r.model, r.engine))
     return reports
 

@@ -173,7 +173,7 @@ def cmd_analyze(args) -> int:
             if not (args.engine == "both" and isinstance(exc, NonRationalExpr)):
                 _machine_error(exc)
                 return EXIT_ANALYSIS
-            reports.append(bench_mod.failure_record(md, engine, seed, exc))
+            reports.append(bench_mod.failure_record(md.name, engine, seed, exc))
 
     print(f"model: {md.name}")
     for r in reports:

@@ -23,6 +23,13 @@ tangent of the h nodes.  One sweep per order advances every (prime, trial)
 run at once: runs are an array axis, each with its prime broadcast along it.
 The input jets and integration factors of an order are drawn and computed
 when the sweep reaches it, so only the orders some run reaches cost time.
+An order k >= 1 is swept in two phases.  The first computes the z leaves
+and the waves that the h nodes read, which is all that block k needs; the
+echelon forms take the block and decide which runs stop.  Only if some run
+goes on does the second phase compute the other waves, which order k + 1
+reads through z' = F, so at the order where the sweep ends the nodes that
+only F reads are not evaluated.  Order 0 is swept whole, because a restart
+reads every denominator at t = 0.
 At order k a product convolves the k + 1 terms of its two series only when
 both vary in time.  A parameter, a constant input, and any node built from
 such only, is time-constant: its series is zero past order 0, so its
@@ -163,7 +170,7 @@ class _Tape:
     """F and h compiled into a flat tape.  Node 0 is the constant 0, nodes
     1..n_z the z leaves, the next q the input jets, then the other constants.
     The other nodes (weighted add, binary mul, reciprocal) are numbered by
-    depth; one kind at one depth forms a wave, a contiguous range whose
+    wave: one kind at one depth forms a wave, a contiguous range whose
     operands all come earlier, evaluated by one numpy expression.
     ``fractions`` lists the values of the constant nodes ``const_ids``, then
     the weights of every add wave that has some other than 1, row by row,
@@ -181,6 +188,15 @@ class _Tape:
     the products that convolve.  A wave of time-constant nodes only is
     still, and is evaluated at order 0 alone.
 
+    The first ``out_waves`` waves are those that the h nodes read: the waves
+    of the h nodes and, whole, every wave that a node of theirs reads.  They
+    come first, in depth order, then the other waves in depth order, so a
+    sweep can stop an order after them (see ``_Sweep.advance``).  A wave is
+    never split for this: one that holds both a node h reads and a node only
+    F reads is a first-phase wave whole, so the tape has no more waves than
+    the (depth, kind) groups.  Splitting such waves cost the small models
+    more at every order than it saved at the last (``BENCH_23.json``).
+
     ``history`` lists, in order, the nodes that are read at earlier orders:
     the operands of the products that convolve and of the reciprocals, and
     the reciprocals themselves, in the waves that are not still."""
@@ -197,9 +213,23 @@ class _Tape:
         h = [c.compile(hi) for hi in A.outputs]
         nodes, depth, still = c.nodes, c.depth, c.still
         lead = 1 + n_z + q
-        # The sort key: the wave, then the products with a time-constant
-        # operand before the others.
-        key = [(depth[o], kind, not (kind == _MUL and still[ops[0]]), o)
+        # The waves the outputs read: those of the h nodes, then every wave
+        # that one of their nodes reads, whole.
+        members: dict[tuple, list[int]] = {}
+        for o in range(lead, len(nodes)):
+            members.setdefault((depth[o], nodes[o][0]), []).append(o)
+        read, todo = set(), [(depth[x], nodes[x][0]) for x in h if x >= lead]
+        while todo:
+            wave = todo.pop()
+            if wave not in read:
+                read.add(wave)
+                todo += [(depth[x], nodes[x][0])
+                         for o in members[wave] for x in nodes[o][1] if x >= lead]
+        # The sort key: the waves the outputs read before the others, each
+        # part by wave, then the products with a time-constant operand
+        # before the others.
+        key = [((depth[o], kind) not in read and kind != _CONST, depth[o], kind,
+                not (kind == _MUL and still[ops[0]]), o)
                for o, (kind, ops, _) in enumerate(nodes)]
         order = list(range(lead)) + sorted(range(lead, len(nodes)), key=key.__getitem__)
         new = {old: i for i, old in enumerate(order)}
@@ -208,8 +238,9 @@ class _Tape:
         self.const_ids = np.zeros(0, dtype=np.intp)
         self.fractions: list[Fraction] = []
         self.waves: list[tuple] = []  # (kind, lo, hi, operand ids, constants, still)
+        self.out_waves = 0
         lo = lead
-        for (_, kind), olds in groupby(order[lead:], key=lambda o: key[o][:2]):
+        for (late, _, kind), olds in groupby(order[lead:], key=lambda o: key[o][:3]):
             olds = list(olds)
             group = [nodes[o] for o in olds]
             hi = lo + len(group)
@@ -222,7 +253,7 @@ class _Tape:
                                 for _, o, _ in group], dtype=np.intp)
                 consts = None
                 if kind == _MUL:
-                    ops, consts = ops.T, sum(not key[o][2] for o in olds)
+                    ops, consts = ops.T, sum(not key[o][3] for o in olds)
                 elif kind == _RECIP:
                     ops = ops[:, 0]
                 elif any(w != 1 for _, _, ws in group for w in ws):
@@ -231,6 +262,7 @@ class _Tape:
                         self.fractions += ws + (0,) * (width - len(ws))
                     consts = slice(start, len(self.fractions))
                 self.waves.append((kind, lo, hi, ops, consts, all(self.still[lo:hi])))
+                self.out_waves += not late
             lo = hi
         self.z_leaves = np.array([l for l, _ in F], dtype=np.intp)
         self.z_rhs = np.array([new[f] for _, f in F], dtype=np.intp)
@@ -370,12 +402,16 @@ class _Sweep:
         grown[:held] = self.H
         self.H = grown
 
-    def advance(self, k: int) -> dict[int, str]:
+    def advance(self, k: int, outputs: bool = False) -> dict[int, str]:
         """Coefficient k of the z leaves (z' = F, from order k - 1), then of
-        every other node.  At k = 0, returns the runs whose point makes a
-        denominator vanish, with the reason; their values are not meaningful."""
+        every other node.  With ``outputs``, the first phase only: the
+        leaves and the first ``tape.out_waves`` waves, which hold every node
+        the h nodes read, so that block k can be read; ``finish(k)`` is the
+        second phase, the other waves, which order k + 1 needs.  At k = 0,
+        returns the runs whose point makes a denominator vanish, with the
+        reason; their values are not meaningful."""
         self._hold(k)
-        X, H, P, Pt = self.at(k), self.H, self.P, self.Pt
+        X, H, Pt = self.at(k), self.H, self.Pt
         n_z, q = self.tape.n_z, self.tape.q
         if k:
             if q:
@@ -392,7 +428,21 @@ class _Sweep:
                 nodes, rows = self.keep_leaves
                 H[k, rows] = X.take(nodes, 0)
         failed = dict(self.bad) if k == 0 else {}
-        for w, (kind, lo, hi, ops, consts, still) in enumerate(self.tape.waves):
+        self._waves(k, range(self.tape.out_waves if outputs else len(self.tape.waves)), failed)
+        if k == 0:
+            H[0] = X.take(self.tape.history, 0)
+        return failed
+
+    def finish(self, k: int) -> None:
+        """The waves of order k > 0 that ``advance(k, outputs=True)`` left."""
+        self._waves(k, range(self.tape.out_waves, len(self.tape.waves)), {})
+
+    def _waves(self, k: int, waves: range, failed: dict[int, str]) -> None:
+        """Coefficient k of the nodes of ``waves``, in order; at k = 0 a run
+        whose point makes a denominator vanish goes into ``failed``."""
+        X, H, P, Pt = self.at(k), self.H, self.P, self.Pt
+        for w in waves:
+            kind, lo, hi, ops, consts, still = self.tape.waves[w]
             if k and still:
                 continue
             if kind == _ADD:
@@ -442,9 +492,6 @@ class _Sweep:
             if k and self.keep[w]:
                 nodes, rows = self.keep[w]
                 H[k, rows] = X.take(nodes, 0)
-        if k == 0:
-            H[0] = X.take(self.tape.history, 0)
-        return failed
 
 
 # --------------------------------------------------------------------------
@@ -527,7 +574,8 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
     a run that has stopped takes a block of zeros, which leaves its form
     unchanged.  A run stops when its rank reaches n_z (full_rank), when a
     block k > 0 leaves it unchanged (saturation), or at block ``order``
-    (order_exhausted); the sweep ends when every run has stopped."""
+    (order_exhausted); the sweep ends when every run has stopped.  Past
+    order 0, an order's second phase runs only if some run goes on."""
     n_z = A.n_z
     tape = _Tape(A)
     sw = _Sweep(tape, [run.prime for run in runs], order)
@@ -537,7 +585,7 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
         if k == 0:
             _start(A, sw, runs, seed)
         else:
-            sw.advance(k)
+            sw.advance(k, outputs=True)
         blocks = sw.at(k)[tape.h, :, 1:].swapaxes(0, 1)
         blocks[[run.stop is not None for run in runs]] = 0
         before = forms.ranks
@@ -551,6 +599,8 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
                 run.stop = "saturation"
         if all(run.stop is not None for run in runs):
             return forms
+        if k:
+            sw.finish(k)
     for run in runs:
         run.stop = run.stop or "order_exhausted"
     return forms

@@ -55,8 +55,8 @@ import operator
 import weakref
 from collections.abc import Callable
 from fractions import Fraction
-from hashlib import blake2b
 
+from ._rng import blake2b
 from .errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr, check_deadline
 
 

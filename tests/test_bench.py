@@ -136,6 +136,39 @@ def test_run_corpus_rejects_empty_batch_before_any_pair(mini_corpus, monkeypatch
         run_corpus(mini_corpus, opts)
 
 
+UNDECLARED = "model broken\nstates x\nparams k\nddt x = -k*x*q\noutput y = x\n"
+
+
+def test_run_corpus_records_a_file_that_does_not_load(mini_corpus, monkeypatch):
+    # Each file is parsed once for both engines; one that does not load
+    # gives an error record per engine, named after the file, not a crash.
+    (mini_corpus / "bad_file.idm").write_text(UNDECLARED)
+    (mini_corpus / "binary.idm").write_bytes(b"\xff\xfe")
+    (mini_corpus / "folder.idm").mkdir()
+    loaded, load = [], bench.load_model
+
+    def counted(path):
+        loaded.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(bench, "load_model", counted)
+    reports = run_corpus(mini_corpus, BenchOptions())
+    assert sorted(loaded) == ["bad_file.idm", "binary.idm", "c2m_a.idm", "c2m_b.idm",
+                              "competition.idm", "folder.idm"]
+    assert len(reports) == 12
+    for name, error in [("bad_file", "UndeclaredSymbol: "), ("binary", "UnicodeDecodeError: "),
+                        ("folder", "IsADirectoryError: ")]:
+        bad = [r for r in reports if r.model == name]
+        assert [(r.engine, r.status) for r in bad] == [("ffprob", "error"), ("symbolic", "error")]
+        for r in bad:
+            assert r.error.startswith(error) and r.verdicts is None and r.rank is None
+    consensus = compare_engines(reports)
+    assert {c.model: c.agreement for c in consensus} == {
+        "bad_file": "unconfirmed", "binary": "unconfirmed", "c2m_a": "agree", "c2m_b": "agree",
+        "competition": "unconfirmed", "folder": "unconfirmed"}
+    jsonschema.validate(json.loads(emit_report(reports, consensus)), REPORT_SCHEMA)
+
+
 @pytest.mark.parametrize("engine", bench.ENGINES)
 def test_analyze_rejects_empty_primes(engine):
     md = load_model(corpus_dir() / "c2m_b.idm")

@@ -169,6 +169,26 @@ def test_bench_json_document(tmp_path):
     assert doc["consensus"][0]["agreement"] == "agree"
 
 
+def test_bench_records_a_model_that_does_not_load(tmp_path):
+    import shutil
+    d = tmp_path / "corpus"
+    d.mkdir()
+    shutil.copy(corpus_dir() / "c2m_a.idm", d / "c2m_a.idm")
+    (d / "bad_file.idm").write_text(TOY.replace("-k*x", "-k*x*q"))
+    out = tmp_path / "bench.json"
+    res = run_cli("bench", str(d), "--json", str(out), "--require-consensus")
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "bad_file               ffprob    error    rank -" in res.stdout.splitlines()
+    doc = json.loads(out.read_text())
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    bad = [r for r in doc["reports"] if r["model"] == "bad_file"]
+    assert [(r["engine"], r["status"]) for r in bad] == [("ffprob", "error"), ("symbolic", "error")]
+    assert all(r["error"].startswith("UndeclaredSymbol: ") for r in bad)
+    assert {c["model"]: c["agreement"] for c in doc["consensus"]} == {
+        "bad_file": "unconfirmed", "c2m_a": "agree"}
+
+
 @pytest.mark.parametrize("flag", ["--max-level", "--series-order"])
 def test_bench_rejects_analyze_only_flags(flag, tmp_path):
     # bench runs every engine at its default depth; it has no depth flags.

@@ -16,7 +16,7 @@ from identiscope.ffprob import DEFAULT_PRIMES, FfprobOptions, _Run, _sweep_runs,
 from identiscope.lie_orc import LieCache
 from identiscope.model import augment, load_model, parse_model
 from oracles import (TruncSeries, check_residuals, cross_check_lie, gradient_rows, jet_coeffs,
-                     output_jacobian, rank_mod_p, record_rows, rows_of, series_solve)
+                     load_corpus, output_jacobian, rank_mod_p, record_rows, rows_of, series_solve)
 from test_lie_orc import _chain_model
 
 P = 2147483647
@@ -547,6 +547,64 @@ def test_history_nodes_are_what_convolutions_and_reciprocals_read(text, kept):
         assert not sw.advance(k)
         orders.append(sw.at(k)[tape.history])
         assert (sw.H[:k + 1] == np.array(orders)).all()
+
+
+def _sweep_models():
+    models = [load_model(e.path) for e in load_corpus() if e.rational]
+    return models + [parse_model(_chain_model(20))]
+
+
+def test_last_order_evaluates_only_the_waves_the_outputs_read(monkeypatch):
+    """At the order where every run stops, the sweep evaluates only the
+    first ``tape.out_waves`` waves, which hold every node that h reads; the
+    reports equal those of a sweep that evaluates every wave at every
+    order."""
+    models = _sweep_models()
+    assert len(models) == 21
+    calls = []  # (order, waves evaluated)
+    waves = ffprob._Sweep._waves
+
+    def spy(self, k, ws, failed):
+        calls.append((k, ws))
+        return waves(self, k, ws, failed)
+
+    monkeypatch.setattr(ffprob._Sweep, "_waves", spy)
+    split = {}
+    for md in models:
+        tape = ffprob._Tape(augment(md))
+        out, n = split[md.name] = tape.out_waves, len(tape.waves)
+        # Every operand precedes its wave, and the h nodes and every
+        # operand of the first out_waves waves lie before their end.
+        bound = tape.waves[out - 1][2] if out else tape.waves[0][1]
+        assert (tape.h < bound).all(), md.name
+        for w, (kind, lo, hi, ops, _, _) in enumerate(tape.waves):
+            assert (np.asarray(ops) < lo).all(), (md.name, w)
+            if w < out:
+                assert (np.asarray(ops) < bound).all(), (md.name, w)
+        for seed in (0, 1):
+            calls.clear()
+            opts = FfprobOptions(seed=seed)
+            split_rep = analyze_ffprob(md, opts).to_dict(include_timing=False)
+            last = max(k for k, _ in calls)
+            assert [ws for k, ws in calls if k == last] == [range(out)], (md.name, seed)
+            for j in range(last):
+                assert sorted(w for k, ws in calls if k == j for w in ws) == list(range(n))
+            with monkeypatch.context() as m:
+                init = ffprob._Tape.__init__
+
+                def whole(self, A):
+                    init(self, A)
+                    self.out_waves = len(self.waves)
+
+                m.setattr(ffprob._Tape, "__init__", whole)
+                whole_rep = analyze_ffprob(md, opts).to_dict(include_timing=False)
+            assert split_rep == whole_rep, (md.name, seed)
+    # gene_p53's and jak_stat1's outputs read waves that F reads too, so the
+    # first phase is some of their waves, not none or all of them.
+    for name in ("gene_p53", "jak_stat1"):
+        assert 0 < split[name][0] < split[name][1], (name, split[name])
+    for name in ("hiv2", "nfkb1", "chain20"):  # their outputs are z leaves
+        assert split[name][0] == 0 < split[name][1], (name, split[name])
 
 
 def test_chain30_ffprob_peak_memory():

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import identiscope
 from identiscope import _linalg, _rng
 
 
@@ -49,3 +54,19 @@ def test_drawer_draws_the_residue_of_the_whole_tag(p):
     draw = _rng.drawer(prefix, p)
     for tail in (("k1",), ("u", 0), ("u", 12), ("",)):
         assert draw(_rng.SEP.join(map(str, tail))) == _rng.residue(prefix + tail, p), tail
+
+
+def test_importing_the_package_loads_no_openssl():
+    # hashlib's blake2b is _blake2's; importing hashlib for it would also
+    # map OpenSSL's libcrypto into every process (about 3.5 MB resident).
+    code = ("import sys, identiscope, identiscope.bench, identiscope.cli\n"
+            "loaded = '_hashlib' in sys.modules\n"
+            "import hashlib\n"
+            "from identiscope import _rng\n"
+            "print(loaded, _rng.blake2b is hashlib.blake2b)")
+    env = dict(os.environ)
+    src = str(Path(identiscope.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert res.stdout.split() == ["False", "True"]
