@@ -42,10 +42,11 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _load(path: str):
-    """The parsed model; an unreadable file or a model error exits 2."""
+    """The parsed model; an unreadable file, one that is not UTF-8 or a
+    model error exits 2."""
     try:
         return load_model(path)
-    except (ModelError, OSError) as exc:
+    except (ModelError, OSError, UnicodeDecodeError) as exc:
         _usage_error(str(exc))
 
 

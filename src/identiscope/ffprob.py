@@ -91,8 +91,14 @@ class _Compiler:
     weight c.  A product of several factors is a tree of binary muls that
     always joins the two shallowest operands, time-constant ones first at
     equal depth, so that it takes as few waves as it can and its
-    time-constant factors make one operand.  A mul node with a
-    time-constant operand has it first."""
+    time-constant factors make one operand.  Where it is no deeper, the
+    product of its time-varying factors is built apart and taken once by
+    that of the others: in hiv2, b*x1*x4 is then b*(x1*x4), and it shares
+    the convolution x1*x4 with q1*b*x1*x4 and q2*b*x1*x4.  A mul node with a
+    time-constant operand has it first, and otherwise the lower id first;
+    two products of the same operands are one node, so a product that
+    several terms share, such as k3*x1*x10 in nfkb1's x1' and x2', is
+    evaluated once."""
 
     def __init__(self, env: dict[Symbol, int], still: list[bool]):
         self.env = env
@@ -100,11 +106,18 @@ class _Compiler:
         self.depth = [0] * len(self.nodes)
         self.still = [True] + still
         self.memo: dict[Expr, int] = {}
+        self.products: dict[tuple[int, int], int] = {}  # mul operands -> node
 
     def _node(self, kind, ops=(), const=None) -> int:
         depth, still = self.depth, self.still
-        if kind == _MUL and still[ops[1]]:
-            ops = ops[::-1]
+        if kind == _MUL:
+            x, y = ops
+            if (not still[x], x) > (not still[y], y):
+                ops = y, x
+            got = self.products.get(ops)
+            if got is not None:
+                return got
+            self.products[ops] = len(self.nodes)
         self.nodes.append((kind, ops, const))
         depth.append(1 + max(map(depth.__getitem__, ops)) if ops else 0)
         still.append(all(map(still.__getitem__, ops)))
@@ -113,9 +126,23 @@ class _Compiler:
     def _product(self, factors) -> int:
         if len(factors) == 1:
             return self.compile(factors[0])
+        ops = list(map(self.compile, factors))
+        varying = [o for o in ops if not self.still[o]]
+        if 1 < len(varying) < len(ops):
+            fixed = [o for o in ops if self.still[o]]
+            if max(self._height(fixed), self._height(varying)) < self._height(ops):
+                return self._node(_MUL, (self._tree(fixed), self._tree(varying)))
+        return self._tree(ops)
+
+    def _height(self, ops) -> int:
+        """The depth of the tree that ``_tree`` builds over ops: joining the
+        two shallowest first reaches ceil(log2(sum of 2^depth))."""
+        return (sum(1 << self.depth[o] for o in ops) - 1).bit_length()
+
+    def _tree(self, ops) -> int:
+        """The product of ops, always joining the two shallowest operands."""
         depth, still = self.depth, self.still
-        operands = [(depth[o], not still[o], n, o)
-                    for n, o in enumerate(map(self.compile, factors))]
+        operands = [(depth[o], not still[o], n, o) for n, o in enumerate(ops)]
         heapq.heapify(operands)
         n = len(operands)
         while len(operands) > 1:
@@ -171,7 +198,12 @@ class _Tape:
     1..n_z the z leaves, the next q the input jets, then the other constants.
     The other nodes (weighted add, binary mul, reciprocal) are numbered by
     wave: one kind at one depth forms a wave, a contiguous range whose
-    operands all come earlier, evaluated by one numpy expression.
+    operands all come earlier, evaluated by one numpy expression.  A node's
+    depth is one more than its deepest operand's, except for a time-varying
+    node that no other node and no output reads: only z' = F reads it, at
+    the next order, so it takes the depth of the deepest time-varying node
+    of its kind and joins that wave instead of making one (hiv2's four
+    waves become three).
     ``fractions`` lists the values of the constant nodes ``const_ids``, then
     the weights of every add wave that has some other than 1, row by row,
     each row padded with 0 to the wave's widest; such a wave's constant is
@@ -211,8 +243,20 @@ class _Tape:
                       + [spec.mode == CONSTANT for spec in A.model.known_inputs])
         F = [(1 + l, c.compile(Fl)) for l, Fl in enumerate(A.F) if Fl is not sx.ZERO]
         h = [c.compile(hi) for hi in A.outputs]
-        nodes, depth, still = c.nodes, c.depth, c.still
+        nodes, still = c.nodes, c.still
         lead = 1 + n_z + q
+        # A time-varying node that only F reads joins the deepest
+        # time-varying wave of its kind, which costs no wave of its own.
+        depth, operands = c.depth[:], set(h)
+        deepest: dict[int, int] = {}
+        for o in range(lead, len(nodes)):
+            kind, ops, _ = nodes[o]
+            operands.update(ops)
+            if not still[o] and depth[o] > deepest.get(kind, 0):
+                deepest[kind] = depth[o]
+        for o in range(lead, len(nodes)):
+            if not (still[o] or o in operands):
+                depth[o] = deepest[nodes[o][0]]
         # The waves the outputs read: those of the h nodes, then every wave
         # that one of their nodes reads, whole.
         members: dict[tuple, list[int]] = {}
@@ -352,12 +396,20 @@ class _Sweep:
         row[hist] = np.arange(len(hist))
         self.keep_leaves = keep(0, 1 + n_z + tape.q)
         self.keep = [None] * len(tape.waves)  # a wave's history copy to H
-        self.rows = {}  # the rows of H that a wave's convolutions or reciprocals read
+        # A mul wave's operands, split: a and b of every product, b of the
+        # products whose a is time-constant, and the rows of H that the
+        # convolutions read (None if the wave has none).
+        self.mul = {}
+        self.rows = {}  # the rows of H that a reciprocal wave reads and fills
         for w, (kind, lo, hi, ops, consts, still) in enumerate(tape.waves):
+            if kind == _MUL:
+                ia, ib = map(np.ascontiguousarray, ops)
+                ha = hb = None
+                if not still and consts < hi - lo:
+                    ha, hb = row[ops[:, consts:]]
+                self.mul[w] = ia, ib, ib[:consts], ha, hb
             if still:
                 continue
-            if kind == _MUL and consts < hi - lo:
-                self.rows[w] = row[ops[:, consts:]]
             if kind == _RECIP:  # computed in H
                 self.rows[w] = row[ops], keep(lo, hi)[1]
             else:
@@ -456,7 +508,7 @@ class _Sweep:
                 # (a b)_k = sum_j a_j b_(k-j), which is a_0 b_k for the first
                 # ``consts`` products, whose a is time-constant, and at k = 0.
                 # Those a_0 are kept from order 0.
-                ia, ib = ops
+                ia, ib, ib_still, ha, hb = self.mul[w]
                 if k == 0:
                     a = X.take(ia, 0)
                     self.still_a[w] = a[:consts]
@@ -464,9 +516,8 @@ class _Sweep:
                     continue
                 n = consts
                 if n:
-                    _products(self.still_a[w], X.take(ib[:n], 0), self.Pu, X[lo:lo + n])
-                if lo + n < hi:
-                    ha, hb = self.rows[w]
+                    _products(self.still_a[w], X.take(ib_still, 0), self.Pu, X[lo:lo + n])
+                if ha is not None:
                     a = H[:k + 1].take(ha, 1)
                     _products(a, H[:k + 1].take(hb, 1)[::-1], self.Pu, a)
                     a.sum(0, out=X[lo + n:hi])
@@ -587,7 +638,9 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
         else:
             sw.advance(k, outputs=True)
         blocks = sw.at(k)[tape.h, :, 1:].swapaxes(0, 1)
-        blocks[[run.stop is not None for run in runs]] = 0
+        stopped = [run.stop is not None for run in runs]
+        if any(stopped):
+            blocks[stopped] = 0
         before = forms.ranks
         for run, r0, r in zip(runs, before, forms.extend(blocks)):
             if run.stop is not None:

@@ -6,11 +6,15 @@ directional walk over the level below, and the walks of one analysis share
 their memo (``LieCache``).  The rows of the observability-identifiability
 matrix are their gradients with respect to z, evaluated numerically by
 forward tangents mod p at one batch of random points per analysis
-(``_Trials``).  Every z-dependent node of the Lie DAG gets one slot, which
-holds its value and its int64 tangent d node/dz at every point, so each
-level evaluates only the nodes it adds.  It evaluates them in waves, a
-straight-line program over (nodes, trials): the new nodes of one kind and
-one height take a handful of numpy operations together, not a few each.
+(``_Trials``).  Every z-dependent node of the Lie DAG gets one slot, a row
+of the batch's one store that holds its value and its int64 tangent
+d node/dz at every point, so each level evaluates only the nodes it adds,
+reading its operands by slot and writing each new node into its row: one
+tape addressed by slot, as in vector forward mode (Griewank & Walther,
+*Evaluating Derivatives*, SIAM 2008).  A level evaluates its nodes in
+waves, a straight-line program over (nodes, trials): the new nodes of one
+kind and one height take a handful of numpy operations together, not a few
+each.
 Each product of two residues is reduced before it is summed, which keeps
 the arithmetic exact for p up to ``_linalg.MAX_PRIME``.  The batch keeps
 one reduced echelon form over the prime field per trial, stacked in one
@@ -125,17 +129,22 @@ class _Trials:
 
     ``points`` holds each live trial's current point, and form f of
     ``forms`` is the echelon form of the first ``n_rows`` rows at point f;
-    a restart rebuilds it with the slots.  Every z-dependent node of those
-    rows has one slot (``slot``), and the nodes that one evaluation added
-    form one block of ``blocks``: VAL of shape (nodes, trials), the node's
-    value at each point; UNDEF of the same shape, whether that value meets
-    a vanishing denominator; and TAN of shape (nodes, trials, n_z), d
-    node/dz.  ``starts`` holds each block's first slot.
+    a restart rebuilds it with the store.  Every z-dependent node of those
+    rows has one slot (``slot``), its row in the batch's store: VAL of shape
+    (rows, trials), the node's value at each point; UNDEF of the same shape,
+    whether that value meets a vanishing denominator; and TAN of shape
+    (rows, trials, n_z), d node/dz.  An evaluation adds the slots of its new
+    nodes after the others, and uses the rows past them as scratch: a "one"
+    and a "zero" row, then the values of the new nodes' z-independent
+    children, which the next evaluation overwrites.  ``dirty`` tells whether
+    some slot's value is undefined at some point; until one is, the waves
+    skip UNDEF.
 
     An evaluation works in waves: the new nodes of one kind and one height
     (a node is one above its highest new child) take a handful of numpy
-    operations over (nodes, trials).  An Add sums its terms.  A Mul gathers
-    its z-dependent factors, padded with a "one" slot, and takes prefix and
+    operations over (nodes, trials), reading their operands' rows and
+    writing their own.  An Add sums its terms.  A Mul gathers
+    its z-dependent factors, padded with the "one" row, and takes prefix and
     suffix products over them, starting from the product of its
     z-independent factors; they give its value and every product-rule
     coefficient without an inverse, so a factor that is 0 mod p is fine.  A
@@ -166,11 +175,23 @@ class _Trials:
         self._reset()
 
     def _reset(self):
-        self.forms = _linalg.Echelons(len(self.index), [self.p] * len(self.points))
+        T, n_z = len(self.points), len(self.index)
+        self.forms = _linalg.Echelons(n_z, [self.p] * T)
         self.slot: dict[Expr, int] = {}
-        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.starts: list[int] = []
+        self.VAL = np.empty((_ROWS, T), dtype=np.int64)
+        self.UNDEF = np.zeros((_ROWS, T), dtype=bool)
+        self.TAN = np.empty((_ROWS, T, n_z), dtype=np.int64)
+        self.dirty = False  # whether some slot's value is undefined somewhere
         self.n_rows = 0
+
+    def _hold(self, n: int) -> None:
+        """Make room for n rows in the store, in place and no more: a resize
+        does not hold the store twice, as a copy would, but zero-fills the
+        rows it adds.  No view of the store outlives an evaluation."""
+        if n > len(self.VAL):
+            self.VAL.resize((n,) + self.VAL.shape[1:], refcheck=False)
+            self.UNDEF.resize((n,) + self.UNDEF.shape[1:], refcheck=False)
+            self.TAN.resize((n,) + self.TAN.shape[1:], refcheck=False)
 
     def grow(self, n: int) -> list[_TrialPoint]:
         """Bring every trial's point to its first n gradient rows, each
@@ -227,16 +248,10 @@ class _Trials:
         p, slot, points = self.p, self.slot, self.points
         base = len(slot)
         nodes = [entry for post in _walk(rows, slot, self.indep, self.zset) for entry in post]
-        # Work rows: the new nodes, a "one" and a "zero" slot, the nodes of
-        # earlier blocks that they read, and, counted from the end, their
-        # z-independent children.  TAN stops before the z-independent rows.
-        N = len(nodes)
-        ext: dict[int, int] = {}
+        # The store's rows past the new nodes: a "one" and a "zero" row, then
+        # the new nodes' z-independent children, values only.
+        one = len(slot)
         indep: dict[Expr, int] = {}
-
-        def row(g):
-            return g - base if g >= base else ext.setdefault(g, N + 2 + len(ext))
-
         height: list[int] = []
         waves: dict[tuple[int, int], list] = {}
         for node, dep, ind in nodes:
@@ -247,38 +262,29 @@ class _Trials:
                 for g in dep:
                     if g >= base and height[g - base] >= h:
                         h = height[g - base] + 1
-                dep = [row(g) for g in dep]
-                ind = [indep.setdefault(c, -1 - len(indep)) for c in ind]
+                ind = [indep.setdefault(c, one + 2 + len(indep)) for c in ind]
                 if isinstance(node, sx.Add):
                     kind, item = _ADD, (dep, ind)
                 elif isinstance(node, sx.Mul):
                     kind, item = _MUL, (dep, ind)
                 else:
                     kind, item = _UNARY, (dep[0], node)
-            waves.setdefault((h, kind), []).append((len(height), item))
+            waves.setdefault((h, kind), []).append((base + len(height), item))
             height.append(h)
-        out = [N + 1 if slot.get(phi) is None else row(slot[phi]) for phi in rows]
+        out = [slot.get(phi, one + 1) for phi in rows]
 
-        shape = (N + 2 + len(ext) + len(indep), len(points))
-        VAL = np.empty(shape, dtype=np.int64)
-        UNDEF = np.zeros(shape, dtype=bool)
-        TAN = np.empty((N + 2 + len(ext), len(points), len(self.index)), dtype=np.int64)
-        VAL[N], VAL[N + 1], TAN[N:N + 2] = 1, 0, 0
-        if ext:
-            gs = np.fromiter(ext, np.int64, len(ext))
-            which = np.searchsorted(self.starts, gs, side="right") - 1
-            for b in set(which.tolist()):
-                sel = np.flatnonzero(which == b)
-                for work, block in zip((VAL, UNDEF, TAN), self.blocks[b]):
-                    work[N + 2 + sel] = block[gs[sel] - self.starts[b]]
+        end = one + 2 + len(indep)
+        self._hold(end)
+        VAL, UNDEF, TAN = self.VAL, self.UNDEF, self.TAN
+        VAL[one], VAL[one + 1], TAN[one:one + 2] = 1, 0, 0
+        UNDEF[base:one + 2] = False  # the last evaluation's scratch rows
         for c, j in indep.items():
             if isinstance(c, sx.Const):  # the same at every point
                 VAL[j] = _value(c, points[0])
             else:
                 VAL[j] = [_value(c, pt) for pt in points]
-        if indep:
-            UNDEF[-len(indep):] = VAL[-len(indep):] < 0
-        dirty = bool(UNDEF[N + 2:].any())
+        UNDEF[one + 2:end] = VAL[one + 2:end] < 0
+        dirty = self.dirty or bool(UNDEF[one + 2:end].any())
 
         bad = np.zeros(len(points), dtype=bool)
         for h, kind in sorted(waves):
@@ -292,14 +298,13 @@ class _Trials:
                 elif kind == _ADD:
                     _add_wave(locs, items, VAL, UNDEF, TAN, p, dirty)
                 elif kind == _MUL:
-                    _mul_wave(locs, items, N, VAL, UNDEF, TAN, p, dirty, bad)
+                    _mul_wave(locs, items, one, VAL, UNDEF, TAN, p, dirty, bad)
                 else:
                     _unary_wave(locs, items, points, VAL, UNDEF, TAN, p, dirty, bad)
         if bad.any():
             return np.flatnonzero(bad).tolist()
 
-        self.blocks.append((VAL[:N].copy(), UNDEF[:N].copy(), TAN[:N].copy()))
-        self.starts.append(base)
+        self.dirty = self.dirty or dirty and bool(UNDEF[base:one].any())
         # A non-rational value always has a Func node below it.
         self.transcendental = self.transcendental or any(
             not sx.is_rational_expr(r) for node, dep, ind in nodes
@@ -311,6 +316,8 @@ class _Trials:
 
 # Node kinds of a wave.
 _SYM, _ADD, _MUL, _UNARY = range(4)
+# Rows of a new batch's store, before a level needs more.
+_ROWS = 256
 # Tangent rows that one numpy step of a wave gathers at most, which bounds
 # the temporaries of the largest waves.
 _CHUNK = 4096

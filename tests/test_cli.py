@@ -142,6 +142,18 @@ def test_analyze_missing_file_exits_2():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_file_that_is_not_utf8_exits_2_with_message(command, tmp_path):
+    path = tmp_path / "bin.idm"
+    path.write_bytes(b"\xff\xfe")
+    res = run_cli(command, str(path))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert res.stdout == ""
+
+
 def test_bench_csv_format(tmp_path):
     import shutil
     d = tmp_path / "corpus"

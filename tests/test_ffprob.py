@@ -512,6 +512,38 @@ def test_chain_products_take_one_term():
     assert muls and all(consts == hi - lo for lo, hi, consts in muls)
 
 
+def test_shared_products_and_nodes_only_f_reads_cost_no_wave():
+    # On every rational model: no two products have the same operands, and
+    # the time-varying nodes of one kind that neither a node nor an output
+    # reads all lie in the wave of the deepest time-varying node of that
+    # kind, depth counted from the operands.  hiv2's x4' is an add one
+    # level above those of x1', x2' and x3', and joins their wave, and its
+    # b*x1*x4, q1*b*x1*x4 and q2*b*x1*x4 share the one convolution x1*x4.
+    for md in _sweep_models():
+        tape = ffprob._Tape(augment(md))
+        kind_of, ops_of, wave_of = {}, {}, {}
+        for w, (kind, lo, hi, ops, _, _) in enumerate(tape.waves):
+            rows = np.asarray(ops).T if kind == ffprob._MUL else np.asarray(ops).reshape(hi - lo, -1)
+            for node, operands in zip(range(lo, hi), rows.tolist()):
+                kind_of[node], ops_of[node], wave_of[node] = kind, operands, w
+        pairs = [tuple(ops_of[o]) for o in ops_of if kind_of[o] == ffprob._MUL]
+        assert len(pairs) == len({tuple(sorted(p)) for p in pairs}), md.name
+        depth = [0] * tape.size
+        for node in sorted(ops_of):
+            depth[node] = 1 + max(depth[x] for x in ops_of[node])
+        read = set(tape.h.tolist()) | {x for o in ops_of.values() for x in o}
+        for kind in set(kind_of.values()):
+            varying = [o for o in kind_of if kind_of[o] == kind and not tape.still[o]]
+            unread = {wave_of[o] for o in varying if o not in read}
+            deepest = {wave_of[o] for o in varying
+                       if depth[o] == max(depth[v] for v in varying)}
+            assert unread <= deepest and len(unread) <= 1, (md.name, kind)
+    hiv2 = ffprob._Tape(augment(load_model(corpus_dir() / "hiv2.idm")))
+    assert len(hiv2.waves) == 3
+    assert sum(hi - lo - consts for kind, lo, hi, _, consts, _ in hiv2.waves
+               if kind == ffprob._MUL) == 1
+
+
 def _history_nodes(tape):
     """The operands of every product of two time-varying series and of every
     time-varying reciprocal, and those reciprocals, read from the tape's
@@ -530,7 +562,9 @@ def _history_nodes(tape):
 @pytest.mark.parametrize("text, kept", [
     (_chain_model(10), 0),
     (MIXED_INPUTS, 2),  # x2 and v, the operands of x2*v
-    ((corpus_dir() / "nfkb1.idm").read_text(), 12),  # 7 convolutions and a reciprocal
+    # 4 convolutions (those of k3*x1*x10 and of k11*x6*x7 are shared by
+    # the terms that read them) and a reciprocal
+    ((corpus_dir() / "nfkb1.idm").read_text(), 9),
 ], ids=["chain10", "mixed_inputs", "nfkb1"])
 def test_history_nodes_are_what_convolutions_and_reciprocals_read(text, kept):
     A = augment(parse_model(text))

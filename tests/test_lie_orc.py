@@ -536,6 +536,30 @@ def test_vanishing_denominator_in_an_unread_add_term_keeps_the_point():
     assert rows_of(batch.forms) == _symbolic_rows(A, cache, 2, _Reference(0, 0, 0, P))
 
 
+def test_undefined_value_is_read_at_a_later_level():
+    # s = x + 1/(u - c) is undefined at attempt 0, but its row reads no
+    # value, so the point survives it.  The next rows' new nodes take the
+    # rows where s's undefined child was kept, and read only defined values;
+    # a row after them whose product reads s fails the point, as its
+    # symbolic row does.
+    A = _input_zero_model("x")
+    x, th = (sx.sym(s) for s in A.z)
+    u = sx.sym(A.model.known_inputs[0].symbol)
+    c = _TrialPoint(0, 0, 0, P)[A.model.known_inputs[0].symbol]
+    s = x + 1 / (u - c)
+    defined = th ** 2 * th ** 3 * x ** 3 * x ** 5 * (th + 1) ** 2
+    ref = _Reference(0, 0, 0, P)
+    batch = _Trials(LieCache(A), (0,), 0, P)
+    for phi, fails in ((s, False), (defined, False), (s * x * th, True)):
+        assert batch._evaluate([phi]) == ([0] if fails else []), phi
+        if fails:
+            with pytest.raises(DivisionByZeroModP):
+                _eval_row([sx.differentiate(phi, z) for z in A.z], ref)
+        else:
+            assert rows_of(batch.forms)[-1] == \
+                _eval_row([sx.differentiate(phi, z) for z in A.z], ref)
+
+
 def test_vanishing_denominator_in_a_sibling_factor_restarts_the_trial():
     # A Mul with two z-dependent factors reads every factor, 1/(u - c) too.
     A = _input_zero_model("x*th/(u - c)")
@@ -706,8 +730,55 @@ def test_tangents_are_reused_across_levels():
     assert _slots(batch) == len(dependent)
 
 
+@pytest.mark.parametrize("name, p, seed", [
+    ("sirs_forced", P, 0),
+    ("pk2", 107, 4),  # trial 0 restarts at level 3
+    ("mapk", 101, 30),  # trial 0 restarts at level 1
+])
+def test_store_grown_from_one_row_gives_the_rows_of_an_ample_one(name, p, seed, monkeypatch):
+    # A batch whose slot store starts at one row grows it at the levels that
+    # need more rows, in the middle of an evaluation, and starts it again at
+    # one row on a restart; its points, slots, rows and ranks are those of a
+    # batch whose store never grows.
+    md = load_model(corpus_dir() / f"{name}.idm")
+    A = augment(md)
+    m = len(A.outputs)
+    levels = len(analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed)).ranks_by_level)
+    ample = 4096
+    batches = {}
+    for rows in (1, ample):
+        monkeypatch.setattr(lie_orc, "_ROWS", rows)
+        batches[rows] = _Trials(LieCache(A), range(3), seed, p)
+    resets, reset = [], _Trials._reset
+
+    def spy(self):
+        resets.append(self)
+        reset(self)
+
+    monkeypatch.setattr(_Trials, "_reset", spy)
+    held = []
+    for k in range(levels):
+        got = {}
+        for rows, batch in batches.items():
+            monkeypatch.setattr(lie_orc, "_ROWS", rows)
+            points = batch.grow((k + 1) * m)
+            got[rows] = ([(pt.trial, pt.attempt) for pt in points], batch.slot,
+                         [rows_of(batch.forms, f) for f in range(len(points))],
+                         batch.forms.ranks, batch.transcendental)
+        assert got[1] == got[ample], (name, k)
+        assert len(batches[ample].TAN) == ample
+        held.append(len(batches[1].TAN))
+    assert held == sorted(held) and held[-1] >= len(batches[1].slot) > held[0] > 1, held
+    restarted = name != "sirs_forced"
+    assert resets.count(batches[1]) == resets.count(batches[ample]) == restarted
+    assert max(attempt for _, attempt in got[1][0]) == restarted
+
+
 def _slots(batch):
-    return sum(len(tan) for _, _, tan in batch.blocks)
+    # The store's filled rows: the distinct rows that the slots address.
+    rows = set(batch.slot.values())
+    assert rows <= set(range(len(batch.TAN)))
+    return len(rows)
 
 
 def _walk_oracle(rows, slot, zset, symbols):
