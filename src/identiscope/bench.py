@@ -31,13 +31,11 @@ from .errors import EngineTimeout, IdentiscopeError, ModelError, NonRationalExpr
 from .ffprob import DEFAULT_PRIMES, MIN_PRIME, FfprobOptions, analyze_ffprob
 from .lie_orc import SymbolicOptions, analyze_symbolic
 from .model import ModelDef, load_model
-from .report import SCHEMA_VERSION, STATUS_ERROR, STATUS_NA, STATUS_OK, STATUS_TIMEOUT, AnalysisReport
+from .report import (SCHEMA_VERSION, STATUS_ERROR, STATUS_NA, STATUS_OK, STATUS_TIMEOUT,
+                     VERDICTS, AnalysisReport)
 
 ENGINES = ("symbolic", "ffprob")
 DEFAULT_TIMEOUT_S = 120.0
-
-_VERDICTS = ["observable", "unobservable", "SLI", "SU",
-             "reconstructible", "unreconstructible"]
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -66,7 +64,7 @@ REPORT_SCHEMA = {
                 },
                 "verdicts": {
                     "type": ["object", "null"],
-                    "additionalProperties": {"enum": _VERDICTS},
+                    "additionalProperties": {"enum": list(VERDICTS)},
                 },
                 "stop_reason": {"type": ["string", "null"]},
                 "seed": {"type": ["integer", "null"]},
@@ -122,27 +120,40 @@ def fixtures_dir() -> Path:
     return Path(resources.files("identiscope") / "fixtures")
 
 
-def check_prime(p: int) -> None:
-    """Raise ValueError naming p unless it is a prime in (2^20, MAX_PRIME],
-    the fields both engines accept."""
-    if not (MIN_PRIME < p <= MAX_PRIME and is_prime(p)):
-        raise ValueError(f"{p} is not a prime in (2^20, {MAX_PRIME}]")
+def check_settings(primes: tuple[int, ...], trials: int | None = None,
+                   max_level: int | None = None, timeout_s: float | None = None) -> None:
+    """Raise ValueError naming the first setting that neither engine takes:
+    no prime, a prime outside (2^20, MAX_PRIME] or given twice, trials < 1,
+    max_level < 0 or timeout_s <= 0; None keeps a setting's default."""
+    if not primes:
+        raise ValueError("at least one prime is required")
+    for i, p in enumerate(primes):
+        if not (MIN_PRIME < p <= MAX_PRIME and is_prime(p)):
+            raise ValueError(f"{p} is not a prime in (2^20, {MAX_PRIME}]")
+        if p in primes[:i]:
+            raise ValueError(f"prime {p} is repeated")
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be >= 1")
+    if max_level is not None and max_level < 0:
+        raise ValueError("max_level must be >= 0")
+    if timeout_s is not None and not timeout_s > 0:
+        raise ValueError("timeout_s must be a positive number of seconds")
 
 
 def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
             trials: int | None = None, deadline: float | None = None,
-            max_level: int | None = None, order: int | None = None) -> AnalysisReport:
-    """Run one engine on a model; raises whatever the engine raises.  The
-    symbolic engine takes ``primes[0]`` and ``max_level``, ffprob ``order``;
-    ``trials=None`` keeps each engine's default."""
-    if not primes:
-        raise ValueError("at least one prime is required")
+            max_level: int | None = None) -> AnalysisReport:
+    """Run one engine on a model after ``check_settings``; raises whatever
+    the engine raises.  The symbolic engine takes ``primes[0]``; ``max_level``
+    caps both at one block, level k of the symbolic matrix being block k of
+    ffprob's.  ``trials=None`` keeps each engine's default."""
+    check_settings(primes, trials, max_level)
     if engine == "symbolic":
         opts = SymbolicOptions(seed=seed, prime=primes[0], max_level=max_level,
                                deadline=deadline)
         run = analyze_symbolic
     elif engine == "ffprob":
-        opts = FfprobOptions(seed=seed, primes=tuple(primes), order=order,
+        opts = FfprobOptions(seed=seed, primes=tuple(primes), order=max_level,
                              deadline=deadline)
         run = analyze_ffprob
     else:
@@ -181,17 +192,11 @@ def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[Analysi
     Each model file is parsed once for all engines.  Results are ordered by
     (model, engine); failures become error/timeout/na records rather than
     exceptions, and a file that does not load gives one error record per
-    engine, named after the file's stem.  A bad prime in ``opts.primes``, an
-    empty ``opts.primes`` or ``opts.trials`` < 1 raises ValueError before
-    any pair runs.
+    engine, named after the file's stem.  Settings that ``check_settings``
+    rejects raise ValueError before any pair runs.
     """
     opts = opts or BenchOptions()
-    if not opts.primes:
-        raise ValueError("at least one prime is required")
-    for p in opts.primes:
-        check_prime(p)
-    if opts.trials is not None and opts.trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_settings(opts.primes, opts.trials, timeout_s=opts.timeout_s)
     base = Path(directory) if directory is not None else corpus_dir()
     reports = []
     for path in sorted(base.glob("*.idm")):

@@ -51,23 +51,19 @@ def _load(path: str):
 
 
 def _run_settings(args) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
-    """(seed, primes, engines) for analyze and bench, after checking
-    --prime, --trials, --timeout-s and IDENTISCOPE_SEED; a bad value exits 2."""
-    for p in args.prime or ():
-        try:
-            bench_mod.check_prime(p)
-        except ValueError as exc:
-            _usage_error(f"--prime {exc}")
-    if args.trials is not None and args.trials < 1:
-        _usage_error(f"--trials {args.trials}: need at least 1")
-    if args.timeout_s is not None and not args.timeout_s > 0:
-        _usage_error(f"--timeout-s {args.timeout_s}: need a positive number of seconds")
+    """(seed, primes, engines) for analyze and bench; a setting that
+    ``bench.check_settings`` rejects, or a bad IDENTISCOPE_SEED, exits 2."""
+    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
+    try:
+        bench_mod.check_settings(primes, args.trials, getattr(args, "max_level", None),
+                                 args.timeout_s)
+    except ValueError as exc:
+        _usage_error(str(exc))
     env = os.environ.get("IDENTISCOPE_SEED", "0")
     try:
         seed = args.seed if args.seed is not None else int(env)
     except ValueError:
         _usage_error(f"IDENTISCOPE_SEED={env!r}: need an integer")
-    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
     engines = bench_mod.ENGINES if args.engine == "both" else (args.engine,)
     return seed, primes, engines
 
@@ -107,10 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("model", help="path to a .idm model file")
     common(pa)
     pa.add_argument("--max-level", type=int, default=None,
-                    help="symbolic engine: max Lie-derivative level (default n_z-1)")
-    pa.add_argument("--series-order", type=int, default=None,
-                    help="ffprob engine: max series order (default n_z-1); "
-                         "stops earlier at full rank or saturation")
+                    help="both engines' depth cap, at least 0: the last Lie-derivative "
+                         "level and series order (default n_z-1)")
     pa.add_argument("--timeout-s", type=float, default=None,
                     help="wall-clock bound for the analysis in seconds, > 0 "
                          "(default: none)")
@@ -157,10 +151,6 @@ def _print_report(r: AnalysisReport):
 
 def cmd_analyze(args) -> int:
     seed, primes, engines = _run_settings(args)
-    if args.max_level is not None and args.max_level < 0:
-        _usage_error(f"--max-level {args.max_level}: need at least 0")
-    if args.series_order is not None and args.series_order < 1:
-        _usage_error(f"--series-order {args.series_order}: need at least 1")
     md = _load(args.model)
     deadline = None if args.timeout_s is None else time.monotonic() + args.timeout_s
     reports = []
@@ -168,7 +158,7 @@ def cmd_analyze(args) -> int:
         try:
             reports.append(bench_mod.analyze(
                 md, engine, seed=seed, primes=primes, trials=args.trials,
-                deadline=deadline, max_level=args.max_level, order=args.series_order))
+                deadline=deadline, max_level=args.max_level))
         except IdentiscopeError as exc:
             # Under "both" a non-rational model gives ffprob an na record.
             if not (args.engine == "both" and isinstance(exc, NonRationalExpr)):

@@ -8,12 +8,12 @@ is the Jacobian of the output-series coefficients with respect to z0; since
 k! * coeff_k(y) = L^k h, its block k is level k of the symbolic engine's
 matrix at that point.  The series order grows one block at a time, and a
 trial stops when the rank reaches n_z (full_rank), when a block k > 0 does
-not raise it (saturation), or at the order cap, n_z - 1 unless
-``FfprobOptions.order`` / ``--series-order`` sets a lower one
-(order_exhausted).  The exact rank over F_p is aggregated by maximum across
-all trials and primes.  A random point or an unlucky prime can only
-underestimate the generic rank, so the max is sound; running several primes
-by default makes prime-sensitive rank drops visible in the per-prime record.
+not raise it (saturation), or at the order cap (order_exhausted): n_z - 1,
+or ``FfprobOptions.order``, which ``analyze --max-level`` sets for both
+engines.  The exact rank over F_p is aggregated by maximum across all trials
+and primes.  A random point or an unlucky prime can only underestimate the
+generic rank, so the max is sound; running several primes by default makes
+prime-sensitive rank drops visible in the per-prime record.
 
 The solver integrates coefficient by coefficient in forward mode.  F and h
 are compiled once per analysis into a flat tape; every node carries its
@@ -554,7 +554,7 @@ class FfprobOptions:
     primes: tuple[int, ...] = DEFAULT_PRIMES
     trials: int = DEFAULT_TRIALS_PER_PRIME
     seed: int = 0
-    order: int | None = None  # default n_z - 1
+    order: int | None = None  # at least 0; default n_z - 1
     deadline: float | None = None
 
 
@@ -677,18 +677,20 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
         raise ValueError("at least one prime is required")
     t0 = time.perf_counter()
     _require_rational(md)
-    for p in opts.primes:
+    for i, p in enumerate(opts.primes):
         if p <= MIN_PRIME:
             raise ValueError(f"prime must exceed 2^20, got {p}")
         if p > _linalg.MAX_PRIME:
             raise ValueError(f"prime must not exceed {_linalg.MAX_PRIME}")
         if not _linalg.is_prime(p):
             raise ValueError(f"prime {p} is composite")
-    if opts.order is not None and opts.order < 1:
-        raise ValueError("truncation order must be >= 1")
+        if p in opts.primes[:i]:
+            raise ValueError(f"prime {p} is repeated")
+    if opts.order is not None and opts.order < 0:
+        raise ValueError("order must be >= 0")
     A = augment(md)
     n_z = A.n_z
-    order = opts.order if opts.order is not None else max(n_z - 1, 1)
+    order = opts.order if opts.order is not None else n_z - 1
 
     runs = [_Run(p, trial) for p in opts.primes for trial in range(opts.trials)]
     forms = _sweep_runs(A, runs, opts.seed, order, opts.deadline)

@@ -13,6 +13,7 @@ SLI = "SLI"
 SU = "SU"
 RECONSTRUCTIBLE = "reconstructible"
 UNRECONSTRUCTIBLE = "unreconstructible"
+VERDICTS = (OBSERVABLE, UNOBSERVABLE, SLI, SU, RECONSTRUCTIBLE, UNRECONSTRUCTIBLE)
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"

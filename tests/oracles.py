@@ -39,7 +39,7 @@ import numpy as np
 
 from identiscope import _linalg, _rng
 from identiscope import symexpr as sx
-from identiscope.bench import check_prime, corpus_dir, fixtures_dir
+from identiscope.bench import check_settings, corpus_dir, fixtures_dir
 from identiscope.errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr, RetriesExhausted
 from identiscope.ffprob import RETRIES, _require_rational, _Sweep, _Tape
 from identiscope.lie_orc import LieCache
@@ -524,7 +524,7 @@ def cross_check_lie(md, order, p, seed=0):
     point is drawn here, under its own tag, and redrawn when a denominator
     vanishes.  Returns True iff every comparison holds exactly.
     """
-    check_prime(p)
+    check_settings((p,))
     _require_rational(md)
     A = augment(md)
     cache = LieCache(A)

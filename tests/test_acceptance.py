@@ -123,7 +123,7 @@ def test_criterion_4_hand_derived_toys():
          f"{elapsed:.2f} s")
 
 
-def _median_wall_ms(md, engines, runs=5):
+def _median_wall_ms(md, engines, runs=21):
     """Median engine wall time of each engine over ``runs`` rounds after one
     warm-up round.  A round runs every engine once, and the engine that goes
     first alternates from round to round, so that a burst of load on the

@@ -89,8 +89,9 @@ def test_help_lists_flags_with_defaults():
     res = run_cli("analyze", "--help")
     assert res.returncode == 0
     for flag in ("--engine", "--seed", "--prime", "--trials", "--max-level",
-                 "--series-order", "--timeout-s", "--json", "--require-consensus"):
+                 "--timeout-s", "--json", "--require-consensus"):
         assert flag in res.stdout
+    assert "--series-order" not in res.stdout
     assert "default" in res.stdout
 
 
@@ -115,6 +116,16 @@ def test_json_output_validates(toy_path, tmp_path):
 def test_require_consensus_ok_on_agreement(toy_path):
     res = run_cli("analyze", toy_path, "--require-consensus")
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_max_level_caps_both_engines_at_one_depth(level):
+    # Level k of the symbolic matrix is block k of ffprob's, so both engines
+    # capped at the same k rank the same matrix and agree.
+    path = str(corpus_dir() / "hiv2.idm")
+    res = run_cli("analyze", path, "--max-level", str(level), "--require-consensus")
+    assert res.returncode == 0, res.stdout
+    assert "consensus: engines agree" in res.stdout
 
 
 def test_require_consensus_unconfirmed_is_not_disagreement():
@@ -203,7 +214,8 @@ def test_bench_records_a_model_that_does_not_load(tmp_path):
 
 @pytest.mark.parametrize("flag", ["--max-level", "--series-order"])
 def test_bench_rejects_analyze_only_flags(flag, tmp_path):
-    # bench runs every engine at its default depth; it has no depth flags.
+    # bench runs every engine at its default depth, n_z - 1; it takes no
+    # --max-level, and --series-order is a flag of no command.
     res = run_cli("bench", str(tmp_path), flag, "1")
     assert res.returncode == 2
     assert "unrecognized arguments" in res.stderr
@@ -215,9 +227,12 @@ def test_bench_rejects_analyze_only_flags(flag, tmp_path):
     pytest.param("analyze", ["--prime", "100"], None, id="analyze-prime-not-prime"),
     pytest.param("analyze", ["--prime", str(2**61 - 1)], None, id="analyze-prime-above-max"),
     pytest.param("bench", ["--prime", "100"], None, id="bench-prime-not-prime"),
+    pytest.param("analyze", ["--prime", "2147483647", "--prime", "2147483647"], None,
+                 id="analyze-prime-repeated"),
+    pytest.param("bench", ["--prime", "2147483629", "--prime", "2147483629"], None,
+                 id="bench-prime-repeated"),
     pytest.param("analyze", ["--trials", "0"], None, id="analyze-trials-0"),
     pytest.param("bench", ["--trials", "0"], None, id="bench-trials-0"),
-    pytest.param("analyze", ["--series-order", "0"], None, id="analyze-series-order-0"),
     pytest.param("analyze", ["--max-level", "-1"], None, id="analyze-max-level-negative"),
     pytest.param("analyze", ["--timeout-s", "0"], None, id="analyze-timeout-0"),
     pytest.param("bench", ["--timeout-s", "-1"], None, id="bench-timeout-negative"),

@@ -85,6 +85,8 @@ def test_trial_config_rejects_small_and_huge_primes(monkeypatch):
         analyze_ffprob(md, FfprobOptions(primes=(1048573,), order=3))  # below 2^20
     with pytest.raises(ValueError, match=rf"^prime must not exceed {MAX_PRIME}$"):
         analyze_ffprob(md, FfprobOptions(primes=(2**62,), order=3))
+    with pytest.raises(ValueError, match=rf"^prime {P} is repeated$"):
+        analyze_ffprob(md, FfprobOptions(primes=(P, BIG_P, P), order=3))
     with pytest.raises(AssertionError, match="augment reached"):
         analyze_ffprob(md, FfprobOptions(primes=(P,), order=3))
 
@@ -97,8 +99,8 @@ def test_composite_prime_rejected_before_augment(monkeypatch):
 
 def test_analyze_rejects_order_below_one_before_augment(monkeypatch):
     _forbid_augment(monkeypatch)
-    with pytest.raises(ValueError, match=r"^truncation order must be >= 1$"):
-        analyze_ffprob(parse_model(DECAY), FfprobOptions(order=0))
+    with pytest.raises(ValueError, match=r"^order must be >= 0$"):
+        analyze_ffprob(parse_model(DECAY), FfprobOptions(order=-1))
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def _batch(A, primes, trials, seed, order=None):
     the form's rank.  The blocks a form takes after its run has stopped are
     checked to be zero and cut."""
     runs = [_Run(p, trial) for p in primes for trial in range(trials)]
-    forms = _sweep_runs(A, runs, seed, max(A.n_z - 1, 1) if order is None else order)
+    forms = _sweep_runs(A, runs, seed, A.n_z - 1 if order is None else order)
     m = len(A.outputs)
     out = []
     for f, (run, rank) in enumerate(zip(runs, forms.ranks)):
@@ -448,13 +450,14 @@ output y = x1 + {P}*x2
     (parse_model(TRAP), None, {(1, "saturation"), (1, "full_rank")}),
     (parse_model(TRAP_ONE_TERM), None, {(2, "saturation"), (3, "full_rank")}),
     (load_model(corpus_dir() / "c2m_a.idm"), 1, {(1, "order_exhausted")}),
-], ids=["decay", "c2m_b", "trap", "trap-one-term", "c2m_a-order-1"])
+    (load_model(corpus_dir() / "c2m_a.idm"), 0, {(0, "order_exhausted")}),
+], ids=["decay", "c2m_b", "trap", "trap-one-term", "c2m_a-order-1", "c2m_a-order-0"])
 def test_each_run_stops_at_the_block_where_its_rule_fires(md, order, stops):
     # Each run's order is the block at which its own rule fires on its own
     # rows, and its form's rank is the rank of those rows; the runs of one
     # sweep may stop at different blocks.
     A = augment(md)
-    m, cap = len(A.outputs), max(A.n_z - 1, 1) if order is None else order
+    m, cap = len(A.outputs), A.n_z - 1 if order is None else order
     got = set()
     for run, rows, rank in _batch(A, DEFAULT_PRIMES, 2, 0, order):
         assert (run.order, run.stop) == _stop_rule(rows, m, A.n_z, run.prime, cap), run
