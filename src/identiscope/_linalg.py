@@ -1,5 +1,7 @@
-"""Exact Gaussian elimination over prime fields, and the primality test
-for their moduli.
+"""Exact Gaussian elimination over prime fields, the primality test for
+their moduli, and ``check_settings``, the one check of the run settings
+(primes, trials, depth cap, timeout) that the CLI, ``bench`` and both
+engines share.
 
 ``Echelons`` holds the echelon forms of one analysis, one per trial or
 run, stacked in one int64 numpy array and extended in place.  With p
@@ -28,6 +30,8 @@ import numpy as np
 
 # (p-1)^2 plus one subtraction must fit in a signed 64-bit integer.
 MAX_PRIME = math.isqrt(2**63 - 1) - 1
+# The primes a user gives exceed this, so that a random point rarely hits a root.
+MIN_PRIME = 2**20
 # The widest echelon form whose block products stay exact (module docstring).
 MAX_COLS = 2**15 - 1
 
@@ -67,9 +71,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_modulus(p: int) -> None:
-    if p < 2 or p > MAX_PRIME:
-        raise ValueError(f"prime must be in [2, {MAX_PRIME}]")
+def check_settings(primes: tuple[int, ...], trials: int | None = None,
+                   max_level: int | None = None, timeout_s: float | None = None,
+                   floor: int = MIN_PRIME) -> None:
+    """Raise ValueError naming the first setting that the engines do not
+    take: no prime, a prime outside (floor, MAX_PRIME] or given twice,
+    trials < 1, max_level < 0 or timeout_s <= 0; None keeps a setting's
+    default.  Only the symbolic engine lowers ``floor``, to 1, for the small
+    primes of the small-prime sweeps."""
+    if not primes:
+        raise ValueError("at least one prime is required")
+    lo = "2^20" if floor == MIN_PRIME else floor
+    for i, p in enumerate(primes):
+        if not (floor < p <= MAX_PRIME and is_prime(p)):
+            raise ValueError(f"{p} is not a prime in ({lo}, {MAX_PRIME}]")
+        if p in primes[:i]:
+            raise ValueError(f"prime {p} is repeated")
+    if trials is not None and trials < 1:
+        raise ValueError("trials must be >= 1")
+    if max_level is not None and max_level < 0:
+        raise ValueError("max_level must be >= 0")
+    if timeout_s is not None and not timeout_s > 0:
+        raise ValueError("timeout_s must be a positive number of seconds")
 
 
 def _matmul(x: np.ndarray, y: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -105,8 +128,8 @@ class Echelons:
     """
 
     def __init__(self, n_cols: int, primes):
-        for p in primes:
-            _check_modulus(p)
+        if not all(2 <= p <= MAX_PRIME for p in primes):
+            raise ValueError(f"prime must be in [2, {MAX_PRIME}]")
         if n_cols > MAX_COLS:
             raise ValueError(f"an echelon form has at most {MAX_COLS} columns")
         self.primes = list(primes)

@@ -26,13 +26,13 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from ._linalg import MAX_PRIME, is_prime
+from ._linalg import check_settings
 from .errors import EngineTimeout, IdentiscopeError, ModelError, NonRationalExpr
-from .ffprob import DEFAULT_PRIMES, MIN_PRIME, FfprobOptions, analyze_ffprob
+from .ffprob import DEFAULT_PRIMES, FfprobOptions, analyze_ffprob
 from .lie_orc import SymbolicOptions, analyze_symbolic
 from .model import ModelDef, load_model
 from .report import (SCHEMA_VERSION, STATUS_ERROR, STATUS_NA, STATUS_OK, STATUS_TIMEOUT,
-                     VERDICTS, AnalysisReport)
+                     STOPS, VERDICTS, AnalysisReport)
 
 ENGINES = ("symbolic", "ffprob")
 DEFAULT_TIMEOUT_S = 120.0
@@ -66,7 +66,7 @@ REPORT_SCHEMA = {
                     "type": ["object", "null"],
                     "additionalProperties": {"enum": list(VERDICTS)},
                 },
-                "stop_reason": {"type": ["string", "null"]},
+                "stop_reason": {"enum": [*STOPS, None]},
                 "seed": {"type": ["integer", "null"]},
                 "primes": {"type": ["array", "null"], "items": {"type": "integer"}},
                 "trials": {"type": ["integer", "null"]},
@@ -120,26 +120,6 @@ def fixtures_dir() -> Path:
     return Path(resources.files("identiscope") / "fixtures")
 
 
-def check_settings(primes: tuple[int, ...], trials: int | None = None,
-                   max_level: int | None = None, timeout_s: float | None = None) -> None:
-    """Raise ValueError naming the first setting that neither engine takes:
-    no prime, a prime outside (2^20, MAX_PRIME] or given twice, trials < 1,
-    max_level < 0 or timeout_s <= 0; None keeps a setting's default."""
-    if not primes:
-        raise ValueError("at least one prime is required")
-    for i, p in enumerate(primes):
-        if not (MIN_PRIME < p <= MAX_PRIME and is_prime(p)):
-            raise ValueError(f"{p} is not a prime in (2^20, {MAX_PRIME}]")
-        if p in primes[:i]:
-            raise ValueError(f"prime {p} is repeated")
-    if trials is not None and trials < 1:
-        raise ValueError("trials must be >= 1")
-    if max_level is not None and max_level < 0:
-        raise ValueError("max_level must be >= 0")
-    if timeout_s is not None and not timeout_s > 0:
-        raise ValueError("timeout_s must be a positive number of seconds")
-
-
 def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
             trials: int | None = None, deadline: float | None = None,
             max_level: int | None = None) -> AnalysisReport:
@@ -153,7 +133,7 @@ def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
                                deadline=deadline)
         run = analyze_symbolic
     elif engine == "ffprob":
-        opts = FfprobOptions(seed=seed, primes=tuple(primes), order=max_level,
+        opts = FfprobOptions(seed=seed, primes=tuple(primes), max_level=max_level,
                              deadline=deadline)
         run = analyze_ffprob
     else:

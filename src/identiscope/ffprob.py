@@ -8,8 +8,8 @@ is the Jacobian of the output-series coefficients with respect to z0; since
 k! * coeff_k(y) = L^k h, its block k is level k of the symbolic engine's
 matrix at that point.  The series order grows one block at a time, and a
 trial stops when the rank reaches n_z (full_rank), when a block k > 0 does
-not raise it (saturation), or at the order cap (order_exhausted): n_z - 1,
-or ``FfprobOptions.order``, which ``analyze --max-level`` sets for both
+not raise it (saturation), or at the order cap (max_level): n_z - 1, or
+``FfprobOptions.max_level``, which ``analyze --max-level`` sets for both
 engines.  The exact rank over F_p is aggregated by maximum across all trials
 and primes.  A random point or an unlucky prime can only underestimate the
 generic rank, so the max is sound; running several primes by default makes
@@ -64,12 +64,11 @@ from . import _linalg, _rng
 from . import symexpr as sx
 from .errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted, check_deadline
 from .model import AugmentedSystem, ModelDef, augment, CONSTANT
-from .report import AnalysisReport, verdict_for
+from .report import FULL_RANK, MAX_LEVEL, SATURATION, AnalysisReport, ok_report
 from .symexpr import Expr, Symbol
 
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
 DEFAULT_TRIALS_PER_PRIME = 2
-MIN_PRIME = 2**20
 RETRIES = 25  # random points per run before RetriesExhausted
 
 
@@ -554,7 +553,7 @@ class FfprobOptions:
     primes: tuple[int, ...] = DEFAULT_PRIMES
     trials: int = DEFAULT_TRIALS_PER_PRIME
     seed: int = 0
-    order: int | None = None  # at least 0; default n_z - 1
+    max_level: int | None = None  # at least 0; default n_z - 1
     deadline: float | None = None
 
 
@@ -616,7 +615,7 @@ def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run], seed: int) -> None:
             last[b] = failed[b]
 
 
-def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
+def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, max_level: int,
                 deadline: float | None = None) -> _linalg.Echelons:
     """Grow every run's output Jacobian one block per series order, all runs
     in one sweep; returns their echelon forms, form b being run b's.
@@ -624,14 +623,14 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
     ``Echelons.extend`` step adds it to the form of every run still going;
     a run that has stopped takes a block of zeros, which leaves its form
     unchanged.  A run stops when its rank reaches n_z (full_rank), when a
-    block k > 0 leaves it unchanged (saturation), or at block ``order``
-    (order_exhausted); the sweep ends when every run has stopped.  Past
-    order 0, an order's second phase runs only if some run goes on."""
+    block k > 0 leaves it unchanged (saturation), or at block ``max_level``
+    (max_level); the sweep ends when every run has stopped.  Past order 0,
+    an order's second phase runs only if some run goes on."""
     n_z = A.n_z
     tape = _Tape(A)
-    sw = _Sweep(tape, [run.prime for run in runs], order)
+    sw = _Sweep(tape, [run.prime for run in runs], max_level)
     forms = _linalg.Echelons(n_z, [run.prime for run in runs])
-    for k in range(order + 1):
+    for k in range(max_level + 1):
         check_deadline(deadline)
         if k == 0:
             _start(A, sw, runs, seed)
@@ -647,15 +646,15 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, order: int,
                 continue
             run.order = k
             if r == n_z:
-                run.stop = "full_rank"
+                run.stop = FULL_RANK
             elif k > 0 and r == r0:
-                run.stop = "saturation"
+                run.stop = SATURATION
         if all(run.stop is not None for run in runs):
             return forms
         if k:
             sw.finish(k)
     for run in runs:
-        run.stop = run.stop or "order_exhausted"
+        run.stop = run.stop or MAX_LEVEL
     return forms
 
 
@@ -671,61 +670,23 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
     prime-dependent rank drops are visible.
     """
     opts = opts or FfprobOptions()
-    if opts.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not opts.primes:
-        raise ValueError("at least one prime is required")
+    _linalg.check_settings(opts.primes, opts.trials, opts.max_level)
     t0 = time.perf_counter()
     _require_rational(md)
-    for i, p in enumerate(opts.primes):
-        if p <= MIN_PRIME:
-            raise ValueError(f"prime must exceed 2^20, got {p}")
-        if p > _linalg.MAX_PRIME:
-            raise ValueError(f"prime must not exceed {_linalg.MAX_PRIME}")
-        if not _linalg.is_prime(p):
-            raise ValueError(f"prime {p} is composite")
-        if p in opts.primes[:i]:
-            raise ValueError(f"prime {p} is repeated")
-    if opts.order is not None and opts.order < 0:
-        raise ValueError("order must be >= 0")
     A = augment(md)
-    n_z = A.n_z
-    order = opts.order if opts.order is not None else n_z - 1
+    max_level = opts.max_level if opts.max_level is not None else A.n_z - 1
 
     runs = [_Run(p, trial) for p in opts.primes for trial in range(opts.trials)]
-    forms = _sweep_runs(A, runs, opts.seed, order, opts.deadline)
+    forms = _sweep_runs(A, runs, opts.seed, max_level, opts.deadline)
 
     ranks = forms.ranks
+    if max(ranks) == A.n_z:
+        stop = FULL_RANK
+    elif all(run.stop == SATURATION for run in runs):
+        stop = SATURATION
+    else:
+        stop = MAX_LEVEL
     per_prime = {str(p): ranks[i * opts.trials:(i + 1) * opts.trials]
                  for i, p in enumerate(opts.primes)}
-    rank = max(ranks)
-    identifiable = forms.independent_columns()[np.array(ranks) == rank].all(0).tolist()
-    verdict_map = {s: verdict_for(s.kind.value, identifiable[j]) for j, s in enumerate(A.z)}
-    if rank == n_z:
-        stop_reason = "full_rank"
-    elif all(run.stop == "saturation" for run in runs):
-        stop_reason = "saturation"
-    else:
-        stop_reason = "order_exhausted"
-
-    warnings = []
-    if md.unknown_inputs:
-        warnings.append(md.unknown_input_warning())
-    if md.ics:
-        warnings.append(md.ic_warning())
-
-    return AnalysisReport(
-        model=md.name,
-        engine="ffprob",
-        n_z=n_z,
-        rank=rank,
-        per_prime_ranks=per_prime,
-        verdicts={s.name: verdict_map[s] for s in A.z},
-        stop_reason=stop_reason,
-        seed=opts.seed,
-        primes=list(opts.primes),
-        trials=opts.trials,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        warnings=warnings,
-    )
-
+    return ok_report("ffprob", A, forms, stop, t0, [], per_prime_ranks=per_prime,
+                     seed=opts.seed, primes=list(opts.primes), trials=opts.trials)

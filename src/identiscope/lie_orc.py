@@ -47,7 +47,7 @@ from . import _linalg, _rng
 from . import symexpr as sx
 from .errors import DivisionByZeroModP, RetriesExhausted, check_deadline
 from .model import AugmentedSystem, ModelDef, augment, GENERIC
-from .report import AnalysisReport, verdict_for
+from .report import FULL_RANK, MAX_LEVEL, SATURATION, AnalysisReport, ok_report
 from .symexpr import Expr, Symbol, SymbolKind
 
 DEFAULT_PRIME = 2147483647
@@ -586,13 +586,7 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     the span of the others.
     """
     opts = opts or SymbolicOptions()
-    if opts.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if opts.max_level is not None and opts.max_level < 0:
-        raise ValueError("max_level must be >= 0")
-    _linalg._check_modulus(opts.prime)
-    if not _linalg.is_prime(opts.prime):
-        raise ValueError(f"prime {opts.prime} is composite")
+    _linalg.check_settings((opts.prime,), opts.trials, opts.max_level, floor=1)
     t0 = time.perf_counter()
     A = augment(md)
     n_z, m = A.n_z, len(A.outputs)
@@ -601,22 +595,18 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
                     opts.seed, opts.prime)
 
     ranks: list[int] = []
-    stop = "max_level"
+    stop = MAX_LEVEL
     for k in range(max_level + 1):
         check_deadline(opts.deadline)
         batch.grow((k + 1) * m)
         r = max(batch.forms.ranks)
         ranks.append(r)
         if r == n_z:
-            stop = "full_rank"
+            stop = FULL_RANK
             break
         if k > 0 and ranks[-2] == r:
-            stop = "saturation"
+            stop = SATURATION
             break
-
-    rank = ranks[-1]
-    at_rank = np.array(batch.forms.ranks) == rank
-    identifiable = batch.forms.independent_columns()[at_rank].all(0).tolist()
 
     warnings = []
     if batch.transcendental:
@@ -626,22 +616,5 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     if any(spec.mode == GENERIC for spec in md.known_inputs):
         warnings.append(
             f"known-input derivatives materialized up to order {len(ranks) - 1}")
-    if md.unknown_inputs:
-        warnings.append(md.unknown_input_warning())
-    if md.ics:
-        warnings.append(md.ic_warning())
-
-    return AnalysisReport(
-        model=md.name,
-        engine="symbolic",
-        n_z=n_z,
-        rank=rank,
-        ranks_by_level=ranks,
-        verdicts={s.name: verdict_for(s.kind.value, ok) for s, ok in zip(A.z, identifiable)},
-        stop_reason=stop,
-        seed=opts.seed,
-        primes=[opts.prime],
-        trials=opts.trials,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
-        warnings=warnings,
-    )
+    return ok_report("symbolic", A, batch.forms, stop, t0, warnings, ranks_by_level=ranks,
+                     seed=opts.seed, primes=[opts.prime], trials=opts.trials)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+
+from ._linalg import Echelons
+from .model import AugmentedSystem
 
 SCHEMA_VERSION = 1
 
@@ -14,6 +18,13 @@ SU = "SU"
 RECONSTRUCTIBLE = "reconstructible"
 UNRECONSTRUCTIBLE = "unreconstructible"
 VERDICTS = (OBSERVABLE, UNOBSERVABLE, SLI, SU, RECONSTRUCTIBLE, UNRECONSTRUCTIBLE)
+
+# Why an engine stopped adding levels: the rank reached n_z, a level past the
+# first did not raise it, or the cap (max_level) was reached.
+FULL_RANK = "full_rank"
+SATURATION = "saturation"
+MAX_LEVEL = "max_level"
+STOPS = (FULL_RANK, SATURATION, MAX_LEVEL)
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -77,3 +88,32 @@ def verdict_for(kind_value: str, identifiable: bool) -> str:
     if kind_value == "parameter":
         return SLI if identifiable else SU
     return RECONSTRUCTIBLE if identifiable else UNRECONSTRUCTIBLE
+
+
+def ok_report(engine: str, A: AugmentedSystem, forms: Echelons, stop: str, t0: float,
+              warnings: list[str], **fields) -> AnalysisReport:
+    """The ok report of an engine's analysis of A, from its final echelon
+    forms: the rank is the largest form rank, and entry j is identifiable
+    when column j is independent of the others in every form at that rank.
+    ``fields`` are the engine's own (seed, primes, trials, and its ranks by
+    level or per prime).  The model's unknown-input and ic warnings are
+    appended to the engine's ``warnings``.  ``t0`` is the analysis'
+    ``perf_counter`` start."""
+    md, ranks = A.model, forms.ranks
+    rank = max(ranks)
+    identifiable = forms.independent_columns()[[r == rank for r in ranks]].all(0).tolist()
+    if md.unknown_inputs:
+        warnings.append(md.unknown_input_warning())
+    if md.ics:
+        warnings.append(md.ic_warning())
+    return AnalysisReport(
+        model=md.name,
+        engine=engine,
+        n_z=A.n_z,
+        rank=rank,
+        verdicts={s.name: verdict_for(s.kind.value, ok) for s, ok in zip(A.z, identifiable)},
+        stop_reason=stop,
+        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+        warnings=warnings,
+        **fields,
+    )

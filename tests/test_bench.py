@@ -7,17 +7,20 @@ import jsonschema
 import pytest
 
 import identiscope
-from identiscope import bench
+from identiscope import bench, ffprob, lie_orc
 from identiscope.bench import (
     BenchOptions,
     ConsensusResult,
     REPORT_SCHEMA,
+    check_settings,
     compare_engines,
     corpus_dir,
     emit_report,
     fixtures_dir,
     run_corpus,
 )
+from identiscope.ffprob import FfprobOptions, analyze_ffprob
+from identiscope.lie_orc import SymbolicOptions, analyze_symbolic
 from identiscope.model import load_model
 from identiscope.report import AnalysisReport
 
@@ -58,6 +61,24 @@ def test_library_modules_use_every_name_they_import():
                     for a in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+# The texts of the settings check; each is written in one module only.
+SETTINGS_MESSAGES = ("at least one prime is required", "is not a prime in", "is repeated",
+                     "trials must be >= 1", "max_level must be >= 0", "timeout_s must be")
+
+
+def test_each_settings_message_is_written_in_one_module():
+    # One check serves the CLI, bench and both engines, so no other module
+    # carries a copy of its messages.
+    found = {message: set() for message in SETTINGS_MESSAGES}
+    for path in sorted(Path(identiscope.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for message in SETTINGS_MESSAGES:
+                    if message in node.value:
+                        found[message].add(path.name)
+    assert found == {message: {"_linalg.py"} for message in SETTINGS_MESSAGES}
 
 
 def test_library_builds_expressions_only_through_the_smart_constructors():
@@ -174,6 +195,50 @@ def test_analyze_rejects_empty_primes(engine):
     md = load_model(corpus_dir() / "c2m_b.idm")
     with pytest.raises(ValueError, match=r"at least one prime"):
         bench.analyze(md, engine, seed=0, primes=())
+
+
+P = 2147483647
+
+
+# A bad setting as (primes, trials, max_level), the text that every entry
+# point raises for it, with {lo} the floor of the primes taken, and whether
+# analyze_symbolic, which takes one prime above a floor of 1, can be given it.
+@pytest.mark.parametrize("primes, trials, max_level, text, symbolic", [
+    pytest.param((), None, None, "at least one prime is required", False, id="no-prime"),
+    pytest.param((1,), None, None, "1 is not a prime in ({lo}, 3037000498]", True,
+                 id="below-every-floor"),
+    pytest.param((1048573,), None, None, "1048573 is not a prime in (2^20, 3037000498]", False,
+                 id="prime-below-2^20"),
+    pytest.param((3037000507,), None, None, "3037000507 is not a prime in ({lo}, 3037000498]",
+                 True, id="prime-above-max"),
+    pytest.param((2**21,), None, None, "2097152 is not a prime in ({lo}, 3037000498]", True,
+                 id="composite"),
+    pytest.param((P, P), None, None, f"prime {P} is repeated", False, id="repeated"),
+    pytest.param((P,), 0, None, "trials must be >= 1", True, id="trials-0"),
+    pytest.param((P,), None, -1, "max_level must be >= 0", True, id="max-level-negative"),
+])
+def test_every_entry_point_rejects_a_bad_setting_with_one_text(primes, trials, max_level, text,
+                                                              symbolic, monkeypatch):
+    def unreachable(md):
+        raise AssertionError("augment reached")
+
+    monkeypatch.setattr(ffprob, "augment", unreachable)
+    monkeypatch.setattr(lie_orc, "augment", unreachable)
+    md = load_model(corpus_dir() / "c2m_b.idm")
+    given = {"trials": trials, "max_level": max_level}
+    kw = {key: value for key, value in given.items() if value is not None}
+    calls = [
+        ("2^20", lambda: check_settings(primes, trials, max_level)),
+        ("2^20", lambda: bench.analyze(md, "symbolic", seed=0, primes=primes, **given)),
+        ("2^20", lambda: bench.analyze(md, "ffprob", seed=0, primes=primes, **given)),
+        ("2^20", lambda: analyze_ffprob(md, FfprobOptions(primes=primes, **kw))),
+    ]
+    if symbolic:
+        calls.append(("1", lambda: analyze_symbolic(md, SymbolicOptions(prime=primes[0], **kw))))
+    for lo, call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == text.format(lo=lo)
 
 
 def test_run_corpus_empty_dir(tmp_path):

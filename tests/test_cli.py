@@ -126,6 +126,8 @@ def test_max_level_caps_both_engines_at_one_depth(level):
     res = run_cli("analyze", path, "--max-level", str(level), "--require-consensus")
     assert res.returncode == 0, res.stdout
     assert "consensus: engines agree" in res.stdout
+    # Both stop at the cap, and name that stop with one word.
+    assert res.stdout.count("(stop: max_level)") == 2, res.stdout
 
 
 def test_require_consensus_unconfirmed_is_not_disagreement():

@@ -81,26 +81,26 @@ def test_trial_config_rejects_small_and_huge_primes(monkeypatch):
     # The primes are checked before the model is augmented.
     md = parse_model(DECAY)
     _forbid_augment(monkeypatch)
-    with pytest.raises(ValueError, match=r"^prime must exceed 2\^20, got 1048573$"):
-        analyze_ffprob(md, FfprobOptions(primes=(1048573,), order=3))  # below 2^20
-    with pytest.raises(ValueError, match=rf"^prime must not exceed {MAX_PRIME}$"):
-        analyze_ffprob(md, FfprobOptions(primes=(2**62,), order=3))
+    with pytest.raises(ValueError, match=rf"^1048573 is not a prime in \(2\^20, {MAX_PRIME}\]$"):
+        analyze_ffprob(md, FfprobOptions(primes=(1048573,), max_level=3))  # below 2^20
+    with pytest.raises(ValueError, match=rf"^{2**62} is not a prime in \(2\^20, {MAX_PRIME}\]$"):
+        analyze_ffprob(md, FfprobOptions(primes=(2**62,), max_level=3))
     with pytest.raises(ValueError, match=rf"^prime {P} is repeated$"):
-        analyze_ffprob(md, FfprobOptions(primes=(P, BIG_P, P), order=3))
+        analyze_ffprob(md, FfprobOptions(primes=(P, BIG_P, P), max_level=3))
     with pytest.raises(AssertionError, match="augment reached"):
-        analyze_ffprob(md, FfprobOptions(primes=(P,), order=3))
+        analyze_ffprob(md, FfprobOptions(primes=(P,), max_level=3))
 
 
 def test_composite_prime_rejected_before_augment(monkeypatch):
     _forbid_augment(monkeypatch)
-    with pytest.raises(ValueError, match=rf"^prime {2**21} is composite$"):
-        analyze_ffprob(parse_model(DECAY), FfprobOptions(primes=(2**21,), order=3))
+    with pytest.raises(ValueError, match=rf"^{2**21} is not a prime in \(2\^20, {MAX_PRIME}\]$"):
+        analyze_ffprob(parse_model(DECAY), FfprobOptions(primes=(2**21,), max_level=3))
 
 
 def test_analyze_rejects_order_below_one_before_augment(monkeypatch):
     _forbid_augment(monkeypatch)
-    with pytest.raises(ValueError, match=r"^order must be >= 0$"):
-        analyze_ffprob(parse_model(DECAY), FfprobOptions(order=-1))
+    with pytest.raises(ValueError, match=r"^max_level must be >= 0$"):
+        analyze_ffprob(parse_model(DECAY), FfprobOptions(max_level=-1))
 
 
 # --------------------------------------------------------------------------
@@ -412,11 +412,11 @@ def test_zero_first_block_does_not_saturate():
     assert (run.stop, len(rows), rank) == ("saturation", 2, 0)
 
 
-def test_stop_reason_order_exhausted():
+def test_stop_reason_max_level():
     md = load_model(corpus_dir() / "c2m_a.idm")
-    rep = analyze_ffprob(md, FfprobOptions(order=1))
+    rep = analyze_ffprob(md, FfprobOptions(max_level=1))
     assert rep.rank < rep.n_z
-    assert rep.stop_reason == "order_exhausted"
+    assert rep.stop_reason == "max_level"
 
 
 def _stop_rule(rows, m, n_z, p, cap):
@@ -430,7 +430,7 @@ def _stop_rule(rows, m, n_z, p, cap):
         if k > 0 and r == before:
             return k, "saturation"
         before = r
-    return cap, "order_exhausted"
+    return cap, "max_level"
 
 
 # At P the output is x1, so that run saturates at rank 2 after block 2,
@@ -449,8 +449,8 @@ output y = x1 + {P}*x2
     (load_model(corpus_dir() / "c2m_b.idm"), None, {(4, "saturation")}),
     (parse_model(TRAP), None, {(1, "saturation"), (1, "full_rank")}),
     (parse_model(TRAP_ONE_TERM), None, {(2, "saturation"), (3, "full_rank")}),
-    (load_model(corpus_dir() / "c2m_a.idm"), 1, {(1, "order_exhausted")}),
-    (load_model(corpus_dir() / "c2m_a.idm"), 0, {(0, "order_exhausted")}),
+    (load_model(corpus_dir() / "c2m_a.idm"), 1, {(1, "max_level")}),
+    (load_model(corpus_dir() / "c2m_a.idm"), 0, {(0, "max_level")}),
 ], ids=["decay", "c2m_b", "trap", "trap-one-term", "c2m_a-order-1", "c2m_a-order-0"])
 def test_each_run_stops_at_the_block_where_its_rule_fires(md, order, stops):
     # Each run's order is the block at which its own rule fires on its own
@@ -680,8 +680,8 @@ def test_order_cap_no_run_reaches_draws_nothing_more(monkeypatch):
     monkeypatch.setattr(_rng, "residue", counted)
     default = analyze_ffprob(md).to_dict(include_timing=False)
     n = len(draws)
-    huge = analyze_ffprob(md, FfprobOptions(order=10**6)).to_dict(include_timing=False)
-    assert default["stop_reason"] != "order_exhausted"
+    huge = analyze_ffprob(md, FfprobOptions(max_level=10**6)).to_dict(include_timing=False)
+    assert default["stop_reason"] != "max_level"
     assert huge == default and len(draws) == 2 * n
 
 

@@ -239,7 +239,7 @@ def test_prime_out_of_range_rejected_before_any_work(prime, monkeypatch):
         raise AssertionError("augment ran before the prime was checked")
 
     monkeypatch.setattr(lie_orc, "augment", no_work)
-    with pytest.raises(ValueError, match="prime must be in"):
+    with pytest.raises(ValueError, match=rf"^{prime} is not a prime in \(1, {MAX_PRIME}\]$"):
         analyze_symbolic(parse_model(DECAY), SymbolicOptions(prime=prime))
 
 
@@ -248,7 +248,7 @@ def test_composite_prime_rejected_before_any_work(monkeypatch):
         raise AssertionError("augment ran before the prime was checked")
 
     monkeypatch.setattr(lie_orc, "augment", no_work)
-    with pytest.raises(ValueError, match=rf"^prime {3 * 1000003} is composite$"):
+    with pytest.raises(ValueError, match=rf"^{3 * 1000003} is not a prime in \(1, {MAX_PRIME}\]$"):
         analyze_symbolic(parse_model(DECAY), SymbolicOptions(prime=3 * 1000003))
 
 
