@@ -22,7 +22,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -31,76 +31,10 @@ from .errors import EngineTimeout, IdentiscopeError, ModelError, NonRationalExpr
 from .ffprob import DEFAULT_PRIMES, FfprobOptions, analyze_ffprob
 from .lie_orc import SymbolicOptions, analyze_symbolic
 from .model import ModelDef, load_model
-from .report import (SCHEMA_VERSION, STATUS_ERROR, STATUS_NA, STATUS_OK, STATUS_TIMEOUT,
-                     STOPS, VERDICTS, AnalysisReport)
+from .report import (AGREE, DISAGREE, ENGINES, SCHEMA_VERSION, STATUS_ERROR, STATUS_NA,
+                     STATUS_OK, STATUS_TIMEOUT, UNCONFIRMED, AnalysisReport, ConsensusResult)
 
-ENGINES = ("symbolic", "ffprob")
 DEFAULT_TIMEOUT_S = 120.0
-
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "reports"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "reports": {"type": "array", "items": {"$ref": "#/$defs/report"}},
-        "consensus": {"type": "array", "items": {"$ref": "#/$defs/consensus"}},
-    },
-    "$defs": {
-        "report": {
-            "type": "object",
-            "required": ["schema_version", "model", "engine", "status"],
-            "properties": {
-                "schema_version": {"const": SCHEMA_VERSION},
-                "model": {"type": "string"},
-                "engine": {"enum": list(ENGINES)},
-                "status": {"enum": [STATUS_OK, STATUS_ERROR, STATUS_TIMEOUT, STATUS_NA]},
-                "n_z": {"type": ["integer", "null"]},
-                "rank": {"type": ["integer", "null"]},
-                "ranks_by_level": {"type": ["array", "null"], "items": {"type": "integer"}},
-                "per_prime_ranks": {
-                    "type": ["object", "null"],
-                    "additionalProperties": {"type": "array", "items": {"type": "integer"}},
-                },
-                "verdicts": {
-                    "type": ["object", "null"],
-                    "additionalProperties": {"enum": list(VERDICTS)},
-                },
-                "stop_reason": {"enum": [*STOPS, None]},
-                "seed": {"type": ["integer", "null"]},
-                "primes": {"type": ["array", "null"], "items": {"type": "integer"}},
-                "trials": {"type": ["integer", "null"]},
-                "wall_time_ms": {"type": "number"},
-                "warnings": {"type": "array", "items": {"type": "string"}},
-                "error": {"type": ["string", "null"]},
-            },
-        },
-        "consensus": {
-            "type": "object",
-            "required": ["model", "agreement"],
-            "properties": {
-                "model": {"type": "string"},
-                "agreement": {"enum": ["agree", "disagree", "unconfirmed"]},
-                "disagreements": {"type": "array"},
-            },
-        },
-    },
-}
-
-
-@dataclass
-class ConsensusResult:
-    """Per-model agreement between engine verdict maps."""
-    model: str
-    agreement: str  # agree | disagree | unconfirmed
-    disagreements: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "agreement": self.agreement,
-            "disagreements": self.disagreements,
-        }
 
 
 @dataclass
@@ -195,31 +129,26 @@ def compare_engines(reports: list[AnalysisReport]) -> list[ConsensusResult]:
     """Per-model verdict agreement across engines.
 
     Models with fewer than two successful engine runs are marked
-    "unconfirmed"; disagreements list every symbol on which verdicts differ.
+    UNCONFIRMED; disagreements list every symbol on which verdicts differ.
     """
-    by_model: dict[str, list[AnalysisReport]] = {}
+    ok: dict[str, list[AnalysisReport]] = {}
     for r in reports:
-        by_model.setdefault(r.model, []).append(r)
-
+        ok.setdefault(r.model, [])
+        if r.status == STATUS_OK and r.verdicts is not None:
+            ok[r.model].append(r)
     out = []
-    for model in sorted(by_model):
-        group = by_model[model]
-        ok = [r for r in group if r.status == STATUS_OK and r.verdicts is not None]
-        res = ConsensusResult(model=model, agreement="unconfirmed")
-        if len(ok) >= 2:
-            base, rest = ok[0], ok[1:]
-            diffs = []
-            for other in rest:
-                names = sorted(set(base.verdicts) | set(other.verdicts))
-                for sym_name in names:
-                    a = base.verdicts.get(sym_name)
-                    b = other.verdicts.get(sym_name)
-                    if a != b:
-                        diffs.append({"symbol": sym_name,
-                                      base.engine: a, other.engine: b})
-            res.agreement = "disagree" if diffs else "agree"
-            res.disagreements = diffs
-        out.append(res)
+    for model in sorted(ok):
+        if len(ok[model]) < 2:
+            out.append(ConsensusResult(model, UNCONFIRMED))
+            continue
+        base, *rest = ok[model]
+        diffs = []
+        for other in rest:
+            for name in sorted(set(base.verdicts) | set(other.verdicts)):
+                a, b = base.verdicts.get(name), other.verdicts.get(name)
+                if a != b:
+                    diffs.append({"symbol": name, base.engine: a, other.engine: b})
+        out.append(ConsensusResult(model, DISAGREE if diffs else AGREE, diffs))
     return out
 
 

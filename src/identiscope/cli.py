@@ -28,7 +28,7 @@ from ._linalg import MAX_PRIME
 from .errors import IdentiscopeError, ModelError, NonRationalExpr
 from .ffprob import DEFAULT_PRIMES
 from .model import augment, load_model
-from .report import STATUS_OK, AnalysisReport
+from .report import AGREE, DISAGREE, ENGINES, STATUS_OK, AnalysisReport
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -64,7 +64,7 @@ def _run_settings(args) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
         seed = args.seed if args.seed is not None else int(env)
     except ValueError:
         _usage_error(f"IDENTISCOPE_SEED={env!r}: need an integer")
-    engines = bench_mod.ENGINES if args.engine == "both" else (args.engine,)
+    engines = ENGINES if args.engine == "both" else (args.engine,)
     return seed, primes, engines
 
 
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--engine", choices=["symbolic", "ffprob", "both"],
+        p.add_argument("--engine", choices=[*ENGINES, "both"],
                        default="both", help="analysis engine")
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (default 0, or IDENTISCOPE_SEED)")
@@ -172,36 +172,23 @@ def cmd_analyze(args) -> int:
         _print_report(r)
 
     consensus = bench_mod.compare_engines(reports)
-    verdict = consensus[0] if consensus else None
-    if len(reports) > 1 and verdict is not None:
+    (verdict,) = consensus  # every report is of md
+    if len(reports) > 1:
         print()
-        if verdict.agreement == "agree":
+        if verdict.agreement == AGREE:
             print("consensus: engines agree")
-        elif verdict.agreement == "disagree":
+        elif verdict.agreement == DISAGREE:
             print("consensus: engines DISAGREE on "
                   + ", ".join(d["symbol"] for d in verdict.disagreements))
         else:
             print("consensus: unconfirmed (one usable engine result)")
-
-    if args.json:
-        doc = bench_mod.emit_report(reports, consensus)
-        with open(args.json, "wb") as fh:
-            fh.write(doc)
-
-    if args.require_consensus and verdict is not None and verdict.agreement == "disagree":
-        return EXIT_DISAGREE
-    return EXIT_OK
+    return _finish(args, reports, consensus)
 
 
 def cmd_bench(args) -> int:
     seed, primes, engines = _run_settings(args)
-    opts = bench_mod.BenchOptions(
-        engines=engines,
-        timeout_s=args.timeout_s,
-        seed=seed,
-        trials=args.trials,
-        primes=primes,
-    )
+    opts = bench_mod.BenchOptions(engines=engines, timeout_s=args.timeout_s, seed=seed,
+                                  trials=args.trials, primes=primes)
     reports = bench_mod.run_corpus(args.corpus, opts)
     consensus = bench_mod.compare_engines(reports)
 
@@ -220,12 +207,16 @@ def cmd_bench(args) -> int:
             print(line)
         total = sum(r.wall_time_ms for r in reports)
         print(f"total analysis time: {total:.0f} ms", file=sys.stderr)
+    return _finish(args, reports, consensus)
 
+
+def _finish(args, reports, consensus) -> int:
+    """The tail of analyze and bench: write the full document to --json,
+    and exit 3 under --require-consensus when the engines disagree."""
     if args.json:
         with open(args.json, "wb") as fh:
             fh.write(bench_mod.emit_report(reports, consensus))
-
-    if args.require_consensus and any(c.agreement == "disagree" for c in consensus):
+    if args.require_consensus and any(c.agreement == DISAGREE for c in consensus):
         return EXIT_DISAGREE
     return EXIT_OK
 

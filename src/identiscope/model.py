@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from . import symexpr as sx
 from .errors import (
+    DivisionByZero,
     DuplicateDeclaration,
     MissingDynamics,
     ModelSyntaxError,
@@ -230,7 +231,11 @@ class _ExprParser:
             raise ModelSyntaxError(f"expected {op!r}, found {t.text!r}", t.line, t.col)
 
     def parse(self) -> Expr:
-        e = self.expr()
+        try:
+            e = self.expr()
+        except RecursionError:
+            head = self.toks[0]
+            raise ModelSyntaxError("expression nested too deeply", head.line, head.col) from None
         t = self.peek()
         if t.kind != "end":
             raise ModelSyntaxError(f"unexpected {t.text!r} after expression", t.line, t.col)
@@ -247,9 +252,9 @@ class _ExprParser:
     def term(self) -> Expr:
         e = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.take().text
+            op = self.take()
             rhs = self.unary()
-            e = e * rhs if op == "*" else e / rhs
+            e = e * rhs if op.text == "*" else _exact(op, sx.div, e, rhs)
         return e
 
     def unary(self) -> Expr:
@@ -261,8 +266,8 @@ class _ExprParser:
     def power(self) -> Expr:
         base = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.take()
-            return sx.pow_(base, self.exponent())
+            op = self.take()
+            return _exact(op, sx.pow_, base, self.exponent())
         return base
 
     def exponent(self) -> int:
@@ -276,10 +281,7 @@ class _ExprParser:
             self.take()
             return sign * int(t.text)
         if t.kind == "decimal":
-            raise NonIntegerExponent(
-                f"line {t.line}, col {t.col}: exponent {t.text} is not an integer; "
-                "round it to the closest integer (the usual convention for "
-                "rational-model analysis)")
+            raise _non_integer(t.text, t.line, t.col)
         if t.kind == "op" and t.text == "(":
             mark = (t.line, t.col)
             self.take()
@@ -289,10 +291,7 @@ class _ExprParser:
                 v = e.value
                 if v.denominator == 1:
                     return sign * v.numerator
-                raise NonIntegerExponent(
-                    f"line {mark[0]}, col {mark[1]}: exponent {v} is not an integer; "
-                    "round it to the closest integer (the usual convention for "
-                    "rational-model analysis)")
+                raise _non_integer(v, *mark)
             raise ModelSyntaxError("exponent must be an integer literal", *mark)
         raise ModelSyntaxError(f"expected integer exponent, found {t.text!r}", t.line, t.col)
 
@@ -332,6 +331,20 @@ class _ExprParser:
         raise ModelSyntaxError(f"unexpected {t.text!r}", t.line, t.col)
 
 
+def _exact(op: _Tok, build, *args) -> Expr:
+    """build(*args), with an exact division by zero reported at the token op."""
+    try:
+        return build(*args)
+    except DivisionByZero as exc:
+        raise ModelSyntaxError(str(exc), op.line, op.col) from None
+
+
+def _non_integer(exponent, line: int, col: int) -> NonIntegerExponent:
+    return NonIntegerExponent(
+        f"line {line}, col {col}: exponent {exponent} is not an integer; round it to the "
+        "closest integer (the usual convention for rational-model analysis)")
+
+
 def _ident(tok: _Tok, *, what: str = "identifier") -> str:
     if tok.kind != "ident":
         raise ModelSyntaxError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
@@ -369,20 +382,15 @@ def parse_model(text: str) -> ModelDef:
         if kw == "model":
             if name is not None:
                 raise DuplicateDeclaration(
-                    f"line {head.line}: duplicate 'model' statement")
+                    f"line {head.line}, col {head.col}: duplicate 'model' statement")
             if len(toks) != 3:  # model IDENT end
                 raise ModelSyntaxError("expected: model NAME", head.line, head.col)
             name = _ident(toks[1], what="model name")
-        elif kw == "states":
+        elif kw in ("states", "params"):
+            make, into = (sx.state, states) if kw == "states" else (sx.param, params)
             for tok in toks[1:-1]:
-                s = sx.state(_ident(tok))
-                declare(s, tok)
-                states.append(s)
-        elif kw == "params":
-            for tok in toks[1:-1]:
-                s = sx.param(_ident(tok))
-                declare(s, tok)
-                params.append(s)
+                into.append(make(_ident(tok)))
+                declare(into[-1], tok)
         elif kw == "inputs":
             i = 1
             while toks[i].kind != "end":

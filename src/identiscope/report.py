@@ -1,4 +1,11 @@
-"""Analysis result container shared by both engines and the bench harness."""
+"""The report document: one engine's answer for one model, and the
+per-model consensus of the engines.
+
+This module is its one definition.  The JSON keys of a report are
+``schema_version`` followed by the ``AnalysisReport`` fields in declaration
+order, the words a report may carry are the tuples below, and
+``REPORT_SCHEMA`` describes the document from those tuples.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +16,8 @@ from ._linalg import Echelons
 from .model import AugmentedSystem
 
 SCHEMA_VERSION = 1
+
+ENGINES = ("symbolic", "ffprob")
 
 # Verdict vocabulary, chosen by the kind of the z entry.
 OBSERVABLE = "observable"
@@ -30,16 +39,33 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_TIMEOUT = "timeout"
 STATUS_NA = "na"
+STATUSES = (STATUS_OK, STATUS_ERROR, STATUS_TIMEOUT, STATUS_NA)
+
+# Per-model consensus: the engines' verdicts agree or differ, or fewer than
+# two engines gave verdicts.
+AGREE = "agree"
+DISAGREE = "disagree"
+UNCONFIRMED = "unconfirmed"
+AGREEMENTS = (AGREE, DISAGREE, UNCONFIRMED)
+
+# The fields that vary between identical runs; ``to_dict(include_timing=False)``
+# drops them so that reports compare byte-for-byte.
+TIMING_FIELDS = frozenset({"wall_time_ms"})
+
+
+def _fields_dict(obj, skip=()) -> dict:
+    """obj's dataclass fields by name, in declaration order, without those
+    in ``skip``; the values are obj's own (no copy)."""
+    return {name: getattr(obj, name) for name in obj.__dataclass_fields__ if name not in skip}
 
 
 @dataclass
 class AnalysisReport:
     """One engine's answer for one model.
 
-    ``verdicts`` maps every augmented-state entry (by name, in z order) to
-    its verdict string; it is None unless status is "ok".  ``wall_time_ms``
-    is the only field that varies between identical runs; serialization can
-    exclude it so reports compare byte-for-byte.
+    The fields are declared in the report's JSON key order.  ``verdicts``
+    maps every augmented-state entry (by name, in z order) to its verdict
+    string; it is None unless status is "ok".
     """
 
     model: str
@@ -54,31 +80,75 @@ class AnalysisReport:
     seed: int | None = None
     primes: list[int] | None = None
     trials: int | None = None
-    wall_time_ms: float = 0.0
     warnings: list[str] = field(default_factory=list)
     error: str | None = None
+    wall_time_ms: float = 0.0
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
-            "schema_version": SCHEMA_VERSION,
-            "model": self.model,
-            "engine": self.engine,
-            "status": self.status,
-            "n_z": self.n_z,
-            "rank": self.rank,
-            "ranks_by_level": self.ranks_by_level,
-            "per_prime_ranks": self.per_prime_ranks,
-            "verdicts": self.verdicts,
-            "stop_reason": self.stop_reason,
-            "seed": self.seed,
-            "primes": self.primes,
-            "trials": self.trials,
-            "warnings": list(self.warnings),
-            "error": self.error,
-        }
-        if include_timing:
-            d["wall_time_ms"] = self.wall_time_ms
-        return d
+        skip = () if include_timing else TIMING_FIELDS
+        return {"schema_version": SCHEMA_VERSION, **_fields_dict(self, skip)}
+
+
+@dataclass
+class ConsensusResult:
+    """Per-model agreement between engine verdict maps."""
+    model: str
+    agreement: str  # one of AGREEMENTS
+    disagreements: list[dict] = field(default_factory=list)
+
+    def to_dict(self) -> dict:
+        return _fields_dict(self)
+
+
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["schema_version", "reports"],
+    "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "reports": {"type": "array", "items": {"$ref": "#/$defs/report"}},
+        "consensus": {"type": "array", "items": {"$ref": "#/$defs/consensus"}},
+    },
+    "$defs": {
+        "report": {
+            "type": "object",
+            "required": ["schema_version", "model", "engine", "status"],
+            "properties": {
+                "schema_version": {"const": SCHEMA_VERSION},
+                "model": {"type": "string"},
+                "engine": {"enum": list(ENGINES)},
+                "status": {"enum": list(STATUSES)},
+                "n_z": {"type": ["integer", "null"]},
+                "rank": {"type": ["integer", "null"]},
+                "ranks_by_level": {"type": ["array", "null"], "items": {"type": "integer"}},
+                "per_prime_ranks": {
+                    "type": ["object", "null"],
+                    "additionalProperties": {"type": "array", "items": {"type": "integer"}},
+                },
+                "verdicts": {
+                    "type": ["object", "null"],
+                    "additionalProperties": {"enum": list(VERDICTS)},
+                },
+                "stop_reason": {"enum": [*STOPS, None]},
+                "seed": {"type": ["integer", "null"]},
+                "primes": {"type": ["array", "null"], "items": {"type": "integer"}},
+                "trials": {"type": ["integer", "null"]},
+                "warnings": {"type": "array", "items": {"type": "string"}},
+                "error": {"type": ["string", "null"]},
+                "wall_time_ms": {"type": "number"},
+            },
+        },
+        "consensus": {
+            "type": "object",
+            "required": ["model", "agreement"],
+            "properties": {
+                "model": {"type": "string"},
+                "agreement": {"enum": list(AGREEMENTS)},
+                "disagreements": {"type": "array"},
+            },
+        },
+    },
+}
 
 
 def verdict_for(kind_value: str, identifiable: bool) -> str:

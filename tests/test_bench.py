@@ -1,6 +1,7 @@
 import ast
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -10,8 +11,6 @@ import identiscope
 from identiscope import bench, ffprob, lie_orc
 from identiscope.bench import (
     BenchOptions,
-    ConsensusResult,
-    REPORT_SCHEMA,
     check_settings,
     compare_engines,
     corpus_dir,
@@ -22,7 +21,8 @@ from identiscope.bench import (
 from identiscope.ffprob import FfprobOptions, analyze_ffprob
 from identiscope.lie_orc import SymbolicOptions, analyze_symbolic
 from identiscope.model import load_model
-from identiscope.report import AnalysisReport
+from identiscope.report import (AGREEMENTS, ENGINES, REPORT_SCHEMA, STATUSES, STOPS,
+                                TIMING_FIELDS, VERDICTS, AnalysisReport, ConsensusResult)
 
 from oracles import load_corpus
 
@@ -79,6 +79,34 @@ def test_each_settings_message_is_written_in_one_module():
                     if message in node.value:
                         found[message].add(path.name)
     assert found == {message: {"_linalg.py"} for message in SETTINGS_MESSAGES}
+
+
+def test_schema_describes_the_report_fields_and_words():
+    # report.py defines the document once: the schema's keys are the
+    # dataclass fields in their order, and its enums are report's tuples.
+    defs = REPORT_SCHEMA["$defs"]
+    report, consensus = defs["report"]["properties"], defs["consensus"]["properties"]
+    keys = ["schema_version", *(f.name for f in fields(AnalysisReport))]
+    assert list(report) == keys
+    assert list(AnalysisReport("m", "symbolic").to_dict()) == keys
+    assert list(AnalysisReport("m", "symbolic").to_dict(include_timing=False)) == \
+        [key for key in keys if key not in TIMING_FIELDS]
+    assert list(consensus) == [f.name for f in fields(ConsensusResult)]
+    assert list(ConsensusResult("m", "agree").to_dict()) == list(consensus)
+    assert report["status"]["enum"] == list(STATUSES)
+    assert report["engine"]["enum"] == list(ENGINES)
+    assert report["verdicts"]["additionalProperties"]["enum"] == list(VERDICTS)
+    assert report["stop_reason"]["enum"] == [*STOPS, None]
+    assert consensus["agreement"]["enum"] == list(AGREEMENTS)
+
+
+def test_agreement_words_are_written_in_report_only():
+    for path in sorted(Path(identiscope.__file__).parent.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        words = [node.value for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant) and node.value in AGREEMENTS]
+        assert words == [], path.name
 
 
 def test_library_builds_expressions_only_through_the_smart_constructors():
@@ -188,6 +216,18 @@ def test_run_corpus_records_a_file_that_does_not_load(mini_corpus, monkeypatch):
         "bad_file": "unconfirmed", "binary": "unconfirmed", "c2m_a": "agree", "c2m_b": "agree",
         "competition": "unconfirmed", "folder": "unconfirmed"}
     jsonschema.validate(json.loads(emit_report(reports, consensus)), REPORT_SCHEMA)
+
+
+def test_run_corpus_records_a_model_that_does_not_parse(tmp_path):
+    # A zero divisor, 0 to a negative power and nesting deeper than the
+    # parser's recursion are parse errors, which become records.
+    body = {"div": "-k*x/0", "pow": "-k*x*(1-1)^-1", "deep": "(1+x*" * 1000 + "k" + ")" * 1000}
+    for name, rhs in body.items():
+        (tmp_path / f"{name}.idm").write_text(UNDECLARED.replace("-k*x*q", rhs))
+    reports = run_corpus(tmp_path, BenchOptions())
+    assert [(r.model, r.engine, r.status) for r in reports] == [
+        (name, engine, "error") for name in sorted(body) for engine in ("ffprob", "symbolic")]
+    assert all(r.error.startswith("ModelSyntaxError: line 4, col ") for r in reports)
 
 
 @pytest.mark.parametrize("engine", bench.ENGINES)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import jsonschema
 import pytest
 
 import identiscope
-from identiscope.bench import REPORT_SCHEMA, corpus_dir
+from identiscope.bench import corpus_dir
+from identiscope.report import REPORT_SCHEMA
 
 TOY = "model toy\nstates x\nparams k\nddt x = -k*x\noutput y = x\n"
 
@@ -164,6 +166,27 @@ def test_file_that_is_not_utf8_exits_2_with_message(command, tmp_path):
     assert "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert res.stdout == ""
+
+
+# Model texts that parse to no expression: a zero divisor, 0 to a negative
+# power, and nesting deeper than the parser's recursion.
+UNPARSABLE = {
+    "zero-divisor": TOY.replace("-k*x", "-k*x/0"),
+    "zero-to-negative-power": TOY.replace("output y = x", "output y = x*(1-1)^-1"),
+    "deep-nesting": TOY.replace("-k*x", "(1+x*" * 1000 + "k" + ")" * 1000),
+}
+
+
+@pytest.mark.parametrize("name", UNPARSABLE)
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_model_that_does_not_parse_exits_2_with_its_line(command, name, tmp_path):
+    path = tmp_path / f"{name}.idm"
+    path.write_text(UNPARSABLE[name])
+    res = run_cli(command, str(path))
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and re.match(r"error: line \d+, col \d+: ", lines[0]), res.stderr
     assert res.stdout == ""
 
 

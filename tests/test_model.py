@@ -4,6 +4,7 @@ from identiscope import symexpr as sx
 from identiscope.errors import (
     DuplicateDeclaration,
     MissingDynamics,
+    ModelError,
     ModelSyntaxError,
     NonIntegerExponent,
     UndeclaredSymbol,
@@ -207,3 +208,111 @@ def test_roundtrip_all_corpus_files(corpus_entries):
         md = load_model(entry.path)
         again = parse_model(print_model(md))
         assert again == md, entry.name
+
+
+# --------------------------------------------------------------------------
+# error paths
+# --------------------------------------------------------------------------
+
+def _swap(old, new):
+    assert old in MINIMAL
+    return MINIMAL.replace(old, new)
+
+
+def _add(*lines):
+    return MINIMAL + "".join(f"{line}\n" for line in lines)
+
+
+DEEP = "ddt x = " + "(1+x*" * 1000 + "k" + ")" * 1000
+
+# text, exception class, (line, col) at the head of the message or None,
+# and words of the message.  MINIMAL's line 4 is "ddt x = -k*x".
+PARSE_ERRORS = [
+    pytest.param(_swap("-k*x\n", "-k*x $\n"), ModelSyntaxError, (4, 14), "unexpected character",
+                 id="bad-character"),
+    pytest.param(_swap("-k*x\n", "sin x\n"), ModelSyntaxError, (4, 13), "expected '('",
+                 id="function-without-paren"),
+    pytest.param(_swap("ddt x = -k*x", DEEP), ModelSyntaxError, (4, 1), "nested too deeply",
+                 id="deep-nesting"),
+    pytest.param(_swap("-k*x\n", "-k*x )\n"), ModelSyntaxError, (4, 14), "after expression",
+                 id="trailing-token"),
+    pytest.param(_swap("-k*x\n", "-x^1.5\n"), NonIntegerExponent, (4, 12), "closest integer",
+                 id="decimal-exponent"),
+    pytest.param(_swap("-k*x\n", "-x^(1/2)\n"), NonIntegerExponent, (4, 12), "exponent 1/2",
+                 id="fraction-exponent"),
+    pytest.param(_swap("-k*x\n", "-x^(k)\n"), ModelSyntaxError, (4, 12), "integer literal",
+                 id="symbolic-exponent"),
+    pytest.param(_swap("-k*x\n", "-x^k\n"), ModelSyntaxError, (4, 12),
+                 "expected integer exponent", id="bare-symbol-exponent"),
+    pytest.param(_swap("-k*x\n", "-0.5*x\n"), ModelSyntaxError, (4, 10), "decimal literal",
+                 id="decimal-literal"),
+    pytest.param(_add("ic x = t"), ModelSyntaxError, (6, 8), "not allowed here",
+                 id="time-in-ic"),
+    pytest.param(_swap("-k*x\n", "t*x\n"), ModelSyntaxError, (4, 9), "sin/cos/exp",
+                 id="bare-time"),
+    pytest.param(_swap("y = x", "y = z"), UndeclaredSymbol, (5, 12), "undeclared symbol 'z'",
+                 id="undeclared"),
+    pytest.param(_swap("-k*x\n", "*x\n"), ModelSyntaxError, (4, 9), "unexpected '*'",
+                 id="missing-operand"),
+    pytest.param(_swap("-k*x\n", "-k*x/0\n"), ModelSyntaxError, (4, 13),
+                 "division by the zero constant", id="zero-divisor"),
+    pytest.param(_swap("y = x", "y = x*(1-1)^-1"), ModelSyntaxError, (5, 19),
+                 "0 raised to a negative power", id="zero-to-negative-power"),
+    pytest.param(_swap("states x", "states 1"), ModelSyntaxError, (2, 8),
+                 "expected identifier", id="number-as-name"),
+    pytest.param(_swap("params k", "params ln"), ModelSyntaxError, (3, 8), "reserved word",
+                 id="reserved-name"),
+    pytest.param("# only a comment\n\n", ModelSyntaxError, (1, 1), "empty model file",
+                 id="empty"),
+    pytest.param(_swap("states x", "states x x"), DuplicateDeclaration, (2, 10),
+                 "declared twice", id="name-twice"),
+    pytest.param(_add("= x"), ModelSyntaxError, (6, 1), "expected statement keyword",
+                 id="no-keyword"),
+    pytest.param(_add("model n"), DuplicateDeclaration, (6, 1), "duplicate 'model'",
+                 id="model-twice"),
+    pytest.param(_swap("model m", "model m n"), ModelSyntaxError, (1, 1), "model NAME",
+                 id="model-two-names"),
+    pytest.param(_add("unknown_inputs w order x"), ModelSyntaxError, (6, 24),
+                 "expected integer after 'order'", id="order-not-integer"),
+    pytest.param(_add("fit x"), ModelSyntaxError, (6, 1), "unknown statement 'fit'",
+                 id="unknown-statement"),
+    pytest.param(_swap("model m\n", ""), ModelSyntaxError, (1, 1), "missing 'model NAME'",
+                 id="no-model"),
+    pytest.param("model m\nparams k\noutput y = k\n", ModelSyntaxError, (1, 1), "no states",
+                 id="no-states"),
+    pytest.param(_swap("x = -k*x", "x -k*x"), ModelSyntaxError, (4, 1),
+                 "expected: ddt NAME = expression", id="ddt-without-equals"),
+    pytest.param(_swap("y = x", "x = x"), DuplicateDeclaration, (5, 8), "collides",
+                 id="output-named-as-state"),
+    pytest.param(_add("output y = k*x"), DuplicateDeclaration, (6, 8), "collides",
+                 id="output-twice"),
+    pytest.param(_add("ddt k = 1"), UndeclaredSymbol, (6, 5), "'k' is not a declared state",
+                 id="ddt-of-parameter"),
+    pytest.param(_add("ddt x = x"), DuplicateDeclaration, (6, 5), "duplicate ddt",
+                 id="ddt-twice"),
+    pytest.param(_add("ic x = k", "ic x = 2*k"), DuplicateDeclaration, (7, 4),
+                 "duplicate ic", id="ic-twice"),
+    pytest.param(_swap("states x", "states x z"), MissingDynamics, None, "'z' has no ddt line",
+                 id="no-ddt"),
+    pytest.param(_swap("output y = x\n", ""), ModelSyntaxError, (1, 1), "no outputs",
+                 id="no-outputs"),
+]
+
+
+@pytest.mark.parametrize("text, cls, where, words", PARSE_ERRORS)
+def test_parse_error_names_its_class_and_place(text, cls, where, words):
+    with pytest.raises(ModelError) as err:
+        parse_model(text)
+    message = str(err.value)
+    assert type(err.value) is cls and words in message, message
+    if where is None:
+        assert not message.startswith("line "), message
+    else:
+        assert message.startswith("line {}, col {}: ".format(*where)), message
+    if cls is ModelSyntaxError:
+        assert (err.value.line, err.value.col) == where
+
+
+def test_nesting_below_the_limit_parses():
+    md = parse_model(_swap("ddt x = -k*x", "ddt x = -k*x + " + "(1+x*" * 100 + "k" + ")" * 100))
+    assert md.n == 1
