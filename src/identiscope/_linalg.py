@@ -1,7 +1,6 @@
 """Exact Gaussian elimination over prime fields, the primality test for
-their moduli, and ``check_settings``, the one check of the run settings
-(primes, trials, depth cap, timeout) that the CLI, ``bench`` and both
-engines share.
+their moduli, the run settings ``Options`` that the CLI, ``bench`` and both
+engines share, and ``check_settings``, their one check.
 
 ``Echelons`` holds the echelon forms of one analysis, one per trial or
 run, stacked in one int64 numpy array and extended in place.  With p
@@ -25,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def check_settings(primes: tuple[int, ...], trials: int | None = None,
+@dataclass(frozen=True)
+class Options:
+    """The settings of one analysis, taken by both engines.
+
+    ``primes=None`` and ``trials=None`` keep the engine's default: one prime
+    and 3 trials for the symbolic engine, ``DEFAULT_PRIMES`` and 2 trials
+    per prime for ffprob.  The symbolic engine runs at the first prime.
+    ``max_level`` caps both engines at one block, level k of the symbolic
+    matrix being block k of ffprob's (default n_z - 1), and ``deadline`` is
+    an absolute ``time.monotonic()`` bound.
+    """
+
+    primes: tuple[int, ...] | None = None
+    trials: int | None = None
+    seed: int = 0
+    max_level: int | None = None
+    deadline: float | None = None
+
+
+def check_settings(primes: tuple[int, ...] | None, trials: int | None = None,
                    max_level: int | None = None, timeout_s: float | None = None,
                    floor: int = MIN_PRIME) -> None:
     """Raise ValueError naming the first setting that the engines do not
@@ -79,10 +98,10 @@ def check_settings(primes: tuple[int, ...], trials: int | None = None,
     trials < 1, max_level < 0 or timeout_s <= 0; None keeps a setting's
     default.  Only the symbolic engine lowers ``floor``, to 1, for the small
     primes of the small-prime sweeps."""
-    if not primes:
+    if primes is not None and not primes:
         raise ValueError("at least one prime is required")
     lo = "2^20" if floor == MIN_PRIME else floor
-    for i, p in enumerate(primes):
+    for i, p in enumerate(primes or ()):
         if not (floor < p <= MAX_PRIME and is_prime(p)):
             raise ValueError(f"{p} is not a prime in ({lo}, {MAX_PRIME}]")
         if p in primes[:i]:

@@ -8,10 +8,10 @@ Models whose published ground truth is disputed are tagged ``contested``;
 the harness reports their verdicts but never asserts them.
 
 ``run_corpus`` analyzes every applicable (model, engine) pair with a
-per-model wall-clock budget: the finite-field engine is recorded as "na"
-on non-rational models, a timeout produces a timeout record with no
-partial verdicts, and any other failure becomes an error record, as does
-a model file that does not load.
+wall-clock budget per (model, engine) pair: the finite-field engine is
+recorded as "na" on non-rational models, a timeout produces a timeout
+record with no partial verdicts, and any other failure becomes an error
+record, as does a model file that does not load.
 ``compare_engines`` then marks per-model consensus, which is the
 correctness criterion for engines that share no code path.
 """
@@ -22,28 +22,21 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
-from ._linalg import check_settings
+from ._linalg import Options, check_settings
 from .errors import EngineTimeout, IdentiscopeError, ModelError, NonRationalExpr
-from .ffprob import DEFAULT_PRIMES, FfprobOptions, analyze_ffprob
-from .lie_orc import SymbolicOptions, analyze_symbolic
+from .ffprob import analyze_ffprob
+from .lie_orc import analyze_symbolic
 from .model import ModelDef, load_model
-from .report import (AGREE, DISAGREE, ENGINES, SCHEMA_VERSION, STATUS_ERROR, STATUS_NA,
-                     STATUS_OK, STATUS_TIMEOUT, UNCONFIRMED, AnalysisReport, ConsensusResult)
+from .report import (AGREE, DISAGREE, ENGINES, FFPROB, SCHEMA_VERSION, STATUS_ERROR, STATUS_NA,
+                     STATUS_OK, STATUS_TIMEOUT, SYMBOLIC, UNCONFIRMED, AnalysisReport,
+                     ConsensusResult)
 
 DEFAULT_TIMEOUT_S = 120.0
-
-
-@dataclass
-class BenchOptions:
-    engines: tuple[str, ...] = ENGINES
-    timeout_s: float | None = DEFAULT_TIMEOUT_S
-    seed: int = 0
-    trials: int | None = None  # None: per-engine default
-    primes: tuple[int, ...] = DEFAULT_PRIMES
+_ENGINE_RUNS = {SYMBOLIC: analyze_symbolic, FFPROB: analyze_ffprob}
 
 
 def corpus_dir() -> Path:
@@ -54,26 +47,14 @@ def fixtures_dir() -> Path:
     return Path(resources.files("identiscope") / "fixtures")
 
 
-def analyze(md: ModelDef, engine: str, *, seed: int, primes: tuple[int, ...],
-            trials: int | None = None, deadline: float | None = None,
-            max_level: int | None = None) -> AnalysisReport:
+def analyze(md: ModelDef, engine: str, opts: Options | None = None) -> AnalysisReport:
     """Run one engine on a model after ``check_settings``; raises whatever
-    the engine raises.  The symbolic engine takes ``primes[0]``; ``max_level``
-    caps both at one block, level k of the symbolic matrix being block k of
-    ffprob's.  ``trials=None`` keeps each engine's default."""
-    check_settings(primes, trials, max_level)
-    if engine == "symbolic":
-        opts = SymbolicOptions(seed=seed, prime=primes[0], max_level=max_level,
-                               deadline=deadline)
-        run = analyze_symbolic
-    elif engine == "ffprob":
-        opts = FfprobOptions(seed=seed, primes=tuple(primes), max_level=max_level,
-                             deadline=deadline)
-        run = analyze_ffprob
-    else:
+    the engine raises, and ValueError for an unknown engine."""
+    opts = opts or Options()
+    check_settings(opts.primes, opts.trials, opts.max_level)
+    run = _ENGINE_RUNS.get(engine)
+    if run is None:
         raise ValueError(f"unknown engine {engine!r}")
-    if trials is not None:
-        opts.trials = trials
     return run(md, opts)
 
 
@@ -90,37 +71,36 @@ def failure_record(model: str, engine: str, seed: int, exc: Exception) -> Analys
                           seed=seed, error=error)
 
 
-def _run_one(md: ModelDef, engine: str, opts: BenchOptions) -> AnalysisReport:
-    """Analyze one (model, engine) pair; analysis failures become records."""
-    deadline = None if opts.timeout_s is None else time.monotonic() + opts.timeout_s
-    try:
-        return analyze(md, engine, seed=opts.seed, primes=opts.primes, trials=opts.trials,
-                       deadline=deadline)
-    except IdentiscopeError as exc:
-        return failure_record(md.name, engine, opts.seed, exc)
-
-
-def run_corpus(directory=None, opts: BenchOptions | None = None) -> list[AnalysisReport]:
-    """Analyze every corpus model with every requested engine.
+def run_corpus(directory=None, engines: tuple[str, ...] = ENGINES, opts: Options | None = None,
+               timeout_s: float | None = DEFAULT_TIMEOUT_S) -> list[AnalysisReport]:
+    """Analyze every corpus model with every requested engine, each
+    (model, engine) pair within ``timeout_s`` of its start.
 
     Each model file is parsed once for all engines.  Results are ordered by
     (model, engine); failures become error/timeout/na records rather than
     exceptions, and a file that does not load gives one error record per
     engine, named after the file's stem.  Settings that ``check_settings``
-    rejects raise ValueError before any pair runs.
+    rejects raise ValueError, and a ``directory`` that is not one raises
+    NotADirectoryError, before any pair runs.
     """
-    opts = opts or BenchOptions()
-    check_settings(opts.primes, opts.trials, timeout_s=opts.timeout_s)
+    opts = opts or Options()
+    check_settings(opts.primes, opts.trials, opts.max_level, timeout_s)
     base = Path(directory) if directory is not None else corpus_dir()
+    if not base.is_dir():
+        raise NotADirectoryError(f"corpus {str(base)!r} is not a directory")
     reports = []
     for path in sorted(base.glob("*.idm")):
         try:
             md = load_model(path)
         except (ModelError, OSError, UnicodeDecodeError) as exc:
-            reports += [failure_record(path.stem, engine, opts.seed, exc)
-                        for engine in opts.engines]
-        else:
-            reports += [_run_one(md, engine, opts) for engine in opts.engines]
+            reports += [failure_record(path.stem, engine, opts.seed, exc) for engine in engines]
+            continue
+        for engine in engines:
+            deadline = None if timeout_s is None else time.monotonic() + timeout_s
+            try:
+                reports.append(analyze(md, engine, replace(opts, deadline=deadline)))
+            except IdentiscopeError as exc:
+                reports.append(failure_record(md.name, engine, opts.seed, exc))
     reports.sort(key=lambda r: (r.model, r.engine))
     return reports
 

@@ -2,7 +2,7 @@
 
 Commands:
   analyze  — run one or both engines on a single model and print verdicts
-  bench    — run the benchmark corpus with per-model timeouts
+  bench    — run the benchmark corpus with a timeout per (model, engine) pair
   check    — parse and validate a model file
   explain  — show the augmented system (z vector, dynamics, outputs)
 
@@ -20,15 +20,17 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from typing import NoReturn
 
 from . import bench as bench_mod
 from . import symexpr as sx
-from ._linalg import MAX_PRIME
+from ._linalg import MAX_PRIME, Options
 from .errors import IdentiscopeError, ModelError, NonRationalExpr
-from .ffprob import DEFAULT_PRIMES
+from .ffprob import DEFAULT_PRIMES, DEFAULT_TRIALS_PER_PRIME
+from .lie_orc import DEFAULT_TRIALS
 from .model import augment, load_model
-from .report import AGREE, DISAGREE, ENGINES, STATUS_OK, AnalysisReport
+from .report import AGREE, DISAGREE, ENGINES, FFPROB, STATUS_OK, SYMBOLIC, AnalysisReport
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -50,13 +52,14 @@ def _load(path: str):
         _usage_error(str(exc))
 
 
-def _run_settings(args) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
-    """(seed, primes, engines) for analyze and bench; a setting that
-    ``bench.check_settings`` rejects, or a bad IDENTISCOPE_SEED, exits 2."""
-    primes = tuple(args.prime) if args.prime else DEFAULT_PRIMES
+def _run_settings(args) -> tuple[Options, tuple[str, ...]]:
+    """(settings, engines) for analyze and bench, with no deadline; a
+    setting that ``bench.check_settings`` rejects, or a bad
+    IDENTISCOPE_SEED, exits 2."""
+    primes = tuple(args.prime) if args.prime else None
+    max_level = getattr(args, "max_level", None)
     try:
-        bench_mod.check_settings(primes, args.trials, getattr(args, "max_level", None),
-                                 args.timeout_s)
+        bench_mod.check_settings(primes, args.trials, max_level, args.timeout_s)
     except ValueError as exc:
         _usage_error(str(exc))
     env = os.environ.get("IDENTISCOPE_SEED", "0")
@@ -65,7 +68,7 @@ def _run_settings(args) -> tuple[int, tuple[int, ...], tuple[str, ...]]:
     except ValueError:
         _usage_error(f"IDENTISCOPE_SEED={env!r}: need an integer")
     engines = ENGINES if args.engine == "both" else (args.engine,)
-    return seed, primes, engines
+    return Options(primes=primes, trials=args.trials, seed=seed, max_level=max_level), engines
 
 
 def _machine_error(exc: Exception):
@@ -91,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="P", help=f"prime field modulus in (2^20, {MAX_PRIME}], "
                        f"repeatable (default {list(DEFAULT_PRIMES)})")
         p.add_argument("--trials", type=int, default=None,
-                       help="random trials per prime, at least 1 "
-                            "(default: symbolic 3, ffprob 2)")
+                       help="random trials per prime, at least 1 (default: "
+                            f"{SYMBOLIC} {DEFAULT_TRIALS}, {FFPROB} {DEFAULT_TRIALS_PER_PRIME})")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="also write the full JSON report to PATH")
         p.add_argument("--require-consensus", action="store_true",
@@ -115,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="corpus directory (default: packaged corpus)")
     common(pb)
     pb.add_argument("--timeout-s", type=float, default=bench_mod.DEFAULT_TIMEOUT_S,
-                    help="per-model wall-clock bound in seconds, > 0")
+                    help="wall-clock bound per (model, engine) pair in seconds, > 0")
     pb.add_argument("--format", choices=["json", "csv"], default=None,
                     help="emit the machine-readable document to stdout")
 
@@ -150,21 +153,20 @@ def _print_report(r: AnalysisReport):
 
 
 def cmd_analyze(args) -> int:
-    seed, primes, engines = _run_settings(args)
+    opts, engines = _run_settings(args)
     md = _load(args.model)
     deadline = None if args.timeout_s is None else time.monotonic() + args.timeout_s
+    opts = replace(opts, deadline=deadline)
     reports = []
     for engine in engines:
         try:
-            reports.append(bench_mod.analyze(
-                md, engine, seed=seed, primes=primes, trials=args.trials,
-                deadline=deadline, max_level=args.max_level))
+            reports.append(bench_mod.analyze(md, engine, opts))
         except IdentiscopeError as exc:
             # Under "both" a non-rational model gives ffprob an na record.
             if not (args.engine == "both" and isinstance(exc, NonRationalExpr)):
                 _machine_error(exc)
                 return EXIT_ANALYSIS
-            reports.append(bench_mod.failure_record(md.name, engine, seed, exc))
+            reports.append(bench_mod.failure_record(md.name, engine, opts.seed, exc))
 
     print(f"model: {md.name}")
     for r in reports:
@@ -186,10 +188,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed, primes, engines = _run_settings(args)
-    opts = bench_mod.BenchOptions(engines=engines, timeout_s=args.timeout_s, seed=seed,
-                                  trials=args.trials, primes=primes)
-    reports = bench_mod.run_corpus(args.corpus, opts)
+    opts, engines = _run_settings(args)
+    try:
+        reports = bench_mod.run_corpus(args.corpus, engines, opts, args.timeout_s)
+    except NotADirectoryError as exc:
+        _usage_error(str(exc))
     consensus = bench_mod.compare_engines(reports)
 
     if args.format:
@@ -212,10 +215,14 @@ def cmd_bench(args) -> int:
 
 def _finish(args, reports, consensus) -> int:
     """The tail of analyze and bench: write the full document to --json,
-    and exit 3 under --require-consensus when the engines disagree."""
+    and exit 3 under --require-consensus when the engines disagree.  A
+    --json path that cannot be written exits 2."""
     if args.json:
-        with open(args.json, "wb") as fh:
-            fh.write(bench_mod.emit_report(reports, consensus))
+        try:
+            with open(args.json, "wb") as fh:
+                fh.write(bench_mod.emit_report(reports, consensus))
+        except OSError as exc:
+            _usage_error(str(exc))
     if args.require_consensus and any(c.agreement == DISAGREE for c in consensus):
         return EXIT_DISAGREE
     return EXIT_OK

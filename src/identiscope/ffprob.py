@@ -64,7 +64,7 @@ from . import _linalg, _rng
 from . import symexpr as sx
 from .errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted, check_deadline
 from .model import AugmentedSystem, ModelDef, augment, CONSTANT
-from .report import FULL_RANK, MAX_LEVEL, SATURATION, AnalysisReport, ok_report
+from .report import FFPROB, FULL_RANK, MAX_LEVEL, SATURATION, AnalysisReport, ok_report
 from .symexpr import Expr, Symbol
 
 DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
@@ -548,13 +548,7 @@ class _Sweep:
 # Analysis entry points
 # --------------------------------------------------------------------------
 
-@dataclass
-class FfprobOptions:
-    primes: tuple[int, ...] = DEFAULT_PRIMES
-    trials: int = DEFAULT_TRIALS_PER_PRIME
-    seed: int = 0
-    max_level: int | None = None  # at least 0; default n_z - 1
-    deadline: float | None = None
+FfprobOptions = _linalg.Options
 
 
 def _require_rational(md: ModelDef):
@@ -670,13 +664,15 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
     prime-dependent rank drops are visible.
     """
     opts = opts or FfprobOptions()
-    _linalg.check_settings(opts.primes, opts.trials, opts.max_level)
+    primes = DEFAULT_PRIMES if opts.primes is None else opts.primes
+    trials = DEFAULT_TRIALS_PER_PRIME if opts.trials is None else opts.trials
+    _linalg.check_settings(primes, trials, opts.max_level)
     t0 = time.perf_counter()
     _require_rational(md)
     A = augment(md)
     max_level = opts.max_level if opts.max_level is not None else A.n_z - 1
 
-    runs = [_Run(p, trial) for p in opts.primes for trial in range(opts.trials)]
+    runs = [_Run(p, trial) for p in primes for trial in range(trials)]
     forms = _sweep_runs(A, runs, opts.seed, max_level, opts.deadline)
 
     ranks = forms.ranks
@@ -686,7 +682,6 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
         stop = SATURATION
     else:
         stop = MAX_LEVEL
-    per_prime = {str(p): ranks[i * opts.trials:(i + 1) * opts.trials]
-                 for i, p in enumerate(opts.primes)}
-    return ok_report("ffprob", A, forms, stop, t0, [], per_prime_ranks=per_prime,
-                     seed=opts.seed, primes=list(opts.primes), trials=opts.trials)
+    per_prime = {str(p): ranks[i * trials:(i + 1) * trials] for i, p in enumerate(primes)}
+    return ok_report(FFPROB, A, forms, stop, t0, [], per_prime_ranks=per_prime,
+                     seed=opts.seed, primes=list(primes), trials=trials)

@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,21 +46,14 @@ from . import _linalg, _rng
 from . import symexpr as sx
 from .errors import DivisionByZeroModP, RetriesExhausted, check_deadline
 from .model import AugmentedSystem, ModelDef, augment, GENERIC
-from .report import FULL_RANK, MAX_LEVEL, SATURATION, AnalysisReport, ok_report
+from .report import FULL_RANK, MAX_LEVEL, SATURATION, SYMBOLIC, AnalysisReport, ok_report
 from .symexpr import Expr, Symbol, SymbolKind
 
 DEFAULT_PRIME = 2147483647
 DEFAULT_TRIALS = 3
 RETRIES = 25  # random points per trial before RetriesExhausted
 
-
-@dataclass
-class SymbolicOptions:
-    trials: int = DEFAULT_TRIALS
-    seed: int = 0
-    prime: int = DEFAULT_PRIME
-    max_level: int | None = None  # default n_z - 1
-    deadline: float | None = None  # absolute time.monotonic() bound
+SymbolicOptions = _linalg.Options
 
 
 class _TrialPoint(dict):
@@ -583,16 +575,17 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     level's rank is the largest trial rank.  Entry j is observable/identifiable when
     its column is independent of the others (deleting it drops the rank to
     r-1) in every trial that reaches the final rank r; otherwise it lies in
-    the span of the others.
+    the span of the others.  The analysis runs at the first of the primes.
     """
     opts = opts or SymbolicOptions()
-    _linalg.check_settings((opts.prime,), opts.trials, opts.max_level, floor=1)
+    primes = (DEFAULT_PRIME,) if opts.primes is None else opts.primes
+    trials = DEFAULT_TRIALS if opts.trials is None else opts.trials
+    _linalg.check_settings(primes, trials, opts.max_level, floor=1)
     t0 = time.perf_counter()
     A = augment(md)
     n_z, m = A.n_z, len(A.outputs)
     max_level = opts.max_level if opts.max_level is not None else max(n_z - 1, 0)
-    batch = _Trials(LieCache(A, deadline=opts.deadline), range(opts.trials),
-                    opts.seed, opts.prime)
+    batch = _Trials(LieCache(A, deadline=opts.deadline), range(trials), opts.seed, primes[0])
 
     ranks: list[int] = []
     stop = MAX_LEVEL
@@ -616,5 +609,5 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     if any(spec.mode == GENERIC for spec in md.known_inputs):
         warnings.append(
             f"known-input derivatives materialized up to order {len(ranks) - 1}")
-    return ok_report("symbolic", A, batch.forms, stop, t0, warnings, ranks_by_level=ranks,
-                     seed=opts.seed, primes=[opts.prime], trials=opts.trials)
+    return ok_report(SYMBOLIC, A, batch.forms, stop, t0, warnings, ranks_by_level=ranks,
+                     seed=opts.seed, primes=[primes[0]], trials=trials)

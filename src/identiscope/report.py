@@ -17,7 +17,9 @@ from .model import AugmentedSystem
 
 SCHEMA_VERSION = 1
 
-ENGINES = ("symbolic", "ffprob")
+SYMBOLIC = "symbolic"
+FFPROB = "ffprob"
+ENGINES = (SYMBOLIC, FFPROB)
 
 # Verdict vocabulary, chosen by the kind of the z entry.
 OBSERVABLE = "observable"

@@ -15,7 +15,7 @@ def corpus_reports():
 
     Shared across test modules so the expensive analyses run exactly once.
     """
-    return bench.run_corpus(None, bench.BenchOptions())
+    return bench.run_corpus(None)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from identiscope.bench import BenchOptions, compare_engines, corpus_dir, emit_report, run_corpus
+from identiscope.bench import compare_engines, corpus_dir, emit_report, run_corpus
 from identiscope.ffprob import FfprobOptions, analyze_ffprob
 from identiscope.lie_orc import LieCache, _Trials, analyze_symbolic
 from identiscope.model import augment, load_model, parse_model, print_model
@@ -244,12 +244,12 @@ def test_criterion_8_na_and_timeout_semantics(corpus_entries, tmp_path):
         src = next(e.path for e in corpus_entries if e.name == name)
         shutil.copy(src, d / f"{name}.idm")
 
-    reports = run_corpus(d, BenchOptions())
+    reports = run_corpus(d)
     na = [r for r in reports if r.status == "na"]
     ok = ([(r.model, r.engine) for r in na] == [("competition", "ffprob")]
           and na[0].verdicts is None)
 
-    tiny = run_corpus(d, BenchOptions(engines=("symbolic",), timeout_s=1e-9))
+    tiny = run_corpus(d, ("symbolic",), timeout_s=1e-9)
     ok = ok and all(r.status == "timeout" and r.verdicts is None and r.rank is None
                     for r in tiny)
     crit(8, "N/A and timeout record semantics", ok,

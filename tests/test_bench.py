@@ -10,7 +10,7 @@ import pytest
 import identiscope
 from identiscope import bench, ffprob, lie_orc
 from identiscope.bench import (
-    BenchOptions,
+    Options,
     check_settings,
     compare_engines,
     corpus_dir,
@@ -109,6 +109,15 @@ def test_agreement_words_are_written_in_report_only():
         assert words == [], path.name
 
 
+def test_engine_names_are_written_in_report_only():
+    for path in sorted(Path(identiscope.__file__).parent.glob("*.py")):
+        if path.name == "report.py":
+            continue
+        names = [node.value for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant) and node.value in ENGINES]
+        assert names == [], path.name
+
+
 def test_library_builds_expressions_only_through_the_smart_constructors():
     # A node built by its class constructor is not interned, so it is not
     # the canonical node of its value; the smart constructors reject it.
@@ -154,7 +163,7 @@ def mini_corpus(tmp_path):
 
 
 def test_run_corpus_mixed_engines_has_na_record(mini_corpus):
-    reports = run_corpus(mini_corpus, BenchOptions())
+    reports = run_corpus(mini_corpus)
     assert len(reports) == 6
     keys = [(r.model, r.engine, r.status) for r in reports]
     assert keys == sorted(keys)  # canonical (model, engine) ordering
@@ -167,22 +176,22 @@ def test_run_corpus_rejects_bad_prime_before_any_pair(mini_corpus, monkeypatch):
     def no_pair(*args):
         raise AssertionError(f"pair {args[:2]} ran")
 
-    monkeypatch.setattr(bench, "_run_one", no_pair)
+    monkeypatch.setattr(bench, "analyze", no_pair)
     with pytest.raises(ValueError, match=r"\b100 is not a prime"):
-        run_corpus(mini_corpus, BenchOptions(primes=(100,)))
+        run_corpus(mini_corpus, opts=Options(primes=(100,)))
 
 
 @pytest.mark.parametrize("opts, match", [
-    (BenchOptions(trials=0), r"trials must be >= 1"),
-    (BenchOptions(primes=()), r"at least one prime"),
+    (Options(trials=0), r"trials must be >= 1"),
+    (Options(primes=()), r"at least one prime"),
 ])
 def test_run_corpus_rejects_empty_batch_before_any_pair(mini_corpus, monkeypatch, opts, match):
     def no_pair(*args):
         raise AssertionError(f"pair {args[:2]} ran")
 
-    monkeypatch.setattr(bench, "_run_one", no_pair)
+    monkeypatch.setattr(bench, "analyze", no_pair)
     with pytest.raises(ValueError, match=match):
-        run_corpus(mini_corpus, opts)
+        run_corpus(mini_corpus, opts=opts)
 
 
 UNDECLARED = "model broken\nstates x\nparams k\nddt x = -k*x*q\noutput y = x\n"
@@ -201,7 +210,7 @@ def test_run_corpus_records_a_file_that_does_not_load(mini_corpus, monkeypatch):
         return load(path)
 
     monkeypatch.setattr(bench, "load_model", counted)
-    reports = run_corpus(mini_corpus, BenchOptions())
+    reports = run_corpus(mini_corpus)
     assert sorted(loaded) == ["bad_file.idm", "binary.idm", "c2m_a.idm", "c2m_b.idm",
                               "competition.idm", "folder.idm"]
     assert len(reports) == 12
@@ -224,7 +233,7 @@ def test_run_corpus_records_a_model_that_does_not_parse(tmp_path):
     body = {"div": "-k*x/0", "pow": "-k*x*(1-1)^-1", "deep": "(1+x*" * 1000 + "k" + ")" * 1000}
     for name, rhs in body.items():
         (tmp_path / f"{name}.idm").write_text(UNDECLARED.replace("-k*x*q", rhs))
-    reports = run_corpus(tmp_path, BenchOptions())
+    reports = run_corpus(tmp_path)
     assert [(r.model, r.engine, r.status) for r in reports] == [
         (name, engine, "error") for name in sorted(body) for engine in ("ffprob", "symbolic")]
     assert all(r.error.startswith("ModelSyntaxError: line 4, col ") for r in reports)
@@ -234,7 +243,7 @@ def test_run_corpus_records_a_model_that_does_not_parse(tmp_path):
 def test_analyze_rejects_empty_primes(engine):
     md = load_model(corpus_dir() / "c2m_b.idm")
     with pytest.raises(ValueError, match=r"at least one prime"):
-        bench.analyze(md, engine, seed=0, primes=())
+        bench.analyze(md, engine, Options(primes=()))
 
 
 P = 2147483647
@@ -269,12 +278,13 @@ def test_every_entry_point_rejects_a_bad_setting_with_one_text(primes, trials, m
     kw = {key: value for key, value in given.items() if value is not None}
     calls = [
         ("2^20", lambda: check_settings(primes, trials, max_level)),
-        ("2^20", lambda: bench.analyze(md, "symbolic", seed=0, primes=primes, **given)),
-        ("2^20", lambda: bench.analyze(md, "ffprob", seed=0, primes=primes, **given)),
+        ("2^20", lambda: bench.analyze(md, "symbolic", Options(primes=primes, **given))),
+        ("2^20", lambda: bench.analyze(md, "ffprob", Options(primes=primes, **given))),
         ("2^20", lambda: analyze_ffprob(md, FfprobOptions(primes=primes, **kw))),
     ]
     if symbolic:
-        calls.append(("1", lambda: analyze_symbolic(md, SymbolicOptions(prime=primes[0], **kw))))
+        calls.append(("1", lambda: analyze_symbolic(md, SymbolicOptions(primes=(primes[0],),
+                                                                        **kw))))
     for lo, call in calls:
         with pytest.raises(ValueError) as exc:
             call()
@@ -282,12 +292,11 @@ def test_every_entry_point_rejects_a_bad_setting_with_one_text(primes, trials, m
 
 
 def test_run_corpus_empty_dir(tmp_path):
-    assert run_corpus(tmp_path, BenchOptions()) == []
+    assert run_corpus(tmp_path) == []
 
 
 def test_run_corpus_timeout_record_has_no_verdicts(mini_corpus):
-    reports = run_corpus(mini_corpus, BenchOptions(engines=("symbolic",),
-                                                   timeout_s=1e-9))
+    reports = run_corpus(mini_corpus, ("symbolic",), timeout_s=1e-9)
     assert reports
     for r in reports:
         assert r.status == "timeout"
@@ -355,8 +364,8 @@ def test_emit_report_deterministic(reports_by_key):
 
 
 def test_rerun_byte_identical_modulo_timing(mini_corpus):
-    a = run_corpus(mini_corpus, BenchOptions())
-    b = run_corpus(mini_corpus, BenchOptions())
+    a = run_corpus(mini_corpus)
+    b = run_corpus(mini_corpus)
     assert emit_report(a, include_timing=False) == emit_report(b, include_timing=False)
 
 

@@ -1,14 +1,19 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import identiscope
+from identiscope import cli
+from identiscope._linalg import MAX_PRIME
 from identiscope.bench import corpus_dir
 from identiscope.report import REPORT_SCHEMA
 
@@ -271,3 +276,66 @@ def test_bad_run_settings_exit_2_with_message(command, flags, env, toy_path, tmp
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert res.stdout == ""
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """The paths that argument vectors draw from: model files, corpus
+    directories and --json targets, good and bad."""
+    root = tmp_path_factory.mktemp("cli")
+    (root / "toy.idm").write_text(TOY)
+    (root / "binary.idm").write_bytes(b"\xff\xfe")
+    (root / "one").mkdir()
+    (root / "one" / "toy.idm").write_text(TOY)
+    (root / "empty").mkdir()
+    (root / "out.json").write_text("")
+    models = [root / "toy.idm", root / "missing.idm", root / "one", root / "binary.idm"]
+    corpora = [root / "one", root / "empty", root / "missing", root / "toy.idm"]
+    targets = [root / "out.json", root / "missing" / "out.json", root / "empty"]
+    return tuple([str(p) for p in paths] for paths in (models, corpora, targets))
+
+
+# Each run setting at and across the bounds of check_settings: primes at
+# and below 2^20, a composite, MAX_PRIME (even) and above it, and a prime
+# that may be drawn twice; trials are kept at most 2, since more reach the
+# symbolic engine's memory wall on large models.
+PRIMES = [2, 1048573, 2**21, MAX_PRIME, MAX_PRIME + 1, 2147483647]
+TIMEOUTS = ["0", "-1", "1e-9", "nan", "inf"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_main_exits_with_a_code_or_one_error_line(cli_paths, data):
+    models, corpora, targets = cli_paths
+    draw = data.draw
+    command = draw(st.sampled_from(["check", "explain", "analyze", "bench"]))
+    target = draw(st.sampled_from(corpora if command == "bench" else models))
+    argv = [command, target]
+    if command in ("analyze", "bench"):
+        for p in draw(st.lists(st.sampled_from(PRIMES), max_size=2)):
+            argv += ["--prime", str(p)]
+        options = {"--engine": st.sampled_from(["symbolic", "ffprob", "both"]),
+                   "--seed": st.integers(0, 3), "--trials": st.integers(0, 2),
+                   "--timeout-s": st.sampled_from(TIMEOUTS),
+                   "--json": st.sampled_from(targets)}
+        if command == "analyze":
+            options["--max-level"] = st.integers(-1, 2)
+        else:
+            options["--format"] = st.sampled_from(["json", "csv"])
+        for flag in draw(st.lists(st.sampled_from(sorted(options)), unique=True, max_size=3)):
+            argv += [flag, str(draw(options[flag]))]
+        if draw(st.booleans()):
+            argv.append("--require-consensus")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), (argv, err.getvalue())
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    if code == 2:
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(errors) == 1, (argv, err.getvalue())
+    if command == "bench" and not Path(target).is_dir():
+        assert code == 2, argv

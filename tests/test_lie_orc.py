@@ -240,7 +240,7 @@ def test_prime_out_of_range_rejected_before_any_work(prime, monkeypatch):
 
     monkeypatch.setattr(lie_orc, "augment", no_work)
     with pytest.raises(ValueError, match=rf"^{prime} is not a prime in \(1, {MAX_PRIME}\]$"):
-        analyze_symbolic(parse_model(DECAY), SymbolicOptions(prime=prime))
+        analyze_symbolic(parse_model(DECAY), SymbolicOptions(primes=(prime,)))
 
 
 def test_composite_prime_rejected_before_any_work(monkeypatch):
@@ -249,7 +249,7 @@ def test_composite_prime_rejected_before_any_work(monkeypatch):
 
     monkeypatch.setattr(lie_orc, "augment", no_work)
     with pytest.raises(ValueError, match=rf"^{3 * 1000003} is not a prime in \(1, {MAX_PRIME}\]$"):
-        analyze_symbolic(parse_model(DECAY), SymbolicOptions(prime=3 * 1000003))
+        analyze_symbolic(parse_model(DECAY), SymbolicOptions(primes=(3 * 1000003,)))
 
 
 def test_negative_max_level_rejected_before_any_work(monkeypatch):
@@ -287,7 +287,7 @@ def test_retries_exhausted_names_the_first_vanishing_denominator(name, p, seed, 
     # depth first.
     md = load_model(corpus_dir() / f"{name}.idm")
     with pytest.raises(RetriesExhausted) as info:
-        analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed, trials=trials))
+        analyze_symbolic(md, SymbolicOptions(primes=(p,), seed=seed, trials=trials))
     assert str(info.value) == (
         f"all {lie_orc.RETRIES} evaluation points hit a vanishing denominator mod {p} "
         f"(model degenerate at this prime, or prime too small): {denominator}")
@@ -633,7 +633,7 @@ def _check_restarts(name, p, seed):
     trials = 3
     md = load_model(corpus_dir() / f"{name}.idm")
     A = augment(md)
-    rep = analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed, trials=trials))
+    rep = analyze_symbolic(md, SymbolicOptions(primes=(p,), seed=seed, trials=trials))
     cache = LieCache(A)
     alone = [_Trials(cache, (trial,), seed, p) for trial in range(trials)]
     restarted = False
@@ -675,7 +675,7 @@ def test_restart_of_one_trial_leaves_the_others_alone():
     md = load_model(corpus_dir() / "mapk.idm")
     A = augment(md)
     m = len(A.outputs)
-    levels = len(analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed)).ranks_by_level)
+    levels = len(analyze_symbolic(md, SymbolicOptions(primes=(p,), seed=seed)).ranks_by_level)
     batch = _Trials(LieCache(A), range(trials), seed, p)
     alone = [_Trials(LieCache(A), (trial,), seed, p) for trial in range(trials)]
     for k in range(levels):
@@ -743,7 +743,7 @@ def test_store_grown_from_one_row_gives_the_rows_of_an_ample_one(name, p, seed, 
     md = load_model(corpus_dir() / f"{name}.idm")
     A = augment(md)
     m = len(A.outputs)
-    levels = len(analyze_symbolic(md, SymbolicOptions(prime=p, seed=seed)).ranks_by_level)
+    levels = len(analyze_symbolic(md, SymbolicOptions(primes=(p,), seed=seed)).ranks_by_level)
     ample = 4096
     batches = {}
     for rows in (1, ample):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from identiscope import lie_orc, symexpr as sx
-from identiscope.bench import analyze, corpus_dir
+from identiscope.bench import Options, analyze, corpus_dir
 from identiscope.errors import (DivisionByZero, DivisionByZeroModP, IdentiscopeError,
                                 NonRationalExpr, RetriesExhausted)
 from identiscope.ffprob import DEFAULT_PRIMES
@@ -342,14 +342,13 @@ def _order_free_view(names):
         reports = []
         for engine in ("symbolic", "ffprob"):
             try:
-                rep = analyze(md, engine, seed=0, primes=DEFAULT_PRIMES, trials=None,
-                              deadline=None)
+                rep = analyze(md, engine, Options(seed=0, primes=DEFAULT_PRIMES))
                 reports.append(rep.to_dict(include_timing=False))
             except IdentiscopeError as exc:
                 reports.append(str(exc))
         view.append((print_model(md), funcs, digests, reports))
     with pytest.raises(RetriesExhausted) as info:
-        lie_orc.analyze_symbolic(parse_model(_TWO_POLES), lie_orc.SymbolicOptions(prime=2))
+        lie_orc.analyze_symbolic(parse_model(_TWO_POLES), lie_orc.SymbolicOptions(primes=(2,)))
     view.append(str(info.value))
     return view
 
