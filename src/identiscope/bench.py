@@ -11,7 +11,9 @@ the harness reports their verdicts but never asserts them.
 wall-clock budget per (model, engine) pair: the finite-field engine is
 recorded as "na" on non-rational models, a timeout produces a timeout
 record with no partial verdicts, and any other failure becomes an error
-record, as does a model file that does not load.
+record, as does a model file that does not load.  Model names in a corpus
+must be unique: consensus groups reports by model name, so a file whose
+model name an earlier file declares gives error records too.
 ``compare_engines`` then marks per-model consensus, which is the
 correctness criterion for engines that share no code path.
 """
@@ -27,7 +29,8 @@ from importlib import resources
 from pathlib import Path
 
 from ._linalg import Options, check_settings
-from .errors import EngineTimeout, IdentiscopeError, ModelError, NonRationalExpr
+from .errors import (DuplicateDeclaration, EngineTimeout, IdentiscopeError, ModelError,
+                     NonRationalExpr)
 from .ffprob import analyze_ffprob
 from .lie_orc import analyze_symbolic
 from .model import ModelDef, load_model
@@ -79,9 +82,10 @@ def run_corpus(directory=None, engines: tuple[str, ...] = ENGINES, opts: Options
     Each model file is parsed once for all engines.  Results are ordered by
     (model, engine); failures become error/timeout/na records rather than
     exceptions, and a file that does not load gives one error record per
-    engine, named after the file's stem.  Settings that ``check_settings``
-    rejects raise ValueError, and a ``directory`` that is not one raises
-    NotADirectoryError, before any pair runs.
+    engine, named after the file's stem, as does a file whose model name a
+    file before it (in sorted order) declares.  Settings that
+    ``check_settings`` rejects raise ValueError, and a ``directory`` that is
+    not one raises NotADirectoryError, before any pair runs.
     """
     opts = opts or Options()
     check_settings(opts.primes, opts.trials, opts.max_level, timeout_s)
@@ -89,9 +93,13 @@ def run_corpus(directory=None, engines: tuple[str, ...] = ENGINES, opts: Options
     if not base.is_dir():
         raise NotADirectoryError(f"corpus {str(base)!r} is not a directory")
     reports = []
+    declared: dict[str, str] = {}  # model name -> the file that declares it
     for path in sorted(base.glob("*.idm")):
         try:
             md = load_model(path)
+            first = declared.setdefault(md.name, path.name)
+            if first != path.name:
+                raise DuplicateDeclaration(f"model name {md.name!r} is also declared by {first}")
         except (ModelError, OSError, UnicodeDecodeError) as exc:
             reports += [failure_record(path.stem, engine, opts.seed, exc) for engine in engines]
             continue

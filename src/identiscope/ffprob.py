@@ -158,8 +158,8 @@ class _Compiler:
             return got
         if isinstance(e, sx.Const):
             out = 0 if e.value == 0 else self._node(_CONST, const=e.value)
-        elif isinstance(e, sx.Sym):
-            out = self.env[e.symbol]
+        elif isinstance(e, sx.Symbol):
+            out = self.env[e]
         elif isinstance(e, sx.Add):
             ops, weights = [], []
             for t in e.terms:

@@ -248,8 +248,8 @@ class _Trials:
         waves: dict[tuple[int, int], list] = {}
         for node, dep, ind in nodes:
             h = 0
-            if isinstance(node, sx.Sym):
-                kind, item = _SYM, node.symbol
+            if isinstance(node, sx.Symbol):
+                kind, item = _SYM, node
             else:
                 for g in dep:
                     if g >= base and height[g - base] >= h:
@@ -421,18 +421,8 @@ def _unary(node: Expr, bases: list[int], points: list[_TrialPoint], p: int) -> l
     if node.fname == "ln":
         return [(pt.residue(node), pow(b, -1, p) if b else 0, b == 0)
                 for b, pt in zip(bases, points)]
-    factor, sign = _func_factor(node)
+    factor, sign = sx.func_factor(node)
     return [(pt.residue(node), sign * pt.residue(factor) % p, False) for pt in points]
-
-
-def _func_factor(node: sx.Func) -> tuple[Expr, int]:
-    """d f(a) = sign * factor * da for f = exp, sin, cos, with the nodes the
-    symbolic derivative builds."""
-    if node.fname == "exp":
-        return node, 1
-    if node.fname == "sin":
-        return sx.cos(node.arg), 1
-    return sx.sin(node.arg), -1
 
 
 def _flatten(groups: list[list[int]]) -> tuple[list[int], np.ndarray]:
@@ -484,7 +474,7 @@ def _reads(node: Expr, dep: list, ind: list[Expr]) -> tuple[Expr, ...]:
     if isinstance(node, sx.Pow):
         return (node.base,)
     if isinstance(node, sx.Func):
-        return (node.arg if node.fname == "ln" else _func_factor(node)[0],)
+        return (node.arg if node.fname == "ln" else sx.func_factor(node)[0],)
     return ()
 
 
@@ -517,7 +507,7 @@ def _walk(rows: list[Expr], slot: dict[Expr, int], indep: set[Expr],
                     break
             else:
                 stack.pop()
-                if dep or isinstance(node, sx.Sym) and node.symbol in zset:
+                if dep or node in zset:
                     g = slot[node] = len(slot)
                     post.append((node, dep, ind))
                     if stack:
@@ -541,7 +531,7 @@ def _field_rate(A: AugmentedSystem) -> Callable[[Symbol], Expr]:
         if Fs is not None:
             return Fs
         if s.kind is SymbolKind.KNOWN_INPUT and s.base in generic:
-            return sx.sym(s.derivative(1))
+            return s.derivative(1)
         if s.kind is SymbolKind.TIME:
             return sx.ONE
         return sx.ZERO

@@ -148,10 +148,10 @@ def augment(md: ModelDef) -> AugmentedSystem:
         z.append(th)
         F.append(sx.ZERO)
     for spec in md.unknown_inputs:
-        chain = [spec.symbol.derivative(j) if j else spec.symbol for j in range(spec.order + 1)]
+        chain = [spec.symbol.derivative(j) for j in range(spec.order + 1)]
         for j, w in enumerate(chain):
             z.append(w)
-            F.append(sx.sym(chain[j + 1]) if j < spec.order else sx.ZERO)
+            F.append(chain[j + 1] if j < spec.order else sx.ZERO)
     index = {s: i for i, s in enumerate(z)}
     return AugmentedSystem(
         model=md,
@@ -322,12 +322,12 @@ class _ExprParser:
                 if self.func_depth == 0:
                     raise ModelSyntaxError(
                         "time symbol 't' may only appear inside sin/cos/exp", t.line, t.col)
-                return sx.sym(sx.TIME)
+                return sx.TIME
             s = self.symbols.get(name)
             if s is None:
                 raise UndeclaredSymbol(
                     f"line {t.line}, col {t.col}: undeclared symbol {name!r}")
-            return sx.sym(s)
+            return s
         raise ModelSyntaxError(f"unexpected {t.text!r}", t.line, t.col)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from ._linalg import Echelons
 from .model import AugmentedSystem
+from .symexpr import SymbolKind
 
 SCHEMA_VERSION = 1
 
@@ -153,11 +154,11 @@ REPORT_SCHEMA = {
 }
 
 
-def verdict_for(kind_value: str, identifiable: bool) -> str:
+def verdict_for(kind: SymbolKind, identifiable: bool) -> str:
     """Map (symbol kind, rank-drop result) to the reported verdict word."""
-    if kind_value == "state":
+    if kind is SymbolKind.STATE:
         return OBSERVABLE if identifiable else UNOBSERVABLE
-    if kind_value == "parameter":
+    if kind is SymbolKind.PARAM:
         return SLI if identifiable else SU
     return RECONSTRUCTIBLE if identifiable else UNRECONSTRUCTIBLE
 
@@ -183,7 +184,7 @@ def ok_report(engine: str, A: AugmentedSystem, forms: Echelons, stop: str, t0: f
         engine=engine,
         n_z=A.n_z,
         rank=rank,
-        verdicts={s.name: verdict_for(s.kind.value, ok) for s, ok in zip(A.z, identifiable)},
+        verdicts={s.name: verdict_for(s.kind, ok) for s, ok in zip(A.z, identifiable)},
         stop_reason=stop,
         wall_time_ms=(time.perf_counter() - t0) * 1e3,
         warnings=warnings,

@@ -5,7 +5,9 @@ symbols (states, parameters, input derivatives, time).  Supported node
 kinds: rational constant, symbol, n-ary sum, n-ary product, integer power,
 and the unary functions ln/exp/sin/cos.  Quotients are represented as
 products with negative integer powers; the printer renders them back with
-a '/'.
+a '/'.  A symbol node is the variable itself, with its name and kind:
+``symbol``, or ``state``, ``param``, ``known_input`` and ``unknown_input``
+on top of it, builds it, and a model and its analyses hold that node.
 
 Canonical form is structural: constants folded, nested sums/products
 flattened, like terms and like factors merged.  No polynomial expansion is
@@ -21,9 +23,10 @@ operators), which return canonical nodes; the constructors reject, with
 TypeError, a node built through a class constructor.
 
 Identity is the object.  The smart constructors look a node up in the
-intern table by its kind and its children (or its constant value or
-symbol) before they build it, so a canonical node exists exactly once while
-anything refers to it, and ``==`` and ``hash`` are those of ``object``.
+intern table by its kind and its children (or its constant value, or a
+symbol's name, kind, base and order) before they build it, so a canonical
+node exists exactly once while anything refers to it, and ``==`` and
+``hash`` are those of ``object``.
 The table holds its nodes weakly: a node that nothing else refers to is
 freed, and leaves the table, with the last reference to it, so no node
 outlives the analysis that built it.
@@ -75,66 +78,6 @@ def _deriv_name(base: str, order: int) -> str:
         return base + "'" * order
     return f"{base}^({order})"
 
-
-class Symbol:
-    """A named variable with a fixed kind.
-
-    Input symbols additionally carry a derivative order: ``u''`` is the
-    order-2 derivative symbol of the known input ``u``.  Names are unique
-    within a model and fixed at creation.
-    """
-
-    __slots__ = ("name", "kind", "base", "order", "_h")
-
-    def __init__(self, name: str, kind: SymbolKind, base: str | None = None, order: int = 0):
-        if order < 0:
-            raise ValueError("derivative order must be nonnegative")
-        self.name = name
-        self.kind = kind
-        self.base = base if base is not None else name
-        self.order = order
-        self._h = hash((name, kind, self.base, order))
-
-    def __hash__(self):
-        return self._h
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Symbol)
-            and self.name == other.name
-            and self.kind is other.kind
-            and self.base == other.base
-            and self.order == other.order
-        )
-
-    def __repr__(self):
-        return f"Symbol({self.name!r}, {self.kind.value})"
-
-    def derivative(self, order: int) -> "Symbol":
-        """The same input, differentiated ``order`` more times."""
-        if self.kind not in (SymbolKind.KNOWN_INPUT, SymbolKind.UNKNOWN_INPUT):
-            raise ValueError(f"{self.name} is not an input symbol")
-        j = self.order + order
-        return Symbol(_deriv_name(self.base, j), self.kind, self.base, j)
-
-
-def state(name: str) -> Symbol:
-    return Symbol(name, SymbolKind.STATE)
-
-
-def param(name: str) -> Symbol:
-    return Symbol(name, SymbolKind.PARAM)
-
-
-def known_input(base: str, order: int = 0) -> Symbol:
-    return Symbol(_deriv_name(base, order), SymbolKind.KNOWN_INPUT, base, order)
-
-
-def unknown_input(base: str, order: int = 0) -> Symbol:
-    return Symbol(_deriv_name(base, order), SymbolKind.UNKNOWN_INPUT, base, order)
-
-
-TIME = Symbol("t", SymbolKind.TIME)
 
 FUNC_NAMES = ("ln", "exp", "sin", "cos")
 
@@ -231,17 +174,30 @@ class Const(Expr):
         return blake2b(b"C%d/%d" % (v.numerator, v.denominator), digest_size=16).digest()
 
 
-class Sym(Expr):
-    __slots__ = ("symbol",)
+class Symbol(Expr):
+    """A variable: a leaf with a name and a fixed kind.
 
-    def __init__(self, symbol: Symbol):
+    An input's symbols also carry the input's name, ``base``, and their
+    derivative ``order``: ``u''`` is the order-2 derivative symbol of the
+    known input ``u``.  Names are unique within a model.
+    """
+
+    __slots__ = ("name", "kind", "base", "order")
+
+    def __init__(self, name: str, kind: SymbolKind, base: str, order: int):
         self._init_caches()
-        self.symbol = symbol
+        self.name, self.kind, self.base, self.order = name, kind, base, order
 
     def _digest(self):
-        s = self.symbol
-        payload = f"S{s.kind.value}|{s.name}|{s.base}|{s.order}".encode()
+        payload = f"S{self.kind.value}|{self.name}|{self.base}|{self.order}".encode()
         return blake2b(payload, digest_size=16).digest()
+
+    def derivative(self, order: int) -> Symbol:
+        """The same input, differentiated ``order`` more times."""
+        if self.kind not in (SymbolKind.KNOWN_INPUT, SymbolKind.UNKNOWN_INPUT):
+            raise ValueError(f"{self.name} is not an input symbol")
+        j = self.order + order
+        return symbol(_deriv_name(self.base, j), self.kind, self.base, j)
 
 
 class Add(Expr):
@@ -333,11 +289,12 @@ def _digest_tree(root: Expr) -> bytes:
 # --------------------------------------------------------------------------
 
 # Canonical nodes by key: (class, fields), where the fields are a constant's
-# value (an int when it is one), a symbol, a sum's terms or a product's
-# factors in serial order, a power's base and exponent, or a function's name
-# and argument.  Children compare by identity, so a lookup runs in C.  The
-# values are weak: a node leaves the table when it is freed.  ZERO, ONE and
-# NEG_ONE stay, so the canonical zero and one are those objects.
+# value (an int when it is one), a symbol's name, kind, base and order, a
+# sum's terms or a product's factors in serial order, a power's base and
+# exponent, or a function's name and argument.  Children compare by
+# identity, so a lookup runs in C.  The values are weak: a node leaves the
+# table when it is freed.  ZERO, ONE, NEG_ONE and TIME stay, so the
+# canonical zero and one are those objects.
 _INTERN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 # The table's own dict of weak references, which ``_node`` reads directly so
 # that a lookup stays in C, as ``WeakValueDictionary.get`` reads it.
@@ -373,25 +330,44 @@ def const(value) -> Const:
     return _node((Const, value))
 
 
-def sym(s: Symbol) -> Sym:
-    return _node((Sym, s))
+def symbol(name: str, kind: SymbolKind, base: str | None = None, order: int = 0) -> Symbol:
+    """The variable of a name and a kind; an input's symbols also name the
+    input, ``base`` (default ``name``), and their derivative ``order``."""
+    if order < 0:
+        raise ValueError("derivative order must be nonnegative")
+    return _node((Symbol, name, kind, name if base is None else base, order))
+
+
+def state(name: str) -> Symbol:
+    return symbol(name, SymbolKind.STATE)
+
+
+def param(name: str) -> Symbol:
+    return symbol(name, SymbolKind.PARAM)
+
+
+def known_input(base: str, order: int = 0) -> Symbol:
+    return symbol(_deriv_name(base, order), SymbolKind.KNOWN_INPUT, base, order)
+
+
+def unknown_input(base: str, order: int = 0) -> Symbol:
+    return symbol(_deriv_name(base, order), SymbolKind.UNKNOWN_INPUT, base, order)
 
 
 ZERO = const(0)
 ONE = const(1)
 NEG_ONE = const(-1)
+TIME = symbol("t", SymbolKind.TIME)
 
 
 def _canon(x) -> Expr:
-    # x as a canonical expression; ints, Fractions and Symbols are coerced.
+    # x as a canonical expression; ints and Fractions are coerced.
     if isinstance(x, Expr):
         if x._serial is None:
             raise TypeError(f"{type(x).__name__} node not built by a smart constructor")
         return x
     if isinstance(x, (int, Fraction)):
         return const(x)
-    if isinstance(x, Symbol):
-        return sym(x)
     raise TypeError(f"cannot use {type(x).__name__} as an expression")
 
 
@@ -593,11 +569,21 @@ def cos(arg) -> Expr:
     return func("cos", arg)
 
 
+def func_factor(node: Func) -> tuple[Expr, int]:
+    """(factor, sign) such that d f(a) = sign * factor * da, for a node
+    f(a) with f = exp, sin or cos."""
+    if node.fname == "exp":
+        return node, 1
+    if node.fname == "sin":
+        return cos(node.arg), 1
+    return sin(node.arg), -1
+
+
 # --------------------------------------------------------------------------
 # Structural order
 # --------------------------------------------------------------------------
 
-_RANK = {Const: 0, Sym: 1, Pow: 2, Func: 3, Mul: 4, Add: 5}
+_RANK = {Const: 0, Symbol: 1, Pow: 2, Func: 3, Mul: 4, Add: 5}
 
 
 def _structural_key(e: Expr) -> tuple:
@@ -606,11 +592,11 @@ def _structural_key(e: Expr) -> tuple:
     if k is None:
         if isinstance(e, Const):
             local = (str(e.value), "")
-        elif isinstance(e, Sym):
-            local = (e.symbol.name, "")
+        elif isinstance(e, Symbol):
+            local = (e.name, "")
         elif isinstance(e, Pow):
             b = e.base
-            local = (b.symbol.name if isinstance(b, Sym) else "", str(e.exponent))
+            local = (b.name if isinstance(b, Symbol) else "", str(e.exponent))
         elif isinstance(e, Func):
             local = (e.fname, "")
         else:
@@ -778,8 +764,8 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict, *,
             return d
         if isinstance(node, Const):
             d = ZERO
-        elif isinstance(node, Sym):
-            d = rate(node.symbol)
+        elif isinstance(node, Symbol):
+            d = rate(node)
         elif isinstance(node, Add):
             parts = [walk(t) for t in node.terms]
             parts.reverse()
@@ -808,12 +794,9 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict, *,
                 d = mul(const(node.exponent), pow_(node.base, node.exponent - 1), da)
             elif node.fname == "ln":
                 d = div(da, node.arg)
-            elif node.fname == "exp":
-                d = mul(node, da)
-            elif node.fname == "sin":
-                d = mul(cos(node.arg), da)
             else:
-                d = mul(NEG_ONE, sin(node.arg), da)
+                factor, sign = func_factor(node)
+                d = mul(sign, factor, da)
         memo[node] = d
         if deadline is not None and len(memo) % _DEADLINE_EVERY == 0:
             check_deadline(deadline)
@@ -833,7 +816,7 @@ def differentiate(e: Expr, s: Symbol) -> Expr:
 
     All other symbols are treated as independent.  The result is canonical.
     """
-    return derivative(e, lambda x: ONE if x == s else ZERO, {})
+    return derivative(e, lambda x: ONE if x is s else ZERO, {})
 
 
 # --------------------------------------------------------------------------
@@ -867,11 +850,11 @@ def eval_mod_p(e: Expr, point: dict[Symbol, int], p: int, *, transcendental=None
             return got
         if isinstance(node, Const):
             out = const_mod_p(node.value, p)
-        elif isinstance(node, Sym):
+        elif isinstance(node, Symbol):
             try:
-                out = point[node.symbol] % p
+                out = point[node] % p
             except KeyError:
-                raise KeyError(f"no value for symbol {node.symbol.name}") from None
+                raise KeyError(f"no value for symbol {node.name}") from None
         elif isinstance(node, Add):
             out = sum(ev(t) for t in node.terms) % p
         elif isinstance(node, Mul):
@@ -903,7 +886,7 @@ def eval_mod_p(e: Expr, point: dict[Symbol, int], p: int, *, transcendental=None
 def _atom_str(e: Expr) -> str:
     # Render with parentheses unless the node is atomic.
     s = to_string(e)
-    if isinstance(e, (Sym, Func)) or (isinstance(e, Const) and e.value >= 0 and e.value.denominator == 1):
+    if isinstance(e, (Symbol, Func)) or (isinstance(e, Const) and e.value >= 0 and e.value.denominator == 1):
         return s
     if isinstance(e, Pow) and e.exponent > 0:
         return s
@@ -938,8 +921,8 @@ def to_string(e: Expr) -> str:
     the same canonical expression."""
     if isinstance(e, Const):
         return str(e.value)
-    if isinstance(e, Sym):
-        return e.symbol.name
+    if isinstance(e, Symbol):
+        return e.name
     if isinstance(e, Func):
         return f"{e.fname}({to_string(e.arg)})"
     if isinstance(e, Pow):

@@ -58,8 +58,8 @@ def eval_dual_rational(e, point, wrt):
     """
     if isinstance(e, sx.Const):
         return e.value, Fraction(0)
-    if isinstance(e, sx.Sym):
-        return point[e.symbol], Fraction(1 if e.symbol == wrt else 0)
+    if isinstance(e, sx.Symbol):
+        return point[e], Fraction(1 if e is wrt else 0)
     if isinstance(e, sx.Add):
         v, d = Fraction(0), Fraction(0)
         for t in e.terms:
@@ -85,8 +85,8 @@ def eval_dual_mod_p(e, point, wrt, p):
     if isinstance(e, sx.Const):
         v = e.value
         return v.numerator * pow(v.denominator % p, -1, p) % p, 0
-    if isinstance(e, sx.Sym):
-        return point[e.symbol] % p, 1 if e.symbol == wrt else 0
+    if isinstance(e, sx.Symbol):
+        return point[e] % p, 1 if e is wrt else 0
     if isinstance(e, sx.Add):
         v, d = 0, 0
         for t in e.terms:
@@ -114,8 +114,8 @@ def eval_plain_mod_p(e, point, p):
     if isinstance(e, sx.Const):
         v = e.value
         return v.numerator * pow(v.denominator % p, -1, p) % p
-    if isinstance(e, sx.Sym):
-        return point[e.symbol] % p
+    if isinstance(e, sx.Symbol):
+        return point[e] % p
     if isinstance(e, sx.Add):
         return sum(eval_plain_mod_p(t, point, p) for t in e.terms) % p
     if isinstance(e, sx.Mul):
@@ -143,8 +143,8 @@ def eval_rational(e, point):
             return got
         if isinstance(node, sx.Const):
             out = node.value
-        elif isinstance(node, sx.Sym):
-            out = point[node.symbol]
+        elif isinstance(node, sx.Symbol):
+            out = point[node]
         elif isinstance(node, sx.Add):
             out = sum(ev(t) for t in node.terms)
         elif isinstance(node, sx.Mul):
@@ -171,8 +171,8 @@ def free_symbols(e, memo=None):
     memo = {} if memo is None else memo
     got = memo.get(e)
     if got is None:
-        if isinstance(e, sx.Sym):
-            got = frozenset((e.symbol,))
+        if isinstance(e, sx.Symbol):
+            got = frozenset((e,))
         else:
             got = frozenset().union(*(free_symbols(c, memo) for c in sx.children(e)))
         memo[e] = got
@@ -190,8 +190,8 @@ def eager_derivative(e, rate, memo):
             return d
         if isinstance(node, sx.Const):
             d = sx.ZERO
-        elif isinstance(node, sx.Sym):
-            d = rate(node.symbol)
+        elif isinstance(node, sx.Symbol):
+            d = rate(node)
         elif isinstance(node, sx.Add):
             d = sx.add(*map(walk, node.terms))
         elif isinstance(node, sx.Mul):
@@ -361,8 +361,8 @@ def eval_expr_series(e, env, order, p, _memo=None):
             return got
         if isinstance(node, sx.Const):
             out = TruncSeries.constant(sx.const_mod_p(node.value, p), order, p)
-        elif isinstance(node, sx.Sym):
-            out = env[node.symbol]
+        elif isinstance(node, sx.Symbol):
+            out = env[node]
         elif isinstance(node, sx.Add):
             out = ev(node.terms[0])
             for t in node.terms[1:]:

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import identiscope
-from identiscope import bench, ffprob, lie_orc
+from identiscope import bench, cli, ffprob, lie_orc
 from identiscope.bench import (
     Options,
     check_settings,
@@ -21,6 +21,7 @@ from identiscope.bench import (
 from identiscope.ffprob import FfprobOptions, analyze_ffprob
 from identiscope.lie_orc import SymbolicOptions, analyze_symbolic
 from identiscope.model import load_model
+from identiscope.symexpr import SymbolKind
 from identiscope.report import (AGREEMENTS, ENGINES, REPORT_SCHEMA, STATUSES, STOPS,
                                 TIMING_FIELDS, VERDICTS, AnalysisReport, ConsensusResult)
 
@@ -118,10 +119,22 @@ def test_engine_names_are_written_in_report_only():
         assert names == [], path.name
 
 
+def test_symbol_kind_words_are_written_in_symexpr_only():
+    # Code outside symexpr compares kinds with SymbolKind, not with a copy
+    # of its words.
+    words = {kind.value for kind in SymbolKind}
+    for path in sorted(Path(identiscope.__file__).parent.glob("*.py")):
+        if path.name == "symexpr.py":
+            continue
+        found = [node.value for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant) and node.value in words]
+        assert found == [], path.name
+
+
 def test_library_builds_expressions_only_through_the_smart_constructors():
     # A node built by its class constructor is not interned, so it is not
     # the canonical node of its value; the smart constructors reject it.
-    classes = {"Const", "Sym", "Add", "Mul", "Pow", "Func"}
+    classes = {"Const", "Symbol", "Add", "Mul", "Pow", "Func"}
     for path in sorted(Path(identiscope.__file__).parent.glob("*.py")):
         calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Call)
@@ -237,6 +250,24 @@ def test_run_corpus_records_a_model_that_does_not_parse(tmp_path):
     assert [(r.model, r.engine, r.status) for r in reports] == [
         (name, engine, "error") for name in sorted(body) for engine in ("ffprob", "symbolic")]
     assert all(r.error.startswith("ModelSyntaxError: line 4, col ") for r in reports)
+
+
+def test_run_corpus_records_a_second_file_with_the_same_model_name(tmp_path):
+    # Consensus groups reports by model name: b.idm's reports would be
+    # compared with a.idm's under "toy".  The later file gives error records
+    # named after it instead, and toy's engines agree.
+    (tmp_path / "a.idm").write_text("model toy\nstates x\nparams k\nddt x = -k*x\noutput y = x\n")
+    (tmp_path / "b.idm").write_text(
+        "model toy\nstates x\nparams k j\nddt x = -k*j*x\noutput y = x\n")
+    reports = run_corpus(tmp_path)
+    assert [(r.model, r.engine, r.status) for r in reports] == [
+        ("b", "ffprob", "error"), ("b", "symbolic", "error"),
+        ("toy", "ffprob", "ok"), ("toy", "symbolic", "ok")]
+    for r in reports[:2]:
+        assert r.error == "DuplicateDeclaration: model name 'toy' is also declared by a.idm"
+    assert {c.model: c.agreement for c in compare_engines(reports)} == {
+        "b": "unconfirmed", "toy": "agree"}
+    assert cli.main(["bench", str(tmp_path), "--require-consensus"]) == 0
 
 
 @pytest.mark.parametrize("engine", bench.ENGINES)

@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import string
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,13 +10,15 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import identiscope
-from identiscope import cli
+from identiscope import bench, cli
 from identiscope._linalg import MAX_PRIME
 from identiscope.bench import corpus_dir
-from identiscope.report import REPORT_SCHEMA
+from identiscope.errors import ModelError
+from identiscope.model import ModelDef, parse_model
+from identiscope.report import DISAGREE, ENGINES, REPORT_SCHEMA
 
 TOY = "model toy\nstates x\nparams k\nddt x = -k*x\noutput y = x\n"
 
@@ -339,3 +342,76 @@ def test_main_exits_with_a_code_or_one_error_line(cli_paths, data):
         assert len(errors) == 1, (argv, err.getvalue())
     if command == "bench" and not Path(target).is_dir():
         assert code == 2, argv
+
+
+# Mutated corpus texts: one token deleted, duplicated or swapped with
+# another, or 1-3 printable characters spliced in.  The counts keep both
+# tests to a few seconds; for a one-off deep run, raise them to 20000 and
+# 1000 (under two minutes on one core).
+PARSE_MUTANTS = 300
+RUN_MUTANTS = 20
+CORPUS_TEXTS = [path.read_text() for path in sorted(corpus_dir().glob("*.idm"))]
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|\S")
+
+
+@st.composite
+def mutants(draw):
+    text = draw(st.sampled_from(CORPUS_TEXTS))
+    spans = [m.span() for m in _TOKEN.finditer(text)]
+    a, b = draw(st.sampled_from(spans))
+    how = draw(st.sampled_from(["delete", "duplicate", "swap", "splice"]))
+    if how == "delete":
+        return text[:a] + text[b:]
+    if how == "duplicate":
+        return text[:b] + " " + text[a:b] + text[b:]
+    if how == "swap":
+        (a, b), (c, d) = sorted([(a, b), draw(st.sampled_from(spans))])
+        if c < b:  # the same token
+            return text
+        return text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(st.text(string.printable, min_size=1, max_size=3)) + text[at:]
+
+
+@pytest.fixture(scope="module")
+def mutant_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants")
+
+
+@settings(max_examples=PARSE_MUTANTS, deadline=None)
+@given(text=mutants())
+def test_a_mutated_model_parses_or_exits_2_with_one_error_line(mutant_dir, text):
+    try:
+        parsed = isinstance(parse_model(text), ModelDef)
+    except ModelError:
+        parsed = False
+    path = mutant_dir / "mutant.idm"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(["check", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+    if parsed:
+        assert code == 0, text
+    else:
+        assert code == 2, text
+        assert [line.startswith("error: ") for line in err.getvalue().splitlines()] == [True]
+
+
+@settings(max_examples=RUN_MUTANTS, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(text=mutants())
+def test_a_mutated_model_that_parses_gives_one_record_per_engine(mutant_dir, text):
+    # Most mutants do not parse; they are cheap to draw and skip.
+    try:
+        parse_model(text)
+    except ModelError:
+        assume(False)
+    corpus = mutant_dir / "corpus"
+    corpus.mkdir(exist_ok=True)
+    (corpus / "mutant.idm").write_text(text)
+    reports = bench.run_corpus(corpus, timeout_s=0.3)
+    assert sorted(r.engine for r in reports) == sorted(ENGINES), text
+    assert [c.agreement for c in bench.compare_engines(reports)] != [DISAGREE], text

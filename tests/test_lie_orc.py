@@ -54,7 +54,7 @@ def _gradient_matrix(cache, k):
 
 def test_lie_of_state_along_decay_field():
     A = _aug(DECAY)
-    x, th = (sx.sym(s) for s in A.z)
+    x, th = A.z
     assert extended_lie_derivative(x, A) == sx.mul(sx.NEG_ONE, th, x)
 
 
@@ -69,15 +69,15 @@ def test_lie_c2m_a_output_by_hand_chain_rule():
     y = A.outputs[0]  # x1/V
     got = extended_lie_derivative(y, A)
     # (dphi/dx1) * F_x1 with dphi/dx1 = 1/V
-    by_hand = sx.div(A.F[0], sx.sym(md.params[3]))
+    by_hand = sx.div(A.F[0], md.params[3])
     assert got is by_hand
 
 
 def test_lie_constant_input_contributes_no_derivative_terms():
     src = "model m\nstates x\ninputs u constant\nddt x = -x + u\noutput y = u*x\n"
     A = _aug(src)
-    u = sx.sym(A.model.known_inputs[0].symbol)
-    x = sx.sym(A.z[0])
+    u = A.model.known_inputs[0].symbol
+    x = A.z[0]
     # L(u*x) = u * (-x + u); no u' term because u is constant
     assert extended_lie_derivative(A.outputs[0], A) is u * (-x + u)
 
@@ -86,16 +86,16 @@ def test_lie_generic_input_introduces_next_derivative():
     src = "model m\nstates x\ninputs u\nddt x = -x + u\noutput y = u*x\n"
     A = _aug(src)
     spec = A.model.known_inputs[0]
-    u, u1 = sx.sym(spec.symbol), sx.sym(spec.symbol.derivative(1))
-    x = sx.sym(A.z[0])
+    u, u1 = spec.symbol, spec.symbol.derivative(1)
+    x = A.z[0]
     assert extended_lie_derivative(A.outputs[0], A) is u * (-x + u) + u1 * x
 
 
 def test_lie_time_moves_at_rate_one():
     src = "model m\nstates x\nparams th\nddt x = -th*x + sin(t)\noutput y = x\n"
     A = _aug(src)
-    x, th = (sx.sym(s) for s in A.z)
-    t = sx.sym(sx.TIME)
+    x, th = A.z
+    t = sx.TIME
     # L(-th*x + sin(t)) = -th*(-th*x + sin(t)) + cos(t)
     got = extended_lie_derivative(A.F[0], A)
     assert got is -th * A.F[0] + sx.cos(t)
@@ -186,7 +186,7 @@ def test_derivation_builds_only_what_its_rows_reach(corpus_entries, monkeypatch)
 def test_gradient_rows_decay_level1():
     A = _aug(DECAY)
     rows = _gradient_matrix(LieCache(A), 1)
-    x, th = (sx.sym(s) for s in A.z)
+    x, th = A.z
     assert (len(rows), len(rows[0])) == (2, 2)
     assert rows[0] == [sx.ONE, sx.ZERO]
     assert rows[1] == [sx.mul(sx.NEG_ONE, th), sx.mul(sx.NEG_ONE, x)]
@@ -202,8 +202,8 @@ def test_gradient_rows_level0_has_m_rows(corpus_entries):
 def test_gradient_rows_sumrates_identical_param_columns():
     A = _aug(SUMRATES)
     rows = _gradient_matrix(LieCache(A), 1)
-    x = sx.sym(A.z[0])
-    th1, th2 = sx.sym(A.z[1]), sx.sym(A.z[2])
+    x = A.z[0]
+    th1, th2 = A.z[1], A.z[2]
     assert rows[0] == [sx.ONE, sx.ZERO, sx.ZERO]
     minus_x = sx.mul(sx.NEG_ONE, x)
     assert rows[1] == [-(th1 + th2), minus_x, minus_x]
@@ -426,7 +426,7 @@ def test_transcendental_warning_only_when_a_row_reads_one(output, warns):
 X, Y, TH = sx.state("x"), sx.state("y"), sx.param("th")
 Z = (X, Y, TH)
 INDEX = {s: j for j, s in enumerate(Z)}
-x, y, th = (sx.sym(s) for s in Z)
+x, y, th = Z
 
 
 XYTH = _aug("model xyth\nstates x y\nparams th\nddt x = -th*x\nddt y = x\noutput o = x\n")
@@ -478,7 +478,7 @@ def _assert_sweep_matches(phi):
     sx.sin(x * th) * sx.cos(x * th) + sx.cos(x * th) ** 2,
     sx.exp(sx.ln(x) * th) / (y + sx.exp(sx.ln(x) * th)),
     x ** -2 * y + th / (x + y) + (x + th) ** -3,
-    x + sx.exp(sx.sym(sx.TIME)) + sx.sin(sx.sym(sx.known_input("u"))) * y,
+    x + sx.exp(sx.TIME) + sx.sin(sx.known_input("u")) * y,
 ], ids=["ln", "exp", "sin-cos", "sin-cos-one-arg", "hill", "negative-powers",
         "transcendental-off-z"])
 def test_grad_row_matches_symbolic_gradient(phi):
@@ -543,9 +543,9 @@ def test_undefined_value_is_read_at_a_later_level():
     # a row after them whose product reads s fails the point, as its
     # symbolic row does.
     A = _input_zero_model("x")
-    x, th = (sx.sym(s) for s in A.z)
-    u = sx.sym(A.model.known_inputs[0].symbol)
-    c = _TrialPoint(0, 0, 0, P)[A.model.known_inputs[0].symbol]
+    x, th = A.z
+    u = A.model.known_inputs[0].symbol
+    c = _TrialPoint(0, 0, 0, P)[u]
     s = x + 1 / (u - c)
     defined = th ** 2 * th ** 3 * x ** 3 * x ** 5 * (th + 1) ** 2
     ref = _Reference(0, 0, 0, P)
@@ -662,7 +662,7 @@ def _check_restarts(name, p, seed):
     r = rep.rank
     deleted = [deleted_column_ranks(got, p) for got in numeric if rank_mod_p(got, p) == r]
     identifiable = [all(d[j] == r - 1 for d in deleted) for j in range(A.n_z)]
-    assert rep.verdicts == {s.name: verdict_for(s.kind.value, ok)
+    assert rep.verdicts == {s.name: verdict_for(s.kind, ok)
                             for s, ok in zip(A.z, identifiable)}, name
 
 

@@ -18,7 +18,7 @@ P = 2147483647
 X = sx.state("x")
 Y = sx.state("y")
 TH = sx.param("th")
-xx, yy, th = sx.sym(X), sx.sym(Y), sx.sym(TH)
+xx, yy, th = X, Y, TH
 
 
 def rand_point(rng, p=P):
@@ -40,7 +40,9 @@ def _construct(e, kids):
         return sx.pow_(kids[0], e.exponent)
     if isinstance(e, sx.Func):
         return sx.func(e.fname, kids[0])
-    return sx.const(e.value) if isinstance(e, sx.Const) else sx.sym(e.symbol)
+    if isinstance(e, sx.Symbol):
+        return sx.symbol(e.name, e.kind, e.base, e.order)
+    return sx.const(e.value)
 
 
 def _canonical(raw):
@@ -50,12 +52,12 @@ def _canonical(raw):
 
 
 def test_simplify_additive_identity():
-    raw = sx.Add((sx.Sym(X), sx.Const(0)))
+    raw = sx.Add((X, sx.Const(0)))
     assert _canonical(raw) is xx
 
 
 def test_simplify_constant_folding():
-    raw = sx.Mul((sx.Const(Fraction(2, 4)), sx.Sym(X), sx.Const(1)))
+    raw = sx.Mul((sx.Const(Fraction(2, 4)), X, sx.Const(1)))
     assert _canonical(raw) is sx.mul(sx.const(Fraction(1, 2)), xx)
 
 
@@ -63,13 +65,13 @@ def test_simplify_merges_powers():
     e = sx.mul(xx, sx.pow_(xx, 2))
     assert e is sx.pow_(xx, 3)
     # value check via independent mod-p evaluation at x = 3
-    lhs = oracles.eval_plain_mod_p(sx.Mul((sx.Sym(X), sx.Pow(sx.Sym(X), 2))), {X: 3}, P)
+    lhs = oracles.eval_plain_mod_p(sx.Mul((X, sx.Pow(X, 2))), {X: 3}, P)
     rhs = sx.eval_mod_p(e, {X: 3}, P)
     assert lhs == rhs
 
 
 def test_simplify_idempotent_on_examples():
-    x, y = sx.Sym(X), sx.Sym(Y)
+    x, y = X, Y
     samples = [
         sx.Add((x, sx.Const(0), sx.Add((y, sx.Const(2))))),
         sx.Mul((sx.Const(3), sx.Pow(x, 2), sx.Mul((x, y)))),
@@ -202,7 +204,7 @@ def test_raw_tree_equals_its_canonical_twin():
     # A raw tree is plain data: it is never its canonical twin, though it
     # has the twin's digest and text, and folding it through the smart
     # constructors gives the twin.
-    raw = sx.Mul((sx.Sym(X), sx.Pow(sx.Sym(Y), 2)))
+    raw = sx.Mul((X, sx.Pow(Y, 2)))
     canon = xx * yy ** 2
     assert raw != canon and raw not in {canon}
     assert raw.shash == canon.shash and sx.to_string(raw) == sx.to_string(canon)
@@ -211,8 +213,8 @@ def test_raw_tree_equals_its_canonical_twin():
 
 
 def _reversed_raw(e):
-    """A raw copy of e, leaves too, whose every sum and product lists its
-    children in reverse."""
+    """A raw copy of e, constants too, whose every sum and product lists
+    its children in reverse; a symbol is kept."""
     kids = tuple(_reversed_raw(c) for c in reversed(sx.children(e)))
     if isinstance(e, (sx.Add, sx.Mul)):
         return type(e)(kids)
@@ -220,7 +222,7 @@ def _reversed_raw(e):
         return sx.Pow(kids[0], e.exponent)
     if isinstance(e, sx.Func):
         return sx.Func(e.fname, kids[0])
-    return sx.Const(e.value) if isinstance(e, sx.Const) else sx.Sym(e.symbol)
+    return sx.Const(e.value) if isinstance(e, sx.Const) else e
 
 
 @pytest.mark.parametrize("build", [
@@ -233,7 +235,7 @@ def test_raw_node_in_any_child_order_is_its_canonical_twin(build):
     # them in any other order return the same node, and a raw copy that
     # lists them in reverse, its own children raw and reversed too, has the
     # same digest and text and folds to that node.
-    canon = build(*(sx.sym(s) for s in (X, Y, TH)))
+    canon = build(X, Y, TH)
     kids = sx.children(canon)
     for order in [kids[i:] + kids[:i] for i in range(1, len(kids))] + [kids[::-1]]:
         assert _construct(canon, order) is canon
@@ -256,10 +258,23 @@ def test_structural_hash_separates_small_integers():
     assert len(set(map(id, nodes))) == len(nodes)
 
 
+def test_a_variable_is_one_interned_node():
+    assert sx.state("x") is X and sx.symbol("x", sx.SymbolKind.STATE) is X
+    assert sx.known_input("u").derivative(2) is sx.known_input("u", 2)
+    assert sx.known_input("u").derivative(0) is sx.known_input("u")
+    assert sx.state("x") is not sx.param("x")
+    assert sx.known_input("u", 2).name == "u''" and sx.known_input("u", 4).name == "u^(4)"
+    with pytest.raises(ValueError, match="not an input symbol"):
+        X.derivative(1)
+
+
 def test_constructors_reject_a_node_that_no_constructor_interned():
-    raw = sx.Mul((sx.Sym(X), sx.Sym(Y)))
+    raw = sx.Mul((X, Y))
+    leaf = sx.Symbol("x", sx.SymbolKind.STATE, "x", 0)
     for build in (lambda: sx.add(raw, xx), lambda: sx.mul(yy, raw), lambda: sx.pow_(raw, 2),
-                  lambda: sx.ln(raw), lambda: raw + 1, lambda: sx.eval_mod_p(raw, {X: 1, Y: 2}, P)):
+                  lambda: sx.ln(raw), lambda: raw + 1, lambda: sx.eval_mod_p(raw, {X: 1, Y: 2}, P),
+                  lambda: sx.add(leaf, xx), lambda: sx.mul(yy, leaf),
+                  lambda: sx.eval_mod_p(leaf, {X: 1}, P)):
         with pytest.raises(TypeError, match="not built by a smart constructor"):
             build()
 
@@ -284,7 +299,7 @@ def test_rebuilding_an_expression_builds_no_node(monkeypatch):
 
 def test_expression_built_before_clear_caches_equals_its_rebuild():
     def build():
-        x, y, t = sx.sym(X), sx.sym(Y), sx.sym(TH)
+        x, y, t = X, Y, TH
         return sx.div(sx.ln(x * y + t), 3 * x ** 2 + 1)
 
     before = build()
@@ -395,7 +410,7 @@ def test_int_constant_is_the_fraction_constant(n, int_first):
     assert type(c.value) is Fraction and c.value == n
 
 
-# Bases of the product-rule cases: a Sym, a Func and an Add, each canonical.
+# Bases of the product-rule cases: a Symbol, a Func and an Add, each canonical.
 _BASES = (xx, yy, th, sx.add(xx, th), sx.exp(yy))
 _COEFFS = (1, -1, 2, Fraction(-3, 2), Fraction(1, 2))
 
@@ -479,7 +494,7 @@ def _rand_raw_expr(rng, depth):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return sx.Const(Fraction(rng.randrange(-6, 7), rng.randrange(1, 5)))
-        return sx.Sym(rng.choice(SYMS))
+        return rng.choice(SYMS)
     kind = rng.randrange(4)
     if kind == 0:
         return sx.Add(tuple(_rand_raw_expr(rng, depth - 1)
