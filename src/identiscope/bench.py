@@ -7,13 +7,12 @@ rationality and (when settled) frozen consensus verdicts.
 Models whose published ground truth is disputed are tagged ``contested``;
 the harness reports their verdicts but never asserts them.
 
-``run_corpus`` analyzes every applicable (model, engine) pair with a
-wall-clock budget per (model, engine) pair: the finite-field engine is
-recorded as "na" on non-rational models, a timeout produces a timeout
-record with no partial verdicts, and any other failure becomes an error
-record, as does a model file that does not load.  Model names in a corpus
-must be unique: consensus groups reports by model name, so a file whose
-model name an earlier file declares gives error records too.
+``run_corpus`` analyzes every applicable (model, engine) pair, each within
+its own wall-clock budget, and records a pair that fails (``failure_record``:
+na, timeout or error, with no partial verdicts) instead of raising.  A model
+file that does not load, or whose model name an earlier file declares
+(consensus groups reports by model name), gives error records named after
+the file (``b.idm``), which no model name can equal.
 ``compare_engines`` then marks per-model consensus, which is the
 correctness criterion for engines that share no code path.
 """
@@ -23,14 +22,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 from ._linalg import Options, check_settings
 from .errors import (DuplicateDeclaration, EngineTimeout, IdentiscopeError, ModelError,
-                     NonRationalExpr)
+                     NonRationalExpr, deadline_after)
 from .ffprob import analyze_ffprob
 from .lie_orc import analyze_symbolic
 from .model import ModelDef, load_model
@@ -79,11 +77,9 @@ def run_corpus(directory=None, engines: tuple[str, ...] = ENGINES, opts: Options
     """Analyze every corpus model with every requested engine, each
     (model, engine) pair within ``timeout_s`` of its start.
 
-    Each model file is parsed once for all engines.  Results are ordered by
-    (model, engine); failures become error/timeout/na records rather than
-    exceptions, and a file that does not load gives one error record per
-    engine, named after the file's stem, as does a file whose model name a
-    file before it (in sorted order) declares.  Settings that
+    Each model file is parsed once for all engines, in sorted order.
+    Results are ordered by (model, engine), and a pair or a file that fails
+    gives records as the module docstring sets out.  Settings that
     ``check_settings`` rejects raise ValueError, and a ``directory`` that is
     not one raises NotADirectoryError, before any pair runs.
     """
@@ -101,12 +97,12 @@ def run_corpus(directory=None, engines: tuple[str, ...] = ENGINES, opts: Options
             if first != path.name:
                 raise DuplicateDeclaration(f"model name {md.name!r} is also declared by {first}")
         except (ModelError, OSError, UnicodeDecodeError) as exc:
-            reports += [failure_record(path.stem, engine, opts.seed, exc) for engine in engines]
+            reports += [failure_record(path.name, engine, opts.seed, exc) for engine in engines]
             continue
         for engine in engines:
-            deadline = None if timeout_s is None else time.monotonic() + timeout_s
             try:
-                reports.append(analyze(md, engine, replace(opts, deadline=deadline)))
+                reports.append(analyze(md, engine,
+                                       replace(opts, deadline=deadline_after(timeout_s))))
             except IdentiscopeError as exc:
                 reports.append(failure_record(md.name, engine, opts.seed, exc))
     reports.sort(key=lambda r: (r.model, r.engine))

@@ -19,14 +19,13 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import replace
 from typing import NoReturn
 
 from . import bench as bench_mod
 from . import symexpr as sx
 from ._linalg import MAX_PRIME, Options
-from .errors import IdentiscopeError, ModelError, NonRationalExpr
+from .errors import IdentiscopeError, ModelError, NonRationalExpr, deadline_after
 from .ffprob import DEFAULT_PRIMES, DEFAULT_TRIALS_PER_PRIME
 from .lie_orc import DEFAULT_TRIALS
 from .model import augment, load_model
@@ -155,8 +154,7 @@ def _print_report(r: AnalysisReport):
 def cmd_analyze(args) -> int:
     opts, engines = _run_settings(args)
     md = _load(args.model)
-    deadline = None if args.timeout_s is None else time.monotonic() + args.timeout_s
-    opts = replace(opts, deadline=deadline)
+    opts = replace(opts, deadline=deadline_after(args.timeout_s))  # one for both engines
     reports = []
     for engine in engines:
         try:

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one clock of a run."""
 
 import time
+from dataclasses import dataclass, field
 
 
 class IdentiscopeError(Exception):
@@ -34,10 +35,26 @@ class EngineTimeout(IdentiscopeError):
     """An analysis exceeded its wall-clock deadline."""
 
 
-def check_deadline(deadline: float | None) -> None:
-    """Raise EngineTimeout once ``time.monotonic()`` has passed the deadline."""
-    if deadline is not None and time.monotonic() > deadline:
-        raise EngineTimeout("analysis exceeded its wall-clock bound")
+def deadline_after(timeout_s: float | None) -> float | None:
+    """The ``time.monotonic()`` deadline ``timeout_s`` from now; None for none."""
+    return None if timeout_s is None else time.monotonic() + timeout_s
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """The clock of one analysis: its deadline, an absolute
+    ``time.monotonic()`` bound or None for an unbounded run, and its start."""
+
+    deadline: float | None = None
+    start: float = field(default_factory=time.perf_counter, init=False, repr=False)
+
+    def check(self) -> None:
+        """Raise EngineTimeout once the deadline has passed."""
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise EngineTimeout("analysis exceeded its wall-clock bound")
+
+    def elapsed_ms(self) -> float:
+        return (time.perf_counter() - self.start) * 1e3
 
 
 class ModelError(IdentiscopeError):

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,7 +61,7 @@ import numpy as np
 
 from . import _linalg, _rng
 from . import symexpr as sx
-from .errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted, check_deadline
+from .errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted, RunContext
 from .model import AugmentedSystem, ModelDef, augment, CONSTANT
 from .report import FFPROB, FULL_RANK, MAX_LEVEL, SATURATION, AnalysisReport, ok_report
 from .symexpr import Expr, Symbol
@@ -610,7 +609,7 @@ def _start(A: AugmentedSystem, sw: _Sweep, runs: list[_Run], seed: int) -> None:
 
 
 def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, max_level: int,
-                deadline: float | None = None) -> _linalg.Echelons:
+                ctx: RunContext | None = None) -> _linalg.Echelons:
     """Grow every run's output Jacobian one block per series order, all runs
     in one sweep; returns their echelon forms, form b being run b's.
     Block k is the order-k tangent of the h nodes, and one
@@ -618,14 +617,15 @@ def _sweep_runs(A: AugmentedSystem, runs: list[_Run], seed: int, max_level: int,
     a run that has stopped takes a block of zeros, which leaves its form
     unchanged.  A run stops when its rank reaches n_z (full_rank), when a
     block k > 0 leaves it unchanged (saturation), or at block ``max_level``
-    (max_level); the sweep ends when every run has stopped.  Past order 0,
-    an order's second phase runs only if some run goes on."""
-    n_z = A.n_z
+    (max_level); the sweep ends when every run has stopped.  The run context
+    ``ctx`` (unbounded if None) is checked before each order, and past order
+    0 an order's second phase runs only if some run goes on."""
+    n_z, ctx = A.n_z, ctx or RunContext()
     tape = _Tape(A)
     sw = _Sweep(tape, [run.prime for run in runs], max_level)
     forms = _linalg.Echelons(n_z, [run.prime for run in runs])
     for k in range(max_level + 1):
-        check_deadline(deadline)
+        ctx.check()
         if k == 0:
             _start(A, sw, runs, seed)
         else:
@@ -667,13 +667,13 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
     primes = DEFAULT_PRIMES if opts.primes is None else opts.primes
     trials = DEFAULT_TRIALS_PER_PRIME if opts.trials is None else opts.trials
     _linalg.check_settings(primes, trials, opts.max_level)
-    t0 = time.perf_counter()
+    ctx = RunContext(opts.deadline)
     _require_rational(md)
     A = augment(md)
     max_level = opts.max_level if opts.max_level is not None else A.n_z - 1
 
     runs = [_Run(p, trial) for p in primes for trial in range(trials)]
-    forms = _sweep_runs(A, runs, opts.seed, max_level, opts.deadline)
+    forms = _sweep_runs(A, runs, opts.seed, max_level, ctx)
 
     ranks = forms.ranks
     if max(ranks) == A.n_z:
@@ -683,5 +683,5 @@ def analyze_ffprob(md: ModelDef, opts: FfprobOptions | None = None) -> AnalysisR
     else:
         stop = MAX_LEVEL
     per_prime = {str(p): ranks[i * trials:(i + 1) * trials] for i, p in enumerate(primes)}
-    return ok_report(FFPROB, A, forms, stop, t0, [], per_prime_ranks=per_prime,
+    return ok_report(FFPROB, A, forms, stop, ctx, [], per_prime_ranks=per_prime,
                      seed=opts.seed, primes=list(primes), trials=trials)

@@ -37,14 +37,13 @@ whenever the rows read such a subterm.
 from __future__ import annotations
 
 import bisect
-import time
 from collections.abc import Callable, Iterable
 
 import numpy as np
 
 from . import _linalg, _rng
 from . import symexpr as sx
-from .errors import DivisionByZeroModP, RetriesExhausted, check_deadline
+from .errors import DivisionByZeroModP, RetriesExhausted, RunContext
 from .model import AugmentedSystem, ModelDef, augment, GENERIC
 from .report import FULL_RANK, MAX_LEVEL, SATURATION, SYMBOLIC, AnalysisReport, ok_report
 from .symexpr import Expr, Symbol, SymbolKind
@@ -93,14 +92,13 @@ class LieCache:
     one memo of node derivatives, so each level reuses the derivatives of
     the subtrees it shares with the level below.  The cache holds no random
     point: the numeric rows belong to the analysis's one ``_Trials`` batch.
-    The optional deadline is checked between per-output derivations and
-    inside each derivation walk, so oversized models hit their wall-clock
-    bound promptly.
+    The run context ``ctx`` (unbounded if None) is checked before each
+    output's derivation and inside its walk, so a budget stops it promptly.
     """
 
-    def __init__(self, A: AugmentedSystem, deadline: float | None = None):
+    def __init__(self, A: AugmentedSystem, ctx: RunContext | None = None):
         self.A = A
-        self.deadline = deadline
+        self.ctx = ctx or RunContext()
         self.lies: list[list[Expr]] = [list(A.outputs)]
         self._derivs: dict = {}  # sx.derivative's memo
 
@@ -108,9 +106,9 @@ class LieCache:
         while len(self.lies) <= k:
             nxt = []
             for phi in self.lies[-1]:
-                check_deadline(self.deadline)
+                self.ctx.check()
                 nxt.append(extended_lie_derivative(phi, self.A, self._derivs,
-                                                   deadline=self.deadline))
+                                                   check=self.ctx.check))
             self.lies.append(nxt)
 
 
@@ -204,7 +202,7 @@ class _Trials:
         failed: dict[int, RetriesExhausted] = {}
         while self.points and self.n_rows < n:
             cache.ensure_level((n - 1) // m)
-            check_deadline(cache.deadline)
+            cache.ctx.check()
             rows = [cache.lies[r // m][r % m] for r in range(n)]
             bad = self._evaluate(rows[self.n_rows:])
             if not bad:
@@ -281,7 +279,7 @@ class _Trials:
         bad = np.zeros(len(points), dtype=bool)
         for h, kind in sorted(waves):
             for chunk in _chunks(waves[h, kind], kind):
-                check_deadline(self.cache.deadline)
+                self.cache.ctx.check()
                 locs, items = zip(*chunk)
                 locs = list(locs)
                 if kind == _SYM:
@@ -541,17 +539,16 @@ def _field_rate(A: AugmentedSystem) -> Callable[[Symbol], Expr]:
 
 def extended_lie_derivative(phi: Expr, A: AugmentedSystem,
                             memo: dict | None = None, *,
-                            deadline: float | None = None) -> Expr:
+                            check: Callable[[], None] | None = None) -> Expr:
     """Derivative of phi along the augmented vector field.
 
     (dphi/dz) . F  +  sum_j dphi/du^(j) * u^(j+1)  +  dphi/dt,
     with u^(j+1) identically zero for constant-mode known inputs, taken by
     one directional walk over phi's DAG.  ``memo`` may be kept across calls
     for the same A, since the field's rates depend on A only.  The walk
-    raises EngineTimeout once ``deadline`` has passed.
+    calls ``check`` as ``sx.derivative`` does.
     """
-    return sx.derivative(phi, _field_rate(A), {} if memo is None else memo,
-                         deadline=deadline)
+    return sx.derivative(phi, _field_rate(A), {} if memo is None else memo, check=check)
 
 
 def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> AnalysisReport:
@@ -571,16 +568,15 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     primes = (DEFAULT_PRIME,) if opts.primes is None else opts.primes
     trials = DEFAULT_TRIALS if opts.trials is None else opts.trials
     _linalg.check_settings(primes, trials, opts.max_level, floor=1)
-    t0 = time.perf_counter()
+    ctx = RunContext(opts.deadline)
     A = augment(md)
     n_z, m = A.n_z, len(A.outputs)
     max_level = opts.max_level if opts.max_level is not None else max(n_z - 1, 0)
-    batch = _Trials(LieCache(A, deadline=opts.deadline), range(trials), opts.seed, primes[0])
+    batch = _Trials(LieCache(A, ctx), range(trials), opts.seed, primes[0])
 
     ranks: list[int] = []
     stop = MAX_LEVEL
     for k in range(max_level + 1):
-        check_deadline(opts.deadline)
         batch.grow((k + 1) * m)
         r = max(batch.forms.ranks)
         ranks.append(r)
@@ -599,5 +595,5 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     if any(spec.mode == GENERIC for spec in md.known_inputs):
         warnings.append(
             f"known-input derivatives materialized up to order {len(ranks) - 1}")
-    return ok_report(SYMBOLIC, A, batch.forms, stop, t0, warnings, ranks_by_level=ranks,
+    return ok_report(SYMBOLIC, A, batch.forms, stop, ctx, warnings, ranks_by_level=ranks,
                      seed=opts.seed, primes=[primes[0]], trials=trials)

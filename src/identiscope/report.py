@@ -9,10 +9,10 @@ order, the words a report may carry are the tuples below, and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ._linalg import Echelons
+from .errors import RunContext
 from .model import AugmentedSystem
 from .symexpr import SymbolKind
 
@@ -163,15 +163,14 @@ def verdict_for(kind: SymbolKind, identifiable: bool) -> str:
     return RECONSTRUCTIBLE if identifiable else UNRECONSTRUCTIBLE
 
 
-def ok_report(engine: str, A: AugmentedSystem, forms: Echelons, stop: str, t0: float,
+def ok_report(engine: str, A: AugmentedSystem, forms: Echelons, stop: str, ctx: RunContext,
               warnings: list[str], **fields) -> AnalysisReport:
     """The ok report of an engine's analysis of A, from its final echelon
     forms: the rank is the largest form rank, and entry j is identifiable
     when column j is independent of the others in every form at that rank.
     ``fields`` are the engine's own (seed, primes, trials, and its ranks by
     level or per prime).  The model's unknown-input and ic warnings are
-    appended to the engine's ``warnings``.  ``t0`` is the analysis'
-    ``perf_counter`` start."""
+    appended to the engine's ``warnings``, and the wall time is ``ctx``'s."""
     md, ranks = A.model, forms.ranks
     rank = max(ranks)
     identifiable = forms.independent_columns()[[r == rank for r in ranks]].all(0).tolist()
@@ -186,7 +185,7 @@ def ok_report(engine: str, A: AugmentedSystem, forms: Echelons, stop: str, t0: f
         rank=rank,
         verdicts={s.name: verdict_for(s.kind, ok) for s, ok in zip(A.z, identifiable)},
         stop_reason=stop,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3,
+        wall_time_ms=ctx.elapsed_ms(),
         warnings=warnings,
         **fields,
     )

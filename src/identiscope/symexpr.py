@@ -41,12 +41,6 @@ were first built, so nothing visible reads it.  Where order shows, in
 ``structural_order``: by kind, then by name and exponent, then by digest.
 The digest is computed only where it is read, by that order and by the
 rank engine's tags for transcendental nodes.
-
-``derivative`` builds only the nodes that its result reaches.  A
-product-rule term stays unbuilt, as the (coefficient, core) pair into which
-``add`` splits a product, until it survives the merge of like terms, and the
-derivative of a product stays in the walk's memo as a tuple of such terms
-until something reads it as a node; a parent sum only flattens it.
 """
 
 from __future__ import annotations
@@ -60,7 +54,7 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from ._rng import blake2b
-from .errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr, check_deadline
+from .errors import DivisionByZero, DivisionByZeroModP, NonRationalExpr
 
 
 class SymbolKind(enum.Enum):
@@ -663,9 +657,9 @@ def first_transcendental(e: Expr) -> Expr | None:
 # Differentiation
 # --------------------------------------------------------------------------
 
-# New memo entries between two deadline checks of ``derivative``; a_thaliana's
+# New memo entries between two ``check`` calls of ``derivative``; a_thaliana's
 # deepest levels spend 150-180 us per entry, so about 40 ms.
-_DEADLINE_EVERY = 256
+_CHECK_EVERY = 256
 
 
 def _base_positions(fs: tuple) -> dict[Expr, int]:
@@ -729,7 +723,7 @@ def _product_term(fs: tuple, i: int, df: Expr, where: dict[Expr, int]):
 
 
 def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict, *,
-               deadline: float | None = None) -> Expr:
+               check: Callable[[], None] | None = None) -> Expr:
     """Directional derivative of ``e``: the sum over symbols s of
     de/ds * rate(s).
 
@@ -746,9 +740,8 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict, *,
     terms, which a parent sum flattens; its node is built the first time it
     is read as a node: as a factor, a Pow or Func argument, or the result.
     A memo value may thus be such a tuple, which a caller only passes back.
-    The result is canonical.  With a ``deadline`` (a
-    ``time.monotonic()`` bound) the walk raises EngineTimeout once it has
-    passed, checked every ``_DEADLINE_EVERY`` new memo entries.
+    The result is canonical.  The walk calls ``check``, if given, every
+    ``_CHECK_EVERY`` new memo entries; what it raises stops the walk.
     """
 
     def node_of(node: Expr) -> Expr:
@@ -798,8 +791,8 @@ def derivative(e: Expr, rate: Callable[[Symbol], Expr], memo: dict, *,
                 factor, sign = func_factor(node)
                 d = mul(sign, factor, da)
         memo[node] = d
-        if deadline is not None and len(memo) % _DEADLINE_EVERY == 0:
-            check_deadline(deadline)
+        if check is not None and len(memo) % _CHECK_EVERY == 0:
+            check()
         return d
 
     try:

@@ -64,6 +64,27 @@ def test_library_modules_use_every_name_they_import():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+def test_only_errors_reads_the_clock():
+    # errors.RunContext and errors.deadline_after are the one place where
+    # the package reads the time.
+    for path in sorted(Path(identiscope.__file__).parent.glob("*.py")):
+        names = [a.name for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for a in node.names if "time" in (a.name, getattr(node, "module", None))]
+        assert names == ([] if path.name != "errors.py" else ["time"]), path.name
+
+
+def test_no_function_takes_a_deadline():
+    # An engine turns Options.deadline into a RunContext at its entry and
+    # passes that on, never the float.
+    for path in sorted(Path(identiscope.__file__).parent.glob("*.py")):
+        params = [(node.name, a.arg) for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  for a in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+                  if a.arg == "deadline"]
+        assert params == [], path.name
+
+
 # The texts of the settings check; each is written in one module only.
 SETTINGS_MESSAGES = ("at least one prime is required", "is not a prime in", "is repeated",
                      "trials must be >= 1", "max_level must be >= 0", "timeout_s must be")
@@ -227,16 +248,17 @@ def test_run_corpus_records_a_file_that_does_not_load(mini_corpus, monkeypatch):
     assert sorted(loaded) == ["bad_file.idm", "binary.idm", "c2m_a.idm", "c2m_b.idm",
                               "competition.idm", "folder.idm"]
     assert len(reports) == 12
-    for name, error in [("bad_file", "UndeclaredSymbol: "), ("binary", "UnicodeDecodeError: "),
-                        ("folder", "IsADirectoryError: ")]:
+    for name, error in [("bad_file.idm", "UndeclaredSymbol: "),
+                        ("binary.idm", "UnicodeDecodeError: "),
+                        ("folder.idm", "IsADirectoryError: ")]:
         bad = [r for r in reports if r.model == name]
         assert [(r.engine, r.status) for r in bad] == [("ffprob", "error"), ("symbolic", "error")]
         for r in bad:
             assert r.error.startswith(error) and r.verdicts is None and r.rank is None
     consensus = compare_engines(reports)
     assert {c.model: c.agreement for c in consensus} == {
-        "bad_file": "unconfirmed", "binary": "unconfirmed", "c2m_a": "agree", "c2m_b": "agree",
-        "competition": "unconfirmed", "folder": "unconfirmed"}
+        "bad_file.idm": "unconfirmed", "binary.idm": "unconfirmed", "c2m_a": "agree",
+        "c2m_b": "agree", "competition": "unconfirmed", "folder.idm": "unconfirmed"}
     jsonschema.validate(json.loads(emit_report(reports, consensus)), REPORT_SCHEMA)
 
 
@@ -248,7 +270,8 @@ def test_run_corpus_records_a_model_that_does_not_parse(tmp_path):
         (tmp_path / f"{name}.idm").write_text(UNDECLARED.replace("-k*x*q", rhs))
     reports = run_corpus(tmp_path)
     assert [(r.model, r.engine, r.status) for r in reports] == [
-        (name, engine, "error") for name in sorted(body) for engine in ("ffprob", "symbolic")]
+        (f"{name}.idm", engine, "error") for name in sorted(body)
+        for engine in ("ffprob", "symbolic")]
     assert all(r.error.startswith("ModelSyntaxError: line 4, col ") for r in reports)
 
 
@@ -261,13 +284,30 @@ def test_run_corpus_records_a_second_file_with_the_same_model_name(tmp_path):
         "model toy\nstates x\nparams k j\nddt x = -k*j*x\noutput y = x\n")
     reports = run_corpus(tmp_path)
     assert [(r.model, r.engine, r.status) for r in reports] == [
-        ("b", "ffprob", "error"), ("b", "symbolic", "error"),
+        ("b.idm", "ffprob", "error"), ("b.idm", "symbolic", "error"),
         ("toy", "ffprob", "ok"), ("toy", "symbolic", "ok")]
     for r in reports[:2]:
         assert r.error == "DuplicateDeclaration: model name 'toy' is also declared by a.idm"
     assert {c.model: c.agreement for c in compare_engines(reports)} == {
-        "b": "unconfirmed", "toy": "agree"}
+        "b.idm": "unconfirmed", "toy": "agree"}
     assert cli.main(["bench", str(tmp_path), "--require-consensus"]) == 0
+
+
+def test_a_failed_file_is_not_named_after_another_files_model(tmp_path, capsys):
+    # a.idm declares model b, and b.idm does not parse.  b.idm's records are
+    # named after the file, which has a dot, so no model name can equal it.
+    (tmp_path / "a.idm").write_text("model b\nstates x\nparams k\nddt x = -k*x\noutput y = x\n")
+    (tmp_path / "b.idm").write_text(UNDECLARED)
+    reports = run_corpus(tmp_path)
+    assert [(r.model, r.engine, r.status) for r in reports] == [
+        ("b", "ffprob", "ok"), ("b", "symbolic", "ok"),
+        ("b.idm", "ffprob", "error"), ("b.idm", "symbolic", "error")]
+    assert {c.model: c.agreement for c in compare_engines(reports)} == {
+        "b": "agree", "b.idm": "unconfirmed"}
+    assert cli.main(["bench", str(tmp_path), "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "b,ffprob,ok,2,2,0.0", "b,symbolic,ok,2,2,0.0",
+        "b.idm,ffprob,error,,,0.0", "b.idm,symbolic,error,,,0.0"]
 
 
 @pytest.mark.parametrize("engine", bench.ENGINES)
@@ -326,11 +366,14 @@ def test_run_corpus_empty_dir(tmp_path):
     assert run_corpus(tmp_path) == []
 
 
-def test_run_corpus_timeout_record_has_no_verdicts(mini_corpus):
-    reports = run_corpus(mini_corpus, ("symbolic",), timeout_s=1e-9)
+@pytest.mark.parametrize("engine", bench.ENGINES)
+def test_run_corpus_timeout_record_has_no_verdicts(mini_corpus, engine):
+    reports = run_corpus(mini_corpus, (engine,), timeout_s=1e-9)
     assert reports
     for r in reports:
-        assert r.status == "timeout"
+        # ffprob rejects the non-rational model before its run starts.
+        na = engine == "ffprob" and r.model == "competition"
+        assert r.status == ("na" if na else "timeout")
         assert r.verdicts is None and r.rank is None
 
 

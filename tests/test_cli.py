@@ -152,9 +152,10 @@ def test_usage_error_exit_2():
     assert res.returncode == 2
 
 
-def test_analyze_timeout_exits_1(toy_path):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_analyze_timeout_exits_1(toy_path, engine):
     res = run_cli("analyze", str(corpus_dir() / "gene_p53.idm"),
-                  "--engine", "symbolic", "--timeout-s", "0.000001")
+                  "--engine", engine, "--timeout-s", "0.000001")
     assert res.returncode == 1
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error"] == "EngineTimeout"
@@ -235,14 +236,14 @@ def test_bench_records_a_model_that_does_not_load(tmp_path):
     res = run_cli("bench", str(d), "--json", str(out), "--require-consensus")
     assert res.returncode == 0, res.stderr
     assert "Traceback" not in res.stderr
-    assert "bad_file               ffprob    error    rank -" in res.stdout.splitlines()
+    assert "bad_file.idm           ffprob    error    rank -" in res.stdout.splitlines()
     doc = json.loads(out.read_text())
     jsonschema.validate(doc, REPORT_SCHEMA)
-    bad = [r for r in doc["reports"] if r["model"] == "bad_file"]
+    bad = [r for r in doc["reports"] if r["model"] == "bad_file.idm"]
     assert [(r["engine"], r["status"]) for r in bad] == [("ffprob", "error"), ("symbolic", "error")]
     assert all(r["error"].startswith("UndeclaredSymbol: ") for r in bad)
     assert {c["model"]: c["agreement"] for c in doc["consensus"]} == {
-        "bad_file": "unconfirmed", "c2m_a": "agree"}
+        "bad_file.idm": "unconfirmed", "c2m_a": "agree"}
 
 
 @pytest.mark.parametrize("flag", ["--max-level", "--series-order"])

@@ -3,15 +3,17 @@ import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from identiscope import _rng, bench, ffprob, lie_orc
+from identiscope import _rng, bench, errors, ffprob, lie_orc
 from identiscope import symexpr as sx
 from identiscope._linalg import MAX_PRIME
 from identiscope.bench import corpus_dir
-from identiscope.errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted
+from identiscope.errors import (DivisionByZeroModP, EngineTimeout, NonRationalExpr,
+                                RetriesExhausted, RunContext)
 from identiscope.ffprob import DEFAULT_PRIMES, FfprobOptions, _Run, _sweep_runs, analyze_ffprob
 from identiscope.lie_orc import LieCache
 from identiscope.model import augment, load_model, parse_model
@@ -274,6 +276,23 @@ def _batch(A, primes, trials, seed, order=None):
         assert len(rows) >= cut and not np.any(rows[cut:]), (run, cut)
         out.append((run, rows[:cut], rank))
     return out
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_deadline_passing_at_an_order_stops_the_sweep(k, monkeypatch):
+    # A fake clock passes the deadline at its (k+1)-th reading.  The sweep
+    # reads it once before each order, so it stops after exactly k orders:
+    # every run's form took blocks 0..k-1 and no more.
+    A = augment(parse_model(_chain_model(5)))
+    runs = [_Run(P, trial) for trial in range(2)]
+    ctx = RunContext(k + 0.5)
+    readings = []
+    monkeypatch.setattr(errors, "time", SimpleNamespace(
+        monotonic=lambda: readings.append(None) or float(len(readings))))
+    with pytest.raises(EngineTimeout):
+        _sweep_runs(A, runs, 0, A.n_z - 1, ctx)
+    assert len(readings) == k + 1
+    assert [(run.order, run.stop) for run in runs] == [(k - 1, None)] * 2
 
 
 @pytest.fixture(autouse=True)

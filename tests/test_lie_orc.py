@@ -838,11 +838,11 @@ def test_deadline_passing_mid_walk_stops_the_derivation(monkeypatch):
     memo = dict(cache._derivs)
     extended_lie_derivative(cache.lies[10][0], A, memo)
     whole = len(memo) - start
-    assert whole > 2 * sx._DEADLINE_EVERY
+    assert whole > 2 * sx._CHECK_EVERY
     readings = []
     monkeypatch.setattr(errors, "time", SimpleNamespace(
         monotonic=lambda: readings.append(None) or float(len(readings))))
-    cache.deadline = 1.5
+    cache.ctx = errors.RunContext(1.5)
     with pytest.raises(EngineTimeout):
         cache.ensure_level(11)
     assert len(readings) == 2
