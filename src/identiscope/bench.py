@@ -7,12 +7,12 @@ rationality and (when settled) frozen consensus verdicts.
 Models whose published ground truth is disputed are tagged ``contested``;
 the harness reports their verdicts but never asserts them.
 
-``run_corpus`` analyzes every applicable (model, engine) pair, each within
-its own wall-clock budget, and records a pair that fails (``failure_record``:
-na, timeout or error, with no partial verdicts) instead of raising.  A model
-file that does not load, or whose model name an earlier file declares
-(consensus groups reports by model name), gives error records named after
-the file (``b.idm``), which no model name can equal.
+``run_model`` runs a model's engines, each within its own wall-clock budget,
+and records a run that fails (``failure_record``: na, timeout or error, with
+no partial verdicts) instead of raising; ``run_corpus`` runs it on each model
+file.  A file that does not load, or whose model name an earlier file
+declares (consensus groups reports by model name), gives error records named
+after the file (``b.idm``), which no model name can equal.
 ``compare_engines`` then marks per-model consensus, which is the
 correctness criterion for engines that share no code path.
 """
@@ -72,6 +72,22 @@ def failure_record(model: str, engine: str, seed: int, exc: Exception) -> Analys
                           seed=seed, error=error)
 
 
+def run_model(md: ModelDef, engines: tuple[str, ...], opts: Options,
+              timeout_s: float | None) -> list[tuple[AnalysisReport, IdentiscopeError | None]]:
+    """(report, the IdentiscopeError it raised or None) per engine, run on ``md`` in order, each
+    within ``timeout_s`` of its own start (this replaces ``opts.deadline``); a run that raised
+    gives its ``failure_record``.  A bad ``timeout_s`` raises ValueError before any engine runs."""
+    check_settings(None, timeout_s=timeout_s)
+    runs = []
+    for engine in engines:
+        try:
+            runs.append((analyze(md, engine, replace(opts, deadline=deadline_after(timeout_s))),
+                         None))
+        except IdentiscopeError as exc:
+            runs.append((failure_record(md.name, engine, opts.seed, exc), exc))
+    return runs
+
+
 def run_corpus(directory=None, engines: tuple[str, ...] = ENGINES, opts: Options | None = None,
                timeout_s: float | None = DEFAULT_TIMEOUT_S) -> list[AnalysisReport]:
     """Analyze every corpus model with every requested engine, each
@@ -99,12 +115,7 @@ def run_corpus(directory=None, engines: tuple[str, ...] = ENGINES, opts: Options
         except (ModelError, OSError, UnicodeDecodeError) as exc:
             reports += [failure_record(path.name, engine, opts.seed, exc) for engine in engines]
             continue
-        for engine in engines:
-            try:
-                reports.append(analyze(md, engine,
-                                       replace(opts, deadline=deadline_after(timeout_s))))
-            except IdentiscopeError as exc:
-                reports.append(failure_record(md.name, engine, opts.seed, exc))
+        reports += [r for r, _ in run_model(md, engines, opts, timeout_s)]
     reports.sort(key=lambda r: (r.model, r.engine))
     return reports
 

@@ -2,15 +2,15 @@
 
 Commands:
   analyze  — run one or both engines on a single model and print verdicts
-  bench    — run the benchmark corpus with a timeout per (model, engine) pair
+  bench    — run the benchmark corpus
   check    — parse and validate a model file
   explain  — show the augmented system (z vector, dynamics, outputs)
 
-Exit codes: 0 success, 1 analysis error (machine-readable JSON on stderr),
-2 usage or model-parse error, 3 engine disagreement under
---require-consensus.  Stdout is byte-deterministic for a fixed seed; wall
-times go to stderr.  The IDENTISCOPE_SEED environment variable overrides
-the default seed.
+--timeout-s bounds each (model, engine) run, in analyze as in bench.  Exit
+codes: 0 success, 1 analysis error (every engine's record on stdout, then
+machine-readable JSON on stderr), 2 usage or model-parse error, 3 engine
+disagreement under --require-consensus.  Stdout is byte-deterministic for a
+fixed seed; wall times go to stderr.  IDENTISCOPE_SEED sets the default seed.
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import NoReturn
 
 from . import bench as bench_mod
 from . import symexpr as sx
 from ._linalg import MAX_PRIME, Options
-from .errors import IdentiscopeError, ModelError, NonRationalExpr, deadline_after
+from .errors import ModelError
 from .ffprob import DEFAULT_PRIMES, DEFAULT_TRIALS_PER_PRIME
 from .lie_orc import DEFAULT_TRIALS
 from .model import augment, load_model
-from .report import AGREE, DISAGREE, ENGINES, FFPROB, STATUS_OK, SYMBOLIC, AnalysisReport
+from .report import (AGREE, DISAGREE, ENGINES, FFPROB, STATUS_NA, STATUS_OK, SYMBOLIC,
+                     AnalysisReport)
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -70,9 +70,9 @@ def _run_settings(args) -> tuple[Options, tuple[str, ...]]:
     return Options(primes=primes, trials=args.trials, seed=seed, max_level=max_level), engines
 
 
-def _machine_error(exc: Exception):
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-          file=sys.stderr)
+def _machine_error(exc: Exception) -> int:
+    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    return EXIT_ANALYSIS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="both engines' depth cap, at least 0: the last Lie-derivative "
                          "level and series order (default n_z-1)")
     pa.add_argument("--timeout-s", type=float, default=None,
-                    help="wall-clock bound for the analysis in seconds, > 0 "
+                    help="wall-clock bound per engine in seconds, > 0 "
                          "(default: none)")
 
     pb = sub.add_parser("bench", help="run the benchmark corpus",
@@ -154,17 +154,10 @@ def _print_report(r: AnalysisReport):
 def cmd_analyze(args) -> int:
     opts, engines = _run_settings(args)
     md = _load(args.model)
-    opts = replace(opts, deadline=deadline_after(args.timeout_s))  # one for both engines
-    reports = []
-    for engine in engines:
-        try:
-            reports.append(bench_mod.analyze(md, engine, opts))
-        except IdentiscopeError as exc:
-            # Under "both" a non-rational model gives ffprob an na record.
-            if not (args.engine == "both" and isinstance(exc, NonRationalExpr)):
-                _machine_error(exc)
-                return EXIT_ANALYSIS
-            reports.append(bench_mod.failure_record(md.name, engine, opts.seed, exc))
+    runs = bench_mod.run_model(md, engines, opts, args.timeout_s)
+    reports = [r for r, _ in runs]
+    # Under "both" ffprob's na on a non-rational model is an answer, not a failure.
+    failures = [exc for r, exc in runs if exc and not (len(runs) > 1 and r.status == STATUS_NA)]
 
     print(f"model: {md.name}")
     for r in reports:
@@ -182,7 +175,8 @@ def cmd_analyze(args) -> int:
                   + ", ".join(d["symbol"] for d in verdict.disagreements))
         else:
             print("consensus: unconfirmed (one usable engine result)")
-    return _finish(args, reports, consensus)
+    code = _finish(args, reports, consensus)  # --json is written also when a run failed
+    return _machine_error(failures[0]) if failures else code
 
 
 def cmd_bench(args) -> int:

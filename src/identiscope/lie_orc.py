@@ -451,8 +451,7 @@ def _first_failure(rows: list[Expr], zset: frozenset, pt: _TrialPoint) -> Divisi
                 for r in sx.structural_order(_reads(node, dep, ind)):
                     v = value(r)
                     if v == 0 and isinstance(node, sx.Pow) and node.exponent < 0:
-                        raise DivisionByZeroModP(
-                            f"base of {sx.to_string(r)}^{node.exponent} is 0 mod {p}")
+                        raise DivisionByZeroModP(f"base of {sx.to_string(node)} is 0 mod {p}")
                     if v == 0 and isinstance(node, sx.Func):  # only ln reads a value that can be 0
                         raise DivisionByZeroModP(f"argument of ln({sx.to_string(r)}) is 0 mod {p}")
     except DivisionByZeroModP as exc:

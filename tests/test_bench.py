@@ -362,6 +362,30 @@ def test_every_entry_point_rejects_a_bad_setting_with_one_text(primes, trials, m
         assert str(exc.value) == text.format(lo=lo)
 
 
+@pytest.mark.parametrize("timeout_s", [0, -1, float("nan")])
+def test_run_model_rejects_a_bad_timeout_before_any_engine(timeout_s, monkeypatch):
+    # deadline_after(nan) would be a deadline that never fires.
+    def no_run(*args):
+        raise AssertionError(f"engine {args[1]} ran")
+
+    monkeypatch.setattr(bench, "analyze", no_run)
+    with pytest.raises(ValueError) as expected:
+        check_settings(None, timeout_s=timeout_s)
+    with pytest.raises(ValueError) as exc:
+        bench.run_model(load_model(corpus_dir() / "c2m_a.idm"), ENGINES, Options(), timeout_s)
+    assert str(exc.value) == str(expected.value)
+
+
+def test_analyze_rejects_an_unknown_engine():
+    with pytest.raises(ValueError, match=r"^unknown engine 'nope'$"):
+        bench.analyze(load_model(corpus_dir() / "c2m_a.idm"), "nope")
+
+
+def test_emit_report_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match=r"^unknown format 'xml'$"):
+        emit_report([AnalysisReport(model="m", engine="symbolic")], fmt="xml")
+
+
 def test_run_corpus_empty_dir(tmp_path):
     assert run_corpus(tmp_path) == []
 

@@ -5,6 +5,7 @@ import re
 import string
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,9 +17,9 @@ import identiscope
 from identiscope import bench, cli
 from identiscope._linalg import MAX_PRIME
 from identiscope.bench import corpus_dir
-from identiscope.errors import ModelError
+from identiscope.errors import EngineTimeout, ModelError
 from identiscope.model import ModelDef, parse_model
-from identiscope.report import DISAGREE, ENGINES, REPORT_SCHEMA
+from identiscope.report import DISAGREE, ENGINES, FFPROB, REPORT_SCHEMA, SYMBOLIC
 
 TOY = "model toy\nstates x\nparams k\nddt x = -k*x\noutput y = x\n"
 
@@ -159,6 +160,50 @@ def test_analyze_timeout_exits_1(toy_path, engine):
     assert res.returncode == 1
     err = json.loads(res.stderr.strip().splitlines()[-1])
     assert err["error"] == "EngineTimeout"
+
+
+def test_analyze_keeps_every_record_when_an_engine_fails(tmp_path, monkeypatch):
+    # A failed engine does not drop the other's report: both records go to
+    # stdout and --json, then the error line ends stderr and analyze exits 1.
+    def timed_out(md, opts):
+        raise EngineTimeout("analysis exceeded its wall-clock bound")
+
+    monkeypatch.setitem(bench._ENGINE_RUNS, FFPROB, timed_out)
+    path = tmp_path / "report.json"
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["analyze", str(corpus_dir() / "hiv2.idm"), "--timeout-s", "30",
+                         "--json", str(path)])
+    assert code == 1
+    assert "engine: symbolic\nstatus: ok\n" in out.getvalue()
+    assert "verdicts:\n" in out.getvalue()
+    assert "engine: ffprob\nstatus: timeout\n" in out.getvalue()
+    assert json.loads(err.getvalue().splitlines()[-1])["error"] == "EngineTimeout"
+    doc = json.loads(path.read_text())
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    assert [(r["engine"], r["status"]) for r in doc["reports"]] == [
+        (SYMBOLIC, "ok"), (FFPROB, "timeout")]
+
+
+def test_analyze_gives_each_engine_its_own_deadline(toy_path, monkeypatch):
+    # --timeout-s bounds each engine from its own start, as bench bounds
+    # each (model, engine) pair.
+    entries = []
+
+    def recorded(run, pause):
+        def stub(md, opts):
+            entries.append((opts.deadline, time.monotonic()))
+            time.sleep(pause)
+            return run(md, opts)
+        return stub
+
+    monkeypatch.setitem(bench._ENGINE_RUNS, SYMBOLIC, recorded(bench._ENGINE_RUNS[SYMBOLIC], 0.05))
+    monkeypatch.setitem(bench._ENGINE_RUNS, FFPROB, recorded(bench._ENGINE_RUNS[FFPROB], 0))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert cli.main(["analyze", toy_path, "--timeout-s", "5"]) == 0
+    (first, first_entry), (second, second_entry) = entries
+    assert second - first >= 0.05
+    assert 0 < first - first_entry <= 5 and 0 < second - second_entry <= 5
 
 
 def test_analyze_missing_file_exits_2():

@@ -294,6 +294,19 @@ def test_retries_exhausted_names_the_first_vanishing_denominator(name, p, seed, 
     assert isinstance(info.value.__cause__, DivisionByZeroModP)
 
 
+def test_retries_exhausted_names_a_vanishing_base_as_eval_mod_p_does():
+    # At p = 2 every drawn residue is 1, so the base x - k is 0 at every
+    # point; the engine names the power node as eval_mod_p does.
+    md = parse_model("model v\nstates x\nparams k\nddt x = 1/(x - k)\noutput y = x\n")
+    with pytest.raises(RetriesExhausted) as info:
+        analyze_symbolic(md, SymbolicOptions(primes=(2,)))
+    x, k = sx.state("x"), sx.param("k")
+    with pytest.raises(DivisionByZeroModP) as direct:
+        sx.eval_mod_p(1 / (x - k), {x: 1, k: 1}, 2)
+    assert str(direct.value) == "base of 1/(x - k) is 0 mod 2"
+    assert str(info.value).endswith(f": {direct.value}")
+
+
 # --------------------------------------------------------------------------
 # classification
 # --------------------------------------------------------------------------
