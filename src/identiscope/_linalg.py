@@ -32,6 +32,8 @@ import numpy as np
 MAX_PRIME = math.isqrt(2**63 - 1) - 1
 # The primes a user gives exceed this, so that a random point rarely hits a root.
 MIN_PRIME = 2**20
+# Both engines' primes when none are given; the symbolic engine runs at the first.
+DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
 # The widest echelon form whose block products stay exact (module docstring).
 MAX_COLS = 2**15 - 1
 
@@ -75,9 +77,9 @@ def is_prime(n: int) -> bool:
 class Options:
     """The settings of one analysis, taken by both engines.
 
-    ``primes=None`` and ``trials=None`` keep the engine's default: one prime
-    and 3 trials for the symbolic engine, ``DEFAULT_PRIMES`` and 2 trials
-    per prime for ffprob.  The symbolic engine runs at the first prime.
+    ``primes=None`` keeps the three primes of ``DEFAULT_PRIMES``, and the
+    symbolic engine runs at the first; ``trials=None`` keeps the engine's
+    default.
     ``max_level`` caps both engines at one block, level k of the symbolic
     matrix being block k of ffprob's (default n_z - 1), and ``deadline`` is
     an absolute ``time.monotonic()`` bound.
@@ -212,14 +214,11 @@ class Echelons:
         r = a.shape[1]
         if not (r and cols.size):
             return self.ranks  # no rows, or every form has full rank
-        if old.size:
-            # The new rows, reduced, at the unsettled columns, over the old
-            # pivot rows there.
-            Bo = self._flat.take(self._region)
-            a = (a.take(cols, 2) - _matmul(a.take(old, 2), Bo, P)) % P
-            a = np.concatenate((a, Bo), 1)
-        else:
-            a = a.take(cols, 2)
+        # The new rows, reduced, at the unsettled columns, over the old pivot
+        # rows there; with no old pivot rows the product is empty and zero.
+        Bo = self._flat.take(self._region)
+        a = (a.take(cols, 2) - _matmul(a.take(old, 2), Bo, P)) % P
+        a = np.concatenate((a, Bo), 1)
         # Gauss-Jordan elimination of the new rows, one row position at a
         # time, over all the forms; a row that is zero scales by 0 and clears
         # nothing.  V[i][f] is the pivot that row i of form f found at its
@@ -245,10 +244,7 @@ class Echelons:
             a %= P
             a[:, i] = row
         i, f = np.array(V).nonzero()
-        if not f.size:
-            return self.ranks
-        if old.size:
-            self._flat[self._region] = a[:, r:]
+        self._flat[self._region] = a[:, r:]
         # A form's row of a new pivot column is zero until it takes the pivot
         # row, which is zero at every settled column.
         c = cols[np.array(L)[i, f]]

@@ -28,7 +28,7 @@ from pathlib import Path
 
 from ._linalg import Options, check_settings
 from .errors import (DuplicateDeclaration, EngineTimeout, IdentiscopeError, ModelError,
-                     NonRationalExpr, deadline_after)
+                     NonRationalExpr, RunContext, deadline_after)
 from .ffprob import analyze_ffprob
 from .lie_orc import analyze_symbolic
 from .model import ModelDef, load_model
@@ -59,9 +59,11 @@ def analyze(md: ModelDef, engine: str, opts: Options | None = None) -> AnalysisR
     return run(md, opts)
 
 
-def failure_record(model: str, engine: str, seed: int, exc: Exception) -> AnalysisReport:
-    """The record of a run of ``model`` that raised: na for a non-rational
-    model, timeout for an exceeded budget, error for anything else."""
+def failure_record(model: str, engine: str, seed: int, exc: Exception,
+                   wall_time_ms: float = 0.0) -> AnalysisReport:
+    """The record of a run of ``model`` that raised after ``wall_time_ms``:
+    na for a non-rational model, timeout for an exceeded budget, error for
+    anything else."""
     if isinstance(exc, NonRationalExpr):
         status, error = STATUS_NA, "NonRationalExpr"
     elif isinstance(exc, EngineTimeout):
@@ -69,22 +71,23 @@ def failure_record(model: str, engine: str, seed: int, exc: Exception) -> Analys
     else:
         status, error = STATUS_ERROR, f"{type(exc).__name__}: {exc}"
     return AnalysisReport(model=model, engine=engine, status=status,
-                          seed=seed, error=error)
+                          seed=seed, error=error, wall_time_ms=wall_time_ms)
 
 
 def run_model(md: ModelDef, engines: tuple[str, ...], opts: Options,
               timeout_s: float | None) -> list[tuple[AnalysisReport, IdentiscopeError | None]]:
     """(report, the IdentiscopeError it raised or None) per engine, run on ``md`` in order, each
     within ``timeout_s`` of its own start (this replaces ``opts.deadline``); a run that raised
-    gives its ``failure_record``.  A bad ``timeout_s`` raises ValueError before any engine runs."""
+    gives its ``failure_record``, timed by the run's context.  A bad ``timeout_s`` raises
+    ValueError before any engine runs."""
     check_settings(None, timeout_s=timeout_s)
     runs = []
     for engine in engines:
+        ctx = RunContext(deadline_after(timeout_s))
         try:
-            runs.append((analyze(md, engine, replace(opts, deadline=deadline_after(timeout_s))),
-                         None))
+            runs.append((analyze(md, engine, replace(opts, deadline=ctx.deadline)), None))
         except IdentiscopeError as exc:
-            runs.append((failure_record(md.name, engine, opts.seed, exc), exc))
+            runs.append((failure_record(md.name, engine, opts.seed, exc, ctx.elapsed_ms()), exc))
     return runs
 
 

@@ -23,9 +23,9 @@ from typing import NoReturn
 
 from . import bench as bench_mod
 from . import symexpr as sx
-from ._linalg import MAX_PRIME, Options
+from ._linalg import DEFAULT_PRIMES, MAX_PRIME, Options
 from .errors import ModelError
-from .ffprob import DEFAULT_PRIMES, DEFAULT_TRIALS_PER_PRIME
+from .ffprob import DEFAULT_TRIALS_PER_PRIME
 from .lie_orc import DEFAULT_TRIALS
 from .model import augment, load_model
 from .report import (AGREE, DISAGREE, ENGINES, FFPROB, STATUS_NA, STATUS_OK, SYMBOLIC,

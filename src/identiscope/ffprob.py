@@ -61,12 +61,12 @@ import numpy as np
 
 from . import _linalg, _rng
 from . import symexpr as sx
+from ._linalg import DEFAULT_PRIMES
 from .errors import DivisionByZeroModP, NonRationalExpr, RetriesExhausted, RunContext
 from .model import AugmentedSystem, ModelDef, augment, CONSTANT
 from .report import FFPROB, FULL_RANK, MAX_LEVEL, SATURATION, AnalysisReport, ok_report
 from .symexpr import Expr, Symbol
 
-DEFAULT_PRIMES = (2147483647, 2147483629, 2147483587)
 DEFAULT_TRIALS_PER_PRIME = 2
 RETRIES = 25  # random points per run before RetriesExhausted
 

@@ -48,7 +48,6 @@ from .model import AugmentedSystem, ModelDef, augment, GENERIC
 from .report import FULL_RANK, MAX_LEVEL, SATURATION, SYMBOLIC, AnalysisReport, ok_report
 from .symexpr import Expr, Symbol, SymbolKind
 
-DEFAULT_PRIME = 2147483647
 DEFAULT_TRIALS = 3
 RETRIES = 25  # random points per trial before RetriesExhausted
 
@@ -92,8 +91,9 @@ class LieCache:
     one memo of node derivatives, so each level reuses the derivatives of
     the subtrees it shares with the level below.  The cache holds no random
     point: the numeric rows belong to the analysis's one ``_Trials`` batch.
-    The run context ``ctx`` (unbounded if None) is checked before each
-    output's derivation and inside its walk, so a budget stops it promptly.
+    The run context ``ctx`` (unbounded if None) is checked inside each
+    walk, every 256 new entries of the shared memo, so a budget stops it
+    promptly.
     """
 
     def __init__(self, A: AugmentedSystem, ctx: RunContext | None = None):
@@ -104,12 +104,9 @@ class LieCache:
 
     def ensure_level(self, k: int):
         while len(self.lies) <= k:
-            nxt = []
-            for phi in self.lies[-1]:
-                self.ctx.check()
-                nxt.append(extended_lie_derivative(phi, self.A, self._derivs,
-                                                   check=self.ctx.check))
-            self.lies.append(nxt)
+            self.lies.append([extended_lie_derivative(phi, self.A, self._derivs,
+                                                      check=self.ctx.check)
+                              for phi in self.lies[-1]])
 
 
 class _Trials:
@@ -564,7 +561,7 @@ def analyze_symbolic(md: ModelDef, opts: SymbolicOptions | None = None) -> Analy
     the span of the others.  The analysis runs at the first of the primes.
     """
     opts = opts or SymbolicOptions()
-    primes = (DEFAULT_PRIME,) if opts.primes is None else opts.primes
+    primes = _linalg.DEFAULT_PRIMES if opts.primes is None else opts.primes
     trials = DEFAULT_TRIALS if opts.trials is None else opts.trials
     _linalg.check_settings(primes, trials, opts.max_level, floor=1)
     ctx = RunContext(opts.deadline)

@@ -1,6 +1,7 @@
 import ast
 import json
 import shutil
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from identiscope.bench import (
     fixtures_dir,
     run_corpus,
 )
+from identiscope.errors import EngineTimeout
 from identiscope.ffprob import FfprobOptions, analyze_ffprob
 from identiscope.lie_orc import SymbolicOptions, analyze_symbolic
 from identiscope.model import load_model
@@ -374,6 +376,19 @@ def test_run_model_rejects_a_bad_timeout_before_any_engine(timeout_s, monkeypatc
     with pytest.raises(ValueError) as exc:
         bench.run_model(load_model(corpus_dir() / "c2m_a.idm"), ENGINES, Options(), timeout_s)
     assert str(exc.value) == str(expected.value)
+
+
+def test_run_model_times_a_run_that_fails(monkeypatch):
+    # A failed run's record keeps the time it ran, as an ok report does.
+    def slow_timeout(md, opts):
+        time.sleep(0.05)
+        raise EngineTimeout("analysis exceeded its wall-clock bound")
+
+    monkeypatch.setitem(bench._ENGINE_RUNS, "symbolic", slow_timeout)
+    ((rep, exc),) = bench.run_model(load_model(corpus_dir() / "c2m_a.idm"), ("symbolic",),
+                                    Options(), 1.0)
+    assert isinstance(exc, EngineTimeout)
+    assert rep.status == "timeout" and rep.wall_time_ms >= 50
 
 
 def test_analyze_rejects_an_unknown_engine():

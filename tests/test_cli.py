@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -18,7 +19,7 @@ from identiscope import bench, cli
 from identiscope._linalg import MAX_PRIME
 from identiscope.bench import corpus_dir
 from identiscope.errors import EngineTimeout, ModelError
-from identiscope.model import ModelDef, parse_model
+from identiscope.model import ModelDef, load_model, parse_model
 from identiscope.report import DISAGREE, ENGINES, FFPROB, REPORT_SCHEMA, SYMBOLIC
 
 TOY = "model toy\nstates x\nparams k\nddt x = -k*x\noutput y = x\n"
@@ -204,6 +205,61 @@ def test_analyze_gives_each_engine_its_own_deadline(toy_path, monkeypatch):
     (first, first_entry), (second, second_entry) = entries
     assert second - first >= 0.05
     assert 0 < first - first_entry <= 5 and 0 < second - second_entry <= 5
+
+
+def _in_process(*argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture()
+def ffprob_flips_b(monkeypatch):
+    # ffprob's real report on hiv2, with b turned from SLI to SU.
+    run = bench._ENGINE_RUNS[FFPROB]
+
+    def flipped(md, opts):
+        rep = run(md, opts)
+        assert rep.verdicts["b"] == "SLI"
+        return replace(rep, verdicts={**rep.verdicts, "b": "SU"})
+
+    monkeypatch.setitem(bench._ENGINE_RUNS, FFPROB, flipped)
+
+
+@pytest.mark.parametrize("flags, exit_code", [((), 0), (("--require-consensus",), 3)])
+def test_analyze_disagreement_exits_3_under_require_consensus(ffprob_flips_b, flags, exit_code):
+    code, out, _ = _in_process("analyze", str(corpus_dir() / "hiv2.idm"), *flags)
+    assert code == exit_code
+    assert out.endswith("\nconsensus: engines DISAGREE on b\n")
+
+
+def test_bench_disagreement_exits_3_under_require_consensus(ffprob_flips_b, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "hiv2.idm").write_text((corpus_dir() / "hiv2.idm").read_text())
+    path = tmp_path / "report.json"
+    code, out, _ = _in_process("bench", str(corpus), "--require-consensus", "--json", str(path))
+    assert code == 3
+    assert out.splitlines()[-1] == f"{'hiv2':<22} disagree  (b)"
+    (entry,) = json.loads(path.read_text())["consensus"]
+    assert entry["agreement"] == "disagree"
+
+
+@pytest.mark.parametrize("name, engine, first", [
+    ("competition", SYMBOLIC, "transcendental subterms were replaced by independent symbols"),
+    ("c2m_c", "both", "unknown-input derivative chains truncated (w^(2)=0), ")])
+def test_analyze_prints_each_warning_as_a_note(name, engine, first):
+    path = str(corpus_dir() / f"{name}.idm")
+    engines = ENGINES if engine == "both" else (engine,)
+    warnings = [w for r, _ in bench.run_model(load_model(path), engines, bench.Options(), None)
+                for w in r.warnings]
+    assert warnings[0].startswith(first)
+    code, out, _ = _in_process("analyze", path, "--engine", engine)
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("note: ")] == [
+        f"note: {w}" for w in warnings]
 
 
 def test_analyze_missing_file_exits_2():

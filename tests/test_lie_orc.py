@@ -841,9 +841,9 @@ def test_walk_matches_free_symbols_oracle(corpus_entries):
 
 
 def test_deadline_passing_mid_walk_stops_the_derivation(monkeypatch):
-    # A fake clock passes the deadline at its second reading.  ensure_level
-    # reads it before each output's walk, so the derivation must stop inside
-    # the first output's walk, where the derivative walk reads the clock.
+    # A fake clock passes the deadline at its second reading.  Only the
+    # derivative walk reads it, every 256 new memo entries, so the
+    # derivation must stop inside the first output's walk.
     A = augment(load_model(corpus_dir() / "a_thaliana.idm"))
     cache = LieCache(A)
     cache.ensure_level(10)

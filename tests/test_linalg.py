@@ -359,6 +359,13 @@ def test_block_product_exact_at_the_column_bound(p):
         Echelons(MAX_COLS + 1, [p])
 
 
+@pytest.mark.parametrize("p", [1, MAX_PRIME + 2])
+def test_echelons_reject_a_modulus_out_of_range(p):
+    with pytest.raises(ValueError) as exc:
+        Echelons(3, [p])
+    assert str(exc.value) == "prime must be in [2, 3037000498]"
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_rank_of_no_rows_is_zero(p):
     assert rank_mod_p([], p) == 0
@@ -393,7 +400,7 @@ def test_is_prime_rejects_pseudoprimes(n):
 
 
 def test_is_prime_accepts_the_engines_primes():
-    assert all(is_prime(p) for p in DEFAULT_PRIMES + (lie_orc.DEFAULT_PRIME, 3037000493))
+    assert all(is_prime(p) for p in DEFAULT_PRIMES + (3037000493,))
     assert 3037000493 <= MAX_PRIME
     with pytest.raises(ValueError):
         is_prime(3_215_031_751)  # the first strong pseudoprime to bases 2, 3, 5, 7

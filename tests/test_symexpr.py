@@ -279,6 +279,25 @@ def test_constructors_reject_a_node_that_no_constructor_interned():
             build()
 
 
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: sx.func("tan", xx), ValueError, "unsupported function 'tan'"),
+    (lambda: sx.symbol("w", sx.SymbolKind.UNKNOWN_INPUT, order=-1), ValueError,
+     "derivative order must be nonnegative"),
+    (lambda: sx.add(xx, "a"), TypeError, "cannot use str as an expression"),
+    (lambda: sx.pow_(xx, 1.5), TypeError, "exponent must be an integer"),
+    (lambda: sx.eval_mod_p(xx, {}, 7), KeyError, "no value for symbol x"),
+])
+def test_library_rejects_bad_input_with_its_text(build, error, text):
+    with pytest.raises(error) as exc:
+        build()
+    assert exc.value.args == (text,)
+
+
+def test_reflected_operators_build_the_canonical_node():
+    assert 3 + xx is sx.add(xx, 3)
+    assert 3 - xx is sx.add(3, sx.mul(-1, xx))
+
+
 def test_rebuilding_an_expression_builds_no_node(monkeypatch):
     A = augment(load_model(corpus_dir() / "gene_p53.idm"))
 
