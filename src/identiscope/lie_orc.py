@@ -55,31 +55,20 @@ SymbolicOptions = _linalg.Options
 
 
 class _TrialPoint(dict):
-    """One random point of a trial: symbol -> residue, each drawn on first
-    lookup from the point's tag.
-
-    Also holds the residues drawn for transcendental nodes and one memo of
-    z-independent node values.
-    """
+    """One random point of a trial: node -> residue, each drawn on first
+    lookup from the point's tag, a symbol's by its name and a transcendental
+    node's (its stand-in residue) by its hash.  ``eval_mod_p`` memoizes the
+    values of z-independent nodes in the same dict."""
 
     def __init__(self, seed: int, trial: int, attempt: int, p: int):
         super().__init__()
         self.seed, self.trial, self.attempt, self.p = seed, trial, attempt, p
-        self.drawn: dict[bytes, int] = {}
-        self.memo: dict[Expr, int] = {}
+        self._sym = _rng.drawer(("sym", seed, trial, attempt), p)
+        self._transc = _rng.drawer(("transc", seed, trial, attempt), p)
 
-    def __missing__(self, s: Symbol) -> int:
-        v = self[s] = _rng.residue(("sym", self.seed, self.trial, self.attempt, s.name), self.p)
-        return v
-
-    def residue(self, node: Expr) -> int:
-        """The residue that stands for a transcendental node at this point,
-        drawn on first use from the point's tag and the node's hash."""
-        key = node.shash
-        v = self.drawn.get(key)
-        if v is None:
-            v = _rng.residue(("transc", self.seed, self.trial, self.attempt, key.hex()), self.p)
-            self.drawn[key] = v
+    def __missing__(self, node: Expr) -> int:
+        v = self[node] = (self._sym(node.name) if isinstance(node, Symbol)
+                          else self._transc(node.shash.hex()))
         return v
 
 
@@ -137,7 +126,8 @@ class _Trials:
     coefficient without an inverse, so a factor that is 0 mod p is fine.  A
     Pow or a Func takes its value and coefficient per node and point in
     Python.  z-independent children are evaluated per point by
-    ``eval_mod_p``, and transcendental nodes take their point's residues.
+    ``eval_mod_p``, which keeps their values in the point, and a
+    transcendental node's value is the point's residue for it.
     Every product of two residues is reduced mod p before it is summed,
     which keeps int64 exact for p <= ``_linalg.MAX_PRIME``.
 
@@ -327,9 +317,7 @@ def _chunks(wave: list, kind: int):
 def _value(node: Expr, pt: _TrialPoint) -> int:
     """A z-independent node's value at pt, or -1 where it is undefined."""
     try:
-        if isinstance(node, sx.Const):
-            return sx.const_mod_p(node.value, pt.p)
-        return sx.eval_mod_p(node, pt, pt.p, transcendental=pt.residue, _memo=pt.memo)
+        return sx.eval_mod_p(node, pt, pt.p, _memo=pt)
     except DivisionByZeroModP:
         return -1
 
@@ -414,10 +402,10 @@ def _unary(node: Expr, bases: list[int], points: list[_TrialPoint], p: int) -> l
         return [(0, 0, True) if b == 0 and e < 0 else (pow(b, e, p), e * pow(b, e - 1, p) % p, False)
                 for b in bases]
     if node.fname == "ln":
-        return [(pt.residue(node), pow(b, -1, p) if b else 0, b == 0)
+        return [(pt[node], pow(b, -1, p) if b else 0, b == 0)
                 for b, pt in zip(bases, points)]
     factor, sign = sx.func_factor(node)
-    return [(pt.residue(node), sign * pt.residue(factor) % p, False) for pt in points]
+    return [(pt[node], sign * pt[factor] % p, False) for pt in points]
 
 
 def _flatten(groups: list[list[int]]) -> tuple[list[int], np.ndarray]:
@@ -436,9 +424,6 @@ def _first_failure(rows: list[Expr], zset: frozenset, pt: _TrialPoint) -> Divisi
     built."""
     p = pt.p
 
-    def value(node):
-        return sx.eval_mod_p(node, pt, p, transcendental=pt.residue, _memo=pt.memo)
-
     def kids(node):
         return sx.structural_order(sx.children(node))
 
@@ -446,7 +431,7 @@ def _first_failure(rows: list[Expr], zset: frozenset, pt: _TrialPoint) -> Divisi
         for post in _walk(rows, {}, set(), zset, kids):
             for node, dep, ind in reversed(post):
                 for r in sx.structural_order(_reads(node, dep, ind)):
-                    v = value(r)
+                    v = sx.eval_mod_p(r, pt, p, _memo=pt)
                     if v == 0 and isinstance(node, sx.Pow) and node.exponent < 0:
                         raise DivisionByZeroModP(f"base of {sx.to_string(node)} is 0 mod {p}")
                     if v == 0 and isinstance(node, sx.Func):  # only ln reads a value that can be 0

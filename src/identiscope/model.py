@@ -182,6 +182,10 @@ class _Tok(NamedTuple):
     line: int
     col: int
 
+    def __str__(self) -> str:
+        """The token as a message shows it: its quoted text, or ``end of line``."""
+        return "end of line" if self.kind == "end" else repr(self.text)
+
 
 def _tokenize(text: str) -> list[list[_Tok]]:
     """The tokens of each non-empty line, ending with an ``end`` token.
@@ -228,7 +232,7 @@ class _ExprParser:
     def expect_op(self, op: str):
         t = self.take()
         if t.kind != "op" or t.text != op:
-            raise ModelSyntaxError(f"expected {op!r}, found {t.text!r}", t.line, t.col)
+            raise ModelSyntaxError(f"expected {op!r}, found {t}", t.line, t.col)
 
     def parse(self) -> Expr:
         try:
@@ -293,7 +297,7 @@ class _ExprParser:
                     return sign * v.numerator
                 raise _non_integer(v, *mark)
             raise ModelSyntaxError("exponent must be an integer literal", *mark)
-        raise ModelSyntaxError(f"expected integer exponent, found {t.text!r}", t.line, t.col)
+        raise ModelSyntaxError(f"expected integer exponent, found {t}", t.line, t.col)
 
     def atom(self) -> Expr:
         t = self.take()
@@ -328,7 +332,7 @@ class _ExprParser:
                 raise UndeclaredSymbol(
                     f"line {t.line}, col {t.col}: undeclared symbol {name!r}")
             return s
-        raise ModelSyntaxError(f"unexpected {t.text!r}", t.line, t.col)
+        raise ModelSyntaxError(f"unexpected {t}", t.line, t.col)
 
 
 def _exact(op: _Tok, build, *args) -> Expr:

@@ -825,15 +825,15 @@ def const_mod_p(value: Fraction, p: int) -> int:
     return value.numerator % p if value.denominator == 1 else value.numerator * pow(den, -1, p) % p
 
 
-def eval_mod_p(e: Expr, point: dict[Symbol, int], p: int, *, transcendental=None,
-               _memo=None) -> int:
+def eval_mod_p(e: Expr, point: dict[Expr, int], p: int, *, _memo=None) -> int:
     """Exact value of ``e`` at ``point`` in the field of integers mod p.
 
-    ``point`` must cover every free symbol.  Raises DivisionByZeroModP when
-    a denominator or negative-power base lands on 0 mod p, NonRationalExpr
-    when a transcendental node is reached and no ``transcendental`` handler
-    is given.  The handler, when present, maps a whole Func node to a
-    residue (used by the rank engine's rationalization table).
+    ``point`` maps every free symbol, and every transcendental (Func) node
+    that the evaluation reaches, to its value; a dict subclass whose
+    ``__missing__`` computes the value serves as a handler.  Raises
+    DivisionByZeroModP when a denominator or negative-power base lands on
+    0 mod p, KeyError when a symbol has no value, and NonRationalExpr when
+    a transcendental node has none.
     """
     memo = {} if _memo is None else _memo
 
@@ -843,10 +843,12 @@ def eval_mod_p(e: Expr, point: dict[Symbol, int], p: int, *, transcendental=None
             return got
         if isinstance(node, Const):
             out = const_mod_p(node.value, p)
-        elif isinstance(node, Symbol):
+        elif isinstance(node, (Symbol, Func)):
             try:
                 out = point[node] % p
             except KeyError:
+                if isinstance(node, Func):
+                    raise NonRationalExpr(f"transcendental node {to_string(node)}") from None
                 raise KeyError(f"no value for symbol {node.name}") from None
         elif isinstance(node, Add):
             out = sum(ev(t) for t in node.terms) % p
@@ -854,15 +856,11 @@ def eval_mod_p(e: Expr, point: dict[Symbol, int], p: int, *, transcendental=None
             out = 1
             for f in node.factors:
                 out = out * ev(f) % p
-        elif isinstance(node, Pow):
+        else:  # Pow
             b = ev(node.base)
             if b == 0 and node.exponent < 0:
                 raise DivisionByZeroModP(f"base of {to_string(node)} is 0 mod {p}")
             out = pow(b, node.exponent, p)
-        else:
-            if transcendental is None:
-                raise NonRationalExpr(f"transcendental node {to_string(node)}")
-            out = transcendental(node) % p
         memo[node] = out
         return out
 

@@ -116,6 +116,18 @@ def test_env_seed_override(toy_path):
     assert seeded.stdout == via_env2.stdout
 
 
+def test_bad_env_seed_exits_2_unless_a_seed_is_given(toy_path, monkeypatch):
+    monkeypatch.setenv("IDENTISCOPE_SEED", "abc")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", toy_path])
+    assert exc.value.code == 2
+    assert err.getvalue() == "error: IDENTISCOPE_SEED='abc': need an integer\n"
+    assert out.getvalue() == ""
+    with redirect_stdout(io.StringIO()):  # --seed wins, and the variable is not read
+        assert cli.main(["analyze", toy_path, "--seed", "2"]) == 0
+
+
 def test_json_output_validates(toy_path, tmp_path):
     out = tmp_path / "report.json"
     res = run_cli("analyze", toy_path, "--json", str(out))

@@ -690,18 +690,23 @@ def test_order_cap_no_run_reaches_draws_nothing_more(monkeypatch):
     md = load_model(corpus_dir() / "nfkb2.idm")
     assert md.known_inputs
     draws = []
-    residue = _rng.residue
+    drawer = _rng.drawer
 
-    def counted(parts, p):
-        draws.append(parts)
-        return residue(parts, p)
+    def counted(prefix, p):
+        draw = drawer(prefix, p)
 
-    monkeypatch.setattr(_rng, "residue", counted)
+        def counted_draw(tail):
+            draws.append((prefix, tail))
+            return draw(tail)
+
+        return counted_draw
+
+    monkeypatch.setattr(_rng, "drawer", counted)
     default = analyze_ffprob(md).to_dict(include_timing=False)
     n = len(draws)
     huge = analyze_ffprob(md, FfprobOptions(max_level=10**6)).to_dict(include_timing=False)
     assert default["stop_reason"] != "max_level"
-    assert huge == default and len(draws) == 2 * n
+    assert n > 0 and huge == default and len(draws) == 2 * n
 
 
 # --------------------------------------------------------------------------

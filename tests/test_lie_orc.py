@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import pytest
 
 import identiscope
-from identiscope import errors, lie_orc
+from identiscope import _rng, errors, lie_orc
 from identiscope import symexpr as sx
 from identiscope._linalg import MAX_PRIME
 from identiscope.bench import corpus_dir
@@ -453,14 +453,14 @@ class _Reference(_TrialPoint):
         super().__init__(*args)
         self.read = set()
 
-    def transc(self, node):
-        self.read.add(node)
-        return self.residue(node)
+    def __missing__(self, node):
+        if isinstance(node, sx.Func):
+            self.read.add(node)
+        return super().__missing__(node)
 
 
 def _eval_row(row, ref: _Reference):
-    return [sx.eval_mod_p(e, ref, ref.p, transcendental=ref.transc, _memo=ref.memo)
-            for e in row]
+    return [sx.eval_mod_p(e, ref, ref.p, _memo=ref) for e in row]
 
 
 def _symbolic_row(phi, ref: _Reference):
@@ -477,6 +477,14 @@ def _tangent_row(phi, pt: _TrialPoint):
     if batch._evaluate([phi]):
         raise lie_orc._first_failure([phi], batch.zset, pt)
     return rows_of(batch.forms)[-1], batch.transcendental
+
+
+def test_point_draws_each_node_from_its_tag():
+    # A symbol's residue is drawn by its name, a transcendental node's by
+    # its hash, under the point's (seed, trial, attempt).
+    pt = _TrialPoint(0, 0, 0, P)
+    assert pt[x] == _rng.residue(("sym", 0, 0, 0, "x"), P)
+    assert pt[sx.exp(x)] == _rng.residue(("transc", 0, 0, 0, sx.exp(x).shash.hex()), P)
 
 
 def _assert_sweep_matches(phi):

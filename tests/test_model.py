@@ -254,6 +254,16 @@ PARSE_ERRORS = [
                  id="undeclared"),
     pytest.param(_swap("-k*x\n", "*x\n"), ModelSyntaxError, (4, 9), "unexpected '*'",
                  id="missing-operand"),
+    pytest.param(_swap("-k*x\n", "x +\n"), ModelSyntaxError, (4, 12),
+                 "unexpected end of line", id="line-ends-after-plus"),
+    pytest.param(_swap("-k*x\n", "-\n"), ModelSyntaxError, (4, 10),
+                 "unexpected end of line", id="line-ends-after-minus"),
+    pytest.param(_swap("-k*x\n", "(x\n"), ModelSyntaxError, (4, 11),
+                 "expected ')', found end of line", id="line-ends-in-parens"),
+    pytest.param(_swap("-k*x\n", "x^(2\n"), ModelSyntaxError, (4, 13),
+                 "expected ')', found end of line", id="line-ends-in-exponent"),
+    pytest.param(_swap("-k*x\n", "x^\n"), ModelSyntaxError, (4, 11),
+                 "expected integer exponent, found end of line", id="line-ends-after-caret"),
     pytest.param(_swap("-k*x\n", "-k*x/0\n"), ModelSyntaxError, (4, 13),
                  "division by the zero constant", id="zero-divisor"),
     pytest.param(_swap("y = x", "y = x*(1-1)^-1"), ModelSyntaxError, (5, 19),

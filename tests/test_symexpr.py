@@ -54,11 +54,13 @@ def _canonical(raw):
 def test_simplify_additive_identity():
     raw = sx.Add((X, sx.Const(0)))
     assert _canonical(raw) is xx
+    assert sx.add(2 * xx, -xx) is xx
 
 
 def test_simplify_constant_folding():
     raw = sx.Mul((sx.Const(Fraction(2, 4)), X, sx.Const(1)))
     assert _canonical(raw) is sx.mul(sx.const(Fraction(1, 2)), xx)
+    assert sx.cos(0) is sx.ONE
 
 
 def test_simplify_merges_powers():
@@ -166,6 +168,10 @@ def test_eval_mod_p_vanishing_denominator():
 def test_eval_mod_p_rejects_transcendental():
     with pytest.raises(NonRationalExpr):
         sx.eval_mod_p(sx.ln(xx), {X: 3}, 7)
+
+
+def test_eval_mod_p_reads_a_transcendental_node_from_the_point():
+    assert sx.eval_mod_p(sx.ln(xx) + xx, {X: 3, sx.ln(xx): 5}, 7) == 1
 
 
 def test_eval_rational_examples():
