@@ -91,6 +91,20 @@ class Options:
     max_level: int | None = None
     deadline: float | None = None
 
+    def __post_init__(self):
+        """Raise TypeError naming the first field of the wrong type, a bool
+        counting as one; ``check_settings`` checks the ranges."""
+        if not isinstance(self.primes, tuple | list | None):
+            raise TypeError(f"Options.primes must be a tuple of ints, not {self.primes!r}")
+        checks = [("trials", self.trials, int | None, "an int or None"),
+                  ("seed", self.seed, int, "an int"),
+                  ("max_level", self.max_level, int | None, "an int or None"),
+                  ("deadline", self.deadline, int | float | None, "a number or None")]
+        checks += [("primes", q, int, "a tuple of ints") for q in self.primes or ()]
+        for name, value, kind, text in checks:
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise TypeError(f"Options.{name} must be {text}, not {value!r}")
+
 
 def check_settings(primes: tuple[int, ...] | None, trials: int | None = None,
                    max_level: int | None = None, timeout_s: float | None = None,

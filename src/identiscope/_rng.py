@@ -1,9 +1,9 @@
 """Deterministic random residues.
 
 Every random draw in the analysis engines is derived from a context tag
-(seed, trial, attempt, symbol name, ...) through a keyed hash, never from
-Python's process-randomized ``hash``.  This makes reports byte-reproducible
-across processes and platforms for a fixed seed.
+(seed, trial, attempt, symbol name, ...) by ``drawer``, the one route to a
+draw, never from Python's process-randomized ``hash``.  This makes reports
+byte-reproducible across processes and platforms for a fixed seed.
 
 A draw is counter-based, as in Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3" (SC 2011): the tag is the counter, one 128-bit blake2b
@@ -25,22 +25,12 @@ from _blake2 import blake2b
 SEP = "\x1f"  # the unit separator that joins the parts of a tag
 
 
-def residue(parts, p: int) -> int:
-    """Residue in [1, p-1] determined entirely by ``parts``.
-
-    It is 1 + (the 128-bit blake2b digest of the tag) mod (p - 1), the tag
-    being ``parts`` joined by ``SEP``.  It is off uniform by at most
-    (p - 1) / 2^128, below 2^-96 for every prime up to
-    ``_linalg.MAX_PRIME``.
-    """
-    tag = SEP.join(map(str, parts)).encode()
-    return 1 + int.from_bytes(blake2b(tag, digest_size=16).digest(), "big") % (p - 1)
-
-
 def drawer(prefix, p: int) -> Callable[[str], int]:
-    """The function of ``tail`` that returns ``residue((*prefix, tail), p)``;
-    a tail of several parts is joined by ``SEP``.  The prefix is hashed
-    once, and each draw hashes its tail on a copy of that state."""
+    """The function of ``tail`` that returns 1 + (the 128-bit blake2b digest
+    of the tag ``(*prefix, tail)``, its parts joined by ``SEP``) mod (p - 1):
+    a residue in [1, p-1], off uniform by at most (p - 1) / 2^128, below 2^-96
+    for every prime up to ``_linalg.MAX_PRIME``.  The prefix is hashed once,
+    and each draw hashes its tail on a copy of that state."""
     head = blake2b((SEP.join(map(str, prefix)) + SEP).encode(), digest_size=16)
     q = p - 1
 

@@ -119,7 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--timeout-s", type=float, default=bench_mod.DEFAULT_TIMEOUT_S,
                     help="wall-clock bound per (model, engine) pair in seconds, > 0")
     pb.add_argument("--format", choices=["json", "csv"], default=None,
-                    help="emit the machine-readable document to stdout")
+                    help="emit the machine-readable document to stdout, without "
+                         "wall times (the CSV's time_ms reads 0.0) so that its bytes "
+                         "repeat for a seed; --json PATH keeps them")
 
     pc = sub.add_parser("check", help="parse and validate a model file")
     pc.add_argument("model", help="path to a .idm model file")
@@ -239,7 +241,7 @@ def cmd_explain(args) -> int:
     for s, f in zip(A.z, A.F):
         print(f"  d/dt {s.name:<{width}} = {sx.to_string(f)}   [{s.kind.value}]")
     print("outputs:")
-    for name, h in zip(A.output_names, A.outputs):
+    for name, h in md.outputs:
         print(f"  {name} = {sx.to_string(h)}")
     return EXIT_OK
 

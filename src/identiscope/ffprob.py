@@ -551,11 +551,12 @@ FfprobOptions = _linalg.Options
 
 
 def _require_rational(md: ModelDef):
-    hit = md.first_transcendental()
-    if hit is not None:
-        raise NonRationalExpr(
-            f"model {md.name!r} is non-rational (contains {sx.to_string(hit)}); "
-            "use the symbolic engine")
+    for e in (*(md.dynamics[s] for s in md.states), *(h for _, h in md.outputs)):
+        hit = sx.first_transcendental(e)
+        if hit is not None:
+            raise NonRationalExpr(
+                f"model {md.name!r} is non-rational (contains {sx.to_string(hit)}); "
+                "use the symbolic engine")
 
 
 def _draw_trial(A: AugmentedSystem, seed: int, p: int, trial: int,

@@ -29,10 +29,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import symexpr as sx
+from ._linalg import MAX_COLS
 from .errors import (
     DivisionByZero,
     DuplicateDeclaration,
     MissingDynamics,
+    ModelError,
     ModelSyntaxError,
     NonIntegerExponent,
     UndeclaredSymbol,
@@ -96,19 +98,8 @@ class ModelDef:
         return len(self.outputs)
 
     def is_rational(self) -> bool:
-        return self.first_transcendental() is None
-
-    def first_transcendental(self) -> Expr | None:
-        """Leftmost transcendental node in dynamics/outputs, or None."""
-        for s in self.states:
-            hit = sx.first_transcendental(self.dynamics[s])
-            if hit is not None:
-                return hit
-        for _, h in self.outputs:
-            hit = sx.first_transcendental(h)
-            if hit is not None:
-                return hit
-        return None
+        return all(map(sx.is_rational_expr, (*self.dynamics.values(),
+                                             *(h for _, h in self.outputs))))
 
     def unknown_input_warning(self) -> str:
         """The report warning for the model's unknown inputs, whose
@@ -130,7 +121,6 @@ class AugmentedSystem:
     model: ModelDef
     z: tuple[Symbol, ...]
     F: tuple[Expr, ...]
-    output_names: tuple[str, ...]
     outputs: tuple[Expr, ...]
     index: dict[Symbol, int]
 
@@ -157,7 +147,6 @@ def augment(md: ModelDef) -> AugmentedSystem:
         model=md,
         z=tuple(z),
         F=tuple(F),
-        output_names=tuple(name for name, _ in md.outputs),
         outputs=tuple(h for _, h in md.outputs),
         index=index,
     )
@@ -432,6 +421,10 @@ def parse_model(text: str) -> ModelDef:
         raise ModelSyntaxError("missing 'model NAME' statement", 1, 1)
     if not states:
         raise ModelSyntaxError("model declares no states", 1, 1)
+    n_z = len(states) + len(params) + sum(w.order + 1 for w in unknown)
+    if n_z > MAX_COLS:
+        raise ModelError(f"model {name!r} has n_z = {n_z} (states, params and unknown-input "
+                         f"chains), above the engines' limit of {MAX_COLS}")
 
     # Pass 2: equations.
     dynamics: dict[Symbol, Expr] = {}

@@ -641,7 +641,7 @@ def is_rational_expr(e: Expr) -> bool:
 
 def first_transcendental(e: Expr) -> Expr | None:
     """Leftmost transcendental node in structural order, or None if the
-    expression is rational."""
+    expression is rational (a non-rational non-Func has a non-rational child)."""
     if is_rational_expr(e):
         return None
     if isinstance(e, Func):
@@ -650,7 +650,6 @@ def first_transcendental(e: Expr) -> Expr | None:
         hit = first_transcendental(c)
         if hit is not None:
             return hit
-    return None
 
 
 # --------------------------------------------------------------------------

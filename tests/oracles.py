@@ -533,12 +533,13 @@ def cross_check_lie(md, order, p, seed=0):
     last = None
     for attempt in range(RETRIES):
         tag = ("xcheck", seed, p, attempt)
-        z0 = [_rng.residue(tag + (s.name,), p) for s in A.z]
+        draw = _rng.drawer(tag, p)
+        z0 = [draw(s.name) for s in A.z]
         point = dict(zip(A.z, z0))
         env = {}
         for spec in A.model.known_inputs:
             u = spec.symbol
-            jet = [_rng.residue(tag + (u.name, j), p) if j == 0 or spec.mode != CONSTANT else 0
+            jet = [draw(f"{u.name}{_rng.SEP}{j}") if j == 0 or spec.mode != CONSTANT else 0
                    for j in range(order + 1)]
             env[u] = TruncSeries(jet, p)
             for j, c in enumerate(jet):

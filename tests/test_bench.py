@@ -2,7 +2,7 @@ import ast
 import json
 import shutil
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -310,6 +310,43 @@ def test_a_failed_file_is_not_named_after_another_files_model(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1:] == [
         "b,ffprob,ok,2,2,0.0", "b,symbolic,ok,2,2,0.0",
         "b.idm,ffprob,error,,,0.0", "b.idm,symbolic,error,,,0.0"]
+
+
+def test_run_corpus_records_a_model_wider_than_the_engines_take(tmp_path):
+    # n_z = 40,003 > MAX_COLS: wide.idm gives error records and toy still runs.
+    toy = "model toy\nstates x\nparams k\nddt x = -k*x\noutput y = x\n"
+    (tmp_path / "toy.idm").write_text(toy)
+    wide = toy.replace("params k", "params k\nunknown_inputs w order 40000")
+    (tmp_path / "wide.idm").write_text(wide)
+    reports = run_corpus(tmp_path)
+    assert [(r.model, r.engine, r.status) for r in reports] == [
+        ("toy", "ffprob", "ok"), ("toy", "symbolic", "ok"),
+        ("wide.idm", "ffprob", "error"), ("wide.idm", "symbolic", "error")]
+    for r in reports[2:]:
+        assert r.error.startswith("ModelError: model 'toy' has n_z = 40003 "), r.error
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 1.5), ("trials", True), ("max_level", 1.5), ("max_level", False),
+    ("seed", "x"), ("seed", 1.5), ("seed", True), ("seed", None),
+    ("primes", (2147483647, 1.5)), ("primes", (True,)), ("primes", 2147483647), ("primes", "ab"),
+    ("deadline", "1"), ("deadline", True),
+])
+def test_options_rejects_a_field_of_the_wrong_type(field, value):
+    # The type check runs again in the replace of run_model.
+    with pytest.raises(TypeError, match=rf"^Options\.{field} must be "):
+        Options(**{field: value})
+    with pytest.raises(TypeError, match=rf"^Options\.{field} must be "):
+        replace(Options(), **{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", None), ("trials", 2), ("max_level", None), ("max_level", 0), ("seed", -3),
+    ("primes", None), ("primes", (2147483647,)), ("deadline", None), ("deadline", 5),
+    ("deadline", 2.5),
+])
+def test_options_takes_each_accepted_kind(field, value):
+    assert getattr(Options(**{field: value}), field) == value
 
 
 @pytest.mark.parametrize("engine", bench.ENGINES)

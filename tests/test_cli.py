@@ -312,6 +312,17 @@ def test_model_that_does_not_parse_exits_2_with_its_line(command, name, tmp_path
     assert res.stdout == ""
 
 
+def test_check_rejects_a_model_wider_than_the_engines_take(tmp_path):
+    # n_z = 40,003 > MAX_COLS; the model is only parsed, never augmented.
+    path = tmp_path / "wide.idm"
+    path.write_text(TOY.replace("params k", "params k\nunknown_inputs w order 40000"))
+    res = run_cli("check", str(path))
+    assert res.returncode == 2
+    assert res.stderr == ("error: model 'toy' has n_z = 40003 (states, params and "
+                          "unknown-input chains), above the engines' limit of 32767\n")
+    assert res.stdout == ""
+
+
 def test_bench_csv_format(tmp_path):
     import shutil
     d = tmp_path / "corpus"

@@ -234,6 +234,21 @@ def test_analyze_rejects_non_rational_naming_the_node():
         analyze_ffprob(md)
 
 
+@pytest.mark.parametrize("text, node", [
+    # ddt b comes first in the file, but a is the first state.
+    ("model m\nstates a b\nparams k\nddt b = exp(b)\nddt a = -k*ln(a)\noutput y = a + b\n",
+     "ln(a)"),
+    ("model m\nstates x\nparams k\nddt x = -k*x\noutput y = exp(x)\n", "exp(x)"),
+], ids=["state-order", "output-only"])
+def test_analyze_names_the_first_non_rational_node_in_state_order(text, node):
+    md = parse_model(text)
+    assert not md.is_rational()
+    with pytest.raises(NonRationalExpr) as err:
+        analyze_ffprob(md)
+    assert str(err.value) == (f"model 'm' is non-rational (contains {node}); "
+                              "use the symbolic engine")
+
+
 def test_analyze_deterministic():
     md = load_model(corpus_dir() / "c2m_b.idm")
     a = analyze_ffprob(md, FfprobOptions(seed=5))

@@ -483,8 +483,8 @@ def test_point_draws_each_node_from_its_tag():
     # A symbol's residue is drawn by its name, a transcendental node's by
     # its hash, under the point's (seed, trial, attempt).
     pt = _TrialPoint(0, 0, 0, P)
-    assert pt[x] == _rng.residue(("sym", 0, 0, 0, "x"), P)
-    assert pt[sx.exp(x)] == _rng.residue(("transc", 0, 0, 0, sx.exp(x).shash.hex()), P)
+    assert pt[x] == _rng.drawer(("sym", 0, 0, 0), P)("x")
+    assert pt[sx.exp(x)] == _rng.drawer(("transc", 0, 0, 0), P)(sx.exp(x).shash.hex())
 
 
 def _assert_sweep_matches(phi):

@@ -1,6 +1,7 @@
 import pytest
 
 from identiscope import symexpr as sx
+from identiscope._linalg import MAX_COLS
 from identiscope.errors import (
     DuplicateDeclaration,
     MissingDynamics,
@@ -306,6 +307,9 @@ PARSE_ERRORS = [
                  id="no-ddt"),
     pytest.param(_swap("output y = x\n", ""), ModelSyntaxError, (1, 1), "no outputs",
                  id="no-outputs"),
+    pytest.param(_add(f"unknown_inputs w order {MAX_COLS - 2}"), ModelError, None,
+                 f"has n_z = {MAX_COLS + 1} (states, params and unknown-input chains), "
+                 f"above the engines' limit of {MAX_COLS}", id="wider-than-the-engines"),
 ]
 
 
@@ -321,6 +325,13 @@ def test_parse_error_names_its_class_and_place(text, cls, where, words):
         assert message.startswith("line {}, col {}: ".format(*where)), message
     if cls is ModelSyntaxError:
         assert (err.value.line, err.value.col) == where
+
+
+def test_a_model_as_wide_as_the_engines_take_parses():
+    # n_z = 1 state + 1 param + (order + 1) chain entries; parsing builds
+    # no chain, so this stays cheap.
+    md = parse_model(_add(f"unknown_inputs w order {MAX_COLS - 3}"))
+    assert md.n + md.p + md.unknown_inputs[0].order + 1 == MAX_COLS
 
 
 def test_nesting_below_the_limit_parses():

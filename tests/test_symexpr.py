@@ -89,6 +89,7 @@ def test_pow_distributes_and_collapses():
     assert sx.pow_(sx.mul(xx, yy), 2) == sx.mul(sx.pow_(xx, 2), sx.pow_(yy, 2))
     assert sx.pow_(sx.pow_(xx, 2), 3) == sx.pow_(xx, 6)
     assert sx.pow_(xx, 0) == sx.ONE
+    assert sx.pow_(0, 3) is sx.ZERO
 
 
 def test_div_by_zero_constant_rejected():
